@@ -121,17 +121,6 @@ class BaSchedule:
             return ("rigid", "non_rigid")
         return ("non_rigid",) if counter % (self.m + self.n) < self.m else ("rigid",)
 
-    def non_rigid_steps(self, total: int) -> int:
-        """Number of non-rigid solves a hybrid schedule runs in T steps."""
-        if self.mode == "non_rigid_only":
-            return total
-        if self.mode == "rigid_only":
-            return 0
-        if self.mode == "staged":
-            return total
-        cycle = self.m + self.n
-        return (total // cycle) * self.m + min(total % cycle, self.m)
-
 
 class SlidingWindow:
     """Keyframes plus the landmarks currently observed by at least two."""
@@ -556,9 +545,7 @@ def initialize(
         raise InsufficientParallaxError("session too short to create a second keyframe")
     frame1 = session.frames[kf_index]
     kf1 = Keyframe(kf_index, float(session.gt_times[kf_index]), state,
-                   frame1.landmark_ids.copy(), frame1.pixels.copy(),
-                   pre_from_prev=integrate(_frame_slice(session, 0, kf_index),
-                                           (state0.gyro_bias, state0.accel_bias), rig.imu_noise))
+                   frame1.landmark_ids.copy(), frame1.pixels.copy(), pre_from_prev=pre)
     window.insert_keyframe(kf1, cfg.min_frame_landmarks)
     for lm_id, px in zip(frame1.landmark_ids, frame1.pixels):
         window._pending.setdefault(int(lm_id), (kf_index, px.copy()))

@@ -12,8 +12,6 @@ results match a brute-force scan even under ties.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 from scipy.spatial import cKDTree
 
@@ -31,18 +29,6 @@ class ParseError(ValueError):
     def __init__(self, line: int, message: str):
         super().__init__(f"line {line}: {message}")
         self.line = line
-
-
-@dataclass(frozen=True)
-class MapPoint:
-    position: np.ndarray
-    normal: np.ndarray | None = None
-    observation_count: int = 0
-    is_ground: bool = False
-
-    def __post_init__(self):
-        if self.normal is not None and abs(np.linalg.norm(self.normal) - 1.0) > 1e-9:
-            raise ValueError("normal must be unit length")
 
 
 class PointCloudMap:
@@ -83,10 +69,6 @@ class PointCloudMap:
     def has_normal(self) -> np.ndarray:
         return ~np.isnan(self.normals[:, 0])
 
-    def point(self, i: int) -> MapPoint:
-        normal = None if np.isnan(self.normals[i, 0]) else self.normals[i].copy()
-        return MapPoint(self.positions[i].copy(), normal, int(self.counts[i]), bool(self.ground[i]))
-
     def subset(self, index) -> "PointCloudMap":
         index = np.asarray(index)
         return PointCloudMap(
@@ -118,11 +100,6 @@ class PointCloudMap:
         dists = np.linalg.norm(self.positions[candidates] - query, axis=1)
         order = np.lexsort((candidates, dists))[:kk]
         return candidates[order], dists[order]
-
-
-def knn(cloud: PointCloudMap, query, k: int):
-    """Module-level alias of PointCloudMap.knn."""
-    return cloud.knn(query, k)
 
 
 def _canonical_sign(normals: np.ndarray) -> np.ndarray:

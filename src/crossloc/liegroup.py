@@ -244,11 +244,6 @@ def rot_z(yaw: float) -> np.ndarray:
     return np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
 
 
-def yaw_of(rot: np.ndarray) -> float:
-    """Heading angle of the rotated x-axis, projected to the xy-plane."""
-    return float(np.arctan2(rot[1, 0], rot[0, 0]))
-
-
 def quat_from_rotation(rot: np.ndarray) -> np.ndarray:
     """Unit quaternion (x, y, z, w) of a rotation matrix (Shepperd's method)."""
     t = np.trace(rot)

@@ -372,21 +372,6 @@ def association_posterior(
     return idx, w / w.sum()
 
 
-def association_gaussian(
-    p_v: np.ndarray,
-    cloud: PointCloudMap,
-    transform: Pose,
-    sigma: float,
-    candidates: np.ndarray,
-):
-    """Normalized Gaussian weights over a fixed candidate set."""
-    p_map = transform.apply(np.asarray(p_v, dtype=float))
-    logw = _gaussian_log_weights(p_map, cloud.positions[candidates], sigma)
-    logw -= logw.max()
-    w = np.exp(logw)
-    return w / w.sum()
-
-
 def association_kld(
     posterior: np.ndarray,
     gt_distribution: np.ndarray,

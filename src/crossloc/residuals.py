@@ -3,8 +3,11 @@
 Five families: pixel reprojection, IMU preintegration, point-to-plane and
 point-to-point map alignment, and the anchor pose prior. Each comes as a
 bare function returning (residual, analytic Jacobians) and as a factor
-class consumable by the solver. Pose Jacobians are always with respect to
-the right perturbation ``P * Exp(delta)`` with tangent order (phi, rho).
+class consumable by the solver. The stereo and map factors evaluate in
+batches only (``evaluate_batch``); their bare functions are the reference
+that tests compare the batches against. Pose Jacobians are always with
+respect to the right perturbation ``P * Exp(delta)`` with tangent order
+(phi, rho).
 """
 
 from __future__ import annotations
@@ -329,15 +332,12 @@ def _batch_skew(v: np.ndarray) -> np.ndarray:
 class ReprojectionFactor:
     """Pixel residual between a window pose and a landmark."""
 
-    dim = 2
-
     def __init__(self, pose_key, lm_key, pixel, camera, kernel=RobustKernel(), sqrt_info=1.0):
         self.blocks = (pose_key, lm_key)
         self.pixel = np.asarray(pixel, dtype=float)
         self.camera = camera
         self.kernel = kernel
         self.sqrt_info = sqrt_info
-        self.skipped = False
 
     def evaluate(self, values, jacobian=True):
         pose = values[self.blocks[0]]
@@ -345,7 +345,6 @@ class ReprojectionFactor:
         try:
             uv, j_pose, j_lm = _project_with_jacobians(pose, p_lm, self.camera, jacobian)
         except BehindCameraError:
-            self.skipped = True
             return np.zeros(2), [np.zeros((2, 6)), np.zeros((2, 3))]
         return uv - self.pixel, [j_pose, j_lm] if jacobian else None
 
@@ -357,8 +356,6 @@ class StereoReprojectionFactor:
     makes landmark depth observable from a single keyframe.
     """
 
-    dim = 4
-
     def __init__(self, pose_key, lm_key, pixels, cam_left, cam_right,
                  kernel=RobustKernel(), sqrt_info=1.0):
         self.blocks = (pose_key, lm_key)
@@ -366,25 +363,6 @@ class StereoReprojectionFactor:
         self.cams = (cam_left, cam_right)
         self.kernel = kernel
         self.sqrt_info = sqrt_info
-        self.skipped = False
-
-    def evaluate(self, values, jacobian=True):
-        pose = values[self.blocks[0]]
-        p_lm = values[self.blocks[1]]
-        residual = np.zeros(4)
-        j_pose = np.zeros((4, 6))
-        j_lm = np.zeros((4, 3))
-        try:
-            for c, cam in enumerate(self.cams):
-                uv, jp, jl = _project_with_jacobians(pose, p_lm, cam, jacobian)
-                residual[2 * c : 2 * c + 2] = uv - self.pixels[2 * c : 2 * c + 2]
-                if jacobian:
-                    j_pose[2 * c : 2 * c + 2] = jp
-                    j_lm[2 * c : 2 * c + 2] = jl
-        except BehindCameraError:
-            self.skipped = True
-            return np.zeros(4), [j_pose * 0.0, j_lm * 0.0]
-        return residual, [j_pose, j_lm] if jacobian else None
 
     def batch_key(self):
         return (id(self.cams[0]), id(self.cams[1]))
@@ -429,15 +407,11 @@ class StereoReprojectionFactor:
             if jacobian:
                 j_pose[bad] = 0.0
                 j_lm[bad] = 0.0
-            for i in np.nonzero(bad)[0]:
-                factors[i].skipped = True
         return residual, [j_pose, j_lm]
 
 
 class PreintegrationFactor:
     """9-dof relative-motion residual between two keyframes."""
-
-    dim = 9
 
     def __init__(self, keys, pre, gravity, kernel=RobustKernel()):
         # keys: (pose_i, vel_i, gyro_bias_i, accel_bias_i, pose_k, vel_k)
@@ -466,8 +440,6 @@ class PreintegrationFactor:
 class BiasRandomWalkFactor:
     """Bias consistency between consecutive keyframes, (accel, gyro) order."""
 
-    dim = 6
-
     def __init__(self, keys, information, kernel=RobustKernel()):
         # keys: (accel_bias_i, gyro_bias_i, accel_bias_k, gyro_bias_k)
         self.blocks = tuple(keys)
@@ -489,24 +461,11 @@ class BiasRandomWalkFactor:
 class PointToPlaneFactor:
     """Plane-distance residual vector r_n * n with a 3x3 information."""
 
-    dim = 3
-
     def __init__(self, anchor_key, lm_key, constraint, kernel=RobustKernel()):
         self.blocks = (anchor_key, lm_key)
         self.constraint = constraint
         self.kernel = kernel
         self.sqrt_info = _sqrt_information(constraint.information)
-
-    def evaluate(self, values, jacobian=True):
-        anchor = values[self.blocks[0]]
-        c = self.constraint
-        if not jacobian:
-            r_n = c.normal @ (c.point - anchor.apply(values[self.blocks[1]]))
-            return r_n * c.normal, None
-        lm = Landmark(values[self.blocks[1]], c.landmark_id)
-        r_n, j_anchor, j_lm = point_to_plane_residual(anchor, lm, c)
-        n = c.normal.reshape(3, 1)
-        return r_n * c.normal, [n @ j_anchor, n @ j_lm]
 
     def batch_key(self):
         return self.blocks[0]
@@ -533,22 +492,11 @@ class PointToPlaneFactor:
 class PointToPointFactor:
     """Euclidean residual between map point and anchored landmark."""
 
-    dim = 3
-
     def __init__(self, anchor_key, lm_key, constraint, kernel=RobustKernel()):
         self.blocks = (anchor_key, lm_key)
         self.constraint = constraint
         self.kernel = kernel
         self.sqrt_info = _sqrt_information(constraint.information)
-
-    def evaluate(self, values, jacobian=True):
-        anchor = values[self.blocks[0]]
-        c = self.constraint
-        if not jacobian:
-            return c.point - anchor.apply(values[self.blocks[1]]), None
-        lm = Landmark(values[self.blocks[1]], c.landmark_id)
-        residual, j_anchor, j_lm = point_to_point_residual(anchor, lm, c)
-        return residual, [j_anchor, j_lm]
 
     def batch_key(self):
         return self.blocks[0]
@@ -573,8 +521,6 @@ class PointToPointFactor:
 
 class AnchorPriorFactor:
     """Keeps the anchor near the previous step's converged estimate."""
-
-    dim = 6
 
     def __init__(self, anchor_key, prior_mean, information, kernel=RobustKernel()):
         self.blocks = (anchor_key,)

@@ -4,10 +4,19 @@ A Problem is a set of named blocks (SE(3) poses updated by right
 retraction, or plain vectors) plus factors. A factor provides:
 
 - ``blocks``: tuple of block keys it touches,
-- ``evaluate(values, jacobian=True)`` returning ``(residual, [J per block])``,
+- either ``evaluate(values, jacobian=True)`` returning
+  ``(residual (d,), [J (d, k) per block])``, or a classmethod
+  ``evaluate_batch(factors, values, jacobian=True)`` returning
+  ``(residual (n, d), [J (n, d, k) per block])`` for n factors at once plus
+  ``batch_key()``: factors of one class with equal keys form one batch,
 - ``sqrt_info``: scalar s meaning S = s * I, or a (d, d) matrix S, with
   information = S^T S,
 - ``kernel``: robust loss with ``loss(s) -> (rho, drho)``.
+
+Factors of a class without ``evaluate_batch`` are evaluated one by one and
+stacked into one group per class, so they must share their residual and
+Jacobian shapes. Every group is then whitened, weighted and assembled the
+same way.
 
 The cost is the sum over factors of ``rho(||S r||^2)``. Robust terms are
 handled by square-root re-weighting (no second-order kernel correction).
@@ -19,15 +28,11 @@ non-eliminated blocks only).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .liegroup import Pose
-
-
-class NormalEquationsSingularError(RuntimeError):
-    """Damped normal equations stayed singular up to the lambda bound."""
 
 
 @dataclass
@@ -108,38 +113,30 @@ class Problem:
     def set_value(self, key: str, value):
         self._blocks[key].value = value
 
-    def free_blocks(self):
-        return [b for b in self._blocks.values() if not b.fixed]
-
-
-def _whitened(factor, values, jacobian: bool):
-    residual, jacs = factor.evaluate(values, jacobian)
-    s_info = factor.sqrt_info
-    if np.isscalar(s_info):
-        w_res = s_info * residual
-        w_jacs = None if not jacobian else [s_info * j for j in jacs]
-    else:
-        w_res = s_info @ residual
-        w_jacs = None if not jacobian else [s_info @ j for j in jacs]
-    return w_res, w_jacs
-
 
 def _group_factors(factors):
-    """Split factors into batch-evaluable groups and leftovers.
+    """Split factors into evaluation groups, keyed by (class, batch key).
 
-    Factors of the same class sharing a ``batch_key`` are evaluated in one
-    vectorized call; everything else goes through ``evaluate`` one by one.
+    Classes with ``evaluate_batch`` are grouped by ``batch_key()``; every
+    other class forms one group of its own.
     """
     groups: dict = {}
-    singles = []
     for f in factors:
         cls = type(f)
-        if hasattr(cls, "evaluate_batch"):
-            key = (cls, f.batch_key() if hasattr(f, "batch_key") else None)
-            groups.setdefault(key, []).append(f)
-        else:
-            singles.append(f)
-    return groups, singles
+        key = (cls, f.batch_key() if hasattr(cls, "evaluate_batch") else None)
+        groups.setdefault(key, []).append(f)
+    return groups
+
+
+def _evaluate_group(cls, factors, values, jacobian):
+    """Stacked residuals (n, d) and per-block Jacobians (n, d, k) of a group."""
+    if hasattr(cls, "evaluate_batch"):
+        return cls.evaluate_batch(factors, values, jacobian=jacobian)
+    evaluated = [f.evaluate(values, jacobian) for f in factors]
+    residual = np.stack([r for r, _ in evaluated])
+    if not jacobian:
+        return residual, None
+    return residual, [np.stack(per_block) for per_block in zip(*(j for _, j in evaluated))]
 
 
 def _batch_whiten(factors, residual, jacs, jacobian):
@@ -171,15 +168,10 @@ def evaluate_cost(problem: Problem, values: dict | None = None) -> float:
     if values is None:
         values = problem.values()
     cost = 0.0
-    groups, singles = _group_factors(problem._factors)
-    for (cls, _), fs in groups.items():
-        residual, _ = cls.evaluate_batch(fs, values, jacobian=False)
-        w_res, _, rho, _ = _batch_whiten(fs, residual, None, jacobian=False)
+    for (cls, _), fs in _group_factors(problem._factors).items():
+        residual, _ = _evaluate_group(cls, fs, values, jacobian=False)
+        _, _, rho, _ = _batch_whiten(fs, residual, None, jacobian=False)
         cost += float(rho.sum())
-    for factor in singles:
-        w_res, _ = _whitened(factor, values, jacobian=False)
-        rho, _ = factor.kernel.loss(float(w_res @ w_res))
-        cost += float(rho)
     return cost
 
 
@@ -245,9 +237,8 @@ def _build_normal_equations(problem, system, values):
                     h_ll[loc_a] += block
                 # elim-cam handled symmetrically by the cam-elim case
 
-    groups, singles = _group_factors(problem._factors)
-    for (cls, _), fs in groups.items():
-        residual, jacs = cls.evaluate_batch(fs, values, jacobian=True)
+    for (cls, _), fs in _group_factors(problem._factors).items():
+        residual, jacs = _evaluate_group(cls, fs, values, jacobian=True)
         w_res, w_jacs, rho, drho = _batch_whiten(fs, residual, jacs, jacobian=True)
         cost += float(rho.sum())
         sw = np.sqrt(np.maximum(drho, 0.0))
@@ -257,17 +248,6 @@ def _build_normal_equations(problem, system, values):
             if sw[i] == 0.0:
                 continue
             scatter(factor, w_res[i], [j[i] for j in w_jacs])
-
-    for factor in singles:
-        w_res, w_jacs = _whitened(factor, values, jacobian=True)
-        sq = float(w_res @ w_res)
-        rho, drho = factor.kernel.loss(sq)
-        cost += float(rho)
-        weight = max(float(drho), 0.0)
-        if weight == 0.0:
-            continue
-        sw = np.sqrt(weight)
-        scatter(factor, sw * w_res, [sw * j for j in w_jacs])
     return h_cc, b_c, h_ll, b_l, h_cl, cost
 
 
@@ -278,21 +258,21 @@ def _solve_damped(system, h_cc, b_c, h_ll, b_l, h_cl, lam):
     diag = np.abs(np.diag(h_cc))
     h_d[np.arange(nc), np.arange(nc)] += lam * np.maximum(diag, 1e-12)
     b_red = b_c.copy()
-    ll_chol = []
+    ll_solves = []
     for j, blk in enumerate(system.elim_blocks):
         hd_j = h_ll[j].copy()
         dj = np.abs(np.diag(hd_j))
         hd_j[np.arange(blk.size), np.arange(blk.size)] += lam * np.maximum(dj, 1e-12)
         try:
-            chol = np.linalg.cholesky(hd_j)
+            np.linalg.cholesky(hd_j)  # positive-definiteness check only
         except np.linalg.LinAlgError:
             return None
-        ll_chol.append(chol)
-        # x = H_ll^-1 [b_l | H_cl^T]
+        # x = H_ll^-1 [b_l | H_cl^T], kept for the back-substitution
         rhs = np.concatenate([b_l[j][:, None], h_cl[j].T], axis=1)
         x = np.linalg.solve(hd_j, rhs)
         b_red -= h_cl[j] @ x[:, 0]
         h_d -= h_cl[j] @ x[:, 1:]
+        ll_solves.append(x)
     if nc > 0:
         try:
             delta_c = np.linalg.solve(h_d, b_red)
@@ -302,11 +282,8 @@ def _solve_damped(system, h_cc, b_c, h_ll, b_l, h_cl, lam):
             return None
     else:
         delta_c = np.zeros(0)
-    deltas_l = []
-    for j, blk in enumerate(system.elim_blocks):
-        rhs = b_l[j] - h_cl[j].T @ delta_c
-        hd_j = ll_chol[j] @ ll_chol[j].T
-        deltas_l.append(np.linalg.solve(hd_j, rhs))
+    # delta_l = H_ll^-1 (b_l - H_cl^T delta_c)
+    deltas_l = [x[:, 0] - x[:, 1:] @ delta_c for x in ll_solves]
     return delta_c, deltas_l
 
 

@@ -334,3 +334,88 @@ class TestRobustKernel:
             res.RobustKernel("huber", 1.0)
         with pytest.raises(ValueError):
             res.RobustKernel("cauchy", 0.0)
+
+
+class TestBatchedFactors:
+    """``evaluate_batch`` against the bare residual functions, factor by factor."""
+
+    @staticmethod
+    def assert_close(batch, reference):
+        np.testing.assert_allclose(batch, reference, rtol=1e-12, atol=1e-10)
+
+    def test_stereo_matches_two_reprojections(self):
+        rng = np.random.default_rng(8)
+        cam_l = default_camera(body_t_cam=se3_exp(np.array([0.0, -0.1, 0.05, 0.1, 0.0, 0.2])))
+        cam_r = default_camera(body_t_cam=cam_l.body_t_cam @ Pose(np.eye(3), np.array([0.3, 0.0, 0.0])))
+        values, factors = {}, []
+        for i in range(40):
+            pose = random_pose(rng, rot=0.4, trans=1.0)
+            depth = -3.0 if i == 7 else rng.uniform(2, 10)  # landmark 7 is behind both cameras
+            p_cam = np.array([rng.normal(0, 1), rng.normal(0, 1), depth])
+            values[f"pose{i}"] = pose
+            values[f"lm{i}"] = pose.apply(cam_l.body_t_cam.apply(p_cam))
+            pixels = rng.uniform(100, 500, size=4)
+            factors.append(res.StereoReprojectionFactor(f"pose{i}", f"lm{i}", pixels, cam_l, cam_r))
+
+        residual, (j_pose, j_lm) = res.StereoReprojectionFactor.evaluate_batch(factors, values)
+        assert residual.shape == (40, 4) and j_pose.shape == (40, 4, 6) and j_lm.shape == (40, 4, 3)
+        for i, f in enumerate(factors):
+            state = imu.NavState(pose=values[f"pose{i}"])
+            lm = res.Landmark(values[f"lm{i}"], i)
+            if i == 7:
+                with pytest.raises(res.BehindCameraError):
+                    res.reprojection_residual(state, lm, res.Observation(0, i, f.pixels[:2]), cam_l)
+                assert not residual[i].any() and not j_pose[i].any() and not j_lm[i].any()
+                continue
+            for c, cam in enumerate((cam_l, cam_r)):
+                rows = slice(2 * c, 2 * c + 2)
+                obs = res.Observation(0, i, f.pixels[rows])
+                r, jp, jl = res.reprojection_residual(state, lm, obs, cam)
+                self.assert_close(residual[i, rows], r)
+                self.assert_close(j_pose[i, rows], jp)
+                self.assert_close(j_lm[i, rows], jl)
+        no_jac, _ = res.StereoReprojectionFactor.evaluate_batch(factors, values, jacobian=False)
+        assert np.array_equal(no_jac, residual)
+
+    def map_batch(self, rng, factor_cls, make_constraint):
+        values = {"anchor": random_pose(rng)}
+        factors = []
+        for i in range(30):
+            values[f"lm{i}"] = rng.normal(size=3) * 3.0
+            factors.append(factor_cls("anchor", f"lm{i}", make_constraint(i)))
+        return values, factors
+
+    def test_point_to_plane_matches_reference(self):
+        rng = np.random.default_rng(9)
+        values, factors = self.map_batch(
+            rng, res.PointToPlaneFactor,
+            lambda i: plane_constraint(rng.normal(size=3) * 3.0, rng.normal(size=3)),
+        )
+        residual, (j_anchor, j_lm) = res.PointToPlaneFactor.evaluate_batch(factors, values)
+        for i, f in enumerate(factors):
+            n = f.constraint.normal
+            r_n, ja, jl = res.point_to_plane_residual(
+                values["anchor"], res.Landmark(values[f"lm{i}"], i), f.constraint
+            )
+            self.assert_close(residual[i], r_n * n)
+            self.assert_close(j_anchor[i], np.outer(n, ja))
+            self.assert_close(j_lm[i], np.outer(n, jl))
+        no_jac, _ = res.PointToPlaneFactor.evaluate_batch(factors, values, jacobian=False)
+        assert np.array_equal(no_jac, residual)
+
+    def test_point_to_point_matches_reference(self):
+        rng = np.random.default_rng(10)
+        values, factors = self.map_batch(
+            rng, res.PointToPointFactor,
+            lambda i: res.MapConstraint(i, rng.normal(size=3) * 3.0, None, np.eye(3), res.POINT_TO_POINT),
+        )
+        residual, (j_anchor, j_lm) = res.PointToPointFactor.evaluate_batch(factors, values)
+        for i, f in enumerate(factors):
+            r, ja, jl = res.point_to_point_residual(
+                values["anchor"], res.Landmark(values[f"lm{i}"], i), f.constraint
+            )
+            self.assert_close(residual[i], r)
+            self.assert_close(j_anchor[i], ja)
+            self.assert_close(j_lm[i], jl)
+        no_jac, _ = res.PointToPointFactor.evaluate_batch(factors, values, jacobian=False)
+        assert np.array_equal(no_jac, residual)

@@ -3,6 +3,7 @@ import pytest
 
 from crossloc import residuals as res
 from crossloc import solver
+from crossloc.estimator import EstimatorConfig
 from crossloc.liegroup import Pose, se3_exp
 from crossloc.solver import Problem, SolverOptions
 
@@ -164,17 +165,32 @@ class TestEvaluateCost:
         f1 = res.PointToPointFactor("anchor", "lm", c1, kernel=kernel)
         f2 = res.PointToPlaneFactor("anchor", "lm", c2, kernel=kernel)
         f3 = res.PointToPointFactor("anchor", "lm", c3, kernel=kernel)
-        for f in (f1, f2, f3):
+        # Two anchor priors with anisotropic information: a class without
+        # evaluate_batch, evaluated one by one and whitened as one stack.
+        info = EstimatorConfig().prior_information()
+        priors = [
+            res.AnchorPriorFactor("anchor", se3_exp(np.array([0.0, 0.02, 0, 0.4, 0.1, 0])), info, kernel),
+            res.AnchorPriorFactor("anchor", se3_exp(np.array([0.05, 0, 0.01, 0.6, 0, -0.2])), info * 4.0),
+        ]
+        for f in (f1, f2, f3, *priors):
             problem.add_factor(f)
 
         total = solver.evaluate_cost(problem)
-        # Oracle: rho(r^T info r) per factor, straight from the information,
-        # so it holds whatever form the factor's sqrt_info takes.
+        # Oracle: rho(r^T info r) per factor, with r from the bare residual
+        # functions and info straight from the information, so it holds
+        # whatever form the factor's sqrt_info takes.
         expected = 0.0
-        values = problem.values()
-        for f in (f1, f2, f3):
-            r, _ = f.evaluate(values)
-            expected += f.kernel.loss(float(r @ f.constraint.information @ r))[0]
+        anchor = problem.value("anchor")
+        lm = res.Landmark(problem.value("lm"), 0)
+        for f in (f1, f3):
+            r, _, _ = res.point_to_point_residual(anchor, lm, f.constraint)
+            expected += kernel.loss(float(r @ f.constraint.information @ r))[0]
+        r_n, _, _ = res.point_to_plane_residual(anchor, lm, c2)
+        r = r_n * n
+        expected += kernel.loss(float(r @ c2.information @ r))[0]
+        for f, f_info in zip(priors, (info, info * 4.0)):
+            r, _ = res.anchor_prior_residual(anchor, f.prior_mean)
+            expected += f.kernel.loss(float(r @ f_info @ r))[0]
         assert total == pytest.approx(expected, rel=1e-12)
 
 
