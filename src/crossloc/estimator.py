@@ -10,8 +10,7 @@ one bundle-adjustment step chosen by the schedule:
 - rigid: plain visual-inertial adjustment first, then an ICP-style loop
   that re-associates and refines the anchor alone with everything else
   held fixed;
-- hybrid m:n cycles m non-rigid steps then n rigid ones; staged runs
-  rigid then non-rigid within the same step.
+- hybrid m:n cycles m non-rigid steps then n rigid ones.
 
 The anchor prior mean is re-pinned to the converged anchor after every
 step, so the prior always encodes "the last step's estimate".
@@ -71,8 +70,8 @@ class EstimatorConfig:
             np.concatenate([np.full(3, 1.0 / rot**2), np.full(3, 1.0 / trans**2)])
         )
 
-    def solver_options(self, max_iterations=None) -> SolverOptions:
-        return SolverOptions(max_iterations=max_iterations or self.max_iterations)
+    def solver_options(self) -> SolverOptions:
+        return SolverOptions(max_iterations=self.max_iterations)
 
 
 @dataclass
@@ -102,12 +101,12 @@ class Keyframe:
 class BaSchedule:
     """Dispatch rule for per-keyframe adjustment steps."""
 
-    mode: str = "hybrid"  # non_rigid_only | rigid_only | hybrid | staged
+    mode: str = "hybrid"  # non_rigid_only | rigid_only | hybrid
     m: int = 1
     n: int = 3
 
     def __post_init__(self):
-        if self.mode not in ("non_rigid_only", "rigid_only", "hybrid", "staged"):
+        if self.mode not in ("non_rigid_only", "rigid_only", "hybrid"):
             raise ValueError(f"unknown schedule mode {self.mode!r}")
         if self.mode == "hybrid" and (self.m < 1 or self.n < 1):
             raise ValueError("hybrid schedule needs m, n >= 1")
@@ -117,8 +116,6 @@ class BaSchedule:
             return ("non_rigid",)
         if self.mode == "rigid_only":
             return ("rigid",)
-        if self.mode == "staged":
-            return ("rigid", "non_rigid")
         return ("non_rigid",) if counter % (self.m + self.n) < self.m else ("rigid",)
 
 
@@ -407,16 +404,13 @@ def step(
     cfg: EstimatorConfig,
 ):
     """One scheduled adjustment; returns (report, constraints, actions)."""
-    report = None
-    constraints: list[res.MapConstraint] = []
     actions = schedule.actions_at(counter)
-    for action in actions:
-        if action == "rigid":
-            report = rigid_ba(window, anchor, cloud, rig, cfg)
-            constraints = associate_constraints(window, anchor.pose, cloud, cfg)
-        else:
-            constraints = associate_constraints(window, anchor.pose, cloud, cfg)
-            report = non_rigid_ba(window, anchor, cloud, constraints, rig, cfg)
+    if actions == ("rigid",):
+        report = rigid_ba(window, anchor, cloud, rig, cfg)
+        constraints = associate_constraints(window, anchor.pose, cloud, cfg)
+    else:
+        constraints = associate_constraints(window, anchor.pose, cloud, cfg)
+        report = non_rigid_ba(window, anchor, cloud, constraints, rig, cfg)
     anchor.prior_mean = anchor.pose
     anchor.prior_scale = 1.0
     return report, constraints, actions

@@ -13,17 +13,24 @@ retraction, or plain vectors) plus factors. A factor provides:
   information = S^T S,
 - ``kernel``: robust loss with ``loss(s) -> (rho, drho)``.
 
-Factors of a class without ``evaluate_batch`` are evaluated one by one and
-stacked into one group per class, so they must share their residual and
-Jacobian shapes. Every group is then whitened, weighted and assembled the
-same way.
+Each factor is filed under its evaluation group when it is added: a class
+with ``evaluate_batch`` by ``(class, batch_key())``, any other class by the
+class alone. Factors of a class without ``evaluate_batch`` are evaluated one
+by one and stacked, so they must share their residual and Jacobian shapes.
+Every group is then whitened, weighted and assembled the same way.
 
 The cost is the sum over factors of ``rho(||S r||^2)``. Robust terms are
 handled by square-root re-weighting (no second-order kernel correction).
 Vector blocks may be marked ``eliminate=True``; they are condensed out of
-the damped normal equations by a dense Schur complement (intended for
-landmarks: many small independent blocks, each touched together with
-non-eliminated blocks only).
+the damped normal equations by a Schur complement (intended for landmarks:
+many small independent blocks, each touched together with non-eliminated
+blocks only). All eliminated blocks must have one size s, so that for L of
+them and nc free camera (non-eliminated) coordinates the system is stacked
+as ``H_cc (nc, nc)``, ``b_c (nc,)``, ``H_ll (L, s, s)``, ``b_l (L, s)`` and
+``H_cl (L, nc, s)``. A solve maps each factor block to its camera offset
+and landmark row once; every LM iteration then scatters whole groups into
+those arrays by index, and damps, checks and solves all landmark blocks as
+one batch.
 """
 
 from __future__ import annotations
@@ -66,11 +73,12 @@ class _Block:
 
 
 class Problem:
-    """Named variable blocks plus the factors that couple them."""
+    """Named variable blocks plus the factors that couple them, by group."""
 
     def __init__(self):
         self._blocks: dict[str, _Block] = {}
-        self._factors: list = []
+        self._groups: dict[tuple, list] = {}
+        self._elim_size: int | None = None
 
     # -- construction -----------------------------------------------------
     def add_pose_block(self, key: str, value: Pose, fixed: bool = False):
@@ -82,28 +90,29 @@ class Problem:
         if key in self._blocks:
             raise ValueError(f"duplicate block {key!r}")
         value = np.asarray(value, dtype=float).copy()
+        eliminate = eliminate and not fixed
+        if eliminate:
+            if self._elim_size not in (None, value.size):
+                raise ValueError(
+                    f"eliminated block {key!r} has size {value.size}, "
+                    f"the other eliminated blocks {self._elim_size}"
+                )
+            self._elim_size = value.size
         self._blocks[key] = _Block(
-            key, value, "vector", value.size, fixed=fixed, eliminate=eliminate and not fixed
+            key, value, "vector", value.size, fixed=fixed, eliminate=eliminate
         )
 
     def add_factor(self, factor):
         for key in factor.blocks:
             if key not in self._blocks:
                 raise ValueError(f"factor references unknown block {key!r}")
-        n_elim = sum(
-            1
-            for key in factor.blocks
-            if self._blocks[key].eliminate and not self._blocks[key].fixed
-        )
-        if n_elim > 1:
+        if sum(self._blocks[key].eliminate for key in factor.blocks) > 1:
             raise ValueError("a factor may touch at most one eliminated block")
-        self._factors.append(factor)
+        cls = type(factor)
+        group = (cls, factor.batch_key() if hasattr(cls, "evaluate_batch") else None)
+        self._groups.setdefault(group, []).append(factor)
 
     # -- access ------------------------------------------------------------
-    @property
-    def factors(self):
-        return list(self._factors)
-
     def value(self, key: str):
         return self._blocks[key].value
 
@@ -112,20 +121,6 @@ class Problem:
 
     def set_value(self, key: str, value):
         self._blocks[key].value = value
-
-
-def _group_factors(factors):
-    """Split factors into evaluation groups, keyed by (class, batch key).
-
-    Classes with ``evaluate_batch`` are grouped by ``batch_key()``; every
-    other class forms one group of its own.
-    """
-    groups: dict = {}
-    for f in factors:
-        cls = type(f)
-        key = (cls, f.batch_key() if hasattr(cls, "evaluate_batch") else None)
-        groups.setdefault(key, []).append(f)
-    return groups
 
 
 def _evaluate_group(cls, factors, values, jacobian):
@@ -168,7 +163,7 @@ def evaluate_cost(problem: Problem, values: dict | None = None) -> float:
     if values is None:
         values = problem.values()
     cost = 0.0
-    for (cls, _), fs in _group_factors(problem._factors).items():
+    for (cls, _), fs in problem._groups.items():
         residual, _ = _evaluate_group(cls, fs, values, jacobian=False)
         _, _, rho, _ = _batch_whiten(fs, residual, None, jacobian=False)
         cost += float(rho.sum())
@@ -176,18 +171,20 @@ def evaluate_cost(problem: Problem, values: dict | None = None) -> float:
 
 
 class _System:
-    """Offset bookkeeping for one solve."""
+    """Block layout of one solve.
+
+    Camera blocks (free and not eliminated) take consecutive offsets of the
+    reduced vector in insertion order; eliminated blocks are the rows of the
+    stacked landmark arrays, in insertion order. ``slots`` holds, for each
+    factor group in order, two ``(n, blocks per factor)`` integer arrays:
+    the camera offset of each factor block (-1 when it is fixed or
+    eliminated) and its landmark row (-1 when it is not eliminated).
+    """
 
     def __init__(self, problem: Problem):
-        self.cam_blocks = []
-        self.elim_blocks = []
-        for blk in problem._blocks.values():
-            if blk.fixed:
-                continue
-            if blk.eliminate:
-                self.elim_blocks.append(blk)
-            else:
-                self.cam_blocks.append(blk)
+        blocks = problem._blocks.values()
+        self.cam_blocks = [blk for blk in blocks if not blk.fixed and not blk.eliminate]
+        self.elim_blocks = [blk for blk in blocks if blk.eliminate]
         if not self.cam_blocks and not self.elim_blocks:
             raise ValueError("problem has no free blocks")
         self.cam_offset = {}
@@ -196,83 +193,86 @@ class _System:
             self.cam_offset[blk.key] = off
             off += blk.size
         self.nc = off
-        self.elim_index = {blk.key: j for j, blk in enumerate(self.elim_blocks)}
-        self.elim_sizes = [blk.size for blk in self.elim_blocks]
+        self.elim_size = problem._elim_size or 0
+        lm_row = {blk.key: j for j, blk in enumerate(self.elim_blocks)}
+        self.slots = [
+            (
+                np.array([[self.cam_offset.get(k, -1) for k in f.blocks] for f in fs]),
+                np.array([[lm_row.get(k, -1) for k in f.blocks] for f in fs]),
+            )
+            for fs in problem._groups.values()
+        ]
+
+
+def _jtj(j_a, j_b):
+    return np.einsum("ndi,ndj->nij", j_a, j_b)
 
 
 def _build_normal_equations(problem, system, values):
-    """Assemble H, b (camera part), per-eliminated-block H_ll/b_l/H_cl."""
-    nc = system.nc
+    """Assemble H_cc, b_c and the stacked H_ll (L, s, s), b_l (L, s), H_cl (L, nc, s).
+
+    b is the negative gradient, so that delta = H^-1 b descends. The
+    landmark part of H is block diagonal because a factor touches at most
+    one eliminated block.
+    """
+    nc, s, n_l = system.nc, system.elim_size, len(system.elim_blocks)
     h_cc = np.zeros((nc, nc))
     b_c = np.zeros(nc)
-    h_ll = [np.zeros((s, s)) for s in system.elim_sizes]
-    b_l = [np.zeros(s) for s in system.elim_sizes]
-    h_cl = [np.zeros((nc, s)) for s in system.elim_sizes]
+    h_ll = np.zeros((n_l, s, s))
+    b_l = np.zeros((n_l, s))
+    h_cl = np.zeros((n_l, nc, s))
     cost = 0.0
-
-    def scatter(factor, w_res, jacs):
-        entries = []  # (kind, offset_or_index, J)
-        for key, jac in zip(factor.blocks, jacs):
-            blk = problem._blocks[key]
-            if blk.fixed:
-                continue
-            if blk.eliminate:
-                entries.append(("elim", system.elim_index[key], jac))
-            else:
-                entries.append(("cam", system.cam_offset[key], jac))
-        for kind_a, loc_a, jac_a in entries:
-            jt_r = jac_a.T @ w_res
-            # b is the negative gradient so that delta = H^-1 b descends
-            if kind_a == "cam":
-                b_c[loc_a : loc_a + jac_a.shape[1]] -= jt_r
-            else:
-                b_l[loc_a] -= jt_r
-            for kind_b, loc_b, jac_b in entries:
-                block = jac_a.T @ jac_b
-                if kind_a == "cam" and kind_b == "cam":
-                    h_cc[loc_a : loc_a + jac_a.shape[1], loc_b : loc_b + jac_b.shape[1]] += block
-                elif kind_a == "cam" and kind_b == "elim":
-                    h_cl[loc_b][loc_a : loc_a + jac_a.shape[1], :] += block
-                elif kind_a == "elim" and kind_b == "elim":
-                    h_ll[loc_a] += block
-                # elim-cam handled symmetrically by the cam-elim case
-
-    for (cls, _), fs in _group_factors(problem._factors).items():
+    for ((cls, _), fs), (cam, lm) in zip(problem._groups.items(), system.slots):
         residual, jacs = _evaluate_group(cls, fs, values, jacobian=True)
         w_res, w_jacs, rho, drho = _batch_whiten(fs, residual, jacs, jacobian=True)
         cost += float(rho.sum())
         sw = np.sqrt(np.maximum(drho, 0.0))
+        live = sw > 0.0
         w_res = w_res * sw[:, None]
         w_jacs = [j * sw[:, None, None] for j in w_jacs]
-        for i, factor in enumerate(fs):
-            if sw[i] == 0.0:
+        # rows[a]: the reduced-vector indices of block slot a, (n, k_a)
+        rows = [cam[:, a, None] + np.arange(j.shape[2]) for a, j in enumerate(w_jacs)]
+        for a, j_a in enumerate(w_jacs):
+            on_cam = live & (cam[:, a] >= 0)
+            on_lm = live & (lm[:, a] >= 0)
+            g = np.einsum("ndk,nd->nk", j_a, w_res)
+            if on_lm.any():
+                np.add.at(b_l, lm[on_lm, a], -g[on_lm])
+                np.add.at(h_ll, lm[on_lm, a], _jtj(j_a[on_lm], j_a[on_lm]))
+            if not on_cam.any():
                 continue
-            scatter(factor, w_res[i], [j[i] for j in w_jacs])
+            np.add.at(b_c, rows[a][on_cam], -g[on_cam])
+            for b, j_b in enumerate(w_jacs):
+                pair = on_cam & (cam[:, b] >= 0)
+                if pair.any():
+                    index = (rows[a][pair][:, :, None], rows[b][pair][:, None, :])
+                    np.add.at(h_cc, index, _jtj(j_a[pair], j_b[pair]))
+                pair = on_cam & (lm[:, b] >= 0)
+                if pair.any():
+                    index = (lm[pair, b][:, None, None], rows[a][pair][:, :, None], np.arange(s))
+                    np.add.at(h_cl, index, _jtj(j_a[pair], j_b[pair]))
     return h_cc, b_c, h_ll, b_l, h_cl, cost
 
 
 def _solve_damped(system, h_cc, b_c, h_ll, b_l, h_cl, lam):
-    """Schur-condensed damped solve; returns per-block updates or None."""
+    """Schur-condensed damped solve; returns (delta_c, delta_l (L, s)) or None."""
     nc = system.nc
     h_d = h_cc.copy()
     diag = np.abs(np.diag(h_cc))
     h_d[np.arange(nc), np.arange(nc)] += lam * np.maximum(diag, 1e-12)
-    b_red = b_c.copy()
-    ll_solves = []
-    for j, blk in enumerate(system.elim_blocks):
-        hd_j = h_ll[j].copy()
-        dj = np.abs(np.diag(hd_j))
-        hd_j[np.arange(blk.size), np.arange(blk.size)] += lam * np.maximum(dj, 1e-12)
-        try:
-            np.linalg.cholesky(hd_j)  # positive-definiteness check only
-        except np.linalg.LinAlgError:
-            return None
-        # x = H_ll^-1 [b_l | H_cl^T], kept for the back-substitution
-        rhs = np.concatenate([b_l[j][:, None], h_cl[j].T], axis=1)
-        x = np.linalg.solve(hd_j, rhs)
-        b_red -= h_cl[j] @ x[:, 0]
-        h_d -= h_cl[j] @ x[:, 1:]
-        ll_solves.append(x)
+    hd_l = h_ll.copy()
+    d = np.arange(system.elim_size)
+    hd_l[:, d, d] += lam * np.maximum(np.abs(h_ll[:, d, d]), 1e-12)
+    try:
+        np.linalg.cholesky(hd_l)  # positive-definiteness check only
+    except np.linalg.LinAlgError:
+        return None
+    # x = H_ll^-1 [b_l | H_cl^T] per landmark, kept for the back-substitution
+    x = np.linalg.solve(hd_l, np.concatenate([b_l[:, :, None], h_cl.transpose(0, 2, 1)], axis=2))
+    # sum over landmarks of H_cl x: the Schur terms of b and of H
+    schur = np.tensordot(h_cl, x, axes=([0, 2], [0, 1]))
+    b_red = b_c - schur[:, 0]
+    h_d -= schur[:, 1:]
     if nc > 0:
         try:
             delta_c = np.linalg.solve(h_d, b_red)
@@ -283,11 +283,11 @@ def _solve_damped(system, h_cc, b_c, h_ll, b_l, h_cl, lam):
     else:
         delta_c = np.zeros(0)
     # delta_l = H_ll^-1 (b_l - H_cl^T delta_c)
-    deltas_l = [x[:, 0] - x[:, 1:] @ delta_c for x in ll_solves]
-    return delta_c, deltas_l
+    delta_l = x[:, :, 0] - x[:, :, 1:] @ delta_c
+    return delta_c, delta_l
 
 
-def _retract_all(system, values, delta_c, deltas_l):
+def _retract_all(system, values, delta_c, delta_l):
     new_values = dict(values)
     for blk in system.cam_blocks:
         off = system.cam_offset[blk.key]
@@ -297,7 +297,7 @@ def _retract_all(system, values, delta_c, deltas_l):
         else:
             new_values[blk.key] = values[blk.key] + step
     for j, blk in enumerate(system.elim_blocks):
-        new_values[blk.key] = values[blk.key] + deltas_l[j]
+        new_values[blk.key] = values[blk.key] + delta_l[j]
     return new_values
 
 
@@ -318,10 +318,7 @@ def solve(problem: Problem, options: SolverOptions | None = None) -> SolverRepor
 
     while iterations < opts.max_iterations:
         h_cc, b_c, h_ll, b_l, h_cl, cost = _build_normal_equations(problem, system, values)
-        grad_parts = [np.abs(b_c).max(initial=0.0)] + [
-            np.abs(b).max(initial=0.0) for b in b_l
-        ]
-        grad_norm = max(grad_parts)
+        grad_norm = max(np.abs(b_c).max(initial=0.0), np.abs(b_l).max(initial=0.0))
         if grad_norm < opts.gradient_tol:
             termination = "converged"
             break

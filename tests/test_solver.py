@@ -5,6 +5,7 @@ from crossloc import residuals as res
 from crossloc import solver
 from crossloc.estimator import EstimatorConfig
 from crossloc.liegroup import Pose, se3_exp
+from crossloc.simulator import default_rig
 from crossloc.solver import Problem, SolverOptions
 
 
@@ -252,3 +253,102 @@ class TestSchurElimination:
 
         with pytest.raises(ValueError):
             problem.add_factor(PairFactor())
+
+    def test_eliminated_block_of_another_size_rejected(self):
+        problem = Problem()
+        problem.add_vector_block("a", np.zeros(3), eliminate=True)
+        # Neither a kept nor a fixed block is eliminated, so any size passes.
+        problem.add_vector_block("b", np.zeros(2))
+        problem.add_vector_block("c", np.zeros(2), fixed=True, eliminate=True)
+        with pytest.raises(ValueError):
+            problem.add_vector_block("d", np.zeros(2), eliminate=True)
+
+
+class TestNormalEquations:
+    def test_matches_dense_jacobian(self):
+        """Stacked H_cc, H_cl, H_ll and b are the blocks of J^T J and -J^T r.
+
+        J and r stack each factor's whitened, robust-weighted Jacobian and
+        residual, with the whitening taken from the information itself.
+        """
+        rng = np.random.default_rng(3)
+        rig = default_rig()
+        cams = (rig.camera, rig.right_camera())
+        kernel = res.RobustKernel("cauchy", 2.0)
+        problem = Problem()
+        problem.add_pose_block("pose0", Pose.identity(), fixed=True)
+        problem.add_pose_block("pose1", se3_exp(np.array([0.02, -0.01, 0.03, 0.5, 0.1, 0.0])))
+        problem.add_pose_block("anchor", se3_exp(np.array([0.01, 0.02, -0.02, 0.3, -0.2, 0.1])))
+        problem.add_vector_block("lm0", np.array([6.0, 0.5, 0.3]), eliminate=True)
+        problem.add_vector_block("lm1", np.array([8.0, -1.0, -0.2]), eliminate=True)
+        # Camera columns in insertion order, then three per eliminated block.
+        cols = {
+            "pose1": slice(0, 6), "anchor": slice(6, 12), "lm0": slice(12, 15), "lm1": slice(15, 18)
+        }
+        values = problem.values()
+
+        factors = []  # (factor, information)
+        for pose in ("pose0", "pose1"):
+            for lm, s_info in (("lm0", 1.5), ("lm1", 0.5)):
+                p_body = values[pose].inverse().apply(values[lm])
+                pixels = np.concatenate(
+                    [c.project(c.body_t_cam.inverse().apply(p_body)) for c in cams]
+                ) + rng.normal(0.0, 3.0, 4)
+                f = res.StereoReprojectionFactor(
+                    pose, lm, pixels, *cams, kernel=kernel, sqrt_info=s_info
+                )
+                factors.append((f, s_info**2 * np.eye(4)))
+        info_plane = np.eye(3) / 0.05**2
+        c_plane = res.MapConstraint(
+            0, np.array([6.1, 0.4, 0.5]), np.array([0.0, 0.6, 0.8]), info_plane, res.POINT_TO_PLANE
+        )
+        info_point = np.diag([400.0, 100.0, 25.0])
+        c_point = res.MapConstraint(
+            1, np.array([8.2, -1.3, 0.1]), None, info_point, res.POINT_TO_POINT
+        )
+        info_prior = EstimatorConfig().prior_information()
+        prior_mean = se3_exp(np.array([0.0, 0.01, 0.0, 0.4, -0.1, 0.0]))
+        factors += [
+            (res.PointToPlaneFactor("anchor", "lm0", c_plane, kernel), info_plane),
+            (res.PointToPointFactor("anchor", "lm1", c_point, kernel), info_point),
+            (res.AnchorPriorFactor("anchor", prior_mean, info_prior), info_prior),
+        ]
+
+        j_rows, r_rows, expected_cost = [], [], 0.0
+        for f, info in factors:
+            problem.add_factor(f)
+            s_mat = np.linalg.cholesky(info).T
+            if hasattr(type(f), "evaluate_batch"):
+                r, jacs = type(f).evaluate_batch([f], values)
+                r, jacs = r[0], [j[0] for j in jacs]
+            else:
+                r, jacs = f.evaluate(values)
+            rho, drho = f.kernel.loss(float(np.sum((s_mat @ r) ** 2)))
+            expected_cost += rho
+            w = np.sqrt(drho) * s_mat
+            j_dense = np.zeros((len(r), 18))
+            for key, jac in zip(f.blocks, jacs):
+                if key in cols:
+                    j_dense[:, cols[key]] += w @ jac
+            j_rows.append(j_dense)
+            r_rows.append(w @ r)
+        jac = np.vstack(j_rows)
+        r = np.concatenate(r_rows)
+        h = jac.T @ jac
+        b = -jac.T @ r
+
+        system = solver._System(problem)
+        h_cc, b_c, h_ll, b_l, h_cl, cost = solver._build_normal_equations(problem, system, values)
+        assert h_cc.shape == (12, 12) and h_ll.shape == (2, 3, 3) and h_cl.shape == (2, 12, 3)
+
+        def close(got, want, ref):
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(ref).max())
+
+        close(h_cc, h[:12, :12], h)
+        close(b_c, b[:12], b)
+        for row in range(2):
+            lm = slice(12 + 3 * row, 15 + 3 * row)
+            close(h_ll[row], h[lm, lm], h)
+            close(h_cl[row], h[:12, lm], h)
+            close(b_l[row], b[lm], b)
+        assert cost == pytest.approx(expected_cost, rel=1e-12)
