@@ -9,7 +9,10 @@ one bundle-adjustment step chosen by the schedule:
   reprojection + preintegration + map-alignment + anchor-prior terms;
 - rigid: plain visual-inertial adjustment first, then an ICP-style loop
   that re-associates and refines the anchor alone with everything else
-  held fixed;
+  held fixed. Each ICP iteration makes one batched association (one k-NN
+  query over all landmarks) and one anchor-only solve: ``AnchorAlignment``
+  stacks the association's landmarks, map points and normals once, and the
+  solver's LM loop runs on its 6x6 normal equations;
 - hybrid m:n cycles m non-rigid steps then n rigid ones.
 
 The anchor prior mean is re-pinned to the converged anchor after every
@@ -28,7 +31,7 @@ from .imu import NavState, PreintegratedImu, bias_information, integrate, predic
 from .laser_map import PointCloudMap, normal_consistency
 from .liegroup import Pose, se3_log, so3_log
 from .session import SensorRig, SessionData
-from .solver import Problem, SolverOptions, SolverReport, solve
+from .solver import DenseProblem, Problem, SolverOptions, SolverReport, solve
 
 
 class TooFewObservationsError(ValueError):
@@ -194,40 +197,117 @@ def associate_constraints(
 ) -> list[res.MapConstraint]:
     """One constraint per active landmark against its nearest map point.
 
+    All landmarks are moved into the map frame and queried in one k-NN call.
     The k nearest neighbors decide the metric: consistent normals pick the
     point-to-plane branch, anything else point-to-point; matches beyond the
     gate radius are dropped.
     """
+    lm_ids = sorted(window.landmarks)
+    if len(cloud) == 0 or not lm_ids:
+        return []
+    p_map = anchor.apply(np.array([window.landmarks[lm_id] for lm_id in lm_ids]))
+    idx, dist = cloud.knn(p_map, cfg.knn_k)
+    if idx.shape[1] >= 2:
+        plane = normal_consistency(cloud.normals[idx], cfg.normal_consistency_angle)
+    else:
+        plane = np.zeros(len(lm_ids), dtype=bool)
+    info = _map_information(cfg)
     constraints = []
-    if len(cloud) == 0:
-        return constraints
-    info = np.eye(3) / (cfg.sigma_map**2)
-    for lm_id in sorted(window.landmarks):
-        p_map = anchor.apply(window.landmarks[lm_id])
-        idx, dist = cloud.knn(p_map, cfg.knn_k)
-        if dist[0] > cfg.gate_radius:
-            continue
-        normals = [
-            cloud.normals[j] if not np.isnan(cloud.normals[j, 0]) else None for j in idx
-        ]
-        nearest = int(idx[0])
-        if len(idx) >= 2 and normal_consistency(normals, cfg.normal_consistency_angle):
-            constraints.append(
-                res.MapConstraint(
-                    lm_id,
-                    cloud.positions[nearest].copy(),
-                    cloud.normals[nearest].copy(),
-                    info,
-                    res.POINT_TO_PLANE,
-                )
-            )
+    for row in np.nonzero(dist[:, 0] <= cfg.gate_radius)[0]:
+        nearest = idx[row, 0]
+        if plane[row]:
+            normal, metric = cloud.normals[nearest].copy(), res.POINT_TO_PLANE
         else:
-            constraints.append(
-                res.MapConstraint(
-                    lm_id, cloud.positions[nearest].copy(), None, info, res.POINT_TO_POINT
-                )
-            )
+            normal, metric = None, res.POINT_TO_POINT
+        constraints.append(
+            res.MapConstraint(lm_ids[row], cloud.positions[nearest].copy(), normal, info, metric)
+        )
     return constraints
+
+
+def _map_information(cfg: EstimatorConfig) -> np.ndarray:
+    """The isotropic information every map constraint carries."""
+    return np.eye(3) / (cfg.sigma_map**2)
+
+
+class AnchorAlignment(DenseProblem):
+    """The rigid step's ICP sub-problem: the anchor alone, landmarks held fixed.
+
+    Holds one association's landmark positions, map points and normals,
+    stacked once per metric, plus the anchor prior. The solver's LM loop
+    works on its 6x6 normal equations; whitening and robust weights are
+    those of the map and prior factors of the joint problem, so the minimum,
+    the iterations and the termination are the same as for a Problem with a
+    free anchor block, fixed landmark blocks and those factors.
+    """
+
+    def __init__(self, anchor: AnchorTransform, constraints, landmarks: dict, cfg: EstimatorConfig):
+        self.value = anchor.pose
+        plane = [c for c in constraints if c.metric == res.POINT_TO_PLANE]
+        point = [c for c in constraints if c.metric == res.POINT_TO_POINT]
+
+        def stack(rows):
+            return np.array(rows, dtype=float).reshape(-1, 3)
+
+        self.plane = (
+            stack([landmarks[c.landmark_id] for c in plane]),
+            stack([c.point for c in plane]),
+            stack([c.normal for c in plane]),
+        )
+        self.point = (
+            stack([landmarks[c.landmark_id] for c in point]),
+            stack([c.point for c in point]),
+        )
+        # associate_constraints gives every constraint this isotropic information
+        self.map_sqrt_info = np.sqrt(_map_information(cfg)[0, 0])
+        self.kernel = res.RobustKernel("cauchy", cfg.cauchy_metric)
+        self.prior_mean = anchor.prior_mean
+        # upper-triangular S with S^T S = information, as the prior factor whitens
+        self.prior_sqrt_info = np.linalg.cholesky(cfg.prior_information(anchor.prior_scale)).T
+
+    def _terms(self, pose: Pose, jacobian: bool):
+        """Per term group: whitened residuals (m, d), anchor Jacobians (m, d, 6), kernel."""
+        terms = []
+        s = self.map_sqrt_info
+        for batch, arrays in (
+            (res.point_to_plane_batch, self.plane),
+            (res.point_to_point_batch, self.point),
+        ):
+            if len(arrays[0]):
+                r, jacs = batch(pose, *arrays, jacobian=jacobian)
+                terms.append((r * s, jacs[0] * s if jacobian else None, self.kernel))
+        r, j = res.anchor_prior_residual(pose, self.prior_mean)
+        prior_s = self.prior_sqrt_info[None]
+        terms.append((
+            np.einsum("nij,nj->ni", prior_s, r[None]),
+            np.einsum("nij,njk->nik", prior_s, j[None]) if jacobian else None,
+            res.RobustKernel(),
+        ))
+        return terms
+
+    def cost(self, pose: Pose) -> float:
+        cost = 0.0
+        for w_res, _, kernel in self._terms(pose, jacobian=False):
+            rho, _ = kernel.loss(np.einsum("ni,ni->n", w_res, w_res))
+            cost += float(rho.sum())
+        return cost
+
+    def normal_equations(self, pose: Pose):
+        h = np.zeros((6, 6))
+        b = np.zeros(6)
+        cost = 0.0
+        for w_res, w_jac, kernel in self._terms(pose, jacobian=True):
+            rho, drho = kernel.loss(np.einsum("ni,ni->n", w_res, w_res))
+            cost += float(rho.sum())
+            sw = np.sqrt(np.maximum(drho, 0.0))
+            w_res = w_res * sw[:, None]
+            w_jac = w_jac * sw[:, None, None]
+            h += np.einsum("ndi,ndj->ij", w_jac, w_jac)
+            b -= np.einsum("ndi,nd->i", w_jac, w_res)
+        return h, b, cost
+
+    def retract(self, pose: Pose, delta) -> Pose:
+        return pose.retract(delta)
 
 
 # ---------------------------------------------------------------------------
@@ -239,7 +319,7 @@ def _solvable_landmarks(window: SlidingWindow) -> list[int]:
     return [lm_id for lm_id in sorted(window.landmarks) if window.observers(lm_id) >= 2]
 
 
-def _build_vio_problem(window, rig, gravity, cfg, lm_ids, fix_landmarks=False) -> Problem:
+def _build_vio_problem(window, rig, gravity, cfg, lm_ids) -> Problem:
     problem = Problem()
     for i, kf in enumerate(window.keyframes):
         problem.add_pose_block(f"pose{kf.kf_id}", kf.state.pose, fixed=(i == 0))
@@ -247,9 +327,7 @@ def _build_vio_problem(window, rig, gravity, cfg, lm_ids, fix_landmarks=False) -
         problem.add_vector_block(f"bg{kf.kf_id}", kf.state.gyro_bias)
         problem.add_vector_block(f"ba{kf.kf_id}", kf.state.accel_bias)
     for lm_id in lm_ids:
-        problem.add_vector_block(
-            f"lm{lm_id}", window.landmarks[lm_id], fixed=fix_landmarks, eliminate=not fix_landmarks
-        )
+        problem.add_vector_block(f"lm{lm_id}", window.landmarks[lm_id], eliminate=True)
     lm_set = set(lm_ids)
     pix_kernel = res.RobustKernel("cauchy", cfg.cauchy_pixel)
     cam_right = rig.right_camera()
@@ -289,10 +367,9 @@ def _build_vio_problem(window, rig, gravity, cfg, lm_ids, fix_landmarks=False) -
     return problem
 
 
-def _add_map_factors(problem, constraints, cfg, lm_ids) -> int:
+def _add_map_factors(problem, constraints, cfg, lm_ids) -> None:
     kernel = res.RobustKernel("cauchy", cfg.cauchy_metric)
     lm_set = set(lm_ids)
-    added = 0
     for c in constraints:
         if c.landmark_id not in lm_set:
             continue
@@ -300,8 +377,6 @@ def _add_map_factors(problem, constraints, cfg, lm_ids) -> int:
             problem.add_factor(res.PointToPlaneFactor("anchor", f"lm{c.landmark_id}", c, kernel))
         else:
             problem.add_factor(res.PointToPointFactor("anchor", f"lm{c.landmark_id}", c, kernel))
-        added += 1
-    return added
 
 
 def _write_back(problem: Problem, window: SlidingWindow, lm_ids) -> None:
@@ -357,7 +432,10 @@ def rigid_ba(
     """VIO-only adjustment, then ICP-style anchor-only alignment.
 
     Stage two repeats association + anchor solve until the anchor update
-    falls below the tolerance; states and landmarks stay untouched there.
+    falls below the tolerance or ``icp_max_iterations`` is reached; states
+    and landmarks stay untouched there. Each anchor solve is one
+    ``AnchorAlignment`` (6x6, landmarks fixed) under the solver's LM loop,
+    with the same minimum and iterations as a generic Problem of those terms.
     """
     gravity = rig.gravity_vector()
     lm_ids = _solvable_landmarks(window)
@@ -372,20 +450,10 @@ def rigid_ba(
         constraints = associate_constraints(window, anchor.pose, cloud, cfg)
         if not constraints:
             break
-        sub = Problem()
-        sub.add_pose_block("anchor", anchor.pose)
-        for lm_id in sorted({c.landmark_id for c in constraints}):
-            sub.add_vector_block(f"lm{lm_id}", window.landmarks[lm_id], fixed=True)
-        _add_map_factors(sub, constraints, cfg, [c.landmark_id for c in constraints])
-        sub.add_factor(
-            res.AnchorPriorFactor(
-                "anchor", anchor.prior_mean, cfg.prior_information(anchor.prior_scale)
-            )
-        )
-        report = solve(sub, cfg.solver_options())
-        new_anchor = sub.value("anchor")
-        update = np.linalg.norm(se3_log(anchor.pose.inverse() @ new_anchor))
-        anchor.pose = new_anchor
+        alignment = AnchorAlignment(anchor, constraints, window.landmarks, cfg)
+        report = solve(alignment, cfg.solver_options())
+        update = np.linalg.norm(se3_log(anchor.pose.inverse() @ alignment.value))
+        anchor.pose = alignment.value
         iterations += report.iterations
         final_cost = report.final_cost
         termination = report.termination

@@ -81,10 +81,14 @@ class PointCloudMap:
         )
 
     def knn(self, query, k: int):
-        """Exact k nearest neighbors: (indices, distances), ascending.
+        """Exact k nearest neighbors of one (3,) point or each row of an (n, 3) batch.
 
-        Ties are broken by insertion order; distances are recomputed with
-        numpy so they are bit-identical to a brute-force scan.
+        Returns (indices, distances), ascending: 1-D for one point, (n, k) for a
+        batch, with k capped at the map size. Ties are broken by insertion
+        order; distances are recomputed with numpy so they are bit-identical to
+        a brute-force scan. The kd-tree proposes k + 1 candidates per row; a
+        row whose (k+1)-th candidate ties its k-th within rounding is redone
+        over every point within that radius.
         """
         n = len(self)
         if n == 0:
@@ -92,14 +96,26 @@ class PointCloudMap:
         if k < 1:
             raise ValueError("k must be >= 1")
         query = np.asarray(query, dtype=float)
+        points = query.reshape(-1, 3)
         kk = min(k, n)
-        d_tree, _ = self.tree.query(query, k=kk)
-        radius = float(np.max(np.atleast_1d(d_tree)))
-        candidates = self.tree.query_ball_point(query, radius * (1.0 + 1e-9) + 1e-12)
-        candidates = np.asarray(sorted(candidates), dtype=int)
-        dists = np.linalg.norm(self.positions[candidates] - query, axis=1)
-        order = np.lexsort((candidates, dists))[:kk]
-        return candidates[order], dists[order]
+        d_tree, i_tree = self.tree.query(points, k=min(kk + 1, n))
+        d_tree = d_tree.reshape(len(points), -1)
+        idx = i_tree.reshape(len(points), -1)[:, :kk].copy()
+        if kk < n:
+            radius = d_tree[:, kk - 1] * (1.0 + 1e-9) + 1e-12
+            for row in np.nonzero(d_tree[:, kk] <= radius)[0]:
+                candidates = np.asarray(
+                    sorted(self.tree.query_ball_point(points[row], radius[row])), dtype=int
+                )
+                dists = np.linalg.norm(self.positions[candidates] - points[row], axis=1)
+                idx[row] = candidates[np.lexsort((candidates, dists))[:kk]]
+        dists = np.linalg.norm(self.positions[idx] - points[:, None, :], axis=2)
+        order = np.lexsort((idx, dists))
+        idx = np.take_along_axis(idx, order, axis=1)
+        dists = np.take_along_axis(dists, order, axis=1)
+        if query.ndim == 1:
+            return idx[0], dists[0]
+        return idx, dists
 
 
 def _canonical_sign(normals: np.ndarray) -> np.ndarray:
@@ -148,25 +164,17 @@ def estimate_normals(cloud: PointCloudMap, neighborhood_k: int = 10) -> PointClo
     )
 
 
-def normal_consistency(normals, angle_threshold: float) -> bool:
-    """True iff all normals are present and pairwise within the angle.
+def normal_consistency(normals, angle_threshold: float) -> np.ndarray:
+    """Per row of ``normals`` (n, k, 3), k >= 2: all present and pairwise within the angle.
 
-    ``normals`` is a sequence of (3,) vectors, possibly containing None or
-    NaN entries (absent normals make the set inconsistent).
+    Returns (n,) bool. A row holding an absent (NaN) normal is inconsistent:
+    its angles are NaN and fail the comparison.
     """
-    vecs = []
-    for n in normals:
-        if n is None:
-            return False
-        n = np.asarray(n, dtype=float)
-        if np.any(np.isnan(n)):
-            return False
-        vecs.append(n)
-    if len(vecs) < 2:
-        raise ValueError("need at least two normals")
-    m = np.stack(vecs)
-    dots = np.clip(m @ m.T, -1.0, 1.0)
-    return bool(np.all(np.arccos(dots) <= angle_threshold + 1e-12))
+    normals = np.asarray(normals, dtype=float)
+    if normals.ndim != 3 or normals.shape[1] < 2:
+        raise ValueError("need (n, k, 3) normals with k >= 2")
+    dots = np.clip(normals @ normals.transpose(0, 2, 1), -1.0, 1.0)
+    return np.all(np.arccos(dots) <= angle_threshold + 1e-12, axis=(1, 2))
 
 
 # ---------------------------------------------------------------------------

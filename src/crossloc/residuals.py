@@ -5,7 +5,9 @@ point-to-point map alignment, and the anchor pose prior. Each comes as a
 bare function returning (residual, analytic Jacobians) and as a factor
 class consumable by the solver. The stereo and map factors evaluate in
 batches only (``evaluate_batch``); their bare functions are the reference
-that tests compare the batches against. Pose Jacobians are always with
+that tests compare the batches against. The map terms' batches are the
+functions ``point_to_plane_batch`` and ``point_to_point_batch``, which the
+map factors and the rigid step's anchor-only solve share. Pose Jacobians are always with
 respect to the right perturbation ``P * Exp(delta)`` with tangent order
 (phi, rho).
 """
@@ -42,7 +44,8 @@ __all__ = [
     "point_to_plane_residual",
     "point_to_point_residual",
     "anchor_prior_residual",
-    "robust_weight",
+    "point_to_plane_batch",
+    "point_to_point_batch",
     "ReprojectionFactor",
     "StereoReprojectionFactor",
     "PreintegrationFactor",
@@ -135,12 +138,6 @@ class RobustKernel:
             return s, np.ones_like(s)
         c2 = self.scale * self.scale
         return c2 * np.log1p(s / c2), 1.0 / (1.0 + s / c2)
-
-
-def robust_weight(kernel: RobustKernel, squared_error: float) -> tuple[float, float]:
-    """Loss value and its first derivative at the given squared error."""
-    rho, drho = kernel.loss(squared_error)
-    return float(rho), float(drho)
 
 
 @dataclass(frozen=True)
@@ -297,6 +294,41 @@ def anchor_prior_residual(anchor: Pose, prior_mean: Pose, information=None):
     """
     residual = se3_log(prior_mean.inverse() @ anchor)
     return residual, se3_right_jacobian_inv(residual)
+
+
+def point_to_plane_batch(anchor: Pose, p_lm, targets, normals, jacobian=True):
+    """``point_to_plane_residual`` for n landmarks at once, as the 3-vector r_n * n.
+
+    Returns residual (n, 3) and, if asked, [J_anchor (n, 3, 6), J_lm (n, 3, 3)].
+    """
+    p_map = p_lm @ anchor.rotation.T + anchor.translation
+    r_n = np.einsum("ni,ni->n", normals, targets - p_map)
+    residual = r_n[:, None] * normals
+    if not jacobian:
+        return residual, None
+    n_rot = normals @ anchor.rotation
+    row = np.concatenate([np.cross(n_rot, p_lm), -n_rot], axis=1)  # (n, 6)
+    j_anchor = normals[:, :, None] * row[:, None, :]
+    j_lm = normals[:, :, None] * (-n_rot)[:, None, :]
+    return residual, [j_anchor, j_lm]
+
+
+def point_to_point_batch(anchor: Pose, p_lm, targets, jacobian=True):
+    """``point_to_point_residual`` for n landmarks at once.
+
+    Returns residual (n, 3) and, if asked, [J_anchor (n, 3, 6), J_lm (n, 3, 3)].
+    """
+    residual = targets - (p_lm @ anchor.rotation.T + anchor.translation)
+    if not jacobian:
+        return residual, None
+    n = len(p_lm)
+    j_anchor = np.concatenate(
+        [np.einsum("ij,njk->nik", anchor.rotation, _batch_skew(p_lm)),
+         np.broadcast_to(-anchor.rotation, (n, 3, 3)).copy()],
+        axis=2,
+    )
+    j_lm = np.broadcast_to(-anchor.rotation, (n, 3, 3)).copy()
+    return residual, [j_anchor, j_lm]
 
 
 # ---------------------------------------------------------------------------
@@ -473,20 +505,13 @@ class PointToPlaneFactor:
     @classmethod
     def evaluate_batch(cls, factors, values, jacobian=True):
         """Vectorized evaluation; all factors must share the anchor block."""
-        anchor = values[factors[0].blocks[0]]
-        p_lm = np.stack([values[f.blocks[1]] for f in factors])
-        targets = np.stack([f.constraint.point for f in factors])
-        normals = np.stack([f.constraint.normal for f in factors])
-        p_map = p_lm @ anchor.rotation.T + anchor.translation
-        r_n = np.einsum("ni,ni->n", normals, targets - p_map)
-        residual = r_n[:, None] * normals
-        if not jacobian:
-            return residual, None
-        n_rot = normals @ anchor.rotation
-        row = np.concatenate([np.cross(n_rot, p_lm), -n_rot], axis=1)  # (n, 6)
-        j_anchor = normals[:, :, None] * row[:, None, :]
-        j_lm = normals[:, :, None] * (-n_rot)[:, None, :]
-        return residual, [j_anchor, j_lm]
+        return point_to_plane_batch(
+            values[factors[0].blocks[0]],
+            np.stack([values[f.blocks[1]] for f in factors]),
+            np.stack([f.constraint.point for f in factors]),
+            np.stack([f.constraint.normal for f in factors]),
+            jacobian,
+        )
 
 
 class PointToPointFactor:
@@ -504,19 +529,12 @@ class PointToPointFactor:
     @classmethod
     def evaluate_batch(cls, factors, values, jacobian=True):
         """Vectorized evaluation; all factors must share the anchor block."""
-        anchor = values[factors[0].blocks[0]]
-        p_lm = np.stack([values[f.blocks[1]] for f in factors])
-        targets = np.stack([f.constraint.point for f in factors])
-        residual = targets - (p_lm @ anchor.rotation.T + anchor.translation)
-        if not jacobian:
-            return residual, None
-        j_anchor = np.concatenate(
-            [np.einsum("ij,njk->nik", anchor.rotation, _batch_skew(p_lm)),
-             np.broadcast_to(-anchor.rotation, (len(factors), 3, 3)).copy()],
-            axis=2,
+        return point_to_point_batch(
+            values[factors[0].blocks[0]],
+            np.stack([values[f.blocks[1]] for f in factors]),
+            np.stack([f.constraint.point for f in factors]),
+            jacobian,
         )
-        j_lm = np.broadcast_to(-anchor.rotation, (len(factors), 3, 3)).copy()
-        return residual, [j_anchor, j_lm]
 
 
 class AnchorPriorFactor:

@@ -1,5 +1,12 @@
 """Levenberg-Marquardt over mixed Euclidean/manifold variable blocks.
 
+One LM loop (damping, acceptance, termination) runs over two linear-algebra
+backends: a ``Problem``, solved through its Schur complement, and a
+``DenseProblem``, a small problem that hands the loop its own dense normal
+equations (the rigid step's anchor-only alignment). Each backend linearizes,
+evaluates the cost, solves the damped system and retracts; ``solve`` picks
+the backend by the problem's type.
+
 A Problem is a set of named blocks (SE(3) poses updated by right
 retraction, or plain vectors) plus factors. A factor provides:
 
@@ -30,7 +37,7 @@ as ``H_cc (nc, nc)``, ``b_c (nc,)``, ``H_ll (L, s, s)``, ``b_l (L, s)`` and
 ``H_cl (L, nc, s)``. A solve maps each factor block to its camera offset
 and landmark row once; every LM iteration then scatters whole groups into
 those arrays by index, and damps, checks and solves all landmark blocks as
-one batch.
+one batch. Both backends damp a diagonal entry h by ``lam * max(|h|, 1e-12)``.
 """
 
 from __future__ import annotations
@@ -171,7 +178,7 @@ def evaluate_cost(problem: Problem, values: dict | None = None) -> float:
 
 
 class _System:
-    """Block layout of one solve.
+    """Block layout of one solve of a Problem and its Schur-complement algebra.
 
     Camera blocks (free and not eliminated) take consecutive offsets of the
     reduced vector in insertion order; eliminated blocks are the rows of the
@@ -182,6 +189,7 @@ class _System:
     """
 
     def __init__(self, problem: Problem):
+        self.problem = problem
         blocks = problem._blocks.values()
         self.cam_blocks = [blk for blk in blocks if not blk.fixed and not blk.eliminate]
         self.elim_blocks = [blk for blk in blocks if blk.eliminate]
@@ -202,6 +210,46 @@ class _System:
             )
             for fs in problem._groups.values()
         ]
+
+    def cost(self, values):
+        return evaluate_cost(self.problem, values)
+
+    def linearize(self, values):
+        h_cc, b_c, h_ll, b_l, h_cl, cost = _build_normal_equations(self.problem, self, values)
+        grad_norm = max(np.abs(b_c).max(initial=0.0), np.abs(b_l).max(initial=0.0))
+        return (h_cc, b_c, h_ll, b_l, h_cl), cost, grad_norm
+
+    def solve_damped(self, linear, lam):
+        """Schur-condensed damped solve; returns (delta_c, delta_l (L, s)) or None."""
+        h_cc, b_c, h_ll, b_l, h_cl = linear
+        hd_l = _damp(h_ll, lam)
+        try:
+            np.linalg.cholesky(hd_l)  # positive-definiteness check only
+        except np.linalg.LinAlgError:
+            return None
+        # x = H_ll^-1 [b_l | H_cl^T] per landmark, kept for the back-substitution
+        x = np.linalg.solve(hd_l, np.concatenate([b_l[:, :, None], h_cl.transpose(0, 2, 1)], axis=2))
+        # sum over landmarks of H_cl x: the Schur terms of b and of H
+        schur = np.tensordot(h_cl, x, axes=([0, 2], [0, 1]))
+        delta_c = _solve_or_none(_damp(h_cc, lam) - schur[:, 1:], b_c - schur[:, 0])
+        if delta_c is None:
+            return None
+        # delta_l = H_ll^-1 (b_l - H_cl^T delta_c)
+        return delta_c, x[:, :, 0] - x[:, :, 1:] @ delta_c
+
+    def retract(self, values, delta):
+        delta_c, delta_l = delta
+        new_values = dict(values)
+        for blk in self.cam_blocks:
+            off = self.cam_offset[blk.key]
+            step = delta_c[off : off + blk.size]
+            if blk.kind == "pose":
+                new_values[blk.key] = values[blk.key].retract(step)
+            else:
+                new_values[blk.key] = values[blk.key] + step
+        for j, blk in enumerate(self.elim_blocks):
+            new_values[blk.key] = values[blk.key] + delta_l[j]
+        return new_values
 
 
 def _jtj(j_a, j_b):
@@ -254,62 +302,47 @@ def _build_normal_equations(problem, system, values):
     return h_cc, b_c, h_ll, b_l, h_cl, cost
 
 
-def _solve_damped(system, h_cc, b_c, h_ll, b_l, h_cl, lam):
-    """Schur-condensed damped solve; returns (delta_c, delta_l (L, s)) or None."""
-    nc = system.nc
-    h_d = h_cc.copy()
-    diag = np.abs(np.diag(h_cc))
-    h_d[np.arange(nc), np.arange(nc)] += lam * np.maximum(diag, 1e-12)
-    hd_l = h_ll.copy()
-    d = np.arange(system.elim_size)
-    hd_l[:, d, d] += lam * np.maximum(np.abs(h_ll[:, d, d]), 1e-12)
+class DenseProblem:
+    """Base of a small problem solved on its dense normal equations.
+
+    A subclass holds its current estimate in ``value`` and provides
+    ``cost(value)``, ``normal_equations(value) -> (h (k, k), b (k,), cost)``
+    with b the negative gradient, and ``retract(value, delta (k,))``.
+    """
+
+    value: object
+
+    def linearize(self, value):
+        h, b, cost = self.normal_equations(value)
+        return (h, b), cost, np.abs(b).max(initial=0.0)
+
+    def solve_damped(self, linear, lam):
+        h, b = linear
+        return _solve_or_none(_damp(h, lam), b)
+
+
+def _damp(h, lam):
+    """Copy of h (..., k, k) with lam * max(|diag|, 1e-12) added to its diagonal."""
+    d = np.arange(h.shape[-1])
+    out = h.copy()
+    out[..., d, d] += lam * np.maximum(np.abs(h[..., d, d]), 1e-12)
+    return out
+
+
+def _solve_or_none(h, b):
+    """h^-1 b, or None when h is singular or the solution is not finite."""
     try:
-        np.linalg.cholesky(hd_l)  # positive-definiteness check only
+        x = np.linalg.solve(h, b)
     except np.linalg.LinAlgError:
         return None
-    # x = H_ll^-1 [b_l | H_cl^T] per landmark, kept for the back-substitution
-    x = np.linalg.solve(hd_l, np.concatenate([b_l[:, :, None], h_cl.transpose(0, 2, 1)], axis=2))
-    # sum over landmarks of H_cl x: the Schur terms of b and of H
-    schur = np.tensordot(h_cl, x, axes=([0, 2], [0, 1]))
-    b_red = b_c - schur[:, 0]
-    h_d -= schur[:, 1:]
-    if nc > 0:
-        try:
-            delta_c = np.linalg.solve(h_d, b_red)
-        except np.linalg.LinAlgError:
-            return None
-        if not np.all(np.isfinite(delta_c)):
-            return None
-    else:
-        delta_c = np.zeros(0)
-    # delta_l = H_ll^-1 (b_l - H_cl^T delta_c)
-    delta_l = x[:, :, 0] - x[:, :, 1:] @ delta_c
-    return delta_c, delta_l
+    return x if np.all(np.isfinite(x)) else None
 
 
-def _retract_all(system, values, delta_c, delta_l):
-    new_values = dict(values)
-    for blk in system.cam_blocks:
-        off = system.cam_offset[blk.key]
-        step = delta_c[off : off + blk.size]
-        if blk.kind == "pose":
-            new_values[blk.key] = values[blk.key].retract(step)
-        else:
-            new_values[blk.key] = values[blk.key] + step
-    for j, blk in enumerate(system.elim_blocks):
-        new_values[blk.key] = values[blk.key] + delta_l[j]
-    return new_values
-
-
-def solve(problem: Problem, options: SolverOptions | None = None) -> SolverReport:
-    """Minimize the robustified cost; updates the problem's blocks in place."""
-    opts = options or SolverOptions()
-    system = _System(problem)
-    values = problem.values()
-
-    initial_cost = evaluate_cost(problem, values)
+def _levenberg_marquardt(system, value, opts: SolverOptions):
+    """The LM loop over either backend; returns (final value, report)."""
+    initial_cost = system.cost(value)
     if not np.isfinite(initial_cost):
-        return SolverReport(initial_cost, initial_cost, 0, "failure")
+        return value, SolverReport(initial_cost, initial_cost, 0, "failure")
     cost = initial_cost
     lam = opts.initial_lambda
     iterations = 0
@@ -317,8 +350,7 @@ def solve(problem: Problem, options: SolverOptions | None = None) -> SolverRepor
     grad_norm = float("nan")
 
     while iterations < opts.max_iterations:
-        h_cc, b_c, h_ll, b_l, h_cl, cost = _build_normal_equations(problem, system, values)
-        grad_norm = max(np.abs(b_c).max(initial=0.0), np.abs(b_l).max(initial=0.0))
+        linear, cost, grad_norm = system.linearize(value)
         if grad_norm < opts.gradient_tol:
             termination = "converged"
             break
@@ -326,17 +358,17 @@ def solve(problem: Problem, options: SolverOptions | None = None) -> SolverRepor
         accepted = False
         while lam <= opts.max_lambda:
             iterations += 1
-            solved = _solve_damped(system, h_cc, b_c, h_ll, b_l, h_cl, lam)
-            if solved is None:
+            delta = system.solve_damped(linear, lam)
+            if delta is None:
                 lam *= opts.lambda_increase
                 if iterations >= opts.max_iterations:
                     break
                 continue
-            candidate = _retract_all(system, values, *solved)
-            new_cost = evaluate_cost(problem, candidate)
+            candidate = system.retract(value, delta)
+            new_cost = system.cost(candidate)
             if np.isfinite(new_cost) and new_cost < cost:
                 rel_decrease = (cost - new_cost) / max(cost, 1e-300)
-                values = candidate
+                value = candidate
                 cost = new_cost
                 lam = max(lam * opts.lambda_decrease, 1e-12)
                 accepted = True
@@ -353,6 +385,16 @@ def solve(problem: Problem, options: SolverOptions | None = None) -> SolverRepor
         if termination == "converged":
             break
 
+    return value, SolverReport(initial_cost, cost, iterations, termination, grad_norm)
+
+
+def solve(problem: Problem | DenseProblem, options: SolverOptions | None = None) -> SolverReport:
+    """Minimize the robustified cost; updates the problem's estimate in place."""
+    opts = options or SolverOptions()
+    if isinstance(problem, DenseProblem):
+        problem.value, report = _levenberg_marquardt(problem, problem.value, opts)
+        return report
+    values, report = _levenberg_marquardt(_System(problem), problem.values(), opts)
     for key, value in values.items():
         problem.set_value(key, value)
-    return SolverReport(initial_cost, cost, iterations, termination, grad_norm)
+    return report

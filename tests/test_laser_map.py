@@ -70,6 +70,48 @@ class TestKnn:
                 assert np.array_equal(dist, bf_dist)
 
 
+    def test_batch_matches_brute_force_row_by_row(self):
+        rng = np.random.default_rng(1)
+        cloud = random_cloud(rng, 10_000)
+        queries = rng.uniform(-11, 11, size=(100, 3))
+        for k in (1, 3, 5, 10):
+            idx, dist = cloud.knn(queries, k=k)
+            assert idx.shape == dist.shape == (100, k)
+            for q, row_idx, row_dist in zip(queries, idx, dist):
+                bf_idx, bf_dist = brute_force_knn(cloud.positions, q, k)
+                assert np.array_equal(row_idx, bf_idx)
+                assert np.array_equal(row_dist, bf_dist)
+
+    def test_batch_tie_at_the_kth_boundary(self):
+        # the middle query is 1 from points 1, 2 and 3 and 2 from point 4:
+        # with k = 2 its 2nd and 3rd neighbours tie, and the lower index wins
+        pts = np.array([[2.0, 0, 0], [1.0, 0, 0], [0, 1.0, 0], [0, 0, 1.0], [9.0, 9, 9]])
+        cloud = lm.PointCloudMap(pts[[4, 3, 2, 1, 0]])
+        queries = np.array([[8.0, 9, 9], [0.0, 0, 0], [3.0, 0, 0]])
+        idx, dist = cloud.knn(queries, k=2)
+        for q, row_idx, row_dist in zip(queries, idx, dist):
+            bf_idx, bf_dist = brute_force_knn(cloud.positions, q, 2)
+            assert np.array_equal(row_idx, bf_idx)
+            assert np.array_equal(row_dist, bf_dist)
+        assert idx[1].tolist() == [1, 2]
+
+    def test_batch_tie_inside_the_k_nearest(self):
+        # both neighbours are 1 away and the third is far: no boundary tie,
+        # and the pair still comes back in insertion order
+        cloud = lm.PointCloudMap(np.array([[1.0, 0, 0], [-1.0, 0, 0], [5.0, 5, 5]]))
+        idx, dist = cloud.knn(np.zeros((2, 3)), k=2)
+        assert idx.tolist() == [[0, 1], [0, 1]]
+        assert dist.tolist() == [[1.0, 1.0], [1.0, 1.0]]
+
+    def test_single_point_keeps_1d_shapes(self):
+        cloud = random_cloud(np.random.default_rng(7), 50)
+        q = np.array([0.5, -0.5, 1.0])
+        idx, dist = cloud.knn(q, k=4)
+        assert idx.shape == dist.shape == (4,)
+        batch_idx, batch_dist = cloud.knn(q[None], k=4)
+        assert np.array_equal(idx, batch_idx[0]) and np.array_equal(dist, batch_dist[0])
+
+
 class TestEstimateNormals:
     def test_planar_cloud(self):
         rng = np.random.default_rng(3)
@@ -116,12 +158,12 @@ class TestEstimateNormals:
 class TestNormalConsistency:
     def test_identical_normals(self):
         n = np.array([0.0, 0.0, 1.0])
-        assert lm.normal_consistency([n, n, n], angle_threshold=1e-6)
+        assert lm.normal_consistency([[n, n, n]], angle_threshold=1e-6).tolist() == [True]
 
     def test_orthogonal_normals(self):
         a = np.array([0.0, 0.0, 1.0])
         b = np.array([1.0, 0.0, 0.0])
-        assert not lm.normal_consistency([a, b], angle_threshold=np.deg2rad(30))
+        assert lm.normal_consistency([[a, b]], angle_threshold=np.deg2rad(30)).tolist() == [False]
 
     def test_cone_within_threshold_matches_brute_force(self):
         rng = np.random.default_rng(6)
@@ -135,18 +177,40 @@ class TestNormalConsistency:
                 perp /= np.linalg.norm(perp)
                 normals.append(so3_exp(perp * tilt) @ axis)
             threshold = np.deg2rad(15)
-            got = lm.normal_consistency(normals, threshold)
+            got = lm.normal_consistency([normals], threshold)
             worst = max(
                 np.arccos(np.clip(a @ b, -1, 1))
                 for i, a in enumerate(normals)
                 for b in normals[i + 1 :]
             )
-            assert got == (worst <= threshold + 1e-12)
+            assert got.tolist() == [worst <= threshold + 1e-12]
 
     def test_absent_normal_inconsistent(self):
+        # an absent normal is a NaN row, as PointCloudMap stores it
         n = np.array([0.0, 0.0, 1.0])
-        assert not lm.normal_consistency([n, None], angle_threshold=1.0)
-        assert not lm.normal_consistency([n, np.full(3, np.nan)], angle_threshold=1.0)
+        absent = np.full(3, np.nan)
+        assert lm.normal_consistency([[n, absent]], angle_threshold=1.0).tolist() == [False]
+        assert lm.normal_consistency([[absent, n]], angle_threshold=1.0).tolist() == [False]
+
+    def test_stacked_rows_judged_independently(self):
+        z = np.array([0.0, 0.0, 1.0])
+        tilted = so3_exp(np.array([np.deg2rad(5.0), 0.0, 0.0])) @ z
+        x = np.array([1.0, 0.0, 0.0])
+        absent = np.full(3, np.nan)
+        rows = [
+            [z, tilted, z],  # within 10 degrees
+            [z, x, z],  # 90 degrees apart
+            [z, z, absent],  # one normal absent
+            [tilted, z, tilted],  # within 10 degrees
+            [absent, absent, absent],
+        ]
+        got = lm.normal_consistency(rows, angle_threshold=np.deg2rad(10))
+        assert got.dtype == bool and got.shape == (5,)
+        assert got.tolist() == [True, False, False, True, False]
+
+    def test_fewer_than_two_normals_rejected(self):
+        with pytest.raises(ValueError):
+            lm.normal_consistency(np.zeros((3, 1, 3)), angle_threshold=1.0)
 
 
 class TestMapIO:

@@ -304,11 +304,11 @@ class TestAnchorPrior:
 class TestRobustKernel:
     def test_zero_error(self):
         for kernel in (res.RobustKernel("cauchy", 2.0), res.RobustKernel("none")):
-            rho, _ = res.robust_weight(kernel, 0.0)
+            rho, _ = kernel.loss(0.0)
             assert rho == 0.0
 
     def test_cauchy_closed_form(self):
-        rho, drho = res.robust_weight(res.RobustKernel("cauchy", 1.0), 1.0)
+        rho, drho = res.RobustKernel("cauchy", 1.0).loss(1.0)
         assert rho == pytest.approx(np.log(2.0), abs=1e-12)
         assert drho == pytest.approx(0.5, abs=1e-12)
 
