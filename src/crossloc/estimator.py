@@ -596,11 +596,12 @@ def initialize(
     # walk forward until the keyframe policy fires
     kf_index = None
     state = state0
+    ids0 = set(frame0.landmark_ids.tolist())
     for k in range(1, len(session.frames)):
         pre = integrate(_frame_slice(session, 0, k), (state0.gyro_bias, state0.accel_bias),
                         rig.imu_noise)
         state = predict_state(state0, pre, rig.gravity_vector())
-        if _keyframe_due(state0, state, frame0.landmark_ids, session.frames[k].landmark_ids, cfg):
+        if _keyframe_due(state0, state, ids0, session.frames[k].landmark_ids, cfg):
             kf_index = k
             break
     if kf_index is None:
@@ -622,17 +623,17 @@ def initialize(
     return window, anchor, kf_index
 
 
-def _keyframe_due(last_state, state, last_ids, frame_ids, cfg) -> bool:
+def _keyframe_due(last_state, state, last_ids: set, frame_ids, cfg) -> bool:
+    """Keyframe policy; ``last_ids`` is the set of the last keyframe's landmark ids."""
     trans = np.linalg.norm(state.pose.translation - last_state.pose.translation)
     if trans > cfg.kf_translation:
         return True
     rel = last_state.pose.rotation.T @ state.pose.rotation
     if np.linalg.norm(so3_log(rel)) > cfg.kf_rotation:
         return True
-    last_ids = set(int(i) for i in last_ids)
     if not last_ids:
         return False
-    overlap = len(last_ids & set(int(i) for i in frame_ids)) / len(last_ids)
+    overlap = len(last_ids.intersection(frame_ids.tolist())) / len(last_ids)
     return overlap < cfg.kf_overlap
 
 
@@ -677,6 +678,7 @@ def run_localization(
 
     reason = run_step(window.keyframes[-1])
     last_kf = window.keyframes[-1]
+    last_ids = set(last_kf.landmark_ids.tolist())
     for k in range(last_kf_index + 1, len(session.frames)):
         if reason:
             break
@@ -687,7 +689,7 @@ def run_localization(
         )
         state = predict_state(last_kf.state, pre, rig.gravity_vector())
         frame = session.frames[k]
-        if not _keyframe_due(last_kf.state, state, last_kf.landmark_ids, frame.landmark_ids, cfg):
+        if not _keyframe_due(last_kf.state, state, last_ids, frame.landmark_ids, cfg):
             continue
         if len(frame.landmark_ids) < cfg.min_frame_landmarks:
             continue
@@ -706,6 +708,7 @@ def run_localization(
         activate_landmarks(window, rig, cfg)
         last_kf = kf
         last_kf_index = k
+        last_ids = set(kf.landmark_ids.tolist())
         reason = run_step(kf)
 
     return LocalizationResult(

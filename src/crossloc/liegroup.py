@@ -10,7 +10,10 @@ Conventions used throughout the package:
   ``p_target = R @ p_source + t``.
 
 Small angles (below ``SMALL_ANGLE``) switch the trigonometric coefficients
-to 4th-order Taylor series to avoid catastrophic cancellation.
+to 4th-order Taylor series to avoid catastrophic cancellation. The SO(3)
+exponential, logarithm, left Jacobian and its inverse also come batched
+(``*_batch``, over the first axis), each row taking its own branch; the
+scalar ones stay for per-sample loops such as IMU integration.
 """
 
 from __future__ import annotations
@@ -36,16 +39,41 @@ def unskew(m: np.ndarray) -> np.ndarray:
     return np.array([m[2, 1], m[0, 2], m[1, 0]])
 
 
-def _rodrigues_coeffs(theta: float) -> tuple[float, float]:
+def skew_batch(v: np.ndarray) -> np.ndarray:
+    """``skew`` of each row of v (..., 3): (..., 3, 3)."""
+    out = np.zeros(v.shape[:-1] + (3, 3))
+    out[..., 0, 1] = -v[..., 2]
+    out[..., 0, 2] = v[..., 1]
+    out[..., 1, 0] = v[..., 2]
+    out[..., 1, 2] = -v[..., 0]
+    out[..., 2, 0] = -v[..., 1]
+    out[..., 2, 1] = v[..., 0]
+    return out
+
+
+def _by_angle(theta, series, closed):
+    """Coefficients of an angle: ``series(t2)`` below SMALL_ANGLE, else ``closed(theta, t2)``.
+
+    theta is a float, or an array whose entries each take their own branch.
+    Both return a tuple of coefficients.
+    """
+    if isinstance(theta, float):
+        t2 = theta * theta
+        return series(t2) if theta < SMALL_ANGLE else closed(theta, t2)
+    small = theta < SMALL_ANGLE
+    safe = np.where(small, 1.0, theta)  # keeps the closed form finite at 0
+    return tuple(
+        np.where(small, s, c) for s, c in zip(series(theta * theta), closed(safe, safe * safe))
+    )
+
+
+def _rodrigues_coeffs(theta):
     """Coefficients a, b with R = I + a*Phi + b*Phi^2 (Phi unnormalized)."""
-    t2 = theta * theta
-    if theta < SMALL_ANGLE:
-        a = 1.0 - t2 / 6.0 + t2 * t2 / 120.0
-        b = 0.5 - t2 / 24.0 + t2 * t2 / 720.0
-    else:
-        a = np.sin(theta) / theta
-        b = (1.0 - np.cos(theta)) / t2
-    return a, b
+    return _by_angle(
+        theta,
+        lambda t2: (1.0 - t2 / 6.0 + t2 * t2 / 120.0, 0.5 - t2 / 24.0 + t2 * t2 / 720.0),
+        lambda t, t2: (np.sin(t) / t, (1.0 - np.cos(t)) / t2),
+    )
 
 
 def so3_exp(phi: np.ndarray) -> np.ndarray:
@@ -71,16 +99,13 @@ def so3_log(rot: np.ndarray) -> np.ndarray:
     return (theta / (2.0 * s)) * w
 
 
-def _jacobian_coeffs(theta: float) -> tuple[float, float]:
+def _jacobian_coeffs(theta):
     """Coefficients b, c with J_l = I + b*Phi + c*Phi^2."""
-    t2 = theta * theta
-    if theta < SMALL_ANGLE:
-        b = 0.5 - t2 / 24.0 + t2 * t2 / 720.0
-        c = 1.0 / 6.0 - t2 / 120.0 + t2 * t2 / 5040.0
-    else:
-        b = (1.0 - np.cos(theta)) / t2
-        c = (theta - np.sin(theta)) / (t2 * theta)
-    return b, c
+    return _by_angle(
+        theta,
+        lambda t2: (0.5 - t2 / 24.0 + t2 * t2 / 720.0, 1.0 / 6.0 - t2 / 120.0 + t2 * t2 / 5040.0),
+        lambda t, t2: ((1.0 - np.cos(t)) / t2, (t - np.sin(t)) / (t2 * t)),
+    )
 
 
 def so3_left_jacobian(phi: np.ndarray) -> np.ndarray:
@@ -97,11 +122,13 @@ def so3_right_jacobian(phi: np.ndarray) -> np.ndarray:
     return so3_left_jacobian(-np.asarray(phi, dtype=float))
 
 
-def _inv_jacobian_coeff(theta: float) -> float:
-    t2 = theta * theta
-    if theta < SMALL_ANGLE:
-        return 1.0 / 12.0 + t2 / 720.0 + t2 * t2 / 30240.0
-    return 1.0 / t2 - (1.0 + np.cos(theta)) / (2.0 * theta * np.sin(theta))
+def _inv_jacobian_coeff(theta):
+    """Coefficient c with J_l^-1 = I - Phi / 2 + c*Phi^2."""
+    return _by_angle(
+        theta,
+        lambda t2: (1.0 / 12.0 + t2 / 720.0 + t2 * t2 / 30240.0,),
+        lambda t, t2: (1.0 / t2 - (1.0 + np.cos(t)) / (2.0 * t * np.sin(t)),),
+    )[0]
 
 
 def so3_left_jacobian_inv(phi: np.ndarray) -> np.ndarray:
@@ -113,6 +140,47 @@ def so3_left_jacobian_inv(phi: np.ndarray) -> np.ndarray:
 
 def so3_right_jacobian_inv(phi: np.ndarray) -> np.ndarray:
     return so3_left_jacobian_inv(-np.asarray(phi, dtype=float))
+
+
+def so3_exp_batch(phi: np.ndarray) -> np.ndarray:
+    """``so3_exp`` of each row of phi (n, 3): (n, 3, 3)."""
+    phi = np.asarray(phi, dtype=float)
+    a, b = _rodrigues_coeffs(np.linalg.norm(phi, axis=-1))
+    p = skew_batch(phi)
+    return np.eye(3) + a[:, None, None] * p + b[:, None, None] * (p @ p)
+
+
+def so3_log_batch(rot: np.ndarray) -> np.ndarray:
+    """``so3_log`` of each of rot (n, 3, 3): (n, 3); raises as so3_log does."""
+    rot = np.asarray(rot, dtype=float)
+    w = np.stack(
+        [rot[:, 2, 1] - rot[:, 1, 2], rot[:, 0, 2] - rot[:, 2, 0], rot[:, 1, 0] - rot[:, 0, 1]],
+        axis=1,
+    )
+    s = 0.5 * np.linalg.norm(w, axis=1)
+    c = 0.5 * (np.trace(rot, axis1=1, axis2=2) - 1.0)
+    theta = np.arctan2(s, c)
+    if np.any(theta > np.pi - 1e-6):
+        raise AngleNearPiError(f"rotation angle {theta.max():.9f} too close to pi")
+    small = theta < SMALL_ANGLE
+    scale = np.where(small, 0.5 + theta * theta / 12.0, theta / (2.0 * np.where(small, 1.0, s)))
+    return scale[:, None] * w
+
+
+def so3_left_jacobian_batch(phi: np.ndarray) -> np.ndarray:
+    """``so3_left_jacobian`` of each row of phi (n, 3): (n, 3, 3)."""
+    phi = np.asarray(phi, dtype=float)
+    b, c = _jacobian_coeffs(np.linalg.norm(phi, axis=-1))
+    p = skew_batch(phi)
+    return np.eye(3) + b[:, None, None] * p + c[:, None, None] * (p @ p)
+
+
+def so3_left_jacobian_inv_batch(phi: np.ndarray) -> np.ndarray:
+    """``so3_left_jacobian_inv`` of each row of phi (n, 3): (n, 3, 3)."""
+    phi = np.asarray(phi, dtype=float)
+    c = _inv_jacobian_coeff(np.linalg.norm(phi, axis=-1))
+    p = skew_batch(phi)
+    return np.eye(3) - 0.5 * p + c[:, None, None] * (p @ p)
 
 
 def orthonormalize(rot: np.ndarray) -> np.ndarray:

@@ -3,18 +3,25 @@
 Five families: pixel reprojection, IMU preintegration, point-to-plane and
 point-to-point map alignment, and the anchor pose prior. Each comes as a
 bare function returning (residual, analytic Jacobians) and as a factor
-class consumable by the solver. The stereo and map factors evaluate in
-batches only (``evaluate_batch``); their bare functions are the reference
-that tests compare the batches against. The map terms' batches are the
-functions ``point_to_plane_batch`` and ``point_to_point_batch``, which the
-map factors and the rigid step's anchor-only solve share. Pose Jacobians are always with
-respect to the right perturbation ``P * Exp(delta)`` with tangent order
-(phi, rho).
+class consumable by the solver. The solver evaluates the stereo, map,
+preintegration and bias factors in batches (``evaluate_batch``), over a
+compiled ``solver.FactorBatch`` whose ``batch_constants`` hold the stacked
+pixels, map targets and normals, or preintegrated deltas; the mono
+``ReprojectionFactor`` and the ``AnchorPriorFactor`` (one per problem)
+through their per-factor ``evaluate``. The stereo and map factors evaluate
+in batches only, and their bare functions are the reference that tests
+compare the batches against; the preintegration and bias factors keep a
+per-factor ``evaluate`` as that reference.
+The map terms' batches are the functions ``point_to_plane_batch`` and
+``point_to_point_batch``, which the map factors and the rigid step's
+anchor-only solve share. Pose Jacobians are always with respect to the
+right perturbation ``P * Exp(delta)`` with tangent order (phi, rho).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -24,11 +31,17 @@ from .liegroup import (
     se3_log,
     se3_right_jacobian_inv,
     skew,
+    skew_batch,
+    so3_exp_batch,
+    so3_left_jacobian_batch,
     so3_left_jacobian_inv,
+    so3_left_jacobian_inv_batch,
     so3_log,
+    so3_log_batch,
     so3_right_jacobian,
     so3_right_jacobian_inv,
 )
+from .solver import FactorBatch
 
 __all__ = [
     "NavState",
@@ -323,7 +336,7 @@ def point_to_point_batch(anchor: Pose, p_lm, targets, jacobian=True):
         return residual, None
     n = len(p_lm)
     j_anchor = np.concatenate(
-        [np.einsum("ij,njk->nik", anchor.rotation, _batch_skew(p_lm)),
+        [np.einsum("ij,njk->nik", anchor.rotation, skew_batch(p_lm)),
          np.broadcast_to(-anchor.rotation, (n, 3, 3)).copy()],
         axis=2,
     )
@@ -341,24 +354,24 @@ def _sqrt_information(info: np.ndarray):
     An isotropic ``info = s**2 * I`` gives the float ``s``, which stands for
     ``S = s * I``; any other ``info`` gives the upper-triangular ``S`` with
     ``S^T S = info``. The scalar form exists so that batches whose factors
-    all carry one take the elementwise fast path of ``solver._batch_whiten``.
+    all carry one are whitened elementwise. The map constraints of one
+    association all carry the same information, so results are cached by
+    the information's value (a matrix result is read-only).
     """
+    info = np.ascontiguousarray(info, dtype=float)
+    return _sqrt_of_bytes(info.tobytes(), len(info))
+
+
+@lru_cache(maxsize=8)
+def _sqrt_of_bytes(data: bytes, n: int):
+    info = np.frombuffer(data).reshape(n, n)
     info = 0.5 * (info + info.T)
-    iso = info[0, 0] * np.eye(len(info))
+    iso = info[0, 0] * np.eye(n)
     if info[0, 0] > 0 and np.allclose(info, iso, rtol=1e-12, atol=0.0):
         return float(np.sqrt(info[0, 0]))
-    return np.linalg.cholesky(info).T
-
-
-def _batch_skew(v: np.ndarray) -> np.ndarray:
-    out = np.zeros(v.shape[:-1] + (3, 3))
-    out[..., 0, 1] = -v[..., 2]
-    out[..., 0, 2] = v[..., 1]
-    out[..., 1, 0] = v[..., 2]
-    out[..., 1, 2] = -v[..., 0]
-    out[..., 2, 0] = -v[..., 1]
-    out[..., 2, 1] = v[..., 0]
-    return out
+    sqrt_info = np.linalg.cholesky(info).T
+    sqrt_info.flags.writeable = False
+    return sqrt_info
 
 
 class ReprojectionFactor:
@@ -399,21 +412,25 @@ class StereoReprojectionFactor:
     def batch_key(self):
         return (id(self.cams[0]), id(self.cams[1]))
 
+    @staticmethod
+    def batch_constants(factors):
+        return np.stack([f.pixels for f in factors])
+
     @classmethod
     def evaluate_batch(cls, factors, values, jacobian=True):
         """Vectorized evaluation of many stereo factors at once."""
-        n = len(factors)
-        rot = np.stack([values[f.blocks[0]].rotation for f in factors])
-        trans = np.stack([values[f.blocks[0]].translation for f in factors])
-        p_lm = np.stack([values[f.blocks[1]] for f in factors])
-        pixels = np.stack([f.pixels for f in factors])
+        batch = FactorBatch.of(factors)
+        n = len(batch)
+        rot, trans = batch.poses(values, 0)
+        p_lm = batch.vectors(values, 1)
+        pixels = batch.constants
         q_body = np.einsum("nj,nji->ni", p_lm - trans, rot)
         residual = np.zeros((n, 4))
         j_pose = np.zeros((n, 4, 6)) if jacobian else None
         j_lm = np.zeros((n, 4, 3)) if jacobian else None
         bad = np.zeros(n, dtype=bool)
-        sk_q = _batch_skew(q_body) if jacobian else None
-        for c, cam in enumerate(factors[0].cams):
+        sk_q = skew_batch(q_body) if jacobian else None
+        for c, cam in enumerate(batch[0].cams):
             ext = cam.body_t_cam
             p_cam = (q_body - ext.translation) @ ext.rotation
             z = p_cam[:, 2]
@@ -453,6 +470,9 @@ class PreintegrationFactor:
         self.kernel = kernel
         self.sqrt_info = _sqrt_information(pre.information())
 
+    def batch_key(self):
+        return None
+
     def evaluate(self, values, jacobian=True):
         pi, vi, bgi, bai, pk, vk = (values[k] for k in self.blocks)
         s_i = NavState(pose=pi, velocity=vi, accel_bias=bai, gyro_bias=bgi)
@@ -468,6 +488,87 @@ class PreintegrationFactor:
         ]
         return residual, jacs
 
+    @staticmethod
+    def batch_constants(factors):
+        """Each factor's preintegrated deltas, bias Jacobians, linearization bias
+        and gravity, stacked by name."""
+        pres = [f.pre for f in factors]
+        names = ("delta_R", "delta_p", "delta_v", "dt_total",
+                 "J_g_dR", "J_g_dp", "J_g_dv", "J_a_dp", "J_a_dv")
+        out = {name: np.stack([getattr(p, name) for p in pres]) for name in names}
+        out["bias_g"] = np.stack([p.linearization_bias[0] for p in pres])
+        out["bias_a"] = np.stack([p.linearization_bias[1] for p in pres])
+        out["gravity"] = np.stack([f.gravity for f in factors])
+        return out
+
+    @classmethod
+    def evaluate_batch(cls, factors, values, jacobian=True):
+        """``evaluate`` for n factors at once: residual (n, 9), Jacobians (n, 9, k)."""
+        batch = FactorBatch.of(factors)
+        c = batch.constants
+        rot_i, t_i = batch.poses(values, 0)
+        v_i, bg_i, ba_i = (batch.vectors(values, a) for a in (1, 2, 3))
+        rot_k, t_k = batch.poses(values, 4)
+        v_k = batch.vectors(values, 5)
+        dt = c["dt_total"][:, None]
+        gravity = c["gravity"]
+
+        # bias_corrected_delta at the first keyframe's biases
+        db_g = bg_i - c["bias_g"]
+        db_a = ba_i - c["bias_a"]
+        phi_g = _matvec(c["J_g_dR"], db_g)
+        d_rot = c["delta_R"] @ so3_exp_batch(phi_g)
+        d_p = c["delta_p"] + _matvec(c["J_g_dp"], db_g) + _matvec(c["J_a_dp"], db_a)
+        d_v = c["delta_v"] + _matvec(c["J_g_dv"], db_g) + _matvec(c["J_a_dv"], db_a)
+
+        rot_i_t = rot_i.transpose(0, 2, 1)
+        rel = rot_i_t @ rot_k
+        e_rot = so3_log_batch(d_rot.transpose(0, 2, 1) @ rel)
+        w_p = _matvec(rot_i_t, t_k - t_i - v_i * dt - 0.5 * gravity * dt * dt)
+        w_v = _matvec(rot_i_t, v_k - v_i - gravity * dt)
+        residual = np.concatenate([e_rot, w_p - d_p, w_v - d_v], axis=1)
+        if not jacobian:
+            return residual, None
+
+        n = len(batch)
+        eye = np.eye(3)
+        jr_inv = so3_left_jacobian_inv_batch(-e_rot)
+        j_pose_i = np.zeros((n, 9, 6))
+        j_pose_i[:, 0:3, 0:3] = -jr_inv @ rel.transpose(0, 2, 1)
+        j_pose_i[:, 3:6, 0:3] = skew_batch(w_p)
+        j_pose_i[:, 3:6, 3:6] = -eye
+        j_pose_i[:, 6:9, 0:3] = skew_batch(w_v)
+        j_vel_i = np.zeros((n, 9, 3))
+        j_vel_i[:, 3:6] = -rot_i_t * dt[:, :, None]
+        j_vel_i[:, 6:9] = -rot_i_t
+        j_bg_i = np.zeros((n, 9, 3))
+        j_bg_i[:, 0:3] = (
+            -so3_left_jacobian_inv_batch(e_rot) @ so3_left_jacobian_batch(-phi_g) @ c["J_g_dR"]
+        )
+        j_bg_i[:, 3:6] = -c["J_g_dp"]
+        j_bg_i[:, 6:9] = -c["J_g_dv"]
+        j_ba_i = np.zeros((n, 9, 3))
+        j_ba_i[:, 3:6] = -c["J_a_dp"]
+        j_ba_i[:, 6:9] = -c["J_a_dv"]
+        j_pose_k = np.zeros((n, 9, 6))
+        j_pose_k[:, 0:3, 0:3] = jr_inv
+        j_pose_k[:, 3:6, 3:6] = rel
+        j_vel_k = np.zeros((n, 9, 3))
+        j_vel_k[:, 6:9] = rot_i_t
+        return residual, [j_pose_i, j_vel_i, j_bg_i, j_ba_i, j_pose_k, j_vel_k]
+
+
+def _matvec(m, v):
+    """m (n, i, j) times v (n, j) per row: (n, i)."""
+    return np.einsum("nij,nj->ni", m, v)
+
+
+def _bias_jacobians():
+    """Jacobians of (accel_i - accel_k, gyro_i - gyro_k) per block, (6, 3) each."""
+    eye, zero = np.eye(3), np.zeros((3, 3))
+    return [np.vstack([eye, zero]), np.vstack([zero, eye]),
+            np.vstack([-eye, zero]), np.vstack([zero, -eye])]
+
 
 class BiasRandomWalkFactor:
     """Bias consistency between consecutive keyframes, (accel, gyro) order."""
@@ -478,16 +579,22 @@ class BiasRandomWalkFactor:
         self.kernel = kernel
         self.sqrt_info = _sqrt_information(information)
 
+    def batch_key(self):
+        return None
+
     def evaluate(self, values, jacobian=True):
         bai, bgi, bak, bgk = (values[k] for k in self.blocks)
-        residual = np.concatenate([bai - bak, bgi - bgk])
-        jacs = [
-            np.vstack([np.eye(3), np.zeros((3, 3))]),
-            np.vstack([np.zeros((3, 3)), np.eye(3)]),
-            np.vstack([-np.eye(3), np.zeros((3, 3))]),
-            np.vstack([np.zeros((3, 3)), -np.eye(3)]),
-        ]
-        return residual, jacs
+        return np.concatenate([bai - bak, bgi - bgk]), _bias_jacobians()
+
+    @classmethod
+    def evaluate_batch(cls, factors, values, jacobian=True):
+        """``evaluate`` for n factors at once: residual (n, 6), Jacobians (n, 6, 3)."""
+        batch = FactorBatch.of(factors)
+        bai, bgi, bak, bgk = (batch.vectors(values, a) for a in range(4))
+        residual = np.concatenate([bai - bak, bgi - bgk], axis=1)
+        if not jacobian:
+            return residual, None
+        return residual, [np.broadcast_to(j, (len(batch), 6, 3)) for j in _bias_jacobians()]
 
 
 class PointToPlaneFactor:
@@ -502,15 +609,17 @@ class PointToPlaneFactor:
     def batch_key(self):
         return self.blocks[0]
 
+    @staticmethod
+    def batch_constants(factors):
+        return (np.stack([f.constraint.point for f in factors]),
+                np.stack([f.constraint.normal for f in factors]))
+
     @classmethod
     def evaluate_batch(cls, factors, values, jacobian=True):
         """Vectorized evaluation; all factors must share the anchor block."""
+        batch = FactorBatch.of(factors)
         return point_to_plane_batch(
-            values[factors[0].blocks[0]],
-            np.stack([values[f.blocks[1]] for f in factors]),
-            np.stack([f.constraint.point for f in factors]),
-            np.stack([f.constraint.normal for f in factors]),
-            jacobian,
+            values[batch[0].blocks[0]], batch.vectors(values, 1), *batch.constants, jacobian
         )
 
 
@@ -526,14 +635,16 @@ class PointToPointFactor:
     def batch_key(self):
         return self.blocks[0]
 
+    @staticmethod
+    def batch_constants(factors):
+        return np.stack([f.constraint.point for f in factors])
+
     @classmethod
     def evaluate_batch(cls, factors, values, jacobian=True):
         """Vectorized evaluation; all factors must share the anchor block."""
+        batch = FactorBatch.of(factors)
         return point_to_point_batch(
-            values[factors[0].blocks[0]],
-            np.stack([values[f.blocks[1]] for f in factors]),
-            np.stack([f.constraint.point for f in factors]),
-            jacobian,
+            values[batch[0].blocks[0]], batch.vectors(values, 1), batch.constants, jacobian
         )
 
 

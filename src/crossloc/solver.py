@@ -15,7 +15,10 @@ retraction, or plain vectors) plus factors. A factor provides:
   ``(residual (d,), [J (d, k) per block])``, or a classmethod
   ``evaluate_batch(factors, values, jacobian=True)`` returning
   ``(residual (n, d), [J (n, d, k) per block])`` for n factors at once plus
-  ``batch_key()``: factors of one class with equal keys form one batch,
+  ``batch_key()``: factors of one class with equal keys form one batch.
+  ``factors`` is a list or a compiled ``FactorBatch``; a batched class may
+  also give ``batch_constants(factors)``, the data its evaluation needs
+  that no block value changes,
 - ``sqrt_info``: scalar s meaning S = s * I, or a (d, d) matrix S, with
   information = S^T S,
 - ``kernel``: robust loss with ``loss(s) -> (rho, drho)``.
@@ -24,7 +27,12 @@ Each factor is filed under its evaluation group when it is added: a class
 with ``evaluate_batch`` by ``(class, batch_key())``, any other class by the
 class alone. Factors of a class without ``evaluate_batch`` are evaluated one
 by one and stacked, so they must share their residual and Jacobian shapes.
-Every group is then whitened, weighted and assembled the same way.
+Each group is compiled once, when a solve builds its system (or a cost is
+first asked for), into a ``FactorBatch``: its stacked whitening, kernel
+partition, constants, and index arrays from each factor to its distinct
+blocks. Every evaluation, of the cost or of the normal equations, then
+takes one path per group: evaluate it, whiten it with the stacked
+``sqrt_info``, apply its kernels.
 
 The cost is the sum over factors of ``rho(||S r||^2)``. Robust terms are
 handled by square-root re-weighting (no second-order kernel correction).
@@ -35,9 +43,10 @@ blocks only). All eliminated blocks must have one size s, so that for L of
 them and nc free camera (non-eliminated) coordinates the system is stacked
 as ``H_cc (nc, nc)``, ``b_c (nc,)``, ``H_ll (L, s, s)``, ``b_l (L, s)`` and
 ``H_cl (L, nc, s)``. A solve maps each factor block to its camera offset
-and landmark row once; every LM iteration then scatters whole groups into
-those arrays by index, and damps, checks and solves all landmark blocks as
-one batch. Both backends damp a diagonal entry h by ``lam * max(|h|, 1e-12)``.
+and landmark row once, and from them each group's scatter maps: flat index
+arrays from its factors' J^T J and J^T r entries into those arrays. Every
+LM iteration then adds each group in with one ``bincount`` per array, and
+damps, checks and solves all landmark blocks as one batch. Both backends damp a diagonal entry h by ``lam * max(|h|, 1e-12)``.
 """
 
 from __future__ import annotations
@@ -85,6 +94,7 @@ class Problem:
     def __init__(self):
         self._blocks: dict[str, _Block] = {}
         self._groups: dict[tuple, list] = {}
+        self._batches: list | None = None
         self._elim_size: int | None = None
 
     # -- construction -----------------------------------------------------
@@ -118,6 +128,13 @@ class Problem:
         cls = type(factor)
         group = (cls, factor.batch_key() if hasattr(cls, "evaluate_batch") else None)
         self._groups.setdefault(group, []).append(factor)
+        self._batches = None
+
+    def batches(self) -> list:
+        """The factor groups, each compiled into a FactorBatch once."""
+        if self._batches is None:
+            self._batches = [FactorBatch(fs) for fs in self._groups.values()]
+        return self._batches
 
     # -- access ------------------------------------------------------------
     def value(self, key: str):
@@ -130,38 +147,85 @@ class Problem:
         self._blocks[key].value = value
 
 
-def _evaluate_group(cls, factors, values, jacobian):
+class FactorBatch(list):
+    """The factors of one evaluation group plus what stays constant across a solve.
+
+    Compiled once from the factors:
+
+    - ``sqrt_info``: the stacked whitening, (n,) when every factor's is a
+      scalar, else (n, d, d);
+    - ``kernels``: the kernel partition, a list of (factor indices, kernel);
+    - ``constants``: the class's ``batch_constants(factors)`` when it has one
+      (stacked pixels, map targets, preintegrated deltas), else None;
+    - ``keys[a]`` and ``index[a]`` per block slot a: the slot's distinct block
+      keys and, per factor, the position of its key among them.
+
+    ``poses`` and ``vectors`` gather one slot's block values for every
+    factor: each distinct block is stacked once, then indexed.
+    """
+
+    def __init__(self, factors):
+        super().__init__(factors)
+        cls = type(self[0])
+        s_infos = [f.sqrt_info for f in self]
+        if all(np.isscalar(s) for s in s_infos):
+            self.sqrt_info = np.asarray(s_infos, dtype=float)
+        else:
+            d = next(len(s) for s in s_infos if not np.isscalar(s))
+            self.sqrt_info = np.stack([np.eye(d) * s if np.isscalar(s) else s for s in s_infos])
+        by_kernel: dict = {}
+        for i, f in enumerate(self):
+            by_kernel.setdefault((f.kernel.kind, f.kernel.scale), ([], f.kernel))[0].append(i)
+        self.kernels = [(np.asarray(idx), kernel) for idx, kernel in by_kernel.values()]
+        self.constants = cls.batch_constants(self) if hasattr(cls, "batch_constants") else None
+        self.keys, self.index = [], []
+        for a in range(len(self[0].blocks)):
+            rows: dict = {}
+            self.index.append(np.array([rows.setdefault(f.blocks[a], len(rows)) for f in self]))
+            self.keys.append(list(rows))
+
+    @classmethod
+    def of(cls, factors) -> "FactorBatch":
+        """``factors`` itself if already compiled, else compiled now."""
+        return factors if isinstance(factors, cls) else cls(factors)
+
+    def vectors(self, values, slot: int) -> np.ndarray:
+        """Vector block of ``slot`` per factor, (n, k)."""
+        return np.stack([values[k] for k in self.keys[slot]])[self.index[slot]]
+
+    def poses(self, values, slot: int):
+        """Pose block of ``slot`` per factor: rotations (n, 3, 3), translations (n, 3)."""
+        poses = [values[k] for k in self.keys[slot]]
+        idx = self.index[slot]
+        return np.stack([p.rotation for p in poses])[idx], np.stack([p.translation for p in poses])[idx]
+
+
+def _evaluate(batch: FactorBatch, values, jacobian):
     """Stacked residuals (n, d) and per-block Jacobians (n, d, k) of a group."""
+    cls = type(batch[0])
     if hasattr(cls, "evaluate_batch"):
-        return cls.evaluate_batch(factors, values, jacobian=jacobian)
-    evaluated = [f.evaluate(values, jacobian) for f in factors]
+        return cls.evaluate_batch(batch, values, jacobian=jacobian)
+    evaluated = [f.evaluate(values, jacobian) for f in batch]
     residual = np.stack([r for r, _ in evaluated])
     if not jacobian:
         return residual, None
     return residual, [np.stack(per_block) for per_block in zip(*(j for _, j in evaluated))]
 
 
-def _batch_whiten(factors, residual, jacs, jacobian):
-    """Whiten a batch and apply robust weights; returns rho as well."""
-    n, d = residual.shape
-    s_infos = [f.sqrt_info for f in factors]
-    if all(np.isscalar(s) for s in s_infos):
-        s = np.asarray(s_infos, dtype=float)
+def _whiten(batch: FactorBatch, residual, jacs=None):
+    """Whitened residuals and Jacobians (None if not given), rho and rho' of a group."""
+    s = batch.sqrt_info
+    if s.ndim == 1:
         w_res = residual * s[:, None]
-        w_jacs = [j * s[:, None, None] for j in jacs] if jacobian else None
+        w_jacs = None if jacs is None else [j * s[:, None, None] for j in jacs]
     else:
-        stack = np.stack([np.eye(d) * s if np.isscalar(s) else s for s in s_infos])
-        w_res = np.einsum("nij,nj->ni", stack, residual)
-        w_jacs = [np.einsum("nij,njk->nik", stack, j) for j in jacs] if jacobian else None
+        w_res = np.einsum("nij,nj->ni", s, residual)
+        w_jacs = None if jacs is None else [np.einsum("nij,njk->nik", s, j) for j in jacs]
     sq = np.einsum("ni,ni->n", w_res, w_res)
-    rho = np.empty(n)
-    drho = np.empty(n)
-    by_kernel: dict = {}
-    for i, f in enumerate(factors):
-        by_kernel.setdefault((f.kernel.kind, f.kernel.scale), ([], f.kernel))[0].append(i)
-    for idxs, kernel in by_kernel.values():
-        idxs = np.asarray(idxs)
-        rho[idxs], drho[idxs] = kernel.loss(sq[idxs])
+    rho = np.empty(len(sq))
+    drho = np.empty(len(sq))
+    for idx, kernel in batch.kernels:
+        rho[idx], drho[idx] = kernel.loss(sq[idx])
     return w_res, w_jacs, rho, drho
 
 
@@ -170,9 +234,9 @@ def evaluate_cost(problem: Problem, values: dict | None = None) -> float:
     if values is None:
         values = problem.values()
     cost = 0.0
-    for (cls, _), fs in problem._groups.items():
-        residual, _ = _evaluate_group(cls, fs, values, jacobian=False)
-        _, _, rho, _ = _batch_whiten(fs, residual, None, jacobian=False)
+    for batch in problem.batches():
+        residual, _ = _evaluate(batch, values, jacobian=False)
+        _, _, rho, _ = _whiten(batch, residual)
         cost += float(rho.sum())
     return cost
 
@@ -182,10 +246,10 @@ class _System:
 
     Camera blocks (free and not eliminated) take consecutive offsets of the
     reduced vector in insertion order; eliminated blocks are the rows of the
-    stacked landmark arrays, in insertion order. ``slots`` holds, for each
-    factor group in order, two ``(n, blocks per factor)`` integer arrays:
-    the camera offset of each factor block (-1 when it is fixed or
-    eliminated) and its landmark row (-1 when it is not eliminated).
+    stacked landmark arrays, in insertion order. Building it compiles the
+    problem's factor groups (``Problem.batches``) and, per group, the
+    ``_scatter_maps`` that add its factors' normal-equation entries into the
+    stacked system.
     """
 
     def __init__(self, problem: Problem):
@@ -203,12 +267,24 @@ class _System:
         self.nc = off
         self.elim_size = problem._elim_size or 0
         lm_row = {blk.key: j for j, blk in enumerate(self.elim_blocks)}
-        self.slots = [
-            (
-                np.array([[self.cam_offset.get(k, -1) for k in f.blocks] for f in fs]),
-                np.array([[lm_row.get(k, -1) for k in f.blocks] for f in fs]),
+
+        def per_slot(batch, table):
+            """(n, slots): each factor block's entry in table, -1 if absent."""
+            return np.stack(
+                [np.array([table.get(k, -1) for k in keys])[idx]
+                 for keys, idx in zip(batch.keys, batch.index)],
+                axis=1,
             )
-            for fs in problem._groups.values()
+
+        self.scatter = [
+            _scatter_maps(
+                per_slot(batch, self.cam_offset),
+                per_slot(batch, lm_row),
+                [problem._blocks[key].size for key in batch[0].blocks],
+                self.nc,
+                self.elim_size,
+            )
+            for batch in problem.batches()
         ]
 
     def cost(self, values):
@@ -252,8 +328,47 @@ class _System:
         return new_values
 
 
-def _jtj(j_a, j_b):
-    return np.einsum("ndi,ndj->nij", j_a, j_b)
+def _scatter_maps(cam, lm, sizes, nc, s):
+    """Where one group's normal-equation entries land in the stacked system.
+
+    The group's per-factor Jacobians are concatenated over its block slots
+    (sizes ``sizes``) into K columns; ``cam`` and ``lm`` (n, slots) give each
+    factor block's camera offset and landmark row, -1 if it has none.
+    Returns one (source, destination) pair of flat index arrays per target:
+    J^T r (n, K) into b_c and b_l, then J^T J (n, K, K) into H_cc, H_cl and
+    H_ll. Fixed blocks' columns land nowhere.
+    """
+    n, k_all = len(cam), sum(sizes)
+    col = np.full((n, k_all), -1)  # camera coordinate of each column
+    row = np.full((n, k_all), -1)  # landmark row of each column
+    coord = np.zeros((n, k_all), dtype=int)  # coordinate within its block
+    off = 0
+    for a, k in enumerate(sizes):
+        cols = slice(off, off + k)
+        on_cam = cam[:, a] >= 0
+        col[on_cam, cols] = cam[on_cam, a, None] + np.arange(k)
+        on_lm = lm[:, a] >= 0
+        row[on_lm, cols] = lm[on_lm, a, None]
+        coord[:, cols] = np.arange(k)
+        off += k
+    g_src = np.arange(n * k_all).reshape(n, k_all)
+    h_src = np.arange(n * k_all * k_all).reshape(n, k_all, k_all)
+    ci, cj = col[:, :, None], col[:, None, :]
+    ri, rj = row[:, :, None], row[:, None, :]
+    oi, oj = coord[:, :, None], coord[:, None, :]
+
+    def pick(mask, src, dst):
+        mask = np.broadcast_to(mask, src.shape)
+        return src[mask], np.broadcast_to(dst, src.shape)[mask]
+
+    return (
+        pick(col >= 0, g_src, col),
+        pick(row >= 0, g_src, row * s + coord),
+        pick((ci >= 0) & (cj >= 0), h_src, ci * nc + cj),
+        pick((ci >= 0) & (rj >= 0), h_src, (rj * nc + ci) * s + oj),
+        # a factor touches at most one eliminated block: its rows pair up
+        pick((ri >= 0) & (rj >= 0), h_src, (ri * s + oi) * s + oj),
+    )
 
 
 def _build_normal_equations(problem, system, values):
@@ -261,7 +376,9 @@ def _build_normal_equations(problem, system, values):
 
     b is the negative gradient, so that delta = H^-1 b descends. The
     landmark part of H is block diagonal because a factor touches at most
-    one eliminated block.
+    one eliminated block. Each group's entries are summed into the system
+    by its scatter maps, one ``bincount`` per target; a factor of zero
+    robust weight adds zeros.
     """
     nc, s, n_l = system.nc, system.elim_size, len(system.elim_blocks)
     h_cc = np.zeros((nc, nc))
@@ -270,35 +387,19 @@ def _build_normal_equations(problem, system, values):
     b_l = np.zeros((n_l, s))
     h_cl = np.zeros((n_l, nc, s))
     cost = 0.0
-    for ((cls, _), fs), (cam, lm) in zip(problem._groups.items(), system.slots):
-        residual, jacs = _evaluate_group(cls, fs, values, jacobian=True)
-        w_res, w_jacs, rho, drho = _batch_whiten(fs, residual, jacs, jacobian=True)
+    for batch, maps in zip(problem.batches(), system.scatter):
+        residual, jacs = _evaluate(batch, values, jacobian=True)
+        w_res, w_jacs, rho, drho = _whiten(batch, residual, jacs)
         cost += float(rho.sum())
         sw = np.sqrt(np.maximum(drho, 0.0))
-        live = sw > 0.0
-        w_res = w_res * sw[:, None]
-        w_jacs = [j * sw[:, None, None] for j in w_jacs]
-        # rows[a]: the reduced-vector indices of block slot a, (n, k_a)
-        rows = [cam[:, a, None] + np.arange(j.shape[2]) for a, j in enumerate(w_jacs)]
-        for a, j_a in enumerate(w_jacs):
-            on_cam = live & (cam[:, a] >= 0)
-            on_lm = live & (lm[:, a] >= 0)
-            g = np.einsum("ndk,nd->nk", j_a, w_res)
-            if on_lm.any():
-                np.add.at(b_l, lm[on_lm, a], -g[on_lm])
-                np.add.at(h_ll, lm[on_lm, a], _jtj(j_a[on_lm], j_a[on_lm]))
-            if not on_cam.any():
-                continue
-            np.add.at(b_c, rows[a][on_cam], -g[on_cam])
-            for b, j_b in enumerate(w_jacs):
-                pair = on_cam & (cam[:, b] >= 0)
-                if pair.any():
-                    index = (rows[a][pair][:, :, None], rows[b][pair][:, None, :])
-                    np.add.at(h_cc, index, _jtj(j_a[pair], j_b[pair]))
-                pair = on_cam & (lm[:, b] >= 0)
-                if pair.any():
-                    index = (lm[pair, b][:, None, None], rows[a][pair][:, :, None], np.arange(s))
-                    np.add.at(h_cl, index, _jtj(j_a[pair], j_b[pair]))
+        jac = np.concatenate(w_jacs, axis=2) * sw[:, None, None]
+        neg_g = -np.einsum("ndk,nd->nk", jac, w_res * sw[:, None]).ravel()
+        jtj = np.einsum("ndi,ndj->nij", jac, jac).ravel()
+        for out, entries, (src, dst) in zip(
+            (b_c, b_l, h_cc, h_cl, h_ll), (neg_g, neg_g, jtj, jtj, jtj), maps
+        ):
+            if len(src):
+                out.reshape(-1)[:] += np.bincount(dst, weights=entries[src], minlength=out.size)
     return h_cc, b_c, h_ll, b_l, h_cl, cost
 
 

@@ -181,3 +181,46 @@ class TestQuaternion:
 
     def test_identity_quaternion(self):
         assert np.allclose(lg.quat_from_rotation(np.eye(3)), [0, 0, 0, 1], atol=1e-15)
+
+
+class TestBatchedSo3:
+    """The ``*_batch`` helpers row by row against the scalar ones, on both branches."""
+
+    @staticmethod
+    def rotation_vectors():
+        rng = np.random.default_rng(17)
+        axes = rng.normal(size=(12, 3))
+        axes /= np.linalg.norm(axes, axis=1, keepdims=True)
+        angles = np.array([0.0, 1e-9, 5e-7, 9.9e-7, 1.1e-6, 1e-3, 0.3, 0.7, 1.0, 2.0, 3.0, 3.1])
+        phi = axes * angles[:, None]
+        norms = np.linalg.norm(phi, axis=1)
+        assert (norms < lg.SMALL_ANGLE).sum() == 4 and (norms > lg.SMALL_ANGLE).sum() == 8
+        return phi
+
+    @pytest.mark.parametrize(
+        "batched, scalar",
+        [
+            (lg.so3_exp_batch, lg.so3_exp),
+            (lg.so3_left_jacobian_batch, lg.so3_left_jacobian),
+            (lg.so3_left_jacobian_inv_batch, lg.so3_left_jacobian_inv),
+        ],
+    )
+    def test_matches_scalar(self, batched, scalar):
+        phi = self.rotation_vectors()
+        got = batched(phi)
+        assert got.shape == (len(phi), 3, 3)
+        for row, v in zip(got, phi):
+            np.testing.assert_allclose(row, scalar(v), rtol=1e-14, atol=1e-15)
+
+    def test_log_matches_scalar(self):
+        rots = np.stack([lg.so3_exp(v) for v in self.rotation_vectors()])
+        got = lg.so3_log_batch(rots)
+        assert got.shape == (len(rots), 3)
+        for row, rot in zip(got, rots):
+            # relative only: the series branch's angles are down to 1e-9
+            np.testing.assert_allclose(row, lg.so3_log(rot), rtol=1e-14, atol=0.0)
+
+    def test_log_near_pi_raises(self):
+        rots = np.stack([np.eye(3), lg.so3_exp(np.array([0.0, 0.0, np.pi - 1e-8]))])
+        with pytest.raises(lg.AngleNearPiError):
+            lg.so3_log_batch(rots)

@@ -419,3 +419,86 @@ class TestBatchedFactors:
             self.assert_close(j_lm[i], jl)
         no_jac, _ = res.PointToPointFactor.evaluate_batch(factors, values, jacobian=False)
         assert np.array_equal(no_jac, residual)
+
+    def test_sqrt_information_follows_the_value(self):
+        # isotropic: the scalar form; anisotropic: S^T S = info
+        assert res._sqrt_information(np.eye(3) * 4.0) == 2.0
+        info = np.diag([4.0, 9.0, 1.0])
+        s = res._sqrt_information(info)
+        np.testing.assert_allclose(s.T @ s, info, rtol=1e-15)
+        assert not s.flags.writeable
+        # equal values in another array give the cached result; a changed array its own
+        assert res._sqrt_information(info.copy()) is s
+        info[2, 2] = 16.0
+        s2 = res._sqrt_information(info)
+        np.testing.assert_allclose(s2.T @ s2, info, rtol=1e-15)
+        assert res._sqrt_information(np.eye(3) * 4.0) == 2.0
+
+
+class TestInertialBatches:
+    """``evaluate_batch`` of the preintegration and bias factors against
+    their per-factor ``evaluate``, on a chain of keyframes that share blocks."""
+
+    @staticmethod
+    def assert_close(batch, reference):
+        np.testing.assert_allclose(batch, reference, rtol=1e-10, atol=1e-12)
+
+    @staticmethod
+    def chain(rng):
+        pres = [random_preintegration(rng) for _ in range(4)]
+        values, pre_factors, bias_factors = {}, [], []
+        state = random_nav_state(rng)
+        for i in range(5):
+            if i == 1:
+                # at the linearization bias, the bias correction rotates by
+                # exactly zero: the series branch of its exponential
+                b_g, b_a = pres[1].linearization_bias
+                state = imu.NavState(state.pose, state.velocity, b_a.copy(), b_g.copy())
+            values.update({f"pose{i}": state.pose, f"vel{i}": state.velocity,
+                           f"bg{i}": state.gyro_bias, f"ba{i}": state.accel_bias})
+            if i == 4:
+                break
+            keys = (f"pose{i}", f"vel{i}", f"bg{i}", f"ba{i}", f"pose{i + 1}", f"vel{i + 1}")
+            pre_factors.append(res.PreintegrationFactor(keys, pres[i], GRAVITY))
+            bias_factors.append(res.BiasRandomWalkFactor(
+                (f"ba{i}", f"bg{i}", f"ba{i + 1}", f"bg{i + 1}"),
+                imu.bias_information(imu.ImuNoiseModel(), pres[i].dt_total),
+            ))
+            nxt = imu.predict_state(state, pres[i], GRAVITY)  # rotation error ~0: series branch
+            if i % 2 == 0:  # far from the prediction: closed-form branch
+                nxt = imu.NavState(
+                    nxt.pose.retract(rng.normal(size=6) * 0.1),
+                    nxt.velocity + rng.normal(size=3) * 0.1,
+                    nxt.accel_bias + rng.normal(size=3) * 0.05,
+                    nxt.gyro_bias + rng.normal(size=3) * 0.005,
+                )
+            state = nxt
+        return values, pre_factors, bias_factors
+
+    def assert_matches_evaluate(self, cls, factors, values):
+        residual, jacs = cls.evaluate_batch(factors, values)
+        assert residual.shape[0] == len(factors)
+        for i, f in enumerate(factors):
+            r, js = f.evaluate(values)
+            self.assert_close(residual[i], r)
+            assert len(jacs) == len(js)
+            for j_batch, j in zip(jacs, js):
+                self.assert_close(j_batch[i], j)
+        no_jac, none = cls.evaluate_batch(factors, values, jacobian=False)
+        assert none is None
+        np.testing.assert_array_equal(no_jac, residual)
+        return residual
+
+    def test_preintegration_matches_evaluate(self):
+        values, factors, _ = self.chain(np.random.default_rng(21))
+        residual = self.assert_matches_evaluate(res.PreintegrationFactor, factors, values)
+        e_rot = np.linalg.norm(residual[:, :3], axis=1)
+        assert (e_rot < 1e-6).sum() == 2 and (e_rot > 1e-2).sum() == 2
+        # the bias correction's rotation: zero at factor 1, a closed-form angle elsewhere
+        db_g = [values[f.blocks[2]] - f.pre.linearization_bias[0] for f in factors]
+        assert np.linalg.norm(db_g[1]) == 0.0
+        assert min(np.linalg.norm(f.pre.J_g_dR @ d) for f, d in zip(factors, db_g) if d.any()) > 1e-6
+
+    def test_bias_random_walk_matches_evaluate(self):
+        values, _, factors = self.chain(np.random.default_rng(22))
+        self.assert_matches_evaluate(res.BiasRandomWalkFactor, factors, values)
