@@ -131,14 +131,11 @@ class SlidingWindow:
         self.landmarks: dict[int, np.ndarray] = {}  # active, positions in L
         self._pending: dict[int, tuple[int, np.ndarray]] = {}  # id -> (kf_id, stereo px)
 
-    def observers(self, lm_id: int) -> int:
-        return sum(1 for kf in self.keyframes if lm_id in kf.landmark_ids)
-
-    def observed_ids(self) -> set:
-        ids: set = set()
-        for kf in self.keyframes:
-            ids.update(int(i) for i in kf.landmark_ids)
-        return ids
+    def observer_counts(self) -> dict[int, int]:
+        """Per observed landmark id, the number of window keyframes that see it."""
+        seen = [np.unique(kf.landmark_ids) for kf in self.keyframes]  # once per keyframe
+        ids, counts = np.unique(np.concatenate([np.zeros(0, dtype=int), *seen]), return_counts=True)
+        return dict(zip(ids.tolist(), counts.tolist()))
 
     def insert_keyframe(self, kf: Keyframe, min_landmarks: int = 15) -> None:
         """Append; evict the oldest beyond capacity; retire orphan landmarks."""
@@ -149,7 +146,7 @@ class SlidingWindow:
         self.keyframes.append(kf)
         if len(self.keyframes) > self.capacity:
             self.keyframes.pop(0)
-        alive = self.observed_ids()
+        alive = self.observer_counts()
         self.landmarks = {i: p for i, p in self.landmarks.items() if i in alive}
         self._pending = {i: v for i, v in self._pending.items() if i in alive}
 
@@ -170,8 +167,9 @@ def activate_landmarks(window: SlidingWindow, rig: SensorRig, cfg: EstimatorConf
     """Triangulate pending landmarks once two window keyframes see them."""
     activated = 0
     states = {kf.kf_id: kf.state for kf in window.keyframes}
+    observers = window.observer_counts()
     for lm_id in sorted(window._pending):
-        if window.observers(lm_id) < 2:
+        if observers.get(lm_id, 0) < 2:
             continue
         kf_id, stereo = window._pending[lm_id]
         if kf_id not in states:
@@ -234,77 +232,46 @@ class AnchorAlignment(DenseProblem):
     """The rigid step's ICP sub-problem: the anchor alone, landmarks held fixed.
 
     Holds one association's landmark positions, map points and normals,
-    stacked once per metric, plus the anchor prior. The solver's LM loop
-    works on its 6x6 normal equations; whitening and robust weights are
-    those of the map and prior factors of the joint problem, so the minimum,
-    the iterations and the termination are the same as for a Problem with a
-    free anchor block, fixed landmark blocks and those factors.
+    stacked once per metric, plus the anchor prior. Its terms are those of
+    the map and prior factors of the joint problem: the same residuals,
+    informations and kernels, which ``DenseProblem`` whitens and re-weights
+    as the solver does a Problem's factor groups. So the minimum, the
+    iterations and the termination are those of a Problem with a free anchor
+    block, fixed landmark blocks and those factors, on the 6x6 normal
+    equations instead of the Schur system.
     """
 
     def __init__(self, anchor: AnchorTransform, constraints, landmarks: dict, cfg: EstimatorConfig):
-        self.value = anchor.pose
         plane = [c for c in constraints if c.metric == res.POINT_TO_PLANE]
         point = [c for c in constraints if c.metric == res.POINT_TO_POINT]
-
-        def stack(rows):
-            return np.array(rows, dtype=float).reshape(-1, 3)
-
-        self.plane = (
-            stack([landmarks[c.landmark_id] for c in plane]),
-            stack([c.point for c in plane]),
-            stack([c.normal for c in plane]),
-        )
-        self.point = (
-            stack([landmarks[c.landmark_id] for c in point]),
-            stack([c.point for c in point]),
-        )
-        # associate_constraints gives every constraint this isotropic information
-        self.map_sqrt_info = np.sqrt(_map_information(cfg)[0, 0])
-        self.kernel = res.RobustKernel("cauchy", cfg.cauchy_metric)
+        self.maps = []  # (batch function, its stacked inputs) per metric present
+        if plane:
+            self.maps.append((res.point_to_plane_batch, (
+                np.array([landmarks[c.landmark_id] for c in plane], dtype=float),
+                np.array([c.point for c in plane], dtype=float),
+                np.array([c.normal for c in plane], dtype=float),
+            )))
+        if point:
+            self.maps.append((res.point_to_point_batch, (
+                np.array([landmarks[c.landmark_id] for c in point], dtype=float),
+                np.array([c.point for c in point], dtype=float),
+            )))
         self.prior_mean = anchor.prior_mean
-        # upper-triangular S with S^T S = information, as the prior factor whitens
-        self.prior_sqrt_info = np.linalg.cholesky(cfg.prior_information(anchor.prior_scale)).T
+        # the information and kernel of the joint problem's map factors
+        # (associate_constraints gives every constraint this information),
+        # then its prior's
+        map_group = (_map_information(cfg), res.RobustKernel("cauchy", cfg.cauchy_metric))
+        prior_group = (cfg.prior_information(anchor.prior_scale), res.RobustKernel())
+        super().__init__(anchor.pose, [map_group] * len(self.maps) + [prior_group])
 
-    def _terms(self, pose: Pose, jacobian: bool):
-        """Per term group: whitened residuals (m, d), anchor Jacobians (m, d, 6), kernel."""
+    def terms(self, pose: Pose, jacobian: bool):
+        """Residuals and anchor Jacobians of the map terms per metric, then of the prior."""
         terms = []
-        s = self.map_sqrt_info
-        for batch, arrays in (
-            (res.point_to_plane_batch, self.plane),
-            (res.point_to_point_batch, self.point),
-        ):
-            if len(arrays[0]):
-                r, jacs = batch(pose, *arrays, jacobian=jacobian)
-                terms.append((r * s, jacs[0] * s if jacobian else None, self.kernel))
+        for batch, arrays in self.maps:
+            r, jacs = batch(pose, *arrays, jacobian=jacobian)
+            terms.append((r, jacs[0] if jacobian else None))
         r, j = res.anchor_prior_residual(pose, self.prior_mean)
-        prior_s = self.prior_sqrt_info[None]
-        terms.append((
-            np.einsum("nij,nj->ni", prior_s, r[None]),
-            np.einsum("nij,njk->nik", prior_s, j[None]) if jacobian else None,
-            res.RobustKernel(),
-        ))
-        return terms
-
-    def cost(self, pose: Pose) -> float:
-        cost = 0.0
-        for w_res, _, kernel in self._terms(pose, jacobian=False):
-            rho, _ = kernel.loss(np.einsum("ni,ni->n", w_res, w_res))
-            cost += float(rho.sum())
-        return cost
-
-    def normal_equations(self, pose: Pose):
-        h = np.zeros((6, 6))
-        b = np.zeros(6)
-        cost = 0.0
-        for w_res, w_jac, kernel in self._terms(pose, jacobian=True):
-            rho, drho = kernel.loss(np.einsum("ni,ni->n", w_res, w_res))
-            cost += float(rho.sum())
-            sw = np.sqrt(np.maximum(drho, 0.0))
-            w_res = w_res * sw[:, None]
-            w_jac = w_jac * sw[:, None, None]
-            h += np.einsum("ndi,ndj->ij", w_jac, w_jac)
-            b -= np.einsum("ndi,nd->i", w_jac, w_res)
-        return h, b, cost
+        return terms + [(r[None], j[None] if jacobian else None)]
 
     def retract(self, pose: Pose, delta) -> Pose:
         return pose.retract(delta)
@@ -316,7 +283,8 @@ class AnchorAlignment(DenseProblem):
 
 def _solvable_landmarks(window: SlidingWindow) -> list[int]:
     """Active landmarks with at least two current observers."""
-    return [lm_id for lm_id in sorted(window.landmarks) if window.observers(lm_id) >= 2]
+    observers = window.observer_counts()
+    return [lm_id for lm_id in sorted(window.landmarks) if observers.get(lm_id, 0) >= 2]
 
 
 def _build_vio_problem(window, rig, gravity, cfg, lm_ids) -> Problem:

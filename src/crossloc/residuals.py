@@ -3,15 +3,22 @@
 Five families: pixel reprojection, IMU preintegration, point-to-plane and
 point-to-point map alignment, and the anchor pose prior. Each comes as a
 bare function returning (residual, analytic Jacobians) and as a factor
-class consumable by the solver. The solver evaluates the stereo, map,
-preintegration and bias factors in batches (``evaluate_batch``), over a
-compiled ``solver.FactorBatch`` whose ``batch_constants`` hold the stacked
-pixels, map targets and normals, or preintegrated deltas; the mono
-``ReprojectionFactor`` and the ``AnchorPriorFactor`` (one per problem)
-through their per-factor ``evaluate``. The stereo and map factors evaluate
-in batches only, and their bare functions are the reference that tests
-compare the batches against; the preintegration and bias factors keep a
-per-factor ``evaluate`` as that reference.
+class consumable by the solver; pixel reprojection as the stereo factor
+only, which stacks the left and right views. The solver evaluates the
+stereo, map, preintegration and bias factors in batches
+(``evaluate_batch``), over a compiled ``solver.FactorBatch`` whose
+``batch_constants`` hold the stacked pixels, map targets and normals, or
+preintegrated deltas; the ``AnchorPriorFactor`` (one per problem) through
+its per-factor ``evaluate``. The stereo and map factors evaluate in batches
+only, and their bare functions are the reference that tests compare the
+batches against; the preintegration and bias factors keep a per-factor
+``evaluate`` as that reference.
+
+Every factor carries the ``information`` matrix (d, d) of its residual;
+the solver takes its square root and whitens. The stereo factors share one
+read-only identity (1 px in each coordinate); the others take theirs from
+the preintegration, the bias random walk, the map constraint or the prior.
+
 The map terms' batches are the functions ``point_to_plane_batch`` and
 ``point_to_point_batch``, which the map factors and the rigid step's
 anchor-only solve share. Pose Jacobians are always with respect to the
@@ -21,7 +28,6 @@ right perturbation ``P * Exp(delta)`` with tangent order (phi, rho).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 
@@ -59,7 +65,6 @@ __all__ = [
     "anchor_prior_residual",
     "point_to_plane_batch",
     "point_to_point_batch",
-    "ReprojectionFactor",
     "StereoReprojectionFactor",
     "PreintegrationFactor",
     "BiasRandomWalkFactor",
@@ -91,7 +96,6 @@ class Observation:
     keyframe_id: int
     landmark_id: int
     pixel: np.ndarray
-    information: np.ndarray = field(default_factory=lambda: np.eye(2))
 
 
 @dataclass(frozen=True)
@@ -175,7 +179,7 @@ class MapConstraint:
 # reprojection
 
 
-def _project_with_jacobians(pose: Pose, p_local: np.ndarray, cam: CameraModel, jacobian=True):
+def _project_with_jacobians(pose: Pose, p_local: np.ndarray, cam: CameraModel):
     """Project a local-frame point through pose and extrinsic; chain rule."""
     q_body = pose.rotation.T @ (p_local - pose.translation)
     ext = cam.body_t_cam
@@ -184,8 +188,6 @@ def _project_with_jacobians(pose: Pose, p_local: np.ndarray, cam: CameraModel, j
     if z <= 1e-9:
         raise BehindCameraError(f"depth {z:.3g} not positive")
     uv = np.array([cam.fx * p_cam[0] / z + cam.cx, cam.fy * p_cam[1] / z + cam.cy])
-    if not jacobian:
-        return uv, None, None
     j_pix = np.array(
         [
             [cam.fx / z, 0.0, -cam.fx * p_cam[0] / (z * z)],
@@ -299,12 +301,8 @@ def point_to_point_residual(anchor: Pose, lm: Landmark, c: MapConstraint):
     return residual, j_anchor, j_lm
 
 
-def anchor_prior_residual(anchor: Pose, prior_mean: Pose, information=None):
-    """Tangent-space deviation of the anchor from its prior mean.
-
-    ``information`` weights the squared cost; the raw residual and its
-    Jacobian do not depend on it (whitening happens at the factor level).
-    """
+def anchor_prior_residual(anchor: Pose, prior_mean: Pose):
+    """Tangent-space deviation of the anchor from its prior mean, and its Jacobian."""
     residual = se3_log(prior_mean.inverse() @ anchor)
     return residual, se3_right_jacobian_inv(residual)
 
@@ -348,52 +346,6 @@ def point_to_point_batch(anchor: Pose, p_lm, targets, jacobian=True):
 # factor classes for the solver
 
 
-def _sqrt_information(info: np.ndarray):
-    """Square root of an information matrix, in the form the solver whitens.
-
-    An isotropic ``info = s**2 * I`` gives the float ``s``, which stands for
-    ``S = s * I``; any other ``info`` gives the upper-triangular ``S`` with
-    ``S^T S = info``. The scalar form exists so that batches whose factors
-    all carry one are whitened elementwise. The map constraints of one
-    association all carry the same information, so results are cached by
-    the information's value (a matrix result is read-only).
-    """
-    info = np.ascontiguousarray(info, dtype=float)
-    return _sqrt_of_bytes(info.tobytes(), len(info))
-
-
-@lru_cache(maxsize=8)
-def _sqrt_of_bytes(data: bytes, n: int):
-    info = np.frombuffer(data).reshape(n, n)
-    info = 0.5 * (info + info.T)
-    iso = info[0, 0] * np.eye(n)
-    if info[0, 0] > 0 and np.allclose(info, iso, rtol=1e-12, atol=0.0):
-        return float(np.sqrt(info[0, 0]))
-    sqrt_info = np.linalg.cholesky(info).T
-    sqrt_info.flags.writeable = False
-    return sqrt_info
-
-
-class ReprojectionFactor:
-    """Pixel residual between a window pose and a landmark."""
-
-    def __init__(self, pose_key, lm_key, pixel, camera, kernel=RobustKernel(), sqrt_info=1.0):
-        self.blocks = (pose_key, lm_key)
-        self.pixel = np.asarray(pixel, dtype=float)
-        self.camera = camera
-        self.kernel = kernel
-        self.sqrt_info = sqrt_info
-
-    def evaluate(self, values, jacobian=True):
-        pose = values[self.blocks[0]]
-        p_lm = values[self.blocks[1]]
-        try:
-            uv, j_pose, j_lm = _project_with_jacobians(pose, p_lm, self.camera, jacobian)
-        except BehindCameraError:
-            return np.zeros(2), [np.zeros((2, 6)), np.zeros((2, 3))]
-        return uv - self.pixel, [j_pose, j_lm] if jacobian else None
-
-
 class StereoReprojectionFactor:
     """Stacked left/right pixel residual of one stereo observation.
 
@@ -401,13 +353,15 @@ class StereoReprojectionFactor:
     makes landmark depth observable from a single keyframe.
     """
 
-    def __init__(self, pose_key, lm_key, pixels, cam_left, cam_right,
-                 kernel=RobustKernel(), sqrt_info=1.0):
+    # 1 px in each coordinate: one identity, shared by every factor
+    information = np.eye(4)
+    information.flags.writeable = False
+
+    def __init__(self, pose_key, lm_key, pixels, cam_left, cam_right, kernel=RobustKernel()):
         self.blocks = (pose_key, lm_key)
         self.pixels = np.asarray(pixels, dtype=float)  # (ul, vl, ur, vr)
         self.cams = (cam_left, cam_right)
         self.kernel = kernel
-        self.sqrt_info = sqrt_info
 
     def batch_key(self):
         return (id(self.cams[0]), id(self.cams[1]))
@@ -468,7 +422,7 @@ class PreintegrationFactor:
         self.pre = pre
         self.gravity = np.asarray(gravity, dtype=float)
         self.kernel = kernel
-        self.sqrt_info = _sqrt_information(pre.information())
+        self.information = pre.information()
 
     def batch_key(self):
         return None
@@ -577,7 +531,7 @@ class BiasRandomWalkFactor:
         # keys: (accel_bias_i, gyro_bias_i, accel_bias_k, gyro_bias_k)
         self.blocks = tuple(keys)
         self.kernel = kernel
-        self.sqrt_info = _sqrt_information(information)
+        self.information = information
 
     def batch_key(self):
         return None
@@ -604,7 +558,7 @@ class PointToPlaneFactor:
         self.blocks = (anchor_key, lm_key)
         self.constraint = constraint
         self.kernel = kernel
-        self.sqrt_info = _sqrt_information(constraint.information)
+        self.information = constraint.information
 
     def batch_key(self):
         return self.blocks[0]
@@ -630,7 +584,7 @@ class PointToPointFactor:
         self.blocks = (anchor_key, lm_key)
         self.constraint = constraint
         self.kernel = kernel
-        self.sqrt_info = _sqrt_information(constraint.information)
+        self.information = constraint.information
 
     def batch_key(self):
         return self.blocks[0]
@@ -655,10 +609,8 @@ class AnchorPriorFactor:
         self.blocks = (anchor_key,)
         self.prior_mean = prior_mean
         self.kernel = kernel
-        self.sqrt_info = _sqrt_information(information)
+        self.information = information
 
     def evaluate(self, values, jacobian=True):
-        residual, jac = anchor_prior_residual(
-            values[self.blocks[0]], self.prior_mean, None
-        )
+        residual, jac = anchor_prior_residual(values[self.blocks[0]], self.prior_mean)
         return residual, [jac]

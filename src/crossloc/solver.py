@@ -2,10 +2,10 @@
 
 One LM loop (damping, acceptance, termination) runs over two linear-algebra
 backends: a ``Problem``, solved through its Schur complement, and a
-``DenseProblem``, a small problem that hands the loop its own dense normal
-equations (the rigid step's anchor-only alignment). Each backend linearizes,
-evaluates the cost, solves the damped system and retracts; ``solve`` picks
-the backend by the problem's type.
+``DenseProblem``, a small problem whose dense normal equations are built
+from the term groups it states (the rigid step's anchor-only alignment).
+Each backend linearizes, evaluates the cost, solves the damped system and
+retracts; ``solve`` picks the backend by the problem's type.
 
 A Problem is a set of named blocks (SE(3) poses updated by right
 retraction, or plain vectors) plus factors. A factor provides:
@@ -19,20 +19,21 @@ retraction, or plain vectors) plus factors. A factor provides:
   ``factors`` is a list or a compiled ``FactorBatch``; a batched class may
   also give ``batch_constants(factors)``, the data its evaluation needs
   that no block value changes,
-- ``sqrt_info``: scalar s meaning S = s * I, or a (d, d) matrix S, with
-  information = S^T S,
+- ``information``: the (d, d) information matrix of its residual,
 - ``kernel``: robust loss with ``loss(s) -> (rho, drho)``.
 
 Each factor is filed under its evaluation group when it is added: a class
-with ``evaluate_batch`` by ``(class, batch_key())``, any other class by the
-class alone. Factors of a class without ``evaluate_batch`` are evaluated one
-by one and stacked, so they must share their residual and Jacobian shapes.
-Each group is compiled once, when a solve builds its system (or a cost is
-first asked for), into a ``FactorBatch``: its stacked whitening, kernel
-partition, constants, and index arrays from each factor to its distinct
-blocks. Every evaluation, of the cost or of the normal equations, then
-takes one path per group: evaluate it, whiten it with the stacked
-``sqrt_info``, apply its kernels.
+with ``evaluate_batch`` by ``(class, batch_key(), kernel)``, any other class
+by ``(class, kernel)``, so every group has exactly one kernel. Factors of a
+class without ``evaluate_batch`` are evaluated one by one and stacked, so
+they must share their residual and Jacobian shapes. Each group is compiled
+once, when a solve builds its system (or a cost is first asked for), into a
+``FactorBatch``: the upper-triangular square roots S (S^T S = information)
+of its factors, taken by one batched Cholesky, its constants, and index
+arrays from each factor to its distinct blocks. Every evaluation, of the
+cost or of the normal equations, then takes one path per group: evaluate
+it, whiten it by ``_whiten`` (one ``matmul`` by S), apply its kernel. The
+dense backend's term groups are whitened by the same ``_whiten``.
 
 The cost is the sum over factors of ``rho(||S r||^2)``. Robust terms are
 handled by square-root re-weighting (no second-order kernel correction).
@@ -46,7 +47,9 @@ as ``H_cc (nc, nc)``, ``b_c (nc,)``, ``H_ll (L, s, s)``, ``b_l (L, s)`` and
 and landmark row once, and from them each group's scatter maps: flat index
 arrays from its factors' J^T J and J^T r entries into those arrays. Every
 LM iteration then adds each group in with one ``bincount`` per array, and
-damps, checks and solves all landmark blocks as one batch. Both backends damp a diagonal entry h by ``lam * max(|h|, 1e-12)``.
+damps, checks and solves all landmark blocks as one batch.
+
+Both backends damp a diagonal entry h by ``lam * max(|h|, 1e-12)``.
 """
 
 from __future__ import annotations
@@ -126,7 +129,8 @@ class Problem:
         if sum(self._blocks[key].eliminate for key in factor.blocks) > 1:
             raise ValueError("a factor may touch at most one eliminated block")
         cls = type(factor)
-        group = (cls, factor.batch_key() if hasattr(cls, "evaluate_batch") else None)
+        batch_key = factor.batch_key() if hasattr(cls, "evaluate_batch") else None
+        group = (cls, batch_key, factor.kernel)
         self._groups.setdefault(group, []).append(factor)
         self._batches = None
 
@@ -152,9 +156,9 @@ class FactorBatch(list):
 
     Compiled once from the factors:
 
-    - ``sqrt_info``: the stacked whitening, (n,) when every factor's is a
-      scalar, else (n, d, d);
-    - ``kernels``: the kernel partition, a list of (factor indices, kernel);
+    - ``sqrt_info``: each factor's upper-triangular S (S^T S = its
+      information), stacked (n, d, d);
+    - ``kernel``: the group's one kernel;
     - ``constants``: the class's ``batch_constants(factors)`` when it has one
       (stacked pixels, map targets, preintegrated deltas), else None;
     - ``keys[a]`` and ``index[a]`` per block slot a: the slot's distinct block
@@ -167,16 +171,8 @@ class FactorBatch(list):
     def __init__(self, factors):
         super().__init__(factors)
         cls = type(self[0])
-        s_infos = [f.sqrt_info for f in self]
-        if all(np.isscalar(s) for s in s_infos):
-            self.sqrt_info = np.asarray(s_infos, dtype=float)
-        else:
-            d = next(len(s) for s in s_infos if not np.isscalar(s))
-            self.sqrt_info = np.stack([np.eye(d) * s if np.isscalar(s) else s for s in s_infos])
-        by_kernel: dict = {}
-        for i, f in enumerate(self):
-            by_kernel.setdefault((f.kernel.kind, f.kernel.scale), ([], f.kernel))[0].append(i)
-        self.kernels = [(np.asarray(idx), kernel) for idx, kernel in by_kernel.values()]
+        self.sqrt_info = _sqrt_information(np.array([f.information for f in self], dtype=float))
+        self.kernel = self[0].kernel
         self.constants = cls.batch_constants(self) if hasattr(cls, "batch_constants") else None
         self.keys, self.index = [], []
         for a in range(len(self[0].blocks)):
@@ -212,21 +208,34 @@ def _evaluate(batch: FactorBatch, values, jacobian):
     return residual, [np.stack(per_block) for per_block in zip(*(j for _, j in evaluated))]
 
 
-def _whiten(batch: FactorBatch, residual, jacs=None):
-    """Whitened residuals and Jacobians (None if not given), rho and rho' of a group."""
-    s = batch.sqrt_info
-    if s.ndim == 1:
-        w_res = residual * s[:, None]
-        w_jacs = None if jacs is None else [j * s[:, None, None] for j in jacs]
-    else:
-        w_res = np.einsum("nij,nj->ni", s, residual)
-        w_jacs = None if jacs is None else [np.einsum("nij,njk->nik", s, j) for j in jacs]
-    sq = np.einsum("ni,ni->n", w_res, w_res)
-    rho = np.empty(len(sq))
-    drho = np.empty(len(sq))
-    for idx, kernel in batch.kernels:
-        rho[idx], drho[idx] = kernel.loss(sq[idx])
+def _sqrt_information(information):
+    """Upper-triangular S with S^T S = information, for one (d, d) or a stack (n, d, d).
+
+    The information is symmetrized first: rounding may leave it slightly
+    asymmetric, and the Cholesky factorization reads one triangle only.
+    """
+    information = 0.5 * (information + np.swapaxes(information, -1, -2))
+    return np.swapaxes(np.linalg.cholesky(information), -1, -2)
+
+
+def _whiten(sqrt_info, kernel, residual, jacs=None):
+    """Whitened residuals and Jacobians (None if not given), rho and rho' of a group.
+
+    ``sqrt_info`` is one S per residual row, (n, d, d), or one S for all of
+    them, (d, d): ``matmul`` broadcasts both alike.
+    """
+    w_res = (sqrt_info @ residual[:, :, None])[:, :, 0]
+    w_jacs = None if jacs is None else [sqrt_info @ j for j in jacs]
+    rho, drho = kernel.loss(np.einsum("ni,ni->n", w_res, w_res))
     return w_res, w_jacs, rho, drho
+
+
+def _reweighted(w_res, w_jacs, drho):
+    """The rows of r and J of the re-weighted system: the whitened residuals
+    (n, d) and Jacobians concatenated over blocks (n, d, K), scaled by
+    sqrt(rho') per factor."""
+    sw = np.sqrt(np.maximum(drho, 0.0))
+    return w_res * sw[:, None], np.concatenate(w_jacs, axis=2) * sw[:, None, None]
 
 
 def evaluate_cost(problem: Problem, values: dict | None = None) -> float:
@@ -236,7 +245,7 @@ def evaluate_cost(problem: Problem, values: dict | None = None) -> float:
     cost = 0.0
     for batch in problem.batches():
         residual, _ = _evaluate(batch, values, jacobian=False)
-        _, _, rho, _ = _whiten(batch, residual)
+        _, _, rho, _ = _whiten(batch.sqrt_info, batch.kernel, residual)
         cost += float(rho.sum())
     return cost
 
@@ -389,11 +398,10 @@ def _build_normal_equations(problem, system, values):
     cost = 0.0
     for batch, maps in zip(problem.batches(), system.scatter):
         residual, jacs = _evaluate(batch, values, jacobian=True)
-        w_res, w_jacs, rho, drho = _whiten(batch, residual, jacs)
+        w_res, w_jacs, rho, drho = _whiten(batch.sqrt_info, batch.kernel, residual, jacs)
         cost += float(rho.sum())
-        sw = np.sqrt(np.maximum(drho, 0.0))
-        jac = np.concatenate(w_jacs, axis=2) * sw[:, None, None]
-        neg_g = -np.einsum("ndk,nd->nk", jac, w_res * sw[:, None]).ravel()
+        r, jac = _reweighted(w_res, w_jacs, drho)
+        neg_g = -np.einsum("ndk,nd->nk", jac, r).ravel()
         jtj = np.einsum("ndi,ndj->nij", jac, jac).ravel()
         for out, entries, (src, dst) in zip(
             (b_c, b_l, h_cc, h_cl, h_ll), (neg_g, neg_g, jtj, jtj, jtj), maps
@@ -406,12 +414,39 @@ def _build_normal_equations(problem, system, values):
 class DenseProblem:
     """Base of a small problem solved on its dense normal equations.
 
-    A subclass holds its current estimate in ``value`` and provides
-    ``cost(value)``, ``normal_equations(value) -> (h (k, k), b (k,), cost)``
-    with b the negative gradient, and ``retract(value, delta (k,))``.
+    A subclass states its cost as term groups. It passes its initial
+    estimate and each group's ``(information (d, d), kernel)`` to
+    ``__init__``, and provides ``terms(value, jacobian)``: per group, in
+    that order, ``(residual (m, d), J (m, d, k) or None)`` with J the
+    Jacobian with respect to the value (None unless ``jacobian``); plus
+    ``retract(value, delta (k,))``. Each information's square root is taken
+    once, here, by ``_sqrt_information``; every group is whitened by
+    ``_whiten`` and re-weighted as a Problem's factor group is, so the cost
+    and the normal equations are those of a Problem with one free block and
+    those factors.
     """
 
-    value: object
+    def __init__(self, value, groups):
+        self.value = value
+        self.groups = [(_sqrt_information(info), kernel) for info, kernel in groups]
+
+    def _whitened(self, value, jacobian: bool):
+        terms = self.terms(value, jacobian)
+        for (residual, jac), (sqrt_info, kernel) in zip(terms, self.groups, strict=True):
+            yield _whiten(sqrt_info, kernel, residual, None if jac is None else [jac])
+
+    def cost(self, value) -> float:
+        return sum(float(rho.sum()) for _, _, rho, _ in self._whitened(value, False))
+
+    def normal_equations(self, value):
+        """h (k, k), b (k,) the negative gradient, and the cost at ``value``."""
+        h, b, cost = 0.0, 0.0, 0.0
+        for w_res, w_jacs, rho, drho in self._whitened(value, True):
+            cost += float(rho.sum())
+            r, jac = _reweighted(w_res, w_jacs, drho)
+            h = h + np.einsum("ndi,ndj->ij", jac, jac)
+            b = b - np.einsum("ndi,nd->i", jac, r)
+        return h, b, cost
 
     def linearize(self, value):
         h, b, cost = self.normal_equations(value)

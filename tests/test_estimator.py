@@ -45,6 +45,13 @@ def _assert_deterministic(short_inputs, mode):
     np.testing.assert_equal(
         [astuple(r) for r in first.records], [astuple(r) for r in second.records]
     )
+    # accuracy in the map frame, against the simulator's ground truth
+    est = np.array([p.translation for p in first.poses_map])
+    truth = np.array([query.gt_poses[r.keyframe_id].translation for r in first.records])
+    err = np.linalg.norm(est - truth, axis=1)
+    assert err[-1] < 0.15
+    guess_offset = np.linalg.norm(guess.translation - query.gt_poses[0].translation)
+    assert np.sqrt(np.mean(err**2)) < guess_offset
     return first
 
 
@@ -55,6 +62,43 @@ def test_non_rigid_localization_is_deterministic(short_inputs):
 def test_hybrid_localization_is_deterministic(short_inputs):
     run = _assert_deterministic(short_inputs, "hybrid")
     assert {r.actions for r in run.records} == {("rigid",), ("non_rigid",)}
+
+
+def test_observer_counts_on_a_hand_built_window():
+    """Each keyframe counts once per landmark; evicted keyframes not at all."""
+    window = estimator.SlidingWindow(capacity=3)
+
+    def keyframe(kf_id, ids):
+        # every landmark 20 px of disparity to the right view
+        pixels = np.tile([320.0, 240.0, 300.0, 240.0], (len(ids), 1))
+        state = estimator.NavState(pose=se3_exp(np.array([0, 0, 0, 0.5 * kf_id, 0, 0])))
+        return estimator.Keyframe(kf_id, 0.1 * kf_id, state, np.array(ids), pixels)
+
+    # landmark 9's first observer, keyframe 0, is evicted by keyframe 3
+    for kf_id, ids in enumerate([[9, 1, 2, 3], [9, 2, 3, 3], [9, 3, 4, 5], [6, 7, 4, 5]]):
+        window.insert_keyframe(keyframe(kf_id, ids), min_landmarks=0)
+    assert [kf.kf_id for kf in window.keyframes] == [1, 2, 3]
+    assert window.observer_counts() == {9: 2, 2: 1, 3: 2, 4: 2, 5: 2, 6: 1, 7: 1}
+    window.landmarks = {i: np.zeros(3) for i in (1, 2, 3, 9)}
+    assert estimator._solvable_landmarks(window) == [3, 9]
+    # inserting a keyframe retires the landmarks no window keyframe sees
+    window.insert_keyframe(keyframe(4, [9, 4, 5, 6]), min_landmarks=0)
+    assert window.observer_counts() == {9: 2, 3: 1, 4: 3, 5: 3, 6: 2, 7: 1}
+    assert sorted(window.landmarks) == [3, 9]
+    assert estimator._solvable_landmarks(window) == [9]
+    # pending landmarks with two observers are triangulated: landmark 6 from
+    # its recorded first observer, 9 (first seen by the evicted keyframe 0)
+    # from the oldest window keyframe that sees it
+    recorded = np.array([330.0, 250.0, 305.0, 250.0])
+    window.landmarks = {}
+    window._pending = {6: (3, recorded), 7: (3, recorded), 9: (0, recorded)}
+    rig = sim.default_rig()
+    assert estimator.activate_landmarks(window, rig, estimator.EstimatorConfig()) == 2
+    assert sorted(window.landmarks) == [6, 9] and list(window._pending) == [7]
+    oldest, first_of_6 = window.keyframes[0], window.keyframes[1]
+    for lm_id, state, px in ((6, first_of_6.state, recorded), (9, oldest.state, oldest.pixels[0])):
+        want = estimator.triangulate_stereo(rig, state, px, 1.0)
+        np.testing.assert_array_equal(window.landmarks[lm_id], want)
 
 
 def _fixed_association(rng, cfg):

@@ -420,20 +420,6 @@ class TestBatchedFactors:
         no_jac, _ = res.PointToPointFactor.evaluate_batch(factors, values, jacobian=False)
         assert np.array_equal(no_jac, residual)
 
-    def test_sqrt_information_follows_the_value(self):
-        # isotropic: the scalar form; anisotropic: S^T S = info
-        assert res._sqrt_information(np.eye(3) * 4.0) == 2.0
-        info = np.diag([4.0, 9.0, 1.0])
-        s = res._sqrt_information(info)
-        np.testing.assert_allclose(s.T @ s, info, rtol=1e-15)
-        assert not s.flags.writeable
-        # equal values in another array give the cached result; a changed array its own
-        assert res._sqrt_information(info.copy()) is s
-        info[2, 2] = 16.0
-        s2 = res._sqrt_information(info)
-        np.testing.assert_allclose(s2.T @ s2, info, rtol=1e-15)
-        assert res._sqrt_information(np.eye(3) * 4.0) == 2.0
-
 
 class TestInertialBatches:
     """``evaluate_batch`` of the preintegration and bias factors against

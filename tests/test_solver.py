@@ -17,7 +17,7 @@ class VectorResidualFactor:
         self.residual_fn = residual_fn
         self.jacobian_fn = jacobian_fn
         self.kernel = kernel
-        self.sqrt_info = 1.0
+        self.information = np.eye(2)
 
     def evaluate(self, values, jacobian=True):
         x = values[self.blocks[0]]
@@ -160,14 +160,15 @@ class TestEvaluateCost:
         c1 = res.MapConstraint(0, np.array([1.5, -1.0, 2.2]), None, np.eye(3) / 0.05**2, res.POINT_TO_POINT)
         n = np.array([0.0, 0.0, 1.0])
         c2 = res.MapConstraint(0, np.array([1.0, -1.0, 2.5]), n, np.eye(3) / 0.05**2, res.POINT_TO_PLANE)
-        # Anisotropic information in the same point-to-point batch as c1, so
-        # scalar and matrix square roots are whitened together.
+        # Anisotropic information in the same point-to-point group as c1, so
+        # one group whitens by differing square roots.
         c3 = res.MapConstraint(0, np.array([1.5, -1.0, 2.2]), None, np.diag([400.0, 100.0, 25.0]), res.POINT_TO_POINT)
         f1 = res.PointToPointFactor("anchor", "lm", c1, kernel=kernel)
         f2 = res.PointToPlaneFactor("anchor", "lm", c2, kernel=kernel)
         f3 = res.PointToPointFactor("anchor", "lm", c3, kernel=kernel)
-        # Two anchor priors with anisotropic information: a class without
-        # evaluate_batch, evaluated one by one and whitened as one stack.
+        # Two anchor priors with anisotropic information and different
+        # kernels: a class without evaluate_batch, evaluated one by one, and
+        # filed in one group per kernel.
         info = EstimatorConfig().prior_information()
         priors = [
             res.AnchorPriorFactor("anchor", se3_exp(np.array([0.0, 0.02, 0, 0.4, 0.1, 0])), info, kernel),
@@ -178,8 +179,8 @@ class TestEvaluateCost:
 
         total = solver.evaluate_cost(problem)
         # Oracle: rho(r^T info r) per factor, with r from the bare residual
-        # functions and info straight from the information, so it holds
-        # whatever form the factor's sqrt_info takes.
+        # functions and info straight from the information, with no square
+        # root taken.
         expected = 0.0
         anchor = problem.value("anchor")
         lm = res.Landmark(problem.value("lm"), 0)
@@ -195,10 +196,48 @@ class TestEvaluateCost:
         assert total == pytest.approx(expected, rel=1e-12)
 
 
+class TestFactorGroups:
+    def test_mixed_group_square_roots(self):
+        """One group's S, whatever mix of informations, is upper triangular
+        with S^T S the symmetrized information of each factor."""
+        problem = Problem()
+        problem.add_pose_block("anchor", Pose.identity())
+        problem.add_vector_block("lm", np.zeros(3))
+        lower = np.tril(np.random.default_rng(5).normal(size=(3, 3)), -1)
+        skewed = lower @ lower.T + np.diag([2.0, 3.0, 4.0])
+        skewed[0, 2] += 1e-9  # rounding that leaves it slightly asymmetric
+        infos = [np.eye(3) * 400.0, np.diag([400.0, 100.0, 25.0]), np.eye(3), skewed]
+        kernel = res.RobustKernel("cauchy", 1.0)
+        for info in infos:
+            c = res.MapConstraint(0, np.zeros(3), None, info, res.POINT_TO_POINT)
+            problem.add_factor(res.PointToPointFactor("anchor", "lm", c, kernel))
+        (batch,) = problem.batches()
+        assert batch.kernel == kernel and batch.sqrt_info.shape == (4, 3, 3)
+        for s, info in zip(batch.sqrt_info, infos):
+            assert np.array_equal(s, np.triu(s))
+            np.testing.assert_allclose(s.T @ s, 0.5 * (info + info.T), rtol=1e-14, atol=1e-12)
+
+    def test_one_kernel_per_group(self):
+        """Factors of one class and batch key split by kernel; equal kernels
+        share a group whichever object holds them."""
+        problem = Problem()
+        problem.add_pose_block("anchor", Pose.identity())
+        problem.add_vector_block("lm", np.zeros(3))
+        cauchy, plain = res.RobustKernel("cauchy", 1.0), res.RobustKernel()
+        for kernel in (cauchy, plain, res.RobustKernel("cauchy", 1.0)):
+            c = res.MapConstraint(0, np.ones(3), None, np.eye(3), res.POINT_TO_POINT)
+            problem.add_factor(res.PointToPointFactor("anchor", "lm", c, kernel))
+        assert [(len(b), b.kernel) for b in problem.batches()] == [(2, cauchy), (1, plain)]
+
+
 class TestSchurElimination:
     def _mini_ba(self, eliminate):
         rng = np.random.default_rng(42)
         cam = res.CameraModel(fx=400, fy=400, cx=320, cy=240, width=640, height=480)
+        cam_right = res.CameraModel(
+            fx=400, fy=400, cx=320, cy=240, width=640, height=480,
+            body_t_cam=Pose(np.eye(3), np.array([0.3, 0.0, 0.0])),
+        )
         true_poses = [
             Pose.identity(),
             se3_exp(np.array([0.0, 0.05, 0.02, 0.4, 0.1, 0.0])),
@@ -216,9 +255,12 @@ class TestSchurElimination:
             )
         for i, pose in enumerate(true_poses):
             for j, pt in enumerate(true_points):
-                pix = cam.project(pose.inverse().apply(pt))
+                p_body = pose.inverse().apply(pt)
+                pix = np.concatenate(
+                    [c.project(c.body_t_cam.inverse().apply(p_body)) for c in (cam, cam_right)]
+                )
                 problem.add_factor(
-                    res.ReprojectionFactor(f"pose{i}", f"lm{j}", pix, cam)
+                    res.StereoReprojectionFactor(f"pose{i}", f"lm{j}", pix, cam, cam_right)
                 )
         return problem
 
@@ -246,7 +288,7 @@ class TestSchurElimination:
         class PairFactor:
             blocks = ("a", "b")
             kernel = res.RobustKernel()
-            sqrt_info = 1.0
+            information = np.eye(3)
 
             def evaluate(self, values, jacobian=True):
                 return values["a"] - values["b"], [np.eye(3), -np.eye(3)]
@@ -294,10 +336,10 @@ class TestNormalEquations:
                 pixels = np.concatenate(
                     [c.project(c.body_t_cam.inverse().apply(p_body)) for c in cams]
                 ) + rng.normal(0.0, 3.0, 4)
-                f = res.StereoReprojectionFactor(
-                    pose, lm, pixels, *cams, kernel=kernel, sqrt_info=s_info
-                )
-                factors.append((f, s_info**2 * np.eye(4)))
+                f = res.StereoReprojectionFactor(pose, lm, pixels, *cams, kernel=kernel)
+                # a pixel noise other than the shared 1 px, to exercise the whitening
+                f.information = s_info**2 * np.eye(4)
+                factors.append((f, f.information))
         info_plane = np.eye(3) / 0.05**2
         c_plane = res.MapConstraint(
             0, np.array([6.1, 0.4, 0.5]), np.array([0.0, 0.6, 0.8]), info_plane, res.POINT_TO_PLANE
