@@ -6,6 +6,15 @@ semi-static ones only in their session set, dynamic ones move and affect
 laser returns only. Feature points are sampled once per world (seeded by
 the world seed), so the same physical features reappear across sessions.
 
+The laser is ray cast against a ``RayGeometry``: the elements present in
+one session, stacked per element type and compiled once per (world,
+session) on the ``WorldModel``. Each scan casts every type in one array
+pass into a (rays, elements) distance array and keeps the nearest hit; on
+equal distances the element earlier in world order wins. Poles and bushes
+are tested exactly only for the rays that meet their bounding sphere,
+which contains (with a margin) every point the exact test can hit, so the
+cull never drops a hit.
+
 A trajectory is a C2 cubic spline through waypoints traversed at a spline
 speed profile; angular velocity and acceleration come from analytic spline
 derivatives, so synthesized IMU streams are consistent with the sampled
@@ -16,6 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.interpolate import CubicSpline
@@ -52,7 +62,7 @@ class PlanarPatch:
         if abs(float(self.edge_u @ self.edge_v)) > 1e-9:
             raise ValueError("patch edges must be orthogonal")
 
-    @property
+    @cached_property
     def normal(self) -> np.ndarray:
         n = np.cross(self.edge_u, self.edge_v)
         return n / np.linalg.norm(n)
@@ -111,15 +121,20 @@ class ScatterCluster:
 
 
 class WorldModel:
-    """Element collection with cached, seed-deterministic feature points."""
+    """Element collection with cached, seed-deterministic feature points and
+    per-session ray-cast geometry.
+
+    ``elements`` is a tuple of frozen elements, so neither cache can go stale.
+    """
 
     def __init__(self, elements, seed: int = 0):
-        self.elements = list(elements)
+        self.elements = tuple(elements)
         self.seed = seed
         ids = [e.elem_id for e in self.elements]
         if len(ids) != len(set(ids)):
             raise ValueError("element ids must be unique")
         self._features = None
+        self._ray_geometry = {}
 
     def element_present(self, elem, session_id: int) -> bool:
         if elem.kind == KIND_SEMI_STATIC:
@@ -128,6 +143,14 @@ class WorldModel:
 
     def element_kinds(self) -> dict:
         return {e.elem_id: (e.kind, e.sessions) for e in self.elements}
+
+    def ray_geometry(self, session_id: int) -> RayGeometry:
+        """The elements present in ``session_id``, compiled once for ``cast_rays``."""
+        geo = self._ray_geometry.get(session_id)
+        if geo is None:
+            present = [e for e in self.elements if self.element_present(e, session_id)]
+            geo = self._ray_geometry[session_id] = RayGeometry(self, present)
+        return geo
 
     def scatter_points(self, elem: ScatterCluster) -> np.ndarray:
         rng = np.random.default_rng([self.seed, elem.elem_id, 101])
@@ -351,12 +374,17 @@ def synthesize_imu(
         accel_noise = rng.normal(0.0, nm.accel_noise_density / math.sqrt(dt), size=(n, 3))
         bias_g = np.cumsum(rng.normal(0.0, nm.gyro_bias_walk * math.sqrt(dt), size=(n, 3)), axis=0)
         bias_a = np.cumsum(rng.normal(0.0, nm.accel_bias_walk * math.sqrt(dt), size=(n, 3)), axis=0)
-    samples = []
-    for i, t in enumerate(sampled.imu_times):
-        rot = rot_z(sampled.yaws[i])
-        omega = np.array([0.0, 0.0, sampled.yaw_rates[i]]) + bias_g[i] + gyro_noise[i]
-        force = rot.T @ (sampled.accelerations[i] - gravity) + bias_a[i] + accel_noise[i]
-        samples.append(ImuSample(float(t), omega, force))
+    rate = np.zeros((n, 3))
+    rate[:, 2] = sampled.yaw_rates
+    omega = rate + bias_g + gyro_noise
+    # specific force in the body frame: rot_z(yaw).T @ (acceleration - gravity)
+    c, s = np.cos(sampled.yaws), np.sin(sampled.yaws)
+    f = sampled.accelerations - gravity
+    force = np.stack([c * f[:, 0] + s * f[:, 1], c * f[:, 1] - s * f[:, 0], f[:, 2]], axis=1)
+    force = force + bias_a + accel_noise
+    samples = [
+        ImuSample(float(t), w, a) for t, w, a in zip(sampled.imu_times, omega, force)
+    ]
     return samples, bias_g, bias_a
 
 
@@ -436,98 +464,178 @@ def laser_ray_directions(laser: LaserModel) -> np.ndarray:
     ).reshape(-1, 3)
 
 
-def _ray_patch(origin, dirs, patch: PlanarPatch):
-    n = patch.normal
-    denom = dirs @ n
+# Slack (m) on the bounding spheres of the cull. Rounding in the
+# ray-to-centre distance is below 1e-9 m at scene scale, so no true hit is
+# culled.
+_CULL_MARGIN = 1e-3
+
+
+class RayGeometry:
+    """One session's present elements, stacked per element type for casting.
+
+    Built once per (world, session) by ``WorldModel.ray_geometry``. Each
+    element owns one column of ``cast_rays``' distance array, in world
+    order. Poles and bushes carry a bounding sphere (plus ``_CULL_MARGIN``)
+    that contains every surface point the exact test can hit.
+    """
+
+    def __init__(self, world: WorldModel, elements):
+        # element id per column; a last column that no element fills keeps
+        # argmin defined when nothing is present
+        self.column_ids = np.array([e.elem_id for e in elements] + [-1], dtype=int)
+
+        def columns(cls):
+            cols = [i for i, e in enumerate(elements) if isinstance(e, cls)]
+            return np.array(cols, dtype=int), [elements[i] for i in cols]
+
+        self.patch_cols, patches = columns(PlanarPatch)
+        self.patch_origin = _rows([p.origin for p in patches])
+        self.patch_normal = _rows([p.normal for p in patches])
+        self.patch_edge_u = _rows([p.edge_u for p in patches])
+        self.patch_edge_v = _rows([p.edge_v for p in patches])
+        self.patch_lu2 = np.array([float(p.edge_u @ p.edge_u) for p in patches])
+        self.patch_lv2 = np.array([float(p.edge_v @ p.edge_v) for p in patches])
+
+        self.pole_cols, poles = columns(Pole)
+        self.pole_base = _rows([p.base for p in poles])
+        self.pole_length = np.array([np.linalg.norm(p.tip - p.base) for p in poles])
+        self.pole_axis = _rows([(p.tip - p.base) / h for p, h in zip(poles, self.pole_length)])
+        self.pole_radius = np.array([p.radius for p in poles])
+        self.pole_center = _rows([0.5 * (p.base + p.tip) for p in poles])
+        self.pole_bound = np.hypot(0.5 * self.pole_length, self.pole_radius) + _CULL_MARGIN
+
+        self.box_cols, self.boxes = columns(Box)
+        self.box_half = _rows([b.size / 2.0 for b in self.boxes])
+
+        # bushes with no spheres can never be hit and get no column data
+        bush_cols, bushes = columns(ScatterCluster)
+        keep = [i for i, b in enumerate(bushes) if b.count > 0]
+        self.bush_cols = bush_cols[keep]
+        bushes = [bushes[i] for i in keep]
+        points = [world.scatter_points(b) for b in bushes]
+        # pad each bush to the largest count by repeating its first sphere,
+        # which leaves its nearest hit unchanged
+        m = max((len(p) for p in points), default=0)
+        self.bush_points = np.array(
+            [np.concatenate([p, np.repeat(p[:1], m - len(p), axis=0)]) for p in points]
+        ).reshape(len(points), m, 3)
+        self.bush_radius = np.array([b.point_radius for b in bushes])
+        self.bush_center = _rows([b.center for b in bushes])
+        self.bush_bound = np.array(
+            [np.linalg.norm(p - b.center, axis=1).max() for p, b in zip(points, bushes)]
+        ) + self.bush_radius + _CULL_MARGIN
+
+
+def _rows(vectors) -> np.ndarray:
+    return np.array(vectors, dtype=float).reshape(len(vectors), 3)
+
+
+def _ray_pairs(origin, dirs, centers, bounds):
+    """(ray, element) index pairs whose ray passes within ``bounds`` of ``centers``.
+
+    A ray that starts outside a sphere meets it only if its closest approach
+    to the centre lies ahead of the origin and within the radius.
+    """
+    oc = centers - origin
+    oc2 = np.einsum("ij,ij->i", oc, oc)
+    along = dirs @ oc.T
+    dd = np.einsum("ij,ij->i", dirs, dirs)[:, None]
+    meets = oc2 * dd - along * along <= bounds * bounds * dd
+    return np.nonzero(meets & ((along > 0.0) | (oc2 <= bounds * bounds)))
+
+
+def _hit_patches(origin, dirs, geo: RayGeometry):
+    n = geo.patch_normal
+    denom = dirs @ n.T
     with np.errstate(divide="ignore", invalid="ignore"):
-        t = ((patch.origin - origin) @ n) / denom
+        t = np.einsum("pj,pj->p", geo.patch_origin - origin, n) / denom
     t = np.where(np.abs(denom) < 1e-12, np.inf, t)
     finite = np.isfinite(t)
     tf = np.where(finite, t, 0.0)
-    p = origin + tf[:, None] * dirs
-    rel = p - patch.origin
-    lu2 = float(patch.edge_u @ patch.edge_u)
-    lv2 = float(patch.edge_v @ patch.edge_v)
-    a = (rel @ patch.edge_u) / lu2
-    b = (rel @ patch.edge_v) / lv2
+    # edge coordinates of the hit point origin + t * dir, from the corner
+    rel = origin - geo.patch_origin
+    a = np.einsum("pj,pj->p", rel, geo.patch_edge_u) + tf * (dirs @ geo.patch_edge_u.T)
+    b = np.einsum("pj,pj->p", rel, geo.patch_edge_v) + tf * (dirs @ geo.patch_edge_v.T)
+    a /= geo.patch_lu2
+    b /= geo.patch_lv2
     ok = finite & (t > 1e-9) & (a >= 0) & (a <= 1) & (b >= 0) & (b <= 1)
     return np.where(ok, t, np.inf)
 
 
-def _ray_cylinder(origin, dirs, base, tip, radius):
-    axis = tip - base
-    length = np.linalg.norm(axis)
-    axis = axis / length
-    oc = origin - base
-    d_par = dirs @ axis
-    d_perp = dirs - d_par[:, None] * axis
-    oc_par = float(oc @ axis)
-    oc_perp = oc - oc_par * axis
-    a = np.einsum("ij,ij->i", d_perp, d_perp)
-    b = 2.0 * (d_perp @ oc_perp)
-    c = float(oc_perp @ oc_perp) - radius * radius
-    disc = b * b - 4.0 * a * c
-    t_out = np.full(len(dirs), np.inf)
-    ok = (disc >= 0) & (a > 1e-12)
-    sq = np.sqrt(np.where(ok, disc, 0.0))
-    for sign in (-1.0, 1.0):
-        t = (-b + sign * sq) / (2.0 * np.where(ok, a, 1.0))
-        s = oc_par + t * d_par
-        good = ok & (t > 1e-9) & (s >= 0.0) & (s <= length) & (t < t_out)
-        t_out[good] = t[good]
-    return t_out
-
-
-def _ray_box(origin, dirs, center, size):
-    half = size / 2.0
-    lo = center - half
-    hi = center + half
+def _hit_boxes(origin, dirs, geo: RayGeometry, t_scan: float):
+    center = _rows([b.center_at(t_scan) for b in geo.boxes])
     with np.errstate(divide="ignore", invalid="ignore"):
-        inv = 1.0 / dirs
-    t1 = (lo - origin)[None, :] * inv
-    t2 = (hi - origin)[None, :] * inv
-    tmin = np.nanmax(np.minimum(t1, t2), axis=1)
-    tmax = np.nanmin(np.maximum(t1, t2), axis=1)
+        inv = 1.0 / dirs[:, None, :]
+        t1 = (center - geo.box_half - origin) * inv
+        t2 = (center + geo.box_half - origin) * inv
+        near = np.minimum(t1, t2)
+        far = np.maximum(t1, t2)
+    # fmax / fmin skip the NaN of a zero direction component on a slab plane
+    tmin = np.fmax(np.fmax(near[..., 0], near[..., 1]), near[..., 2])
+    tmax = np.fmin(np.fmin(far[..., 0], far[..., 1]), far[..., 2])
     hit = (tmax >= tmin) & (tmax > 1e-9)
     t = np.where(tmin > 1e-9, tmin, tmax)
     return np.where(hit, t, np.inf)
 
 
-def _ray_spheres(origin, dirs, centers, radius):
-    oc = origin[None, :] - centers  # (m, 3)
-    b = 2.0 * (dirs @ oc.T)  # (r, m)
-    c = np.einsum("mj,mj->m", oc, oc) - radius * radius  # (m,)
-    disc = b * b - 4.0 * c[None, :]
+def _hit_poles(origin, dirs, geo: RayGeometry, pole):
+    """Distances along ``dirs[k]`` to pole ``pole[k]``'s side surface."""
+    axis = geo.pole_axis[pole]
+    oc = origin - geo.pole_base
+    oc_par = np.einsum("pj,pj->p", oc, geo.pole_axis)
+    oc_perp = oc - oc_par[:, None] * geo.pole_axis
+    c = np.einsum("pj,pj->p", oc_perp, oc_perp) - geo.pole_radius * geo.pole_radius
+    d_par = np.einsum("kj,kj->k", dirs, axis)
+    d_perp = dirs - d_par[:, None] * axis
+    a = np.einsum("kj,kj->k", d_perp, d_perp)
+    b = 2.0 * np.einsum("kj,kj->k", d_perp, oc_perp[pole])
+    disc = b * b - 4.0 * a * c[pole]
+    t_out = np.full(len(dirs), np.inf)
+    ok = (disc >= 0) & (a > 1e-12)
+    sq = np.sqrt(np.where(ok, disc, 0.0))
+    for sign in (-1.0, 1.0):
+        t = (-b + sign * sq) / (2.0 * np.where(ok, a, 1.0))
+        s = oc_par[pole] + t * d_par
+        good = ok & (t > 1e-9) & (s >= 0.0) & (s <= geo.pole_length[pole]) & (t < t_out)
+        t_out[good] = t[good]
+    return t_out
+
+
+def _hit_bushes(origin, dirs, geo: RayGeometry, bush):
+    """Nearest distances along unit ``dirs[k]`` to bush ``bush[k]``'s spheres."""
+    oc = origin - geo.bush_points  # (bushes, spheres, 3)
+    c = np.einsum("bmj,bmj->bm", oc, oc) - (geo.bush_radius * geo.bush_radius)[:, None]
+    b = 2.0 * np.einsum("kj,kmj->km", dirs, oc[bush])
+    disc = b * b - 4.0 * c[bush]
     sq = np.sqrt(np.maximum(disc, 0.0))
     t1 = (-b - sq) / 2.0
     t2 = (-b + sq) / 2.0
     t = np.where(t1 > 1e-9, t1, t2)
     t = np.where((disc >= 0) & (t > 1e-9), t, np.inf)
-    return t.min(axis=1)
+    return t.min(axis=1, initial=np.inf)
 
 
 def cast_rays(origin, dirs, world: WorldModel, session_id: int, t_scan: float):
-    """Nearest-hit distances and element ids (-1 for miss)."""
+    """Nearest-hit distances and element ids (-1 for miss).
+
+    Every element type is cast in one array pass into a (rays, elements)
+    distance array; poles and bushes only for the rays that meet their
+    bounding spheres. ``argmin`` keeps the first of equal distances, so ties
+    go to the element earlier in world order.
+    """
     origin = np.asarray(origin, dtype=float)
     dirs = np.asarray(dirs, dtype=float)
-    best_t = np.full(len(dirs), np.inf)
-    best_id = np.full(len(dirs), -1, dtype=int)
-    for elem in world.elements:
-        if not world.element_present(elem, session_id):
-            continue
-        if isinstance(elem, PlanarPatch):
-            t = _ray_patch(origin, dirs, elem)
-        elif isinstance(elem, Pole):
-            t = _ray_cylinder(origin, dirs, elem.base, elem.tip, elem.radius)
-        elif isinstance(elem, Box):
-            t = _ray_box(origin, dirs, elem.center_at(t_scan), elem.size)
-        elif isinstance(elem, ScatterCluster):
-            t = _ray_spheres(origin, dirs, world.scatter_points(elem), elem.point_radius)
-        else:
-            continue
-        better = t < best_t
-        best_t[better] = t[better]
-        best_id[better] = elem.elem_id
+    geo = world.ray_geometry(session_id)
+    dist = np.full((len(dirs), len(geo.column_ids)), np.inf)
+    dist[:, geo.patch_cols] = _hit_patches(origin, dirs, geo)
+    dist[:, geo.box_cols] = _hit_boxes(origin, dirs, geo, t_scan)
+    ray, pole = _ray_pairs(origin, dirs, geo.pole_center, geo.pole_bound)
+    dist[ray, geo.pole_cols[pole]] = _hit_poles(origin, dirs[ray], geo, pole)
+    ray, bush = _ray_pairs(origin, dirs, geo.bush_center, geo.bush_bound)
+    dist[ray, geo.bush_cols[bush]] = _hit_bushes(origin, dirs[ray], geo, bush)
+    nearest = np.argmin(dist, axis=1)
+    best_t = dist[np.arange(len(dirs)), nearest]
+    best_id = np.where(np.isfinite(best_t), geo.column_ids[nearest], -1)
     return best_t, best_id
 
 

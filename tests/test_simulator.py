@@ -113,6 +113,18 @@ class TestSynthesizeImu:
             state.pose.translation - sampled.positions[final_idx]
         ) < 1e-3
 
+    def test_matches_per_sample_reference(self):
+        rig = sim.default_rig()
+        spec = sim.default_trajectory_spec()
+        sampled = sim.generate_trajectory(spec, rig.imu_rate, rig.frame_rate).sample(10.0)
+        samples, _, _ = sim.synthesize_imu(sampled, rig, seed=0, noise=False)
+        assert len(samples) == len(sampled.imu_times)
+        for i, s in enumerate(samples):
+            force = rot_z(sampled.yaws[i]).T @ (sampled.accelerations[i] - GRAVITY)
+            assert s.timestamp == sampled.imu_times[i]
+            assert np.array_equal(s.angular_velocity, [0.0, 0.0, sampled.yaw_rates[i]])
+            assert np.allclose(s.linear_acceleration, force, rtol=0.0, atol=1e-12)
+
     def test_fixed_seed_bitwise_identical(self):
         sampled = static_sampled()
         rig = sim.default_rig()
@@ -275,6 +287,65 @@ def brute_force_ray_cast(origin, direction, world, session_id, t_scan):
     return best_t, best_id
 
 
+def _unit_rows(vectors):
+    v = np.asarray(vectors, dtype=float)
+    return v / np.linalg.norm(v, axis=-1, keepdims=True)
+
+
+def _oracle_targets(world, origin, session_id, t_scan):
+    """Points on every present element where a cull could lose a true hit.
+
+    Patch corners are approached a hair inside and a hair outside, so the
+    edge tests decide them rather than rounding between coincident faces.
+    Pole rims at both ends and sphere silhouettes lie near the edge of the
+    bounding spheres the cast culls by.
+    """
+    targets = []
+    for elem in world.elements:
+        if not world.element_present(elem, session_id):
+            continue
+        if isinstance(elem, sim.PlanarPatch):
+            centre = elem.origin + 0.5 * (elem.edge_u + elem.edge_v)
+            for a in (0.0, 1.0):
+                for b in (0.0, 1.0):
+                    corner = elem.origin + a * elem.edge_u + b * elem.edge_v
+                    inward = _unit_rows(centre - corner)
+                    targets += [corner + 1e-6 * inward, corner - 1e-6 * inward]
+        elif isinstance(elem, sim.Pole):
+            axis = elem.tip - elem.base
+            e1 = _unit_rows(np.cross(axis, [1.0, 0.0, 0.0]))
+            e2 = _unit_rows(np.cross(axis, e1))
+            targets.append(elem.base + 0.5 * axis)
+            for s in (0.002, 0.998):
+                for ang in np.arange(4) * (np.pi / 2) + 0.3:
+                    rim = np.cos(ang) * e1 + np.sin(ang) * e2
+                    targets.append(elem.base + s * axis + 0.99 * elem.radius * rim)
+        elif isinstance(elem, sim.Box):
+            center = elem.center_at(t_scan)
+            half = np.diag(elem.size / 2)
+            targets += list(center + half) + list(center - half)
+        elif isinstance(elem, sim.ScatterCluster):
+            centres = world.scatter_points(elem)
+            # graze each sphere: aim beside its centre, across the line of sight
+            side = _unit_rows(np.cross(centres - origin, [0.0, 0.0, 1.0]))
+            targets += list(centres) + list(centres + 0.99 * elem.point_radius * side)
+    return np.asarray(targets)
+
+
+def _assert_matches_oracle(world, origin, targets, session_id, t_scan, must_hit=None):
+    dirs = _unit_rows(np.asarray(targets) - origin)
+    t_fast, id_fast = sim.cast_rays(origin, dirs, world, session_id, t_scan)
+    for i in range(len(dirs)):
+        t_slow, id_slow = brute_force_ray_cast(origin, dirs[i], world, session_id, t_scan)
+        assert id_fast[i] == id_slow, (i, targets[i])
+        if np.isinf(t_slow):
+            assert np.isinf(t_fast[i])
+        else:
+            assert abs(t_fast[i] - t_slow) < 1e-9, (i, targets[i])
+    if must_hit is not None:
+        assert np.all(id_fast == must_hit)
+
+
 class TestSynthesizeLaser:
     def test_single_wall_at_range_five(self):
         wall = sim.PlanarPatch(
@@ -310,21 +381,78 @@ class TestSynthesizeLaser:
         assert hits1 & car_ids
 
     def test_matches_brute_force_oracle(self):
-        world = sim.default_world()
+        # next to the default scene: a tilted pole exercises the general axis,
+        # and bushes of 7 and 0 spheres differ from the default 25
+        extras = (
+            sim.Pole(100, np.array([2.0, -4.0, 0.0]), np.array([3.0, -3.2, 3.0]), radius=0.2),
+            sim.ScatterCluster(101, np.array([-3.0, 3.0, 0.6]), np.full(3, 0.8), count=7),
+            sim.ScatterCluster(102, np.array([3.0, 3.0, 0.6]), np.full(3, 0.8), count=0),
+        )
+        world = sim.WorldModel(sim.default_world().elements + extras, seed=7)
+        bush = next(e for e in world.elements if isinstance(e, sim.ScatterCluster))
         rng = np.random.default_rng(9)
-        for session_id in (0, 3):
-            origin = np.array([rng.uniform(-10, 10), rng.uniform(-6, 6), 0.8])
-            dirs = rng.normal(size=(40, 3))
-            dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-            t_scan = float(rng.uniform(0, 20))
-            t_fast, id_fast = sim.cast_rays(origin, dirs, world, session_id, t_scan)
-            for i in range(len(dirs)):
-                t_slow, id_slow = brute_force_ray_cast(origin, dirs[i], world, session_id, t_scan)
-                if np.isinf(t_slow):
-                    assert np.isinf(t_fast[i])
-                else:
-                    assert abs(t_fast[i] - t_slow) < 1e-9
-                    assert id_fast[i] == id_slow
+        cases = [
+            (np.array([-3.0, -2.0, 0.8]), 0, 2.0),
+            (np.array([6.0, 4.5, 0.8]), 3, 11.0),
+            # inside the bush's bounding sphere: rays leaving it in every
+            # direction must still find the spheres behind the centre
+            (bush.center + np.array([0.1, -0.05, 0.05]), 0, 7.5),
+        ]
+        for origin, session_id, t_scan in cases:
+            random_dirs = rng.normal(size=(40, 3))
+            targets = np.concatenate(
+                [_oracle_targets(world, origin, session_id, t_scan), origin + random_dirs]
+            )
+            _assert_matches_oracle(world, origin, targets, session_id, t_scan)
+
+    def test_moving_box_matches_oracle(self):
+        world = sim.default_world()
+        box = next(e for e in world.elements if e.kind == sim.KIND_DYNAMIC)
+        # in front of the box's lane, close enough that nothing occludes it
+        origin = np.array([0.0, -8.0, 0.8])
+        for t_scan in (0.0, 0.5, 1.0, 7.0, 14.0):
+            center = box.center_at(t_scan)
+            faces = center + np.vstack([np.diag(box.size / 2), -np.diag(box.size / 2)])
+            corners = center + (box.size / 2) * 0.999 * np.array(
+                [[sx, sy, 1.0] for sx in (-1, 1) for sy in (-1, 1)]
+            )
+            _assert_matches_oracle(
+                world, origin, np.concatenate([faces, corners]), 0, t_scan, must_hit=box.elem_id
+            )
+
+    def test_equal_distances_keep_the_earlier_element(self):
+        def wall(elem_id, **kw):
+            return sim.PlanarPatch(
+                elem_id, np.array([5.0, -10.0, -5.0]), np.array([0.0, 20.0, 0.0]),
+                np.array([0.0, 0.0, 10.0]), **kw,
+            )
+
+        world = sim.WorldModel([wall(5), wall(2, kind=sim.KIND_SEMI_STATIC, sessions=(1,))])
+        dirs = _unit_rows([[1.0, 0.0, 0.0], [1.0, 0.3, 0.2], [-1.0, 0.0, 0.0]])
+        t, labels = sim.cast_rays(np.zeros(3), dirs, world, 1, 0.0)
+        assert labels.tolist() == [5, 5, -1]
+        assert np.isclose(t[0], 5.0) and np.isinf(t[2])
+        # a session with nothing present misses everywhere
+        lone = sim.WorldModel([wall(2, kind=sim.KIND_SEMI_STATIC, sessions=(1,))])
+        t, labels = sim.cast_rays(np.zeros(3), dirs, lone, 0, 0.0)
+        assert labels.tolist() == [-1, -1, -1] and np.all(np.isinf(t))
+
+    def test_geometry_cache_keyed_by_session(self):
+        world = sim.default_world(car_sessions=(0, 1))
+        cars = [e for e in world.elements if e.kind == sim.KIND_SEMI_STATIC]
+        car_ids = {e.elem_id for e in cars}
+        origin = np.array([0.0, 0.0, 0.8])
+        dirs = np.array([c.center for c in cars]) - origin
+        dirs = np.concatenate([dirs, np.random.default_rng(4).normal(size=(200, 3))])
+        dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+        for session_id in (0, 3, 0):
+            t, labels = sim.cast_rays(origin, dirs, world, session_id, 1.0)
+            fresh = sim.default_world(car_sessions=(0, 1))
+            t_ref, labels_ref = sim.cast_rays(origin, dirs, fresh, session_id, 1.0)
+            assert np.array_equal(t, t_ref)
+            assert np.array_equal(labels, labels_ref)
+            hit_cars = set(labels.tolist()) & car_ids
+            assert hit_cars == (car_ids if session_id == 0 else set())
 
     def test_dynamic_box_moves_between_scans(self):
         box = next(e for e in sim.default_world().elements if e.kind == sim.KIND_DYNAMIC)
