@@ -9,11 +9,18 @@ one bundle-adjustment step chosen by the schedule:
   reprojection + preintegration + map-alignment + anchor-prior terms;
 - rigid: plain visual-inertial adjustment first, then an ICP-style loop
   that re-associates and refines the anchor alone with everything else
-  held fixed. Each ICP iteration makes one batched association (one k-NN
-  query over all landmarks) and one anchor-only solve: ``AnchorAlignment``
-  stacks the association's landmarks, map points and normals once, and the
-  solver's LM loop runs on its 6x6 normal equations;
+  held fixed, each iteration one association and one ``AnchorAlignment``
+  solve on 6x6 normal equations;
 - hybrid m:n cycles m non-rigid steps then n rigid ones.
+
+Both steps state their terms as arrays. The window problem
+(``_build_vio_problem``) has one factor group per term family: every stereo
+observation of a solvable landmark, in window order, then the
+preintegration and the bias terms between consecutive keyframes. An
+association (``associate_constraints``, one k-NN query over all landmarks)
+is one ``MapAssociation`` record of landmark ids, map points, normals and a
+point-to-plane mask. ``_map_groups`` splits it by metric, both for the
+joint problem's map groups and for ``AnchorAlignment``.
 
 The anchor prior mean is re-pinned to the converged anchor after every
 step, so the prior always encodes "the last step's estimate".
@@ -190,76 +197,120 @@ def activate_landmarks(window: SlidingWindow, rig: SensorRig, cfg: EstimatorConf
     return activated
 
 
+@dataclass(frozen=True)
+class MapAssociation:
+    """Map constraints as arrays, one row per associated landmark, by landmark id.
+
+    ``normals`` holds the matched map point's normal on every row (NaN where
+    the map has none); only the point-to-plane rows (``plane``) read it.
+    """
+
+    landmark_ids: np.ndarray  # (m,)
+    points: np.ndarray  # (m, 3) nearest map point, map frame
+    normals: np.ndarray  # (m, 3)
+    plane: np.ndarray  # (m,) bool: point-to-plane, else point-to-point
+
+    def __len__(self) -> int:
+        return len(self.landmark_ids)
+
+    def rows(self, mask) -> "MapAssociation":
+        return MapAssociation(*(column[mask] for column in vars(self).values()))
+
+
 def associate_constraints(
     window: SlidingWindow, anchor: Pose, cloud: PointCloudMap, cfg: EstimatorConfig
-) -> list[res.MapConstraint]:
+) -> MapAssociation:
     """One constraint per active landmark against its nearest map point.
 
     All landmarks are moved into the map frame and queried in one k-NN call.
     The k nearest neighbors decide the metric: consistent normals pick the
     point-to-plane branch, anything else point-to-point; matches beyond the
-    gate radius are dropped.
+    gate radius are dropped. Rows follow ``sorted(window.landmarks)``.
     """
-    lm_ids = sorted(window.landmarks)
-    if len(cloud) == 0 or not lm_ids:
-        return []
-    p_map = anchor.apply(np.array([window.landmarks[lm_id] for lm_id in lm_ids]))
-    idx, dist = cloud.knn(p_map, cfg.knn_k)
+    lm_ids = np.array(sorted(window.landmarks), dtype=int)
+    if len(cloud) == 0 or not len(lm_ids):
+        return MapAssociation(
+            np.zeros(0, dtype=int), np.zeros((0, 3)), np.zeros((0, 3)), np.zeros(0, dtype=bool)
+        )
+    idx, dist = cloud.knn(anchor.apply(_positions(window.landmarks, lm_ids)), cfg.knn_k)
     if idx.shape[1] >= 2:
         plane = normal_consistency(cloud.normals[idx], cfg.normal_consistency_angle)
     else:
         plane = np.zeros(len(lm_ids), dtype=bool)
-    info = _map_information(cfg)
-    constraints = []
-    for row in np.nonzero(dist[:, 0] <= cfg.gate_radius)[0]:
-        nearest = idx[row, 0]
-        if plane[row]:
-            normal, metric = cloud.normals[nearest].copy(), res.POINT_TO_PLANE
-        else:
-            normal, metric = None, res.POINT_TO_POINT
-        constraints.append(
-            res.MapConstraint(lm_ids[row], cloud.positions[nearest].copy(), normal, info, metric)
-        )
-    return constraints
+    gated = dist[:, 0] <= cfg.gate_radius
+    nearest = idx[gated, 0]
+    return MapAssociation(
+        lm_ids[gated], cloud.positions[nearest], cloud.normals[nearest], plane[gated]
+    )
+
+
+def _positions(landmarks: dict, lm_ids) -> np.ndarray:
+    """The positions of ``lm_ids``, (m, 3)."""
+    return np.array([landmarks[lm_id] for lm_id in lm_ids.tolist()], dtype=float).reshape(-1, 3)
+
+
+def _map_groups(association: MapAssociation):
+    """The association split by metric, point-to-plane first.
+
+    Yields, per metric present: its factor kind, its batch function, the
+    landmark ids of its rows and the data the kind's ``evaluate_batch``
+    reads (map points, then normals for point-to-plane).
+    """
+    for kind, batch, plane in (
+        (res.PointToPlaneFactor, res.point_to_plane_batch, True),
+        (res.PointToPointFactor, res.point_to_point_batch, False),
+    ):
+        rows = association.plane == plane
+        if rows.any():
+            data = (association.points[rows], association.normals[rows]) if plane else (
+                association.points[rows],)
+            yield kind, batch, association.landmark_ids[rows], data
 
 
 def _map_information(cfg: EstimatorConfig) -> np.ndarray:
-    """The isotropic information every map constraint carries."""
+    """The isotropic information of every map constraint."""
     return np.eye(3) / (cfg.sigma_map**2)
+
+
+def _add_anchor_groups(problem: Problem, anchor: AnchorTransform, association, cfg) -> None:
+    """The anchor block, one map group per metric present, and the anchor prior.
+
+    Every associated landmark's block ``lm<id>`` must be in the problem.
+    """
+    problem.add_pose_block("anchor", anchor.pose)
+    kernel = res.RobustKernel("cauchy", cfg.cauchy_metric)
+    for kind, _, lm_ids, data in _map_groups(association):
+        lm_keys = [f"lm{lm_id}" for lm_id in lm_ids.tolist()]
+        problem.add_factors(
+            kind, [["anchor"] * len(lm_keys), lm_keys], data, _map_information(cfg), kernel
+        )
+    problem.add_factors(
+        res.AnchorPriorFactor, [["anchor"]], [anchor.prior_mean],
+        cfg.prior_information(anchor.prior_scale), res.RobustKernel(),
+    )
 
 
 class AnchorAlignment(DenseProblem):
     """The rigid step's ICP sub-problem: the anchor alone, landmarks held fixed.
 
-    Holds one association's landmark positions, map points and normals,
-    stacked once per metric, plus the anchor prior. Its terms are those of
-    the map and prior factors of the joint problem: the same residuals,
+    Holds one association's landmark positions, map points and normals per
+    metric, plus the anchor prior. Its terms are those of the joint
+    problem's anchor groups (``_add_anchor_groups``): the same residuals,
     informations and kernels, which ``DenseProblem`` whitens and re-weights
     as the solver does a Problem's factor groups. So the minimum, the
     iterations and the termination are those of a Problem with a free anchor
-    block, fixed landmark blocks and those factors, on the 6x6 normal
+    block, fixed landmark blocks and those groups, on the 6x6 normal
     equations instead of the Schur system.
     """
 
-    def __init__(self, anchor: AnchorTransform, constraints, landmarks: dict, cfg: EstimatorConfig):
-        plane = [c for c in constraints if c.metric == res.POINT_TO_PLANE]
-        point = [c for c in constraints if c.metric == res.POINT_TO_POINT]
-        self.maps = []  # (batch function, its stacked inputs) per metric present
-        if plane:
-            self.maps.append((res.point_to_plane_batch, (
-                np.array([landmarks[c.landmark_id] for c in plane], dtype=float),
-                np.array([c.point for c in plane], dtype=float),
-                np.array([c.normal for c in plane], dtype=float),
-            )))
-        if point:
-            self.maps.append((res.point_to_point_batch, (
-                np.array([landmarks[c.landmark_id] for c in point], dtype=float),
-                np.array([c.point for c in point], dtype=float),
-            )))
+    def __init__(self, anchor: AnchorTransform, association: MapAssociation, landmarks: dict,
+                 cfg: EstimatorConfig):
+        # (batch function, its stacked inputs) per metric present
+        self.maps = [
+            (batch, (_positions(landmarks, lm_ids), *data))
+            for _, batch, lm_ids, data in _map_groups(association)
+        ]
         self.prior_mean = anchor.prior_mean
-        # the information and kernel of the joint problem's map factors
-        # (associate_constraints gives every constraint this information),
-        # then its prior's
         map_group = (_map_information(cfg), res.RobustKernel("cauchy", cfg.cauchy_metric))
         prior_group = (cfg.prior_information(anchor.prior_scale), res.RobustKernel())
         super().__init__(anchor.pose, [map_group] * len(self.maps) + [prior_group])
@@ -288,6 +339,12 @@ def _solvable_landmarks(window: SlidingWindow) -> list[int]:
 
 
 def _build_vio_problem(window, rig, gravity, cfg, lm_ids) -> Problem:
+    """The window's blocks and its stereo, preintegration and bias groups.
+
+    The stereo group has one row per occurrence of a solvable landmark in a
+    keyframe's ``landmark_ids``, keyframe by keyframe, carrying that
+    keyframe's pixels.
+    """
     problem = Problem()
     for i, kf in enumerate(window.keyframes):
         problem.add_pose_block(f"pose{kf.kf_id}", kf.state.pose, fixed=(i == 0))
@@ -296,55 +353,44 @@ def _build_vio_problem(window, rig, gravity, cfg, lm_ids) -> Problem:
         problem.add_vector_block(f"ba{kf.kf_id}", kf.state.accel_bias)
     for lm_id in lm_ids:
         problem.add_vector_block(f"lm{lm_id}", window.landmarks[lm_id], eliminate=True)
-    lm_set = set(lm_ids)
-    pix_kernel = res.RobustKernel("cauchy", cfg.cauchy_pixel)
-    cam_right = rig.right_camera()
-    for kf in window.keyframes:
-        for j, lm_id in enumerate(kf.landmark_ids):
-            if int(lm_id) not in lm_set:
-                continue
-            problem.add_factor(
-                res.StereoReprojectionFactor(
-                    f"pose{kf.kf_id}", f"lm{int(lm_id)}", kf.pixels[j], rig.camera,
-                    cam_right, kernel=pix_kernel,
-                )
-            )
-    for prev, curr in zip(window.keyframes[:-1], window.keyframes[1:]):
-        if curr.pre_from_prev is None:
-            continue
-        problem.add_factor(
-            res.PreintegrationFactor(
-                (
-                    f"pose{prev.kf_id}",
-                    f"vel{prev.kf_id}",
-                    f"bg{prev.kf_id}",
-                    f"ba{prev.kf_id}",
-                    f"pose{curr.kf_id}",
-                    f"vel{curr.kf_id}",
-                ),
-                curr.pre_from_prev,
-                gravity,
-            )
-        )
-        problem.add_factor(
-            res.BiasRandomWalkFactor(
-                (f"ba{prev.kf_id}", f"bg{prev.kf_id}", f"ba{curr.kf_id}", f"bg{curr.kf_id}"),
-                bias_information(rig.imu_noise, curr.pre_from_prev.dt_total),
-            )
-        )
+
+    seen = [np.isin(kf.landmark_ids, lm_ids) for kf in window.keyframes]
+    lm_rows = np.concatenate([kf.landmark_ids[rows] for kf, rows in zip(window.keyframes, seen)])
+    problem.add_factors(
+        res.StereoReprojectionFactor,
+        [
+            np.repeat([f"pose{kf.kf_id}" for kf in window.keyframes], [rows.sum() for rows in seen]),
+            [f"lm{lm_id}" for lm_id in lm_rows.tolist()],
+        ],
+        (np.concatenate([kf.pixels[rows] for kf, rows in zip(window.keyframes, seen)]),
+         rig.camera, rig.right_camera()),
+        res.PIXEL_INFORMATION,
+        res.RobustKernel("cauchy", cfg.cauchy_pixel),
+    )
+
+    kfs = window.keyframes
+    links = [(prev, curr) for prev, curr in zip(kfs, kfs[1:]) if curr.pre_from_prev is not None]
+    pres = [curr.pre_from_prev for _, curr in links]
+
+    def keys(name, end):
+        """The block ``name`` of each link's previous (end 0) or current (1) keyframe."""
+        return [f"{name}{link[end].kf_id}" for link in links]
+
+    problem.add_factors(
+        res.PreintegrationFactor,
+        [keys("pose", 0), keys("vel", 0), keys("bg", 0), keys("ba", 0), keys("pose", 1), keys("vel", 1)],
+        res.stack_preintegrations(pres, gravity),
+        np.array([pre.information() for pre in pres]),
+        res.RobustKernel(),
+    )
+    problem.add_factors(
+        res.BiasRandomWalkFactor,
+        [keys("ba", 0), keys("bg", 0), keys("ba", 1), keys("bg", 1)],
+        None,
+        np.array([bias_information(rig.imu_noise, pre.dt_total) for pre in pres]),
+        res.RobustKernel(),
+    )
     return problem
-
-
-def _add_map_factors(problem, constraints, cfg, lm_ids) -> None:
-    kernel = res.RobustKernel("cauchy", cfg.cauchy_metric)
-    lm_set = set(lm_ids)
-    for c in constraints:
-        if c.landmark_id not in lm_set:
-            continue
-        if c.metric == res.POINT_TO_PLANE:
-            problem.add_factor(res.PointToPlaneFactor("anchor", f"lm{c.landmark_id}", c, kernel))
-        else:
-            problem.add_factor(res.PointToPointFactor("anchor", f"lm{c.landmark_id}", c, kernel))
 
 
 def _write_back(problem: Problem, window: SlidingWindow, lm_ids) -> None:
@@ -363,29 +409,25 @@ def non_rigid_ba(
     window: SlidingWindow,
     anchor: AnchorTransform,
     cloud: PointCloudMap,
-    constraints: list[res.MapConstraint],
+    association: MapAssociation,
     rig: SensorRig,
     cfg: EstimatorConfig,
 ) -> SolverReport:
     """Joint adjustment of states, landmarks and the anchor.
 
     With no map constraints this reduces to the plain visual-inertial
-    problem (no anchor block), matching a VIO-only solve exactly.
+    problem (no anchor block), matching a VIO-only solve exactly. Otherwise
+    the anchor groups take the constraints of the solvable landmarks.
     """
     gravity = rig.gravity_vector()
     lm_ids = _solvable_landmarks(window)
     problem = _build_vio_problem(window, rig, gravity, cfg, lm_ids)
-    if constraints:
-        problem.add_pose_block("anchor", anchor.pose)
-        _add_map_factors(problem, constraints, cfg, lm_ids)
-        problem.add_factor(
-            res.AnchorPriorFactor(
-                "anchor", anchor.prior_mean, cfg.prior_information(anchor.prior_scale)
-            )
-        )
+    if len(association):
+        solvable = association.rows(np.isin(association.landmark_ids, lm_ids))
+        _add_anchor_groups(problem, anchor, solvable, cfg)
     report = solve(problem, cfg.solver_options())
     _write_back(problem, window, lm_ids)
-    if constraints:
+    if len(association):
         anchor.pose = problem.value("anchor")
     return report
 
@@ -415,10 +457,10 @@ def rigid_ba(
     final_cost = stage1.final_cost
     termination = stage1.termination
     for _ in range(cfg.icp_max_iterations):
-        constraints = associate_constraints(window, anchor.pose, cloud, cfg)
-        if not constraints:
+        association = associate_constraints(window, anchor.pose, cloud, cfg)
+        if not len(association):
             break
-        alignment = AnchorAlignment(anchor, constraints, window.landmarks, cfg)
+        alignment = AnchorAlignment(anchor, association, window.landmarks, cfg)
         report = solve(alignment, cfg.solver_options())
         update = np.linalg.norm(se3_log(anchor.pose.inverse() @ alignment.value))
         anchor.pose = alignment.value
@@ -439,17 +481,17 @@ def step(
     rig: SensorRig,
     cfg: EstimatorConfig,
 ):
-    """One scheduled adjustment; returns (report, constraints, actions)."""
+    """One scheduled adjustment; returns (report, association, actions)."""
     actions = schedule.actions_at(counter)
     if actions == ("rigid",):
         report = rigid_ba(window, anchor, cloud, rig, cfg)
-        constraints = associate_constraints(window, anchor.pose, cloud, cfg)
+        association = associate_constraints(window, anchor.pose, cloud, cfg)
     else:
-        constraints = associate_constraints(window, anchor.pose, cloud, cfg)
-        report = non_rigid_ba(window, anchor, cloud, constraints, rig, cfg)
+        association = associate_constraints(window, anchor.pose, cloud, cfg)
+        report = non_rigid_ba(window, anchor, cloud, association, rig, cfg)
     anchor.prior_mean = anchor.pose
     anchor.prior_scale = 1.0
-    return report, constraints, actions
+    return report, association, actions
 
 
 # ---------------------------------------------------------------------------
@@ -479,17 +521,16 @@ class LocalizationResult:
     divergence_reason: str = ""
 
 
-def _mean_constraint_residual(window, anchor: Pose, constraints) -> float:
-    if not constraints:
+def _mean_constraint_residual(window, anchor: Pose, association: MapAssociation) -> float:
+    """Mean map distance of the associated landmarks: plane distance on
+    point-to-plane rows, point distance on the others; NaN with no rows."""
+    if not len(association):
         return float("nan")
-    total = 0.0
-    for c in constraints:
-        p = anchor.apply(window.landmarks[c.landmark_id])
-        if c.metric == res.POINT_TO_PLANE:
-            total += abs(float(c.normal @ (c.point - p)))
-        else:
-            total += float(np.linalg.norm(c.point - p))
-    return total / len(constraints)
+    offset = association.points - anchor.apply(_positions(window.landmarks, association.landmark_ids))
+    dist = np.linalg.norm(offset, axis=1)
+    plane = association.plane
+    dist[plane] = np.abs(np.einsum("ni,ni->n", association.normals[plane], offset[plane]))
+    return float(dist.mean())
 
 
 class DivergenceMonitor:
@@ -623,9 +664,9 @@ def run_localization(
 
     def run_step(kf: Keyframe):
         nonlocal counter
-        report, constraints, actions = step(window, anchor, cloud, schedule, counter, rig, cfg)
+        report, association, actions = step(window, anchor, cloud, schedule, counter, rig, cfg)
         counter += 1
-        mean_res = _mean_constraint_residual(window, anchor.pose, constraints)
+        mean_res = _mean_constraint_residual(window, anchor.pose, association)
         records.append(
             StepRecord(
                 kf.kf_id,
@@ -635,14 +676,14 @@ def run_localization(
                 report.final_cost,
                 report.iterations,
                 report.termination,
-                len(constraints),
+                len(association),
                 mean_res,
             )
         )
         times.append(kf.timestamp)
         poses_map.append(anchor.pose @ kf.state.pose)
         anchors.append(anchor.pose)
-        return monitor.update(len(constraints), mean_res)
+        return monitor.update(len(association), mean_res)
 
     reason = run_step(window.keyframes[-1])
     last_kf = window.keyframes[-1]

@@ -2,27 +2,29 @@
 
 Five families: pixel reprojection, IMU preintegration, point-to-plane and
 point-to-point map alignment, and the anchor pose prior. Each comes as a
-bare function returning (residual, analytic Jacobians) and as a factor
-class consumable by the solver; pixel reprojection as the stereo factor
-only, which stacks the left and right views. The solver evaluates the
-stereo, map, preintegration and bias factors in batches
-(``evaluate_batch``), over a compiled ``solver.FactorBatch`` whose
-``batch_constants`` hold the stacked pixels, map targets and normals, or
-preintegrated deltas; the ``AnchorPriorFactor`` (one per problem) through
-its per-factor ``evaluate``. The stereo and map factors evaluate in batches
-only, and their bare functions are the reference that tests compare the
-batches against; the preintegration and bias factors keep a per-factor
-``evaluate`` as that reference.
+bare function returning one term's residual and analytic Jacobians, and as
+a factor kind whose ``evaluate_batch`` evaluates a whole group of rows for
+the solver (see ``solver`` for the group contract); pixel reprojection as
+the stereo kind only, which stacks the left and right views. Each kind's
+docstring names its block slots and the ``data`` its group carries.
 
-Every factor carries the ``information`` matrix (d, d) of its residual;
-the solver takes its square root and whitens. The stereo factors share one
-read-only identity (1 px in each coordinate); the others take theirs from
-the preintegration, the bias random walk, the map constraint or the prior.
+The tests compare every group evaluation with a one-row reference:
 
-The map terms' batches are the functions ``point_to_plane_batch`` and
-``point_to_point_batch``, which the map factors and the rigid step's
-anchor-only solve share. Pose Jacobians are always with respect to the
-right perturbation ``P * Exp(delta)`` with tangent order (phi, rho).
+- stereo: ``reprojection_residual``, once per view;
+- point-to-plane and point-to-point: ``point_to_plane_residual`` and
+  ``point_to_point_residual``, which take one ``MapConstraint``;
+- preintegration, bias random walk and anchor prior: the kind's one-row
+  ``evaluate`` (on ``preintegration_residual`` and
+  ``anchor_prior_residual``). A problem has one anchor prior row, and its
+  group is evaluated as its rows' ``evaluate``.
+
+The caller gives each group its information: stereo rows share
+``PIXEL_INFORMATION`` (1 px in each coordinate); the others take theirs
+from the preintegration, the bias random walk, the map noise or the prior.
+The map kinds evaluate through ``point_to_plane_batch`` and
+``point_to_point_batch``, which the rigid step's anchor-only solve calls
+too. Pose Jacobians are always with respect to the right perturbation
+``P * Exp(delta)`` with tangent order (phi, rho).
 """
 
 from __future__ import annotations
@@ -47,7 +49,6 @@ from .liegroup import (
     so3_right_jacobian,
     so3_right_jacobian_inv,
 )
-from .solver import FactorBatch
 
 __all__ = [
     "NavState",
@@ -65,16 +66,22 @@ __all__ = [
     "anchor_prior_residual",
     "point_to_plane_batch",
     "point_to_point_batch",
+    "stack_preintegrations",
     "StereoReprojectionFactor",
     "PreintegrationFactor",
     "BiasRandomWalkFactor",
     "PointToPlaneFactor",
     "PointToPointFactor",
     "AnchorPriorFactor",
+    "PIXEL_INFORMATION",
 ]
 
 POINT_TO_PLANE = "point_to_plane"
 POINT_TO_POINT = "point_to_point"
+
+# 1 px in each stereo coordinate (ul, vl, ur, vr)
+PIXEL_INFORMATION = np.eye(4)
+PIXEL_INFORMATION.flags.writeable = False
 
 
 class BehindCameraError(ValueError):
@@ -159,7 +166,8 @@ class RobustKernel:
 
 @dataclass(frozen=True)
 class MapConstraint:
-    """Association of one landmark with one laser-map point."""
+    """Association of one landmark with one laser-map point: the input of the
+    one-row map references ``point_to_plane_residual`` and ``point_to_point_residual``."""
 
     landmark_id: int
     point: np.ndarray
@@ -343,48 +351,33 @@ def point_to_point_batch(anchor: Pose, p_lm, targets, jacobian=True):
 
 
 # ---------------------------------------------------------------------------
-# factor classes for the solver
+# factor kinds for the solver
 
 
 class StereoReprojectionFactor:
-    """Stacked left/right pixel residual of one stereo observation.
+    """Stacked left/right pixel residual of one stereo observation per row.
 
-    Each view contributes the plain reprojection residual; stacking them
-    makes landmark depth observable from a single keyframe.
+    Slots (pose, landmark); data ``(pixels (n, 4), cam_left, cam_right)``,
+    pixels ordered (ul, vl, ur, vr). Each view contributes the plain
+    reprojection residual; stacking them makes landmark depth observable
+    from a single keyframe. A row whose landmark lies behind a camera
+    evaluates to zero.
     """
 
-    # 1 px in each coordinate: one identity, shared by every factor
-    information = np.eye(4)
-    information.flags.writeable = False
-
-    def __init__(self, pose_key, lm_key, pixels, cam_left, cam_right, kernel=RobustKernel()):
-        self.blocks = (pose_key, lm_key)
-        self.pixels = np.asarray(pixels, dtype=float)  # (ul, vl, ur, vr)
-        self.cams = (cam_left, cam_right)
-        self.kernel = kernel
-
-    def batch_key(self):
-        return (id(self.cams[0]), id(self.cams[1]))
-
-    @staticmethod
-    def batch_constants(factors):
-        return np.stack([f.pixels for f in factors])
-
     @classmethod
-    def evaluate_batch(cls, factors, values, jacobian=True):
-        """Vectorized evaluation of many stereo factors at once."""
-        batch = FactorBatch.of(factors)
+    def evaluate_batch(cls, batch, values, jacobian=True):
+        """Residual (n, 4) and Jacobians [pose (n, 4, 6), landmark (n, 4, 3)]."""
+        pixels, *cams = batch.data
         n = len(batch)
         rot, trans = batch.poses(values, 0)
         p_lm = batch.vectors(values, 1)
-        pixels = batch.constants
         q_body = np.einsum("nj,nji->ni", p_lm - trans, rot)
         residual = np.zeros((n, 4))
         j_pose = np.zeros((n, 4, 6)) if jacobian else None
         j_lm = np.zeros((n, 4, 3)) if jacobian else None
         bad = np.zeros(n, dtype=bool)
         sk_q = skew_batch(q_body) if jacobian else None
-        for c, cam in enumerate(batch[0].cams):
+        for c, cam in enumerate(cams):
             ext = cam.body_t_cam
             p_cam = (q_body - ext.translation) @ ext.rotation
             z = p_cam[:, 2]
@@ -413,53 +406,43 @@ class StereoReprojectionFactor:
         return residual, [j_pose, j_lm]
 
 
+_PREINTEGRATION_FIELDS = (
+    "delta_R", "delta_p", "delta_v", "dt_total", "J_g_dR", "J_g_dp", "J_g_dv", "J_a_dp", "J_a_dv"
+)
+
+
+def stack_preintegrations(pres, gravity) -> dict:
+    """The data of a ``PreintegrationFactor`` group: each row's preintegrated
+    deltas, bias Jacobians and linearization bias, stacked by name, and the
+    gravity vector they all share."""
+    out = {name: np.array([getattr(p, name) for p in pres]) for name in _PREINTEGRATION_FIELDS}
+    out["bias_g"] = np.array([p.linearization_bias[0] for p in pres])
+    out["bias_a"] = np.array([p.linearization_bias[1] for p in pres])
+    out["gravity"] = np.asarray(gravity, dtype=float)
+    return out
+
+
 class PreintegrationFactor:
-    """9-dof relative-motion residual between two keyframes."""
+    """9-dof relative-motion residual between two keyframes per row.
 
-    def __init__(self, keys, pre, gravity, kernel=RobustKernel()):
-        # keys: (pose_i, vel_i, gyro_bias_i, accel_bias_i, pose_k, vel_k)
-        self.blocks = tuple(keys)
-        self.pre = pre
-        self.gravity = np.asarray(gravity, dtype=float)
-        self.kernel = kernel
-        self.information = pre.information()
-
-    def batch_key(self):
-        return None
-
-    def evaluate(self, values, jacobian=True):
-        pi, vi, bgi, bai, pk, vk = (values[k] for k in self.blocks)
-        s_i = NavState(pose=pi, velocity=vi, accel_bias=bai, gyro_bias=bgi)
-        s_k = NavState(pose=pk, velocity=vk)
-        residual, _, j = preintegration_residual(s_i, s_k, self.pre, self.gravity)
-        jacs = [
-            j["pose_i"],
-            j["vel_i"],
-            j["gyro_bias_i"],
-            j["accel_bias_i"],
-            j["pose_k"],
-            j["vel_k"],
-        ]
-        return residual, jacs
-
-    @staticmethod
-    def batch_constants(factors):
-        """Each factor's preintegrated deltas, bias Jacobians, linearization bias
-        and gravity, stacked by name."""
-        pres = [f.pre for f in factors]
-        names = ("delta_R", "delta_p", "delta_v", "dt_total",
-                 "J_g_dR", "J_g_dp", "J_g_dv", "J_a_dp", "J_a_dv")
-        out = {name: np.stack([getattr(p, name) for p in pres]) for name in names}
-        out["bias_g"] = np.stack([p.linearization_bias[0] for p in pres])
-        out["bias_a"] = np.stack([p.linearization_bias[1] for p in pres])
-        out["gravity"] = np.stack([f.gravity for f in factors])
-        return out
+    Slots (pose_i, vel_i, gyro_bias_i, accel_bias_i, pose_k, vel_k); data
+    ``stack_preintegrations(pres, gravity)``.
+    """
 
     @classmethod
-    def evaluate_batch(cls, factors, values, jacobian=True):
-        """``evaluate`` for n factors at once: residual (n, 9), Jacobians (n, 9, k)."""
-        batch = FactorBatch.of(factors)
-        c = batch.constants
+    def evaluate(cls, values, keys, pre, gravity, jacobian=True):
+        """One row, by ``preintegration_residual``: residual (9,), Jacobians (9, k)."""
+        pi, vi, bgi, bai, pk, vk = (values[k] for k in keys)
+        s_i = NavState(pose=pi, velocity=vi, accel_bias=bai, gyro_bias=bgi)
+        s_k = NavState(pose=pk, velocity=vk)
+        residual, _, j = preintegration_residual(s_i, s_k, pre, gravity)
+        names = ("pose_i", "vel_i", "gyro_bias_i", "accel_bias_i", "pose_k", "vel_k")
+        return residual, [j[name] for name in names]
+
+    @classmethod
+    def evaluate_batch(cls, batch, values, jacobian=True):
+        """``evaluate`` for every row at once: residual (n, 9), Jacobians (n, 9, k)."""
+        c = batch.data
         rot_i, t_i = batch.poses(values, 0)
         v_i, bg_i, ba_i = (batch.vectors(values, a) for a in (1, 2, 3))
         rot_k, t_k = batch.poses(values, 4)
@@ -525,25 +508,20 @@ def _bias_jacobians():
 
 
 class BiasRandomWalkFactor:
-    """Bias consistency between consecutive keyframes, (accel, gyro) order."""
+    """Bias consistency between consecutive keyframes per row, (accel, gyro) order.
 
-    def __init__(self, keys, information, kernel=RobustKernel()):
-        # keys: (accel_bias_i, gyro_bias_i, accel_bias_k, gyro_bias_k)
-        self.blocks = tuple(keys)
-        self.kernel = kernel
-        self.information = information
+    Slots (accel_bias_i, gyro_bias_i, accel_bias_k, gyro_bias_k); no data.
+    """
 
-    def batch_key(self):
-        return None
-
-    def evaluate(self, values, jacobian=True):
-        bai, bgi, bak, bgk = (values[k] for k in self.blocks)
+    @classmethod
+    def evaluate(cls, values, keys, jacobian=True):
+        """One row: residual (6,), Jacobians (6, 3)."""
+        bai, bgi, bak, bgk = (values[k] for k in keys)
         return np.concatenate([bai - bak, bgi - bgk]), _bias_jacobians()
 
     @classmethod
-    def evaluate_batch(cls, factors, values, jacobian=True):
-        """``evaluate`` for n factors at once: residual (n, 6), Jacobians (n, 6, 3)."""
-        batch = FactorBatch.of(factors)
+    def evaluate_batch(cls, batch, values, jacobian=True):
+        """``evaluate`` for every row at once: residual (n, 6), Jacobians (n, 6, 3)."""
         bai, bgi, bak, bgk = (batch.vectors(values, a) for a in range(4))
         residual = np.concatenate([bai - bak, bgi - bgk], axis=1)
         if not jacobian:
@@ -552,65 +530,49 @@ class BiasRandomWalkFactor:
 
 
 class PointToPlaneFactor:
-    """Plane-distance residual vector r_n * n with a 3x3 information."""
+    """Plane-distance residual vector r_n * n per row.
 
-    def __init__(self, anchor_key, lm_key, constraint, kernel=RobustKernel()):
-        self.blocks = (anchor_key, lm_key)
-        self.constraint = constraint
-        self.kernel = kernel
-        self.information = constraint.information
-
-    def batch_key(self):
-        return self.blocks[0]
-
-    @staticmethod
-    def batch_constants(factors):
-        return (np.stack([f.constraint.point for f in factors]),
-                np.stack([f.constraint.normal for f in factors]))
+    Slots (anchor, landmark), one anchor block for the whole group; data
+    ``(map points (n, 3), unit normals (n, 3))``.
+    """
 
     @classmethod
-    def evaluate_batch(cls, factors, values, jacobian=True):
-        """Vectorized evaluation; all factors must share the anchor block."""
-        batch = FactorBatch.of(factors)
-        return point_to_plane_batch(
-            values[batch[0].blocks[0]], batch.vectors(values, 1), *batch.constants, jacobian
-        )
+    def evaluate_batch(cls, batch, values, jacobian=True):
+        (anchor,) = batch.keys[0]
+        return point_to_plane_batch(values[anchor], batch.vectors(values, 1), *batch.data, jacobian)
 
 
 class PointToPointFactor:
-    """Euclidean residual between map point and anchored landmark."""
+    """Map point minus anchored landmark per row.
 
-    def __init__(self, anchor_key, lm_key, constraint, kernel=RobustKernel()):
-        self.blocks = (anchor_key, lm_key)
-        self.constraint = constraint
-        self.kernel = kernel
-        self.information = constraint.information
-
-    def batch_key(self):
-        return self.blocks[0]
-
-    @staticmethod
-    def batch_constants(factors):
-        return np.stack([f.constraint.point for f in factors])
+    Slots (anchor, landmark), one anchor block for the whole group; data
+    ``(map points (n, 3),)``.
+    """
 
     @classmethod
-    def evaluate_batch(cls, factors, values, jacobian=True):
-        """Vectorized evaluation; all factors must share the anchor block."""
-        batch = FactorBatch.of(factors)
-        return point_to_point_batch(
-            values[batch[0].blocks[0]], batch.vectors(values, 1), batch.constants, jacobian
-        )
+    def evaluate_batch(cls, batch, values, jacobian=True):
+        (anchor,) = batch.keys[0]
+        return point_to_point_batch(values[anchor], batch.vectors(values, 1), *batch.data, jacobian)
 
 
 class AnchorPriorFactor:
-    """Keeps the anchor near the previous step's converged estimate."""
+    """Keeps the anchor near the previous step's converged estimate.
 
-    def __init__(self, anchor_key, prior_mean, information, kernel=RobustKernel()):
-        self.blocks = (anchor_key,)
-        self.prior_mean = prior_mean
-        self.kernel = kernel
-        self.information = information
+    Slot (anchor,); data each row's prior mean ``Pose``.
+    """
 
-    def evaluate(self, values, jacobian=True):
-        residual, jac = anchor_prior_residual(values[self.blocks[0]], self.prior_mean)
+    @classmethod
+    def evaluate(cls, values, keys, prior_mean, jacobian=True):
+        """One row: residual (6,), Jacobian [(6, 6)]."""
+        residual, jac = anchor_prior_residual(values[keys[0]], prior_mean)
         return residual, [jac]
+
+    @classmethod
+    def evaluate_batch(cls, batch, values, jacobian=True):
+        """``evaluate`` row by row, stacked: a problem has one prior row."""
+        rows = [
+            cls.evaluate(values, (batch.keys[0][i],), mean, jacobian)
+            for i, mean in zip(batch.index[0], batch.data)
+        ]
+        residual = np.stack([r for r, _ in rows])
+        return residual, [np.stack([j for _, (j,) in rows])] if jacobian else None

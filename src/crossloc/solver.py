@@ -8,34 +8,33 @@ Each backend linearizes, evaluates the cost, solves the damped system and
 retracts; ``solve`` picks the backend by the problem's type.
 
 A Problem is a set of named blocks (SE(3) poses updated by right
-retraction, or plain vectors) plus factors. A factor provides:
+retraction, or plain vectors) plus factor groups. A group is n rows of one
+factor kind, added at once by ``Problem.add_factors(kind, blocks, data,
+information, kernel)``:
 
-- ``blocks``: tuple of block keys it touches,
-- either ``evaluate(values, jacobian=True)`` returning
-  ``(residual (d,), [J (d, k) per block])``, or a classmethod
-  ``evaluate_batch(factors, values, jacobian=True)`` returning
-  ``(residual (n, d), [J (n, d, k) per block])`` for n factors at once plus
-  ``batch_key()``: factors of one class with equal keys form one batch.
-  ``factors`` is a list or a compiled ``FactorBatch``; a batched class may
-  also give ``batch_constants(factors)``, the data its evaluation needs
-  that no block value changes,
-- ``information``: the (d, d) information matrix of its residual,
-- ``kernel``: robust loss with ``loss(s) -> (rho, drho)``.
+- ``blocks``: one key sequence per block slot, n keys each; row i touches
+  the i-th key of every slot;
+- ``data``: whatever ``kind.evaluate_batch`` reads besides the block values
+  (stacked pixels, map points and normals, preintegrated deltas), fixed for
+  the group's life;
+- ``information``: the information of a row's residual, one (d, d) shared
+  by every row or an (n, d, d) stack;
+- ``kernel``: the group's robust loss, ``loss(s) -> (rho, drho)``.
 
-Each factor is filed under its evaluation group when it is added: a class
-with ``evaluate_batch`` by ``(class, batch_key(), kernel)``, any other class
-by ``(class, kernel)``, so every group has exactly one kernel. Factors of a
-class without ``evaluate_batch`` are evaluated one by one and stacked, so
-they must share their residual and Jacobian shapes. Each group is compiled
-once, when a solve builds its system (or a cost is first asked for), into a
-``FactorBatch``: the upper-triangular square roots S (S^T S = information)
-of its factors, taken by one batched Cholesky, its constants, and index
-arrays from each factor to its distinct blocks. Every evaluation, of the
-cost or of the normal equations, then takes one path per group: evaluate
-it, whiten it by ``_whiten`` (one ``matmul`` by S), apply its kernel. The
-dense backend's term groups are whitened by the same ``_whiten``.
+``kind`` is a class with a classmethod ``evaluate_batch(batch, values,
+jacobian=True)`` returning ``(residual (n, d), [J (n, d, k) per slot])``
+(the Jacobians are read only if ``jacobian``), where ``batch`` is the
+group's ``FactorBatch``: its ``data``, ``len`` the number of rows, and
+``poses`` and ``vectors`` to gather each row's block values. The batch is
+compiled when the group is added: the upper-triangular square root S
+(S^T S = information) of its information, taken by one (batched) Cholesky,
+and index arrays from each row to its slots' distinct blocks. Every
+evaluation, of the cost or of the normal equations, then takes one path per
+group: evaluate it, whiten it by ``_whiten`` (one ``matmul`` by S), apply
+its kernel. The dense backend's term groups are whitened by the same
+``_whiten``.
 
-The cost is the sum over factors of ``rho(||S r||^2)``. Robust terms are
+The cost is the sum over rows of ``rho(||S r||^2)``. Robust terms are
 handled by square-root re-weighting (no second-order kernel correction).
 Vector blocks may be marked ``eliminate=True``; they are condensed out of
 the damped normal equations by a Schur complement (intended for landmarks:
@@ -43,9 +42,9 @@ many small independent blocks, each touched together with non-eliminated
 blocks only). All eliminated blocks must have one size s, so that for L of
 them and nc free camera (non-eliminated) coordinates the system is stacked
 as ``H_cc (nc, nc)``, ``b_c (nc,)``, ``H_ll (L, s, s)``, ``b_l (L, s)`` and
-``H_cl (L, nc, s)``. A solve maps each factor block to its camera offset
+``H_cl (L, nc, s)``. A solve maps each row's blocks to their camera offset
 and landmark row once, and from them each group's scatter maps: flat index
-arrays from its factors' J^T J and J^T r entries into those arrays. Every
+arrays from its rows' J^T J and J^T r entries into those arrays. Every
 LM iteration then adds each group in with one ``bincount`` per array, and
 damps, checks and solves all landmark blocks as one batch.
 
@@ -92,12 +91,11 @@ class _Block:
 
 
 class Problem:
-    """Named variable blocks plus the factors that couple them, by group."""
+    """Named variable blocks plus the factor groups that couple them."""
 
     def __init__(self):
         self._blocks: dict[str, _Block] = {}
-        self._groups: dict[tuple, list] = {}
-        self._batches: list | None = None
+        self.groups: list[FactorBatch] = []
         self._elim_size: int | None = None
 
     # -- construction -----------------------------------------------------
@@ -122,23 +120,21 @@ class Problem:
             key, value, "vector", value.size, fixed=fixed, eliminate=eliminate
         )
 
-    def add_factor(self, factor):
-        for key in factor.blocks:
-            if key not in self._blocks:
-                raise ValueError(f"factor references unknown block {key!r}")
-        if sum(self._blocks[key].eliminate for key in factor.blocks) > 1:
+    def add_factors(self, kind, blocks, data, information, kernel):
+        """Add n rows of ``kind`` as one group (see the module docstring);
+        a group of no rows is not added."""
+        if len(blocks[0]) == 0:
+            return
+        batch = FactorBatch(kind, blocks, data, information, kernel)
+        eliminated = 0
+        for keys, index in zip(batch.keys, batch.index):
+            for key in keys:
+                if key not in self._blocks:
+                    raise ValueError(f"factor references unknown block {key!r}")
+            eliminated = eliminated + np.array([self._blocks[k].eliminate for k in keys])[index]
+        if np.any(eliminated > 1):
             raise ValueError("a factor may touch at most one eliminated block")
-        cls = type(factor)
-        batch_key = factor.batch_key() if hasattr(cls, "evaluate_batch") else None
-        group = (cls, batch_key, factor.kernel)
-        self._groups.setdefault(group, []).append(factor)
-        self._batches = None
-
-    def batches(self) -> list:
-        """The factor groups, each compiled into a FactorBatch once."""
-        if self._batches is None:
-            self._batches = [FactorBatch(fs) for fs in self._groups.values()]
-        return self._batches
+        self.groups.append(batch)
 
     # -- access ------------------------------------------------------------
     def value(self, key: str):
@@ -151,61 +147,42 @@ class Problem:
         self._blocks[key].value = value
 
 
-class FactorBatch(list):
-    """The factors of one evaluation group plus what stays constant across a solve.
+class FactorBatch:
+    """One factor group, compiled for every evaluation of a solve.
 
-    Compiled once from the factors:
+    - ``kind``, ``data`` and ``kernel``: as given to ``Problem.add_factors``;
+    - ``sqrt_info``: the upper-triangular S (S^T S = information), (d, d)
+      for a shared information, (n, d, d) for a stack;
+    - ``keys[a]`` and ``index[a]`` per block slot a: the slot's distinct
+      block keys and, per row, the position of its key among them.
 
-    - ``sqrt_info``: each factor's upper-triangular S (S^T S = its
-      information), stacked (n, d, d);
-    - ``kernel``: the group's one kernel;
-    - ``constants``: the class's ``batch_constants(factors)`` when it has one
-      (stacked pixels, map targets, preintegrated deltas), else None;
-    - ``keys[a]`` and ``index[a]`` per block slot a: the slot's distinct block
-      keys and, per factor, the position of its key among them.
-
-    ``poses`` and ``vectors`` gather one slot's block values for every
-    factor: each distinct block is stacked once, then indexed.
+    ``poses`` and ``vectors`` gather one slot's block values for every row:
+    each distinct block is stacked once, then indexed.
     """
 
-    def __init__(self, factors):
-        super().__init__(factors)
-        cls = type(self[0])
-        self.sqrt_info = _sqrt_information(np.array([f.information for f in self], dtype=float))
-        self.kernel = self[0].kernel
-        self.constants = cls.batch_constants(self) if hasattr(cls, "batch_constants") else None
+    def __init__(self, kind, blocks, data, information, kernel):
+        self.kind, self.data, self.kernel = kind, data, kernel
         self.keys, self.index = [], []
-        for a in range(len(self[0].blocks)):
-            rows: dict = {}
-            self.index.append(np.array([rows.setdefault(f.blocks[a], len(rows)) for f in self]))
-            self.keys.append(list(rows))
+        for slot in blocks:
+            keys, index = np.unique(np.asarray(slot), return_inverse=True)
+            self.keys.append(keys.tolist())
+            self.index.append(index)
+        if len({len(index) for index in self.index}) != 1:
+            raise ValueError("every block slot needs one key per row")
+        self.sqrt_info = _sqrt_information(np.asarray(information, dtype=float))
 
-    @classmethod
-    def of(cls, factors) -> "FactorBatch":
-        """``factors`` itself if already compiled, else compiled now."""
-        return factors if isinstance(factors, cls) else cls(factors)
+    def __len__(self) -> int:
+        return len(self.index[0])
 
     def vectors(self, values, slot: int) -> np.ndarray:
-        """Vector block of ``slot`` per factor, (n, k)."""
+        """Vector block of ``slot`` per row, (n, k)."""
         return np.stack([values[k] for k in self.keys[slot]])[self.index[slot]]
 
     def poses(self, values, slot: int):
-        """Pose block of ``slot`` per factor: rotations (n, 3, 3), translations (n, 3)."""
+        """Pose block of ``slot`` per row: rotations (n, 3, 3), translations (n, 3)."""
         poses = [values[k] for k in self.keys[slot]]
         idx = self.index[slot]
         return np.stack([p.rotation for p in poses])[idx], np.stack([p.translation for p in poses])[idx]
-
-
-def _evaluate(batch: FactorBatch, values, jacobian):
-    """Stacked residuals (n, d) and per-block Jacobians (n, d, k) of a group."""
-    cls = type(batch[0])
-    if hasattr(cls, "evaluate_batch"):
-        return cls.evaluate_batch(batch, values, jacobian=jacobian)
-    evaluated = [f.evaluate(values, jacobian) for f in batch]
-    residual = np.stack([r for r, _ in evaluated])
-    if not jacobian:
-        return residual, None
-    return residual, [np.stack(per_block) for per_block in zip(*(j for _, j in evaluated))]
 
 
 def _sqrt_information(information):
@@ -233,7 +210,7 @@ def _whiten(sqrt_info, kernel, residual, jacs=None):
 def _reweighted(w_res, w_jacs, drho):
     """The rows of r and J of the re-weighted system: the whitened residuals
     (n, d) and Jacobians concatenated over blocks (n, d, K), scaled by
-    sqrt(rho') per factor."""
+    sqrt(rho') per row."""
     sw = np.sqrt(np.maximum(drho, 0.0))
     return w_res * sw[:, None], np.concatenate(w_jacs, axis=2) * sw[:, None, None]
 
@@ -243,8 +220,8 @@ def evaluate_cost(problem: Problem, values: dict | None = None) -> float:
     if values is None:
         values = problem.values()
     cost = 0.0
-    for batch in problem.batches():
-        residual, _ = _evaluate(batch, values, jacobian=False)
+    for batch in problem.groups:
+        residual, _ = batch.kind.evaluate_batch(batch, values, jacobian=False)
         _, _, rho, _ = _whiten(batch.sqrt_info, batch.kernel, residual)
         cost += float(rho.sum())
     return cost
@@ -255,10 +232,9 @@ class _System:
 
     Camera blocks (free and not eliminated) take consecutive offsets of the
     reduced vector in insertion order; eliminated blocks are the rows of the
-    stacked landmark arrays, in insertion order. Building it compiles the
-    problem's factor groups (``Problem.batches``) and, per group, the
-    ``_scatter_maps`` that add its factors' normal-equation entries into the
-    stacked system.
+    stacked landmark arrays, in insertion order. Building it maps, per
+    factor group, its rows' blocks to those (``_scatter_maps``), which add
+    the rows' normal-equation entries into the stacked system.
     """
 
     def __init__(self, problem: Problem):
@@ -278,7 +254,7 @@ class _System:
         lm_row = {blk.key: j for j, blk in enumerate(self.elim_blocks)}
 
         def per_slot(batch, table):
-            """(n, slots): each factor block's entry in table, -1 if absent."""
+            """(n, slots): each row block's entry in table, -1 if absent."""
             return np.stack(
                 [np.array([table.get(k, -1) for k in keys])[idx]
                  for keys, idx in zip(batch.keys, batch.index)],
@@ -289,11 +265,11 @@ class _System:
             _scatter_maps(
                 per_slot(batch, self.cam_offset),
                 per_slot(batch, lm_row),
-                [problem._blocks[key].size for key in batch[0].blocks],
+                [problem._blocks[keys[0]].size for keys in batch.keys],
                 self.nc,
                 self.elim_size,
             )
-            for batch in problem.batches()
+            for batch in problem.groups
         ]
 
     def cost(self, values):
@@ -340,9 +316,9 @@ class _System:
 def _scatter_maps(cam, lm, sizes, nc, s):
     """Where one group's normal-equation entries land in the stacked system.
 
-    The group's per-factor Jacobians are concatenated over its block slots
+    The group's per-row Jacobians are concatenated over its block slots
     (sizes ``sizes``) into K columns; ``cam`` and ``lm`` (n, slots) give each
-    factor block's camera offset and landmark row, -1 if it has none.
+    row block's camera offset and landmark row, -1 if it has none.
     Returns one (source, destination) pair of flat index arrays per target:
     J^T r (n, K) into b_c and b_l, then J^T J (n, K, K) into H_cc, H_cl and
     H_ll. Fixed blocks' columns land nowhere.
@@ -375,7 +351,7 @@ def _scatter_maps(cam, lm, sizes, nc, s):
         pick(row >= 0, g_src, row * s + coord),
         pick((ci >= 0) & (cj >= 0), h_src, ci * nc + cj),
         pick((ci >= 0) & (rj >= 0), h_src, (rj * nc + ci) * s + oj),
-        # a factor touches at most one eliminated block: its rows pair up
+        # a row touches at most one eliminated block: its landmark columns pair up
         pick((ri >= 0) & (rj >= 0), h_src, (ri * s + oi) * s + oj),
     )
 
@@ -384,9 +360,9 @@ def _build_normal_equations(problem, system, values):
     """Assemble H_cc, b_c and the stacked H_ll (L, s, s), b_l (L, s), H_cl (L, nc, s).
 
     b is the negative gradient, so that delta = H^-1 b descends. The
-    landmark part of H is block diagonal because a factor touches at most
+    landmark part of H is block diagonal because a row touches at most
     one eliminated block. Each group's entries are summed into the system
-    by its scatter maps, one ``bincount`` per target; a factor of zero
+    by its scatter maps, one ``bincount`` per target; a row of zero
     robust weight adds zeros.
     """
     nc, s, n_l = system.nc, system.elim_size, len(system.elim_blocks)
@@ -396,8 +372,8 @@ def _build_normal_equations(problem, system, values):
     b_l = np.zeros((n_l, s))
     h_cl = np.zeros((n_l, nc, s))
     cost = 0.0
-    for batch, maps in zip(problem.batches(), system.scatter):
-        residual, jacs = _evaluate(batch, values, jacobian=True)
+    for batch, maps in zip(problem.groups, system.scatter):
+        residual, jacs = batch.kind.evaluate_batch(batch, values, jacobian=True)
         w_res, w_jacs, rho, drho = _whiten(batch.sqrt_info, batch.kernel, residual, jacs)
         cost += float(rho.sum())
         r, jac = _reweighted(w_res, w_jacs, drho)
@@ -423,7 +399,7 @@ class DenseProblem:
     once, here, by ``_sqrt_information``; every group is whitened by
     ``_whiten`` and re-weighted as a Problem's factor group is, so the cost
     and the normal equations are those of a Problem with one free block and
-    those factors.
+    those groups.
     """
 
     def __init__(self, value, groups):

@@ -1,5 +1,6 @@
 """End-to-end localization on a short simulated map and query."""
 
+import math
 from dataclasses import astuple
 
 import numpy as np
@@ -64,25 +65,33 @@ def test_hybrid_localization_is_deterministic(short_inputs):
     assert {r.actions for r in run.records} == {("rigid",), ("non_rigid",)}
 
 
+def _keyframe(kf_id, ids):
+    """A keyframe 0.5 m further along x per id; every landmark 20 px of
+    disparity to the right view, each row's pixels distinct."""
+    rows = np.arange(len(ids))[:, None]
+    pixels = np.array([320.0, 240.0, 300.0, 240.0]) + [1.0, 10.0 * kf_id, 1.0, 10.0 * kf_id] * rows
+    state = estimator.NavState(pose=se3_exp(np.array([0, 0, 0, 0.5 * kf_id, 0, 0])))
+    return estimator.Keyframe(kf_id, 0.1 * kf_id, state, np.array(ids), pixels)
+
+
+def _hand_built_window():
+    """Keyframes 1-3 of a capacity-3 window; landmark 9's first observer,
+    keyframe 0, was evicted by keyframe 3."""
+    window = estimator.SlidingWindow(capacity=3)
+    for kf_id, ids in enumerate([[9, 1, 2, 3], [9, 2, 3, 3], [9, 3, 4, 5], [6, 7, 4, 5]]):
+        window.insert_keyframe(_keyframe(kf_id, ids), min_landmarks=0)
+    return window
+
+
 def test_observer_counts_on_a_hand_built_window():
     """Each keyframe counts once per landmark; evicted keyframes not at all."""
-    window = estimator.SlidingWindow(capacity=3)
-
-    def keyframe(kf_id, ids):
-        # every landmark 20 px of disparity to the right view
-        pixels = np.tile([320.0, 240.0, 300.0, 240.0], (len(ids), 1))
-        state = estimator.NavState(pose=se3_exp(np.array([0, 0, 0, 0.5 * kf_id, 0, 0])))
-        return estimator.Keyframe(kf_id, 0.1 * kf_id, state, np.array(ids), pixels)
-
-    # landmark 9's first observer, keyframe 0, is evicted by keyframe 3
-    for kf_id, ids in enumerate([[9, 1, 2, 3], [9, 2, 3, 3], [9, 3, 4, 5], [6, 7, 4, 5]]):
-        window.insert_keyframe(keyframe(kf_id, ids), min_landmarks=0)
+    window = _hand_built_window()
     assert [kf.kf_id for kf in window.keyframes] == [1, 2, 3]
     assert window.observer_counts() == {9: 2, 2: 1, 3: 2, 4: 2, 5: 2, 6: 1, 7: 1}
     window.landmarks = {i: np.zeros(3) for i in (1, 2, 3, 9)}
     assert estimator._solvable_landmarks(window) == [3, 9]
     # inserting a keyframe retires the landmarks no window keyframe sees
-    window.insert_keyframe(keyframe(4, [9, 4, 5, 6]), min_landmarks=0)
+    window.insert_keyframe(_keyframe(4, [9, 4, 5, 6]), min_landmarks=0)
     assert window.observer_counts() == {9: 2, 3: 1, 4: 3, 5: 3, 6: 2, 7: 1}
     assert sorted(window.landmarks) == [3, 9]
     assert estimator._solvable_landmarks(window) == [9]
@@ -101,47 +110,106 @@ def test_observer_counts_on_a_hand_built_window():
         np.testing.assert_array_equal(window.landmarks[lm_id], want)
 
 
+def test_window_problem_has_one_stereo_row_per_solvable_occurrence():
+    """The stereo group, keyframe by keyframe in window order: a landmark id
+    repeated in one keyframe gives two rows, and landmarks that are inactive
+    (5) or seen by one keyframe only (2) give none."""
+    window = _hand_built_window()
+    window.landmarks = {i: np.array([0.5, 0.1 * i, 5.0]) for i in (2, 3, 4, 9)}
+    lm_ids = estimator._solvable_landmarks(window)
+    assert lm_ids == [3, 4, 9]
+    rig = sim.default_rig()
+    problem = estimator._build_vio_problem(
+        window, rig, rig.gravity_vector(), estimator.EstimatorConfig(), lm_ids
+    )
+    # no keyframe here carries a preintegration, so the stereo group is the only one
+    (stereo,) = problem.groups
+    assert stereo.kind is res.StereoReprojectionFactor
+    rows = list(zip(*([keys[i] for i in index] for keys, index in zip(stereo.keys, stereo.index))))
+    # keyframes 1-3 see [9, 2, 3, 3], [9, 3, 4, 5] and [6, 7, 4, 5]
+    want = [(1, 0, 9), (1, 2, 3), (1, 3, 3), (2, 0, 9), (2, 1, 3), (2, 2, 4), (3, 2, 4)]
+    assert rows == [(f"pose{kf_id}", f"lm{lm_id}") for kf_id, _, lm_id in want]
+    by_id = {kf.kf_id: kf for kf in window.keyframes}
+    pixels, cam_left, cam_right = stereo.data
+    np.testing.assert_array_equal(pixels, [by_id[kf_id].pixels[j] for kf_id, j, _ in want])
+    assert cam_left is rig.camera
+    np.testing.assert_array_equal(
+        cam_right.body_t_cam.translation, rig.right_camera().body_t_cam.translation
+    )
+    assert sorted(k for k in problem.values() if k.startswith("lm")) == ["lm3", "lm4", "lm9"]
+
+
+def test_empty_association():
+    """No map points, or no landmarks: no rows, a NaN mean residual, and a
+    non-rigid step without an anchor block that leaves the anchor alone."""
+    cfg = estimator.EstimatorConfig()
+    window = _hand_built_window()
+    window.landmarks = {i: np.array([0.5, 0.1 * i, 5.0]) for i in (3, 4, 9)}
+    bare = _hand_built_window()
+    cloud = laser_map.PointCloudMap(np.random.default_rng(4).uniform(-6, 6, size=(50, 3)))
+    pose = se3_exp(np.array([0.0, 0.0, 0.1, 0.2, -0.1, 0.0]))
+    for w, c in ((window, laser_map.PointCloudMap(np.zeros((0, 3)))), (bare, cloud)):
+        association = estimator.associate_constraints(w, pose, c, cfg)
+        assert len(association) == 0
+        assert association.points.shape == association.normals.shape == (0, 3)
+        assert math.isnan(estimator._mean_constraint_residual(w, pose, association))
+
+    problems = []
+
+    def recording_solve(problem, options):
+        problems.append(problem)
+        return solve(problem, options)
+
+    anchor = estimator.AnchorTransform(pose, pose)
+    original, estimator.solve = estimator.solve, recording_solve
+    try:
+        estimator.non_rigid_ba(window, anchor, cloud, association, sim.default_rig(), cfg)
+    finally:
+        estimator.solve = original
+    (problem,) = problems
+    assert "anchor" not in problem.values()
+    assert [g.kind for g in problem.groups] == [res.StereoReprojectionFactor]
+    assert anchor.pose is pose
+
+
 def _fixed_association(rng, cfg):
-    """Landmarks and constraints of both metrics, a tenth of them outliers."""
+    """Landmarks and an association of both metrics, a tenth of them outliers."""
     truth = se3_exp(np.array([0.02, -0.01, 0.3, 1.0, -2.0, 0.5]))
-    landmarks, constraints = {}, []
-    info = np.eye(3) / cfg.sigma_map**2
+    landmarks, points, normals, plane = {}, [], [], []
     for lm_id in range(60):
         landmarks[lm_id] = rng.uniform(-8.0, 8.0, size=3)
         point = truth.apply(landmarks[lm_id]) + rng.normal(scale=cfg.sigma_map, size=3)
         if lm_id % 10 == 3:
             point = point + rng.uniform(-2.0, 2.0, size=3)
-        if rng.uniform() < 0.5:
-            normal = rng.normal(size=3)
-            constraints.append(res.MapConstraint(
-                lm_id, point, normal / np.linalg.norm(normal), info, res.POINT_TO_PLANE))
-        else:
-            constraints.append(res.MapConstraint(lm_id, point, None, info, res.POINT_TO_POINT))
+        points.append(point)
+        plane.append(rng.uniform() < 0.5)
+        normal = rng.normal(size=3) if plane[-1] else np.full(3, np.nan)
+        normals.append(normal / np.linalg.norm(normal))
+    association = estimator.MapAssociation(
+        np.arange(60), np.array(points), np.array(normals), np.array(plane)
+    )
     guess = truth.retract(np.array([0.01, 0.0, -0.02, 0.2, 0.1, -0.15]))
-    return landmarks, constraints, estimator.AnchorTransform(guess, guess, prior_scale=10.0)
+    return landmarks, association, estimator.AnchorTransform(guess, guess, prior_scale=10.0)
 
 
 @pytest.mark.parametrize("max_iterations", [8, 50])
 def test_anchor_alignment_matches_generic_problem(max_iterations):
-    """The rigid step's 6x6 solve against the same sub-problem built from factors."""
+    """The rigid step's 6x6 solve against the joint problem's anchor groups."""
     cfg = estimator.EstimatorConfig()
-    landmarks, constraints, anchor = _fixed_association(np.random.default_rng(11), cfg)
-    assert {c.metric for c in constraints} == {res.POINT_TO_PLANE, res.POINT_TO_POINT}
+    landmarks, association, anchor = _fixed_association(np.random.default_rng(11), cfg)
+    assert 0 < association.plane.sum() < len(association)
     options = SolverOptions(max_iterations=max_iterations)
 
-    kernel = res.RobustKernel("cauchy", cfg.cauchy_metric)
     generic = Problem()
-    generic.add_pose_block("anchor", anchor.pose)
-    for c in constraints:
-        generic.add_vector_block(f"lm{c.landmark_id}", landmarks[c.landmark_id], fixed=True)
-    for c in constraints:
-        factor = res.PointToPlaneFactor if c.metric == res.POINT_TO_PLANE else res.PointToPointFactor
-        generic.add_factor(factor("anchor", f"lm{c.landmark_id}", c, kernel))
-    generic.add_factor(res.AnchorPriorFactor(
-        "anchor", anchor.prior_mean, cfg.prior_information(anchor.prior_scale)))
+    for lm_id in association.landmark_ids.tolist():
+        generic.add_vector_block(f"lm{lm_id}", landmarks[lm_id], fixed=True)
+    estimator._add_anchor_groups(generic, anchor, association, cfg)
+    assert [g.kind for g in generic.groups] == [
+        res.PointToPlaneFactor, res.PointToPointFactor, res.AnchorPriorFactor
+    ]
     want = solve(generic, options)
 
-    alignment = estimator.AnchorAlignment(anchor, constraints, landmarks, cfg)
+    alignment = estimator.AnchorAlignment(anchor, association, landmarks, cfg)
     got = solve(alignment, options)
 
     assert (got.iterations, got.termination) == (want.iterations, want.termination)
@@ -184,10 +252,17 @@ def test_association_matches_one_landmark_at_a_time():
     got = estimator.associate_constraints(window, anchor, cloud, cfg)
     assert {metric for _, _, metric in want} == {res.POINT_TO_PLANE, res.POINT_TO_POINT}
     assert 0 < len(want) < len(window.landmarks)
-    assert [(c.landmark_id, c.metric) for c in got] == [(i, m) for i, _, m in want]
-    for c, (_, nearest, metric) in zip(got, want):
-        assert np.array_equal(c.point, cloud.positions[nearest])
-        if metric == res.POINT_TO_PLANE:
-            assert np.array_equal(c.normal, cloud.normals[nearest])
-        else:
-            assert c.normal is None
+    assert len(got) == len(want)
+    assert got.landmark_ids.tolist() == [i for i, _, _ in want]
+    assert got.plane.tolist() == [m == res.POINT_TO_PLANE for _, _, m in want]
+    nearest = np.array([k for _, k, _ in want])
+    assert np.array_equal(got.points, cloud.positions[nearest])
+    assert np.array_equal(got.normals[got.plane], cloud.normals[nearest][got.plane])
+    # the mean map residual against a landmark-by-landmark sum
+    total = 0.0
+    for lm_id, k, metric in want:
+        offset = cloud.positions[k] - anchor.apply(window.landmarks[lm_id])
+        plane = metric == res.POINT_TO_PLANE
+        total += abs(float(cloud.normals[k] @ offset)) if plane else float(np.linalg.norm(offset))
+    mean = estimator._mean_constraint_residual(window, anchor, got)
+    assert mean == pytest.approx(total / len(want), rel=1e-12)

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from crossloc import imu, residuals as res
 from crossloc.liegroup import Pose, rot_z, se3_exp
+from crossloc.solver import FactorBatch
 
 from oracles import numeric_jacobian, pose_numeric_jacobian, relative_error
 
@@ -336,8 +337,13 @@ class TestRobustKernel:
             res.RobustKernel("cauchy", 0.0)
 
 
+def group(kind, blocks, data, information):
+    """One compiled group of ``kind``, as a Problem files it."""
+    return FactorBatch(kind, blocks, data, information, res.RobustKernel())
+
+
 class TestBatchedFactors:
-    """``evaluate_batch`` against the bare residual functions, factor by factor."""
+    """``evaluate_batch`` against the bare residual functions, row by row."""
 
     @staticmethod
     def assert_close(batch, reference):
@@ -347,83 +353,87 @@ class TestBatchedFactors:
         rng = np.random.default_rng(8)
         cam_l = default_camera(body_t_cam=se3_exp(np.array([0.0, -0.1, 0.05, 0.1, 0.0, 0.2])))
         cam_r = default_camera(body_t_cam=cam_l.body_t_cam @ Pose(np.eye(3), np.array([0.3, 0.0, 0.0])))
-        values, factors = {}, []
+        values, pixels = {}, rng.uniform(100, 500, size=(40, 4))
         for i in range(40):
             pose = random_pose(rng, rot=0.4, trans=1.0)
             depth = -3.0 if i == 7 else rng.uniform(2, 10)  # landmark 7 is behind both cameras
             p_cam = np.array([rng.normal(0, 1), rng.normal(0, 1), depth])
             values[f"pose{i}"] = pose
             values[f"lm{i}"] = pose.apply(cam_l.body_t_cam.apply(p_cam))
-            pixels = rng.uniform(100, 500, size=4)
-            factors.append(res.StereoReprojectionFactor(f"pose{i}", f"lm{i}", pixels, cam_l, cam_r))
+        batch = group(
+            res.StereoReprojectionFactor,
+            [[f"pose{i}" for i in range(40)], [f"lm{i}" for i in range(40)]],
+            (pixels, cam_l, cam_r),
+            res.PIXEL_INFORMATION,
+        )
 
-        residual, (j_pose, j_lm) = res.StereoReprojectionFactor.evaluate_batch(factors, values)
+        residual, (j_pose, j_lm) = res.StereoReprojectionFactor.evaluate_batch(batch, values)
         assert residual.shape == (40, 4) and j_pose.shape == (40, 4, 6) and j_lm.shape == (40, 4, 3)
-        for i, f in enumerate(factors):
+        for i in range(40):
             state = imu.NavState(pose=values[f"pose{i}"])
             lm = res.Landmark(values[f"lm{i}"], i)
             if i == 7:
                 with pytest.raises(res.BehindCameraError):
-                    res.reprojection_residual(state, lm, res.Observation(0, i, f.pixels[:2]), cam_l)
+                    res.reprojection_residual(state, lm, res.Observation(0, i, pixels[i, :2]), cam_l)
                 assert not residual[i].any() and not j_pose[i].any() and not j_lm[i].any()
                 continue
             for c, cam in enumerate((cam_l, cam_r)):
                 rows = slice(2 * c, 2 * c + 2)
-                obs = res.Observation(0, i, f.pixels[rows])
+                obs = res.Observation(0, i, pixels[i, rows])
                 r, jp, jl = res.reprojection_residual(state, lm, obs, cam)
                 self.assert_close(residual[i, rows], r)
                 self.assert_close(j_pose[i, rows], jp)
                 self.assert_close(j_lm[i, rows], jl)
-        no_jac, _ = res.StereoReprojectionFactor.evaluate_batch(factors, values, jacobian=False)
+        no_jac, _ = res.StereoReprojectionFactor.evaluate_batch(batch, values, jacobian=False)
         assert np.array_equal(no_jac, residual)
 
-    def map_batch(self, rng, factor_cls, make_constraint):
+    def map_batch(self, rng, kind, constraints):
+        """Values and the group of ``kind`` for one landmark per constraint."""
         values = {"anchor": random_pose(rng)}
-        factors = []
-        for i in range(30):
+        for i in range(len(constraints)):
             values[f"lm{i}"] = rng.normal(size=3) * 3.0
-            factors.append(factor_cls("anchor", f"lm{i}", make_constraint(i)))
-        return values, factors
+        points = np.array([c.point for c in constraints])
+        data = (points, np.array([c.normal for c in constraints])) if kind is res.PointToPlaneFactor else (points,)
+        blocks = [["anchor"] * len(constraints), [f"lm{i}" for i in range(len(constraints))]]
+        return values, group(kind, blocks, data, np.eye(3))
 
     def test_point_to_plane_matches_reference(self):
         rng = np.random.default_rng(9)
-        values, factors = self.map_batch(
-            rng, res.PointToPlaneFactor,
-            lambda i: plane_constraint(rng.normal(size=3) * 3.0, rng.normal(size=3)),
-        )
-        residual, (j_anchor, j_lm) = res.PointToPlaneFactor.evaluate_batch(factors, values)
-        for i, f in enumerate(factors):
-            n = f.constraint.normal
+        constraints = [plane_constraint(rng.normal(size=3) * 3.0, rng.normal(size=3)) for _ in range(30)]
+        values, batch = self.map_batch(rng, res.PointToPlaneFactor, constraints)
+        residual, (j_anchor, j_lm) = res.PointToPlaneFactor.evaluate_batch(batch, values)
+        for i, c in enumerate(constraints):
             r_n, ja, jl = res.point_to_plane_residual(
-                values["anchor"], res.Landmark(values[f"lm{i}"], i), f.constraint
+                values["anchor"], res.Landmark(values[f"lm{i}"], i), c
             )
-            self.assert_close(residual[i], r_n * n)
-            self.assert_close(j_anchor[i], np.outer(n, ja))
-            self.assert_close(j_lm[i], np.outer(n, jl))
-        no_jac, _ = res.PointToPlaneFactor.evaluate_batch(factors, values, jacobian=False)
+            self.assert_close(residual[i], r_n * c.normal)
+            self.assert_close(j_anchor[i], np.outer(c.normal, ja))
+            self.assert_close(j_lm[i], np.outer(c.normal, jl))
+        no_jac, _ = res.PointToPlaneFactor.evaluate_batch(batch, values, jacobian=False)
         assert np.array_equal(no_jac, residual)
 
     def test_point_to_point_matches_reference(self):
         rng = np.random.default_rng(10)
-        values, factors = self.map_batch(
-            rng, res.PointToPointFactor,
-            lambda i: res.MapConstraint(i, rng.normal(size=3) * 3.0, None, np.eye(3), res.POINT_TO_POINT),
-        )
-        residual, (j_anchor, j_lm) = res.PointToPointFactor.evaluate_batch(factors, values)
-        for i, f in enumerate(factors):
+        constraints = [
+            res.MapConstraint(i, rng.normal(size=3) * 3.0, None, np.eye(3), res.POINT_TO_POINT)
+            for i in range(30)
+        ]
+        values, batch = self.map_batch(rng, res.PointToPointFactor, constraints)
+        residual, (j_anchor, j_lm) = res.PointToPointFactor.evaluate_batch(batch, values)
+        for i, c in enumerate(constraints):
             r, ja, jl = res.point_to_point_residual(
-                values["anchor"], res.Landmark(values[f"lm{i}"], i), f.constraint
+                values["anchor"], res.Landmark(values[f"lm{i}"], i), c
             )
             self.assert_close(residual[i], r)
             self.assert_close(j_anchor[i], ja)
             self.assert_close(j_lm[i], jl)
-        no_jac, _ = res.PointToPointFactor.evaluate_batch(factors, values, jacobian=False)
+        no_jac, _ = res.PointToPointFactor.evaluate_batch(batch, values, jacobian=False)
         assert np.array_equal(no_jac, residual)
 
 
 class TestInertialBatches:
-    """``evaluate_batch`` of the preintegration and bias factors against
-    their per-factor ``evaluate``, on a chain of keyframes that share blocks."""
+    """``evaluate_batch`` of the preintegration and bias kinds against their
+    one-row ``evaluate``, on a chain of keyframes that share blocks."""
 
     @staticmethod
     def assert_close(batch, reference):
@@ -432,7 +442,7 @@ class TestInertialBatches:
     @staticmethod
     def chain(rng):
         pres = [random_preintegration(rng) for _ in range(4)]
-        values, pre_factors, bias_factors = {}, [], []
+        values, pre_keys, bias_keys = {}, [], []
         state = random_nav_state(rng)
         for i in range(5):
             if i == 1:
@@ -444,12 +454,8 @@ class TestInertialBatches:
                            f"bg{i}": state.gyro_bias, f"ba{i}": state.accel_bias})
             if i == 4:
                 break
-            keys = (f"pose{i}", f"vel{i}", f"bg{i}", f"ba{i}", f"pose{i + 1}", f"vel{i + 1}")
-            pre_factors.append(res.PreintegrationFactor(keys, pres[i], GRAVITY))
-            bias_factors.append(res.BiasRandomWalkFactor(
-                (f"ba{i}", f"bg{i}", f"ba{i + 1}", f"bg{i + 1}"),
-                imu.bias_information(imu.ImuNoiseModel(), pres[i].dt_total),
-            ))
+            pre_keys.append((f"pose{i}", f"vel{i}", f"bg{i}", f"ba{i}", f"pose{i + 1}", f"vel{i + 1}"))
+            bias_keys.append((f"ba{i}", f"bg{i}", f"ba{i + 1}", f"bg{i + 1}"))
             nxt = imu.predict_state(state, pres[i], GRAVITY)  # rotation error ~0: series branch
             if i % 2 == 0:  # far from the prediction: closed-form branch
                 nxt = imu.NavState(
@@ -459,32 +465,50 @@ class TestInertialBatches:
                     nxt.gyro_bias + rng.normal(size=3) * 0.005,
                 )
             state = nxt
-        return values, pre_factors, bias_factors
+        return values, pres, pre_keys, bias_keys
 
-    def assert_matches_evaluate(self, cls, factors, values):
-        residual, jacs = cls.evaluate_batch(factors, values)
-        assert residual.shape[0] == len(factors)
-        for i, f in enumerate(factors):
-            r, js = f.evaluate(values)
+    def assert_matches_evaluate(self, batch, values, row_data):
+        """``row_data[i]``: what row i's ``evaluate`` takes after its keys."""
+        cls = batch.kind
+        residual, jacs = cls.evaluate_batch(batch, values)
+        assert residual.shape[0] == len(batch) == len(row_data)
+        row_keys = zip(*([keys[i] for i in index] for keys, index in zip(batch.keys, batch.index)))
+        for i, (keys, data) in enumerate(zip(row_keys, row_data)):
+            r, js = cls.evaluate(values, keys, *data)
             self.assert_close(residual[i], r)
             assert len(jacs) == len(js)
             for j_batch, j in zip(jacs, js):
                 self.assert_close(j_batch[i], j)
-        no_jac, none = cls.evaluate_batch(factors, values, jacobian=False)
+        no_jac, none = cls.evaluate_batch(batch, values, jacobian=False)
         assert none is None
         np.testing.assert_array_equal(no_jac, residual)
         return residual
 
     def test_preintegration_matches_evaluate(self):
-        values, factors, _ = self.chain(np.random.default_rng(21))
-        residual = self.assert_matches_evaluate(res.PreintegrationFactor, factors, values)
+        values, pres, keys, _ = self.chain(np.random.default_rng(21))
+        batch = group(
+            res.PreintegrationFactor, list(zip(*keys)), res.stack_preintegrations(pres, GRAVITY),
+            np.array([pre.information() for pre in pres]),
+        )
+        residual = self.assert_matches_evaluate(batch, values, [(pre, GRAVITY) for pre in pres])
         e_rot = np.linalg.norm(residual[:, :3], axis=1)
         assert (e_rot < 1e-6).sum() == 2 and (e_rot > 1e-2).sum() == 2
-        # the bias correction's rotation: zero at factor 1, a closed-form angle elsewhere
-        db_g = [values[f.blocks[2]] - f.pre.linearization_bias[0] for f in factors]
+        # the bias correction's rotation: zero at row 1, a closed-form angle elsewhere
+        db_g = [values[k[2]] - pre.linearization_bias[0] for k, pre in zip(keys, pres)]
         assert np.linalg.norm(db_g[1]) == 0.0
-        assert min(np.linalg.norm(f.pre.J_g_dR @ d) for f, d in zip(factors, db_g) if d.any()) > 1e-6
+        assert min(np.linalg.norm(pre.J_g_dR @ d) for pre, d in zip(pres, db_g) if d.any()) > 1e-6
 
     def test_bias_random_walk_matches_evaluate(self):
-        values, _, factors = self.chain(np.random.default_rng(22))
-        self.assert_matches_evaluate(res.BiasRandomWalkFactor, factors, values)
+        values, pres, _, keys = self.chain(np.random.default_rng(22))
+        information = [imu.bias_information(imu.ImuNoiseModel(), pre.dt_total) for pre in pres]
+        batch = group(res.BiasRandomWalkFactor, list(zip(*keys)), None, information)
+        self.assert_matches_evaluate(batch, values, [()] * len(pres))
+
+    def test_anchor_prior_matches_evaluate(self):
+        rng = np.random.default_rng(23)
+        values = {f"anchor{i}": random_pose(rng) for i in range(2)}
+        means = [values[f"anchor{i % 2}"] @ se3_exp(rng.normal(size=6) * 0.1) for i in range(3)]
+        batch = group(
+            res.AnchorPriorFactor, [[f"anchor{i % 2}" for i in range(3)]], means, np.eye(6)
+        )
+        self.assert_matches_evaluate(batch, values, [(mean,) for mean in means])

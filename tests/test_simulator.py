@@ -215,8 +215,22 @@ def simple_rig(laser: LaserModel) -> SensorRig:
     return SensorRig(camera=cam, laser=laser, cam_t_laser=Pose.identity(), laser_height=0.5)
 
 
-def brute_force_ray_cast(origin, direction, world, session_id, t_scan):
-    """Scalar, per-element reimplementation of the nearest-hit query."""
+def brute_force_ray_cast(origin, directions, world, session_id, t_scan):
+    """Scalar, per-element reimplementation of the nearest-hit query.
+
+    Returns (t, id) per direction. Each bush's sphere centres are drawn once
+    per call, not once per ray.
+    """
+    bushes = {
+        elem.elem_id: world.scatter_points(elem)
+        for elem in world.elements
+        if isinstance(elem, sim.ScatterCluster)
+    }
+    return [_nearest_hit(origin, d, world, session_id, t_scan, bushes) for d in directions]
+
+
+def _nearest_hit(origin, direction, world, session_id, t_scan, bushes):
+    """One ray of ``brute_force_ray_cast``; ``bushes``: sphere centres by element id."""
     best_t, best_id = np.inf, -1
 
     def consider(t, eid):
@@ -273,7 +287,7 @@ def brute_force_ray_cast(origin, direction, world, session_id, t_scan):
                     if all(abs(p[i] - center[i]) <= half[i] + 1e-12 for i in others):
                         consider(t, elem.elem_id)
         elif isinstance(elem, sim.ScatterCluster):
-            for ctr in world.scatter_points(elem):
+            for ctr in bushes[elem.elem_id]:
                 oc = origin - ctr
                 b = 2.0 * float(direction @ oc)
                 c = float(oc @ oc) - elem.point_radius**2
@@ -335,8 +349,8 @@ def _oracle_targets(world, origin, session_id, t_scan):
 def _assert_matches_oracle(world, origin, targets, session_id, t_scan, must_hit=None):
     dirs = _unit_rows(np.asarray(targets) - origin)
     t_fast, id_fast = sim.cast_rays(origin, dirs, world, session_id, t_scan)
-    for i in range(len(dirs)):
-        t_slow, id_slow = brute_force_ray_cast(origin, dirs[i], world, session_id, t_scan)
+    hits = brute_force_ray_cast(origin, dirs, world, session_id, t_scan)
+    for i, (t_slow, id_slow) in enumerate(hits):
         assert id_fast[i] == id_slow, (i, targets[i])
         if np.isinf(t_slow):
             assert np.isinf(t_fast[i])

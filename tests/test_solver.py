@@ -6,30 +6,37 @@ from crossloc import solver
 from crossloc.estimator import EstimatorConfig
 from crossloc.liegroup import Pose, se3_exp
 from crossloc.simulator import default_rig
-from crossloc.solver import Problem, SolverOptions
+from crossloc.solver import FactorBatch, Problem, SolverOptions
 
 
 class VectorResidualFactor:
-    """Generic test factor: residual_fn(x) over a single vector block."""
+    """Generic test kind: one vector block per row; data (residual_fn, jacobian_fn)."""
 
-    def __init__(self, key, residual_fn, jacobian_fn, kernel=res.RobustKernel()):
-        self.blocks = (key,)
-        self.residual_fn = residual_fn
-        self.jacobian_fn = jacobian_fn
-        self.kernel = kernel
-        self.information = np.eye(2)
+    @classmethod
+    def evaluate_batch(cls, batch, values, jacobian=True):
+        residual_fn, jacobian_fn = batch.data
+        xs = batch.vectors(values, 0)
+        residual = np.stack([residual_fn(x) for x in xs])
+        return residual, [np.stack([jacobian_fn(x) for x in xs])] if jacobian else None
 
-    def evaluate(self, values, jacobian=True):
-        x = values[self.blocks[0]]
-        return self.residual_fn(x), [self.jacobian_fn(x)]
+
+def add_vector_residual(problem, key, residual_fn, jacobian_fn):
+    problem.add_factors(
+        VectorResidualFactor, [[key]], (residual_fn, jacobian_fn), np.eye(2), res.RobustKernel()
+    )
+
+
+def add_point_to_point(problem, lm_keys, points, information, kernel=res.RobustKernel()):
+    problem.add_factors(
+        res.PointToPointFactor, [["anchor"] * len(lm_keys), lm_keys], (np.array(points),),
+        information, kernel,
+    )
 
 
 def quadratic_bowl_problem():
     problem = Problem()
     problem.add_vector_block("x", np.zeros(2))
-    problem.add_factor(
-        VectorResidualFactor("x", lambda x: x - np.array([1.0, 2.0]), lambda x: np.eye(2))
-    )
+    add_vector_residual(problem, "x", lambda x: x - np.array([1.0, 2.0]), lambda x: np.eye(2))
     return problem
 
 
@@ -51,7 +58,7 @@ class TestSolve:
         def jac(x):
             return np.array([[-20.0 * x[0], 10.0], [-1.0, 0.0]])
 
-        problem.add_factor(VectorResidualFactor("x", r, jac))
+        add_vector_residual(problem, "x", r, jac)
         report = solver.solve(problem, SolverOptions(max_iterations=200))
         assert np.allclose(problem.value("x"), [1.0, 1.0], atol=1e-6)
         assert report.final_cost <= report.initial_cost
@@ -65,13 +72,13 @@ class TestSolve:
 
         problem = Problem()
         problem.add_pose_block("anchor", Pose.identity())
+        keys, targets = [], []
         for i in range(50):
             src = rng.uniform(-5, 5, size=3)
-            dst = true_anchor.apply(src)
-            key = f"lm{i}"
-            problem.add_vector_block(key, src, fixed=True)
-            c = res.MapConstraint(i, dst, None, np.eye(3), res.POINT_TO_POINT)
-            problem.add_factor(res.PointToPointFactor("anchor", key, c))
+            keys.append(f"lm{i}")
+            targets.append(true_anchor.apply(src))
+            problem.add_vector_block(keys[-1], src, fixed=True)
+        add_point_to_point(problem, keys, targets, np.eye(3))
         report = solver.solve(problem)
         assert report.termination == "converged"
         est = problem.value("anchor")
@@ -83,9 +90,7 @@ class TestSolve:
         problem = Problem()
         problem.add_vector_block("free", np.zeros(2))
         problem.add_vector_block("fixed", np.array([5.0, 6.0]), fixed=True)
-        problem.add_factor(
-            VectorResidualFactor("free", lambda x: x - np.array([1.0, 1.0]), lambda x: np.eye(2))
-        )
+        add_vector_residual(problem, "free", lambda x: x - np.array([1.0, 1.0]), lambda x: np.eye(2))
         before = problem.value("fixed").copy()
         solver.solve(problem)
         assert np.array_equal(problem.value("fixed"), before)
@@ -95,12 +100,11 @@ class TestSolve:
         for k in range(1, 8):
             problem = Problem()
             problem.add_vector_block("x", np.array([-1.2, 1.0]))
-            problem.add_factor(
-                VectorResidualFactor(
-                    "x",
-                    lambda x: np.array([10.0 * (x[1] - x[0] ** 2), 1.0 - x[0]]),
-                    lambda x: np.array([[-20.0 * x[0], 10.0], [-1.0, 0.0]]),
-                )
+            add_vector_residual(
+                problem,
+                "x",
+                lambda x: np.array([10.0 * (x[1] - x[0] ** 2), 1.0 - x[0]]),
+                lambda x: np.array([[-20.0 * x[0], 10.0], [-1.0, 0.0]]),
             )
             report = solver.solve(problem, SolverOptions(max_iterations=k))
             costs.append(report.final_cost)
@@ -112,12 +116,11 @@ class TestSolve:
         for _ in range(2):
             problem = Problem()
             problem.add_vector_block("x", np.array([-1.2, 1.0]))
-            problem.add_factor(
-                VectorResidualFactor(
-                    "x",
-                    lambda x: np.array([10.0 * (x[1] - x[0] ** 2), 1.0 - x[0]]),
-                    lambda x: np.array([[-20.0 * x[0], 10.0], [-1.0, 0.0]]),
-                )
+            add_vector_residual(
+                problem,
+                "x",
+                lambda x: np.array([10.0 * (x[1] - x[0] ** 2), 1.0 - x[0]]),
+                lambda x: np.array([[-20.0 * x[0], 10.0], [-1.0, 0.0]]),
             )
             reports.append(solver.solve(problem, SolverOptions(max_iterations=37)))
             values.append(problem.value("x").copy())
@@ -133,9 +136,7 @@ class TestSolve:
     def test_unknown_block_rejected(self):
         problem = Problem()
         with pytest.raises(ValueError):
-            problem.add_factor(
-                VectorResidualFactor("nope", lambda x: x, lambda x: np.eye(2))
-            )
+            add_vector_residual(problem, "nope", lambda x: x, lambda x: np.eye(2))
 
 
 class TestEvaluateCost:
@@ -148,8 +149,7 @@ class TestEvaluateCost:
         problem = Problem()
         problem.add_pose_block("anchor", Pose.identity())
         problem.add_vector_block("lm", np.array([1.0, 2.0, 3.0]))
-        c = res.MapConstraint(0, np.array([1.0, 2.0, 3.0]), None, np.eye(3), res.POINT_TO_POINT)
-        problem.add_factor(res.PointToPointFactor("anchor", "lm", c))
+        add_point_to_point(problem, ["lm"], [[1.0, 2.0, 3.0]], np.eye(3))
         assert solver.evaluate_cost(problem) == 0.0
 
     def test_matches_factorwise_sum(self):
@@ -163,36 +163,39 @@ class TestEvaluateCost:
         # Anisotropic information in the same point-to-point group as c1, so
         # one group whitens by differing square roots.
         c3 = res.MapConstraint(0, np.array([1.5, -1.0, 2.2]), None, np.diag([400.0, 100.0, 25.0]), res.POINT_TO_POINT)
-        f1 = res.PointToPointFactor("anchor", "lm", c1, kernel=kernel)
-        f2 = res.PointToPlaneFactor("anchor", "lm", c2, kernel=kernel)
-        f3 = res.PointToPointFactor("anchor", "lm", c3, kernel=kernel)
+        add_point_to_point(
+            problem, ["lm", "lm"], [c1.point, c3.point], [c1.information, c3.information], kernel
+        )
+        problem.add_factors(
+            res.PointToPlaneFactor, [["anchor"], ["lm"]], (c2.point[None], n[None]),
+            c2.information, kernel,
+        )
         # Two anchor priors with anisotropic information and different
-        # kernels: a class without evaluate_batch, evaluated one by one, and
-        # filed in one group per kernel.
+        # kernels, one group each.
         info = EstimatorConfig().prior_information()
         priors = [
-            res.AnchorPriorFactor("anchor", se3_exp(np.array([0.0, 0.02, 0, 0.4, 0.1, 0])), info, kernel),
-            res.AnchorPriorFactor("anchor", se3_exp(np.array([0.05, 0, 0.01, 0.6, 0, -0.2])), info * 4.0),
+            (se3_exp(np.array([0.0, 0.02, 0, 0.4, 0.1, 0])), info, kernel),
+            (se3_exp(np.array([0.05, 0, 0.01, 0.6, 0, -0.2])), info * 4.0, res.RobustKernel()),
         ]
-        for f in (f1, f2, f3, *priors):
-            problem.add_factor(f)
+        for mean, f_info, f_kernel in priors:
+            problem.add_factors(res.AnchorPriorFactor, [["anchor"]], [mean], f_info, f_kernel)
 
         total = solver.evaluate_cost(problem)
-        # Oracle: rho(r^T info r) per factor, with r from the bare residual
+        # Oracle: rho(r^T info r) per row, with r from the bare residual
         # functions and info straight from the information, with no square
         # root taken.
         expected = 0.0
         anchor = problem.value("anchor")
         lm = res.Landmark(problem.value("lm"), 0)
-        for f in (f1, f3):
-            r, _, _ = res.point_to_point_residual(anchor, lm, f.constraint)
-            expected += kernel.loss(float(r @ f.constraint.information @ r))[0]
+        for c in (c1, c3):
+            r, _, _ = res.point_to_point_residual(anchor, lm, c)
+            expected += kernel.loss(float(r @ c.information @ r))[0]
         r_n, _, _ = res.point_to_plane_residual(anchor, lm, c2)
         r = r_n * n
         expected += kernel.loss(float(r @ c2.information @ r))[0]
-        for f, f_info in zip(priors, (info, info * 4.0)):
-            r, _ = res.anchor_prior_residual(anchor, f.prior_mean)
-            expected += f.kernel.loss(float(r @ f_info @ r))[0]
+        for mean, f_info, f_kernel in priors:
+            r, _ = res.anchor_prior_residual(anchor, mean)
+            expected += f_kernel.loss(float(r @ f_info @ r))[0]
         assert total == pytest.approx(expected, rel=1e-12)
 
 
@@ -208,26 +211,30 @@ class TestFactorGroups:
         skewed[0, 2] += 1e-9  # rounding that leaves it slightly asymmetric
         infos = [np.eye(3) * 400.0, np.diag([400.0, 100.0, 25.0]), np.eye(3), skewed]
         kernel = res.RobustKernel("cauchy", 1.0)
-        for info in infos:
-            c = res.MapConstraint(0, np.zeros(3), None, info, res.POINT_TO_POINT)
-            problem.add_factor(res.PointToPointFactor("anchor", "lm", c, kernel))
-        (batch,) = problem.batches()
+        add_point_to_point(problem, ["lm"] * 4, np.zeros((4, 3)), infos, kernel)
+        (batch,) = problem.groups
         assert batch.kernel == kernel and batch.sqrt_info.shape == (4, 3, 3)
         for s, info in zip(batch.sqrt_info, infos):
             assert np.array_equal(s, np.triu(s))
             np.testing.assert_allclose(s.T @ s, 0.5 * (info + info.T), rtol=1e-14, atol=1e-12)
 
     def test_one_kernel_per_group(self):
-        """Factors of one class and batch key split by kernel; equal kernels
-        share a group whichever object holds them."""
+        """Each ``add_factors`` call is one group with its one kernel, in the
+        order added; a shared information has one square root for every row,
+        and a group of no rows is not added."""
         problem = Problem()
         problem.add_pose_block("anchor", Pose.identity())
         problem.add_vector_block("lm", np.zeros(3))
         cauchy, plain = res.RobustKernel("cauchy", 1.0), res.RobustKernel()
-        for kernel in (cauchy, plain, res.RobustKernel("cauchy", 1.0)):
-            c = res.MapConstraint(0, np.ones(3), None, np.eye(3), res.POINT_TO_POINT)
-            problem.add_factor(res.PointToPointFactor("anchor", "lm", c, kernel))
-        assert [(len(b), b.kernel) for b in problem.batches()] == [(2, cauchy), (1, plain)]
+        add_point_to_point(problem, ["lm", "lm"], np.ones((2, 3)), 4.0 * np.eye(3), cauchy)
+        add_point_to_point(problem, [], np.zeros((0, 3)), np.eye(3), cauchy)
+        add_point_to_point(problem, ["lm"], np.ones((1, 3)), np.eye(3), plain)
+        assert [(len(b), b.kernel) for b in problem.groups] == [(2, cauchy), (1, plain)]
+        np.testing.assert_array_equal(problem.groups[0].sqrt_info, 2.0 * np.eye(3))
+        with pytest.raises(ValueError):  # slots of unequal length
+            problem.add_factors(
+                res.PointToPointFactor, [["anchor"], ["lm", "lm"]], (np.ones((2, 3)),), np.eye(3), plain
+            )
 
 
 class TestSchurElimination:
@@ -253,15 +260,19 @@ class TestSchurElimination:
             problem.add_vector_block(
                 f"lm{j}", pt + rng.normal(size=3) * 0.05, eliminate=eliminate
             )
+        pose_keys, lm_keys, pixels = [], [], []
         for i, pose in enumerate(true_poses):
             for j, pt in enumerate(true_points):
                 p_body = pose.inverse().apply(pt)
-                pix = np.concatenate(
+                pose_keys.append(f"pose{i}")
+                lm_keys.append(f"lm{j}")
+                pixels.append(np.concatenate(
                     [c.project(c.body_t_cam.inverse().apply(p_body)) for c in (cam, cam_right)]
-                )
-                problem.add_factor(
-                    res.StereoReprojectionFactor(f"pose{i}", f"lm{j}", pix, cam, cam_right)
-                )
+                ))
+        problem.add_factors(
+            res.StereoReprojectionFactor, [pose_keys, lm_keys], (np.array(pixels), cam, cam_right),
+            res.PIXEL_INFORMATION, res.RobustKernel(),
+        )
         return problem
 
     def test_schur_matches_dense(self):
@@ -286,15 +297,12 @@ class TestSchurElimination:
         problem.add_vector_block("b", np.zeros(3), eliminate=True)
 
         class PairFactor:
-            blocks = ("a", "b")
-            kernel = res.RobustKernel()
-            information = np.eye(3)
-
-            def evaluate(self, values, jacobian=True):
-                return values["a"] - values["b"], [np.eye(3), -np.eye(3)]
+            @classmethod
+            def evaluate_batch(cls, batch, values, jacobian=True):
+                raise AssertionError("never evaluated")
 
         with pytest.raises(ValueError):
-            problem.add_factor(PairFactor())
+            problem.add_factors(PairFactor, [["a"], ["b"]], None, np.eye(3), res.RobustKernel())
 
     def test_eliminated_block_of_another_size_rejected(self):
         problem = Problem()
@@ -310,7 +318,7 @@ class TestNormalEquations:
     def test_matches_dense_jacobian(self):
         """Stacked H_cc, H_cl, H_ll and b are the blocks of J^T J and -J^T r.
 
-        J and r stack each factor's whitened, robust-weighted Jacobian and
+        J and r stack each row's whitened, robust-weighted Jacobian and
         residual, with the whitening taken from the information itself.
         """
         rng = np.random.default_rng(3)
@@ -329,51 +337,49 @@ class TestNormalEquations:
         }
         values = problem.values()
 
-        factors = []  # (factor, information)
+        groups = []  # (kind, blocks, data, information, kernel)
+        pose_keys, lm_keys, pixels, infos = [], [], [], []
         for pose in ("pose0", "pose1"):
             for lm, s_info in (("lm0", 1.5), ("lm1", 0.5)):
                 p_body = values[pose].inverse().apply(values[lm])
-                pixels = np.concatenate(
+                pose_keys.append(pose)
+                lm_keys.append(lm)
+                pixels.append(np.concatenate(
                     [c.project(c.body_t_cam.inverse().apply(p_body)) for c in cams]
-                ) + rng.normal(0.0, 3.0, 4)
-                f = res.StereoReprojectionFactor(pose, lm, pixels, *cams, kernel=kernel)
+                ) + rng.normal(0.0, 3.0, 4))
                 # a pixel noise other than the shared 1 px, to exercise the whitening
-                f.information = s_info**2 * np.eye(4)
-                factors.append((f, f.information))
+                infos.append(s_info**2 * np.eye(4))
+        groups.append((
+            res.StereoReprojectionFactor, [pose_keys, lm_keys], (np.array(pixels), *cams),
+            np.array(infos), kernel,
+        ))
         info_plane = np.eye(3) / 0.05**2
-        c_plane = res.MapConstraint(
-            0, np.array([6.1, 0.4, 0.5]), np.array([0.0, 0.6, 0.8]), info_plane, res.POINT_TO_PLANE
-        )
         info_point = np.diag([400.0, 100.0, 25.0])
-        c_point = res.MapConstraint(
-            1, np.array([8.2, -1.3, 0.1]), None, info_point, res.POINT_TO_POINT
-        )
         info_prior = EstimatorConfig().prior_information()
         prior_mean = se3_exp(np.array([0.0, 0.01, 0.0, 0.4, -0.1, 0.0]))
-        factors += [
-            (res.PointToPlaneFactor("anchor", "lm0", c_plane, kernel), info_plane),
-            (res.PointToPointFactor("anchor", "lm1", c_point, kernel), info_point),
-            (res.AnchorPriorFactor("anchor", prior_mean, info_prior), info_prior),
+        groups += [
+            (res.PointToPlaneFactor, [["anchor"], ["lm0"]],
+             (np.array([[6.1, 0.4, 0.5]]), np.array([[0.0, 0.6, 0.8]])), info_plane, kernel),
+            (res.PointToPointFactor, [["anchor"], ["lm1"]],
+             (np.array([[8.2, -1.3, 0.1]]),), info_point, kernel),
+            (res.AnchorPriorFactor, [["anchor"]], [prior_mean], info_prior, res.RobustKernel()),
         ]
 
         j_rows, r_rows, expected_cost = [], [], 0.0
-        for f, info in factors:
-            problem.add_factor(f)
-            s_mat = np.linalg.cholesky(info).T
-            if hasattr(type(f), "evaluate_batch"):
-                r, jacs = type(f).evaluate_batch([f], values)
-                r, jacs = r[0], [j[0] for j in jacs]
-            else:
-                r, jacs = f.evaluate(values)
-            rho, drho = f.kernel.loss(float(np.sum((s_mat @ r) ** 2)))
-            expected_cost += rho
-            w = np.sqrt(drho) * s_mat
-            j_dense = np.zeros((len(r), 18))
-            for key, jac in zip(f.blocks, jacs):
-                if key in cols:
-                    j_dense[:, cols[key]] += w @ jac
-            j_rows.append(j_dense)
-            r_rows.append(w @ r)
+        for kind, blocks, data, info, f_kernel in groups:
+            problem.add_factors(kind, blocks, data, info, f_kernel)
+            residual, jacs = kind.evaluate_batch(FactorBatch(kind, blocks, data, info, f_kernel), values)
+            for i, r in enumerate(residual):
+                s_mat = np.linalg.cholesky(info if np.ndim(info) == 2 else info[i]).T
+                rho, drho = f_kernel.loss(float(np.sum((s_mat @ r) ** 2)))
+                expected_cost += rho
+                w = np.sqrt(drho) * s_mat
+                j_dense = np.zeros((len(r), 18))
+                for slot, jac in zip(blocks, jacs):
+                    if slot[i] in cols:
+                        j_dense[:, cols[slot[i]]] += w @ jac[i]
+                j_rows.append(j_dense)
+                r_rows.append(w @ r)
         jac = np.vstack(j_rows)
         r = np.concatenate(r_rows)
         h = jac.T @ jac
