@@ -14,11 +14,19 @@ one bundle-adjustment step chosen by the schedule:
 - hybrid m:n cycles m non-rigid steps then n rigid ones.
 
 Both steps state their terms as arrays. The window problem
-(``_build_vio_problem``) has one factor group per term family: every stereo
-observation of a solvable landmark, in window order, then the
-preintegration and the bias terms between consecutive keyframes. An
-association (``associate_constraints``, one k-NN query over all landmarks)
-is one ``MapAssociation`` record of landmark ids, map points, normals and a
+(``_build_vio_problem``) stacks the window in block families: ``pose``,
+``vel``, ``bg`` and ``ba`` with one row per keyframe in window order (the
+oldest pose fixed), and ``lm``, eliminated, with one row per solvable
+landmark in id order. It has one factor group per term family, whose slots
+index those rows: every stereo observation of a solvable landmark, in
+window order (keyframe rows by ``np.repeat``, landmark rows by
+``np.searchsorted`` of the ids), then the preintegration and the bias terms
+between consecutive keyframes. A non-rigid step adds the one-row
+``anchor`` family, its map groups and its prior (``_add_anchor_groups``).
+After a solve ``_write_back`` unstacks the families into the keyframe
+states and the landmark positions. An association
+(``associate_constraints``, one k-NN query over all landmarks) is one
+``MapAssociation`` record of landmark ids, map points, normals and a
 point-to-plane mask. ``_map_groups`` splits it by metric, both for the
 joint problem's map groups and for ``AnchorAlignment``.
 
@@ -272,20 +280,21 @@ def _map_information(cfg: EstimatorConfig) -> np.ndarray:
     return np.eye(3) / (cfg.sigma_map**2)
 
 
-def _add_anchor_groups(problem: Problem, anchor: AnchorTransform, association, cfg) -> None:
-    """The anchor block, one map group per metric present, and the anchor prior.
+def _add_anchor_groups(problem: Problem, anchor: AnchorTransform, association, lm_ids, cfg) -> None:
+    """The ``anchor`` family of one row, one map group per metric present, and the anchor prior.
 
-    Every associated landmark's block ``lm<id>`` must be in the problem.
+    Row j of the problem's ``lm`` family is landmark ``lm_ids[j]`` (sorted),
+    and every associated landmark must be among them.
     """
-    problem.add_pose_block("anchor", anchor.pose)
+    problem.add_poses("anchor", [anchor.pose])
     kernel = res.RobustKernel("cauchy", cfg.cauchy_metric)
-    for kind, _, lm_ids, data in _map_groups(association):
-        lm_keys = [f"lm{lm_id}" for lm_id in lm_ids.tolist()]
+    for kind, _, ids, data in _map_groups(association):
+        rows = np.searchsorted(lm_ids, ids)
         problem.add_factors(
-            kind, [["anchor"] * len(lm_keys), lm_keys], data, _map_information(cfg), kernel
+            kind, [("anchor", np.zeros_like(rows)), ("lm", rows)], data, _map_information(cfg), kernel
         )
     problem.add_factors(
-        res.AnchorPriorFactor, [["anchor"]], [anchor.prior_mean],
+        res.AnchorPriorFactor, [("anchor", [0])], [anchor.prior_mean],
         cfg.prior_information(anchor.prior_scale), res.RobustKernel(),
     )
 
@@ -339,53 +348,49 @@ def _solvable_landmarks(window: SlidingWindow) -> list[int]:
 
 
 def _build_vio_problem(window, rig, gravity, cfg, lm_ids) -> Problem:
-    """The window's blocks and its stereo, preintegration and bias groups.
+    """The window's block families and its stereo, preintegration and bias groups.
 
-    The stereo group has one row per occurrence of a solvable landmark in a
-    keyframe's ``landmark_ids``, keyframe by keyframe, carrying that
-    keyframe's pixels.
+    Families ``pose`` (the oldest row fixed), ``vel``, ``bg`` and ``ba`` have
+    one row per keyframe in window order; ``lm``, eliminated, one per
+    solvable landmark in ``lm_ids`` (sorted). The stereo group has one row
+    per occurrence of a solvable landmark in a keyframe's ``landmark_ids``,
+    keyframe by keyframe, carrying that keyframe's pixels.
     """
+    kfs = window.keyframes
+    states = [kf.state for kf in kfs]
     problem = Problem()
-    for i, kf in enumerate(window.keyframes):
-        problem.add_pose_block(f"pose{kf.kf_id}", kf.state.pose, fixed=(i == 0))
-        problem.add_vector_block(f"vel{kf.kf_id}", kf.state.velocity)
-        problem.add_vector_block(f"bg{kf.kf_id}", kf.state.gyro_bias)
-        problem.add_vector_block(f"ba{kf.kf_id}", kf.state.accel_bias)
-    for lm_id in lm_ids:
-        problem.add_vector_block(f"lm{lm_id}", window.landmarks[lm_id], eliminate=True)
+    problem.add_poses("pose", [s.pose for s in states], fixed=np.arange(len(kfs)) == 0)
+    problem.add_vectors("vel", [s.velocity for s in states])
+    problem.add_vectors("bg", [s.gyro_bias for s in states])
+    problem.add_vectors("ba", [s.accel_bias for s in states])
+    problem.add_vectors("lm", _positions(window.landmarks, np.asarray(lm_ids)), eliminate=True)
 
-    seen = [np.isin(kf.landmark_ids, lm_ids) for kf in window.keyframes]
-    lm_rows = np.concatenate([kf.landmark_ids[rows] for kf, rows in zip(window.keyframes, seen)])
+    seen = [np.isin(kf.landmark_ids, lm_ids) for kf in kfs]
+    occurrences = np.concatenate([kf.landmark_ids[rows] for kf, rows in zip(kfs, seen)])
+    pixels = np.concatenate([kf.pixels[rows] for kf, rows in zip(kfs, seen)])
     problem.add_factors(
         res.StereoReprojectionFactor,
-        [
-            np.repeat([f"pose{kf.kf_id}" for kf in window.keyframes], [rows.sum() for rows in seen]),
-            [f"lm{lm_id}" for lm_id in lm_rows.tolist()],
-        ],
-        (np.concatenate([kf.pixels[rows] for kf, rows in zip(window.keyframes, seen)]),
-         rig.camera, rig.right_camera()),
+        [("pose", np.repeat(np.arange(len(kfs)), [rows.sum() for rows in seen])),
+         ("lm", np.searchsorted(lm_ids, occurrences))],
+        (pixels, rig.camera, rig.right_camera()),
         res.PIXEL_INFORMATION,
         res.RobustKernel("cauchy", cfg.cauchy_pixel),
     )
 
-    kfs = window.keyframes
-    links = [(prev, curr) for prev, curr in zip(kfs, kfs[1:]) if curr.pre_from_prev is not None]
-    pres = [curr.pre_from_prev for _, curr in links]
-
-    def keys(name, end):
-        """The block ``name`` of each link's previous (end 0) or current (1) keyframe."""
-        return [f"{name}{link[end].kf_id}" for link in links]
-
+    # a link joins the keyframes curr - 1 and curr
+    curr = np.array([i for i in range(1, len(kfs)) if kfs[i].pre_from_prev is not None], dtype=int)
+    prev = curr - 1
+    pres = [kfs[i].pre_from_prev for i in curr]
     problem.add_factors(
         res.PreintegrationFactor,
-        [keys("pose", 0), keys("vel", 0), keys("bg", 0), keys("ba", 0), keys("pose", 1), keys("vel", 1)],
+        [("pose", prev), ("vel", prev), ("bg", prev), ("ba", prev), ("pose", curr), ("vel", curr)],
         res.stack_preintegrations(pres, gravity),
         np.array([pre.information() for pre in pres]),
         res.RobustKernel(),
     )
     problem.add_factors(
         res.BiasRandomWalkFactor,
-        [keys("ba", 0), keys("bg", 0), keys("ba", 1), keys("bg", 1)],
+        [("ba", prev), ("bg", prev), ("ba", curr), ("bg", curr)],
         None,
         np.array([bias_information(rig.imu_noise, pre.dt_total) for pre in pres]),
         res.RobustKernel(),
@@ -394,15 +399,12 @@ def _build_vio_problem(window, rig, gravity, cfg, lm_ids) -> Problem:
 
 
 def _write_back(problem: Problem, window: SlidingWindow, lm_ids) -> None:
-    for kf in window.keyframes:
-        kf.state = NavState(
-            pose=problem.value(f"pose{kf.kf_id}"),
-            velocity=problem.value(f"vel{kf.kf_id}"),
-            accel_bias=problem.value(f"ba{kf.kf_id}"),
-            gyro_bias=problem.value(f"bg{kf.kf_id}"),
-        )
-    for lm_id in lm_ids:
-        window.landmarks[lm_id] = problem.value(f"lm{lm_id}")
+    """The solved families back into the keyframe states and the landmark positions."""
+    value = problem.value
+    rows = zip(*value["pose"], value["vel"], value["ba"], value["bg"])
+    for kf, (rot, trans, vel, ba, bg) in zip(window.keyframes, rows):
+        kf.state = NavState(Pose(rot, trans), vel, ba, bg)
+    window.landmarks.update(zip(lm_ids, value["lm"]))
 
 
 def non_rigid_ba(
@@ -424,11 +426,11 @@ def non_rigid_ba(
     problem = _build_vio_problem(window, rig, gravity, cfg, lm_ids)
     if len(association):
         solvable = association.rows(np.isin(association.landmark_ids, lm_ids))
-        _add_anchor_groups(problem, anchor, solvable, cfg)
+        _add_anchor_groups(problem, anchor, solvable, lm_ids, cfg)
     report = solve(problem, cfg.solver_options())
     _write_back(problem, window, lm_ids)
     if len(association):
-        anchor.pose = problem.value("anchor")
+        anchor.pose = Pose(*(a[0] for a in problem.value["anchor"]))
     return report
 
 
@@ -573,8 +575,8 @@ def _frame_slice(session: SessionData, i0: int, i1: int):
     return session.imu_samples[i0 * stride : i1 * stride + 1]
 
 
-def _initial_state(session: SessionData) -> tuple[NavState, Pose]:
-    """Local-frame initial state (identity pose) and the true anchor."""
+def _initial_state(session: SessionData) -> NavState:
+    """Local-frame initial state: identity pose, the first true velocity in the body frame."""
     gt0 = session.gt_poses[0]
     if len(session.gt_poses) > 1:
         dt = float(session.gt_times[1] - session.gt_times[0])
@@ -582,7 +584,7 @@ def _initial_state(session: SessionData) -> tuple[NavState, Pose]:
     else:
         v_world = np.zeros(3)
     velocity = gt0.rotation.T @ v_world
-    return NavState(pose=Pose.identity(), velocity=velocity), gt0
+    return NavState(pose=Pose.identity(), velocity=velocity)
 
 
 def initialize(
@@ -591,7 +593,7 @@ def initialize(
     """Seed the window with the first two keyframes and stereo landmarks."""
     cfg = cfg or EstimatorConfig()
     rig = session.rig
-    state0, _ = _initial_state(session)
+    state0 = _initial_state(session)
     window = SlidingWindow(cfg.window_capacity)
     frame0 = session.frames[0]
     if len(frame0.landmark_ids) < cfg.min_frame_landmarks:

@@ -184,12 +184,12 @@ def so3_left_jacobian_inv_batch(phi: np.ndarray) -> np.ndarray:
 
 
 def orthonormalize(rot: np.ndarray) -> np.ndarray:
-    """One Newton step toward the closest orthonormal matrix.
+    """One Newton step toward the closest orthonormal matrix, of one (3, 3) or each of (n, 3, 3).
 
     Adequate for drift of composition chains (error is squared); not a
     substitute for a full polar decomposition of arbitrary matrices.
     """
-    return rot @ (1.5 * np.eye(3) - 0.5 * (rot.T @ rot))
+    return rot @ (1.5 * np.eye(3) - 0.5 * (np.swapaxes(rot, -1, -2) @ rot))
 
 
 @dataclass(frozen=True)

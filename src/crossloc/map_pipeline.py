@@ -25,13 +25,6 @@ from scipy.spatial import cKDTree
 from .laser_map import FRAME_MAP, PointCloudMap, estimate_normals
 from .liegroup import Pose
 from .session import SessionData
-from .trajectory import associate
-
-
-class MissingPoseError(ValueError):
-    def __init__(self, time: float):
-        super().__init__(f"no ground-truth pose within 0.05 s of t={time:.6f}")
-        self.time = time
 
 
 class MismatchedSupportError(ValueError):
@@ -79,13 +72,6 @@ class MapFilterParams:
         return replace(params, **overrides) if overrides else params
 
 
-def _gt_pose_at(session: SessionData, t: float) -> Pose:
-    ia, ib = associate([t], session.gt_times, max_dt=0.05)
-    if len(ia) == 0:
-        raise MissingPoseError(t)
-    return session.gt_poses[int(ib[0])]
-
-
 # ---------------------------------------------------------------------------
 # stage 1: vision transformation
 
@@ -95,8 +81,10 @@ def vision_transform_session(session: SessionData, params: MapFilterParams) -> P
 
     Scan points are projected into the (left) camera through the
     laser-to-camera extrinsic; points within ``pixel_gate`` of any feature
-    pixel of the time-matched frame are transformed into the map frame via
-    the ground-truth pose and accumulated (counts 1, labels carried).
+    pixel of the scan's frame are transformed into the map frame via the
+    ground-truth pose and accumulated (counts 1, labels carried). Scan,
+    frame and ground-truth row k share one timestamp, so scan k takes
+    ``gt_poses[k]``; scans beyond the last ground-truth row are skipped.
     """
     rig = session.rig
     cam = rig.camera
@@ -106,8 +94,7 @@ def vision_transform_session(session: SessionData, params: MapFilterParams) -> P
     for k, (points_f, labels) in enumerate(session.scans):
         if len(points_f) == 0:
             continue
-        t_scan = float(session.gt_times[k]) if k < len(session.gt_times) else None
-        if t_scan is None:
+        if k >= len(session.gt_poses):
             break
         frame = session.frames[k]
         if len(frame.landmark_ids) == 0:
@@ -131,8 +118,7 @@ def vision_transform_session(session: SessionData, params: MapFilterParams) -> P
         if not np.any(close):
             continue
         keep_idx = np.nonzero(valid)[0][close]
-        pose = _gt_pose_at(session, t_scan)
-        world_t_laser = pose @ body_t_laser
+        world_t_laser = session.gt_poses[k] @ body_t_laser
         kept_pts.append(world_t_laser.apply(points_f[keep_idx]))
         kept_labels.append(labels[keep_idx])
     if not kept_pts:
@@ -283,13 +269,12 @@ def extract_ground(sessions: list[SessionData], params: MapFilterParams) -> Poin
         rig = session.rig
         body_t_laser = rig.body_t_laser
         for k, (points_f, labels) in enumerate(session.scans):
-            if len(points_f) == 0 or k >= len(session.gt_times):
+            if len(points_f) == 0 or k >= len(session.gt_poses):
                 continue
             band = np.abs(points_f[:, 2] + rig.laser_height) <= params.ground_band
             if not band.any():
                 continue
-            pose = _gt_pose_at(session, float(session.gt_times[k]))
-            world_t_laser = pose @ body_t_laser
+            world_t_laser = session.gt_poses[k] @ body_t_laser
             pts_all.append(world_t_laser.apply(points_f[band]))
             labels_all.append(labels[band])
     if not pts_all:
@@ -331,10 +316,9 @@ def build_full_map(
     pts_all, labels_all = [], []
     body_t_laser = session.rig.body_t_laser
     for k, (points_f, labels) in enumerate(session.scans):
-        if len(points_f) == 0 or k >= len(session.gt_times):
+        if len(points_f) == 0 or k >= len(session.gt_poses):
             continue
-        pose = _gt_pose_at(session, float(session.gt_times[k]))
-        pts_all.append((pose @ body_t_laser).apply(points_f))
+        pts_all.append((session.gt_poses[k] @ body_t_laser).apply(points_f))
         labels_all.append(labels)
     pts = np.concatenate(pts_all)
     labels = np.concatenate(labels_all)

@@ -4,19 +4,23 @@ Five families: pixel reprojection, IMU preintegration, point-to-plane and
 point-to-point map alignment, and the anchor pose prior. Each comes as a
 bare function returning one term's residual and analytic Jacobians, and as
 a factor kind whose ``evaluate_batch`` evaluates a whole group of rows for
-the solver (see ``solver`` for the group contract); pixel reprojection as
-the stereo kind only, which stacks the left and right views. Each kind's
-docstring names its block slots and the ``data`` its group carries.
+the solver (see ``solver`` for the group contract: each slot a block family
+and one row of it per factor); pixel reprojection as the stereo kind only,
+which stacks the left and right views. Each kind's docstring names its
+block slots and the ``data`` its group carries.
 
 The tests compare every group evaluation with a one-row reference:
 
-- stereo: ``reprojection_residual``, once per view;
-- point-to-plane and point-to-point: ``point_to_plane_residual`` and
-  ``point_to_point_residual``, which take one ``MapConstraint``;
+- stereo: ``reprojection_residual(state, landmark, observation, camera)``,
+  once per view;
+- point-to-plane and point-to-point: ``point_to_plane_residual(anchor,
+  landmark, constraint)`` and ``point_to_point_residual``, which take one
+  ``MapConstraint``;
 - preintegration, bias random walk and anchor prior: the kind's one-row
-  ``evaluate`` (on ``preintegration_residual`` and
-  ``anchor_prior_residual``). A problem has one anchor prior row, and its
-  group is evaluated as its rows' ``evaluate``.
+  ``evaluate(blocks, ...)``, where ``blocks`` holds one factor's block
+  values slot by slot (a ``Pose`` or a vector each), by
+  ``preintegration_residual`` and ``anchor_prior_residual``. A problem has
+  one anchor prior row, and its group is evaluated as its rows' ``evaluate``.
 
 The caller gives each group its information: stereo rows share
 ``PIXEL_INFORMATION`` (1 px in each coordinate); the others take theirs
@@ -430,9 +434,9 @@ class PreintegrationFactor:
     """
 
     @classmethod
-    def evaluate(cls, values, keys, pre, gravity, jacobian=True):
-        """One row, by ``preintegration_residual``: residual (9,), Jacobians (9, k)."""
-        pi, vi, bgi, bai, pk, vk = (values[k] for k in keys)
+    def evaluate(cls, blocks, pre, gravity, jacobian=True):
+        """One row of block values, by ``preintegration_residual``: residual (9,), Jacobians (9, k)."""
+        pi, vi, bgi, bai, pk, vk = blocks
         s_i = NavState(pose=pi, velocity=vi, accel_bias=bai, gyro_bias=bgi)
         s_k = NavState(pose=pk, velocity=vk)
         residual, _, j = preintegration_residual(s_i, s_k, pre, gravity)
@@ -514,9 +518,9 @@ class BiasRandomWalkFactor:
     """
 
     @classmethod
-    def evaluate(cls, values, keys, jacobian=True):
-        """One row: residual (6,), Jacobians (6, 3)."""
-        bai, bgi, bak, bgk = (values[k] for k in keys)
+    def evaluate(cls, blocks, jacobian=True):
+        """One row of block values: residual (6,), Jacobians (6, 3)."""
+        bai, bgi, bak, bgk = blocks
         return np.concatenate([bai - bak, bgi - bgk]), _bias_jacobians()
 
     @classmethod
@@ -532,27 +536,34 @@ class BiasRandomWalkFactor:
 class PointToPlaneFactor:
     """Plane-distance residual vector r_n * n per row.
 
-    Slots (anchor, landmark), one anchor block for the whole group; data
+    Slots (anchor, landmark), every row naming one anchor row; data
     ``(map points (n, 3), unit normals (n, 3))``.
     """
 
     @classmethod
     def evaluate_batch(cls, batch, values, jacobian=True):
-        (anchor,) = batch.keys[0]
-        return point_to_plane_batch(values[anchor], batch.vectors(values, 1), *batch.data, jacobian)
+        anchor = _group_pose(batch, values)
+        return point_to_plane_batch(anchor, batch.vectors(values, 1), *batch.data, jacobian)
 
 
 class PointToPointFactor:
     """Map point minus anchored landmark per row.
 
-    Slots (anchor, landmark), one anchor block for the whole group; data
+    Slots (anchor, landmark), every row naming one anchor row; data
     ``(map points (n, 3),)``.
     """
 
     @classmethod
     def evaluate_batch(cls, batch, values, jacobian=True):
-        (anchor,) = batch.keys[0]
-        return point_to_point_batch(values[anchor], batch.vectors(values, 1), *batch.data, jacobian)
+        anchor = _group_pose(batch, values)
+        return point_to_point_batch(anchor, batch.vectors(values, 1), *batch.data, jacobian)
+
+
+def _group_pose(batch, values) -> Pose:
+    """The one pose that every row's first slot names: the map kinds' anchor."""
+    family, rows = batch.slots[0]
+    rot, trans = values[family]
+    return Pose(rot[rows[0]], trans[rows[0]])
 
 
 class AnchorPriorFactor:
@@ -562,17 +573,17 @@ class AnchorPriorFactor:
     """
 
     @classmethod
-    def evaluate(cls, values, keys, prior_mean, jacobian=True):
-        """One row: residual (6,), Jacobian [(6, 6)]."""
-        residual, jac = anchor_prior_residual(values[keys[0]], prior_mean)
+    def evaluate(cls, blocks, prior_mean, jacobian=True):
+        """One row of block values: residual (6,), Jacobian [(6, 6)]."""
+        residual, jac = anchor_prior_residual(blocks[0], prior_mean)
         return residual, [jac]
 
     @classmethod
     def evaluate_batch(cls, batch, values, jacobian=True):
         """``evaluate`` row by row, stacked: a problem has one prior row."""
+        rot, trans = batch.poses(values, 0)
         rows = [
-            cls.evaluate(values, (batch.keys[0][i],), mean, jacobian)
-            for i, mean in zip(batch.index[0], batch.data)
+            cls.evaluate((Pose(r, t),), mean, jacobian) for r, t, mean in zip(rot, trans, batch.data)
         ]
         residual = np.stack([r for r, _ in rows])
         return residual, [np.stack([j for _, (j,) in rows])] if jacobian else None

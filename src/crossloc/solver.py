@@ -1,19 +1,24 @@
-"""Levenberg-Marquardt over mixed Euclidean/manifold variable blocks.
+"""Levenberg-Marquardt over block families of SE(3) poses and vectors.
 
 One LM loop (damping, acceptance, termination) runs over two linear-algebra
 backends: a ``Problem``, solved through its Schur complement, and a
 ``DenseProblem``, a small problem whose dense normal equations are built
 from the term groups it states (the rigid step's anchor-only alignment).
 Each backend linearizes, evaluates the cost, solves the damped system and
-retracts; ``solve`` picks the backend by the problem's type.
+retracts; ``solve`` picks the backend by the problem's type and leaves the
+minimizer in the problem's ``value``.
 
-A Problem is a set of named blocks (SE(3) poses updated by right
-retraction, or plain vectors) plus factor groups. A group is n rows of one
-factor kind, added at once by ``Problem.add_factors(kind, blocks, data,
-information, kernel)``:
+A Problem's variables are named block families, each stacked in one array
+of n rows: ``add_poses(name, poses, fixed)`` (SE(3) poses, updated by right
+retraction) and ``add_vectors(name, values (n, k), fixed, eliminate)``;
+``fixed`` is one bool per row or one for all. Its ``value`` is a dict from
+family to array: ``(n, k)`` for vectors, ``(R (n, 3, 3), t (n, 3))`` for
+poses. A factor group is n rows of one factor kind, added at once by
+``Problem.add_factors(kind, slots, data, information, kernel)``:
 
-- ``blocks``: one key sequence per block slot, n keys each; row i touches
-  the i-th key of every slot;
+- ``slots``: one ``(family, rows)`` pair per block slot, ``rows`` n integer
+  row indices; row i of the group touches row ``rows[i]`` of each slot's
+  family;
 - ``data``: whatever ``kind.evaluate_batch`` reads besides the block values
   (stacked pixels, map points and normals, preintegrated deltas), fixed for
   the group's life;
@@ -25,28 +30,28 @@ information, kernel)``:
 jacobian=True)`` returning ``(residual (n, d), [J (n, d, k) per slot])``
 (the Jacobians are read only if ``jacobian``), where ``batch`` is the
 group's ``FactorBatch``: its ``data``, ``len`` the number of rows, and
-``poses`` and ``vectors`` to gather each row's block values. The batch is
-compiled when the group is added: the upper-triangular square root S
-(S^T S = information) of its information, taken by one (batched) Cholesky,
-and index arrays from each row to its slots' distinct blocks. Every
-evaluation, of the cost or of the normal equations, then takes one path per
-group: evaluate it, whiten it by ``_whiten`` (one ``matmul`` by S), apply
-its kernel. The dense backend's term groups are whitened by the same
-``_whiten``.
+``poses`` and ``vectors``, which gather a slot's rows of ``values`` by
+fancy indexing. The batch takes the upper-triangular square root S
+(S^T S = information) of its information when the group is added, by one
+(batched) Cholesky. Every evaluation, of the cost or of the normal
+equations, then takes one path per group: evaluate it, whiten it by
+``_whiten`` (one ``matmul`` by S), apply its kernel. The dense backend's
+term groups are whitened by the same ``_whiten``.
 
 The cost is the sum over rows of ``rho(||S r||^2)``. Robust terms are
 handled by square-root re-weighting (no second-order kernel correction).
-Vector blocks may be marked ``eliminate=True``; they are condensed out of
-the damped normal equations by a Schur complement (intended for landmarks:
-many small independent blocks, each touched together with non-eliminated
-blocks only). All eliminated blocks must have one size s, so that for L of
-them and nc free camera (non-eliminated) coordinates the system is stacked
-as ``H_cc (nc, nc)``, ``b_c (nc,)``, ``H_ll (L, s, s)``, ``b_l (L, s)`` and
-``H_cl (L, nc, s)``. A solve maps each row's blocks to their camera offset
-and landmark row once, and from them each group's scatter maps: flat index
-arrays from its rows' J^T J and J^T r entries into those arrays. Every
-LM iteration then adds each group in with one ``bincount`` per array, and
-damps, checks and solves all landmark blocks as one batch.
+One vector family, every row of it free, may be marked ``eliminate=True``;
+it is condensed out of the damped normal equations by a Schur complement
+(intended for landmarks: many small independent blocks, so a group has at
+most one slot on that family). For its L rows of size s and nc free camera
+coordinates (the free rows of the other families, family by family) the
+system is stacked as ``H_cc (nc, nc)``, ``b_c (nc,)``, ``H_ll (L, s, s)``,
+``b_l (L, s)`` and ``H_cl (L, nc, s)``. A solve maps each group's rows to
+their camera offset and landmark row once, and from them the group's
+scatter maps: flat index arrays from its rows' J^T J and J^T r entries into
+those arrays. Every LM iteration then adds each group in with one
+``bincount`` per array, damps, checks and solves all landmark rows as one
+batch, and retracts each family's free rows in one vectorized update.
 
 Both backends damp a diagonal entry h by ``lam * max(|h|, 1e-12)``.
 """
@@ -57,7 +62,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .liegroup import Pose
+from .liegroup import orthonormalize, so3_exp_batch, so3_left_jacobian_batch
 
 
 @dataclass
@@ -81,108 +86,95 @@ class SolverReport:
 
 
 @dataclass
-class _Block:
-    key: str
-    value: object
-    kind: str  # pose | vector
-    size: int
-    fixed: bool = False
+class _Family:
+    """Row layout of one block family; its values live in ``Problem.value``."""
+
+    pose: bool
+    size: int  # tangent dimension of one row
+    fixed: np.ndarray  # (n,) bool
     eliminate: bool = False
 
 
 class Problem:
-    """Named variable blocks plus the factor groups that couple them."""
+    """Block families plus the factor groups that couple their rows."""
 
     def __init__(self):
-        self._blocks: dict[str, _Block] = {}
+        self.families: dict[str, _Family] = {}
+        self.value: dict = {}  # family name -> its stacked value
         self.groups: list[FactorBatch] = []
-        self._elim_size: int | None = None
 
-    # -- construction -----------------------------------------------------
-    def add_pose_block(self, key: str, value: Pose, fixed: bool = False):
-        if key in self._blocks:
-            raise ValueError(f"duplicate block {key!r}")
-        self._blocks[key] = _Block(key, value, "pose", 6, fixed=fixed)
+    def add_poses(self, name: str, poses, fixed=False):
+        """A family of SE(3) poses, one row per ``Pose``."""
+        rot = np.array([p.rotation for p in poses], dtype=float).reshape(-1, 3, 3)
+        trans = np.array([p.translation for p in poses], dtype=float).reshape(-1, 3)
+        self._add(name, (rot, trans), _Family(True, 6, _row_mask(fixed, len(rot))))
 
-    def add_vector_block(self, key: str, value, fixed: bool = False, eliminate: bool = False):
-        if key in self._blocks:
-            raise ValueError(f"duplicate block {key!r}")
-        value = np.asarray(value, dtype=float).copy()
-        eliminate = eliminate and not fixed
-        if eliminate:
-            if self._elim_size not in (None, value.size):
-                raise ValueError(
-                    f"eliminated block {key!r} has size {value.size}, "
-                    f"the other eliminated blocks {self._elim_size}"
-                )
-            self._elim_size = value.size
-        self._blocks[key] = _Block(
-            key, value, "vector", value.size, fixed=fixed, eliminate=eliminate
-        )
+    def add_vectors(self, name: str, values, fixed=False, eliminate: bool = False):
+        """A family of vectors, one row of ``values`` (n, k) each."""
+        values = np.array(values, dtype=float)
+        family = _Family(False, values.shape[1], _row_mask(fixed, len(values)), eliminate)
+        if eliminate and (family.fixed.any() or any(f.eliminate for f in self.families.values())):
+            raise ValueError(f"cannot eliminate {name!r}: one eliminated family, every row free")
+        self._add(name, values, family)
 
-    def add_factors(self, kind, blocks, data, information, kernel):
+    def _add(self, name, value, family):
+        if name in self.families:
+            raise ValueError(f"duplicate family {name!r}")
+        self.families[name] = family
+        self.value[name] = value
+
+    def add_factors(self, kind, slots, data, information, kernel):
         """Add n rows of ``kind`` as one group (see the module docstring);
         a group of no rows is not added."""
-        if len(blocks[0]) == 0:
+        if len(slots[0][1]) == 0:
             return
-        batch = FactorBatch(kind, blocks, data, information, kernel)
-        eliminated = 0
-        for keys, index in zip(batch.keys, batch.index):
-            for key in keys:
-                if key not in self._blocks:
-                    raise ValueError(f"factor references unknown block {key!r}")
-            eliminated = eliminated + np.array([self._blocks[k].eliminate for k in keys])[index]
-        if np.any(eliminated > 1):
+        batch = FactorBatch(kind, slots, data, information, kernel)
+        for family, rows in batch.slots:
+            if family not in self.families:
+                raise ValueError(f"factor references unknown family {family!r}")
+            if rows.min() < 0 or rows.max() >= len(self.families[family].fixed):
+                raise ValueError(f"factor references a row outside family {family!r}")
+        if sum(self.families[family].eliminate for family, _ in batch.slots) > 1:
             raise ValueError("a factor may touch at most one eliminated block")
         self.groups.append(batch)
 
-    # -- access ------------------------------------------------------------
-    def value(self, key: str):
-        return self._blocks[key].value
 
-    def values(self) -> dict:
-        return {k: b.value for k, b in self._blocks.items()}
-
-    def set_value(self, key: str, value):
-        self._blocks[key].value = value
+def _row_mask(fixed, n: int) -> np.ndarray:
+    """``fixed``, one bool for every row or one per row, as an (n,) mask."""
+    return np.broadcast_to(np.asarray(fixed, dtype=bool), (n,)).copy()
 
 
 class FactorBatch:
     """One factor group, compiled for every evaluation of a solve.
 
     - ``kind``, ``data`` and ``kernel``: as given to ``Problem.add_factors``;
+    - ``slots``: per block slot, its family name and the (n,) integer rows;
     - ``sqrt_info``: the upper-triangular S (S^T S = information), (d, d)
-      for a shared information, (n, d, d) for a stack;
-    - ``keys[a]`` and ``index[a]`` per block slot a: the slot's distinct
-      block keys and, per row, the position of its key among them.
+      for a shared information, (n, d, d) for a stack.
 
-    ``poses`` and ``vectors`` gather one slot's block values for every row:
-    each distinct block is stacked once, then indexed.
+    ``poses`` and ``vectors`` gather one slot's block values for every row.
     """
 
-    def __init__(self, kind, blocks, data, information, kernel):
+    def __init__(self, kind, slots, data, information, kernel):
         self.kind, self.data, self.kernel = kind, data, kernel
-        self.keys, self.index = [], []
-        for slot in blocks:
-            keys, index = np.unique(np.asarray(slot), return_inverse=True)
-            self.keys.append(keys.tolist())
-            self.index.append(index)
-        if len({len(index) for index in self.index}) != 1:
-            raise ValueError("every block slot needs one key per row")
+        self.slots = [(family, np.asarray(rows, dtype=int)) for family, rows in slots]
+        if len({len(rows) for _, rows in self.slots}) != 1:
+            raise ValueError("every block slot needs one row per factor")
         self.sqrt_info = _sqrt_information(np.asarray(information, dtype=float))
 
     def __len__(self) -> int:
-        return len(self.index[0])
+        return len(self.slots[0][1])
 
     def vectors(self, values, slot: int) -> np.ndarray:
         """Vector block of ``slot`` per row, (n, k)."""
-        return np.stack([values[k] for k in self.keys[slot]])[self.index[slot]]
+        family, rows = self.slots[slot]
+        return values[family][rows]
 
     def poses(self, values, slot: int):
         """Pose block of ``slot`` per row: rotations (n, 3, 3), translations (n, 3)."""
-        poses = [values[k] for k in self.keys[slot]]
-        idx = self.index[slot]
-        return np.stack([p.rotation for p in poses])[idx], np.stack([p.translation for p in poses])[idx]
+        family, rows = self.slots[slot]
+        rot, trans = values[family]
+        return rot[rows], trans[rows]
 
 
 def _sqrt_information(information):
@@ -217,8 +209,7 @@ def _reweighted(w_res, w_jacs, drho):
 
 def evaluate_cost(problem: Problem, values: dict | None = None) -> float:
     """Sum of robustified factor costs at the given (or current) values."""
-    if values is None:
-        values = problem.values()
+    values = problem.value if values is None else values
     cost = 0.0
     for batch in problem.groups:
         residual, _ = batch.kind.evaluate_batch(batch, values, jacobian=False)
@@ -230,42 +221,38 @@ def evaluate_cost(problem: Problem, values: dict | None = None) -> float:
 class _System:
     """Block layout of one solve of a Problem and its Schur-complement algebra.
 
-    Camera blocks (free and not eliminated) take consecutive offsets of the
-    reduced vector in insertion order; eliminated blocks are the rows of the
-    stacked landmark arrays, in insertion order. Building it maps, per
-    factor group, its rows' blocks to those (``_scatter_maps``), which add
-    the rows' normal-equation entries into the stacked system.
+    The free rows of the families that are not eliminated take consecutive
+    offsets of the reduced (camera) vector, family by family in insertion
+    order; the eliminated family's rows are the rows of the stacked
+    landmark arrays. Building it maps, per factor group, its rows' blocks
+    to those (``_scatter_maps``), which add the rows' normal-equation
+    entries into the stacked system.
     """
 
     def __init__(self, problem: Problem):
         self.problem = problem
-        blocks = problem._blocks.values()
-        self.cam_blocks = [blk for blk in blocks if not blk.fixed and not blk.eliminate]
-        self.elim_blocks = [blk for blk in blocks if blk.eliminate]
-        if not self.cam_blocks and not self.elim_blocks:
+        offsets = {}  # family -> each row's camera offset, -1 if fixed or eliminated
+        lm_rows = {}  # family -> each row's landmark row, -1 unless eliminated
+        self.free = {}  # family with free camera rows -> (mask, (n_free, size) offsets)
+        self.elim, self.n_l, self.elim_size, self.nc = None, 0, 0, 0
+        for name, family in problem.families.items():
+            n = len(family.fixed)
+            offsets[name], lm_rows[name] = np.full(n, -1), np.full(n, -1)
+            if family.eliminate:
+                self.elim, self.n_l, self.elim_size = name, n, family.size
+                lm_rows[name] = np.arange(n)
+            elif not family.fixed.all():
+                free = ~family.fixed
+                offsets[name][free] = self.nc + family.size * np.arange(free.sum())
+                self.nc += family.size * int(free.sum())
+                self.free[name] = (free, offsets[name][free, None] + np.arange(family.size))
+        if not self.nc and not self.n_l:
             raise ValueError("problem has no free blocks")
-        self.cam_offset = {}
-        off = 0
-        for blk in self.cam_blocks:
-            self.cam_offset[blk.key] = off
-            off += blk.size
-        self.nc = off
-        self.elim_size = problem._elim_size or 0
-        lm_row = {blk.key: j for j, blk in enumerate(self.elim_blocks)}
-
-        def per_slot(batch, table):
-            """(n, slots): each row block's entry in table, -1 if absent."""
-            return np.stack(
-                [np.array([table.get(k, -1) for k in keys])[idx]
-                 for keys, idx in zip(batch.keys, batch.index)],
-                axis=1,
-            )
-
         self.scatter = [
             _scatter_maps(
-                per_slot(batch, self.cam_offset),
-                per_slot(batch, lm_row),
-                [problem._blocks[keys[0]].size for keys in batch.keys],
+                np.stack([offsets[f][rows] for f, rows in batch.slots], axis=1),
+                np.stack([lm_rows[f][rows] for f, rows in batch.slots], axis=1),
+                [problem.families[f].size for f, _ in batch.slots],
                 self.nc,
                 self.elim_size,
             )
@@ -299,18 +286,28 @@ class _System:
         return delta_c, x[:, :, 0] - x[:, :, 1:] @ delta_c
 
     def retract(self, values, delta):
+        """One vectorized update of each family's free rows; fixed rows are copied as they are."""
         delta_c, delta_l = delta
         new_values = dict(values)
-        for blk in self.cam_blocks:
-            off = self.cam_offset[blk.key]
-            step = delta_c[off : off + blk.size]
-            if blk.kind == "pose":
-                new_values[blk.key] = values[blk.key].retract(step)
+        for name, (free, index) in self.free.items():
+            step = delta_c[index]
+            if self.problem.families[name].pose:
+                rot, trans = (a.copy() for a in values[name])
+                rot[free], trans[free] = _retract_poses(rot[free], trans[free], step)
+                new_values[name] = (rot, trans)
             else:
-                new_values[blk.key] = values[blk.key] + step
-        for j, blk in enumerate(self.elim_blocks):
-            new_values[blk.key] = values[blk.key] + delta_l[j]
+                new_values[name] = values[name].copy()
+                new_values[name][free] += step
+        if self.elim is not None:
+            new_values[self.elim] = values[self.elim] + delta_l
         return new_values
+
+
+def _retract_poses(rot, trans, delta):
+    """``Pose.retract`` of each row: rot (n, 3, 3) and trans (n, 3) by delta (n, 6)."""
+    phi, rho = delta[:, :3], delta[:, 3:]
+    t_step = (so3_left_jacobian_batch(phi) @ rho[:, :, None])[:, :, 0]
+    return orthonormalize(rot @ so3_exp_batch(phi)), (rot @ t_step[:, :, None])[:, :, 0] + trans
 
 
 def _scatter_maps(cam, lm, sizes, nc, s):
@@ -365,7 +362,7 @@ def _build_normal_equations(problem, system, values):
     by its scatter maps, one ``bincount`` per target; a row of zero
     robust weight adds zeros.
     """
-    nc, s, n_l = system.nc, system.elim_size, len(system.elim_blocks)
+    nc, s, n_l = system.nc, system.elim_size, system.n_l
     h_cc = np.zeros((nc, nc))
     b_c = np.zeros(nc)
     h_ll = np.zeros((n_l, s, s))
@@ -501,12 +498,7 @@ def _levenberg_marquardt(system, value, opts: SolverOptions):
 
 
 def solve(problem: Problem | DenseProblem, options: SolverOptions | None = None) -> SolverReport:
-    """Minimize the robustified cost; updates the problem's estimate in place."""
-    opts = options or SolverOptions()
-    if isinstance(problem, DenseProblem):
-        problem.value, report = _levenberg_marquardt(problem, problem.value, opts)
-        return report
-    values, report = _levenberg_marquardt(_System(problem), problem.values(), opts)
-    for key, value in values.items():
-        problem.set_value(key, value)
+    """Minimize the robustified cost; leaves the minimizer in ``problem.value``."""
+    backend = problem if isinstance(problem, DenseProblem) else _System(problem)
+    problem.value, report = _levenberg_marquardt(backend, problem.value, options or SolverOptions())
     return report

@@ -39,24 +39,3 @@ def load_trajectory(path):
             poses.append(Pose(rotation_from_quat(np.array(vals[4:8])), np.array(vals[1:4])))
     return np.asarray(times), poses
 
-
-def associate(times_a, times_b, max_dt: float = 0.05):
-    """Pair indices of nearest timestamps within max_dt, one-to-one in a.
-
-    Returns (idx_a, idx_b) arrays; every element of a is matched with its
-    nearest b-timestamp if the gap is within max_dt.
-    """
-    times_a = np.asarray(times_a, dtype=float)
-    times_b = np.asarray(times_b, dtype=float)
-    if len(times_a) == 0 or len(times_b) == 0:
-        return np.zeros(0, int), np.zeros(0, int)
-    pos = np.searchsorted(times_b, times_a)
-    pos = np.clip(pos, 1, len(times_b) - 1) if len(times_b) > 1 else np.zeros(len(times_a), int)
-    if len(times_b) == 1:
-        nearest = np.zeros(len(times_a), int)
-    else:
-        left = pos - 1
-        choose_right = np.abs(times_b[pos] - times_a) < np.abs(times_b[left] - times_a)
-        nearest = np.where(choose_right, pos, left)
-    ok = np.abs(times_b[nearest] - times_a) <= max_dt
-    return np.nonzero(ok)[0], nearest[ok]

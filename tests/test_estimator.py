@@ -125,10 +125,13 @@ def test_window_problem_has_one_stereo_row_per_solvable_occurrence():
     # no keyframe here carries a preintegration, so the stereo group is the only one
     (stereo,) = problem.groups
     assert stereo.kind is res.StereoReprojectionFactor
-    rows = list(zip(*([keys[i] for i in index] for keys, index in zip(stereo.keys, stereo.index))))
+    (pose_family, kf_rows), (lm_family, lm_rows) = stereo.slots
+    assert (pose_family, lm_family) == ("pose", "lm")
+    kf_ids = [kf.kf_id for kf in window.keyframes]
+    rows = [(kf_ids[i], lm_ids[j]) for i, j in zip(kf_rows, lm_rows)]
     # keyframes 1-3 see [9, 2, 3, 3], [9, 3, 4, 5] and [6, 7, 4, 5]
     want = [(1, 0, 9), (1, 2, 3), (1, 3, 3), (2, 0, 9), (2, 1, 3), (2, 2, 4), (3, 2, 4)]
-    assert rows == [(f"pose{kf_id}", f"lm{lm_id}") for kf_id, _, lm_id in want]
+    assert rows == [(kf_id, lm_id) for kf_id, _, lm_id in want]
     by_id = {kf.kf_id: kf for kf in window.keyframes}
     pixels, cam_left, cam_right = stereo.data
     np.testing.assert_array_equal(pixels, [by_id[kf_id].pixels[j] for kf_id, j, _ in want])
@@ -136,7 +139,11 @@ def test_window_problem_has_one_stereo_row_per_solvable_occurrence():
     np.testing.assert_array_equal(
         cam_right.body_t_cam.translation, rig.right_camera().body_t_cam.translation
     )
-    assert sorted(k for k in problem.values() if k.startswith("lm")) == ["lm3", "lm4", "lm9"]
+    # one family row per keyframe in window order, the oldest fixed; one per solvable landmark
+    np.testing.assert_array_equal(problem.value["pose"][1], [kf.state.pose.translation for kf in window.keyframes])
+    assert problem.families["pose"].fixed.tolist() == [True, False, False]
+    np.testing.assert_array_equal(problem.value["lm"], [window.landmarks[i] for i in lm_ids])
+    assert problem.families["lm"].eliminate
 
 
 def test_empty_association():
@@ -167,7 +174,7 @@ def test_empty_association():
     finally:
         estimator.solve = original
     (problem,) = problems
-    assert "anchor" not in problem.values()
+    assert "anchor" not in problem.value
     assert [g.kind for g in problem.groups] == [res.StereoReprojectionFactor]
     assert anchor.pose is pose
 
@@ -201,9 +208,9 @@ def test_anchor_alignment_matches_generic_problem(max_iterations):
     options = SolverOptions(max_iterations=max_iterations)
 
     generic = Problem()
-    for lm_id in association.landmark_ids.tolist():
-        generic.add_vector_block(f"lm{lm_id}", landmarks[lm_id], fixed=True)
-    estimator._add_anchor_groups(generic, anchor, association, cfg)
+    lm_ids = association.landmark_ids
+    generic.add_vectors("lm", [landmarks[lm_id] for lm_id in lm_ids.tolist()], fixed=True)
+    estimator._add_anchor_groups(generic, anchor, association, lm_ids, cfg)
     assert [g.kind for g in generic.groups] == [
         res.PointToPlaneFactor, res.PointToPointFactor, res.AnchorPriorFactor
     ]
@@ -218,9 +225,9 @@ def test_anchor_alignment_matches_generic_problem(max_iterations):
     assert got.gradient_norm == pytest.approx(want.gradient_norm, rel=1e-9)
     assert got.final_cost < 0.5 * got.initial_cost
     assert got.termination == ("max_iter" if max_iterations == 8 else "converged")
-    expected = generic.value("anchor")
-    np.testing.assert_allclose(alignment.value.rotation, expected.rotation, rtol=0, atol=1e-12)
-    np.testing.assert_allclose(alignment.value.translation, expected.translation, rtol=0, atol=1e-12)
+    (expected_rot,), (expected_trans,) = generic.value["anchor"]
+    np.testing.assert_allclose(alignment.value.rotation, expected_rot, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(alignment.value.translation, expected_trans, rtol=0, atol=1e-12)
 
 
 def test_association_matches_one_landmark_at_a_time():

@@ -95,6 +95,35 @@ class TestVisionTransform:
         assert np.allclose(np.sort(got.positions, axis=0), np.sort(expected, axis=0), atol=1e-9)
 
 
+class TestScanPoses:
+    """Scan k is placed by ground-truth row k; scans past the last row are skipped."""
+
+    def test_scans_beyond_ground_truth_are_skipped(self, short_session):
+        s = short_session
+        m = len(s.scans) // 2
+        rows = (s.session_id, s.rig, s.gt_times[:m], s.gt_poses[:m], s.imu_samples)
+        cut_truth = SessionData(*rows, s.frames, s.scans)
+        cut_all = SessionData(*rows, s.frames[:m], s.scans[:m])
+        params = make_params()
+        for build in (
+            lambda session: mp.vision_transform_session(session, params),
+            lambda session: mp.extract_ground([session], params),
+            mp.build_full_map,
+        ):
+            got, want = build(cut_truth), build(cut_all)
+            assert len(got) > 0
+            np.testing.assert_array_equal(got.positions, want.positions)
+            np.testing.assert_array_equal(got.labels, want.labels)
+
+    def test_full_map_places_scan_k_by_row_k(self, short_session):
+        s = short_session
+        pts = np.concatenate(
+            [(s.gt_poses[k] @ s.rig.body_t_laser).apply(points) for k, (points, _) in enumerate(s.scans)]
+        )
+        centroids, _ = mp.voxel_centroids(pts, 0.3)
+        np.testing.assert_array_equal(mp.build_full_map(s, voxel=0.3).positions, centroids)
+
+
 def cloud_of(points, labels=None):
     points = np.asarray(points, dtype=float)
     return PointCloudMap(points, frame=FRAME_MAP, labels=labels)

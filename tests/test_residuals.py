@@ -337,9 +337,19 @@ class TestRobustKernel:
             res.RobustKernel("cauchy", 0.0)
 
 
-def group(kind, blocks, data, information):
+def group(kind, slots, data, information):
     """One compiled group of ``kind``, as a Problem files it."""
-    return FactorBatch(kind, blocks, data, information, res.RobustKernel())
+    return FactorBatch(kind, slots, data, information, res.RobustKernel())
+
+
+def pose_family(poses):
+    """The stacked value of a pose family: rotations (n, 3, 3), translations (n, 3)."""
+    return np.array([p.rotation for p in poses]), np.array([p.translation for p in poses])
+
+
+def pose_at(values, family, row):
+    rot, trans = values[family]
+    return Pose(rot[row], trans[row])
 
 
 class TestBatchedFactors:
@@ -353,16 +363,18 @@ class TestBatchedFactors:
         rng = np.random.default_rng(8)
         cam_l = default_camera(body_t_cam=se3_exp(np.array([0.0, -0.1, 0.05, 0.1, 0.0, 0.2])))
         cam_r = default_camera(body_t_cam=cam_l.body_t_cam @ Pose(np.eye(3), np.array([0.3, 0.0, 0.0])))
-        values, pixels = {}, rng.uniform(100, 500, size=(40, 4))
+        poses, landmarks, pixels = [], [], rng.uniform(100, 500, size=(40, 4))
         for i in range(40):
             pose = random_pose(rng, rot=0.4, trans=1.0)
             depth = -3.0 if i == 7 else rng.uniform(2, 10)  # landmark 7 is behind both cameras
             p_cam = np.array([rng.normal(0, 1), rng.normal(0, 1), depth])
-            values[f"pose{i}"] = pose
-            values[f"lm{i}"] = pose.apply(cam_l.body_t_cam.apply(p_cam))
+            poses.append(pose)
+            landmarks.append(pose.apply(cam_l.body_t_cam.apply(p_cam)))
+        # row i of the group observes landmark i from pose 39 - i
+        values = {"pose": pose_family(poses[::-1]), "lm": np.array(landmarks)}
         batch = group(
             res.StereoReprojectionFactor,
-            [[f"pose{i}" for i in range(40)], [f"lm{i}" for i in range(40)]],
+            [("pose", np.arange(40)[::-1]), ("lm", np.arange(40))],
             (pixels, cam_l, cam_r),
             res.PIXEL_INFORMATION,
         )
@@ -370,8 +382,8 @@ class TestBatchedFactors:
         residual, (j_pose, j_lm) = res.StereoReprojectionFactor.evaluate_batch(batch, values)
         assert residual.shape == (40, 4) and j_pose.shape == (40, 4, 6) and j_lm.shape == (40, 4, 3)
         for i in range(40):
-            state = imu.NavState(pose=values[f"pose{i}"])
-            lm = res.Landmark(values[f"lm{i}"], i)
+            state = imu.NavState(pose=poses[i])
+            lm = res.Landmark(landmarks[i], i)
             if i == 7:
                 with pytest.raises(res.BehindCameraError):
                     res.reprojection_residual(state, lm, res.Observation(0, i, pixels[i, :2]), cam_l)
@@ -388,14 +400,14 @@ class TestBatchedFactors:
         assert np.array_equal(no_jac, residual)
 
     def map_batch(self, rng, kind, constraints):
-        """Values and the group of ``kind`` for one landmark per constraint."""
-        values = {"anchor": random_pose(rng)}
-        for i in range(len(constraints)):
-            values[f"lm{i}"] = rng.normal(size=3) * 3.0
+        """Values and the group of ``kind`` for one landmark per constraint,
+        through row 1 of a two-row anchor family."""
+        n = len(constraints)
+        values = {"anchor": pose_family([random_pose(rng), random_pose(rng)]),
+                  "lm": np.array([rng.normal(size=3) * 3.0 for _ in range(n)])}
         points = np.array([c.point for c in constraints])
         data = (points, np.array([c.normal for c in constraints])) if kind is res.PointToPlaneFactor else (points,)
-        blocks = [["anchor"] * len(constraints), [f"lm{i}" for i in range(len(constraints))]]
-        return values, group(kind, blocks, data, np.eye(3))
+        return values, group(kind, [("anchor", np.ones(n, int)), ("lm", np.arange(n))], data, np.eye(3))
 
     def test_point_to_plane_matches_reference(self):
         rng = np.random.default_rng(9)
@@ -404,7 +416,7 @@ class TestBatchedFactors:
         residual, (j_anchor, j_lm) = res.PointToPlaneFactor.evaluate_batch(batch, values)
         for i, c in enumerate(constraints):
             r_n, ja, jl = res.point_to_plane_residual(
-                values["anchor"], res.Landmark(values[f"lm{i}"], i), c
+                pose_at(values, "anchor", 1), res.Landmark(values["lm"][i], i), c
             )
             self.assert_close(residual[i], r_n * c.normal)
             self.assert_close(j_anchor[i], np.outer(c.normal, ja))
@@ -422,7 +434,7 @@ class TestBatchedFactors:
         residual, (j_anchor, j_lm) = res.PointToPointFactor.evaluate_batch(batch, values)
         for i, c in enumerate(constraints):
             r, ja, jl = res.point_to_point_residual(
-                values["anchor"], res.Landmark(values[f"lm{i}"], i), c
+                pose_at(values, "anchor", 1), res.Landmark(values["lm"][i], i), c
             )
             self.assert_close(residual[i], r)
             self.assert_close(j_anchor[i], ja)
@@ -441,8 +453,10 @@ class TestInertialBatches:
 
     @staticmethod
     def chain(rng):
+        """Five keyframes' families and the four links between them: the
+        preintegrations, then the preintegration and bias slots."""
         pres = [random_preintegration(rng) for _ in range(4)]
-        values, pre_keys, bias_keys = {}, [], []
+        states = []
         state = random_nav_state(rng)
         for i in range(5):
             if i == 1:
@@ -450,12 +464,9 @@ class TestInertialBatches:
                 # exactly zero: the series branch of its exponential
                 b_g, b_a = pres[1].linearization_bias
                 state = imu.NavState(state.pose, state.velocity, b_a.copy(), b_g.copy())
-            values.update({f"pose{i}": state.pose, f"vel{i}": state.velocity,
-                           f"bg{i}": state.gyro_bias, f"ba{i}": state.accel_bias})
+            states.append(state)
             if i == 4:
                 break
-            pre_keys.append((f"pose{i}", f"vel{i}", f"bg{i}", f"ba{i}", f"pose{i + 1}", f"vel{i + 1}"))
-            bias_keys.append((f"ba{i}", f"bg{i}", f"ba{i + 1}", f"bg{i + 1}"))
             nxt = imu.predict_state(state, pres[i], GRAVITY)  # rotation error ~0: series branch
             if i % 2 == 0:  # far from the prediction: closed-form branch
                 nxt = imu.NavState(
@@ -465,16 +476,26 @@ class TestInertialBatches:
                     nxt.gyro_bias + rng.normal(size=3) * 0.005,
                 )
             state = nxt
-        return values, pres, pre_keys, bias_keys
+        values = {"pose": pose_family([s.pose for s in states]),
+                  "vel": np.array([s.velocity for s in states]),
+                  "bg": np.array([s.gyro_bias for s in states]),
+                  "ba": np.array([s.accel_bias for s in states])}
+        prev, curr = np.arange(4), np.arange(1, 5)
+        pre_slots = [("pose", prev), ("vel", prev), ("bg", prev), ("ba", prev), ("pose", curr), ("vel", curr)]
+        bias_slots = [("ba", prev), ("bg", prev), ("ba", curr), ("bg", curr)]
+        return values, pres, pre_slots, bias_slots
 
     def assert_matches_evaluate(self, batch, values, row_data):
-        """``row_data[i]``: what row i's ``evaluate`` takes after its keys."""
+        """``row_data[i]``: what row i's ``evaluate`` takes after its block values."""
         cls = batch.kind
         residual, jacs = cls.evaluate_batch(batch, values)
         assert residual.shape[0] == len(batch) == len(row_data)
-        row_keys = zip(*([keys[i] for i in index] for keys, index in zip(batch.keys, batch.index)))
-        for i, (keys, data) in enumerate(zip(row_keys, row_data)):
-            r, js = cls.evaluate(values, keys, *data)
+        for i, data in enumerate(row_data):
+            blocks = [
+                pose_at(values, family, rows[i]) if isinstance(values[family], tuple) else values[family][rows[i]]
+                for family, rows in batch.slots
+            ]
+            r, js = cls.evaluate(blocks, *data)
             self.assert_close(residual[i], r)
             assert len(jacs) == len(js)
             for j_batch, j in zip(jacs, js):
@@ -485,30 +506,29 @@ class TestInertialBatches:
         return residual
 
     def test_preintegration_matches_evaluate(self):
-        values, pres, keys, _ = self.chain(np.random.default_rng(21))
+        values, pres, slots, _ = self.chain(np.random.default_rng(21))
         batch = group(
-            res.PreintegrationFactor, list(zip(*keys)), res.stack_preintegrations(pres, GRAVITY),
+            res.PreintegrationFactor, slots, res.stack_preintegrations(pres, GRAVITY),
             np.array([pre.information() for pre in pres]),
         )
         residual = self.assert_matches_evaluate(batch, values, [(pre, GRAVITY) for pre in pres])
         e_rot = np.linalg.norm(residual[:, :3], axis=1)
         assert (e_rot < 1e-6).sum() == 2 and (e_rot > 1e-2).sum() == 2
         # the bias correction's rotation: zero at row 1, a closed-form angle elsewhere
-        db_g = [values[k[2]] - pre.linearization_bias[0] for k, pre in zip(keys, pres)]
+        db_g = [values["bg"][i] - pre.linearization_bias[0] for i, pre in enumerate(pres)]
         assert np.linalg.norm(db_g[1]) == 0.0
         assert min(np.linalg.norm(pre.J_g_dR @ d) for pre, d in zip(pres, db_g) if d.any()) > 1e-6
 
     def test_bias_random_walk_matches_evaluate(self):
-        values, pres, _, keys = self.chain(np.random.default_rng(22))
+        values, pres, _, slots = self.chain(np.random.default_rng(22))
         information = [imu.bias_information(imu.ImuNoiseModel(), pre.dt_total) for pre in pres]
-        batch = group(res.BiasRandomWalkFactor, list(zip(*keys)), None, information)
+        batch = group(res.BiasRandomWalkFactor, slots, None, information)
         self.assert_matches_evaluate(batch, values, [()] * len(pres))
 
     def test_anchor_prior_matches_evaluate(self):
         rng = np.random.default_rng(23)
-        values = {f"anchor{i}": random_pose(rng) for i in range(2)}
-        means = [values[f"anchor{i % 2}"] @ se3_exp(rng.normal(size=6) * 0.1) for i in range(3)]
-        batch = group(
-            res.AnchorPriorFactor, [[f"anchor{i % 2}" for i in range(3)]], means, np.eye(6)
-        )
+        anchors = [random_pose(rng) for _ in range(2)]
+        values = {"anchor": pose_family(anchors)}
+        means = [anchors[i % 2] @ se3_exp(rng.normal(size=6) * 0.1) for i in range(3)]
+        batch = group(res.AnchorPriorFactor, [("anchor", np.arange(3) % 2)], means, np.eye(6))
         self.assert_matches_evaluate(batch, values, [(mean,) for mean in means])

@@ -10,7 +10,7 @@ from crossloc.solver import FactorBatch, Problem, SolverOptions
 
 
 class VectorResidualFactor:
-    """Generic test kind: one vector block per row; data (residual_fn, jacobian_fn)."""
+    """Generic test kind: one vector row per factor; data (residual_fn, jacobian_fn)."""
 
     @classmethod
     def evaluate_batch(cls, batch, values, jacobian=True):
@@ -20,22 +20,28 @@ class VectorResidualFactor:
         return residual, [np.stack([jacobian_fn(x) for x in xs])] if jacobian else None
 
 
-def add_vector_residual(problem, key, residual_fn, jacobian_fn):
+def add_vector_residual(problem, family, residual_fn, jacobian_fn, row=0):
     problem.add_factors(
-        VectorResidualFactor, [[key]], (residual_fn, jacobian_fn), np.eye(2), res.RobustKernel()
+        VectorResidualFactor, [(family, [row])], (residual_fn, jacobian_fn), np.eye(2), res.RobustKernel()
     )
 
 
-def add_point_to_point(problem, lm_keys, points, information, kernel=res.RobustKernel()):
+def add_point_to_point(problem, lm_rows, points, information, kernel=res.RobustKernel()):
+    """Rows of the ``lm`` family against ``points``, through row 0 of ``anchor``."""
     problem.add_factors(
-        res.PointToPointFactor, [["anchor"] * len(lm_keys), lm_keys], (np.array(points),),
-        information, kernel,
+        res.PointToPointFactor, [("anchor", np.zeros(len(lm_rows), int)), ("lm", lm_rows)],
+        (np.array(points),), information, kernel,
     )
+
+
+def pose_row(problem, family, row=0):
+    rot, trans = problem.value[family]
+    return Pose(rot[row], trans[row])
 
 
 def quadratic_bowl_problem():
     problem = Problem()
-    problem.add_vector_block("x", np.zeros(2))
+    problem.add_vectors("x", np.zeros((1, 2)))
     add_vector_residual(problem, "x", lambda x: x - np.array([1.0, 2.0]), lambda x: np.eye(2))
     return problem
 
@@ -46,11 +52,11 @@ class TestSolve:
         report = solver.solve(problem)
         assert report.termination == "converged"
         assert report.iterations <= 5
-        assert np.allclose(problem.value("x"), [1.0, 2.0], atol=1e-8)
+        assert np.allclose(problem.value["x"][0], [1.0, 2.0], atol=1e-8)
 
     def test_rosenbrock(self):
         problem = Problem()
-        problem.add_vector_block("x", np.array([-1.2, 1.0]))
+        problem.add_vectors("x", [[-1.2, 1.0]])
 
         def r(x):
             return np.array([10.0 * (x[1] - x[0] ** 2), 1.0 - x[0]])
@@ -60,7 +66,7 @@ class TestSolve:
 
         add_vector_residual(problem, "x", r, jac)
         report = solver.solve(problem, SolverOptions(max_iterations=200))
-        assert np.allclose(problem.value("x"), [1.0, 1.0], atol=1e-6)
+        assert np.allclose(problem.value["x"][0], [1.0, 1.0], atol=1e-6)
         assert report.final_cost <= report.initial_cost
 
     def test_pose_alignment_recovers_offset(self):
@@ -71,35 +77,37 @@ class TestSolve:
         true_anchor = se3_exp(xi)
 
         problem = Problem()
-        problem.add_pose_block("anchor", Pose.identity())
-        keys, targets = [], []
-        for i in range(50):
-            src = rng.uniform(-5, 5, size=3)
-            keys.append(f"lm{i}")
-            targets.append(true_anchor.apply(src))
-            problem.add_vector_block(keys[-1], src, fixed=True)
-        add_point_to_point(problem, keys, targets, np.eye(3))
+        problem.add_poses("anchor", [Pose.identity()])
+        src = np.array([rng.uniform(-5, 5, size=3) for _ in range(50)])
+        problem.add_vectors("lm", src, fixed=True)
+        add_point_to_point(problem, np.arange(50), true_anchor.apply(src), np.eye(3))
         report = solver.solve(problem)
         assert report.termination == "converged"
-        est = problem.value("anchor")
+        est = pose_row(problem, "anchor")
         diff = est.inverse() @ true_anchor
         assert np.linalg.norm(diff.translation) < 1e-6
         assert np.linalg.norm(diff.rotation - np.eye(3)) < 1e-6
 
     def test_fixed_blocks_never_change(self):
+        """A fixed row keeps its value bitwise, in a fixed family and next
+        to free rows of its own family, even when a factor touches it."""
         problem = Problem()
-        problem.add_vector_block("free", np.zeros(2))
-        problem.add_vector_block("fixed", np.array([5.0, 6.0]), fixed=True)
-        add_vector_residual(problem, "free", lambda x: x - np.array([1.0, 1.0]), lambda x: np.eye(2))
-        before = problem.value("fixed").copy()
+        problem.add_vectors("x", [[0.0, 0.0], [5.0, 6.0], [0.1, -0.3]], fixed=[False, True, False])
+        problem.add_vectors("fixed", [[5.0, 6.0]], fixed=True)
+        for row, target in ((0, [1.0, 1.0]), (1, [2.0, 2.0]), (2, [-1.0, 3.0])):
+            add_vector_residual(problem, "x", lambda x, t=np.array(target): x - t, lambda x: np.eye(2), row)
+        add_vector_residual(problem, "fixed", lambda x: x, lambda x: np.eye(2))
+        before = {name: value.copy() for name, value in problem.value.items()}
         solver.solve(problem)
-        assert np.array_equal(problem.value("fixed"), before)
+        assert np.array_equal(problem.value["fixed"], before["fixed"])
+        assert np.array_equal(problem.value["x"][1], before["x"][1])
+        np.testing.assert_allclose(problem.value["x"][[0, 2]], [[1.0, 1.0], [-1.0, 3.0]], atol=1e-8)
 
     def test_monotone_costs_over_iteration_budget(self):
         costs = []
         for k in range(1, 8):
             problem = Problem()
-            problem.add_vector_block("x", np.array([-1.2, 1.0]))
+            problem.add_vectors("x", [[-1.2, 1.0]])
             add_vector_residual(
                 problem,
                 "x",
@@ -115,7 +123,7 @@ class TestSolve:
         values = []
         for _ in range(2):
             problem = Problem()
-            problem.add_vector_block("x", np.array([-1.2, 1.0]))
+            problem.add_vectors("x", [[-1.2, 1.0]])
             add_vector_residual(
                 problem,
                 "x",
@@ -123,39 +131,43 @@ class TestSolve:
                 lambda x: np.array([[-20.0 * x[0], 10.0], [-1.0, 0.0]]),
             )
             reports.append(solver.solve(problem, SolverOptions(max_iterations=37)))
-            values.append(problem.value("x").copy())
+            values.append(problem.value["x"].copy())
         assert reports[0] == reports[1]
         assert np.array_equal(values[0], values[1])
 
     def test_no_free_blocks_rejected(self):
         problem = Problem()
-        problem.add_vector_block("x", np.zeros(2), fixed=True)
+        problem.add_vectors("x", np.zeros((2, 2)), fixed=True)
         with pytest.raises(ValueError):
             solver.solve(problem)
 
     def test_unknown_block_rejected(self):
+        """An unknown family, or a row outside a known one."""
         problem = Problem()
-        with pytest.raises(ValueError):
-            add_vector_residual(problem, "nope", lambda x: x, lambda x: np.eye(2))
+        problem.add_vectors("x", np.zeros((2, 2)))
+        for family, row in (("nope", 0), ("x", 2), ("x", -1)):
+            with pytest.raises(ValueError):
+                add_vector_residual(problem, family, lambda x: x, lambda x: np.eye(2), row)
+        assert problem.groups == []
 
 
 class TestEvaluateCost:
     def test_empty_factor_list(self):
         problem = Problem()
-        problem.add_vector_block("x", np.zeros(2))
+        problem.add_vectors("x", np.zeros((1, 2)))
         assert solver.evaluate_cost(problem) == 0.0
 
     def test_zero_residual_factor(self):
         problem = Problem()
-        problem.add_pose_block("anchor", Pose.identity())
-        problem.add_vector_block("lm", np.array([1.0, 2.0, 3.0]))
-        add_point_to_point(problem, ["lm"], [[1.0, 2.0, 3.0]], np.eye(3))
+        problem.add_poses("anchor", [Pose.identity()])
+        problem.add_vectors("lm", [[1.0, 2.0, 3.0]])
+        add_point_to_point(problem, [0], [[1.0, 2.0, 3.0]], np.eye(3))
         assert solver.evaluate_cost(problem) == 0.0
 
     def test_matches_factorwise_sum(self):
         problem = Problem()
-        problem.add_pose_block("anchor", se3_exp(np.array([0.1, 0, 0, 0.5, 0, 0])))
-        problem.add_vector_block("lm", np.array([1.0, -1.0, 2.0]))
+        problem.add_poses("anchor", [se3_exp(np.array([0.1, 0, 0, 0.5, 0, 0]))])
+        problem.add_vectors("lm", [[1.0, -1.0, 2.0]])
         kernel = res.RobustKernel("cauchy", 1.3)
         c1 = res.MapConstraint(0, np.array([1.5, -1.0, 2.2]), None, np.eye(3) / 0.05**2, res.POINT_TO_POINT)
         n = np.array([0.0, 0.0, 1.0])
@@ -164,10 +176,10 @@ class TestEvaluateCost:
         # one group whitens by differing square roots.
         c3 = res.MapConstraint(0, np.array([1.5, -1.0, 2.2]), None, np.diag([400.0, 100.0, 25.0]), res.POINT_TO_POINT)
         add_point_to_point(
-            problem, ["lm", "lm"], [c1.point, c3.point], [c1.information, c3.information], kernel
+            problem, [0, 0], [c1.point, c3.point], [c1.information, c3.information], kernel
         )
         problem.add_factors(
-            res.PointToPlaneFactor, [["anchor"], ["lm"]], (c2.point[None], n[None]),
+            res.PointToPlaneFactor, [("anchor", [0]), ("lm", [0])], (c2.point[None], n[None]),
             c2.information, kernel,
         )
         # Two anchor priors with anisotropic information and different
@@ -178,15 +190,15 @@ class TestEvaluateCost:
             (se3_exp(np.array([0.05, 0, 0.01, 0.6, 0, -0.2])), info * 4.0, res.RobustKernel()),
         ]
         for mean, f_info, f_kernel in priors:
-            problem.add_factors(res.AnchorPriorFactor, [["anchor"]], [mean], f_info, f_kernel)
+            problem.add_factors(res.AnchorPriorFactor, [("anchor", [0])], [mean], f_info, f_kernel)
 
         total = solver.evaluate_cost(problem)
         # Oracle: rho(r^T info r) per row, with r from the bare residual
         # functions and info straight from the information, with no square
         # root taken.
         expected = 0.0
-        anchor = problem.value("anchor")
-        lm = res.Landmark(problem.value("lm"), 0)
+        anchor = pose_row(problem, "anchor")
+        lm = res.Landmark(problem.value["lm"][0], 0)
         for c in (c1, c3):
             r, _, _ = res.point_to_point_residual(anchor, lm, c)
             expected += kernel.loss(float(r @ c.information @ r))[0]
@@ -204,14 +216,14 @@ class TestFactorGroups:
         """One group's S, whatever mix of informations, is upper triangular
         with S^T S the symmetrized information of each factor."""
         problem = Problem()
-        problem.add_pose_block("anchor", Pose.identity())
-        problem.add_vector_block("lm", np.zeros(3))
+        problem.add_poses("anchor", [Pose.identity()])
+        problem.add_vectors("lm", np.zeros((1, 3)))
         lower = np.tril(np.random.default_rng(5).normal(size=(3, 3)), -1)
         skewed = lower @ lower.T + np.diag([2.0, 3.0, 4.0])
         skewed[0, 2] += 1e-9  # rounding that leaves it slightly asymmetric
         infos = [np.eye(3) * 400.0, np.diag([400.0, 100.0, 25.0]), np.eye(3), skewed]
         kernel = res.RobustKernel("cauchy", 1.0)
-        add_point_to_point(problem, ["lm"] * 4, np.zeros((4, 3)), infos, kernel)
+        add_point_to_point(problem, [0] * 4, np.zeros((4, 3)), infos, kernel)
         (batch,) = problem.groups
         assert batch.kernel == kernel and batch.sqrt_info.shape == (4, 3, 3)
         for s, info in zip(batch.sqrt_info, infos):
@@ -223,17 +235,17 @@ class TestFactorGroups:
         order added; a shared information has one square root for every row,
         and a group of no rows is not added."""
         problem = Problem()
-        problem.add_pose_block("anchor", Pose.identity())
-        problem.add_vector_block("lm", np.zeros(3))
+        problem.add_poses("anchor", [Pose.identity()])
+        problem.add_vectors("lm", np.zeros((1, 3)))
         cauchy, plain = res.RobustKernel("cauchy", 1.0), res.RobustKernel()
-        add_point_to_point(problem, ["lm", "lm"], np.ones((2, 3)), 4.0 * np.eye(3), cauchy)
+        add_point_to_point(problem, [0, 0], np.ones((2, 3)), 4.0 * np.eye(3), cauchy)
         add_point_to_point(problem, [], np.zeros((0, 3)), np.eye(3), cauchy)
-        add_point_to_point(problem, ["lm"], np.ones((1, 3)), np.eye(3), plain)
+        add_point_to_point(problem, [0], np.ones((1, 3)), np.eye(3), plain)
         assert [(len(b), b.kernel) for b in problem.groups] == [(2, cauchy), (1, plain)]
         np.testing.assert_array_equal(problem.groups[0].sqrt_info, 2.0 * np.eye(3))
         with pytest.raises(ValueError):  # slots of unequal length
             problem.add_factors(
-                res.PointToPointFactor, [["anchor"], ["lm", "lm"]], (np.ones((2, 3)),), np.eye(3), plain
+                res.PointToPointFactor, [("anchor", [0]), ("lm", [0, 0])], (np.ones((2, 3)),), np.eye(3), plain
             )
 
 
@@ -253,25 +265,20 @@ class TestSchurElimination:
         true_points = rng.uniform([-2, -2, 4], [2, 2, 8], size=(12, 3))
 
         problem = Problem()
-        for i, pose in enumerate(true_poses):
-            noisy = pose if i == 0 else pose.retract(rng.normal(size=6) * 0.01)
-            problem.add_pose_block(f"pose{i}", noisy, fixed=(i == 0))
-        for j, pt in enumerate(true_points):
-            problem.add_vector_block(
-                f"lm{j}", pt + rng.normal(size=3) * 0.05, eliminate=eliminate
-            )
-        pose_keys, lm_keys, pixels = [], [], []
-        for i, pose in enumerate(true_poses):
-            for j, pt in enumerate(true_points):
-                p_body = pose.inverse().apply(pt)
-                pose_keys.append(f"pose{i}")
-                lm_keys.append(f"lm{j}")
-                pixels.append(np.concatenate(
-                    [c.project(c.body_t_cam.inverse().apply(p_body)) for c in (cam, cam_right)]
-                ))
+        noisy = [pose if i == 0 else pose.retract(rng.normal(size=6) * 0.01) for i, pose in enumerate(true_poses)]
+        problem.add_poses("pose", noisy, fixed=[True, False, False])
+        problem.add_vectors(
+            "lm", [pt + rng.normal(size=3) * 0.05 for pt in true_points], eliminate=eliminate
+        )
+        pixels = [
+            np.concatenate([c.project(c.body_t_cam.inverse().apply(pose.inverse().apply(pt)))
+                            for c in (cam, cam_right)])
+            for pose in true_poses for pt in true_points
+        ]
         problem.add_factors(
-            res.StereoReprojectionFactor, [pose_keys, lm_keys], (np.array(pixels), cam, cam_right),
-            res.PIXEL_INFORMATION, res.RobustKernel(),
+            res.StereoReprojectionFactor,
+            [("pose", np.repeat(np.arange(3), 12)), ("lm", np.tile(np.arange(12), 3))],
+            (np.array(pixels), cam, cam_right), res.PIXEL_INFORMATION, res.RobustKernel(),
         )
         return problem
 
@@ -282,9 +289,7 @@ class TestSchurElimination:
         r_dense = solver.solve(p_dense, SolverOptions(max_iterations=60))
         assert r_schur.final_cost == pytest.approx(r_dense.final_cost, abs=1e-10)
         for j in range(12):
-            assert np.allclose(
-                p_schur.value(f"lm{j}"), p_dense.value(f"lm{j}"), atol=1e-7
-            )
+            assert np.allclose(p_schur.value["lm"][j], p_dense.value["lm"][j], atol=1e-7)
 
     def test_mini_ba_converges_to_truth(self):
         problem = self._mini_ba(eliminate=True)
@@ -293,8 +298,7 @@ class TestSchurElimination:
 
     def test_factor_with_two_eliminated_blocks_rejected(self):
         problem = Problem()
-        problem.add_vector_block("a", np.zeros(3), eliminate=True)
-        problem.add_vector_block("b", np.zeros(3), eliminate=True)
+        problem.add_vectors("lm", np.zeros((2, 3)), eliminate=True)
 
         class PairFactor:
             @classmethod
@@ -302,16 +306,23 @@ class TestSchurElimination:
                 raise AssertionError("never evaluated")
 
         with pytest.raises(ValueError):
-            problem.add_factors(PairFactor, [["a"], ["b"]], None, np.eye(3), res.RobustKernel())
+            problem.add_factors(PairFactor, [("lm", [0]), ("lm", [1])], None, np.eye(3), res.RobustKernel())
+        assert problem.groups == []
 
-    def test_eliminated_block_of_another_size_rejected(self):
+    def test_one_eliminated_family_with_free_rows(self):
+        """A second eliminated family, or an eliminated family with a fixed
+        row, is rejected; families that are not eliminated may have any size."""
         problem = Problem()
-        problem.add_vector_block("a", np.zeros(3), eliminate=True)
-        # Neither a kept nor a fixed block is eliminated, so any size passes.
-        problem.add_vector_block("b", np.zeros(2))
-        problem.add_vector_block("c", np.zeros(2), fixed=True, eliminate=True)
         with pytest.raises(ValueError):
-            problem.add_vector_block("d", np.zeros(2), eliminate=True)
+            problem.add_vectors("lm", np.zeros((2, 3)), fixed=[False, True], eliminate=True)
+        problem.add_vectors("lm", np.zeros((2, 3)), eliminate=True)
+        problem.add_vectors("b", np.zeros((1, 2)))
+        problem.add_vectors("c", np.zeros((1, 2)), fixed=True)
+        with pytest.raises(ValueError):
+            problem.add_vectors("d", np.zeros((1, 3)), eliminate=True)
+        with pytest.raises(ValueError):  # a name is one family
+            problem.add_vectors("b", np.zeros((1, 2)))
+        assert list(problem.families) == ["lm", "b", "c"]
 
 
 class TestNormalEquations:
@@ -325,32 +336,34 @@ class TestNormalEquations:
         rig = default_rig()
         cams = (rig.camera, rig.right_camera())
         kernel = res.RobustKernel("cauchy", 2.0)
+        poses = [Pose.identity(), se3_exp(np.array([0.02, -0.01, 0.03, 0.5, 0.1, 0.0]))]
+        anchor = se3_exp(np.array([0.01, 0.02, -0.02, 0.3, -0.2, 0.1]))
+        landmarks = np.array([[6.0, 0.5, 0.3], [8.0, -1.0, -0.2]])
         problem = Problem()
-        problem.add_pose_block("pose0", Pose.identity(), fixed=True)
-        problem.add_pose_block("pose1", se3_exp(np.array([0.02, -0.01, 0.03, 0.5, 0.1, 0.0])))
-        problem.add_pose_block("anchor", se3_exp(np.array([0.01, 0.02, -0.02, 0.3, -0.2, 0.1])))
-        problem.add_vector_block("lm0", np.array([6.0, 0.5, 0.3]), eliminate=True)
-        problem.add_vector_block("lm1", np.array([8.0, -1.0, -0.2]), eliminate=True)
-        # Camera columns in insertion order, then three per eliminated block.
+        problem.add_poses("pose", poses, fixed=[True, False])
+        problem.add_poses("anchor", [anchor])
+        problem.add_vectors("lm", landmarks, eliminate=True)
+        # Camera columns: the free rows family by family, then three per eliminated row.
         cols = {
-            "pose1": slice(0, 6), "anchor": slice(6, 12), "lm0": slice(12, 15), "lm1": slice(15, 18)
+            ("pose", 1): slice(0, 6), ("anchor", 0): slice(6, 12),
+            ("lm", 0): slice(12, 15), ("lm", 1): slice(15, 18),
         }
-        values = problem.values()
+        values = problem.value
 
-        groups = []  # (kind, blocks, data, information, kernel)
-        pose_keys, lm_keys, pixels, infos = [], [], [], []
-        for pose in ("pose0", "pose1"):
-            for lm, s_info in (("lm0", 1.5), ("lm1", 0.5)):
-                p_body = values[pose].inverse().apply(values[lm])
-                pose_keys.append(pose)
-                lm_keys.append(lm)
+        groups = []  # (kind, slots, data, information, kernel)
+        pose_rows, lm_rows, pixels, infos = [], [], [], []
+        for pose_row, pose in enumerate(poses):
+            for lm_row, s_info in ((0, 1.5), (1, 0.5)):
+                p_body = pose.inverse().apply(landmarks[lm_row])
+                pose_rows.append(pose_row)
+                lm_rows.append(lm_row)
                 pixels.append(np.concatenate(
                     [c.project(c.body_t_cam.inverse().apply(p_body)) for c in cams]
                 ) + rng.normal(0.0, 3.0, 4))
                 # a pixel noise other than the shared 1 px, to exercise the whitening
                 infos.append(s_info**2 * np.eye(4))
         groups.append((
-            res.StereoReprojectionFactor, [pose_keys, lm_keys], (np.array(pixels), *cams),
+            res.StereoReprojectionFactor, [("pose", pose_rows), ("lm", lm_rows)], (np.array(pixels), *cams),
             np.array(infos), kernel,
         ))
         info_plane = np.eye(3) / 0.05**2
@@ -358,26 +371,26 @@ class TestNormalEquations:
         info_prior = EstimatorConfig().prior_information()
         prior_mean = se3_exp(np.array([0.0, 0.01, 0.0, 0.4, -0.1, 0.0]))
         groups += [
-            (res.PointToPlaneFactor, [["anchor"], ["lm0"]],
+            (res.PointToPlaneFactor, [("anchor", [0]), ("lm", [0])],
              (np.array([[6.1, 0.4, 0.5]]), np.array([[0.0, 0.6, 0.8]])), info_plane, kernel),
-            (res.PointToPointFactor, [["anchor"], ["lm1"]],
+            (res.PointToPointFactor, [("anchor", [0]), ("lm", [1])],
              (np.array([[8.2, -1.3, 0.1]]),), info_point, kernel),
-            (res.AnchorPriorFactor, [["anchor"]], [prior_mean], info_prior, res.RobustKernel()),
+            (res.AnchorPriorFactor, [("anchor", [0])], [prior_mean], info_prior, res.RobustKernel()),
         ]
 
         j_rows, r_rows, expected_cost = [], [], 0.0
-        for kind, blocks, data, info, f_kernel in groups:
-            problem.add_factors(kind, blocks, data, info, f_kernel)
-            residual, jacs = kind.evaluate_batch(FactorBatch(kind, blocks, data, info, f_kernel), values)
+        for kind, slots, data, info, f_kernel in groups:
+            problem.add_factors(kind, slots, data, info, f_kernel)
+            residual, jacs = kind.evaluate_batch(FactorBatch(kind, slots, data, info, f_kernel), values)
             for i, r in enumerate(residual):
                 s_mat = np.linalg.cholesky(info if np.ndim(info) == 2 else info[i]).T
                 rho, drho = f_kernel.loss(float(np.sum((s_mat @ r) ** 2)))
                 expected_cost += rho
                 w = np.sqrt(drho) * s_mat
                 j_dense = np.zeros((len(r), 18))
-                for slot, jac in zip(blocks, jacs):
-                    if slot[i] in cols:
-                        j_dense[:, cols[slot[i]]] += w @ jac[i]
+                for (family, rows), jac in zip(slots, jacs):
+                    if (family, rows[i]) in cols:
+                        j_dense[:, cols[family, rows[i]]] += w @ jac[i]
                 j_rows.append(j_dense)
                 r_rows.append(w @ r)
         jac = np.vstack(j_rows)
@@ -400,3 +413,47 @@ class TestNormalEquations:
             close(h_cl[row], h[:12, lm], h)
             close(b_l[row], b[lm], b)
         assert cost == pytest.approx(expected_cost, rel=1e-12)
+
+
+class TestRetraction:
+    def test_family_retraction_matches_pose_retract(self):
+        """One step of the Schur system's layout, retracted family by family:
+        free pose rows as ``Pose.retract`` to 1e-12 (a zero step included),
+        free vector and eliminated rows by addition, fixed rows bitwise
+        unchanged."""
+        rng = np.random.default_rng(17)
+        poses = [se3_exp(rng.normal(size=6)) for _ in range(6)]
+        # a rotation drifted off orthonormality, as composition chains leave it
+        poses[4] = Pose(poses[4].rotation * (1.0 + 1e-7), poses[4].translation)
+        fixed = np.array([True, False, False, True, False, False])
+        problem = Problem()
+        problem.add_poses("pose", poses, fixed=fixed)
+        problem.add_vectors("vel", rng.normal(size=(3, 3)), fixed=[False, True, False])
+        problem.add_vectors("lm", rng.normal(size=(4, 3)), eliminate=True)
+        problem.add_vectors("held", rng.normal(size=(2, 2)), fixed=True)
+        system = solver._System(problem)
+        assert system.nc == 4 * 6 + 2 * 3
+        steps = rng.normal(size=(6, 6)) * [0.3, 0.3, 0.3, 1.0, 1.0, 1.0]
+        steps[2] = 0.0  # a zero step on a free row
+        steps[5, :3] = 1e-8  # a rotation step on the series branch
+        vel_steps = rng.normal(size=(3, 3))
+        delta_c = np.concatenate([steps[~fixed].ravel(), vel_steps[[0, 2]].ravel()])
+        delta_l = rng.normal(size=(4, 3))
+
+        before = problem.value
+        after = system.retract(before, (delta_c, delta_l))
+        rot, trans = after["pose"]
+        for i, pose in enumerate(poses):
+            if fixed[i]:
+                assert np.array_equal(rot[i], before["pose"][0][i])
+                assert np.array_equal(trans[i], before["pose"][1][i])
+                continue
+            want = pose.retract(steps[i])
+            np.testing.assert_allclose(rot[i], want.rotation, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(trans[i], want.translation, rtol=0, atol=1e-12)
+        assert np.array_equal(after["vel"][1], before["vel"][1])
+        np.testing.assert_array_equal(after["vel"][[0, 2]], before["vel"][[0, 2]] + vel_steps[[0, 2]])
+        np.testing.assert_array_equal(after["lm"], before["lm"] + delta_l)
+        assert np.array_equal(after["held"], before["held"])
+        # the value retracted from is left as it was
+        np.testing.assert_array_equal(before["pose"][0], np.array([p.rotation for p in poses]))
