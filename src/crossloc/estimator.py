@@ -13,6 +13,14 @@ one bundle-adjustment step chosen by the schedule:
   solve on 6x6 normal equations;
 - hybrid m:n cycles m non-rigid steps then n rigid ones.
 
+The front end is one keyframe path. ``_due_keyframes`` preintegrates the
+IMU from the window's newest keyframe to each later frame and yields a
+keyframe wherever the policy (``_keyframe_due``: translation, rotation or
+landmark overlap) fires; ``initialize`` inserts frame 0 and its first yield,
+``run_localization`` the rest. After each insertion ``activate_landmarks``
+triangulates every inactive landmark that two window keyframes see, from its
+stereo pixels in the oldest of them.
+
 Both steps state their terms as arrays. The window problem
 (``_build_vio_problem``) stacks the window in block families: ``pose``,
 ``vel``, ``bg`` and ``ba`` with one row per keyframe in window order (the
@@ -46,7 +54,7 @@ from .imu import NavState, PreintegratedImu, bias_information, integrate, predic
 from .laser_map import PointCloudMap, normal_consistency
 from .liegroup import Pose, se3_log, so3_log
 from .session import SensorRig, SessionData
-from .solver import DenseProblem, Problem, SolverOptions, SolverReport, solve
+from .solver import DenseProblem, Problem, SolverReport, solve
 
 
 class TooFewObservationsError(ValueError):
@@ -87,9 +95,6 @@ class EstimatorConfig:
         return np.diag(
             np.concatenate([np.full(3, 1.0 / rot**2), np.full(3, 1.0 / trans**2)])
         )
-
-    def solver_options(self) -> SolverOptions:
-        return SolverOptions(max_iterations=self.max_iterations)
 
 
 @dataclass
@@ -144,7 +149,6 @@ class SlidingWindow:
         self.capacity = capacity
         self.keyframes: list[Keyframe] = []
         self.landmarks: dict[int, np.ndarray] = {}  # active, positions in L
-        self._pending: dict[int, tuple[int, np.ndarray]] = {}  # id -> (kf_id, stereo px)
 
     def observer_counts(self) -> dict[int, int]:
         """Per observed landmark id, the number of window keyframes that see it."""
@@ -163,7 +167,6 @@ class SlidingWindow:
             self.keyframes.pop(0)
         alive = self.observer_counts()
         self.landmarks = {i: p for i, p in self.landmarks.items() if i in alive}
-        self._pending = {i: v for i, v in self._pending.items() if i in alive}
 
 
 def triangulate_stereo(rig: SensorRig, state: NavState, stereo_px, min_disparity: float):
@@ -179,28 +182,25 @@ def triangulate_stereo(rig: SensorRig, state: NavState, stereo_px, min_disparity
 
 
 def activate_landmarks(window: SlidingWindow, rig: SensorRig, cfg: EstimatorConfig) -> int:
-    """Triangulate pending landmarks once two window keyframes see them."""
-    activated = 0
-    states = {kf.kf_id: kf.state for kf in window.keyframes}
+    """Triangulate, in id order, each inactive landmark that two window keyframes see.
+
+    A landmark is triangulated from its first row in the oldest window
+    keyframe that sees it; one without enough disparity stays inactive.
+    """
+    kfs = window.keyframes
+    ids = np.concatenate([kf.landmark_ids for kf in kfs])
+    pixels = np.concatenate([kf.pixels for kf in kfs])
+    owner = np.repeat(np.arange(len(kfs)), [len(kf.landmark_ids) for kf in kfs])
     observers = window.observer_counts()
-    for lm_id in sorted(window._pending):
-        if observers.get(lm_id, 0) < 2:
+    _, first = np.unique(ids, return_index=True)  # first rows, oldest keyframe first
+    activated = 0
+    for lm_id, row in zip(ids[first].tolist(), first.tolist()):
+        if observers[lm_id] < 2 or lm_id in window.landmarks:
             continue
-        kf_id, stereo = window._pending[lm_id]
-        if kf_id not in states:
-            # first observer already evicted: re-seed from the oldest current one
-            for kf in window.keyframes:
-                hits = np.nonzero(kf.landmark_ids == lm_id)[0]
-                if len(hits):
-                    kf_id, stereo = kf.kf_id, kf.pixels[hits[0]]
-                    break
-            else:
-                continue
-        pos = triangulate_stereo(rig, states[kf_id], stereo, cfg.min_disparity)
+        pos = triangulate_stereo(rig, kfs[owner[row]].state, pixels[row], cfg.min_disparity)
         if pos is None:
             continue
-        window.landmarks[int(lm_id)] = pos
-        del window._pending[lm_id]
+        window.landmarks[lm_id] = pos
         activated += 1
     return activated
 
@@ -427,7 +427,7 @@ def non_rigid_ba(
     if len(association):
         solvable = association.rows(np.isin(association.landmark_ids, lm_ids))
         _add_anchor_groups(problem, anchor, solvable, lm_ids, cfg)
-    report = solve(problem, cfg.solver_options())
+    report = solve(problem, cfg.max_iterations)
     _write_back(problem, window, lm_ids)
     if len(association):
         anchor.pose = Pose(*(a[0] for a in problem.value["anchor"]))
@@ -452,7 +452,7 @@ def rigid_ba(
     gravity = rig.gravity_vector()
     lm_ids = _solvable_landmarks(window)
     problem = _build_vio_problem(window, rig, gravity, cfg, lm_ids)
-    stage1 = solve(problem, cfg.solver_options())
+    stage1 = solve(problem, cfg.max_iterations)
     _write_back(problem, window, lm_ids)
 
     iterations = stage1.iterations
@@ -463,7 +463,7 @@ def rigid_ba(
         if not len(association):
             break
         alignment = AnchorAlignment(anchor, association, window.landmarks, cfg)
-        report = solve(alignment, cfg.solver_options())
+        report = solve(alignment, cfg.max_iterations)
         update = np.linalg.norm(se3_log(anchor.pose.inverse() @ alignment.value))
         anchor.pose = alignment.value
         iterations += report.iterations
@@ -587,43 +587,47 @@ def _initial_state(session: SessionData) -> NavState:
     return NavState(pose=Pose.identity(), velocity=velocity)
 
 
+def _due_keyframes(session: SessionData, window: SlidingWindow, cfg: EstimatorConfig):
+    """Yield a ``Keyframe`` for each later frame where the keyframe policy fires.
+
+    Every frame is predicted from the window's newest keyframe, read again
+    for each frame, so a keyframe the caller inserts becomes the next base.
+    """
+    rig = session.rig
+    for k in range(window.keyframes[-1].kf_id + 1, len(session.frames)):
+        last = window.keyframes[-1]
+        pre = integrate(
+            _frame_slice(session, last.kf_id, k),
+            (last.state.gyro_bias, last.state.accel_bias),
+            rig.imu_noise,
+        )
+        state = predict_state(last.state, pre, rig.gravity_vector())
+        frame = session.frames[k]
+        if _keyframe_due(last, state, frame.landmark_ids, cfg):
+            yield Keyframe(k, float(session.gt_times[k]), state, frame.landmark_ids.copy(),
+                           frame.pixels.copy(), pre_from_prev=pre)
+
+
 def initialize(
     session: SessionData, anchor_guess: Pose, cfg: EstimatorConfig | None = None
 ):
-    """Seed the window with the first two keyframes and stereo landmarks."""
+    """Seed the window with the first two keyframes and stereo landmarks.
+
+    Returns ``(window, anchor)``. Raises ``TooFewObservationsError`` when a
+    seed keyframe tracks too few landmarks, and ``InsufficientParallaxError``
+    when no second keyframe comes or too few landmarks triangulate.
+    """
     cfg = cfg or EstimatorConfig()
-    rig = session.rig
-    state0 = _initial_state(session)
     window = SlidingWindow(cfg.window_capacity)
     frame0 = session.frames[0]
-    if len(frame0.landmark_ids) < cfg.min_frame_landmarks:
-        raise TooFewObservationsError("first frame tracks too few landmarks")
-    kf0 = Keyframe(0, float(session.gt_times[0]), state0, frame0.landmark_ids.copy(),
-                   frame0.pixels.copy())
+    kf0 = Keyframe(0, float(session.gt_times[0]), _initial_state(session),
+                   frame0.landmark_ids.copy(), frame0.pixels.copy())
     window.insert_keyframe(kf0, cfg.min_frame_landmarks)
-    for lm_id, px in zip(frame0.landmark_ids, frame0.pixels):
-        window._pending[int(lm_id)] = (0, px.copy())
-
-    # walk forward until the keyframe policy fires
-    kf_index = None
-    state = state0
-    ids0 = set(frame0.landmark_ids.tolist())
-    for k in range(1, len(session.frames)):
-        pre = integrate(_frame_slice(session, 0, k), (state0.gyro_bias, state0.accel_bias),
-                        rig.imu_noise)
-        state = predict_state(state0, pre, rig.gravity_vector())
-        if _keyframe_due(state0, state, ids0, session.frames[k].landmark_ids, cfg):
-            kf_index = k
-            break
-    if kf_index is None:
+    kf1 = next(_due_keyframes(session, window, cfg), None)
+    if kf1 is None:
         raise InsufficientParallaxError("session too short to create a second keyframe")
-    frame1 = session.frames[kf_index]
-    kf1 = Keyframe(kf_index, float(session.gt_times[kf_index]), state,
-                   frame1.landmark_ids.copy(), frame1.pixels.copy(), pre_from_prev=pre)
     window.insert_keyframe(kf1, cfg.min_frame_landmarks)
-    for lm_id, px in zip(frame1.landmark_ids, frame1.pixels):
-        window._pending.setdefault(int(lm_id), (kf_index, px.copy()))
-    activated = activate_landmarks(window, rig, cfg)
+    activated = activate_landmarks(window, session.rig, cfg)
     if activated < cfg.min_frame_landmarks:
         raise InsufficientParallaxError(
             f"only {activated} landmarks triangulated at initialization"
@@ -631,17 +635,18 @@ def initialize(
     anchor = AnchorTransform(
         pose=anchor_guess, prior_mean=anchor_guess, prior_scale=cfg.initial_prior_scale
     )
-    return window, anchor, kf_index
+    return window, anchor
 
 
-def _keyframe_due(last_state, state, last_ids: set, frame_ids, cfg) -> bool:
-    """Keyframe policy; ``last_ids`` is the set of the last keyframe's landmark ids."""
-    trans = np.linalg.norm(state.pose.translation - last_state.pose.translation)
+def _keyframe_due(last: Keyframe, state: NavState, frame_ids, cfg) -> bool:
+    """Keyframe policy: motion from the newest keyframe ``last``, or too little overlap."""
+    trans = np.linalg.norm(state.pose.translation - last.state.pose.translation)
     if trans > cfg.kf_translation:
         return True
-    rel = last_state.pose.rotation.T @ state.pose.rotation
+    rel = last.state.pose.rotation.T @ state.pose.rotation
     if np.linalg.norm(so3_log(rel)) > cfg.kf_rotation:
         return True
+    last_ids = set(last.landmark_ids.tolist())
     if not last_ids:
         return False
     overlap = len(last_ids.intersection(frame_ids.tolist())) / len(last_ids)
@@ -659,7 +664,7 @@ def run_localization(
     cfg = cfg or EstimatorConfig()
     schedule = schedule or BaSchedule()
     rig = session.rig
-    window, anchor, last_kf_index = initialize(session, anchor_guess, cfg)
+    window, anchor = initialize(session, anchor_guess, cfg)
     monitor = DivergenceMonitor(cfg)
     times, poses_map, anchors, records = [], [], [], []
     counter = 0
@@ -688,39 +693,15 @@ def run_localization(
         return monitor.update(len(association), mean_res)
 
     reason = run_step(window.keyframes[-1])
-    last_kf = window.keyframes[-1]
-    last_ids = set(last_kf.landmark_ids.tolist())
-    for k in range(last_kf_index + 1, len(session.frames)):
-        if reason:
-            break
-        pre = integrate(
-            _frame_slice(session, last_kf_index, k),
-            (last_kf.state.gyro_bias, last_kf.state.accel_bias),
-            rig.imu_noise,
-        )
-        state = predict_state(last_kf.state, pre, rig.gravity_vector())
-        frame = session.frames[k]
-        if not _keyframe_due(last_kf.state, state, last_ids, frame.landmark_ids, cfg):
-            continue
-        if len(frame.landmark_ids) < cfg.min_frame_landmarks:
-            continue
-        kf = Keyframe(
-            k,
-            float(session.gt_times[k]),
-            state,
-            frame.landmark_ids.copy(),
-            frame.pixels.copy(),
-            pre_from_prev=pre,
-        )
-        window.insert_keyframe(kf, cfg.min_frame_landmarks)
-        for lm_id, px in zip(frame.landmark_ids, frame.pixels):
-            if int(lm_id) not in window.landmarks:
-                window._pending.setdefault(int(lm_id), (k, px.copy()))
-        activate_landmarks(window, rig, cfg)
-        last_kf = kf
-        last_kf_index = k
-        last_ids = set(kf.landmark_ids.tolist())
-        reason = run_step(kf)
+    if not reason:
+        for kf in _due_keyframes(session, window, cfg):
+            if len(kf.landmark_ids) < cfg.min_frame_landmarks:
+                continue
+            window.insert_keyframe(kf, cfg.min_frame_landmarks)
+            activate_landmarks(window, rig, cfg)
+            reason = run_step(kf)
+            if reason:
+                break
 
     return LocalizationResult(
         times=np.asarray(times),

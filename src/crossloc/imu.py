@@ -97,8 +97,9 @@ def integrate(
     """
     if len(samples) < 2:
         raise EmptyStreamError("need at least two samples (one interval)")
-    b_g = np.asarray(bias[0], dtype=float)
-    b_a = np.asarray(bias[1], dtype=float)
+    # copied: the result keeps them as its linearization bias
+    b_g = np.array(bias[0], dtype=float)
+    b_a = np.array(bias[1], dtype=float)
 
     d_rot = np.eye(3)
     d_p = np.zeros(3)

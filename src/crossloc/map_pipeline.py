@@ -42,8 +42,6 @@ class MapFilterParams:
     erosion_count: int = 3
     expansion_radius: float = 0.2
     expansion_count: int = 2
-    likelihood_sigma: float = 0.1  # association likelihood stddev (m)
-    gt_sigma: float = 0.05  # ground-truth association stddev (m)
     ground_band: float = 0.15  # half-width of the ground height slab (m)
     ground_voxel: float = 0.5
 
@@ -53,8 +51,6 @@ class MapFilterParams:
             "newness_radius",
             "erosion_radius",
             "expansion_radius",
-            "likelihood_sigma",
-            "gt_sigma",
             "ground_band",
             "ground_voxel",
         ):

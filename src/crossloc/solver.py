@@ -65,15 +65,13 @@ import numpy as np
 from .liegroup import orthonormalize, so3_exp_batch, so3_left_jacobian_batch
 
 
-@dataclass
-class SolverOptions:
-    max_iterations: int = 50
-    gradient_tol: float = 1e-8
-    step_tol: float = 1e-10  # relative cost decrease
-    initial_lambda: float = 1e-4
-    lambda_increase: float = 10.0
-    lambda_decrease: float = 1.0 / 3.0
-    max_lambda: float = 1e10
+# LM convergence tolerances, then the damping schedule
+GRADIENT_TOL = 1e-8  # max-norm of the gradient
+STEP_TOL = 1e-10  # relative cost decrease
+INITIAL_LAMBDA = 1e-4
+LAMBDA_INCREASE = 10.0
+LAMBDA_DECREASE = 1.0 / 3.0
+MAX_LAMBDA = 1e10
 
 
 @dataclass
@@ -447,30 +445,30 @@ def _solve_or_none(h, b):
     return x if np.all(np.isfinite(x)) else None
 
 
-def _levenberg_marquardt(system, value, opts: SolverOptions):
+def _levenberg_marquardt(system, value, max_iterations: int):
     """The LM loop over either backend; returns (final value, report)."""
     initial_cost = system.cost(value)
     if not np.isfinite(initial_cost):
         return value, SolverReport(initial_cost, initial_cost, 0, "failure")
     cost = initial_cost
-    lam = opts.initial_lambda
+    lam = INITIAL_LAMBDA
     iterations = 0
     termination = "max_iter"
     grad_norm = float("nan")
 
-    while iterations < opts.max_iterations:
+    while iterations < max_iterations:
         linear, cost, grad_norm = system.linearize(value)
-        if grad_norm < opts.gradient_tol:
+        if grad_norm < GRADIENT_TOL:
             termination = "converged"
             break
 
         accepted = False
-        while lam <= opts.max_lambda:
+        while lam <= MAX_LAMBDA:
             iterations += 1
             delta = system.solve_damped(linear, lam)
             if delta is None:
-                lam *= opts.lambda_increase
-                if iterations >= opts.max_iterations:
+                lam *= LAMBDA_INCREASE
+                if iterations >= max_iterations:
                     break
                 continue
             candidate = system.retract(value, delta)
@@ -479,16 +477,16 @@ def _levenberg_marquardt(system, value, opts: SolverOptions):
                 rel_decrease = (cost - new_cost) / max(cost, 1e-300)
                 value = candidate
                 cost = new_cost
-                lam = max(lam * opts.lambda_decrease, 1e-12)
+                lam = max(lam * LAMBDA_DECREASE, 1e-12)
                 accepted = True
-                if rel_decrease < opts.step_tol:
+                if rel_decrease < STEP_TOL:
                     termination = "converged"
                 break
-            lam *= opts.lambda_increase
-            if iterations >= opts.max_iterations:
+            lam *= LAMBDA_INCREASE
+            if iterations >= max_iterations:
                 break
         if not accepted:
-            if lam > opts.max_lambda:
+            if lam > MAX_LAMBDA:
                 termination = "stalled"
             break
         if termination == "converged":
@@ -497,8 +495,8 @@ def _levenberg_marquardt(system, value, opts: SolverOptions):
     return value, SolverReport(initial_cost, cost, iterations, termination, grad_norm)
 
 
-def solve(problem: Problem | DenseProblem, options: SolverOptions | None = None) -> SolverReport:
+def solve(problem: Problem | DenseProblem, max_iterations: int = 50) -> SolverReport:
     """Minimize the robustified cost; leaves the minimizer in ``problem.value``."""
     backend = problem if isinstance(problem, DenseProblem) else _System(problem)
-    problem.value, report = _levenberg_marquardt(backend, problem.value, options or SolverOptions())
+    problem.value, report = _levenberg_marquardt(backend, problem.value, max_iterations)
     return report

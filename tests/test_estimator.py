@@ -1,7 +1,7 @@
 """End-to-end localization on a short simulated map and query."""
 
 import math
-from dataclasses import astuple
+from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
@@ -10,7 +10,7 @@ from crossloc import estimator, laser_map, map_pipeline
 from crossloc import residuals as res
 from crossloc import simulator as sim
 from crossloc.liegroup import se3_exp
-from crossloc.solver import Problem, SolverOptions, solve
+from crossloc.solver import Problem, solve
 
 from oracles import brute_force_knn
 
@@ -84,10 +84,25 @@ def _hand_built_window():
 
 
 def test_observer_counts_on_a_hand_built_window():
-    """Each keyframe counts once per landmark; evicted keyframes not at all."""
+    """Each keyframe counts once per landmark; evicted keyframes not at all.
+    Activation triangulates each inactive landmark that two window keyframes
+    see from its first row in the oldest window keyframe that sees it."""
+    rig = sim.default_rig()
+    cfg = estimator.EstimatorConfig()
+
+    def triangulated(kf, row):
+        return estimator.triangulate_stereo(rig, kf.state, kf.pixels[row], cfg.min_disparity)
+
     window = _hand_built_window()
     assert [kf.kf_id for kf in window.keyframes] == [1, 2, 3]
     assert window.observer_counts() == {9: 2, 2: 1, 3: 2, 4: 2, 5: 2, 6: 1, 7: 1}
+    # landmark 3, seen twice by keyframe 1 ([9, 2, 3, 3]), takes the first of those rows
+    assert estimator.activate_landmarks(window, rig, cfg) == 4
+    assert sorted(window.landmarks) == [3, 4, 5, 9]
+    kf1 = window.keyframes[0]
+    np.testing.assert_array_equal(window.landmarks[3], triangulated(kf1, 2))
+    assert not np.array_equal(window.landmarks[3], triangulated(kf1, 3))
+
     window.landmarks = {i: np.zeros(3) for i in (1, 2, 3, 9)}
     assert estimator._solvable_landmarks(window) == [3, 9]
     # inserting a keyframe retires the landmarks no window keyframe sees
@@ -95,19 +110,36 @@ def test_observer_counts_on_a_hand_built_window():
     assert window.observer_counts() == {9: 2, 3: 1, 4: 3, 5: 3, 6: 2, 7: 1}
     assert sorted(window.landmarks) == [3, 9]
     assert estimator._solvable_landmarks(window) == [9]
-    # pending landmarks with two observers are triangulated: landmark 6 from
-    # its recorded first observer, 9 (first seen by the evicted keyframe 0)
-    # from the oldest window keyframe that sees it
-    recorded = np.array([330.0, 250.0, 305.0, 250.0])
-    window.landmarks = {}
-    window._pending = {6: (3, recorded), 7: (3, recorded), 9: (0, recorded)}
-    rig = sim.default_rig()
-    assert estimator.activate_landmarks(window, rig, estimator.EstimatorConfig()) == 2
-    assert sorted(window.landmarks) == [6, 9] and list(window._pending) == [7]
-    oldest, first_of_6 = window.keyframes[0], window.keyframes[1]
-    for lm_id, state, px in ((6, first_of_6.state, recorded), (9, oldest.state, oldest.pixels[0])):
-        want = estimator.triangulate_stereo(rig, state, px, 1.0)
-        np.testing.assert_array_equal(window.landmarks[lm_id], want)
+
+    # keyframes 2-4 see [9, 3, 4, 5], [6, 7, 4, 5] and [9, 4, 5, 6]. Landmark 9
+    # (first seen by the evicted keyframe 0) and 6 come from their oldest
+    # window observer; 3 and 7, seen once, stay inactive, and so does 5,
+    # whose row in its oldest observer has too little disparity.
+    kf2, kf3, _ = window.keyframes
+    kf2.pixels[3, 2] = kf2.pixels[3, 0] - 0.5 * cfg.min_disparity
+    window.landmarks = {4: np.zeros(3)}
+    assert estimator.activate_landmarks(window, rig, cfg) == 2
+    assert sorted(window.landmarks) == [4, 6, 9]
+    np.testing.assert_array_equal(window.landmarks[4], np.zeros(3))
+    np.testing.assert_array_equal(window.landmarks[9], triangulated(kf2, 0))
+    np.testing.assert_array_equal(window.landmarks[6], triangulated(kf3, 0))
+    assert window.observer_counts()[5] == 3
+
+
+def test_initialize_rejects_unusable_starts(short_inputs):
+    """Too few frames for a second keyframe, nothing to triangulate, or a
+    first frame that tracks too few landmarks."""
+    query, _, guess = short_inputs
+    cfg = estimator.EstimatorConfig()
+    window, _ = estimator.initialize(query, guess, cfg)
+    assert window.keyframes[0].kf_id == 0 and len(window.keyframes) == 2
+    with pytest.raises(estimator.InsufficientParallaxError, match="too short"):
+        estimator.initialize(replace(query, frames=query.frames[:2]), guess, cfg)
+    with pytest.raises(estimator.InsufficientParallaxError, match="triangulated"):
+        estimator.initialize(query, guess, replace(cfg, min_disparity=1e6))
+    first_frame = len(query.frames[0].landmark_ids)
+    with pytest.raises(estimator.TooFewObservationsError, match=f"{first_frame} < {first_frame + 1}"):
+        estimator.initialize(query, guess, replace(cfg, min_frame_landmarks=first_frame + 1))
 
 
 def test_window_problem_has_one_stereo_row_per_solvable_occurrence():
@@ -163,9 +195,9 @@ def test_empty_association():
 
     problems = []
 
-    def recording_solve(problem, options):
+    def recording_solve(problem, max_iterations):
         problems.append(problem)
-        return solve(problem, options)
+        return solve(problem, max_iterations)
 
     anchor = estimator.AnchorTransform(pose, pose)
     original, estimator.solve = estimator.solve, recording_solve
@@ -205,7 +237,6 @@ def test_anchor_alignment_matches_generic_problem(max_iterations):
     cfg = estimator.EstimatorConfig()
     landmarks, association, anchor = _fixed_association(np.random.default_rng(11), cfg)
     assert 0 < association.plane.sum() < len(association)
-    options = SolverOptions(max_iterations=max_iterations)
 
     generic = Problem()
     lm_ids = association.landmark_ids
@@ -214,10 +245,10 @@ def test_anchor_alignment_matches_generic_problem(max_iterations):
     assert [g.kind for g in generic.groups] == [
         res.PointToPlaneFactor, res.PointToPointFactor, res.AnchorPriorFactor
     ]
-    want = solve(generic, options)
+    want = solve(generic, max_iterations)
 
     alignment = estimator.AnchorAlignment(anchor, association, landmarks, cfg)
-    got = solve(alignment, options)
+    got = solve(alignment, max_iterations)
 
     assert (got.iterations, got.termination) == (want.iterations, want.termination)
     assert got.initial_cost == pytest.approx(want.initial_cost, rel=1e-12)

@@ -68,6 +68,20 @@ class TestIntegrate:
         with pytest.raises(imu.NonMonotonicTimestampsError):
             imu.integrate(stream)
 
+    def test_result_owns_its_linearization_bias(self):
+        """Writing into a result's bias changes neither a later default-bias
+        integration nor the caller's arrays."""
+        stream = wiggly_stream(duration=0.2, seed=4)
+        reference = imu.integrate(stream)
+        imu.integrate(stream).linearization_bias[0][:] = 0.5
+        np.testing.assert_array_equal(imu.integrate(stream).delta_R, reference.delta_R)
+        bias = (np.array([0.01, -0.02, 0.03]), np.array([0.1, 0.0, -0.1]))
+        given = tuple(b.copy() for b in bias)
+        pre = imu.integrate(stream, bias)
+        for b in pre.linearization_bias:
+            b[:] = 7.0
+        np.testing.assert_array_equal(bias, given)
+
     def test_covariance_psd_and_monotone_trace(self):
         stream = wiggly_stream(duration=0.5, seed=3)
         traces = []

@@ -6,7 +6,7 @@ from crossloc import solver
 from crossloc.estimator import EstimatorConfig
 from crossloc.liegroup import Pose, se3_exp
 from crossloc.simulator import default_rig
-from crossloc.solver import FactorBatch, Problem, SolverOptions
+from crossloc.solver import FactorBatch, Problem
 
 
 class VectorResidualFactor:
@@ -65,7 +65,7 @@ class TestSolve:
             return np.array([[-20.0 * x[0], 10.0], [-1.0, 0.0]])
 
         add_vector_residual(problem, "x", r, jac)
-        report = solver.solve(problem, SolverOptions(max_iterations=200))
+        report = solver.solve(problem, max_iterations=200)
         assert np.allclose(problem.value["x"][0], [1.0, 1.0], atol=1e-6)
         assert report.final_cost <= report.initial_cost
 
@@ -114,7 +114,7 @@ class TestSolve:
                 lambda x: np.array([10.0 * (x[1] - x[0] ** 2), 1.0 - x[0]]),
                 lambda x: np.array([[-20.0 * x[0], 10.0], [-1.0, 0.0]]),
             )
-            report = solver.solve(problem, SolverOptions(max_iterations=k))
+            report = solver.solve(problem, max_iterations=k)
             costs.append(report.final_cost)
         assert all(b <= a + 1e-15 for a, b in zip(costs, costs[1:]))
 
@@ -130,7 +130,7 @@ class TestSolve:
                 lambda x: np.array([10.0 * (x[1] - x[0] ** 2), 1.0 - x[0]]),
                 lambda x: np.array([[-20.0 * x[0], 10.0], [-1.0, 0.0]]),
             )
-            reports.append(solver.solve(problem, SolverOptions(max_iterations=37)))
+            reports.append(solver.solve(problem, max_iterations=37))
             values.append(problem.value["x"].copy())
         assert reports[0] == reports[1]
         assert np.array_equal(values[0], values[1])
@@ -285,15 +285,15 @@ class TestSchurElimination:
     def test_schur_matches_dense(self):
         p_schur = self._mini_ba(eliminate=True)
         p_dense = self._mini_ba(eliminate=False)
-        r_schur = solver.solve(p_schur, SolverOptions(max_iterations=60))
-        r_dense = solver.solve(p_dense, SolverOptions(max_iterations=60))
+        r_schur = solver.solve(p_schur, max_iterations=60)
+        r_dense = solver.solve(p_dense, max_iterations=60)
         assert r_schur.final_cost == pytest.approx(r_dense.final_cost, abs=1e-10)
         for j in range(12):
             assert np.allclose(p_schur.value["lm"][j], p_dense.value["lm"][j], atol=1e-7)
 
     def test_mini_ba_converges_to_truth(self):
         problem = self._mini_ba(eliminate=True)
-        report = solver.solve(problem, SolverOptions(max_iterations=60))
+        report = solver.solve(problem, max_iterations=60)
         assert report.final_cost < 1e-14
 
     def test_factor_with_two_eliminated_blocks_rejected(self):
