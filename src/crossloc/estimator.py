@@ -14,9 +14,10 @@ one bundle-adjustment step chosen by the schedule:
 - hybrid m:n cycles m non-rigid steps then n rigid ones.
 
 The front end is one keyframe path. ``_due_keyframes`` preintegrates the
-IMU from the window's newest keyframe to each later frame and yields a
-keyframe wherever the policy (``_keyframe_due``: translation, rotation or
-landmark overlap) fires; ``initialize`` inserts frame 0 and its first yield,
+IMU samples between the window's newest keyframe and each later frame, by
+timestamp, and yields a keyframe wherever the policy (``_keyframe_due``:
+translation, rotation or landmark overlap) fires on a frame that tracks
+enough landmarks; ``initialize`` inserts frame 0 and its first yield,
 ``run_localization`` the rest. After each insertion ``activate_landmarks``
 triangulates every inactive landmark that two window keyframes see, from its
 stereo pixels in the oldest of them.
@@ -515,7 +516,6 @@ class StepRecord:
 
 @dataclass
 class LocalizationResult:
-    times: np.ndarray
     poses_map: list  # keyframe poses in the map frame (anchor o local pose)
     anchors: list
     records: list
@@ -543,10 +543,8 @@ class DivergenceMonitor:
         self.baseline = None
         self.bad_residual = 0
         self.bad_count = 0
-        self.steps = 0
 
     def update(self, n_constraints: int, mean_residual: float) -> str:
-        self.steps += 1
         cfg = self.cfg
         if n_constraints < cfg.divergence_min_constraints:
             self.bad_count += 1
@@ -570,9 +568,10 @@ class DivergenceMonitor:
         return ""
 
 
-def _frame_slice(session: SessionData, i0: int, i1: int):
-    stride = int(round(session.rig.imu_rate / session.rig.frame_rate))
-    return session.imu_samples[i0 * stride : i1 * stride + 1]
+def _imu_between(session: SessionData, t0: float, t1: float) -> np.ndarray:
+    """The session's IMU samples with ``t0 <= t <= t1``."""
+    times = session.imu_samples[:, 0]
+    return session.imu_samples[np.searchsorted(times, t0) : np.searchsorted(times, t1, "right")]
 
 
 def _initial_state(session: SessionData) -> NavState:
@@ -588,7 +587,8 @@ def _initial_state(session: SessionData) -> NavState:
 
 
 def _due_keyframes(session: SessionData, window: SlidingWindow, cfg: EstimatorConfig):
-    """Yield a ``Keyframe`` for each later frame where the keyframe policy fires.
+    """Yield a ``Keyframe`` for each later frame that tracks at least
+    ``cfg.min_frame_landmarks`` landmarks and where the keyframe policy fires.
 
     Every frame is predicted from the window's newest keyframe, read again
     for each frame, so a keyframe the caller inserts becomes the next base.
@@ -596,15 +596,18 @@ def _due_keyframes(session: SessionData, window: SlidingWindow, cfg: EstimatorCo
     rig = session.rig
     for k in range(window.keyframes[-1].kf_id + 1, len(session.frames)):
         last = window.keyframes[-1]
+        timestamp = float(session.gt_times[k])
         pre = integrate(
-            _frame_slice(session, last.kf_id, k),
+            _imu_between(session, last.timestamp, timestamp),
             (last.state.gyro_bias, last.state.accel_bias),
             rig.imu_noise,
         )
         state = predict_state(last.state, pre, rig.gravity_vector())
         frame = session.frames[k]
-        if _keyframe_due(last, state, frame.landmark_ids, cfg):
-            yield Keyframe(k, float(session.gt_times[k]), state, frame.landmark_ids.copy(),
+        if len(frame.landmark_ids) >= cfg.min_frame_landmarks and _keyframe_due(
+            last, state, frame.landmark_ids, cfg
+        ):
+            yield Keyframe(k, timestamp, state, frame.landmark_ids.copy(),
                            frame.pixels.copy(), pre_from_prev=pre)
 
 
@@ -613,9 +616,9 @@ def initialize(
 ):
     """Seed the window with the first two keyframes and stereo landmarks.
 
-    Returns ``(window, anchor)``. Raises ``TooFewObservationsError`` when a
-    seed keyframe tracks too few landmarks, and ``InsufficientParallaxError``
-    when no second keyframe comes or too few landmarks triangulate.
+    Returns ``(window, anchor)``. Raises ``TooFewObservationsError`` when
+    frame 0 tracks too few landmarks, and ``InsufficientParallaxError`` when
+    no second keyframe comes or too few landmarks triangulate.
     """
     cfg = cfg or EstimatorConfig()
     window = SlidingWindow(cfg.window_capacity)
@@ -666,7 +669,7 @@ def run_localization(
     rig = session.rig
     window, anchor = initialize(session, anchor_guess, cfg)
     monitor = DivergenceMonitor(cfg)
-    times, poses_map, anchors, records = [], [], [], []
+    poses_map, anchors, records = [], [], []
     counter = 0
 
     def run_step(kf: Keyframe):
@@ -687,7 +690,6 @@ def run_localization(
                 mean_res,
             )
         )
-        times.append(kf.timestamp)
         poses_map.append(anchor.pose @ kf.state.pose)
         anchors.append(anchor.pose)
         return monitor.update(len(association), mean_res)
@@ -695,8 +697,6 @@ def run_localization(
     reason = run_step(window.keyframes[-1])
     if not reason:
         for kf in _due_keyframes(session, window, cfg):
-            if len(kf.landmark_ids) < cfg.min_frame_landmarks:
-                continue
             window.insert_keyframe(kf, cfg.min_frame_landmarks)
             activate_landmarks(window, rig, cfg)
             reason = run_step(kf)
@@ -704,7 +704,6 @@ def run_localization(
                 break
 
     return LocalizationResult(
-        times=np.asarray(times),
         poses_map=poses_map,
         anchors=anchors,
         records=records,

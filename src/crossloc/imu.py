@@ -1,12 +1,17 @@
 """IMU preintegration between consecutive keyframes.
 
-Accumulates gyro/accelerometer samples into relative rotation, velocity
-and position pseudo-measurements, together with first-order bias
-Jacobians and a propagated 9x9 covariance (error order: rotation,
-position, velocity). Gravity is not folded into the deltas; it is applied
-when predicting a state. Integration uses the midpoint rule: each interval
-between consecutive samples is integrated with the average of its two
-endpoint measurements.
+An IMU stream is one float array of shape (N, 7), a row per sample with
+the columns ``t wx wy wz ax ay az``: timestamp (s), angular rate (rad/s)
+and specific force (m/s^2), both in the body frame. These are the rows of
+a session's ``imu.txt``.
+
+Accumulates a stream into relative rotation, velocity and position
+pseudo-measurements, together with first-order bias Jacobians and a
+propagated 9x9 covariance (error order: rotation, position, velocity).
+Gravity is not folded into the deltas; it is applied when predicting a
+state. Integration uses the midpoint rule: each interval between
+consecutive samples is integrated with the average of its two endpoint
+measurements.
 """
 
 from __future__ import annotations
@@ -15,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .liegroup import Pose, skew, so3_exp, so3_right_jacobian
+from .liegroup import Pose, skew_batch, so3_exp, so3_exp_batch, so3_left_jacobian_batch
 
 
 class EmptyStreamError(ValueError):
@@ -24,13 +29,6 @@ class EmptyStreamError(ValueError):
 
 class NonMonotonicTimestampsError(ValueError):
     """Sample timestamps must be strictly increasing."""
-
-
-@dataclass(frozen=True)
-class ImuSample:
-    timestamp: float
-    angular_velocity: np.ndarray
-    linear_acceleration: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -86,25 +84,47 @@ class PreintegratedImu:
 
 
 def integrate(
-    samples: list[ImuSample],
+    samples: np.ndarray,
     bias: tuple[np.ndarray, np.ndarray] = (np.zeros(3), np.zeros(3)),
     noise: ImuNoiseModel = ImuNoiseModel(),
 ) -> PreintegratedImu:
-    """Fold an IMU stream into a PreintegratedImu at the given bias.
+    """Fold an (N, 7) IMU stream into a PreintegratedImu at the given bias.
 
     ``bias`` is (gyro, accel) and becomes the linearization point; the
-    stream needs at least two samples (one interval).
+    stream needs at least two samples (one interval). Every interval's
+    rotation increments and right Jacobians come from one batched call
+    each; only the recurrences run sample by sample.
     """
+    samples = np.asarray(samples, dtype=float)
     if len(samples) < 2:
         raise EmptyStreamError("need at least two samples (one interval)")
     # copied: the result keeps them as its linearization bias
     b_g = np.array(bias[0], dtype=float)
     b_a = np.array(bias[1], dtype=float)
 
+    t = samples[:, 0]
+    dts = np.diff(t)
+    if np.any(dts <= 0.0):
+        raise NonMonotonicTimestampsError(
+            f"timestamps not strictly increasing at t={t[1:][dts <= 0.0][0]}"
+        )
+    mid = 0.5 * (samples[:-1, 1:] + samples[1:, 1:])
+    a_mids = mid[:, 3:] - b_a
+    dthetas = (mid[:, :3] - b_g) * dts[:, None]
+    incrs = so3_exp_batch(dthetas)
+    j_rs = so3_left_jacobian_batch(-dthetas)  # J_r(phi) = J_l(-phi)
+    # specific force is rotated with the mid-interval attitude, which
+    # keeps the global scheme second order on curved trajectories
+    halves = so3_exp_batch(0.5 * dthetas)
+    skew_a_halves = skew_batch(np.einsum("nij,nj->ni", halves, a_mids))
+    # dt / 2 * half @ dacc_half is d(half a_mid)/d(gyro bias)
+    dacc_halves = skew_batch(a_mids) @ so3_left_jacobian_batch(-0.5 * dthetas)
+    variances = np.repeat([noise.gyro_noise_density**2, noise.accel_noise_density**2], 3)
+    q_diags = variances / dts[:, None]
+
     d_rot = np.eye(3)
     d_p = np.zeros(3)
     d_v = np.zeros(3)
-    dt_total = 0.0
     j_g_dr = np.zeros((3, 3))
     j_g_dv = np.zeros((3, 3))
     j_a_dv = np.zeros((3, 3))
@@ -113,27 +133,11 @@ def integrate(
     cov = np.zeros((9, 9))
     eye3 = np.eye(3)
 
-    var_g = noise.gyro_noise_density**2
-    var_a = noise.accel_noise_density**2
-
-    for prev, curr in zip(samples[:-1], samples[1:]):
-        dt = curr.timestamp - prev.timestamp
-        if dt <= 0.0:
-            raise NonMonotonicTimestampsError(
-                f"timestamps not strictly increasing at t={curr.timestamp}"
-            )
-        w_mid = 0.5 * (prev.angular_velocity + curr.angular_velocity) - b_g
-        a_mid = 0.5 * (prev.linear_acceleration + curr.linear_acceleration) - b_a
-
-        dtheta = w_mid * dt
-        incr = so3_exp(dtheta)
-        j_r = so3_right_jacobian(dtheta)
-        # specific force is rotated with the mid-interval attitude, which
-        # keeps the global scheme second order on curved trajectories
-        half = so3_exp(0.5 * dtheta)
+    for dt, incr, j_r, a_mid, half, skew_a_half, dacc_half, q_diag in zip(
+        dts.tolist(), incrs, j_rs, a_mids, halves, skew_a_halves, dacc_halves, q_diags
+    ):
         rot_eff = d_rot @ half
-        a_half = half @ a_mid
-        coupling = d_rot @ skew(a_half)  # d(rot_eff a_mid)/d(attitude error)
+        coupling = d_rot @ skew_a_half  # d(rot_eff a_mid)/d(attitude error)
 
         # error-state transition and noise mapping, order (phi, p, v)
         a_mat = np.eye(9)
@@ -145,12 +149,11 @@ def integrate(
         b_mat[0:3, 0:3] = j_r * dt
         b_mat[3:6, 3:6] = 0.5 * rot_eff * dt * dt
         b_mat[6:9, 3:6] = rot_eff * dt
-        q_diag = np.concatenate([np.full(3, var_g / dt), np.full(3, var_a / dt)])
         cov = a_mat @ cov @ a_mat.T + (b_mat * q_diag) @ b_mat.T
 
         # d(rot_eff a_mid)/d(gyro bias): through the accumulated rotation
         # and through the half-interval attitude itself
-        dacc_dbg = -coupling @ j_g_dr + 0.5 * dt * rot_eff @ skew(a_mid) @ so3_right_jacobian(0.5 * dtheta)
+        dacc_dbg = -coupling @ j_g_dr + 0.5 * dt * rot_eff @ dacc_half
 
         # bias Jacobians (position before velocity: uses current-step values)
         j_g_dp = j_g_dp + j_g_dv * dt + 0.5 * dacc_dbg * dt * dt
@@ -164,13 +167,12 @@ def integrate(
         d_v = d_v + acc_i * dt
         j_g_dr = incr.T @ j_g_dr - j_r * dt
         d_rot = d_rot @ incr
-        dt_total += dt
 
     return PreintegratedImu(
         delta_R=d_rot,
         delta_p=d_p,
         delta_v=d_v,
-        dt_total=dt_total,
+        dt_total=float(t[-1] - t[0]),
         J_g_dR=j_g_dr,
         J_g_dv=j_g_dv,
         J_a_dv=j_a_dv,
@@ -231,9 +233,9 @@ def bias_information(noise: ImuNoiseModel, dt_total: float) -> np.ndarray:
     return np.diag(1.0 / var)
 
 
-def load_imu_stream(path) -> list[ImuSample]:
-    """Read a `t wx wy wz ax ay az` text stream; '#' starts a comment."""
-    samples = []
+def load_imu_stream(path) -> np.ndarray:
+    """Read a `t wx wy wz ax ay az` text stream into an (N, 7) array; '#' starts a comment."""
+    rows = []
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.split("#", 1)[0].strip()
@@ -242,20 +244,9 @@ def load_imu_stream(path) -> list[ImuSample]:
             parts = line.split()
             if len(parts) != 7:
                 raise ValueError(f"{path}:{lineno}: expected 7 fields, got {len(parts)}")
-            vals = [float(p) for p in parts]
-            samples.append(
-                ImuSample(vals[0], np.array(vals[1:4]), np.array(vals[4:7]))
-            )
-    return samples
+            rows.append([float(p) for p in parts])
+    return np.array(rows, dtype=float).reshape(-1, 7)
 
 
-def save_imu_stream(path, samples: list[ImuSample]) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("# t wx wy wz ax ay az\n")
-        for s in samples:
-            w = s.angular_velocity
-            a = s.linear_acceleration
-            fh.write(
-                f"{s.timestamp:.9f} {w[0]:.17g} {w[1]:.17g} {w[2]:.17g} "
-                f"{a[0]:.17g} {a[1]:.17g} {a[2]:.17g}\n"
-            )
+def save_imu_stream(path, samples: np.ndarray) -> None:
+    np.savetxt(path, samples, fmt=["%.9f"] + ["%.17g"] * 6, header="t wx wy wz ax ay az")

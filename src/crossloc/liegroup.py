@@ -13,7 +13,7 @@ Small angles (below ``SMALL_ANGLE``) switch the trigonometric coefficients
 to 4th-order Taylor series to avoid catastrophic cancellation. The SO(3)
 exponential, logarithm, left Jacobian and its inverse also come batched
 (``*_batch``, over the first axis), each row taking its own branch; the
-scalar ones stay for per-sample loops such as IMU integration.
+scalar ones serve single rotations and poses.
 """
 
 from __future__ import annotations

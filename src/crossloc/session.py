@@ -10,6 +10,7 @@ A session directory holds:
     labels.txt       optional element-id sidecar: id kind [session ids...]
 
 Frame k's timestamp is row k of gt.txt; scans share the frame clock.
+``SessionData.imu_samples`` holds the rows of imu.txt as one (N, 7) array.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .imu import ImuNoiseModel, ImuSample, load_imu_stream, save_imu_stream
+from .imu import ImuNoiseModel, load_imu_stream, save_imu_stream
 from .liegroup import Pose, quat_from_rotation, rotation_from_quat
 from .residuals import CameraModel
 from .trajectory import load_trajectory, save_trajectory
@@ -84,7 +85,7 @@ class SessionData:
     rig: SensorRig
     gt_times: np.ndarray
     gt_poses: list
-    imu_samples: list
+    imu_samples: np.ndarray  # (N, 7): t wx wy wz ax ay az
     frames: list  # list[FrameObservations]
     scans: list  # list of (points (n,3) in laser frame, labels (n,))
     element_kinds: dict | None = None  # id -> (kind, sessions tuple or None)

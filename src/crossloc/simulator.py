@@ -30,7 +30,6 @@ from functools import cached_property
 import numpy as np
 from scipy.interpolate import CubicSpline
 
-from .imu import ImuSample
 from .laser_map import FRAME_MAP, PointCloudMap, _canonical_sign
 from .liegroup import Pose, rot_z
 from .residuals import CameraModel
@@ -355,10 +354,9 @@ def generate_trajectory(spec: TrajectorySpec, imu_rate: float, frame_rate: float
 def synthesize_imu(
     sampled: SampledTrajectory, rig: SensorRig, seed: int, session_id: int = 0, noise: bool = True
 ):
-    """IMU stream consistent with the sampled trajectory.
+    """IMU stream consistent with the sampled trajectory, as an (N, 7) array.
 
-    Returns (samples, gyro_bias_series, accel_bias_series); the bias series
-    are the ground-truth random walks actually applied.
+    Noise adds white measurement noise and a bias random walk to both sensors.
     """
     rng = np.random.default_rng([seed, session_id, 11])
     n = len(sampled.imu_times)
@@ -382,10 +380,7 @@ def synthesize_imu(
     f = sampled.accelerations - gravity
     force = np.stack([c * f[:, 0] + s * f[:, 1], c * f[:, 1] - s * f[:, 0], f[:, 2]], axis=1)
     force = force + bias_a + accel_noise
-    samples = [
-        ImuSample(float(t), w, a) for t, w, a in zip(sampled.imu_times, omega, force)
-    ]
-    return samples, bias_g, bias_a
+    return np.column_stack([sampled.imu_times, omega, force])
 
 
 # ---------------------------------------------------------------------------
@@ -687,7 +682,7 @@ def generate_session(
     sampler = generate_trajectory(spec, rig.imu_rate, rig.frame_rate)
     sampled = sampler.sample(duration)
     n_frames = int(round(duration * rig.frame_rate))
-    imu_samples, _, _ = synthesize_imu(sampled, rig, seed, session_id, noise=noise)
+    imu_samples = synthesize_imu(sampled, rig, seed, session_id, noise=noise)
     frames = synthesize_camera(
         sampled,
         world,

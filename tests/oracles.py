@@ -71,3 +71,55 @@ def relative_error(a, b, floor=1e-6):
     b = np.asarray(b, dtype=float)
     scale = np.maximum(np.maximum(np.abs(a), np.abs(b)), floor)
     return float(np.max(np.abs(a - b) / scale))
+
+
+def integrate_per_sample(samples, bias, noise):
+    """``imu.integrate`` as a loop over intervals with the scalar SO(3) helpers.
+
+    Returns the fields of a PreintegratedImu as a dict, ``dt_total`` summed
+    interval by interval.
+    """
+    from crossloc.liegroup import skew, so3_exp, so3_right_jacobian
+
+    b_g, b_a = (np.asarray(b, dtype=float) for b in bias)
+    d_rot, d_p, d_v, dt_total = np.eye(3), np.zeros(3), np.zeros(3), 0.0
+    j_g_dr, j_g_dv, j_a_dv, j_g_dp, j_a_dp = (np.zeros((3, 3)) for _ in range(5))
+    cov = np.zeros((9, 9))
+    q = np.repeat([noise.gyro_noise_density**2, noise.accel_noise_density**2], 3)
+    for prev, curr in zip(samples[:-1], samples[1:]):
+        dt = curr[0] - prev[0]
+        w_mid = 0.5 * (prev[1:4] + curr[1:4]) - b_g
+        a_mid = 0.5 * (prev[4:7] + curr[4:7]) - b_a
+        dtheta = w_mid * dt
+        incr, j_r = so3_exp(dtheta), so3_right_jacobian(dtheta)
+        half = so3_exp(0.5 * dtheta)
+        rot_eff = d_rot @ half
+        coupling = d_rot @ skew(half @ a_mid)
+
+        a_mat = np.eye(9)
+        a_mat[0:3, 0:3] = incr.T
+        a_mat[3:6, 0:3] = -0.5 * coupling * dt * dt
+        a_mat[3:6, 6:9] = np.eye(3) * dt
+        a_mat[6:9, 0:3] = -coupling * dt
+        b_mat = np.zeros((9, 6))
+        b_mat[0:3, 0:3] = j_r * dt
+        b_mat[3:6, 3:6] = 0.5 * rot_eff * dt * dt
+        b_mat[6:9, 3:6] = rot_eff * dt
+        cov = a_mat @ cov @ a_mat.T + (b_mat * (q / dt)) @ b_mat.T
+
+        dacc_dbg = -coupling @ j_g_dr + 0.5 * dt * rot_eff @ skew(a_mid) @ so3_right_jacobian(0.5 * dtheta)
+        j_g_dp = j_g_dp + j_g_dv * dt + 0.5 * dacc_dbg * dt * dt
+        j_a_dp = j_a_dp + j_a_dv * dt - 0.5 * rot_eff * dt * dt
+        j_g_dv = j_g_dv + dacc_dbg * dt
+        j_a_dv = j_a_dv - rot_eff * dt
+
+        acc_i = rot_eff @ a_mid
+        d_p = d_p + d_v * dt + 0.5 * acc_i * dt * dt
+        d_v = d_v + acc_i * dt
+        j_g_dr = incr.T @ j_g_dr - j_r * dt
+        d_rot = d_rot @ incr
+        dt_total += dt
+    return dict(
+        delta_R=d_rot, delta_p=d_p, delta_v=d_v, dt_total=dt_total, J_g_dR=j_g_dr,
+        J_g_dv=j_g_dv, J_a_dv=j_a_dv, J_g_dp=j_g_dp, J_a_dp=j_a_dp, covariance=0.5 * (cov + cov.T),
+    )

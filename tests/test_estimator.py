@@ -142,6 +142,42 @@ def test_initialize_rejects_unusable_starts(short_inputs):
         estimator.initialize(query, guess, replace(cfg, min_frame_landmarks=first_frame + 1))
 
 
+def test_initialize_passes_over_a_sparse_due_frame(short_inputs):
+    """A due frame that tracks too few landmarks is passed over, as it is
+    after initialization: the window is seeded from the next due frame."""
+    query, _, guess = short_inputs
+    cfg = estimator.EstimatorConfig()
+    first_due = estimator.initialize(query, guess, cfg)[0].keyframes[1].kf_id
+    frames = list(query.frames)
+    sparse = frames[first_due]
+    frames[first_due] = replace(sparse, landmark_ids=sparse.landmark_ids[:5], pixels=sparse.pixels[:5])
+    window, _ = estimator.initialize(replace(query, frames=frames), guess, cfg)
+    assert [kf.kf_id for kf in window.keyframes] == [0, first_due + 1]
+
+
+def test_dropped_imu_samples(short_inputs):
+    """With every 7th IMU sample off the frame clock dropped, each keyframe's
+    preintegration still spans exactly its frame gap, and the run holds."""
+    query, cloud, guess = short_inputs
+    samples = query.imu_samples
+    keep = np.isin(samples[:, 0], query.gt_times) | (np.arange(len(samples)) % 7 != 0)
+    degraded = replace(query, imu_samples=samples[keep])
+    assert len(degraded.imu_samples) < len(samples)
+
+    cfg = estimator.EstimatorConfig()
+    window, _ = estimator.initialize(degraded, guess, cfg)
+    keyframes = list(window.keyframes)
+    for kf in estimator._due_keyframes(degraded, window, cfg):
+        window.insert_keyframe(kf, cfg.min_frame_landmarks)
+        keyframes.append(kf)
+    assert len(keyframes) > 5
+    for prev, kf in zip(keyframes, keyframes[1:]):
+        assert abs(kf.pre_from_prev.dt_total - (kf.timestamp - prev.timestamp)) < 1e-12
+
+    run = estimator.run_localization(degraded, cloud, guess)
+    assert not run.diverged, run.divergence_reason
+
+
 def test_window_problem_has_one_stereo_row_per_solvable_occurrence():
     """The stereo group, keyframe by keyframe in window order: a landmark id
     repeated in one keyframe gives two rows, and landmarks that are inactive

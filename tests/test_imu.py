@@ -4,14 +4,14 @@ import pytest
 from crossloc import imu
 from crossloc.liegroup import Pose, rot_z, se3_exp, so3_exp, so3_log
 
+from oracles import integrate_per_sample
+
 GRAVITY = np.array([0.0, 0.0, -9.81])
 
 
 def make_stream(times, gyro_fn, accel_fn):
-    return [
-        imu.ImuSample(t, np.asarray(gyro_fn(t), dtype=float), np.asarray(accel_fn(t), dtype=float))
-        for t in times
-    ]
+    """An (N, 7) stream: each row t, gyro_fn(t), accel_fn(t)."""
+    return np.array([[t, *gyro_fn(t), *accel_fn(t)] for t in times], dtype=float).reshape(-1, 7)
 
 
 def wiggly_stream(duration=1.0, rate=200.0, seed=0, scale=1.0):
@@ -61,7 +61,7 @@ class TestIntegrate:
 
     def test_empty_stream_rejected(self):
         with pytest.raises(imu.EmptyStreamError):
-            imu.integrate([imu.ImuSample(0.0, np.zeros(3), np.zeros(3))])
+            imu.integrate(np.zeros((1, 7)))
 
     def test_non_monotonic_rejected(self):
         stream = make_stream([0.0, 0.1, 0.1], lambda t: [0, 0, 0], lambda t: [0, 0, 0])
@@ -81,6 +81,19 @@ class TestIntegrate:
         for b in pre.linearization_bias:
             b[:] = 7.0
         np.testing.assert_array_equal(bias, given)
+
+    @pytest.mark.parametrize("gyro_scale", [1.0, 0.0])
+    def test_matches_per_sample_loop(self, gyro_scale):
+        """The batched per-interval terms give the per-sample loop's result up
+        to rounding, on both branches of the SO(3) coefficients: every field
+        within 1e-12 relative or 1e-15 absolute."""
+        wiggly = wiggly_stream(duration=1.0, seed=31)
+        stream = np.column_stack([wiggly[:, 0], gyro_scale * wiggly[:, 1:4], wiggly[:, 4:]])
+        bias = (np.array([0.01, -0.02, 0.005]) * gyro_scale, np.array([0.1, 0.0, -0.05]))
+        noise = imu.ImuNoiseModel()
+        pre = imu.integrate(stream, bias, noise)
+        for name, want in integrate_per_sample(stream, bias, noise).items():
+            np.testing.assert_allclose(getattr(pre, name), want, rtol=1e-12, atol=1e-15, err_msg=name)
 
     def test_covariance_psd_and_monotone_trace(self):
         stream = wiggly_stream(duration=0.5, seed=3)
@@ -230,16 +243,16 @@ class TestStreamIO:
         path = tmp_path / "imu.txt"
         imu.save_imu_stream(path, stream)
         back = imu.load_imu_stream(path)
-        assert len(back) == len(stream)
-        for a, b in zip(stream, back):
-            assert a.timestamp == pytest.approx(b.timestamp, abs=1e-9)
-            assert np.array_equal(a.angular_velocity, b.angular_velocity)
-            assert np.array_equal(a.linear_acceleration, b.linear_acceleration)
+        assert back.shape == stream.shape
+        np.testing.assert_allclose(back[:, 0], stream[:, 0], rtol=0.0, atol=1e-9)
+        assert np.array_equal(back[:, 1:], stream[:, 1:])
 
     def test_comments_and_blanks_skipped(self, tmp_path):
         path = tmp_path / "imu.txt"
         path.write_text("# header\n\n0.0 0 0 0 0 0 9.81\n0.01 0 0 0 0 0 9.81 # inline\n")
-        assert len(imu.load_imu_stream(path)) == 2
+        assert imu.load_imu_stream(path).shape == (2, 7)
+        path.write_text("# header only\n\n")
+        assert imu.load_imu_stream(path).shape == (0, 7)
 
     def test_malformed_line_reports_position(self, tmp_path):
         path = tmp_path / "imu.txt"

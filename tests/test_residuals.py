@@ -92,10 +92,10 @@ def random_preintegration(rng, duration=0.4):
     times = np.arange(int(duration * 200) + 1) / 200.0
     cw = rng.normal(size=(3, 3)) * 0.3
     ca = rng.normal(size=(3, 3)) * 1.0
-    samples = [
-        imu.ImuSample(t, cw @ np.sin([0.7 * t, 1.3 * t, 2.9 * t]), ca @ np.cos([0.7 * t, 1.1 * t, 2.3 * t]))
+    samples = np.array([
+        [t, *(cw @ np.sin([0.7 * t, 1.3 * t, 2.9 * t])), *(ca @ np.cos([0.7 * t, 1.1 * t, 2.3 * t]))]
         for t in times
-    ]
+    ])
     return imu.integrate(samples, bias=(rng.normal(size=3) * 0.002, rng.normal(size=3) * 0.02))
 
 

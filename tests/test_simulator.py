@@ -86,19 +86,19 @@ class TestTrajectory:
 class TestSynthesizeImu:
     def test_rest_case(self):
         sampled = static_sampled(yaw=0.4)
-        samples, _, _ = sim.synthesize_imu(sampled, sim.default_rig(), seed=0, noise=False)
+        samples = sim.synthesize_imu(sampled, sim.default_rig(), seed=0, noise=False)
         rot = rot_z(0.4)
         expected = rot.T @ (-GRAVITY)
-        for s in samples:
-            assert np.allclose(s.angular_velocity, 0.0, atol=1e-15)
-            assert np.allclose(s.linear_acceleration, expected, atol=1e-12)
+        assert samples.shape == (len(sampled.imu_times), 7)
+        assert np.allclose(samples[:, 1:4], 0.0, atol=1e-15)
+        assert np.allclose(samples[:, 4:7], expected, atol=1e-12)
 
     def test_preintegration_round_trip_matches_spline(self):
         rig = sim.default_rig()
         spec = sim.default_trajectory_spec()
         sampler = sim.generate_trajectory(spec, rig.imu_rate, rig.frame_rate)
         sampled = sampler.sample(5.0)
-        samples, _, _ = sim.synthesize_imu(sampled, rig, seed=0, noise=False)
+        samples = sim.synthesize_imu(sampled, rig, seed=0, noise=False)
         state = imu.NavState(
             pose=Pose(rot_z(sampled.yaws[0]), sampled.positions[0]),
             velocity=sampled.velocities[0],
@@ -117,22 +117,20 @@ class TestSynthesizeImu:
         rig = sim.default_rig()
         spec = sim.default_trajectory_spec()
         sampled = sim.generate_trajectory(spec, rig.imu_rate, rig.frame_rate).sample(10.0)
-        samples, _, _ = sim.synthesize_imu(sampled, rig, seed=0, noise=False)
+        samples = sim.synthesize_imu(sampled, rig, seed=0, noise=False)
         assert len(samples) == len(sampled.imu_times)
         for i, s in enumerate(samples):
             force = rot_z(sampled.yaws[i]).T @ (sampled.accelerations[i] - GRAVITY)
-            assert s.timestamp == sampled.imu_times[i]
-            assert np.array_equal(s.angular_velocity, [0.0, 0.0, sampled.yaw_rates[i]])
-            assert np.allclose(s.linear_acceleration, force, rtol=0.0, atol=1e-12)
+            assert s[0] == sampled.imu_times[i]
+            assert np.array_equal(s[1:4], [0.0, 0.0, sampled.yaw_rates[i]])
+            assert np.allclose(s[4:7], force, rtol=0.0, atol=1e-12)
 
     def test_fixed_seed_bitwise_identical(self):
         sampled = static_sampled()
         rig = sim.default_rig()
-        a, _, _ = sim.synthesize_imu(sampled, rig, seed=5)
-        b, _, _ = sim.synthesize_imu(sampled, rig, seed=5)
-        for x, y in zip(a, b):
-            assert np.array_equal(x.angular_velocity, y.angular_velocity)
-            assert np.array_equal(x.linear_acceleration, y.linear_acceleration)
+        a = sim.synthesize_imu(sampled, rig, seed=5)
+        b = sim.synthesize_imu(sampled, rig, seed=5)
+        assert np.array_equal(a, b)
 
 
 class TestSynthesizeCamera:
