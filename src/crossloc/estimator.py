@@ -569,9 +569,32 @@ class DivergenceMonitor:
 
 
 def _imu_between(session: SessionData, t0: float, t1: float) -> np.ndarray:
-    """The session's IMU samples with ``t0 <= t <= t1``."""
-    times = session.imu_samples[:, 0]
-    return session.imu_samples[np.searchsorted(times, t0) : np.searchsorted(times, t1, "right")]
+    """The session's IMU samples with ``t0 <= t <= t1``.
+
+    An end with no sample at exactly its time gets one, interpolated
+    linearly between the samples on either side of it, so the stream spans
+    the whole of ``[t0, t1]``. An end outside the stream gets none.
+    """
+    samples = session.imu_samples
+    times = samples[:, 0]
+    lo, hi = np.searchsorted(times, t0), np.searchsorted(times, t1, "right")
+    head = 0 < lo < len(times) and times[lo] != t0
+    tail = 0 < hi < len(times) and times[hi - 1] != t1
+    if not (head or tail):
+        return samples[lo:hi]
+    return np.vstack(
+        ([_interpolated_sample(samples, lo, t0)] if head else [])
+        + [samples[lo:hi]]
+        + ([_interpolated_sample(samples, hi, t1)] if tail else [])
+    )
+
+
+def _interpolated_sample(samples: np.ndarray, i: int, t: float) -> np.ndarray:
+    """The sample at time t, linear between rows i - 1 and i, which bracket it."""
+    before, after = samples[i - 1], samples[i]
+    sample = before + (t - before[0]) / (after[0] - before[0]) * (after - before)
+    sample[0] = t
+    return sample
 
 
 def _initial_state(session: SessionData) -> NavState:

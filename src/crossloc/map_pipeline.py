@@ -241,44 +241,60 @@ def expand_static(static: PointCloudMap, dynamic: PointCloudMap, params: MapFilt
 
 
 def voxel_centroids(points: np.ndarray, voxel: float):
-    """One centroid per occupied voxel; cells ordered lexicographically.
+    """One centroid per occupied voxel of side ``voxel``.
 
-    Returns (centroids, first_index) where first_index maps each centroid
-    to the first input point of its cell.
+    Returns ``(centroids, first)``. Cells come in lexicographic order of
+    their integer keys ``floor(points / voxel)`` (x, then y, then z, signed);
+    ``first[c]`` is the index of the first input point in cell c. Each cell
+    is keyed by one int64, its offset keys packed as
+    ``(kx * span_y + ky) * span_z + kz``, so the occupied extent may hold at
+    most 2**63 - 1 cells; a larger one raises ``ValueError``.
     """
     if len(points) == 0:
         return points.reshape(0, 3), np.zeros(0, dtype=int)
     keys = np.floor(points / voxel).astype(np.int64)
-    uniq, inverse = np.unique(keys, axis=0, return_inverse=True)
-    sums = np.zeros((len(uniq), 3))
-    np.add.at(sums, inverse, points)
-    counts = np.bincount(inverse, minlength=len(uniq))
-    first = np.full(len(uniq), len(points), dtype=int)
-    np.minimum.at(first, inverse, np.arange(len(points)))
-    return sums / counts[:, None], first
+    lo, hi = keys.min(axis=0), keys.max(axis=0)
+    spans = [int(b) - int(a) + 1 for a, b in zip(lo, hi)]
+    if math.prod(spans) > np.iinfo(np.int64).max:
+        extent = " x ".join(map(str, spans))
+        raise ValueError(f"points span {extent} cells of {voxel:g} m, too many for int64 keys")
+    keys -= lo
+    packed = (keys[:, 0] * spans[1] + keys[:, 1]) * spans[2] + keys[:, 2]
+    # return_index sorts stably, so first is each cell's first point
+    _, first, inverse = np.unique(packed, return_index=True, return_inverse=True)
+    sums = np.stack([np.bincount(inverse, weights=points[:, i]) for i in range(3)], axis=1)
+    return sums / np.bincount(inverse)[:, None], first
+
+
+def _placed_scans(sessions: list[SessionData], select=None):
+    """Every scan's points in the map frame, concatenated, with their labels.
+
+    Scan k is placed by ``gt_poses[k] @ body_t_laser``; empty scans and scans
+    past the last ground-truth row are skipped. ``select(session, points)``,
+    when given, masks each scan's laser-frame points first.
+    """
+    pts_all, labels_all = [np.zeros((0, 3))], [np.zeros(0, int)]
+    for session in sessions:
+        body_t_laser = session.rig.body_t_laser
+        for k, (points_f, labels) in enumerate(session.scans):
+            if len(points_f) == 0 or k >= len(session.gt_poses):
+                continue
+            if select is not None:
+                keep = select(session, points_f)
+                points_f, labels = points_f[keep], labels[keep]
+            pts_all.append((session.gt_poses[k] @ body_t_laser).apply(points_f))
+            labels_all.append(labels)
+    return np.concatenate(pts_all), np.concatenate(labels_all)
 
 
 def extract_ground(sessions: list[SessionData], params: MapFilterParams) -> PointCloudMap:
     """Height-band ground points from every scan, merged and voxel-thinned."""
-    pts_all, labels_all = [], []
-    for session in sessions:
-        rig = session.rig
-        body_t_laser = rig.body_t_laser
-        for k, (points_f, labels) in enumerate(session.scans):
-            if len(points_f) == 0 or k >= len(session.gt_poses):
-                continue
-            band = np.abs(points_f[:, 2] + rig.laser_height) <= params.ground_band
-            if not band.any():
-                continue
-            world_t_laser = session.gt_poses[k] @ body_t_laser
-            pts_all.append(world_t_laser.apply(points_f[band]))
-            labels_all.append(labels[band])
-    if not pts_all:
-        return PointCloudMap(
-            np.zeros((0, 3)), frame=FRAME_MAP, labels=np.zeros(0, int)
-        )
-    pts = np.concatenate(pts_all)
-    labels = np.concatenate(labels_all)
+    pts, labels = _placed_scans(
+        sessions,
+        lambda session, points_f: (
+            np.abs(points_f[:, 2] + session.rig.laser_height) <= params.ground_band
+        ),
+    )
     centroids, first = voxel_centroids(pts, params.ground_voxel)
     normals = np.tile([0.0, 0.0, 1.0], (len(centroids), 1))
     return PointCloudMap(
@@ -309,15 +325,7 @@ def build_full_map(
     session: SessionData, voxel: float = 0.3, normals_k: int = 10
 ) -> PointCloudMap:
     """Unfiltered baseline: every laser return of one session, voxel-thinned."""
-    pts_all, labels_all = [], []
-    body_t_laser = session.rig.body_t_laser
-    for k, (points_f, labels) in enumerate(session.scans):
-        if len(points_f) == 0 or k >= len(session.gt_poses):
-            continue
-        pts_all.append((session.gt_poses[k] @ body_t_laser).apply(points_f))
-        labels_all.append(labels)
-    pts = np.concatenate(pts_all)
-    labels = np.concatenate(labels_all)
+    pts, labels = _placed_scans([session])
     centroids, first = voxel_centroids(pts, voxel)
     cloud = PointCloudMap(centroids, frame=FRAME_MAP, labels=labels[first])
     return estimate_normals(cloud, normals_k)

@@ -7,6 +7,8 @@ library code it checks.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 
@@ -123,3 +125,24 @@ def integrate_per_sample(samples, bias, noise):
         delta_R=d_rot, delta_p=d_p, delta_v=d_v, dt_total=dt_total, J_g_dR=j_g_dr,
         J_g_dv=j_g_dv, J_a_dv=j_a_dv, J_g_dp=j_g_dp, J_a_dp=j_a_dp, covariance=0.5 * (cov + cov.T),
     )
+
+
+def voxel_cells(points, voxel):
+    """Occupied voxels as (keys, first, centroids), in sorted key order.
+
+    Points are filed one at a time into a dict keyed by their integer cell
+    tuple ``floor(p / voxel)``; a cell keeps the index of its first point and
+    a running coordinate sum, divided by its point count at the end.
+    """
+    cells = {}
+    for i, p in enumerate(np.asarray(points, dtype=float)):
+        key = tuple(math.floor(c / voxel) for c in p)
+        if key not in cells:
+            cells[key] = [i, [0.0, 0.0, 0.0], 0]
+        cell = cells[key]
+        cell[1] = [s + c for s, c in zip(cell[1], p)]
+        cell[2] += 1
+    keys = sorted(cells)
+    first = np.array([cells[k][0] for k in keys], dtype=int)
+    centroids = np.array([[s / cells[k][2] for s in cells[k][1]] for k in keys]).reshape(-1, 3)
+    return keys, first, centroids

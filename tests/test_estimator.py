@@ -2,6 +2,7 @@
 
 import math
 from dataclasses import astuple, replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -164,18 +165,54 @@ def test_dropped_imu_samples(short_inputs):
     degraded = replace(query, imu_samples=samples[keep])
     assert len(degraded.imu_samples) < len(samples)
 
+    _assert_keyframes_span_their_gaps(degraded, guess)
+    run = estimator.run_localization(degraded, cloud, guess)
+    assert not run.diverged, run.divergence_reason
+
+
+def test_missing_frame_time_samples(short_inputs):
+    """With every frame-time IMU sample after t = 0 dropped, each keyframe's
+    preintegration still spans its whole frame gap: the ends are interpolated."""
+    query, _, guess = short_inputs
+    samples = query.imu_samples
+    at_frame = np.isin(samples[:, 0], query.gt_times[1:])
+    assert at_frame.sum() == len(query.gt_times) - 1
+    _assert_keyframes_span_their_gaps(replace(query, imu_samples=samples[~at_frame]), guess)
+
+
+def _assert_keyframes_span_their_gaps(query, guess):
     cfg = estimator.EstimatorConfig()
-    window, _ = estimator.initialize(degraded, guess, cfg)
+    window, _ = estimator.initialize(query, guess, cfg)
     keyframes = list(window.keyframes)
-    for kf in estimator._due_keyframes(degraded, window, cfg):
+    for kf in estimator._due_keyframes(query, window, cfg):
         window.insert_keyframe(kf, cfg.min_frame_landmarks)
         keyframes.append(kf)
     assert len(keyframes) > 5
     for prev, kf in zip(keyframes, keyframes[1:]):
         assert abs(kf.pre_from_prev.dt_total - (kf.timestamp - prev.timestamp)) < 1e-12
 
-    run = estimator.run_localization(degraded, cloud, guess)
-    assert not run.diverged, run.divergence_reason
+
+def test_imu_between_interpolates_missing_ends():
+    """Samples linear in time: an end without its own sample gets the line's
+    value there; ends with one, or outside the stream, get nothing added."""
+    times = np.array([0.0, 0.1, 0.2, 0.3])
+    slope = np.arange(1.0, 7.0)
+    samples = np.column_stack([times, 2.0 + times[:, None] * slope])
+    session = SimpleNamespace(imu_samples=samples)
+
+    exact = estimator._imu_between(session, 0.1, 0.3)
+    np.testing.assert_array_equal(exact, samples[1:])
+    assert np.shares_memory(exact, samples)
+
+    got = estimator._imu_between(session, 0.05, 0.25)
+    np.testing.assert_array_equal(got[:, 0], [0.05, 0.1, 0.2, 0.25])
+    np.testing.assert_allclose(got[:, 1:], 2.0 + got[:, :1] * slope, rtol=0, atol=1e-14)
+    np.testing.assert_array_equal(got[1:3], samples[1:3])
+
+    np.testing.assert_array_equal(estimator._imu_between(session, -0.1, 0.3), samples)
+    np.testing.assert_array_equal(estimator._imu_between(session, 0.0, 0.4), samples)
+    between = estimator._imu_between(session, 0.12, 0.18)
+    np.testing.assert_array_equal(between[:, 0], [0.12, 0.18])
 
 
 def test_window_problem_has_one_stereo_row_per_solvable_occurrence():

@@ -9,6 +9,8 @@ from crossloc.laser_map import FRAME_MAP, PointCloudMap
 from crossloc.liegroup import Pose, rot_z, se3_exp
 from crossloc.session import FrameObservations, SessionData
 
+from oracles import voxel_cells
+
 
 @pytest.fixture(scope="module")
 def short_session():
@@ -122,6 +124,22 @@ class TestScanPoses:
         )
         centroids, _ = mp.voxel_centroids(pts, 0.3)
         np.testing.assert_array_equal(mp.build_full_map(s, voxel=0.3).positions, centroids)
+
+    def test_session_without_returns_gives_an_empty_labelled_cloud(self):
+        rig = sim.default_rig()
+        session = SessionData(
+            0,
+            rig,
+            np.array([0.0]),
+            [Pose.identity()],
+            np.zeros((0, 7)),
+            [FrameObservations(np.zeros(0, int), np.zeros((0, 4)))],
+            [(np.zeros((0, 3)), np.zeros(0, int))],
+        )
+        for cloud in (mp.build_full_map(session), mp.extract_ground([session], make_params())):
+            assert len(cloud) == 0
+            assert cloud.frame == FRAME_MAP
+            assert cloud.labels is not None and cloud.labels.shape == (0,)
 
 
 def cloud_of(points, labels=None):
@@ -349,6 +367,68 @@ def fake_ground_session(slope=0.0, rig=None, n_scans=5, seed=0):
         scans.append((pts, np.zeros(200, dtype=int)))
     frames = [FrameObservations(np.zeros(0, int), np.zeros((0, 4))) for _ in range(n_scans)]
     return SessionData(0, rig, gt_times, gt_poses, [], frames, scans)
+
+
+class TestVoxelCentroids:
+    """Against a dict of cells: lexicographic cell order, each cell's first
+    point, and centroids summed in point order."""
+
+    @staticmethod
+    def assert_matches_oracle(points, voxel):
+        centroids, first = mp.voxel_centroids(points, voxel)
+        keys, want_first, want = voxel_cells(points, voxel)
+        got_keys = [tuple(int(c) for c in np.floor(points[i] / voxel)) for i in first]
+        assert got_keys == keys
+        np.testing.assert_array_equal(first, want_first)
+        np.testing.assert_array_equal(centroids, want)
+
+    def test_negative_coordinates(self):
+        rng = np.random.default_rng(21)
+        points = rng.uniform(-3.0, 2.0, size=(600, 3))
+        self.assert_matches_oracle(points, 0.4)
+
+    def test_points_on_cell_faces_and_single_point_cells(self):
+        rng = np.random.default_rng(22)
+        voxel = 0.25
+        # multiples of the voxel lie on cell faces, edges and corners
+        faces = voxel * rng.integers(-8, 8, size=(40, 3)).astype(float)
+        mixed = faces.copy()
+        mixed[::2, 1] += rng.uniform(0.0, voxel, size=20)
+        lonely = np.array([[-9.9, 7.3, -4.4], [6.1, -8.8, 9.05]])
+        points = np.concatenate([faces, mixed, lonely, faces[:5]])
+        self.assert_matches_oracle(points, voxel)
+        centroids, _ = mp.voxel_centroids(points, voxel)
+        for p in lonely:
+            assert (centroids == p).all(axis=1).sum() == 1
+        # a point on a face belongs to the cell above it
+        xs = np.array([0.49, 0.5, 0.51, -0.51, -0.5, -0.49])
+        centroids, first = mp.voxel_centroids(np.column_stack([xs, 0 * xs, 0 * xs]), voxel)
+        np.testing.assert_array_equal(first, [3, 4, 0, 1])
+        np.testing.assert_array_equal(
+            centroids[:, 0], [-0.51, (-0.5 + -0.49) / 2, 0.49, (0.5 + 0.51) / 2]
+        )
+
+    def test_empty_input(self):
+        centroids, first = mp.voxel_centroids(np.zeros((0, 3)), 0.5)
+        assert centroids.shape == (0, 3)
+        assert first.shape == (0,) and first.dtype.kind == "i"
+
+    def test_extent_at_the_int64_limit(self):
+        # spans of 2**31 x (2**32 - 1) x 1 cells: 2**63 - 2**31 keys, which fit
+        near = np.array([[0.0, 0.0, 0.0], [2.0**31 - 1, 2.0**32 - 2, 0.0], [1.0, 0.0, 0.0]])
+        self.assert_matches_oracle(near, 1.0)
+        # one more y cell makes 2**63 keys, one too many
+        beyond = near.copy()
+        beyond[1, 1] += 1.0
+        with pytest.raises(ValueError, match="int64"):
+            mp.voxel_centroids(beyond, 1.0)
+        far = np.array([[0.0, 0.0, 0.0], [1.0e7, -1.0e7, 1.0e7]])
+        with pytest.raises(ValueError, match="int64"):
+            mp.voxel_centroids(far, 1.0e-3)
+        # a small extent far from the origin fits: keys are offset before packing
+        # (unoffset, x = 2**62 would pack past 2**63 and sort first)
+        remote = np.array([[2.0**62, 0.0, 0.0], [2.0**62 - 1024, 1.0, 0.0], [2.0**62, 1.0, 0.0]])
+        self.assert_matches_oracle(remote, 1.0)
 
 
 class TestExtractGround:
