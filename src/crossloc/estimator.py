@@ -9,8 +9,7 @@ one bundle-adjustment step chosen by the schedule:
   reprojection + preintegration + map-alignment + anchor-prior terms;
 - rigid: plain visual-inertial adjustment first, then an ICP-style loop
   that re-associates and refines the anchor alone with everything else
-  held fixed, each iteration one association and one ``AnchorAlignment``
-  solve on 6x6 normal equations;
+  held fixed, each iteration one association and one anchor-only solve;
 - hybrid m:n cycles m non-rigid steps then n rigid ones.
 
 The front end is one keyframe path. ``_due_keyframes`` preintegrates the
@@ -30,14 +29,17 @@ landmark in id order. It has one factor group per term family, whose slots
 index those rows: every stereo observation of a solvable landmark, in
 window order (keyframe rows by ``np.repeat``, landmark rows by
 ``np.searchsorted`` of the ids), then the preintegration and the bias terms
-between consecutive keyframes. A non-rigid step adds the one-row
-``anchor`` family, its map groups and its prior (``_add_anchor_groups``).
-After a solve ``_write_back`` unstacks the families into the keyframe
-states and the landmark positions. An association
-(``associate_constraints``, one k-NN query over all landmarks) is one
-``MapAssociation`` record of landmark ids, map points, normals and a
-point-to-plane mask. ``_map_groups`` splits it by metric, both for the
-joint problem's map groups and for ``AnchorAlignment``.
+between consecutive keyframes. After a solve ``_write_back`` unstacks the
+families into the keyframe states and the landmark positions. An
+association (``associate_constraints``, one k-NN query over all landmarks)
+is one ``MapAssociation`` record of landmark ids, map points, normals and a
+point-to-plane mask.
+
+The anchor's terms are stated once, by ``_add_anchor_groups``: the one-row
+``anchor`` family, one map group per metric and the anchor prior. A
+non-rigid step adds them to the window problem. The rigid step's anchor-only
+solve adds them to a problem whose only other family is the associated
+landmarks, held fixed, which the solver runs on its dense 6x6 backend.
 
 The anchor prior mean is re-pinned to the converged anchor after every
 step, so the prior always encodes "the last step's estimate".
@@ -55,7 +57,7 @@ from .imu import NavState, PreintegratedImu, bias_information, integrate, predic
 from .laser_map import PointCloudMap, normal_consistency
 from .liegroup import Pose, se3_log, so3_log
 from .session import SensorRig, SessionData
-from .solver import DenseProblem, Problem, SolverReport, solve
+from .solver import Problem, SolverReport, solve
 
 
 class TooFewObservationsError(ValueError):
@@ -258,41 +260,25 @@ def _positions(landmarks: dict, lm_ids) -> np.ndarray:
     return np.array([landmarks[lm_id] for lm_id in lm_ids.tolist()], dtype=float).reshape(-1, 3)
 
 
-def _map_groups(association: MapAssociation):
-    """The association split by metric, point-to-plane first.
-
-    Yields, per metric present: its factor kind, its batch function, the
-    landmark ids of its rows and the data the kind's ``evaluate_batch``
-    reads (map points, then normals for point-to-plane).
-    """
-    for kind, batch, plane in (
-        (res.PointToPlaneFactor, res.point_to_plane_batch, True),
-        (res.PointToPointFactor, res.point_to_point_batch, False),
-    ):
-        rows = association.plane == plane
-        if rows.any():
-            data = (association.points[rows], association.normals[rows]) if plane else (
-                association.points[rows],)
-            yield kind, batch, association.landmark_ids[rows], data
-
-
-def _map_information(cfg: EstimatorConfig) -> np.ndarray:
-    """The isotropic information of every map constraint."""
-    return np.eye(3) / (cfg.sigma_map**2)
-
-
 def _add_anchor_groups(problem: Problem, anchor: AnchorTransform, association, lm_ids, cfg) -> None:
-    """The ``anchor`` family of one row, one map group per metric present, and the anchor prior.
+    """The ``anchor`` family of one row, one map group per metric present
+    (point-to-plane first), and the anchor prior.
 
     Row j of the problem's ``lm`` family is landmark ``lm_ids[j]`` (sorted),
-    and every associated landmark must be among them.
+    and every associated landmark must be among them. Each map row carries
+    its map point, and a point-to-plane row its normal too.
     """
     problem.add_poses("anchor", [anchor.pose])
+    rows = np.searchsorted(lm_ids, association.landmark_ids)
+    information = np.eye(3) / (cfg.sigma_map**2)
     kernel = res.RobustKernel("cauchy", cfg.cauchy_metric)
-    for kind, _, ids, data in _map_groups(association):
-        rows = np.searchsorted(lm_ids, ids)
+    for kind, plane in ((res.PointToPlaneFactor, True), (res.PointToPointFactor, False)):
+        metric = association.plane == plane
+        points = association.points[metric]
+        data = (points, association.normals[metric]) if plane else (points,)
         problem.add_factors(
-            kind, [("anchor", np.zeros_like(rows)), ("lm", rows)], data, _map_information(cfg), kernel
+            kind, [("anchor", np.zeros(metric.sum(), dtype=int)), ("lm", rows[metric])], data,
+            information, kernel,
         )
     problem.add_factors(
         res.AnchorPriorFactor, [("anchor", [0])], [anchor.prior_mean],
@@ -300,42 +286,18 @@ def _add_anchor_groups(problem: Problem, anchor: AnchorTransform, association, l
     )
 
 
-class AnchorAlignment(DenseProblem):
-    """The rigid step's ICP sub-problem: the anchor alone, landmarks held fixed.
+def _alignment_problem(landmarks: dict, anchor: AnchorTransform, association, cfg) -> Problem:
+    """The rigid step's anchor-only problem: the associated landmarks as a
+    fixed ``lm`` family, in id order, and the anchor groups."""
+    problem = Problem()
+    problem.add_vectors("lm", _positions(landmarks, association.landmark_ids), fixed=True)
+    _add_anchor_groups(problem, anchor, association, association.landmark_ids, cfg)
+    return problem
 
-    Holds one association's landmark positions, map points and normals per
-    metric, plus the anchor prior. Its terms are those of the joint
-    problem's anchor groups (``_add_anchor_groups``): the same residuals,
-    informations and kernels, which ``DenseProblem`` whitens and re-weights
-    as the solver does a Problem's factor groups. So the minimum, the
-    iterations and the termination are those of a Problem with a free anchor
-    block, fixed landmark blocks and those groups, on the 6x6 normal
-    equations instead of the Schur system.
-    """
 
-    def __init__(self, anchor: AnchorTransform, association: MapAssociation, landmarks: dict,
-                 cfg: EstimatorConfig):
-        # (batch function, its stacked inputs) per metric present
-        self.maps = [
-            (batch, (_positions(landmarks, lm_ids), *data))
-            for _, batch, lm_ids, data in _map_groups(association)
-        ]
-        self.prior_mean = anchor.prior_mean
-        map_group = (_map_information(cfg), res.RobustKernel("cauchy", cfg.cauchy_metric))
-        prior_group = (cfg.prior_information(anchor.prior_scale), res.RobustKernel())
-        super().__init__(anchor.pose, [map_group] * len(self.maps) + [prior_group])
-
-    def terms(self, pose: Pose, jacobian: bool):
-        """Residuals and anchor Jacobians of the map terms per metric, then of the prior."""
-        terms = []
-        for batch, arrays in self.maps:
-            r, jacs = batch(pose, *arrays, jacobian=jacobian)
-            terms.append((r, jacs[0] if jacobian else None))
-        r, j = res.anchor_prior_residual(pose, self.prior_mean)
-        return terms + [(r[None], j[None] if jacobian else None)]
-
-    def retract(self, pose: Pose, delta) -> Pose:
-        return pose.retract(delta)
+def _solved_anchor(problem: Problem) -> Pose:
+    """The ``anchor`` family's one row after a solve."""
+    return Pose(*(a[0] for a in problem.value["anchor"]))
 
 
 # ---------------------------------------------------------------------------
@@ -411,7 +373,6 @@ def _write_back(problem: Problem, window: SlidingWindow, lm_ids) -> None:
 def non_rigid_ba(
     window: SlidingWindow,
     anchor: AnchorTransform,
-    cloud: PointCloudMap,
     association: MapAssociation,
     rig: SensorRig,
     cfg: EstimatorConfig,
@@ -431,7 +392,7 @@ def non_rigid_ba(
     report = solve(problem, cfg.max_iterations)
     _write_back(problem, window, lm_ids)
     if len(association):
-        anchor.pose = Pose(*(a[0] for a in problem.value["anchor"]))
+        anchor.pose = _solved_anchor(problem)
     return report
 
 
@@ -446,9 +407,8 @@ def rigid_ba(
 
     Stage two repeats association + anchor solve until the anchor update
     falls below the tolerance or ``icp_max_iterations`` is reached; states
-    and landmarks stay untouched there. Each anchor solve is one
-    ``AnchorAlignment`` (6x6, landmarks fixed) under the solver's LM loop,
-    with the same minimum and iterations as a generic Problem of those terms.
+    and landmarks stay untouched there. Each anchor solve is an
+    ``_alignment_problem``, which the solver runs on its 6x6 dense backend.
     """
     gravity = rig.gravity_vector()
     lm_ids = _solvable_landmarks(window)
@@ -463,10 +423,11 @@ def rigid_ba(
         association = associate_constraints(window, anchor.pose, cloud, cfg)
         if not len(association):
             break
-        alignment = AnchorAlignment(anchor, association, window.landmarks, cfg)
+        alignment = _alignment_problem(window.landmarks, anchor, association, cfg)
         report = solve(alignment, cfg.max_iterations)
-        update = np.linalg.norm(se3_log(anchor.pose.inverse() @ alignment.value))
-        anchor.pose = alignment.value
+        aligned = _solved_anchor(alignment)
+        update = np.linalg.norm(se3_log(anchor.pose.inverse() @ aligned))
+        anchor.pose = aligned
         iterations += report.iterations
         final_cost = report.final_cost
         termination = report.termination
@@ -491,7 +452,7 @@ def step(
         association = associate_constraints(window, anchor.pose, cloud, cfg)
     else:
         association = associate_constraints(window, anchor.pose, cloud, cfg)
-        report = non_rigid_ba(window, anchor, cloud, association, rig, cfg)
+        report = non_rigid_ba(window, anchor, association, rig, cfg)
     anchor.prior_mean = anchor.pose
     anchor.prior_scale = 1.0
     return report, association, actions

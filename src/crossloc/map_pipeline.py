@@ -82,45 +82,21 @@ def vision_transform_session(session: SessionData, params: MapFilterParams) -> P
     frame and ground-truth row k share one timestamp, so scan k takes
     ``gt_poses[k]``; scans beyond the last ground-truth row are skipped.
     """
-    rig = session.rig
-    cam = rig.camera
-    cam_t_laser = rig.cam_t_laser
-    body_t_laser = rig.body_t_laser
-    kept_pts, kept_labels = [], []
-    for k, (points_f, labels) in enumerate(session.scans):
-        if len(points_f) == 0:
-            continue
-        if k >= len(session.gt_poses):
-            break
-        frame = session.frames[k]
-        if len(frame.landmark_ids) == 0:
-            continue
-        p_cam = points_f @ cam_t_laser.rotation.T + cam_t_laser.translation
-        in_front = p_cam[:, 2] > 1e-6
-        if not in_front.any():
-            continue
-        uv = np.full((len(p_cam), 2), -1e9)
-        zin = p_cam[in_front]
-        uv[in_front] = np.stack(
-            [cam.fx * zin[:, 0] / zin[:, 2] + cam.cx, cam.fy * zin[:, 1] / zin[:, 2] + cam.cy],
-            axis=1,
-        )
-        valid = in_front & cam.in_image(uv)
-        if not valid.any():
-            continue
-        feat_tree = cKDTree(frame.pixels[:, :2])
-        dist, _ = feat_tree.query(uv[valid])
-        close = dist <= params.pixel_gate
-        if not np.any(close):
-            continue
-        keep_idx = np.nonzero(valid)[0][close]
-        world_t_laser = session.gt_poses[k] @ body_t_laser
-        kept_pts.append(world_t_laser.apply(points_f[keep_idx]))
-        kept_labels.append(labels[keep_idx])
-    if not kept_pts:
-        return PointCloudMap(np.zeros((0, 3)), frame=FRAME_MAP, labels=np.zeros(0, int))
-    pts = np.concatenate(kept_pts)
-    return PointCloudMap(pts, frame=FRAME_MAP, labels=np.concatenate(kept_labels))
+    def near_feature(session, k, points_f):
+        cam = session.rig.camera
+        keep = np.zeros(len(points_f), dtype=bool)
+        p_cam = session.rig.cam_t_laser.apply(points_f)
+        front = np.flatnonzero(p_cam[:, 2] > 1e-6)
+        uv = cam.project(p_cam[front])
+        seen = cam.in_image(uv)
+        features = session.frames[k].pixels[:, :2]
+        if len(features) and seen.any():
+            dist, _ = cKDTree(features).query(uv[seen])
+            keep[front[seen]] = dist <= params.pixel_gate
+        return keep
+
+    pts, labels = _placed_scans([session], near_feature)
+    return PointCloudMap(pts, frame=FRAME_MAP, labels=labels)
 
 
 # ---------------------------------------------------------------------------
@@ -270,8 +246,8 @@ def _placed_scans(sessions: list[SessionData], select=None):
     """Every scan's points in the map frame, concatenated, with their labels.
 
     Scan k is placed by ``gt_poses[k] @ body_t_laser``; empty scans and scans
-    past the last ground-truth row are skipped. ``select(session, points)``,
-    when given, masks each scan's laser-frame points first.
+    past the last ground-truth row are skipped. ``select(session, k, points)``,
+    when given, masks scan k's laser-frame points first.
     """
     pts_all, labels_all = [np.zeros((0, 3))], [np.zeros(0, int)]
     for session in sessions:
@@ -280,7 +256,7 @@ def _placed_scans(sessions: list[SessionData], select=None):
             if len(points_f) == 0 or k >= len(session.gt_poses):
                 continue
             if select is not None:
-                keep = select(session, points_f)
+                keep = select(session, k, points_f)
                 points_f, labels = points_f[keep], labels[keep]
             pts_all.append((session.gt_poses[k] @ body_t_laser).apply(points_f))
             labels_all.append(labels)
@@ -291,7 +267,7 @@ def extract_ground(sessions: list[SessionData], params: MapFilterParams) -> Poin
     """Height-band ground points from every scan, merged and voxel-thinned."""
     pts, labels = _placed_scans(
         sessions,
-        lambda session, points_f: (
+        lambda session, k, points_f: (
             np.abs(points_f[:, 2] + session.rig.laser_height) <= params.ground_band
         ),
     )

@@ -25,9 +25,8 @@ The tests compare every group evaluation with a one-row reference:
 The caller gives each group its information: stereo rows share
 ``PIXEL_INFORMATION`` (1 px in each coordinate); the others take theirs
 from the preintegration, the bias random walk, the map noise or the prior.
-The map kinds evaluate through ``point_to_plane_batch`` and
-``point_to_point_batch``, which the rigid step's anchor-only solve calls
-too. Pose Jacobians are always with respect to the right perturbation
+Both adjustment steps evaluate the map terms through the same two kinds.
+Pose Jacobians are always with respect to the right perturbation
 ``P * Exp(delta)`` with tangent order (phi, rho).
 """
 
@@ -68,8 +67,6 @@ __all__ = [
     "point_to_plane_residual",
     "point_to_point_residual",
     "anchor_prior_residual",
-    "point_to_plane_batch",
-    "point_to_point_batch",
     "stack_preintegrations",
     "StereoReprojectionFactor",
     "PreintegrationFactor",
@@ -313,45 +310,11 @@ def point_to_point_residual(anchor: Pose, lm: Landmark, c: MapConstraint):
     return residual, j_anchor, j_lm
 
 
-def anchor_prior_residual(anchor: Pose, prior_mean: Pose):
-    """Tangent-space deviation of the anchor from its prior mean, and its Jacobian."""
+def anchor_prior_residual(anchor: Pose, prior_mean: Pose, jacobian=True):
+    """Tangent-space deviation of the anchor from its prior mean, and its
+    Jacobian (None unless ``jacobian``)."""
     residual = se3_log(prior_mean.inverse() @ anchor)
-    return residual, se3_right_jacobian_inv(residual)
-
-
-def point_to_plane_batch(anchor: Pose, p_lm, targets, normals, jacobian=True):
-    """``point_to_plane_residual`` for n landmarks at once, as the 3-vector r_n * n.
-
-    Returns residual (n, 3) and, if asked, [J_anchor (n, 3, 6), J_lm (n, 3, 3)].
-    """
-    p_map = p_lm @ anchor.rotation.T + anchor.translation
-    r_n = np.einsum("ni,ni->n", normals, targets - p_map)
-    residual = r_n[:, None] * normals
-    if not jacobian:
-        return residual, None
-    n_rot = normals @ anchor.rotation
-    row = np.concatenate([np.cross(n_rot, p_lm), -n_rot], axis=1)  # (n, 6)
-    j_anchor = normals[:, :, None] * row[:, None, :]
-    j_lm = normals[:, :, None] * (-n_rot)[:, None, :]
-    return residual, [j_anchor, j_lm]
-
-
-def point_to_point_batch(anchor: Pose, p_lm, targets, jacobian=True):
-    """``point_to_point_residual`` for n landmarks at once.
-
-    Returns residual (n, 3) and, if asked, [J_anchor (n, 3, 6), J_lm (n, 3, 3)].
-    """
-    residual = targets - (p_lm @ anchor.rotation.T + anchor.translation)
-    if not jacobian:
-        return residual, None
-    n = len(p_lm)
-    j_anchor = np.concatenate(
-        [np.einsum("ij,njk->nik", anchor.rotation, skew_batch(p_lm)),
-         np.broadcast_to(-anchor.rotation, (n, 3, 3)).copy()],
-        axis=2,
-    )
-    j_lm = np.broadcast_to(-anchor.rotation, (n, 3, 3)).copy()
-    return residual, [j_anchor, j_lm]
+    return residual, se3_right_jacobian_inv(residual) if jacobian else None
 
 
 # ---------------------------------------------------------------------------
@@ -542,8 +505,21 @@ class PointToPlaneFactor:
 
     @classmethod
     def evaluate_batch(cls, batch, values, jacobian=True):
+        """``point_to_plane_residual`` for every row, as the 3-vector r_n * n:
+        residual (n, 3) and Jacobians [anchor (n, 3, 6), landmark (n, 3, 3)]."""
         anchor = _group_pose(batch, values)
-        return point_to_plane_batch(anchor, batch.vectors(values, 1), *batch.data, jacobian)
+        p_lm = batch.vectors(values, 1)
+        targets, normals = batch.data
+        p_map = p_lm @ anchor.rotation.T + anchor.translation
+        r_n = np.einsum("ni,ni->n", normals, targets - p_map)
+        residual = r_n[:, None] * normals
+        if not jacobian:
+            return residual, None
+        n_rot = normals @ anchor.rotation
+        row = np.concatenate([np.cross(n_rot, p_lm), -n_rot], axis=1)  # (n, 6)
+        j_anchor = normals[:, :, None] * row[:, None, :]
+        j_lm = normals[:, :, None] * (-n_rot)[:, None, :]
+        return residual, [j_anchor, j_lm]
 
 
 class PointToPointFactor:
@@ -555,8 +531,22 @@ class PointToPointFactor:
 
     @classmethod
     def evaluate_batch(cls, batch, values, jacobian=True):
+        """``point_to_point_residual`` for every row: residual (n, 3) and
+        Jacobians [anchor (n, 3, 6), landmark (n, 3, 3)]."""
         anchor = _group_pose(batch, values)
-        return point_to_point_batch(anchor, batch.vectors(values, 1), *batch.data, jacobian)
+        p_lm = batch.vectors(values, 1)
+        (targets,) = batch.data
+        residual = targets - (p_lm @ anchor.rotation.T + anchor.translation)
+        if not jacobian:
+            return residual, None
+        n = len(p_lm)
+        j_anchor = np.concatenate(
+            [np.einsum("ij,njk->nik", anchor.rotation, skew_batch(p_lm)),
+             np.broadcast_to(-anchor.rotation, (n, 3, 3)).copy()],
+            axis=2,
+        )
+        j_lm = np.broadcast_to(-anchor.rotation, (n, 3, 3)).copy()
+        return residual, [j_anchor, j_lm]
 
 
 def _group_pose(batch, values) -> Pose:
@@ -574,8 +564,9 @@ class AnchorPriorFactor:
 
     @classmethod
     def evaluate(cls, blocks, prior_mean, jacobian=True):
-        """One row of block values: residual (6,), Jacobian [(6, 6)]."""
-        residual, jac = anchor_prior_residual(blocks[0], prior_mean)
+        """One row of block values: residual (6,), Jacobian [(6, 6)] (its entry
+        None unless ``jacobian``)."""
+        residual, jac = anchor_prior_residual(blocks[0], prior_mean, jacobian)
         return residual, [jac]
 
     @classmethod

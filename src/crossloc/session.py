@@ -202,6 +202,12 @@ def save_session(directory, session: SessionData) -> None:
                 fh.write(f"{elem_id} {kind}{tail}\n")
 
 
+def _by_index(names) -> list:
+    """File names ordered by their integer stem: ``save_session`` pads frame
+    numbers to four digits, so ``10000`` must follow ``9999``."""
+    return sorted(names, key=lambda name: int(os.path.splitext(name)[0]))
+
+
 def load_session(directory, session_id: int = 0) -> SessionData:
     directory = str(directory)
     rig = load_rig(os.path.join(directory, "rig.cfg"))
@@ -210,7 +216,7 @@ def load_session(directory, session_id: int = 0) -> SessionData:
 
     frames = []
     frame_dir = os.path.join(directory, "frames")
-    for name in sorted(os.listdir(frame_dir)):
+    for name in _by_index(os.listdir(frame_dir)):
         ids, pixels = [], []
         with open(os.path.join(frame_dir, name), "r", encoding="utf-8") as fh:
             for line in fh:
@@ -228,7 +234,7 @@ def load_session(directory, session_id: int = 0) -> SessionData:
 
     scans = []
     scan_dir = os.path.join(directory, "scans")
-    for name in sorted(os.listdir(scan_dir)):
+    for name in _by_index(os.listdir(scan_dir)):
         data = np.loadtxt(os.path.join(scan_dir, name), ndmin=2)
         if data.size == 0:
             scans.append((np.zeros((0, 3)), np.zeros(0, dtype=int)))

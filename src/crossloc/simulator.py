@@ -413,13 +413,7 @@ def synthesize_camera(
             depth_ok = p_cam[:, 2] > 0.2
             rng_ok = np.linalg.norm(p_cam, axis=1) <= max_feature_range
             with np.errstate(divide="ignore", invalid="ignore"):
-                uv = np.stack(
-                    [
-                        cam.fx * p_cam[:, 0] / p_cam[:, 2] + cam.cx,
-                        cam.fy * p_cam[:, 1] / p_cam[:, 2] + cam.cy,
-                    ],
-                    axis=1,
-                )
+                uv = cam.project(p_cam)
             visible &= depth_ok & rng_ok & cam.in_image(np.nan_to_num(uv, nan=-1.0))
             uv_pair.append(uv)
         sel = np.nonzero(visible)[0]

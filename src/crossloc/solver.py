@@ -1,12 +1,16 @@
 """Levenberg-Marquardt over block families of SE(3) poses and vectors.
 
-One LM loop (damping, acceptance, termination) runs over two linear-algebra
-backends: a ``Problem``, solved through its Schur complement, and a
-``DenseProblem``, a small problem whose dense normal equations are built
-from the term groups it states (the rigid step's anchor-only alignment).
+There is one problem statement, ``Problem``, and one LM loop (damping,
+acceptance, termination) over two linear-algebra backends, which ``solve``
+picks by the problem's shape alone:
+
+- ``_DenseSystem`` when the problem's one free row is a pose, so that it
+  eliminates nothing (the rigid step's anchor-only alignment): the 6x6
+  normal equations of that row;
+- ``_System`` for every other problem: the Schur-complement system below.
+
 Each backend linearizes, evaluates the cost, solves the damped system and
-retracts; ``solve`` picks the backend by the problem's type and leaves the
-minimizer in the problem's ``value``.
+retracts; ``solve`` leaves the minimizer in the problem's ``value``.
 
 A Problem's variables are named block families, each stacked in one array
 of n rows: ``add_poses(name, poses, fixed)`` (SE(3) poses, updated by right
@@ -35,8 +39,7 @@ fancy indexing. The batch takes the upper-triangular square root S
 (S^T S = information) of its information when the group is added, by one
 (batched) Cholesky. Every evaluation, of the cost or of the normal
 equations, then takes one path per group: evaluate it, whiten it by
-``_whiten`` (one ``matmul`` by S), apply its kernel. The dense backend's
-term groups are whitened by the same ``_whiten``.
+``_whiten`` (one ``matmul`` by S), apply its kernel, on either backend.
 
 The cost is the sum over rows of ``rho(||S r||^2)``. Robust terms are
 handled by square-root re-weighting (no second-order kernel correction).
@@ -62,7 +65,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .liegroup import orthonormalize, so3_exp_batch, so3_left_jacobian_batch
+from .liegroup import Pose, orthonormalize, so3_exp_batch, so3_left_jacobian_batch
 
 
 # LM convergence tolerances, then the damping schedule
@@ -382,50 +385,64 @@ def _build_normal_equations(problem, system, values):
     return h_cc, b_c, h_ll, b_l, h_cl, cost
 
 
-class DenseProblem:
-    """Base of a small problem solved on its dense normal equations.
+class _DenseSystem:
+    """The dense backend: the 6x6 normal equations of a problem whose one free row is a pose.
 
-    A subclass states its cost as term groups. It passes its initial
-    estimate and each group's ``(information (d, d), kernel)`` to
-    ``__init__``, and provides ``terms(value, jacobian)``: per group, in
-    that order, ``(residual (m, d), J (m, d, k) or None)`` with J the
-    Jacobian with respect to the value (None unless ``jacobian``); plus
-    ``retract(value, delta (k,))``. Each information's square root is taken
-    once, here, by ``_sqrt_information``; every group is whitened by
-    ``_whiten`` and re-weighted as a Problem's factor group is, so the cost
-    and the normal equations are those of a Problem with one free block and
-    those groups.
+    Each group enters by the Jacobian of its one slot on the free row, on
+    every row of the group, whitened and re-weighted as ``_System`` does it;
+    a group with no slot on that row adds its cost only. The step retracts
+    the row by ``Pose.retract``.
     """
 
-    def __init__(self, value, groups):
-        self.value = value
-        self.groups = [(_sqrt_information(info), kernel) for info, kernel in groups]
+    def __init__(self, problem: Problem, family: str, row: int):
+        self.problem, self.family, self.row = problem, family, row
+        self.slots = []  # per group: the index of its slot on the free row, or None
+        for batch in problem.groups:
+            hits = [a for a, (f, rows) in enumerate(batch.slots) if f == family and (rows == row).any()]
+            if len(hits) > 1 or any(not (batch.slots[a][1] == row).all() for a in hits):
+                raise ValueError(
+                    "the dense backend needs each group to name the free row on all its rows,"
+                    " through one slot, or on none"
+                )
+            self.slots.append(hits[0] if hits else None)
 
-    def _whitened(self, value, jacobian: bool):
-        terms = self.terms(value, jacobian)
-        for (residual, jac), (sqrt_info, kernel) in zip(terms, self.groups, strict=True):
-            yield _whiten(sqrt_info, kernel, residual, None if jac is None else [jac])
+    def cost(self, values):
+        return evaluate_cost(self.problem, values)
 
-    def cost(self, value) -> float:
-        return sum(float(rho.sum()) for _, _, rho, _ in self._whitened(value, False))
-
-    def normal_equations(self, value):
-        """h (k, k), b (k,) the negative gradient, and the cost at ``value``."""
-        h, b, cost = 0.0, 0.0, 0.0
-        for w_res, w_jacs, rho, drho in self._whitened(value, True):
+    def linearize(self, values):
+        h, b, cost = np.zeros((6, 6)), np.zeros(6), 0.0
+        for batch, slot in zip(self.problem.groups, self.slots):
+            residual, jacs = batch.kind.evaluate_batch(batch, values, jacobian=slot is not None)
+            jacs = None if slot is None else [jacs[slot]]
+            w_res, w_jacs, rho, drho = _whiten(batch.sqrt_info, batch.kernel, residual, jacs)
             cost += float(rho.sum())
-            r, jac = _reweighted(w_res, w_jacs, drho)
-            h = h + np.einsum("ndi,ndj->ij", jac, jac)
-            b = b - np.einsum("ndi,nd->i", jac, r)
-        return h, b, cost
-
-    def linearize(self, value):
-        h, b, cost = self.normal_equations(value)
+            if slot is not None:
+                r, jac = _reweighted(w_res, w_jacs, drho)
+                h = h + np.einsum("ndi,ndj->ij", jac, jac)
+                b = b - np.einsum("ndi,nd->i", jac, r)
         return (h, b), cost, np.abs(b).max(initial=0.0)
 
     def solve_damped(self, linear, lam):
         h, b = linear
         return _solve_or_none(_damp(h, lam), b)
+
+    def retract(self, values, delta):
+        rot, trans = (a.copy() for a in values[self.family])
+        pose = Pose(rot[self.row], trans[self.row]).retract(delta)
+        rot[self.row], trans[self.row] = pose.rotation, pose.translation
+        return {**values, self.family: (rot, trans)}
+
+
+def _backend(problem: Problem):
+    """``_DenseSystem`` for a problem whose one free row is a pose, ``_System``
+    for every other (an eliminated family's rows are all free, so a problem
+    that eliminates a row goes to ``_System``)."""
+    families = problem.families
+    # two free rows per family are enough to tell one free row from more
+    free = [(name, row) for name, family in families.items() for row in np.flatnonzero(~family.fixed)[:2]]
+    if len(free) == 1 and families[free[0][0]].pose:
+        return _DenseSystem(problem, *free[0])
+    return _System(problem)
 
 
 def _damp(h, lam):
@@ -495,8 +512,7 @@ def _levenberg_marquardt(system, value, max_iterations: int):
     return value, SolverReport(initial_cost, cost, iterations, termination, grad_norm)
 
 
-def solve(problem: Problem | DenseProblem, max_iterations: int = 50) -> SolverReport:
+def solve(problem: Problem, max_iterations: int = 50) -> SolverReport:
     """Minimize the robustified cost; leaves the minimizer in ``problem.value``."""
-    backend = problem if isinstance(problem, DenseProblem) else _System(problem)
-    problem.value, report = _levenberg_marquardt(backend, problem.value, max_iterations)
+    problem.value, report = _levenberg_marquardt(_backend(problem), problem.value, max_iterations)
     return report

@@ -7,11 +7,11 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from crossloc import estimator, laser_map, map_pipeline
+from crossloc import estimator, laser_map, map_pipeline, solver
 from crossloc import residuals as res
 from crossloc import simulator as sim
 from crossloc.liegroup import se3_exp
-from crossloc.solver import Problem, solve
+from crossloc.solver import solve
 
 from oracles import brute_force_knn
 
@@ -275,7 +275,7 @@ def test_empty_association():
     anchor = estimator.AnchorTransform(pose, pose)
     original, estimator.solve = estimator.solve, recording_solve
     try:
-        estimator.non_rigid_ba(window, anchor, cloud, association, sim.default_rig(), cfg)
+        estimator.non_rigid_ba(window, anchor, association, sim.default_rig(), cfg)
     finally:
         estimator.solve = original
     (problem,) = problems
@@ -306,22 +306,21 @@ def _fixed_association(rng, cfg):
 
 @pytest.mark.parametrize("max_iterations", [8, 50])
 def test_anchor_alignment_matches_generic_problem(max_iterations):
-    """The rigid step's 6x6 solve against the joint problem's anchor groups."""
+    """The rigid step's anchor-only problem: the 6x6 dense backend that
+    ``solve`` picks for it against the Schur system on the same Problem."""
     cfg = estimator.EstimatorConfig()
     landmarks, association, anchor = _fixed_association(np.random.default_rng(11), cfg)
     assert 0 < association.plane.sum() < len(association)
 
-    generic = Problem()
-    lm_ids = association.landmark_ids
-    generic.add_vectors("lm", [landmarks[lm_id] for lm_id in lm_ids.tolist()], fixed=True)
-    estimator._add_anchor_groups(generic, anchor, association, lm_ids, cfg)
-    assert [g.kind for g in generic.groups] == [
+    dense, schur = (estimator._alignment_problem(landmarks, anchor, association, cfg) for _ in range(2))
+    assert [g.kind for g in dense.groups] == [
         res.PointToPlaneFactor, res.PointToPointFactor, res.AnchorPriorFactor
     ]
-    want = solve(generic, max_iterations)
-
-    alignment = estimator.AnchorAlignment(anchor, association, landmarks, cfg)
-    got = solve(alignment, max_iterations)
+    assert isinstance(solver._backend(dense), solver._DenseSystem)
+    got = solve(dense, max_iterations)
+    schur.value, want = solver._levenberg_marquardt(
+        solver._System(schur), schur.value, max_iterations
+    )
 
     assert (got.iterations, got.termination) == (want.iterations, want.termination)
     assert got.initial_cost == pytest.approx(want.initial_cost, rel=1e-12)
@@ -329,9 +328,10 @@ def test_anchor_alignment_matches_generic_problem(max_iterations):
     assert got.gradient_norm == pytest.approx(want.gradient_norm, rel=1e-9)
     assert got.final_cost < 0.5 * got.initial_cost
     assert got.termination == ("max_iter" if max_iterations == 8 else "converged")
-    (expected_rot,), (expected_trans,) = generic.value["anchor"]
-    np.testing.assert_allclose(alignment.value.rotation, expected_rot, rtol=0, atol=1e-12)
-    np.testing.assert_allclose(alignment.value.translation, expected_trans, rtol=0, atol=1e-12)
+    (expected_rot,), (expected_trans,) = schur.value["anchor"]
+    (rot,), (trans,) = dense.value["anchor"]
+    np.testing.assert_allclose(rot, expected_rot, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(trans, expected_trans, rtol=0, atol=1e-12)
 
 
 def test_association_matches_one_landmark_at_a_time():

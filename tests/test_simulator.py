@@ -1,6 +1,7 @@
 import filecmp
 import math
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -538,6 +539,26 @@ class TestGenerateSession:
         # rig survives the round trip
         assert back.rig.camera.fx == rig.camera.fx
         assert np.allclose(back.rig.body_t_laser.matrix(), rig.body_t_laser.matrix(), atol=1e-12)
+
+    def test_load_orders_files_past_four_digits_by_number(self, tmp_path):
+        """Frame and scan files 9999 and 10000 load in numeric order, not by name."""
+        session = sim.generate_session(
+            sim.default_world(), sim.default_trajectory_spec(), sim.default_rig(),
+            session_id=0, seed=1, duration=1.0,
+        )
+        two = replace(session, frames=session.frames[:2], scans=session.scans[:2])
+        save_session(tmp_path / "s", two)
+        for sub, ext in (("frames", ".obs"), ("scans", ".txt")):
+            for old, new in (("0000", "9999"), ("0001", "10000")):
+                os.rename(tmp_path / "s" / sub / (old + ext), tmp_path / "s" / sub / (new + ext))
+        back = load_session(tmp_path / "s")
+        assert not np.array_equal(two.frames[0].landmark_ids, two.frames[1].landmark_ids)
+        for a, b in zip(two.frames, back.frames, strict=True):
+            assert np.array_equal(a.landmark_ids, b.landmark_ids)
+            assert np.array_equal(a.pixels, b.pixels)
+        for (pa, la), (pb, lb) in zip(two.scans, back.scans, strict=True):
+            assert np.array_equal(pa, pb)
+            assert np.array_equal(la, lb)
 
 
 class TestWorldMapSampling:

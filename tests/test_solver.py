@@ -457,3 +457,49 @@ class TestRetraction:
         assert np.array_equal(after["held"], before["held"])
         # the value retracted from is left as it was
         np.testing.assert_array_equal(before["pose"][0], np.array([p.rotation for p in poses]))
+
+
+class TestBackendChoice:
+    def test_one_free_vector_row_takes_the_schur_path(self):
+        """A problem whose one free row is a vector goes to the Schur system,
+        which reaches the closed-form minimum: the mean of the points, taken
+        into the fixed anchor's frame."""
+        rng = np.random.default_rng(23)
+        anchor = se3_exp(rng.normal(size=6) * 0.3)
+        points = rng.normal(size=(6, 3))
+        problem = Problem()
+        problem.add_poses("anchor", [anchor], fixed=True)
+        problem.add_vectors("lm", rng.normal(size=(3, 3)), fixed=[True, False, True])
+        add_point_to_point(problem, np.ones(6, dtype=int), points, np.eye(3))
+        assert isinstance(solver._backend(problem), solver._System)
+        report = solver.solve(problem)
+        assert report.termination == "converged"
+        want = anchor.inverse().apply(points.mean(axis=0))
+        np.testing.assert_allclose(problem.value["lm"][1], want, rtol=0, atol=1e-9)
+
+    def test_dense_backend_refuses_a_group_partly_on_the_free_row(self):
+        """The dense backend takes a group on the free pose row on all its rows
+        or on none (its cost only), and refuses one on only some of them."""
+        poses = [se3_exp(np.full(6, 0.1)), se3_exp(np.full(6, -0.2))]
+
+        def problem_with(prior_rows):
+            problem = Problem()
+            problem.add_poses("pose", [Pose.identity()] * 2, fixed=[True, False])
+            for rows in prior_rows:
+                problem.add_factors(
+                    res.AnchorPriorFactor, [("pose", rows)], [poses[r] for r in rows],
+                    np.eye(6), res.RobustKernel(),
+                )
+            return problem
+
+        problem = problem_with([[0], [1]])
+        assert isinstance(solver._backend(problem), solver._DenseSystem)
+        report = solver.solve(problem)
+        assert report.termination == "converged"
+        assert report.final_cost == pytest.approx(6 * 0.01, rel=1e-9)  # the fixed row's prior
+        solved = pose_row(problem, "pose", 1)
+        np.testing.assert_allclose(solved.rotation, poses[1].rotation, rtol=0, atol=1e-9)
+        np.testing.assert_allclose(solved.translation, poses[1].translation, rtol=0, atol=1e-9)
+
+        with pytest.raises(ValueError, match="free row"):
+            solver.solve(problem_with([[0, 1]]))
