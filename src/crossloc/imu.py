@@ -12,6 +12,16 @@ Gravity is not folded into the deltas; it is applied when predicting a
 state. Integration uses the midpoint rule: each interval between
 consecutive samples is integrated with the average of its two endpoint
 measurements.
+
+Of the recurrences over intervals, three are truly sequential products and
+run in a loop: the attitude ``delta_R`` (right products of the interval
+rotations), ``J_g_dR``, and the 9x9 covariance. Every other term is built
+for all intervals at once from the attitude before each interval. The
+velocity-like terms (``delta_v``, ``J_g_dv``, ``J_a_dv``) are cumulative
+sums of their increments, and the position-like ones (``delta_p``,
+``J_g_dp``, ``J_a_dp``), of the form ``x_k = (x_{k-1} + v_{k-1} dt) + w``,
+are one cumulative sum of the interleaved increments. ``cumsum`` adds in
+sequence, so every field keeps the rounding of a loop over intervals.
 """
 
 from __future__ import annotations
@@ -93,7 +103,8 @@ def integrate(
     ``bias`` is (gyro, accel) and becomes the linearization point; the
     stream needs at least two samples (one interval). Every interval's
     rotation increments and right Jacobians come from one batched call
-    each; only the recurrences run sample by sample.
+    each; only the attitude, ``J_g_dR`` and the covariance run interval by
+    interval (see the module docstring).
     """
     samples = np.asarray(samples, dtype=float)
     if len(samples) < 2:
@@ -121,66 +132,72 @@ def integrate(
     dacc_halves = skew_batch(a_mids) @ so3_left_jacobian_batch(-0.5 * dthetas)
     variances = np.repeat([noise.gyro_noise_density**2, noise.accel_noise_density**2], 3)
     q_diags = variances / dts[:, None]
+    dt3 = dts[:, None, None]
+    n = len(dts)
 
-    d_rot = np.eye(3)
-    d_p = np.zeros(3)
-    d_v = np.zeros(3)
-    j_g_dr = np.zeros((3, 3))
-    j_g_dv = np.zeros((3, 3))
-    j_a_dv = np.zeros((3, 3))
-    j_g_dp = np.zeros((3, 3))
-    j_a_dp = np.zeros((3, 3))
-    cov = np.zeros((9, 9))
-    eye3 = np.eye(3)
-
-    for dt, incr, j_r, a_mid, half, skew_a_half, dacc_half, q_diag in zip(
-        dts.tolist(), incrs, j_rs, a_mids, halves, skew_a_halves, dacc_halves, q_diags
-    ):
-        rot_eff = d_rot @ half
-        coupling = d_rot @ skew_a_half  # d(rot_eff a_mid)/d(attitude error)
-
-        # error-state transition and noise mapping, order (phi, p, v)
-        a_mat = np.eye(9)
-        a_mat[0:3, 0:3] = incr.T
-        a_mat[3:6, 0:3] = -0.5 * coupling * dt * dt
-        a_mat[3:6, 6:9] = eye3 * dt
-        a_mat[6:9, 0:3] = -coupling * dt
-        b_mat = np.zeros((9, 6))
-        b_mat[0:3, 0:3] = j_r * dt
-        b_mat[3:6, 3:6] = 0.5 * rot_eff * dt * dt
-        b_mat[6:9, 3:6] = rot_eff * dt
-        cov = a_mat @ cov @ a_mat.T + (b_mat * q_diag) @ b_mat.T
-
-        # d(rot_eff a_mid)/d(gyro bias): through the accumulated rotation
-        # and through the half-interval attitude itself
-        dacc_dbg = -coupling @ j_g_dr + 0.5 * dt * rot_eff @ dacc_half
-
-        # bias Jacobians (position before velocity: uses current-step values)
-        j_g_dp = j_g_dp + j_g_dv * dt + 0.5 * dacc_dbg * dt * dt
-        j_a_dp = j_a_dp + j_a_dv * dt - 0.5 * rot_eff * dt * dt
-        j_g_dv = j_g_dv + dacc_dbg * dt
-        j_a_dv = j_a_dv - rot_eff * dt
-
-        # deltas (position before velocity/rotation updates)
-        acc_i = rot_eff @ a_mid
-        d_p = d_p + d_v * dt + 0.5 * acc_i * dt * dt
-        d_v = d_v + acc_i * dt
-        j_g_dr = incr.T @ j_g_dr - j_r * dt
+    # the two sequential products: attitude before each interval, and J_g_dR
+    d_rot, j_g_dr = np.eye(3), np.zeros((3, 3))
+    d_rots, j_g_drs = [d_rot], [j_g_dr]
+    for incr, j_r_dt in zip(incrs, j_rs * dt3):
+        j_g_dr = incr.T @ j_g_dr - j_r_dt
         d_rot = d_rot @ incr
+        d_rots.append(d_rot)
+        j_g_drs.append(j_g_dr)
+    d_rots = np.array(d_rots[:-1])
+    rot_eff = d_rots @ halves
+    coupling = d_rots @ skew_a_halves  # d(rot_eff a_mid)/d(attitude error)
+
+    # error-state transition and noise mapping, order (phi, p, v)
+    a_mat = np.broadcast_to(np.eye(9), (n, 9, 9)).copy()
+    a_mat[:, 0:3, 0:3] = incrs.transpose(0, 2, 1)
+    a_mat[:, 3:6, 0:3] = -0.5 * coupling * dt3 * dt3
+    a_mat[:, 3:6, 6:9] = np.eye(3) * dt3
+    a_mat[:, 6:9, 0:3] = -coupling * dt3
+    b_mat = np.zeros((n, 9, 6))
+    b_mat[:, 0:3, 0:3] = j_rs * dt3
+    b_mat[:, 3:6, 3:6] = 0.5 * rot_eff * dt3 * dt3
+    b_mat[:, 6:9, 3:6] = rot_eff * dt3
+    cov = np.zeros((9, 9))
+    for a, bqb in zip(a_mat, (b_mat * q_diags[:, None, :]) @ b_mat.transpose(0, 2, 1)):
+        cov = a @ cov @ a.T + bqb
+
+    # d(rot_eff a_mid)/d(gyro bias): through the accumulated rotation and
+    # through the half-interval attitude itself
+    dacc_dbg = -coupling @ np.array(j_g_drs[:-1]) + (0.5 * dt3 * rot_eff) @ dacc_halves
+    acc = (rot_eff @ a_mids[:, :, None])[:, :, 0]
+
+    # the rates of d_v, J_g_dv and J_a_dv as 21 columns; those terms before
+    # and after each interval, then d_p, J_g_dp and J_a_dp, whose steps add
+    # the velocity term first
+    rates = np.concatenate([acc, dacc_dbg.reshape(n, 9), -rot_eff.reshape(n, 9)], axis=1)
+    dt1 = dts[:, None]
+    vels = _running_sum(rates * dt1)
+    pos = _running_sum(vels[:-1] * dt1, 0.5 * rates * dt1 * dt1)[-1].copy()
+    vel = vels[-1].copy()
 
     return PreintegratedImu(
         delta_R=d_rot,
-        delta_p=d_p,
-        delta_v=d_v,
+        delta_p=pos[:3],
+        delta_v=vel[:3],
         dt_total=float(t[-1] - t[0]),
         J_g_dR=j_g_dr,
-        J_g_dv=j_g_dv,
-        J_a_dv=j_a_dv,
-        J_g_dp=j_g_dp,
-        J_a_dp=j_a_dp,
+        J_g_dv=vel[3:12].reshape(3, 3),
+        J_a_dv=vel[12:].reshape(3, 3),
+        J_g_dp=pos[3:12].reshape(3, 3),
+        J_a_dp=pos[12:].reshape(3, 3),
         covariance=0.5 * (cov + cov.T),
         linearization_bias=(b_g, b_a),
     )
+
+
+def _running_sum(*increments):
+    """Partial sums of x_k = ((x_{k-1} + u_k) + w_k) + ... from x_0 = 0 for the
+    per-interval increments u, w, ... (each (n, m)), added in that order:
+    (n + 1, m), x_0 first. One ``cumsum``, which adds in sequence, keeps the
+    rounding of the loop that it replaces."""
+    steps = np.stack(increments, axis=1).reshape(-1, increments[0].shape[1])
+    sums = np.cumsum(np.concatenate([np.zeros((1, steps.shape[1])), steps]), axis=0)
+    return sums[:: len(increments)]
 
 
 def bias_corrected_delta(

@@ -363,20 +363,26 @@ def association_kld(
     return float(np.sum(p[pos] * np.log(p[pos] / g[pos])))
 
 
+def _candidate_log_joint(points, cloud: PointCloudMap, transform: Pose, sigma: float, k: int):
+    """Per point (n, 3), the log joint of each of its k nearest map candidates
+    under a Gaussian of ``sigma`` and a uniform matching prior: (n, k), by
+    one batched ``knn``."""
+    p_map = transform.apply(np.asarray(points, dtype=float).reshape(-1, 3))
+    if not len(p_map):
+        return np.zeros((0, min(k, len(cloud))))
+    idx, _ = cloud.knn(p_map, k)
+    d2 = np.sum((cloud.positions[idx] - p_map[:, None, :]) ** 2, axis=2)
+    norm = -1.5 * math.log(2.0 * math.pi * sigma * sigma)
+    return -0.5 * d2 / (sigma * sigma) + norm - math.log(idx.shape[1])
+
+
 def association_log_likelihood(
     points: np.ndarray, cloud: PointCloudMap, transform: Pose, sigma: float, k: int = 20
 ) -> float:
     """Candidate-marginalized log likelihood with a uniform matching prior."""
-    total = 0.0
-    norm = -1.5 * math.log(2.0 * math.pi * sigma * sigma)
-    for p_v in np.atleast_2d(points):
-        p_map = transform.apply(p_v)
-        idx, _ = cloud.knn(p_map, k)
-        logw = _gaussian_log_weights(p_map, cloud.positions[idx], sigma) + norm
-        logw = logw - math.log(len(idx))  # uniform prior over candidates
-        m = logw.max()
-        total += m + math.log(np.exp(logw - m).sum())
-    return float(total)
+    log_joint = _candidate_log_joint(points, cloud, transform, sigma, k)
+    m = log_joint.max(axis=1, keepdims=True)
+    return float(np.sum(m[:, 0] + np.log(np.exp(log_joint - m).sum(axis=1))))
 
 
 def em_lower_bound(
@@ -392,23 +398,14 @@ def em_lower_bound(
     With ``q_distributions`` omitted, the posterior is used and the bound is
     tight (equals the log likelihood).
     """
-    total = 0.0
-    norm = -1.5 * math.log(2.0 * math.pi * sigma * sigma)
-    pts = np.atleast_2d(points)
-    for i, p_v in enumerate(pts):
-        p_map = transform.apply(p_v)
-        idx, _ = cloud.knn(p_map, k)
-        logw = _gaussian_log_weights(p_map, cloud.positions[idx], sigma) + norm
-        log_joint = logw - math.log(len(idx))
-        if q_distributions is None:
-            m = logw.max()
-            w = np.exp(logw - m)
-            q = w / w.sum()
-        else:
-            q = np.asarray(q_distributions[i], dtype=float)
-        pos = q > 0.0
-        total += float(np.sum(q[pos] * (log_joint[pos] - np.log(q[pos]))))
-    return float(total)
+    log_joint = _candidate_log_joint(points, cloud, transform, sigma, k)
+    if q_distributions is None:
+        w = np.exp(log_joint - log_joint.max(axis=1, keepdims=True))
+        q = w / w.sum(axis=1, keepdims=True)
+    else:
+        q = np.asarray(q_distributions, dtype=float).reshape(log_joint.shape)
+    pos = q > 0.0
+    return float(np.sum(q[pos] * (log_joint[pos] - np.log(q[pos]))))
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,12 @@ picks by the problem's shape alone:
 - ``_System`` for every other problem: the Schur-complement system below.
 
 Each backend linearizes, evaluates the cost, solves the damped system and
-retracts; ``solve`` leaves the minimizer in the problem's ``value``.
+retracts; ``solve`` leaves the minimizer in the problem's ``value``. The
+loop linearizes each iterate once: a trial linearizes its candidate, whose
+cost decides the acceptance and whose normal equations, when accepted, the
+next iteration solves. Only the trial that uses up the last allowed
+iteration evaluates the cost alone. A linearization's cost is the sum of
+the same group costs, in the same order, as ``evaluate_cost``.
 
 A Problem's variables are named block families, each stacked in one array
 of n rows: ``add_poses(name, poses, fixed)`` (SE(3) poses, updated by right
@@ -53,8 +58,10 @@ system is stacked as ``H_cc (nc, nc)``, ``b_c (nc,)``, ``H_ll (L, s, s)``,
 their camera offset and landmark row once, and from them the group's
 scatter maps: flat index arrays from its rows' J^T J and J^T r entries into
 those arrays. Every LM iteration then adds each group in with one
-``bincount`` per array, damps, checks and solves all landmark rows as one
-batch, and retracts each family's free rows in one vectorized update.
+``bincount`` per array, damps, checks the landmark blocks by one batched
+Cholesky and inverts them by one batched inverse (cheaper, for s x s blocks,
+than a solve with 1 + nc right-hand sides), and retracts the free rows of
+every pose family by one call and of each vector family by one update.
 
 Both backends damp a diagonal entry h by ``lam * max(|h|, 1e-12)``.
 """
@@ -249,6 +256,11 @@ class _System:
                 self.free[name] = (free, offsets[name][free, None] + np.arange(family.size))
         if not self.nc and not self.n_l:
             raise ValueError("problem has no free blocks")
+        # every pose family's free rows, family by family, for one retraction of all
+        self.poses = [name for name in self.free if problem.families[name].pose]
+        if self.poses:
+            self.pose_index = np.concatenate([self.free[name][1] for name in self.poses])
+            self.pose_splits = np.cumsum([self.free[name][0].sum() for name in self.poses])[:-1]
         self.scatter = [
             _scatter_maps(
                 np.stack([offsets[f][rows] for f, rows in batch.slots], axis=1),
@@ -277,7 +289,7 @@ class _System:
         except np.linalg.LinAlgError:
             return None
         # x = H_ll^-1 [b_l | H_cl^T] per landmark, kept for the back-substitution
-        x = np.linalg.solve(hd_l, np.concatenate([b_l[:, :, None], h_cl.transpose(0, 2, 1)], axis=2))
+        x = np.linalg.inv(hd_l) @ np.concatenate([b_l[:, :, None], h_cl.transpose(0, 2, 1)], axis=2)
         # sum over landmarks of H_cl x: the Schur terms of b and of H
         schur = np.tensordot(h_cl, x, axes=([0, 2], [0, 1]))
         delta_c = _solve_or_none(_damp(h_cc, lam) - schur[:, 1:], b_c - schur[:, 0])
@@ -287,18 +299,25 @@ class _System:
         return delta_c, x[:, :, 0] - x[:, :, 1:] @ delta_c
 
     def retract(self, values, delta):
-        """One vectorized update of each family's free rows; fixed rows are copied as they are."""
+        """One vectorized update of each vector family's free rows and one of
+        every pose family's free rows together; fixed rows are copied as they are."""
         delta_c, delta_l = delta
         new_values = dict(values)
-        for name, (free, index) in self.free.items():
-            step = delta_c[index]
-            if self.problem.families[name].pose:
+        if self.poses:
+            stacked = [
+                np.concatenate([values[name][i][self.free[name][0]] for name in self.poses]) for i in (0, 1)
+            ]
+            moved = _retract_poses(*stacked, delta_c[self.pose_index])
+            moved = (np.split(a, self.pose_splits) for a in moved)
+            for name, rot_free, trans_free in zip(self.poses, *moved):
+                free = self.free[name][0]
                 rot, trans = (a.copy() for a in values[name])
-                rot[free], trans[free] = _retract_poses(rot[free], trans[free], step)
+                rot[free], trans[free] = rot_free, trans_free
                 new_values[name] = (rot, trans)
-            else:
+        for name, (free, index) in self.free.items():
+            if name not in self.poses:
                 new_values[name] = values[name].copy()
-                new_values[name][free] += step
+                new_values[name][free] += delta_c[index]
         if self.elim is not None:
             new_values[self.elim] = values[self.elim] + delta_l
         return new_values
@@ -463,8 +482,11 @@ def _solve_or_none(h, b):
 
 
 def _levenberg_marquardt(system, value, max_iterations: int):
-    """The LM loop over either backend; returns (final value, report)."""
-    initial_cost = system.cost(value)
+    """The LM loop over either backend, one linearization per iterate (see
+    the module docstring); returns (final value, report). The report's
+    gradient norm is the one at the iterate that the last iteration started from."""
+    linearized = system.linearize(value)
+    initial_cost = linearized[1]
     if not np.isfinite(initial_cost):
         return value, SolverReport(initial_cost, initial_cost, 0, "failure")
     cost = initial_cost
@@ -474,7 +496,7 @@ def _levenberg_marquardt(system, value, max_iterations: int):
     grad_norm = float("nan")
 
     while iterations < max_iterations:
-        linear, cost, grad_norm = system.linearize(value)
+        linear, cost, grad_norm = linearized
         if grad_norm < GRADIENT_TOL:
             termination = "converged"
             break
@@ -489,11 +511,16 @@ def _levenberg_marquardt(system, value, max_iterations: int):
                     break
                 continue
             candidate = system.retract(value, delta)
-            new_cost = system.cost(candidate)
+            if iterations < max_iterations:
+                trial = system.linearize(candidate)
+                new_cost = trial[1]
+            else:
+                trial, new_cost = None, system.cost(candidate)
             if np.isfinite(new_cost) and new_cost < cost:
                 rel_decrease = (cost - new_cost) / max(cost, 1e-300)
                 value = candidate
                 cost = new_cost
+                linearized = trial
                 lam = max(lam * LAMBDA_DECREASE, 1e-12)
                 accepted = True
                 if rel_decrease < STEP_TOL:

@@ -127,6 +127,135 @@ def integrate_per_sample(samples, bias, noise):
     )
 
 
+def integrate_loop(samples, bias, noise):
+    """``imu.integrate`` as one loop over intervals on its batched per-interval terms.
+
+    The order of every operation is the library's, so each field of its
+    result must match bitwise. Returns the fields of a PreintegratedImu as a
+    dict.
+    """
+    from crossloc.liegroup import skew_batch, so3_exp_batch, so3_left_jacobian_batch
+
+    samples = np.asarray(samples, dtype=float)
+    b_g, b_a = (np.asarray(b, dtype=float) for b in bias)
+    t = samples[:, 0]
+    dts = np.diff(t)
+    mid = 0.5 * (samples[:-1, 1:] + samples[1:, 1:])
+    a_mids = mid[:, 3:] - b_a
+    dthetas = (mid[:, :3] - b_g) * dts[:, None]
+    incrs = so3_exp_batch(dthetas)
+    j_rs = so3_left_jacobian_batch(-dthetas)
+    halves = so3_exp_batch(0.5 * dthetas)
+    skew_a_halves = skew_batch(np.einsum("nij,nj->ni", halves, a_mids))
+    dacc_halves = skew_batch(a_mids) @ so3_left_jacobian_batch(-0.5 * dthetas)
+    variances = np.repeat([noise.gyro_noise_density**2, noise.accel_noise_density**2], 3)
+    q_diags = variances / dts[:, None]
+
+    d_rot, d_p, d_v = np.eye(3), np.zeros(3), np.zeros(3)
+    j_g_dr, j_g_dv, j_a_dv, j_g_dp, j_a_dp = (np.zeros((3, 3)) for _ in range(5))
+    cov = np.zeros((9, 9))
+    eye3 = np.eye(3)
+    for dt, incr, j_r, a_mid, half, skew_a_half, dacc_half, q_diag in zip(
+        dts.tolist(), incrs, j_rs, a_mids, halves, skew_a_halves, dacc_halves, q_diags
+    ):
+        rot_eff = d_rot @ half
+        coupling = d_rot @ skew_a_half
+
+        a_mat = np.eye(9)
+        a_mat[0:3, 0:3] = incr.T
+        a_mat[3:6, 0:3] = -0.5 * coupling * dt * dt
+        a_mat[3:6, 6:9] = eye3 * dt
+        a_mat[6:9, 0:3] = -coupling * dt
+        b_mat = np.zeros((9, 6))
+        b_mat[0:3, 0:3] = j_r * dt
+        b_mat[3:6, 3:6] = 0.5 * rot_eff * dt * dt
+        b_mat[6:9, 3:6] = rot_eff * dt
+        cov = a_mat @ cov @ a_mat.T + (b_mat * q_diag) @ b_mat.T
+
+        dacc_dbg = -coupling @ j_g_dr + 0.5 * dt * rot_eff @ dacc_half
+        j_g_dp = j_g_dp + j_g_dv * dt + 0.5 * dacc_dbg * dt * dt
+        j_a_dp = j_a_dp + j_a_dv * dt - 0.5 * rot_eff * dt * dt
+        j_g_dv = j_g_dv + dacc_dbg * dt
+        j_a_dv = j_a_dv - rot_eff * dt
+
+        acc_i = rot_eff @ a_mid
+        d_p = d_p + d_v * dt + 0.5 * acc_i * dt * dt
+        d_v = d_v + acc_i * dt
+        j_g_dr = incr.T @ j_g_dr - j_r * dt
+        d_rot = d_rot @ incr
+    return dict(
+        delta_R=d_rot, delta_p=d_p, delta_v=d_v, dt_total=float(t[-1] - t[0]), J_g_dR=j_g_dr,
+        J_g_dv=j_g_dv, J_a_dv=j_a_dv, J_g_dp=j_g_dp, J_a_dp=j_a_dp, covariance=0.5 * (cov + cov.T),
+    )
+
+
+def levenberg_marquardt_two_evaluations(system, value, max_iterations):
+    """``solver._levenberg_marquardt`` as it evaluates each iterate twice:
+    every iteration linearizes its value and every trial evaluates its
+    candidate's cost, the start value's cost evaluated first."""
+    from crossloc import solver
+
+    initial_cost = system.cost(value)
+    if not np.isfinite(initial_cost):
+        return value, solver.SolverReport(initial_cost, initial_cost, 0, "failure")
+    cost, lam, iterations = initial_cost, solver.INITIAL_LAMBDA, 0
+    termination, grad_norm = "max_iter", float("nan")
+    while iterations < max_iterations:
+        linear, cost, grad_norm = system.linearize(value)
+        if grad_norm < solver.GRADIENT_TOL:
+            termination = "converged"
+            break
+        accepted = False
+        while lam <= solver.MAX_LAMBDA:
+            iterations += 1
+            delta = system.solve_damped(linear, lam)
+            if delta is None:
+                lam *= solver.LAMBDA_INCREASE
+                if iterations >= max_iterations:
+                    break
+                continue
+            candidate = system.retract(value, delta)
+            new_cost = system.cost(candidate)
+            if np.isfinite(new_cost) and new_cost < cost:
+                rel_decrease = (cost - new_cost) / max(cost, 1e-300)
+                value, cost, accepted = candidate, new_cost, True
+                lam = max(lam * solver.LAMBDA_DECREASE, 1e-12)
+                if rel_decrease < solver.STEP_TOL:
+                    termination = "converged"
+                break
+            lam *= solver.LAMBDA_INCREASE
+            if iterations >= max_iterations:
+                break
+        if not accepted:
+            if lam > solver.MAX_LAMBDA:
+                termination = "stalled"
+            break
+        if termination == "converged":
+            break
+    return value, solver.SolverReport(initial_cost, cost, iterations, termination, grad_norm)
+
+
+def association_per_point(points, positions, transform, sigma, k, q_distributions=None):
+    """The association log likelihood and its EM lower bound, point by point
+    over brute-force candidates: (log likelihood, bound). The bound's q is
+    each point's posterior unless ``q_distributions`` gives one per point."""
+    log_likelihood, bound = 0.0, 0.0
+    for i, p_v in enumerate(np.asarray(points, dtype=float)):
+        p_map = transform.rotation @ p_v + transform.translation
+        idx, dist = brute_force_knn(positions, p_map, k)
+        # Gaussian density of each candidate, times a uniform prior over them
+        log_prior = -1.5 * math.log(2.0 * math.pi * sigma**2) - math.log(len(idx))
+        log_joint = np.array([-0.5 * (d / sigma) ** 2 + log_prior for d in dist])
+        top = max(log_joint)
+        log_likelihood += top + math.log(sum(math.exp(x - top) for x in log_joint))
+        if q_distributions is None:
+            q = np.exp(log_joint - top) / sum(math.exp(x - top) for x in log_joint)
+        else:
+            q = np.asarray(q_distributions[i], dtype=float)
+        bound += sum(qj * (lj - math.log(qj)) for qj, lj in zip(q, log_joint) if qj > 0.0)
+    return log_likelihood, bound
+
+
 def voxel_cells(points, voxel):
     """Occupied voxels as (keys, first, centroids), in sorted key order.
 

@@ -13,7 +13,7 @@ from crossloc import simulator as sim
 from crossloc.liegroup import se3_exp
 from crossloc.solver import solve
 
-from oracles import brute_force_knn
+from oracles import brute_force_knn, levenberg_marquardt_two_evaluations
 
 
 @pytest.fixture(scope="module")
@@ -332,6 +332,23 @@ def test_anchor_alignment_matches_generic_problem(max_iterations):
     (rot,), (trans,) = dense.value["anchor"]
     np.testing.assert_allclose(rot, expected_rot, rtol=0, atol=1e-12)
     np.testing.assert_allclose(trans, expected_trans, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("max_iterations", [8, 50])
+def test_alignment_solve_matches_two_evaluation_loop(max_iterations):
+    """On the rigid step's anchor-only problem, the dense backend under the
+    LM loop that linearizes each iterate once gives the value and the
+    report of the loop that evaluates each iterate twice, bitwise."""
+    cfg = estimator.EstimatorConfig()
+    landmarks, association, anchor = _fixed_association(np.random.default_rng(11), cfg)
+    problem, reference = (estimator._alignment_problem(landmarks, anchor, association, cfg) for _ in range(2))
+    got = solve(problem, max_iterations)
+    value, want = levenberg_marquardt_two_evaluations(
+        solver._DenseSystem(reference, "anchor", 0), reference.value, max_iterations
+    )
+    assert got == want
+    for a, b in zip(problem.value["anchor"], value["anchor"]):
+        np.testing.assert_array_equal(a, b)
 
 
 def test_association_matches_one_landmark_at_a_time():

@@ -4,9 +4,10 @@ import pytest
 from crossloc import imu
 from crossloc.liegroup import Pose, rot_z, se3_exp, so3_exp, so3_log
 
-from oracles import integrate_per_sample
+from oracles import integrate_loop, integrate_per_sample
 
 GRAVITY = np.array([0.0, 0.0, -9.81])
+ZERO_BIAS = (np.zeros(3), np.zeros(3))
 
 
 def make_stream(times, gyro_fn, accel_fn):
@@ -30,6 +31,13 @@ def wiggly_stream(duration=1.0, rate=200.0, seed=0, scale=1.0):
     n = int(round(duration * rate))
     times = np.arange(n + 1) / rate
     return make_stream(times, gyro, accel)
+
+
+def uneven_stream(seed):
+    """``wiggly_stream``'s signals at 60 timestamps with uneven gaps of 1 to 12 ms."""
+    times = np.cumsum(np.random.default_rng(seed).uniform(0.001, 0.012, 60))
+    wiggly = wiggly_stream(duration=1.0, seed=seed)
+    return np.column_stack([times, wiggly[:60, 1:]])
 
 
 class TestIntegrate:
@@ -94,6 +102,26 @@ class TestIntegrate:
         pre = imu.integrate(stream, bias, noise)
         for name, want in integrate_per_sample(stream, bias, noise).items():
             np.testing.assert_allclose(getattr(pre, name), want, rtol=1e-12, atol=1e-15, err_msg=name)
+
+    @pytest.mark.parametrize(
+        "stream, bias",
+        [
+            (wiggly_stream(duration=0.005, seed=37), ZERO_BIAS),  # one interval
+            (uneven_stream(seed=41), ZERO_BIAS),
+            (wiggly_stream(duration=0.3, seed=43), (np.array([0.02, -0.01, 0.03]), np.array([0.2, 0.0, -0.1]))),
+            (wiggly_stream(duration=1.0, seed=47), ZERO_BIAS),  # 200 intervals
+        ],
+        ids=["one-interval", "uneven-dt", "biased", "200-intervals"],
+    )
+    def test_matches_interval_loop_bitwise(self, stream, bias):
+        """The cumulative sums and stacked terms keep the interval loop's
+        rounding: every field equal bit for bit."""
+        noise = imu.ImuNoiseModel()
+        pre = imu.integrate(stream, bias, noise)
+        want = integrate_loop(stream, bias, noise)
+        assert set(want) == set(imu.PreintegratedImu.__dataclass_fields__) - {"linearization_bias"}
+        for name, value in want.items():
+            np.testing.assert_array_equal(getattr(pre, name), value, err_msg=name)
 
     def test_covariance_psd_and_monotone_trace(self):
         stream = wiggly_stream(duration=0.5, seed=3)

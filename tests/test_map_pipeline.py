@@ -9,7 +9,7 @@ from crossloc.laser_map import FRAME_MAP, PointCloudMap
 from crossloc.liegroup import Pose, rot_z, se3_exp
 from crossloc.session import FrameObservations, SessionData
 
-from oracles import voxel_cells
+from oracles import association_per_point, voxel_cells
 
 
 @pytest.fixture(scope="module")
@@ -571,6 +571,37 @@ class TestAssociationDiagnostics:
         qs = [np.full(8, 1.0 / 8) for _ in range(4)]
         bound = mp.em_lower_bound(pts, cloud, xi, sigma=0.2, k=8, q_distributions=qs)
         assert bound < lhs - 1e-6
+
+
+    @pytest.mark.parametrize("given_q", [False, True])
+    def test_likelihood_and_bound_match_per_point_loop(self, given_q, monkeypatch):
+        """One batched ``knn`` per call gives the point-by-point sums over
+        brute-force candidates, to 1e-12 relative."""
+        calls = []
+        knn = PointCloudMap.knn
+
+        def counted(cloud, query, k):
+            calls.append(len(query))
+            return knn(cloud, query, k)
+
+        monkeypatch.setattr(PointCloudMap, "knn", counted)
+        rng = np.random.default_rng(14)
+        cloud = cloud_of(rng.uniform(-2, 2, (200, 3)))
+        transform = se3_exp(rng.normal(size=6) * 0.2)
+        pts = rng.uniform(-2, 2, (60, 3))
+        qs = None
+        if given_q:
+            qs = rng.dirichlet(np.ones(12), size=60)
+            qs[:, 5] = 0.0  # zero mass on a candidate is skipped
+            qs /= qs.sum(axis=1, keepdims=True)
+        want_ll, want_bound = association_per_point(pts, cloud.positions, transform, 0.15, 12, qs)
+        got_ll = mp.association_log_likelihood(pts, cloud, transform, sigma=0.15, k=12)
+        got_bound = mp.em_lower_bound(pts, cloud, transform, sigma=0.15, k=12, q_distributions=qs)
+        assert got_ll == pytest.approx(want_ll, rel=1e-12)
+        assert got_bound == pytest.approx(want_bound, rel=1e-12)
+        assert calls == [60, 60]  # one call of all 60 points each
+        assert mp.association_log_likelihood(pts[:0], cloud, transform, sigma=0.15, k=12) == 0.0
+        assert mp.em_lower_bound(pts[:0], cloud, transform, sigma=0.15, k=12) == 0.0
 
 
 class TestPipelineDriver:

@@ -8,6 +8,8 @@ from crossloc.liegroup import Pose, se3_exp
 from crossloc.simulator import default_rig
 from crossloc.solver import FactorBatch, Problem
 
+from oracles import levenberg_marquardt_two_evaluations
+
 
 class VectorResidualFactor:
     """Generic test kind: one vector row per factor; data (residual_fn, jacobian_fn)."""
@@ -149,6 +151,65 @@ class TestSolve:
             with pytest.raises(ValueError):
                 add_vector_residual(problem, family, lambda x: x, lambda x: np.eye(2), row)
         assert problem.groups == []
+
+
+def rosenbrock_problem(kind=VectorResidualFactor):
+    problem = Problem()
+    problem.add_vectors("x", [[-1.2, 1.0]])
+    problem.add_factors(
+        kind,
+        [("x", [0])],
+        (
+            lambda x: np.array([10.0 * (x[1] - x[0] ** 2), 1.0 - x[0]]),
+            lambda x: np.array([[-20.0 * x[0], 10.0], [-1.0, 0.0]]),
+        ),
+        np.eye(2),
+        res.RobustKernel(),
+    )
+    return problem
+
+
+class TestOneLinearizationPerIterate:
+    @pytest.mark.parametrize("max_iterations", range(1, 9))
+    def test_rosenbrock_matches_two_evaluation_loop(self, max_iterations):
+        """Linearizing each candidate instead of costing it and then
+        linearizing it again leaves the value and the report bitwise equal."""
+        problem, reference = rosenbrock_problem(), rosenbrock_problem()
+        report = solver.solve(problem, max_iterations)
+        value, want = levenberg_marquardt_two_evaluations(
+            solver._backend(reference), reference.value, max_iterations
+        )
+        assert report == want
+        np.testing.assert_array_equal(problem.value["x"], value["x"])
+
+    @pytest.mark.parametrize("max_iterations", range(1, 9))
+    def test_evaluations_per_solve(self, max_iterations):
+        """With every step accepted, a solve capped at k iterations makes k
+        evaluations with Jacobians (the start value and k - 1 candidates) and
+        one without (the last candidate)."""
+        calls = []
+
+        class Counted(VectorResidualFactor):
+            @classmethod
+            def evaluate_batch(cls, batch, values, jacobian=True):
+                calls.append(jacobian)
+                return super().evaluate_batch(batch, values, jacobian)
+
+        def squares(kind):
+            # r = x^2 per coordinate: Gauss-Newton halves x, so every step is
+            # accepted and none meets a tolerance within 8 iterations
+            problem = Problem()
+            problem.add_vectors("x", [[1.0, 2.0]])
+            data = (lambda x: x**2, lambda x: np.diag(2.0 * x))
+            problem.add_factors(kind, [("x", [0])], data, np.eye(2), res.RobustKernel())
+            return problem
+
+        costs = [solver.solve(squares(VectorResidualFactor), k).final_cost for k in range(max_iterations + 1)]
+        assert all(b < a for a, b in zip(costs, costs[1:]))
+        report = solver.solve(squares(Counted), max_iterations)
+        assert (report.iterations, report.termination) == (max_iterations, "max_iter")
+        assert calls.count(True) == max_iterations
+        assert calls.count(False) == 1
 
 
 class TestEvaluateCost:
@@ -457,6 +518,34 @@ class TestRetraction:
         assert np.array_equal(after["held"], before["held"])
         # the value retracted from is left as it was
         np.testing.assert_array_equal(before["pose"][0], np.array([p.rotation for p in poses]))
+
+
+    def test_pose_families_retract_in_one_call(self, monkeypatch):
+        """Every pose family's free rows go through one ``_retract_poses``
+        call, bitwise equal to a call per family."""
+        rng = np.random.default_rng(19)
+        problem = Problem()
+        poses = [se3_exp(rng.normal(size=6)) for _ in range(4)]
+        problem.add_poses("pose", poses, fixed=[True, False, False, False])
+        problem.add_vectors("vel", rng.normal(size=(2, 3)))
+        problem.add_poses("anchor", [se3_exp(rng.normal(size=6))])
+        system = solver._System(problem)
+        delta_c = rng.normal(size=system.nc) * 0.3
+        before = problem.value
+
+        calls = []
+        retract_poses = solver._retract_poses
+        monkeypatch.setattr(solver, "_retract_poses", lambda *a: calls.append(len(a[0])) or retract_poses(*a))
+        after = system.retract(before, (delta_c, np.zeros((0, 0))))
+        assert calls == [4]
+
+        pose_step, anchor_step = delta_c[:18].reshape(3, 6), delta_c[24:].reshape(1, 6)
+        for name, free, step in (("pose", slice(1, None), pose_step), ("anchor", slice(None), anchor_step)):
+            rot, trans = retract_poses(before[name][0][free], before[name][1][free], step)
+            np.testing.assert_array_equal(after[name][0][free], rot)
+            np.testing.assert_array_equal(after[name][1][free], trans)
+        np.testing.assert_array_equal(after["pose"][0][0], before["pose"][0][0])
+        np.testing.assert_array_equal(after["vel"], before["vel"] + delta_c[18:24].reshape(2, 3))
 
 
 class TestBackendChoice:
