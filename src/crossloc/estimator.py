@@ -39,7 +39,8 @@ The anchor's terms are stated once, by ``_add_anchor_groups``: the one-row
 ``anchor`` family, one map group per metric and the anchor prior. A
 non-rigid step adds them to the window problem. The rigid step's anchor-only
 solve adds them to a problem whose only other family is the associated
-landmarks, held fixed, which the solver runs on its dense 6x6 backend.
+landmarks, held fixed; the solver runs both problems on the same Schur
+system, which gives the fixed landmarks no columns.
 
 The anchor prior mean is re-pinned to the converged anchor after every
 step, so the prior always encodes "the last step's estimate".
@@ -127,12 +128,12 @@ class Keyframe:
 class BaSchedule:
     """Dispatch rule for per-keyframe adjustment steps."""
 
-    mode: str = "hybrid"  # non_rigid_only | rigid_only | hybrid
+    mode: str = "hybrid"  # non_rigid_only | hybrid
     m: int = 1
     n: int = 3
 
     def __post_init__(self):
-        if self.mode not in ("non_rigid_only", "rigid_only", "hybrid"):
+        if self.mode not in ("non_rigid_only", "hybrid"):
             raise ValueError(f"unknown schedule mode {self.mode!r}")
         if self.mode == "hybrid" and (self.m < 1 or self.n < 1):
             raise ValueError("hybrid schedule needs m, n >= 1")
@@ -140,8 +141,6 @@ class BaSchedule:
     def actions_at(self, counter: int) -> tuple[str, ...]:
         if self.mode == "non_rigid_only":
             return ("non_rigid",)
-        if self.mode == "rigid_only":
-            return ("rigid",)
         return ("non_rigid",) if counter % (self.m + self.n) < self.m else ("rigid",)
 
 
@@ -408,7 +407,7 @@ def rigid_ba(
     Stage two repeats association + anchor solve until the anchor update
     falls below the tolerance or ``icp_max_iterations`` is reached; states
     and landmarks stay untouched there. Each anchor solve is an
-    ``_alignment_problem``, which the solver runs on its 6x6 dense backend.
+    ``_alignment_problem``: one free pose row, nothing eliminated.
     """
     gravity = rig.gravity_vector()
     lm_ids = _solvable_landmarks(window)

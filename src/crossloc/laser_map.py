@@ -98,9 +98,10 @@ class PointCloudMap:
         query = np.asarray(query, dtype=float)
         points = query.reshape(-1, 3)
         kk = min(k, n)
-        d_tree, i_tree = self.tree.query(points, k=min(kk + 1, n))
-        d_tree = d_tree.reshape(len(points), -1)
-        idx = i_tree.reshape(len(points), -1)[:, :kk].copy()
+        n_tree = min(kk + 1, n)
+        d_tree, i_tree = self.tree.query(points, k=n_tree)
+        d_tree = d_tree.reshape(len(points), n_tree)
+        idx = i_tree.reshape(len(points), n_tree)[:, :kk].copy()
         if kk < n:
             radius = d_tree[:, kk - 1] * (1.0 + 1e-9) + 1e-12
             for row in np.nonzero(d_tree[:, kk] <= radius)[0]:

@@ -67,20 +67,29 @@ def _by_angle(theta, series, closed):
     )
 
 
-def _rodrigues_coeffs(theta):
-    """Coefficients a, b with R = I + a*Phi + b*Phi^2 (Phi unnormalized)."""
+def _exp_coeffs(theta):
+    """Coefficients a, b, c with Exp = I + a*Phi + b*Phi^2 and
+    J_l = I + b*Phi + c*Phi^2 (Phi unnormalized)."""
+
+    def closed(t, t2):
+        sin = np.sin(t)
+        return sin / t, (1.0 - np.cos(t)) / t2, (t - sin) / (t2 * t)
+
     return _by_angle(
         theta,
-        lambda t2: (1.0 - t2 / 6.0 + t2 * t2 / 120.0, 0.5 - t2 / 24.0 + t2 * t2 / 720.0),
-        lambda t, t2: (np.sin(t) / t, (1.0 - np.cos(t)) / t2),
+        lambda t2: (
+            1.0 - t2 / 6.0 + t2 * t2 / 120.0,
+            0.5 - t2 / 24.0 + t2 * t2 / 720.0,
+            1.0 / 6.0 - t2 / 120.0 + t2 * t2 / 5040.0,
+        ),
+        closed,
     )
 
 
 def so3_exp(phi: np.ndarray) -> np.ndarray:
     """Rodrigues formula: Exp(phi) for a rotation vector phi (radians)."""
     phi = np.asarray(phi, dtype=float)
-    theta = float(np.linalg.norm(phi))
-    a, b = _rodrigues_coeffs(theta)
+    a, b, _ = _exp_coeffs(float(np.linalg.norm(phi)))
     p = skew(phi)
     return np.eye(3) + a * p + b * (p @ p)
 
@@ -99,20 +108,10 @@ def so3_log(rot: np.ndarray) -> np.ndarray:
     return (theta / (2.0 * s)) * w
 
 
-def _jacobian_coeffs(theta):
-    """Coefficients b, c with J_l = I + b*Phi + c*Phi^2."""
-    return _by_angle(
-        theta,
-        lambda t2: (0.5 - t2 / 24.0 + t2 * t2 / 720.0, 1.0 / 6.0 - t2 / 120.0 + t2 * t2 / 5040.0),
-        lambda t, t2: ((1.0 - np.cos(t)) / t2, (t - np.sin(t)) / (t2 * t)),
-    )
-
-
 def so3_left_jacobian(phi: np.ndarray) -> np.ndarray:
     """J_l with Exp(phi + d) ~ Exp(J_l d) Exp(phi) to first order."""
     phi = np.asarray(phi, dtype=float)
-    theta = float(np.linalg.norm(phi))
-    b, c = _jacobian_coeffs(theta)
+    _, b, c = _exp_coeffs(float(np.linalg.norm(phi)))
     p = skew(phi)
     return np.eye(3) + b * p + c * (p @ p)
 
@@ -145,7 +144,7 @@ def so3_right_jacobian_inv(phi: np.ndarray) -> np.ndarray:
 def so3_exp_batch(phi: np.ndarray) -> np.ndarray:
     """``so3_exp`` of each row of phi (n, 3): (n, 3, 3)."""
     phi = np.asarray(phi, dtype=float)
-    a, b = _rodrigues_coeffs(np.linalg.norm(phi, axis=-1))
+    a, b, _ = _exp_coeffs(np.linalg.norm(phi, axis=-1))
     p = skew_batch(phi)
     return np.eye(3) + a[:, None, None] * p + b[:, None, None] * (p @ p)
 
@@ -170,9 +169,20 @@ def so3_log_batch(rot: np.ndarray) -> np.ndarray:
 def so3_left_jacobian_batch(phi: np.ndarray) -> np.ndarray:
     """``so3_left_jacobian`` of each row of phi (n, 3): (n, 3, 3)."""
     phi = np.asarray(phi, dtype=float)
-    b, c = _jacobian_coeffs(np.linalg.norm(phi, axis=-1))
+    _, b, c = _exp_coeffs(np.linalg.norm(phi, axis=-1))
     p = skew_batch(phi)
     return np.eye(3) + b[:, None, None] * p + c[:, None, None] * (p @ p)
+
+
+def so3_exp_and_left_jacobian_batch(phi: np.ndarray):
+    """``so3_exp_batch`` and ``so3_left_jacobian_batch`` of phi (n, 3) from one
+    angle and one Phi^2: Exp's second coefficient is J_l's first."""
+    phi = np.asarray(phi, dtype=float)
+    a, b, c = _exp_coeffs(np.linalg.norm(phi, axis=-1))
+    a, b, c = a[:, None, None], b[:, None, None], c[:, None, None]
+    p = skew_batch(phi)
+    p2 = p @ p
+    return np.eye(3) + a * p + b * p2, np.eye(3) + b * p + c * p2
 
 
 def so3_left_jacobian_inv_batch(phi: np.ndarray) -> np.ndarray:

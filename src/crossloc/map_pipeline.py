@@ -368,8 +368,6 @@ def _candidate_log_joint(points, cloud: PointCloudMap, transform: Pose, sigma: f
     under a Gaussian of ``sigma`` and a uniform matching prior: (n, k), by
     one batched ``knn``."""
     p_map = transform.apply(np.asarray(points, dtype=float).reshape(-1, 3))
-    if not len(p_map):
-        return np.zeros((0, min(k, len(cloud))))
     idx, _ = cloud.knn(p_map, k)
     d2 = np.sum((cloud.positions[idx] - p_map[:, None, :]) ** 2, axis=2)
     norm = -1.5 * math.log(2.0 * math.pi * sigma * sigma)

@@ -1,21 +1,16 @@
 """Levenberg-Marquardt over block families of SE(3) poses and vectors.
 
-There is one problem statement, ``Problem``, and one LM loop (damping,
-acceptance, termination) over two linear-algebra backends, which ``solve``
-picks by the problem's shape alone:
-
-- ``_DenseSystem`` when the problem's one free row is a pose, so that it
-  eliminates nothing (the rigid step's anchor-only alignment): the 6x6
-  normal equations of that row;
-- ``_System`` for every other problem: the Schur-complement system below.
-
-Each backend linearizes, evaluates the cost, solves the damped system and
-retracts; ``solve`` leaves the minimizer in the problem's ``value``. The
-loop linearizes each iterate once: a trial linearizes its candidate, whose
-cost decides the acceptance and whose normal equations, when accepted, the
-next iteration solves. Only the trial that uses up the last allowed
-iteration evaluates the cost alone. A linearization's cost is the sum of
-the same group costs, in the same order, as ``evaluate_cost``.
+There is one problem statement, ``Problem``, one LM loop (damping,
+acceptance, termination) and one linear-algebra backend, ``_System``: the
+Schur-complement system below, for every problem, the rigid step's
+anchor-only alignment (one free pose row, nothing eliminated) included.
+It linearizes, evaluates the cost, solves the damped system and retracts;
+``solve`` leaves the minimizer in the problem's ``value``. The loop
+linearizes each iterate once: a trial linearizes its candidate, whose cost
+decides the acceptance and whose normal equations, when accepted, the next
+iteration solves. Only the trial that uses up the last allowed iteration
+evaluates the cost alone. A linearization's cost is the sum of the same
+group costs, in the same order, as ``evaluate_cost``.
 
 A Problem's variables are named block families, each stacked in one array
 of n rows: ``add_poses(name, poses, fixed)`` (SE(3) poses, updated by right
@@ -44,7 +39,7 @@ fancy indexing. The batch takes the upper-triangular square root S
 (S^T S = information) of its information when the group is added, by one
 (batched) Cholesky. Every evaluation, of the cost or of the normal
 equations, then takes one path per group: evaluate it, whiten it by
-``_whiten`` (one ``matmul`` by S), apply its kernel, on either backend.
+``_whiten`` (one ``matmul`` by S), apply its kernel.
 
 The cost is the sum over rows of ``rho(||S r||^2)``. Robust terms are
 handled by square-root re-weighting (no second-order kernel correction).
@@ -57,13 +52,17 @@ system is stacked as ``H_cc (nc, nc)``, ``b_c (nc,)``, ``H_ll (L, s, s)``,
 ``b_l (L, s)`` and ``H_cl (L, nc, s)``. A solve maps each group's rows to
 their camera offset and landmark row once, and from them the group's
 scatter maps: flat index arrays from its rows' J^T J and J^T r entries into
-those arrays. Every LM iteration then adds each group in with one
-``bincount`` per array, damps, checks the landmark blocks by one batched
-Cholesky and inverts them by one batched inverse (cheaper, for s x s blocks,
-than a solve with 1 + nc right-hand sides), and retracts the free rows of
-every pose family by one call and of each vector family by one update.
+those of the arrays that they reach. Only the slots with a free row take
+columns: a slot whose rows are all fixed (the alignment's landmarks) takes
+none, and a group with no such slot adds its cost only. With no family
+eliminated, L is 0 and the landmark arrays are empty. Every LM iteration
+then adds each group in with one ``bincount`` per array, damps, checks the
+landmark blocks by one batched Cholesky and inverts them by one batched
+inverse (cheaper, for s x s blocks, than a solve with 1 + nc right-hand
+sides), and retracts the free rows of every pose family by one call (Exp
+and J_l from one angle) and of each vector family by one update.
 
-Both backends damp a diagonal entry h by ``lam * max(|h|, 1e-12)``.
+The damping adds ``lam * max(|h|, 1e-12)`` to each diagonal entry h.
 """
 
 from __future__ import annotations
@@ -72,7 +71,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .liegroup import Pose, orthonormalize, so3_exp_batch, so3_left_jacobian_batch
+from .liegroup import orthonormalize, so3_exp_and_left_jacobian_batch
 
 
 # LM convergence tolerances, then the damping schedule
@@ -195,24 +194,17 @@ def _sqrt_information(information):
     return np.swapaxes(np.linalg.cholesky(information), -1, -2)
 
 
-def _whiten(sqrt_info, kernel, residual, jacs=None):
-    """Whitened residuals and Jacobians (None if not given), rho and rho' of a group.
+def _whiten(sqrt_info, kernel, residual, jac=None):
+    """Whitened residuals (n, d) and Jacobian (None if not given, else
+    (n, d, K) as ``jac``), rho and rho' of a group.
 
     ``sqrt_info`` is one S per residual row, (n, d, d), or one S for all of
     them, (d, d): ``matmul`` broadcasts both alike.
     """
     w_res = (sqrt_info @ residual[:, :, None])[:, :, 0]
-    w_jacs = None if jacs is None else [sqrt_info @ j for j in jacs]
+    w_jac = None if jac is None else sqrt_info @ jac
     rho, drho = kernel.loss(np.einsum("ni,ni->n", w_res, w_res))
-    return w_res, w_jacs, rho, drho
-
-
-def _reweighted(w_res, w_jacs, drho):
-    """The rows of r and J of the re-weighted system: the whitened residuals
-    (n, d) and Jacobians concatenated over blocks (n, d, K), scaled by
-    sqrt(rho') per row."""
-    sw = np.sqrt(np.maximum(drho, 0.0))
-    return w_res * sw[:, None], np.concatenate(w_jacs, axis=2) * sw[:, None, None]
+    return w_res, w_jac, rho, drho
 
 
 def evaluate_cost(problem: Problem, values: dict | None = None) -> float:
@@ -260,17 +252,20 @@ class _System:
         self.poses = [name for name in self.free if problem.families[name].pose]
         if self.poses:
             self.pose_index = np.concatenate([self.free[name][1] for name in self.poses])
-            self.pose_splits = np.cumsum([self.free[name][0].sum() for name in self.poses])[:-1]
-        self.scatter = [
-            _scatter_maps(
-                np.stack([offsets[f][rows] for f, rows in batch.slots], axis=1),
-                np.stack([lm_rows[f][rows] for f, rows in batch.slots], axis=1),
-                [problem.families[f].size for f, _ in batch.slots],
+            self.pose_bounds = np.cumsum([0] + [self.free[name][0].sum() for name in self.poses]).tolist()
+        # per group, the slots with a free row and the scatter maps of their columns
+        self.scatter = []
+        for batch in problem.groups:
+            live = [a for a, (f, rows) in enumerate(batch.slots) if not problem.families[f].fixed[rows].all()]
+            slots = [batch.slots[a] for a in live]
+            maps = _scatter_maps(
+                [offsets[f][rows] for f, rows in slots],
+                [lm_rows[f][rows] for f, rows in slots],
+                [problem.families[f].size for f, _ in slots],
                 self.nc,
                 self.elim_size,
             )
-            for batch in problem.groups
-        ]
+            self.scatter.append((live, maps))
 
     def cost(self, values):
         return evaluate_cost(self.problem, values)
@@ -307,12 +302,11 @@ class _System:
             stacked = [
                 np.concatenate([values[name][i][self.free[name][0]] for name in self.poses]) for i in (0, 1)
             ]
-            moved = _retract_poses(*stacked, delta_c[self.pose_index])
-            moved = (np.split(a, self.pose_splits) for a in moved)
-            for name, rot_free, trans_free in zip(self.poses, *moved):
+            rot_moved, trans_moved = _retract_poses(*stacked, delta_c[self.pose_index])
+            for name, start, stop in zip(self.poses, self.pose_bounds, self.pose_bounds[1:]):
                 free = self.free[name][0]
                 rot, trans = (a.copy() for a in values[name])
-                rot[free], trans[free] = rot_free, trans_free
+                rot[free], trans[free] = rot_moved[start:stop], trans_moved[start:stop]
                 new_values[name] = (rot, trans)
         for name, (free, index) in self.free.items():
             if name not in self.poses:
@@ -325,52 +319,46 @@ class _System:
 
 def _retract_poses(rot, trans, delta):
     """``Pose.retract`` of each row: rot (n, 3, 3) and trans (n, 3) by delta (n, 6)."""
-    phi, rho = delta[:, :3], delta[:, 3:]
-    t_step = (so3_left_jacobian_batch(phi) @ rho[:, :, None])[:, :, 0]
-    return orthonormalize(rot @ so3_exp_batch(phi)), (rot @ t_step[:, :, None])[:, :, 0] + trans
+    exp, jac = so3_exp_and_left_jacobian_batch(delta[:, :3])
+    t_step = (jac @ delta[:, 3:, None])[:, :, 0]
+    return orthonormalize(rot @ exp), (rot @ t_step[:, :, None])[:, :, 0] + trans
 
 
 def _scatter_maps(cam, lm, sizes, nc, s):
     """Where one group's normal-equation entries land in the stacked system.
 
-    The group's per-row Jacobians are concatenated over its block slots
-    (sizes ``sizes``) into K columns; ``cam`` and ``lm`` (n, slots) give each
-    row block's camera offset and landmark row, -1 if it has none.
-    Returns one (source, destination) pair of flat index arrays per target:
-    J^T r (n, K) into b_c and b_l, then J^T J (n, K, K) into H_cc, H_cl and
-    H_ll. Fixed blocks' columns land nowhere.
+    The group's per-row Jacobians are concatenated over the block slots that
+    have a free row (sizes ``sizes``) into K columns; ``cam`` and ``lm``, one
+    (n,) array per slot, give each row block's camera offset and landmark
+    row, -1 if it has none. Returns (target, source, destination) triples of
+    flat index arrays, one per target that receives entries: J^T r (n, K)
+    into b_c and b_l (targets 0 and 1), J^T J (n, K, K) into H_cc, H_cl and
+    H_ll (targets 2, 3 and 4). Fixed row blocks' columns land nowhere.
     """
-    n, k_all = len(cam), sum(sizes)
-    col = np.full((n, k_all), -1)  # camera coordinate of each column
-    row = np.full((n, k_all), -1)  # landmark row of each column
-    coord = np.zeros((n, k_all), dtype=int)  # coordinate within its block
-    off = 0
-    for a, k in enumerate(sizes):
-        cols = slice(off, off + k)
-        on_cam = cam[:, a] >= 0
-        col[on_cam, cols] = cam[on_cam, a, None] + np.arange(k)
-        on_lm = lm[:, a] >= 0
-        row[on_lm, cols] = lm[on_lm, a, None]
-        coord[:, cols] = np.arange(k)
-        off += k
-    g_src = np.arange(n * k_all).reshape(n, k_all)
-    h_src = np.arange(n * k_all * k_all).reshape(n, k_all, k_all)
-    ci, cj = col[:, :, None], col[:, None, :]
-    ri, rj = row[:, :, None], row[:, None, :]
-    oi, oj = coord[:, :, None], coord[:, None, :]
-
-    def pick(mask, src, dst):
-        mask = np.broadcast_to(mask, src.shape)
-        return src[mask], np.broadcast_to(dst, src.shape)[mask]
-
-    return (
-        pick(col >= 0, g_src, col),
-        pick(row >= 0, g_src, row * s + coord),
-        pick((ci >= 0) & (cj >= 0), h_src, ci * nc + cj),
-        pick((ci >= 0) & (rj >= 0), h_src, (rj * nc + ci) * s + oj),
-        # a row touches at most one eliminated block: its landmark columns pair up
-        pick((ri >= 0) & (rj >= 0), h_src, (ri * s + oi) * s + oj),
+    if not sizes:
+        return []
+    # camera coordinate and landmark row of each column (n, K), -1 if none,
+    # and each column's coordinate within its block (K,)
+    col = np.concatenate(
+        [np.where(c[:, None] < 0, -1, c[:, None] + np.arange(k)) for c, k in zip(cam, sizes)], axis=1
     )
+    row = np.concatenate([np.repeat(r[:, None], k, axis=1) for r, k in zip(lm, sizes)], axis=1)
+    coord = np.concatenate([np.arange(k) for k in sizes])
+    ci, cj = col[:, :, None], col[:, None, :]
+
+    def pick(target, mask, dst):
+        return target, np.flatnonzero(mask), dst[mask]
+
+    maps = [pick(0, col >= 0, col), pick(2, (ci >= 0) & (cj >= 0), ci * nc + cj)]
+    if (row >= 0).any():  # only a group on the eliminated family reaches its targets
+        ri, rj = row[:, :, None], row[:, None, :]
+        maps += [
+            pick(1, row >= 0, row * s + coord),
+            pick(3, (ci >= 0) & (rj >= 0), (rj * nc + ci) * s + coord),
+            # a row touches at most one eliminated block: its landmark columns pair up
+            pick(4, (ri >= 0) & (rj >= 0), (ri * s + coord[:, None]) * s + coord),
+        ]
+    return [m for m in maps if len(m[1])]
 
 
 def _build_normal_equations(problem, system, values):
@@ -380,7 +368,7 @@ def _build_normal_equations(problem, system, values):
     landmark part of H is block diagonal because a row touches at most
     one eliminated block. Each group's entries are summed into the system
     by its scatter maps, one ``bincount`` per target; a row of zero
-    robust weight adds zeros.
+    robust weight adds zeros, and a group with no free row adds its cost only.
     """
     nc, s, n_l = system.nc, system.elim_size, system.n_l
     h_cc = np.zeros((nc, nc))
@@ -388,80 +376,25 @@ def _build_normal_equations(problem, system, values):
     h_ll = np.zeros((n_l, s, s))
     b_l = np.zeros((n_l, s))
     h_cl = np.zeros((n_l, nc, s))
+    targets = (b_c, b_l, h_cc, h_cl, h_ll)
     cost = 0.0
-    for batch, maps in zip(problem.groups, system.scatter):
-        residual, jacs = batch.kind.evaluate_batch(batch, values, jacobian=True)
-        w_res, w_jacs, rho, drho = _whiten(batch.sqrt_info, batch.kernel, residual, jacs)
+    for batch, (live, maps) in zip(problem.groups, system.scatter):
+        residual, jacs = batch.kind.evaluate_batch(batch, values, jacobian=bool(live))
+        jac = np.concatenate([jacs[a] for a in live], axis=2) if live else None
+        w_res, w_jac, rho, drho = _whiten(batch.sqrt_info, batch.kernel, residual, jac)
         cost += float(rho.sum())
-        r, jac = _reweighted(w_res, w_jacs, drho)
+        if not live:
+            continue
+        # square-root re-weighting of the whitened rows by sqrt(rho')
+        sw = np.sqrt(np.maximum(drho, 0.0))
+        r, jac = w_res * sw[:, None], w_jac * sw[:, None, None]
         neg_g = -np.einsum("ndk,nd->nk", jac, r).ravel()
         jtj = np.einsum("ndi,ndj->nij", jac, jac).ravel()
-        for out, entries, (src, dst) in zip(
-            (b_c, b_l, h_cc, h_cl, h_ll), (neg_g, neg_g, jtj, jtj, jtj), maps
-        ):
-            if len(src):
-                out.reshape(-1)[:] += np.bincount(dst, weights=entries[src], minlength=out.size)
+        for target, src, dst in maps:
+            out = targets[target]
+            entries = neg_g if target < 2 else jtj
+            out.reshape(-1)[:] += np.bincount(dst, weights=entries[src], minlength=out.size)
     return h_cc, b_c, h_ll, b_l, h_cl, cost
-
-
-class _DenseSystem:
-    """The dense backend: the 6x6 normal equations of a problem whose one free row is a pose.
-
-    Each group enters by the Jacobian of its one slot on the free row, on
-    every row of the group, whitened and re-weighted as ``_System`` does it;
-    a group with no slot on that row adds its cost only. The step retracts
-    the row by ``Pose.retract``.
-    """
-
-    def __init__(self, problem: Problem, family: str, row: int):
-        self.problem, self.family, self.row = problem, family, row
-        self.slots = []  # per group: the index of its slot on the free row, or None
-        for batch in problem.groups:
-            hits = [a for a, (f, rows) in enumerate(batch.slots) if f == family and (rows == row).any()]
-            if len(hits) > 1 or any(not (batch.slots[a][1] == row).all() for a in hits):
-                raise ValueError(
-                    "the dense backend needs each group to name the free row on all its rows,"
-                    " through one slot, or on none"
-                )
-            self.slots.append(hits[0] if hits else None)
-
-    def cost(self, values):
-        return evaluate_cost(self.problem, values)
-
-    def linearize(self, values):
-        h, b, cost = np.zeros((6, 6)), np.zeros(6), 0.0
-        for batch, slot in zip(self.problem.groups, self.slots):
-            residual, jacs = batch.kind.evaluate_batch(batch, values, jacobian=slot is not None)
-            jacs = None if slot is None else [jacs[slot]]
-            w_res, w_jacs, rho, drho = _whiten(batch.sqrt_info, batch.kernel, residual, jacs)
-            cost += float(rho.sum())
-            if slot is not None:
-                r, jac = _reweighted(w_res, w_jacs, drho)
-                h = h + np.einsum("ndi,ndj->ij", jac, jac)
-                b = b - np.einsum("ndi,nd->i", jac, r)
-        return (h, b), cost, np.abs(b).max(initial=0.0)
-
-    def solve_damped(self, linear, lam):
-        h, b = linear
-        return _solve_or_none(_damp(h, lam), b)
-
-    def retract(self, values, delta):
-        rot, trans = (a.copy() for a in values[self.family])
-        pose = Pose(rot[self.row], trans[self.row]).retract(delta)
-        rot[self.row], trans[self.row] = pose.rotation, pose.translation
-        return {**values, self.family: (rot, trans)}
-
-
-def _backend(problem: Problem):
-    """``_DenseSystem`` for a problem whose one free row is a pose, ``_System``
-    for every other (an eliminated family's rows are all free, so a problem
-    that eliminates a row goes to ``_System``)."""
-    families = problem.families
-    # two free rows per family are enough to tell one free row from more
-    free = [(name, row) for name, family in families.items() for row in np.flatnonzero(~family.fixed)[:2]]
-    if len(free) == 1 and families[free[0][0]].pose:
-        return _DenseSystem(problem, *free[0])
-    return _System(problem)
 
 
 def _damp(h, lam):
@@ -482,7 +415,7 @@ def _solve_or_none(h, b):
 
 
 def _levenberg_marquardt(system, value, max_iterations: int):
-    """The LM loop over either backend, one linearization per iterate (see
+    """The LM loop over a ``_System``, one linearization per iterate (see
     the module docstring); returns (final value, report). The report's
     gradient norm is the one at the iterate that the last iteration started from."""
     linearized = system.linearize(value)
@@ -541,5 +474,5 @@ def _levenberg_marquardt(system, value, max_iterations: int):
 
 def solve(problem: Problem, max_iterations: int = 50) -> SolverReport:
     """Minimize the robustified cost; leaves the minimizer in ``problem.value``."""
-    problem.value, report = _levenberg_marquardt(_backend(problem), problem.value, max_iterations)
+    problem.value, report = _levenberg_marquardt(_System(problem), problem.value, max_iterations)
     return report

@@ -235,6 +235,50 @@ def levenberg_marquardt_two_evaluations(system, value, max_iterations):
     return value, solver.SolverReport(initial_cost, cost, iterations, termination, grad_norm)
 
 
+def anchor_alignment_gauss_newton(anchor, landmarks, constraints, prior, kernel, iterations=200):
+    """The rigid step's anchor-only alignment by dense Gauss-Newton, one
+    constraint at a time: returns the anchor at convergence and the cost as a
+    function of the anchor.
+
+    ``constraints`` are ``residuals.MapConstraint`` records of the
+    ``landmarks`` (id -> position), robustified by ``kernel``; ``prior`` is
+    (mean, information), unrobustified. Each row enters the 6x6 normal
+    equations through its one-row reference, whitened by the Cholesky
+    factor of its information and weighted by rho' of its squared error
+    (iteratively re-weighted least squares); the step is ``Pose.retract``.
+    """
+    from crossloc import residuals as res
+
+    def rows(pose):
+        """Whitened residual, Jacobian and kernel of every row at ``pose``."""
+        for c in constraints:
+            lm = res.Landmark(landmarks[c.landmark_id])
+            if c.metric == res.POINT_TO_PLANE:
+                r, j, _ = res.point_to_plane_residual(pose, lm, c)
+            else:
+                r, j, _ = res.point_to_point_residual(pose, lm, c)
+            s = np.linalg.cholesky(c.information).T
+            yield s @ np.atleast_1d(r), s @ j, kernel
+        r, j = res.anchor_prior_residual(pose, prior[0])
+        s = np.linalg.cholesky(prior[1]).T
+        yield s @ r, s @ j, res.RobustKernel()
+
+    def cost(pose):
+        return sum(float(k.loss(e @ e)[0]) for e, _, k in rows(pose))
+
+    for _ in range(iterations):
+        h, b = np.zeros((6, 6)), np.zeros(6)
+        for e, j, k in rows(anchor):
+            w = float(k.loss(e @ e)[1])
+            h += w * j.T @ j
+            b -= w * j.T @ e
+        delta = np.linalg.solve(h, b)
+        anchor = anchor.retract(delta)
+        if np.abs(delta).max() < 1e-13:
+            break
+    return anchor, cost
+
+
 def association_per_point(points, positions, transform, sigma, k, q_distributions=None):
     """The association log likelihood and its EM lower bound, point by point
     over brute-force candidates: (log likelihood, bound). The bound's q is

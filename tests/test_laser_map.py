@@ -103,6 +103,13 @@ class TestKnn:
         assert idx.tolist() == [[0, 1], [0, 1]]
         assert dist.tolist() == [[1.0, 1.0], [1.0, 1.0]]
 
+    @pytest.mark.parametrize("n, k", [(30, 5), (30, 1), (5, 5), (3, 10), (1, 1)])
+    def test_empty_batch(self, n, k):
+        cloud = random_cloud(np.random.default_rng(8), n)
+        idx, dist = cloud.knn(np.zeros((0, 3)), k)
+        assert idx.shape == dist.shape == (0, min(k, n))
+        assert idx.dtype.kind == "i" and dist.dtype == float
+
     def test_single_point_keeps_1d_shapes(self):
         cloud = random_cloud(np.random.default_rng(7), 50)
         q = np.array([0.5, -0.5, 1.0])

@@ -212,6 +212,19 @@ class TestBatchedSo3:
         for row, v in zip(got, phi):
             np.testing.assert_allclose(row, scalar(v), rtol=1e-14, atol=1e-15)
 
+    def test_exp_and_left_jacobian_match_their_batches(self):
+        """The fused pair equals the two batches bitwise, on rows of both
+        branches and on rows that all take the closed form, and those rows
+        match the scalar functions."""
+        phi = self.rotation_vectors()
+        for rows in (phi, phi[4:]):
+            exp, jac = lg.so3_exp_and_left_jacobian_batch(rows)
+            np.testing.assert_array_equal(exp, lg.so3_exp_batch(rows))
+            np.testing.assert_array_equal(jac, lg.so3_left_jacobian_batch(rows))
+        for e, j, v in zip(exp, jac, phi[4:]):
+            np.testing.assert_allclose(e, lg.so3_exp(v), rtol=1e-14, atol=1e-15)
+            np.testing.assert_allclose(j, lg.so3_left_jacobian(v), rtol=1e-14, atol=1e-15)
+
     def test_log_matches_scalar(self):
         rots = np.stack([lg.so3_exp(v) for v in self.rotation_vectors()])
         got = lg.so3_log_batch(rots)

@@ -177,7 +177,7 @@ class TestOneLinearizationPerIterate:
         problem, reference = rosenbrock_problem(), rosenbrock_problem()
         report = solver.solve(problem, max_iterations)
         value, want = levenberg_marquardt_two_evaluations(
-            solver._backend(reference), reference.value, max_iterations
+            solver._System(reference), reference.value, max_iterations
         )
         assert report == want
         np.testing.assert_array_equal(problem.value["x"], value["x"])
@@ -548,11 +548,10 @@ class TestRetraction:
         np.testing.assert_array_equal(after["vel"], before["vel"] + delta_c[18:24].reshape(2, 3))
 
 
-class TestBackendChoice:
+class TestOneFreeRow:
     def test_one_free_vector_row_takes_the_schur_path(self):
-        """A problem whose one free row is a vector goes to the Schur system,
-        which reaches the closed-form minimum: the mean of the points, taken
-        into the fixed anchor's frame."""
+        """A problem whose one free row is a vector reaches the closed-form
+        minimum: the mean of the points, taken into the fixed anchor's frame."""
         rng = np.random.default_rng(23)
         anchor = se3_exp(rng.normal(size=6) * 0.3)
         points = rng.normal(size=(6, 3))
@@ -560,15 +559,15 @@ class TestBackendChoice:
         problem.add_poses("anchor", [anchor], fixed=True)
         problem.add_vectors("lm", rng.normal(size=(3, 3)), fixed=[True, False, True])
         add_point_to_point(problem, np.ones(6, dtype=int), points, np.eye(3))
-        assert isinstance(solver._backend(problem), solver._System)
         report = solver.solve(problem)
         assert report.termination == "converged"
         want = anchor.inverse().apply(points.mean(axis=0))
         np.testing.assert_allclose(problem.value["lm"][1], want, rtol=0, atol=1e-9)
 
-    def test_dense_backend_refuses_a_group_partly_on_the_free_row(self):
-        """The dense backend takes a group on the free pose row on all its rows
-        or on none (its cost only), and refuses one on only some of them."""
+    def test_a_group_partly_on_the_free_row_solves(self):
+        """One prior group on both rows of a [fixed, free] pose family reaches
+        the value and the final cost of two one-row groups: the free row
+        lands on its prior mean, the fixed row's prior keeps its cost."""
         poses = [se3_exp(np.full(6, 0.1)), se3_exp(np.full(6, -0.2))]
 
         def problem_with(prior_rows):
@@ -581,14 +580,11 @@ class TestBackendChoice:
                 )
             return problem
 
-        problem = problem_with([[0], [1]])
-        assert isinstance(solver._backend(problem), solver._DenseSystem)
-        report = solver.solve(problem)
-        assert report.termination == "converged"
-        assert report.final_cost == pytest.approx(6 * 0.01, rel=1e-9)  # the fixed row's prior
-        solved = pose_row(problem, "pose", 1)
-        np.testing.assert_allclose(solved.rotation, poses[1].rotation, rtol=0, atol=1e-9)
-        np.testing.assert_allclose(solved.translation, poses[1].translation, rtol=0, atol=1e-9)
-
-        with pytest.raises(ValueError, match="free row"):
-            solver.solve(problem_with([[0, 1]]))
+        for prior_rows in ([[0], [1]], [[0, 1]]):
+            problem = problem_with(prior_rows)
+            report = solver.solve(problem)
+            assert report.termination == "converged"
+            assert report.final_cost == pytest.approx(6 * 0.01, rel=1e-9)  # the fixed row's prior
+            solved = pose_row(problem, "pose", 1)
+            np.testing.assert_allclose(solved.rotation, poses[1].rotation, rtol=0, atol=1e-9)
+            np.testing.assert_allclose(solved.translation, poses[1].translation, rtol=0, atol=1e-9)
