@@ -12,6 +12,11 @@ Merge semantics (the documented rule all oracles follow): each session's
 cloud is first thinned sequentially so no two kept points lie within the
 newness radius; each base point's count increases at most once per session;
 unmatched points join the base with count 1 after the session's pass.
+
+Memory: the ground stage places and files its height-band returns a chunk of
+scans at a time, so its working set is one chunk (``_CHUNK_POINTS``) plus
+the table of occupied cells, however many raw returns the sessions hold.
+The other stages hold only the points that vision transformation keeps.
 """
 
 from __future__ import annotations
@@ -95,7 +100,7 @@ def vision_transform_session(session: SessionData, params: MapFilterParams) -> P
             keep[front[seen]] = dist <= params.pixel_gate
         return keep
 
-    pts, labels = _placed_scans([session], near_feature)
+    pts, labels = _concatenated(_placed_scans([session], near_feature))
     return PointCloudMap(pts, frame=FRAME_MAP, labels=labels)
 
 
@@ -216,40 +221,122 @@ def expand_static(static: PointCloudMap, dynamic: PointCloudMap, params: MapFilt
 # stage 4: ground modification
 
 
+# Ground returns filed per chunk, chosen from measurements on the
+# loop-reverse bench map (0.9 M in-band returns, 14.6 k cells; 2-core VM).
+# Chunks of 10 k, 20 k, 40 k, 80 k and 160 k points built its ground in 0.27,
+# 0.24, 0.23, 0.21 and 0.23 s, with tracemalloc peaks of 2.5, 3.8, 6.6, 12.2
+# and 23.2 MB. Smaller chunks also cost the localization that follows in the
+# same process: glibc sets its heap trim threshold to twice the largest block
+# it has unmapped, and a chunk's (n, 3) array is the map build's largest, so
+# below about 50 k points the threshold stays under the 2 MB or so by which
+# each LM iteration grows and frees the heap top, and every bench
+# localization takes 57 k to 131 k minor page faults; from 80 k, a few hundred.
+_CHUNK_POINTS = 80_000
+
+
+class _VoxelGrid:
+    """Running per-cell sums of points filed chunk by chunk into voxels of
+    side ``voxel``.
+
+    Cells stay in lexicographic order of their integer keys
+    ``floor(points / voxel)`` (x, then y, then z, signed); a chunk's cells
+    are found or inserted by binary search, so known cells are never sorted
+    again. Each cell keeps its coordinate sum, added point by point in input
+    order, its count and its first point's ``payload``, so any split into
+    chunks gives the bits of one chunk. Keys are compared packed into one
+    int64, ``(kx * span_y + ky) * span_z + kz`` after offsetting by the
+    minimum of the extent seen so far, so that extent may hold at most
+    2**63 - 1 cells; the chunk that grows it past that raises ``ValueError``.
+    """
+
+    def __init__(self, voxel: float):
+        self.voxel = voxel
+        # one row per cell, in key order: the integer key and the coordinate
+        # sum by axis, the point count, the first point's payload
+        self.keys = [np.zeros(0, dtype=np.int64)] * 3
+        self.sums = [np.zeros(0)] * 3
+        self.counts = np.zeros(0, dtype=np.int64)
+        self.first = np.zeros(0, dtype=int)
+        self.lo = self.hi = None
+
+    def add(self, points: np.ndarray, payload: np.ndarray) -> None:
+        """File a chunk of points (n, 3); ``payload[i]`` belongs to ``points[i]``."""
+        if len(points) == 0:
+            return
+        keys = [np.floor(points[:, i] / self.voxel).astype(np.int64) for i in range(3)]
+        lo, hi = [int(k.min()) for k in keys], [int(k.max()) for k in keys]
+        if self.lo is not None:
+            lo, hi = list(map(min, lo, self.lo)), list(map(max, hi, self.hi))
+        spans = [b - a + 1 for a, b in zip(lo, hi)]
+        if math.prod(spans) > np.iinfo(np.int64).max:
+            extent = " x ".join(map(str, spans))
+            raise ValueError(
+                f"points span {extent} cells of {self.voxel:g} m, too many for int64 keys"
+            )
+        self.lo, self.hi = lo, hi
+
+        def pack(kx, ky, kz):
+            return ((kx - lo[0]) * spans[1] + (ky - lo[1])) * spans[2] + (kz - lo[2])
+
+        cells, inverse, counts = np.unique(pack(*keys), return_inverse=True, return_counts=True)
+        # each cell's first point: the least index among its points
+        first = np.full(len(cells), len(points))
+        np.minimum.at(first, inverse, np.arange(len(points)))
+        known = pack(*self.keys)
+        at = np.searchsorted(known, cells)
+        new = np.append(known, -1)[at] != cells  # packed keys are >= 0
+        # rows in the grown table: each cell moves down by the new cells before it
+        rows = at + np.cumsum(new) - new
+        added = rows[new]
+        kept = np.ones(len(known) + len(added), dtype=bool)
+        kept[added] = False
+
+        def grow(column, fill):
+            out = np.empty(len(kept), dtype=column.dtype)
+            out[kept] = column
+            out[added] = fill
+            return out
+
+        first_new = first[new]
+        self.keys = [grow(column, k[first_new]) for column, k in zip(self.keys, keys)]
+        self.sums = [grow(column, 0.0) for column in self.sums]
+        self.counts = grow(self.counts, 0)
+        self.first = grow(self.first, payload[first_new])
+        # bincount adds in index order: each touched cell's running sum
+        # first, then its points in input order, as one pass over them all
+        index = np.concatenate([np.arange(len(rows)), inverse])
+        for axis, column in enumerate(self.sums):
+            weights = np.concatenate([column[rows], points[:, axis]])
+            column[rows] = np.bincount(index, weights, minlength=len(rows))
+        self.counts[rows] += counts
+
+    def centroids(self):
+        """``(centroids, first payloads)``, one row per occupied cell."""
+        return np.stack(self.sums, axis=1) / self.counts[:, None], self.first
+
+
 def voxel_centroids(points: np.ndarray, voxel: float):
     """One centroid per occupied voxel of side ``voxel``.
 
     Returns ``(centroids, first)``. Cells come in lexicographic order of
     their integer keys ``floor(points / voxel)`` (x, then y, then z, signed);
-    ``first[c]`` is the index of the first input point in cell c. Each cell
-    is keyed by one int64, its offset keys packed as
-    ``(kx * span_y + ky) * span_z + kz``, so the occupied extent may hold at
-    most 2**63 - 1 cells; a larger one raises ``ValueError``.
+    ``first[c]`` is the index of the first input point in cell c. Each
+    centroid is its cell's coordinate sum, taken in point order, over its
+    count. The occupied extent may hold at most 2**63 - 1 cells; a larger one
+    raises ``ValueError`` (see ``_VoxelGrid``).
     """
-    if len(points) == 0:
-        return points.reshape(0, 3), np.zeros(0, dtype=int)
-    keys = np.floor(points / voxel).astype(np.int64)
-    lo, hi = keys.min(axis=0), keys.max(axis=0)
-    spans = [int(b) - int(a) + 1 for a, b in zip(lo, hi)]
-    if math.prod(spans) > np.iinfo(np.int64).max:
-        extent = " x ".join(map(str, spans))
-        raise ValueError(f"points span {extent} cells of {voxel:g} m, too many for int64 keys")
-    keys -= lo
-    packed = (keys[:, 0] * spans[1] + keys[:, 1]) * spans[2] + keys[:, 2]
-    # return_index sorts stably, so first is each cell's first point
-    _, first, inverse = np.unique(packed, return_index=True, return_inverse=True)
-    sums = np.stack([np.bincount(inverse, weights=points[:, i]) for i in range(3)], axis=1)
-    return sums / np.bincount(inverse)[:, None], first
+    grid = _VoxelGrid(voxel)
+    grid.add(points, np.arange(len(points)))
+    return grid.centroids()
 
 
 def _placed_scans(sessions: list[SessionData], select=None):
-    """Every scan's points in the map frame, concatenated, with their labels.
+    """Each scan's points in the map frame with their labels, scan by scan.
 
     Scan k is placed by ``gt_poses[k] @ body_t_laser``; empty scans and scans
     past the last ground-truth row are skipped. ``select(session, k, points)``,
     when given, masks scan k's laser-frame points first.
     """
-    pts_all, labels_all = [np.zeros((0, 3))], [np.zeros(0, int)]
     for session in sessions:
         body_t_laser = session.rig.body_t_laser
         for k, (points_f, labels) in enumerate(session.scans):
@@ -258,20 +345,46 @@ def _placed_scans(sessions: list[SessionData], select=None):
             if select is not None:
                 keep = select(session, k, points_f)
                 points_f, labels = points_f[keep], labels[keep]
-            pts_all.append((session.gt_poses[k] @ body_t_laser).apply(points_f))
-            labels_all.append(labels)
-    return np.concatenate(pts_all), np.concatenate(labels_all)
+            yield (session.gt_poses[k] @ body_t_laser).apply(points_f), labels
+
+
+def _concatenated(scans):
+    """(points, labels) of the given scans in one pair of arrays."""
+    pts, labels = [np.zeros((0, 3))], [np.zeros(0, int)]
+    for scan_pts, scan_labels in scans:
+        pts.append(scan_pts)
+        labels.append(scan_labels)
+    return np.concatenate(pts), np.concatenate(labels)
+
+
+def _chunks(scans):
+    """Consecutive scans concatenated into chunks of about ``_CHUNK_POINTS``."""
+    pending, size = [], 0
+    for scan in scans:
+        pending.append(scan)
+        size += len(scan[0])
+        if size >= _CHUNK_POINTS:
+            yield _concatenated(pending)
+            pending, size = [], 0
+    if pending:
+        yield _concatenated(pending)
 
 
 def extract_ground(sessions: list[SessionData], params: MapFilterParams) -> PointCloudMap:
-    """Height-band ground points from every scan, merged and voxel-thinned."""
-    pts, labels = _placed_scans(
-        sessions,
-        lambda session, k, points_f: (
-            np.abs(points_f[:, 2] + session.rig.laser_height) <= params.ground_band
-        ),
+    """Height-band ground points from every scan, merged and voxel-thinned.
+
+    Returns are placed and filed a chunk of scans at a time, so the peak
+    memory is one chunk (``_CHUNK_POINTS`` points) plus the cells, not the
+    sessions' returns. The ground equals ``voxel_centroids`` over all the
+    returns at once, bit for bit, each cell labelled by its first return.
+    """
+    grid = _VoxelGrid(params.ground_voxel)
+    in_band = lambda session, k, points_f: (  # noqa: E731
+        np.abs(points_f[:, 2] + session.rig.laser_height) <= params.ground_band
     )
-    centroids, first = voxel_centroids(pts, params.ground_voxel)
+    for pts, labels in _chunks(_placed_scans(sessions, in_band)):
+        grid.add(pts, labels)
+    centroids, labels = grid.centroids()
     normals = np.tile([0.0, 0.0, 1.0], (len(centroids), 1))
     return PointCloudMap(
         centroids,
@@ -279,7 +392,7 @@ def extract_ground(sessions: list[SessionData], params: MapFilterParams) -> Poin
         np.full(len(centroids), max(len(sessions), 1), dtype=int),
         np.ones(len(centroids), dtype=bool),
         FRAME_MAP,
-        labels[first],
+        labels,
     )
 
 
@@ -301,7 +414,7 @@ def build_full_map(
     session: SessionData, voxel: float = 0.3, normals_k: int = 10
 ) -> PointCloudMap:
     """Unfiltered baseline: every laser return of one session, voxel-thinned."""
-    pts, labels = _placed_scans([session])
+    pts, labels = _concatenated(_placed_scans([session]))
     centroids, first = voxel_centroids(pts, voxel)
     cloud = PointCloudMap(centroids, frame=FRAME_MAP, labels=labels[first])
     return estimate_normals(cloud, normals_k)

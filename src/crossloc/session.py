@@ -10,6 +10,8 @@ A session directory holds:
     labels.txt       optional element-id sidecar: id kind [session ids...]
 
 Frame k's timestamp is row k of gt.txt; scans share the frame clock.
+Frame and scan k load from the files numbered k; a number without a file
+loads as an empty frame or scan.
 ``SessionData.imu_samples`` holds the rows of imu.txt as one (N, 7) array.
 """
 
@@ -202,44 +204,53 @@ def save_session(directory, session: SessionData) -> None:
                 fh.write(f"{elem_id} {kind}{tail}\n")
 
 
-def _by_index(names) -> list:
-    """File names ordered by their integer stem: ``save_session`` pads frame
-    numbers to four digits, so ``10000`` must follow ``9999``."""
-    return sorted(names, key=lambda name: int(os.path.splitext(name)[0]))
+def _by_index(directory: str) -> list:
+    """Paths of the files of ``directory`` at their integer stems: entry k is
+    the file numbered k, None where no file has that number. ``save_session``
+    pads numbers to four digits, so ``10000`` follows ``9999``; a number
+    given by two files (``0002.txt`` and ``2.txt``) raises ``ValueError``."""
+    paths = {}
+    for name in os.listdir(directory):
+        k = int(os.path.splitext(name)[0])
+        if k in paths:
+            raise ValueError(f"{directory}: {paths[k]} and {name} both hold index {k}")
+        paths[k] = os.path.join(directory, name)
+    return [paths.get(k) for k in range(max(paths, default=-1) + 1)]
 
 
-def load_session(directory, session_id: int = 0) -> SessionData:
-    directory = str(directory)
-    rig = load_rig(os.path.join(directory, "rig.cfg"))
-    imu_samples = load_imu_stream(os.path.join(directory, "imu.txt"))
-    gt_times, gt_poses = load_trajectory(os.path.join(directory, "gt.txt"))
-
-    frames = []
-    frame_dir = os.path.join(directory, "frames")
-    for name in _by_index(os.listdir(frame_dir)):
-        ids, pixels = [], []
-        with open(os.path.join(frame_dir, name), "r", encoding="utf-8") as fh:
+def _load_frame(path) -> FrameObservations:
+    """One frame's observations; no file (None) is a frame without any."""
+    ids, pixels = [], []
+    if path is not None:
+        with open(path, "r", encoding="utf-8") as fh:
             for line in fh:
                 tok = line.split()
                 if not tok:
                     continue
                 ids.append(int(tok[0]))
                 pixels.append([float(v) for v in tok[1:5]])
-        frames.append(
-            FrameObservations(
-                np.asarray(ids, dtype=int),
-                np.asarray(pixels, dtype=float).reshape(len(ids), 4),
-            )
-        )
+    return FrameObservations(
+        np.asarray(ids, dtype=int), np.asarray(pixels, dtype=float).reshape(len(ids), 4)
+    )
 
-    scans = []
-    scan_dir = os.path.join(directory, "scans")
-    for name in _by_index(os.listdir(scan_dir)):
-        data = np.loadtxt(os.path.join(scan_dir, name), ndmin=2)
-        if data.size == 0:
-            scans.append((np.zeros((0, 3)), np.zeros(0, dtype=int)))
-        else:
-            scans.append((data[:, :3], data[:, 3].astype(int)))
+
+def _load_scan(path):
+    """One scan's (points, labels); no file (None) is a scan without returns."""
+    data = np.zeros((0, 4)) if path is None else np.loadtxt(path, ndmin=2)
+    if data.size == 0:
+        return np.zeros((0, 3)), np.zeros(0, dtype=int)
+    return data[:, :3], data[:, 3].astype(int)
+
+
+def load_session(directory, session_id: int = 0) -> SessionData:
+    """Read a session directory; a missing frame or scan file leaves every
+    other one at its ground-truth row."""
+    directory = str(directory)
+    rig = load_rig(os.path.join(directory, "rig.cfg"))
+    imu_samples = load_imu_stream(os.path.join(directory, "imu.txt"))
+    gt_times, gt_poses = load_trajectory(os.path.join(directory, "gt.txt"))
+    frames = [_load_frame(path) for path in _by_index(os.path.join(directory, "frames"))]
+    scans = [_load_scan(path) for path in _by_index(os.path.join(directory, "scans"))]
 
     element_kinds = None
     labels_path = os.path.join(directory, "labels.txt")

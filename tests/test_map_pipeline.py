@@ -1,4 +1,6 @@
 import math
+import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -468,6 +470,66 @@ class TestExtractGround:
         expected = sorted(tuple(np.mean(pts[v], axis=0)) for v in cells.values())
         got = sorted(tuple(p) for p in ground.positions)
         assert np.allclose(np.asarray(got), np.asarray(expected), atol=1e-9)
+
+
+class TestStreamedGround:
+    """``extract_ground`` files its returns a chunk of scans at a time."""
+
+    @staticmethod
+    def sessions(n_sessions, n_scans=5, slope=0.05):
+        out = []
+        for seed in range(n_sessions):
+            session = fake_ground_session(slope=slope, n_scans=n_scans, seed=seed)
+            rng = np.random.default_rng(100 + seed)
+            scans = [(pts, rng.integers(0, 50, len(pts))) for pts, _ in session.scans]
+            out.append(replace(session, session_id=seed, scans=scans))
+        return out
+
+    @staticmethod
+    def in_band_points(sessions, params):
+        pts, labels = [np.zeros((0, 3))], [np.zeros(0, int)]
+        for session in sessions:
+            for k, (points_f, scan_labels) in enumerate(session.scans):
+                keep = np.abs(points_f[:, 2] + session.rig.laser_height) <= params.ground_band
+                pose = session.gt_poses[k] @ session.rig.body_t_laser
+                pts.append(pose.apply(points_f[keep]))
+                labels.append(scan_labels[keep])
+        return np.concatenate(pts), np.concatenate(labels)
+
+    @pytest.mark.parametrize("chunk", [5, 450])
+    def test_equals_one_shot_centroids(self, chunk, monkeypatch):
+        # a chunk of 5 points is one scan; 450 points are two or three scans.
+        # Scans 2 m apart and sessions on one route share cells, so cells
+        # are split across chunk and session boundaries
+        monkeypatch.setattr(mp, "_CHUNK_POINTS", chunk)
+        params = make_params(ground_band=0.1, ground_voxel=0.5)
+        no_returns = self.sessions(1)[0]
+        no_returns.scans = [(pts + [0.0, 0.0, 5.0], labels) for pts, labels in no_returns.scans]
+        for sessions in ([], self.sessions(3), self.sessions(3)[:1] + [no_returns] + self.sessions(2)):
+            ground = mp.extract_ground(sessions, params)
+            pts, labels = self.in_band_points(sessions, params)
+            centroids, first = mp.voxel_centroids(pts, params.ground_voxel)
+            assert ground.positions.dtype == centroids.dtype == np.float64
+            np.testing.assert_array_equal(ground.positions, centroids)
+            assert ground.labels.dtype == labels.dtype
+            np.testing.assert_array_equal(ground.labels, labels[first])
+        assert len(mp.extract_ground([no_returns], params)) == 0
+
+    def test_peak_memory_is_bounded_by_the_cells(self, monkeypatch):
+        # four sessions over the same ground: four times the returns of one
+        # in nearly the same cells (736 against 715)
+        monkeypatch.setattr(mp, "_CHUNK_POINTS", 300)
+        params = make_params(ground_band=0.15, ground_voxel=1.0)
+        peaks = []
+        for n_sessions in (1, 4):
+            sessions = self.sessions(n_sessions, n_scans=20, slope=0.0)
+            tracemalloc.start()
+            try:
+                mp.extract_ground(sessions, params)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] < 1.5 * peaks[0], peaks
 
 
 class TestBuildFinalMap:

@@ -1,6 +1,7 @@
 import filecmp
 import math
 import os
+import shutil
 from dataclasses import replace
 
 import numpy as np
@@ -541,7 +542,7 @@ class TestGenerateSession:
         assert np.allclose(back.rig.body_t_laser.matrix(), rig.body_t_laser.matrix(), atol=1e-12)
 
     def test_load_orders_files_past_four_digits_by_number(self, tmp_path):
-        """Frame and scan files 9999 and 10000 load in numeric order, not by name."""
+        """Frame and scan files 9999 and 10000 load at their numbers, not by name."""
         session = sim.generate_session(
             sim.default_world(), sim.default_trajectory_spec(), sim.default_rig(),
             session_id=0, seed=1, duration=1.0,
@@ -553,12 +554,50 @@ class TestGenerateSession:
                 os.rename(tmp_path / "s" / sub / (old + ext), tmp_path / "s" / sub / (new + ext))
         back = load_session(tmp_path / "s")
         assert not np.array_equal(two.frames[0].landmark_ids, two.frames[1].landmark_ids)
-        for a, b in zip(two.frames, back.frames, strict=True):
+        assert len(back.frames) == len(back.scans) == 10001
+        for a, b in zip(two.frames, back.frames[9999:], strict=True):
             assert np.array_equal(a.landmark_ids, b.landmark_ids)
             assert np.array_equal(a.pixels, b.pixels)
-        for (pa, la), (pb, lb) in zip(two.scans, back.scans, strict=True):
+        for (pa, la), (pb, lb) in zip(two.scans, back.scans[9999:], strict=True):
             assert np.array_equal(pa, pb)
             assert np.array_equal(la, lb)
+
+    def test_missing_files_keep_every_other_at_its_index(self, tmp_path):
+        """A deleted scan or frame file loads empty; the later ones keep
+        their ground-truth rows instead of shifting up by one."""
+        session = sim.generate_session(
+            sim.default_world(), sim.default_trajectory_spec(), sim.default_rig(),
+            session_id=0, seed=1, duration=1.0,
+        )
+        save_session(tmp_path / "s", session)
+        os.remove(tmp_path / "s" / "scans" / "0003.txt")
+        os.remove(tmp_path / "s" / "frames" / "0005.obs")
+        back = load_session(tmp_path / "s")
+        for k, ((pa, la), (pb, lb)) in enumerate(zip(session.scans, back.scans)):
+            if k == 3:
+                assert pb.shape == (0, 3) and lb.shape == (0,)
+            else:
+                assert len(pa) > 0
+                assert np.array_equal(pa, pb) and np.array_equal(la, lb)
+        for k, (a, b) in enumerate(zip(session.frames, back.frames)):
+            if k == 5:
+                assert b.landmark_ids.shape == (0,) and b.pixels.shape == (0, 4)
+            else:
+                assert len(a.landmark_ids) > 0
+                assert np.array_equal(a.landmark_ids, b.landmark_ids)
+                assert np.array_equal(a.pixels, b.pixels)
+        assert len(back.scans) == len(session.scans)
+        assert len(back.frames) == len(session.frames)
+
+    def test_two_files_of_one_number_raise(self, tmp_path):
+        session = sim.generate_session(
+            sim.default_world(), sim.default_trajectory_spec(), sim.default_rig(),
+            session_id=0, seed=1, duration=0.5,
+        )
+        save_session(tmp_path / "s", session)
+        shutil.copy(tmp_path / "s" / "scans" / "0002.txt", tmp_path / "s" / "scans" / "2.txt")
+        with pytest.raises(ValueError, match="index 2"):
+            load_session(tmp_path / "s")
 
 
 class TestWorldMapSampling:
