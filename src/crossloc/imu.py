@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .liegroup import Pose, skew_batch, so3_exp, so3_exp_batch, so3_left_jacobian_batch
+from .liegroup import Pose, skew, so3_exp, so3_left_jacobian
 
 
 class EmptyStreamError(ValueError):
@@ -122,14 +122,14 @@ def integrate(
     mid = 0.5 * (samples[:-1, 1:] + samples[1:, 1:])
     a_mids = mid[:, 3:] - b_a
     dthetas = (mid[:, :3] - b_g) * dts[:, None]
-    incrs = so3_exp_batch(dthetas)
-    j_rs = so3_left_jacobian_batch(-dthetas)  # J_r(phi) = J_l(-phi)
+    incrs = so3_exp(dthetas)
+    j_rs = so3_left_jacobian(-dthetas)  # J_r(phi) = J_l(-phi)
     # specific force is rotated with the mid-interval attitude, which
     # keeps the global scheme second order on curved trajectories
-    halves = so3_exp_batch(0.5 * dthetas)
-    skew_a_halves = skew_batch(np.einsum("nij,nj->ni", halves, a_mids))
+    halves = so3_exp(0.5 * dthetas)
+    skew_a_halves = skew(np.einsum("nij,nj->ni", halves, a_mids))
     # dt / 2 * half @ dacc_half is d(half a_mid)/d(gyro bias)
-    dacc_halves = skew_batch(a_mids) @ so3_left_jacobian_batch(-0.5 * dthetas)
+    dacc_halves = skew(a_mids) @ so3_left_jacobian(-0.5 * dthetas)
     variances = np.repeat([noise.gyro_noise_density**2, noise.accel_noise_density**2], 3)
     q_diags = variances / dts[:, None]
     dt3 = dts[:, None, None]

@@ -9,11 +9,14 @@ Conventions used throughout the package:
 - ``Pose`` maps points from its "source" frame into its "target" frame:
   ``p_target = R @ p_source + t``.
 
-Small angles (below ``SMALL_ANGLE``) switch the trigonometric coefficients
-to 4th-order Taylor series to avoid catastrophic cancellation. The SO(3)
-exponential, logarithm, left Jacobian and its inverse also come batched
-(``*_batch``, over the first axis), each row taking its own branch; the
-scalar ones serve single rotations and poses.
+Each SO(3) map (``skew``, ``so3_exp``, ``so3_log``, the left and right
+Jacobians and their inverses, ``so3_exp_and_left_jacobian``) is one
+function over one element, a (3,) vector or (3, 3) matrix, or a stack of
+them, (n, 3) or (n, 3, 3). Small angles (below ``SMALL_ANGLE``) switch the
+trigonometric coefficients to 4th-order Taylor series to avoid catastrophic
+cancellation; ``_by_angle`` is the one switch, and it picks the branch of
+each entry of a stack on its own. The SE(3) maps and ``Pose`` take one
+element.
 """
 
 from __future__ import annotations
@@ -24,44 +27,34 @@ import numpy as np
 
 SMALL_ANGLE = 1e-6
 
+# skew(v) flattened is v @ _SKEW_BASIS, and vee(m - m^T) is m flattened @
+# _SKEW_BASIS.T. Every product is by +-1 or 0, so each entry rounds as its
+# written-out copy or difference would.
+_SKEW_BASIS = np.array(
+    [[0, 0, 0, 0, 0, -1, 0, 1, 0], [0, 0, 1, 0, 0, 0, -1, 0, 0], [0, -1, 0, 1, 0, 0, 0, 0, 0]],
+    dtype=float,
+)
+
 
 class AngleNearPiError(ValueError):
     """Rotation angle too close to pi for a well-conditioned logarithm."""
 
 
 def skew(v: np.ndarray) -> np.ndarray:
-    """Skew-symmetric matrix such that skew(a) @ b = cross(a, b)."""
-    x, y, z = v
-    return np.array([[0.0, -z, y], [z, 0.0, -x], [-y, x, 0.0]])
-
-
-def unskew(m: np.ndarray) -> np.ndarray:
-    return np.array([m[2, 1], m[0, 2], m[1, 0]])
-
-
-def skew_batch(v: np.ndarray) -> np.ndarray:
-    """``skew`` of each row of v (..., 3): (..., 3, 3)."""
-    out = np.zeros(v.shape[:-1] + (3, 3))
-    out[..., 0, 1] = -v[..., 2]
-    out[..., 0, 2] = v[..., 1]
-    out[..., 1, 0] = v[..., 2]
-    out[..., 1, 2] = -v[..., 0]
-    out[..., 2, 0] = -v[..., 1]
-    out[..., 2, 1] = v[..., 0]
-    return out
+    """Skew-symmetric matrix with skew(a) @ b = cross(a, b): (3, 3) of one
+    (3,) vector, (n, 3, 3) of each row of (n, 3)."""
+    v = np.asarray(v, dtype=float)
+    return (v @ _SKEW_BASIS).reshape(v.shape[:-1] + (3, 3))
 
 
 def _by_angle(theta, series, closed):
-    """Coefficients of an angle: ``series(t2)`` below SMALL_ANGLE, else ``closed(theta, t2)``.
+    """Coefficients of the angles theta, each entry taking its own branch:
+    ``series(t2)`` below SMALL_ANGLE, else ``closed(theta, t2)``.
 
-    theta is a float, or an array whose entries each take their own branch.
-    Both return a tuple of coefficients.
+    Both return a tuple of coefficients; each comes out shaped like theta.
     """
-    if isinstance(theta, float):
-        t2 = theta * theta
-        return series(t2) if theta < SMALL_ANGLE else closed(theta, t2)
     small = theta < SMALL_ANGLE
-    safe = np.where(small, 1.0, theta)  # keeps the closed form finite at 0
+    safe = np.maximum(theta, SMALL_ANGLE)  # keeps the closed form finite at 0
     return tuple(
         np.where(small, s, c) for s, c in zip(series(theta * theta), closed(safe, safe * safe))
     )
@@ -86,34 +79,60 @@ def _exp_coeffs(theta):
     )
 
 
-def so3_exp(phi: np.ndarray) -> np.ndarray:
-    """Rodrigues formula: Exp(phi) for a rotation vector phi (radians)."""
+def _inv_jacobian_coeff(theta):
+    """Coefficient c, as a 1-tuple, with J_l^-1 = I - Phi / 2 + c*Phi^2."""
+    return _by_angle(
+        theta,
+        lambda t2: (1.0 / 12.0 + t2 / 720.0 + t2 * t2 / 30240.0,),
+        lambda t, t2: (1.0 / t2 - (1.0 + np.cos(t)) / (2.0 * t * np.sin(t)),),
+    )
+
+
+def _skew_terms(phi, coeffs):
+    """Phi = skew(phi), Phi^2, and ``coeffs`` of phi's angle, each shaped
+    (..., 1, 1) to scale them."""
     phi = np.asarray(phi, dtype=float)
-    a, b, _ = _exp_coeffs(float(np.linalg.norm(phi)))
     p = skew(phi)
-    return np.eye(3) + a * p + b * (p @ p)
+    return p, p @ p, [c[..., None, None] for c in coeffs(np.linalg.norm(phi, axis=-1))]
+
+
+def so3_exp(phi: np.ndarray) -> np.ndarray:
+    """Rodrigues formula: Exp(phi) of a rotation vector phi (radians)."""
+    p, p2, (a, b, _) = _skew_terms(phi, _exp_coeffs)
+    return np.eye(3) + a * p + b * p2
 
 
 def so3_log(rot: np.ndarray) -> np.ndarray:
     """Rotation vector of rot. Raises AngleNearPiError within 1e-6 of pi."""
-    w = unskew(rot - rot.T)  # = 2 sin(theta) * axis
-    s = 0.5 * np.linalg.norm(w)
-    c = 0.5 * (np.trace(rot) - 1.0)
+    rot = np.asarray(rot, dtype=float)
+    # vee(rot - rot^T) = 2 sin(theta) * axis
+    w = rot.reshape(rot.shape[:-2] + (9,)) @ _SKEW_BASIS.T
+    s = 0.5 * np.linalg.norm(w, axis=-1)
+    c = 0.5 * (np.trace(rot, axis1=-2, axis2=-1) - 1.0)
     theta = np.arctan2(s, c)
-    if theta > np.pi - 1e-6:
-        raise AngleNearPiError(f"rotation angle {theta:.9f} too close to pi")
-    if theta < SMALL_ANGLE:
-        # w = 2 sin(theta) n; theta/(2 sin(theta)) ~ 0.5 + theta^2/12
-        return (0.5 + theta * theta / 12.0) * w
-    return (theta / (2.0 * s)) * w
+    if (theta > np.pi - 1e-6).any():
+        raise AngleNearPiError(f"rotation angle {np.max(theta):.9f} too close to pi")
+    # theta / (2 sin(theta)) ~ 0.5 + theta^2 / 12. Closed-form angles have
+    # s >= sin(SMALL_ANGLE): the floor only keeps a series entry's s = 0 finite.
+    (scale,) = _by_angle(
+        theta,
+        lambda t2: (0.5 + t2 / 12.0,),
+        lambda t, t2: (t / (2.0 * np.maximum(s, SMALL_ANGLE * SMALL_ANGLE)),),
+    )
+    return scale[..., None] * w
 
 
 def so3_left_jacobian(phi: np.ndarray) -> np.ndarray:
     """J_l with Exp(phi + d) ~ Exp(J_l d) Exp(phi) to first order."""
-    phi = np.asarray(phi, dtype=float)
-    _, b, c = _exp_coeffs(float(np.linalg.norm(phi)))
-    p = skew(phi)
-    return np.eye(3) + b * p + c * (p @ p)
+    p, p2, (_, b, c) = _skew_terms(phi, _exp_coeffs)
+    return np.eye(3) + b * p + c * p2
+
+
+def so3_exp_and_left_jacobian(phi: np.ndarray):
+    """``so3_exp`` and ``so3_left_jacobian`` of phi from one angle and one
+    Phi^2: Exp's second coefficient is J_l's first."""
+    p, p2, (a, b, c) = _skew_terms(phi, _exp_coeffs)
+    return np.eye(3) + a * p + b * p2, np.eye(3) + b * p + c * p2
 
 
 def so3_right_jacobian(phi: np.ndarray) -> np.ndarray:
@@ -121,76 +140,13 @@ def so3_right_jacobian(phi: np.ndarray) -> np.ndarray:
     return so3_left_jacobian(-np.asarray(phi, dtype=float))
 
 
-def _inv_jacobian_coeff(theta):
-    """Coefficient c with J_l^-1 = I - Phi / 2 + c*Phi^2."""
-    return _by_angle(
-        theta,
-        lambda t2: (1.0 / 12.0 + t2 / 720.0 + t2 * t2 / 30240.0,),
-        lambda t, t2: (1.0 / t2 - (1.0 + np.cos(t)) / (2.0 * t * np.sin(t)),),
-    )[0]
-
-
 def so3_left_jacobian_inv(phi: np.ndarray) -> np.ndarray:
-    phi = np.asarray(phi, dtype=float)
-    theta = float(np.linalg.norm(phi))
-    p = skew(phi)
-    return np.eye(3) - 0.5 * p + _inv_jacobian_coeff(theta) * (p @ p)
+    p, p2, (c,) = _skew_terms(phi, _inv_jacobian_coeff)
+    return np.eye(3) - 0.5 * p + c * p2
 
 
 def so3_right_jacobian_inv(phi: np.ndarray) -> np.ndarray:
     return so3_left_jacobian_inv(-np.asarray(phi, dtype=float))
-
-
-def so3_exp_batch(phi: np.ndarray) -> np.ndarray:
-    """``so3_exp`` of each row of phi (n, 3): (n, 3, 3)."""
-    phi = np.asarray(phi, dtype=float)
-    a, b, _ = _exp_coeffs(np.linalg.norm(phi, axis=-1))
-    p = skew_batch(phi)
-    return np.eye(3) + a[:, None, None] * p + b[:, None, None] * (p @ p)
-
-
-def so3_log_batch(rot: np.ndarray) -> np.ndarray:
-    """``so3_log`` of each of rot (n, 3, 3): (n, 3); raises as so3_log does."""
-    rot = np.asarray(rot, dtype=float)
-    w = np.stack(
-        [rot[:, 2, 1] - rot[:, 1, 2], rot[:, 0, 2] - rot[:, 2, 0], rot[:, 1, 0] - rot[:, 0, 1]],
-        axis=1,
-    )
-    s = 0.5 * np.linalg.norm(w, axis=1)
-    c = 0.5 * (np.trace(rot, axis1=1, axis2=2) - 1.0)
-    theta = np.arctan2(s, c)
-    if np.any(theta > np.pi - 1e-6):
-        raise AngleNearPiError(f"rotation angle {theta.max():.9f} too close to pi")
-    small = theta < SMALL_ANGLE
-    scale = np.where(small, 0.5 + theta * theta / 12.0, theta / (2.0 * np.where(small, 1.0, s)))
-    return scale[:, None] * w
-
-
-def so3_left_jacobian_batch(phi: np.ndarray) -> np.ndarray:
-    """``so3_left_jacobian`` of each row of phi (n, 3): (n, 3, 3)."""
-    phi = np.asarray(phi, dtype=float)
-    _, b, c = _exp_coeffs(np.linalg.norm(phi, axis=-1))
-    p = skew_batch(phi)
-    return np.eye(3) + b[:, None, None] * p + c[:, None, None] * (p @ p)
-
-
-def so3_exp_and_left_jacobian_batch(phi: np.ndarray):
-    """``so3_exp_batch`` and ``so3_left_jacobian_batch`` of phi (n, 3) from one
-    angle and one Phi^2: Exp's second coefficient is J_l's first."""
-    phi = np.asarray(phi, dtype=float)
-    a, b, c = _exp_coeffs(np.linalg.norm(phi, axis=-1))
-    a, b, c = a[:, None, None], b[:, None, None], c[:, None, None]
-    p = skew_batch(phi)
-    p2 = p @ p
-    return np.eye(3) + a * p + b * p2, np.eye(3) + b * p + c * p2
-
-
-def so3_left_jacobian_inv_batch(phi: np.ndarray) -> np.ndarray:
-    """``so3_left_jacobian_inv`` of each row of phi (n, 3): (n, 3, 3)."""
-    phi = np.asarray(phi, dtype=float)
-    c = _inv_jacobian_coeff(np.linalg.norm(phi, axis=-1))
-    p = skew_batch(phi)
-    return np.eye(3) - 0.5 * p + c[:, None, None] * (p @ p)
 
 
 def orthonormalize(rot: np.ndarray) -> np.ndarray:
@@ -253,8 +209,8 @@ class Pose:
 def se3_exp(xi: np.ndarray) -> Pose:
     """SE(3) exponential of a twist (phi, rho)."""
     xi = np.asarray(xi, dtype=float)
-    phi, rho = xi[:3], xi[3:]
-    return Pose(so3_exp(phi), so3_left_jacobian(phi) @ rho)
+    rot, jac = so3_exp_and_left_jacobian(xi[:3])
+    return Pose(rot, jac @ xi[3:])
 
 
 def se3_log(pose: Pose) -> np.ndarray:

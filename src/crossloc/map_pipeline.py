@@ -396,28 +396,24 @@ def extract_ground(sessions: list[SessionData], params: MapFilterParams) -> Poin
     )
 
 
-def build_final_map(
-    static: PointCloudMap, ground: PointCloudMap, normals_k: int = 10
-) -> PointCloudMap:
+def build_final_map(static: PointCloudMap, ground: PointCloudMap) -> PointCloudMap:
     """Union of the static set (normals re-estimated) and the ground set.
 
     Ground normals stay forced to +z so ground association always takes the
     point-to-plane branch.
     """
-    static_n = estimate_normals(static, normals_k) if len(static) else static
+    static_n = estimate_normals(static) if len(static) else static
     if len(ground) == 0:
         return static_n
     return concat_clouds(static_n, ground)
 
 
-def build_full_map(
-    session: SessionData, voxel: float = 0.3, normals_k: int = 10
-) -> PointCloudMap:
+def build_full_map(session: SessionData, voxel: float = 0.3) -> PointCloudMap:
     """Unfiltered baseline: every laser return of one session, voxel-thinned."""
     pts, labels = _concatenated(_placed_scans([session]))
     centroids, first = voxel_centroids(pts, voxel)
     cloud = PointCloudMap(centroids, frame=FRAME_MAP, labels=labels[first])
-    return estimate_normals(cloud, normals_k)
+    return estimate_normals(cloud)
 
 
 # ---------------------------------------------------------------------------
@@ -523,9 +519,7 @@ def em_lower_bound(
 # pipeline driver
 
 
-def run_map_pipeline(
-    sessions: list[SessionData], params: MapFilterParams | None = None, normals_k: int = 10
-):
+def run_map_pipeline(sessions: list[SessionData], params: MapFilterParams | None = None):
     """All stages end to end; returns (final map, per-stage statistics).
 
     Statistics are (stage label, point count) rows, CSV-ready.
@@ -549,6 +543,6 @@ def run_map_pipeline(
     stats.append(("expanded_static", len(static)))
     ground = extract_ground(sessions, params)
     stats.append(("ground_voxels", len(ground)))
-    final = build_final_map(static, ground, normals_k)
+    final = build_final_map(static, ground)
     stats.append(("final", len(final)))
     return final, stats

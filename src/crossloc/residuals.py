@@ -42,13 +42,9 @@ from .liegroup import (
     se3_log,
     se3_right_jacobian_inv,
     skew,
-    skew_batch,
-    so3_exp_batch,
-    so3_left_jacobian_batch,
+    so3_exp,
     so3_left_jacobian_inv,
-    so3_left_jacobian_inv_batch,
     so3_log,
-    so3_log_batch,
     so3_right_jacobian,
     so3_right_jacobian_inv,
 )
@@ -343,7 +339,7 @@ class StereoReprojectionFactor:
         j_pose = np.zeros((n, 4, 6)) if jacobian else None
         j_lm = np.zeros((n, 4, 3)) if jacobian else None
         bad = np.zeros(n, dtype=bool)
-        sk_q = skew_batch(q_body) if jacobian else None
+        sk_q = skew(q_body) if jacobian else None
         for c, cam in enumerate(cams):
             ext = cam.body_t_cam
             p_cam = (q_body - ext.translation) @ ext.rotation
@@ -421,13 +417,13 @@ class PreintegrationFactor:
         db_g = bg_i - c["bias_g"]
         db_a = ba_i - c["bias_a"]
         phi_g = _matvec(c["J_g_dR"], db_g)
-        d_rot = c["delta_R"] @ so3_exp_batch(phi_g)
+        d_rot = c["delta_R"] @ so3_exp(phi_g)
         d_p = c["delta_p"] + _matvec(c["J_g_dp"], db_g) + _matvec(c["J_a_dp"], db_a)
         d_v = c["delta_v"] + _matvec(c["J_g_dv"], db_g) + _matvec(c["J_a_dv"], db_a)
 
         rot_i_t = rot_i.transpose(0, 2, 1)
         rel = rot_i_t @ rot_k
-        e_rot = so3_log_batch(d_rot.transpose(0, 2, 1) @ rel)
+        e_rot = so3_log(d_rot.transpose(0, 2, 1) @ rel)
         w_p = _matvec(rot_i_t, t_k - t_i - v_i * dt - 0.5 * gravity * dt * dt)
         w_v = _matvec(rot_i_t, v_k - v_i - gravity * dt)
         residual = np.concatenate([e_rot, w_p - d_p, w_v - d_v], axis=1)
@@ -436,19 +432,17 @@ class PreintegrationFactor:
 
         n = len(batch)
         eye = np.eye(3)
-        jr_inv = so3_left_jacobian_inv_batch(-e_rot)
+        jr_inv = so3_right_jacobian_inv(e_rot)
         j_pose_i = np.zeros((n, 9, 6))
         j_pose_i[:, 0:3, 0:3] = -jr_inv @ rel.transpose(0, 2, 1)
-        j_pose_i[:, 3:6, 0:3] = skew_batch(w_p)
+        j_pose_i[:, 3:6, 0:3] = skew(w_p)
         j_pose_i[:, 3:6, 3:6] = -eye
-        j_pose_i[:, 6:9, 0:3] = skew_batch(w_v)
+        j_pose_i[:, 6:9, 0:3] = skew(w_v)
         j_vel_i = np.zeros((n, 9, 3))
         j_vel_i[:, 3:6] = -rot_i_t * dt[:, :, None]
         j_vel_i[:, 6:9] = -rot_i_t
         j_bg_i = np.zeros((n, 9, 3))
-        j_bg_i[:, 0:3] = (
-            -so3_left_jacobian_inv_batch(e_rot) @ so3_left_jacobian_batch(-phi_g) @ c["J_g_dR"]
-        )
+        j_bg_i[:, 0:3] = -so3_left_jacobian_inv(e_rot) @ so3_right_jacobian(phi_g) @ c["J_g_dR"]
         j_bg_i[:, 3:6] = -c["J_g_dp"]
         j_bg_i[:, 6:9] = -c["J_g_dv"]
         j_ba_i = np.zeros((n, 9, 3))
@@ -541,7 +535,7 @@ class PointToPointFactor:
             return residual, None
         n = len(p_lm)
         j_anchor = np.concatenate(
-            [np.einsum("ij,njk->nik", anchor.rotation, skew_batch(p_lm)),
+            [np.einsum("ij,njk->nik", anchor.rotation, skew(p_lm)),
              np.broadcast_to(-anchor.rotation, (n, 3, 3)).copy()],
             axis=2,
         )

@@ -23,9 +23,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .imu import ImuNoiseModel, load_imu_stream, save_imu_stream
-from .liegroup import Pose, quat_from_rotation, rotation_from_quat
+from .liegroup import Pose
 from .residuals import CameraModel
-from .trajectory import load_trajectory, save_trajectory
+from .trajectory import load_trajectory, pose_from_row, pose_to_row, save_trajectory
 
 
 @dataclass(frozen=True)
@@ -93,17 +93,6 @@ class SessionData:
     element_kinds: dict | None = None  # id -> (kind, sessions tuple or None)
 
 
-def _pose_to_row(pose: Pose) -> str:
-    t = pose.translation
-    q = quat_from_rotation(pose.rotation)
-    return " ".join(f"{v:.17g}" for v in (*t, *q))
-
-
-def _pose_from_row(vals) -> Pose:
-    vals = [float(v) for v in vals]
-    return Pose(rotation_from_quat(np.array(vals[3:7])), np.array(vals[0:3]))
-
-
 def save_rig(path, rig: SensorRig) -> None:
     cam = rig.camera
     lines = {
@@ -114,8 +103,8 @@ def save_rig(path, rig: SensorRig) -> None:
         "cam_width": cam.width,
         "cam_height": cam.height,
         "stereo_baseline": rig.stereo_baseline,
-        "body_t_cam": _pose_to_row(cam.body_t_cam),
-        "cam_t_laser": _pose_to_row(rig.cam_t_laser),
+        "body_t_cam": pose_to_row(cam.body_t_cam),
+        "cam_t_laser": pose_to_row(rig.cam_t_laser),
         "laser_channels": rig.laser.channels,
         "laser_elevation_min_deg": rig.laser.elevation_min_deg,
         "laser_elevation_max_deg": rig.laser.elevation_max_deg,
@@ -152,7 +141,7 @@ def load_rig(path) -> SensorRig:
         cy=float(raw["cam_cy"]),
         width=int(raw["cam_width"]),
         height=int(raw["cam_height"]),
-        body_t_cam=_pose_from_row(raw["body_t_cam"].split()),
+        body_t_cam=pose_from_row(raw["body_t_cam"].split()),
     )
     return SensorRig(
         camera=cam,
@@ -171,7 +160,7 @@ def load_rig(path) -> SensorRig:
             max_range=float(raw["laser_max_range"]),
             range_noise=float(raw["laser_range_noise"]),
         ),
-        cam_t_laser=_pose_from_row(raw["cam_t_laser"].split()),
+        cam_t_laser=pose_from_row(raw["cam_t_laser"].split()),
         laser_height=float(raw["laser_height"]),
         imu_rate=float(raw["imu_rate"]),
         frame_rate=float(raw["frame_rate"]),

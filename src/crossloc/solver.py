@@ -71,7 +71,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .liegroup import orthonormalize, so3_exp_and_left_jacobian_batch
+from .liegroup import orthonormalize, so3_exp_and_left_jacobian
 
 
 # LM convergence tolerances, then the damping schedule
@@ -319,7 +319,7 @@ class _System:
 
 def _retract_poses(rot, trans, delta):
     """``Pose.retract`` of each row: rot (n, 3, 3) and trans (n, 3) by delta (n, 6)."""
-    exp, jac = so3_exp_and_left_jacobian_batch(delta[:, :3])
+    exp, jac = so3_exp_and_left_jacobian(delta[:, :3])
     t_step = (jac @ delta[:, 3:, None])[:, :, 0]
     return orthonormalize(rot @ exp), (rot @ t_step[:, :, None])[:, :, 0] + trans
 

@@ -1,7 +1,8 @@
-"""Timestamped pose sequences and their `t tx ty tz qx qy qz qw` file form.
+"""Pose rows `tx ty tz qx qy qz qw`, and timestamped pose sequences as
+`t tx ty tz qx qy qz qw` files.
 
-Quaternions appear only here; everything else in the package works with
-rotation matrices.
+Quaternions appear only in these rows; everything else in the package works
+with rotation matrices.
 """
 
 from __future__ import annotations
@@ -11,16 +12,23 @@ import numpy as np
 from .liegroup import Pose, quat_from_rotation, rotation_from_quat
 
 
+def pose_to_row(pose: Pose) -> str:
+    """The pose as `tx ty tz qx qy qz qw`, each to 17 significant digits."""
+    q = quat_from_rotation(pose.rotation)
+    return " ".join(f"{v:.17g}" for v in (*pose.translation, *q))
+
+
+def pose_from_row(fields) -> Pose:
+    """The pose of seven fields `tx ty tz qx qy qz qw` (strings or numbers)."""
+    vals = [float(v) for v in fields]
+    return Pose(rotation_from_quat(np.array(vals[3:7])), np.array(vals[0:3]))
+
+
 def save_trajectory(path, times, poses) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("# t tx ty tz qx qy qz qw\n")
         for t, pose in zip(times, poses):
-            tr = pose.translation
-            q = quat_from_rotation(pose.rotation)
-            fh.write(
-                f"{t:.9f} {tr[0]:.17g} {tr[1]:.17g} {tr[2]:.17g} "
-                f"{q[0]:.17g} {q[1]:.17g} {q[2]:.17g} {q[3]:.17g}\n"
-            )
+            fh.write(f"{t:.9f} {pose_to_row(pose)}\n")
 
 
 def load_trajectory(path):
@@ -34,8 +42,7 @@ def load_trajectory(path):
             tok = line.split()
             if len(tok) != 8:
                 raise ValueError(f"{path}:{lineno}: expected 8 fields, got {len(tok)}")
-            vals = [float(x) for x in tok]
-            times.append(vals[0])
-            poses.append(Pose(rotation_from_quat(np.array(vals[4:8])), np.array(vals[1:4])))
+            times.append(float(tok[0]))
+            poses.append(pose_from_row(tok[1:]))
     return np.asarray(times), poses
 

@@ -76,7 +76,7 @@ def relative_error(a, b, floor=1e-6):
 
 
 def integrate_per_sample(samples, bias, noise):
-    """``imu.integrate`` as a loop over intervals with the scalar SO(3) helpers.
+    """``imu.integrate`` as a loop over intervals, on single-element SO(3) calls.
 
     Returns the fields of a PreintegratedImu as a dict, ``dt_total`` summed
     interval by interval.
@@ -134,7 +134,7 @@ def integrate_loop(samples, bias, noise):
     result must match bitwise. Returns the fields of a PreintegratedImu as a
     dict.
     """
-    from crossloc.liegroup import skew_batch, so3_exp_batch, so3_left_jacobian_batch
+    from crossloc.liegroup import skew, so3_exp, so3_left_jacobian
 
     samples = np.asarray(samples, dtype=float)
     b_g, b_a = (np.asarray(b, dtype=float) for b in bias)
@@ -143,11 +143,11 @@ def integrate_loop(samples, bias, noise):
     mid = 0.5 * (samples[:-1, 1:] + samples[1:, 1:])
     a_mids = mid[:, 3:] - b_a
     dthetas = (mid[:, :3] - b_g) * dts[:, None]
-    incrs = so3_exp_batch(dthetas)
-    j_rs = so3_left_jacobian_batch(-dthetas)
-    halves = so3_exp_batch(0.5 * dthetas)
-    skew_a_halves = skew_batch(np.einsum("nij,nj->ni", halves, a_mids))
-    dacc_halves = skew_batch(a_mids) @ so3_left_jacobian_batch(-0.5 * dthetas)
+    incrs = so3_exp(dthetas)
+    j_rs = so3_left_jacobian(-dthetas)
+    halves = so3_exp(0.5 * dthetas)
+    skew_a_halves = skew(np.einsum("nij,nj->ni", halves, a_mids))
+    dacc_halves = skew(a_mids) @ so3_left_jacobian(-0.5 * dthetas)
     variances = np.repeat([noise.gyro_noise_density**2, noise.accel_noise_density**2], 3)
     q_diags = variances / dts[:, None]
 

@@ -184,7 +184,11 @@ class TestQuaternion:
 
 
 class TestBatchedSo3:
-    """The ``*_batch`` helpers row by row against the scalar ones, on both branches."""
+    """Each SO(3) map on one element and on a stack, against independent
+    references, with entries on both branches."""
+
+    MAPS = ["skew", "so3_exp", "so3_log", "so3_left_jacobian", "so3_left_jacobian_inv",
+            "so3_exp_and_left_jacobian"]
 
     @staticmethod
     def rotation_vectors():
@@ -197,43 +201,75 @@ class TestBatchedSo3:
         assert (norms < lg.SMALL_ANGLE).sum() == 4 and (norms > lg.SMALL_ANGLE).sum() == 8
         return phi
 
-    @pytest.mark.parametrize(
-        "batched, scalar",
-        [
-            (lg.so3_exp_batch, lg.so3_exp),
-            (lg.so3_left_jacobian_batch, lg.so3_left_jacobian),
-            (lg.so3_left_jacobian_inv_batch, lg.so3_left_jacobian_inv),
-        ],
-    )
-    def test_matches_scalar(self, batched, scalar):
+    @pytest.mark.parametrize("name", MAPS)
+    def test_stack_matches_single_calls(self, name):
+        """A stack's rows equal the single-element calls bit for bit, and each
+        call has the element's shape, with the stack's length in front."""
+        fn = getattr(lg, name)
         phi = self.rotation_vectors()
-        got = batched(phi)
-        assert got.shape == (len(phi), 3, 3)
-        for row, v in zip(got, phi):
-            np.testing.assert_allclose(row, scalar(v), rtol=1e-14, atol=1e-15)
+        args = lg.so3_exp(phi) if name == "so3_log" else phi
+        shape = (3,) if name == "so3_log" else (3, 3)
 
-    def test_exp_and_left_jacobian_match_their_batches(self):
-        """The fused pair equals the two batches bitwise, on rows of both
-        branches and on rows that all take the closed form, and those rows
-        match the scalar functions."""
+        def outputs(result):
+            return result if isinstance(result, tuple) else (result,)
+
+        singles = [outputs(fn(arg)) for arg in args]
+        for k, stacked in enumerate(outputs(fn(args))):
+            assert stacked.shape == (len(args),) + shape
+            for row, single in zip(stacked, singles):
+                assert single[k].shape == shape
+                np.testing.assert_array_equal(row, single[k])
+
+    def test_exp_matches_the_series(self):
+        for phi in self.rotation_vectors():
+            want = matrix_exp_series(lg.skew(phi), terms=30)
+            # purely relative on the series branch, whose off-diagonal
+            # entries are of the size of the angle
+            atol = 1e-14 if np.linalg.norm(phi) > lg.SMALL_ANGLE else 0.0
+            np.testing.assert_allclose(lg.so3_exp(phi), want, rtol=1e-14, atol=atol)
+
+    def test_left_jacobian_is_the_derivative(self):
+        """Exp(phi + d) Exp(phi)^T = Exp(J_l d) to first order in d, with Exp
+        the power series and the rotation vector of a small rotation taken
+        from its antisymmetric part."""
+
+        def small_log(rot):
+            return 0.5 * np.array([rot[2, 1] - rot[1, 2], rot[0, 2] - rot[2, 0], rot[1, 0] - rot[0, 1]])
+
+        for phi in self.rotation_vectors():
+            back = matrix_exp_series(lg.skew(phi), terms=30).T
+            fd = numeric_jacobian(
+                lambda v: small_log(matrix_exp_series(lg.skew(v), terms=30) @ back), phi
+            )
+            np.testing.assert_allclose(lg.so3_left_jacobian(phi), fd, rtol=0.0, atol=1e-8)
+
+    def test_left_jacobian_inv_inverts_it(self):
         phi = self.rotation_vectors()
-        for rows in (phi, phi[4:]):
-            exp, jac = lg.so3_exp_and_left_jacobian_batch(rows)
-            np.testing.assert_array_equal(exp, lg.so3_exp_batch(rows))
-            np.testing.assert_array_equal(jac, lg.so3_left_jacobian_batch(rows))
-        for e, j, v in zip(exp, jac, phi[4:]):
-            np.testing.assert_allclose(e, lg.so3_exp(v), rtol=1e-14, atol=1e-15)
-            np.testing.assert_allclose(j, lg.so3_left_jacobian(v), rtol=1e-14, atol=1e-15)
+        prod = lg.so3_left_jacobian_inv(phi) @ lg.so3_left_jacobian(phi)
+        # 1e-10, not 1e-15: just above SMALL_ANGLE, J_l's closed-form
+        # (1 - cos t) / t^2 has lost about four digits to cancellation
+        # (2.6e-11 off the identity at 1.1e-6 rad)
+        np.testing.assert_allclose(prod, np.broadcast_to(np.eye(3), prod.shape), rtol=0.0, atol=1e-10)
 
-    def test_log_matches_scalar(self):
-        rots = np.stack([lg.so3_exp(v) for v in self.rotation_vectors()])
-        got = lg.so3_log_batch(rots)
-        assert got.shape == (len(rots), 3)
-        for row, rot in zip(got, rots):
-            # relative only: the series branch's angles are down to 1e-9
-            np.testing.assert_allclose(row, lg.so3_log(rot), rtol=1e-14, atol=0.0)
+    def test_log_inverts_exp(self):
+        phi = self.rotation_vectors()
+        got = lg.so3_log(lg.so3_exp(phi))
+        # relative only: the series branch's angles are down to 1e-9
+        assert np.all(np.linalg.norm(got - phi, axis=1) <= 1e-12 * np.linalg.norm(phi, axis=1))
 
     def test_log_near_pi_raises(self):
-        rots = np.stack([np.eye(3), lg.so3_exp(np.array([0.0, 0.0, np.pi - 1e-8]))])
+        near_pi = lg.so3_exp(np.array([0.0, 0.0, np.pi - 1e-8]))
         with pytest.raises(lg.AngleNearPiError):
-            lg.so3_log_batch(rots)
+            lg.so3_log(near_pi)
+        with pytest.raises(lg.AngleNearPiError):
+            lg.so3_log(np.stack([np.eye(3), near_pi]))
+
+    def test_exp_and_left_jacobian_match_the_separate_maps(self):
+        """The fused pair equals the two maps bit for bit: on a stack of both
+        branches, on one that takes the closed form only, and on one element
+        of each branch."""
+        phi = self.rotation_vectors()
+        for args in (phi, phi[4:], phi[1], phi[-1]):
+            exp, jac = lg.so3_exp_and_left_jacobian(args)
+            np.testing.assert_array_equal(exp, lg.so3_exp(args))
+            np.testing.assert_array_equal(jac, lg.so3_left_jacobian(args))

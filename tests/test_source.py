@@ -49,3 +49,32 @@ def test_unused_imports_are_found():
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda path: path.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def batch_twins(source: str) -> list[str]:
+    """Module-level functions ``f_batch`` defined next to a module-level ``f``.
+
+    Such a pair is one map implemented twice; one function should take one
+    element or a stack. Methods, such as a factor kind's ``evaluate`` and
+    ``evaluate_batch``, are not looked at.
+    """
+    tree = ast.parse(source)
+    defined = {node.name for node in tree.body if isinstance(node, ast.FunctionDef)}
+    return sorted(name for name in defined if name.removesuffix("_batch") in defined - {name})
+
+
+def test_batch_twins_are_found():
+    source = (
+        "def so3_exp(phi): pass\n"
+        "def so3_exp_batch(phi): pass\n"
+        "def knn_batch(q): pass\n"
+        "class Factor:\n"
+        "    def evaluate(self): pass\n"
+        "    def evaluate_batch(self): pass\n"
+    )
+    assert batch_twins(source) == ["so3_exp_batch"]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda path: path.name)
+def test_no_batch_twins(path):
+    assert batch_twins(path.read_text()) == []
