@@ -2,12 +2,13 @@
 
 Five families: pixel reprojection, IMU preintegration, point-to-plane and
 point-to-point map alignment, and the anchor pose prior. Each comes as a
-bare function returning one term's residual and analytic Jacobians, and as
-a factor kind whose ``evaluate_batch`` evaluates a whole group of rows for
+factor kind whose ``evaluate_batch`` evaluates a whole group of rows for
 the solver (see ``solver`` for the group contract: each slot a block family
 and one row of it per factor); pixel reprojection as the stereo kind only,
 which stacks the left and right views. Each kind's docstring names its
-block slots and the ``data`` its group carries.
+block slots and the ``data`` its group carries. All but the prior also
+come as a bare function returning one term's residual and analytic
+Jacobians; the prior's one kernel is its kind's ``evaluate``.
 
 The tests compare every group evaluation with a one-row reference:
 
@@ -16,11 +17,13 @@ The tests compare every group evaluation with a one-row reference:
 - point-to-plane and point-to-point: ``point_to_plane_residual(anchor,
   landmark, constraint)`` and ``point_to_point_residual``, which take one
   ``MapConstraint``;
-- preintegration, bias random walk and anchor prior: the kind's one-row
+- preintegration and bias random walk: the kind's one-row
   ``evaluate(blocks, ...)``, where ``blocks`` holds one factor's block
-  values slot by slot (a ``Pose`` or a vector each), by
-  ``preintegration_residual`` and ``anchor_prior_residual``. A problem has
-  one anchor prior row, and its group is evaluated as its rows' ``evaluate``.
+  values slot by slot (a ``Pose`` or a vector each), the first by
+  ``preintegration_residual``;
+- anchor prior: its ``evaluate(blocks, prior_mean)``, the kind's one
+  kernel, over one row's ``Pose`` or a stack of them; ``evaluate_batch``
+  calls it once with the group's stacked rows and prior means.
 
 The caller gives each group its information: stereo rows share
 ``PIXEL_INFORMATION`` (1 px in each coordinate); the others take theirs
@@ -62,7 +65,6 @@ __all__ = [
     "preintegration_residual",
     "point_to_plane_residual",
     "point_to_point_residual",
-    "anchor_prior_residual",
     "stack_preintegrations",
     "StereoReprojectionFactor",
     "PreintegrationFactor",
@@ -304,13 +306,6 @@ def point_to_point_residual(anchor: Pose, lm: Landmark, c: MapConstraint):
     j_anchor = np.hstack([anchor.rotation @ skew(lm.position), -anchor.rotation])
     j_lm = -anchor.rotation
     return residual, j_anchor, j_lm
-
-
-def anchor_prior_residual(anchor: Pose, prior_mean: Pose, jacobian=True):
-    """Tangent-space deviation of the anchor from its prior mean, and its
-    Jacobian (None unless ``jacobian``)."""
-    residual = se3_log(prior_mean.inverse() @ anchor)
-    return residual, se3_right_jacobian_inv(residual) if jacobian else None
 
 
 # ---------------------------------------------------------------------------
@@ -558,17 +553,14 @@ class AnchorPriorFactor:
 
     @classmethod
     def evaluate(cls, blocks, prior_mean, jacobian=True):
-        """One row of block values: residual (6,), Jacobian [(6, 6)] (its entry
-        None unless ``jacobian``)."""
-        residual, jac = anchor_prior_residual(blocks[0], prior_mean, jacobian)
-        return residual, [jac]
+        """Tangent-space deviation of the anchor ``blocks[0]`` from its prior
+        mean, one ``Pose`` each or stacks of n: residual (6,) or (n, 6) and
+        Jacobians [(6, 6) or (n, 6, 6)] (None unless ``jacobian``)."""
+        residual = se3_log(prior_mean.inverse() @ blocks[0])
+        return residual, [se3_right_jacobian_inv(residual)] if jacobian else None
 
     @classmethod
     def evaluate_batch(cls, batch, values, jacobian=True):
-        """``evaluate`` row by row, stacked: a problem has one prior row."""
-        rot, trans = batch.poses(values, 0)
-        rows = [
-            cls.evaluate((Pose(r, t),), mean, jacobian) for r, t, mean in zip(rot, trans, batch.data)
-        ]
-        residual = np.stack([r for r, _ in rows])
-        return residual, [np.stack([j for _, (j,) in rows])] if jacobian else None
+        """``evaluate`` of the group's stacked rows and prior means."""
+        rot, trans = zip(*((m.rotation, m.translation) for m in batch.data))
+        return cls.evaluate((Pose(*batch.poses(values, 0)),), Pose(np.array(rot), np.array(trans)), jacobian)

@@ -59,8 +59,8 @@ eliminated, L is 0 and the landmark arrays are empty. Every LM iteration
 then adds each group in with one ``bincount`` per array, damps, checks the
 landmark blocks by one batched Cholesky and inverts them by one batched
 inverse (cheaper, for s x s blocks, than a solve with 1 + nc right-hand
-sides), and retracts the free rows of every pose family by one call (Exp
-and J_l from one angle) and of each vector family by one update.
+sides), and retracts the free rows of every pose family, stacked, by one
+``Pose.retract`` and those of each vector family by one update.
 
 The damping adds ``lam * max(|h|, 1e-12)`` to each diagonal entry h.
 """
@@ -71,7 +71,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .liegroup import orthonormalize, so3_exp_and_left_jacobian
+from .liegroup import Pose
 
 
 # LM convergence tolerances, then the damping schedule
@@ -299,14 +299,13 @@ class _System:
         delta_c, delta_l = delta
         new_values = dict(values)
         if self.poses:
-            stacked = [
-                np.concatenate([values[name][i][self.free[name][0]] for name in self.poses]) for i in (0, 1)
-            ]
-            rot_moved, trans_moved = _retract_poses(*stacked, delta_c[self.pose_index])
+            # (rotations, translations) of each family's free rows, stacked into one Pose
+            free_rows = [[part[self.free[name][0]] for part in values[name]] for name in self.poses]
+            moved = Pose(*map(np.concatenate, zip(*free_rows))).retract(delta_c[self.pose_index])
             for name, start, stop in zip(self.poses, self.pose_bounds, self.pose_bounds[1:]):
                 free = self.free[name][0]
                 rot, trans = (a.copy() for a in values[name])
-                rot[free], trans[free] = rot_moved[start:stop], trans_moved[start:stop]
+                rot[free], trans[free] = moved.rotation[start:stop], moved.translation[start:stop]
                 new_values[name] = (rot, trans)
         for name, (free, index) in self.free.items():
             if name not in self.poses:
@@ -315,13 +314,6 @@ class _System:
         if self.elim is not None:
             new_values[self.elim] = values[self.elim] + delta_l
         return new_values
-
-
-def _retract_poses(rot, trans, delta):
-    """``Pose.retract`` of each row: rot (n, 3, 3) and trans (n, 3) by delta (n, 6)."""
-    exp, jac = so3_exp_and_left_jacobian(delta[:, :3])
-    t_step = (jac @ delta[:, 3:, None])[:, :, 0]
-    return orthonormalize(rot @ exp), (rot @ t_step[:, :, None])[:, :, 0] + trans
 
 
 def _scatter_maps(cam, lm, sizes, nc, s):

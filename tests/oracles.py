@@ -47,6 +47,32 @@ def matrix_exp_series(mat, terms=20):
     return out
 
 
+def se3_q_matrix_series(phi, rho):
+    """Q block of the SE(3) left Jacobian of one twist (phi, rho), with its
+    coefficients summed from their Taylor series in t^2, 12 terms each,
+    smallest first: exact to double precision for angles t <= 0.3.
+
+    The coefficients (t - sin t) / t^3, (t^2 + 2 cos t - 2) / (2 t^4) and
+    (2 t - 3 sin t + t cos t) / (2 t^5) expand, by the series of sin and
+    cos, into the sums over j of (-1)^j t^2j times 1 / (2j + 3)!,
+    1 / (2j + 4)! and (j + 1) / (2j + 5)!.
+    """
+    t2 = float(np.dot(phi, phi))
+
+    def coeff(k, weight):
+        return sum((-t2) ** j * weight(j) / math.factorial(2 * j + k) for j in reversed(range(12)))
+
+    c1, c2, c3 = coeff(3, lambda j: 1), coeff(4, lambda j: 1), coeff(5, lambda j: j + 1)
+    f = se3_hat(np.concatenate([phi, np.zeros(3)]))[:3, :3]
+    r = se3_hat(np.concatenate([rho, np.zeros(3)]))[:3, :3]
+    return (
+        0.5 * r
+        + c1 * (f @ r + r @ f + f @ r @ f)
+        + c2 * (f @ f @ r + r @ f @ f - 3.0 * f @ r @ f)
+        + c3 * (f @ r @ f @ f + f @ f @ r @ f)
+    )
+
+
 def brute_force_knn(positions, query, k):
     """Indices and distances of the k nearest points, ties by index."""
     d = np.linalg.norm(positions - np.asarray(query, dtype=float), axis=1)
@@ -259,7 +285,7 @@ def anchor_alignment_gauss_newton(anchor, landmarks, constraints, prior, kernel,
                 r, j, _ = res.point_to_point_residual(pose, lm, c)
             s = np.linalg.cholesky(c.information).T
             yield s @ np.atleast_1d(r), s @ j, kernel
-        r, j = res.anchor_prior_residual(pose, prior[0])
+        r, (j,) = res.AnchorPriorFactor.evaluate((pose,), prior[0])
         s = np.linalg.cholesky(prior[1]).T
         yield s @ r, s @ j, res.RobustKernel()
 

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from crossloc import liegroup as lg
 
-from oracles import matrix_exp_series, numeric_jacobian, se3_hat
+from oracles import matrix_exp_series, numeric_jacobian, se3_hat, se3_q_matrix_series
 
 
 def random_twist(rng, rot_scale=1.0, trans_scale=1.0):
@@ -246,10 +246,9 @@ class TestBatchedSo3:
     def test_left_jacobian_inv_inverts_it(self):
         phi = self.rotation_vectors()
         prod = lg.so3_left_jacobian_inv(phi) @ lg.so3_left_jacobian(phi)
-        # 1e-10, not 1e-15: just above SMALL_ANGLE, J_l's closed-form
-        # (1 - cos t) / t^2 has lost about four digits to cancellation
-        # (2.6e-11 off the identity at 1.1e-6 rad)
-        np.testing.assert_allclose(prod, np.broadcast_to(np.eye(3), prod.shape), rtol=0.0, atol=1e-10)
+        # every row, either branch, to the rounding of entries of size 1
+        # (at most 4.6e-16, at 3.1 rad; 2.2e-16 at 1.1e-6 rad)
+        np.testing.assert_allclose(prod, np.broadcast_to(np.eye(3), prod.shape), rtol=0.0, atol=1e-15)
 
     def test_log_inverts_exp(self):
         phi = self.rotation_vectors()
@@ -273,3 +272,75 @@ class TestBatchedSo3:
             exp, jac = lg.so3_exp_and_left_jacobian(args)
             np.testing.assert_array_equal(exp, lg.so3_exp(args))
             np.testing.assert_array_equal(jac, lg.so3_left_jacobian(args))
+
+
+def pose_row(pose, i):
+    return lg.Pose(pose.rotation[i], pose.translation[i])
+
+
+class TestBatchedSe3:
+    """Each SE(3) map and ``Pose`` operation on one element and on a stack,
+    with angles on both sides of SMALL_ANGLE and of Q_SERIES_ANGLE."""
+
+    # each takes a twist xi and poses p, q: one of each, or stacks of one length
+    OPS = {
+        "se3_exp": lambda xi, p, q: lg.se3_exp(xi),
+        "se3_log": lambda xi, p, q: lg.se3_log(p),
+        "se3_left_jacobian": lambda xi, p, q: lg.se3_left_jacobian(xi),
+        "se3_right_jacobian": lambda xi, p, q: lg.se3_right_jacobian(xi),
+        "se3_right_jacobian_inv": lambda xi, p, q: lg.se3_right_jacobian_inv(xi),
+        "_se3_q_matrix": lambda xi, p, q: lg._se3_q_matrix(xi[..., :3], xi[..., 3:]),
+        "compose": lambda xi, p, q: p @ q,
+        "inverse": lambda xi, p, q: p.inverse(),
+        "retract": lambda xi, p, q: q.retract(xi),
+        "adjoint": lambda xi, p, q: p.adjoint(),
+        "matrix": lambda xi, p, q: p.matrix(),
+    }
+
+    @staticmethod
+    def twists():
+        rng = np.random.default_rng(29)
+        axes = rng.normal(size=(13, 3))
+        axes /= np.linalg.norm(axes, axis=1, keepdims=True)
+        angles = np.array([0.0, 1e-9, 5e-7, 9.9e-7, 1.1e-6, 1e-4, 1e-2, 0.19, 0.21, 0.7, 1.0, 2.0, 3.0])
+        assert (angles < lg.SMALL_ANGLE).sum() == 4 and (angles > lg.Q_SERIES_ANGLE).sum() == 5
+        return np.concatenate([axes * angles[:, None], rng.normal(size=(13, 3)) * 2.0], axis=1)
+
+    @pytest.mark.parametrize("name", OPS)
+    def test_stack_matches_single_calls(self, name):
+        """A stack's rows equal the single-element calls bit for bit, and each
+        call has the element's shape, with the stack's length in front."""
+        op = self.OPS[name]
+        xi = self.twists()
+        p, q = lg.se3_exp(xi), lg.se3_exp(0.5 * xi[::-1])
+
+        def arrays(result):
+            return (result.rotation, result.translation) if isinstance(result, lg.Pose) else (result,)
+
+        stacked = arrays(op(xi, p, q))
+        for i in range(len(xi)):
+            for s, one in zip(stacked, arrays(op(xi[i], pose_row(p, i), pose_row(q, i)))):
+                assert s.shape == (len(xi),) + one.shape
+                np.testing.assert_array_equal(s[i], one)
+
+    def test_q_matrix_matches_the_series(self):
+        """Q of unit-length rho against its coefficients' long Taylor series,
+        on angles either side of both switches."""
+        rng = np.random.default_rng(31)
+        angles = np.array([0.0, 1e-9, 9.9e-7, 1.1e-6, 2e-6, 1e-5, 1e-4, 1e-3, 1e-2, 0.1, 0.19, 0.21, 0.3])
+        assert (angles < lg.SMALL_ANGLE).any() and (angles > lg.Q_SERIES_ANGLE).any()
+        axes, rho = rng.normal(size=(2, len(angles), 3))
+        axes /= np.linalg.norm(axes, axis=1, keepdims=True)
+        rho /= np.linalg.norm(rho, axis=1, keepdims=True)
+        phi = axes * angles[:, None]
+        for got, f, r in zip(lg._se3_q_matrix(phi, rho), phi, rho):
+            np.testing.assert_allclose(got, se3_q_matrix_series(f, r), rtol=0.0, atol=1e-13)
+
+    def test_retract_orthonormalizes_and_compose_does_not(self):
+        """A rotation drifted off orthonormality is composed as it is and
+        pulled back by a retraction, even by a zero step."""
+        drifted = lg.Pose(lg.rot_z(0.3) * (1.0 + 1e-7), np.zeros(3))
+        composed = drifted @ lg.Pose.identity()
+        np.testing.assert_array_equal(composed.rotation, drifted.rotation)
+        rot = drifted.retract(np.zeros(6)).rotation
+        assert np.abs(rot.T @ rot - np.eye(3)).max() < 1e-13

@@ -280,14 +280,14 @@ class TestPointToPoint:
 class TestAnchorPrior:
     def test_at_mean_is_zero(self):
         prior = se3_exp(np.array([0.1, 0.2, 0.3, 1.0, 2.0, 3.0]))
-        r, _ = res.anchor_prior_residual(prior, prior)
+        r, _ = res.AnchorPriorFactor.evaluate((prior,), prior)
         assert np.allclose(r, 0.0, atol=1e-12)
 
     def test_local_coordinates(self):
         rng = np.random.default_rng(6)
         prior = random_pose(rng)
         delta = np.array([1e-4, -2e-4, 3e-4, 1e-3, 0.0, -1e-3])
-        r, _ = res.anchor_prior_residual(prior @ se3_exp(delta), prior)
+        r, _ = res.AnchorPriorFactor.evaluate((prior @ se3_exp(delta),), prior)
         assert np.allclose(r, delta, atol=1e-8)
 
     def test_jacobian_matches_finite_differences(self):
@@ -295,9 +295,9 @@ class TestAnchorPrior:
         for _ in range(50):
             prior = random_pose(rng)
             anchor = prior @ se3_exp(rng.normal(size=6) * 0.2)
-            _, jac = res.anchor_prior_residual(anchor, prior)
+            _, (jac,) = res.AnchorPriorFactor.evaluate((anchor,), prior)
             fd = pose_numeric_jacobian(
-                lambda p: res.anchor_prior_residual(p, prior)[0], anchor
+                lambda p: res.AnchorPriorFactor.evaluate((p,), prior)[0], anchor
             )
             assert relative_error(jac, fd, floor=1e-3) < 1e-5
 

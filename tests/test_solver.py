@@ -267,7 +267,7 @@ class TestEvaluateCost:
         r = r_n * n
         expected += kernel.loss(float(r @ c2.information @ r))[0]
         for mean, f_info, f_kernel in priors:
-            r, _ = res.anchor_prior_residual(anchor, mean)
+            r, _ = res.AnchorPriorFactor.evaluate((anchor,), mean)
             expected += f_kernel.loss(float(r @ f_info @ r))[0]
         assert total == pytest.approx(expected, rel=1e-12)
 
@@ -521,8 +521,8 @@ class TestRetraction:
 
 
     def test_pose_families_retract_in_one_call(self, monkeypatch):
-        """Every pose family's free rows go through one ``_retract_poses``
-        call, bitwise equal to a call per family."""
+        """Every pose family's free rows go through one ``Pose.retract`` call
+        on their stack, bitwise equal to a call per family."""
         rng = np.random.default_rng(19)
         problem = Problem()
         poses = [se3_exp(rng.normal(size=6)) for _ in range(4)]
@@ -534,16 +534,16 @@ class TestRetraction:
         before = problem.value
 
         calls = []
-        retract_poses = solver._retract_poses
-        monkeypatch.setattr(solver, "_retract_poses", lambda *a: calls.append(len(a[0])) or retract_poses(*a))
+        retract = Pose.retract
+        monkeypatch.setattr(Pose, "retract", lambda pose, d: calls.append(len(pose.rotation)) or retract(pose, d))
         after = system.retract(before, (delta_c, np.zeros((0, 0))))
         assert calls == [4]
 
         pose_step, anchor_step = delta_c[:18].reshape(3, 6), delta_c[24:].reshape(1, 6)
         for name, free, step in (("pose", slice(1, None), pose_step), ("anchor", slice(None), anchor_step)):
-            rot, trans = retract_poses(before[name][0][free], before[name][1][free], step)
-            np.testing.assert_array_equal(after[name][0][free], rot)
-            np.testing.assert_array_equal(after[name][1][free], trans)
+            want = retract(Pose(before[name][0][free], before[name][1][free]), step)
+            np.testing.assert_array_equal(after[name][0][free], want.rotation)
+            np.testing.assert_array_equal(after[name][1][free], want.translation)
         np.testing.assert_array_equal(after["pose"][0][0], before["pose"][0][0])
         np.testing.assert_array_equal(after["vel"], before["vel"] + delta_c[18:24].reshape(2, 3))
 

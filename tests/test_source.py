@@ -78,3 +78,80 @@ def test_batch_twins_are_found():
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda path: path.name)
 def test_no_batch_twins(path):
     assert batch_twins(path.read_text()) == []
+
+
+# liegroup's parts of a retraction: a module that takes them builds its own
+RETRACTION_PARTS = {"so3_exp_and_left_jacobian", "orthonormalize"}
+
+
+def retraction_parts(source: str) -> list[str]:
+    """Names in ``RETRACTION_PARTS`` that a module imports or reads as an
+    attribute (``lg.orthonormalize``), with their lines.
+
+    Outside ``liegroup`` the one retraction is ``Pose.retract``, over one
+    pose or a stack.
+    """
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            found += [(alias.name, node.lineno) for alias in node.names if alias.name in RETRACTION_PARTS]
+        elif isinstance(node, ast.Attribute) and node.attr in RETRACTION_PARTS:
+            found.append((node.attr, node.lineno))
+    return [f"{name} (line {line})" for name, line in sorted(found, key=lambda f: f[1])]
+
+
+def test_retraction_parts_are_found():
+    source = (
+        "from .liegroup import Pose, orthonormalize\n"
+        "from crossloc import liegroup as lg\n"
+        "def f(d): return lg.so3_exp_and_left_jacobian(d)\n"
+        "def g(p, d): return p.retract(d)\n"
+    )
+    assert retraction_parts(source) == ["orthonormalize (line 1)", "so3_exp_and_left_jacobian (line 3)"]
+
+
+@pytest.mark.parametrize(
+    "path", sorted(p for p in PACKAGE.glob("*.py") if p.name != "liegroup.py"), ids=lambda path: path.name
+)
+def test_no_private_retraction(path):
+    assert retraction_parts(path.read_text()) == []
+
+
+SWITCH_ANGLES = {"SMALL_ANGLE", "Q_SERIES_ANGLE"}
+
+
+def angle_switches(source: str) -> list[int]:
+    """Lines of comparisons with a switch angle (``SWITCH_ANGLES``, by name
+    or as an attribute) outside ``_by_angle``, the one small-angle switch."""
+    tree = ast.parse(source)
+    inside = {
+        id(node)
+        for fn in ast.walk(tree)
+        if isinstance(fn, ast.FunctionDef) and fn.name == "_by_angle"
+        for node in ast.walk(fn)
+    }
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Compare) and id(node) not in inside:
+            names = {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
+            names |= {n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)}
+            if names & SWITCH_ANGLES:
+                lines.append(node.lineno)
+    return sorted(lines)
+
+
+def test_angle_switches_are_found():
+    source = (
+        "def _by_angle(theta, series, closed, switch=SMALL_ANGLE):\n"
+        "    small = theta < SMALL_ANGLE\n"
+        "def q(theta):\n"
+        "    if theta < SMALL_ANGLE:\n"
+        "        return 0.0\n"
+        "    return np.where(lg.Q_SERIES_ANGLE > theta, 1.0, np.maximum(theta, SMALL_ANGLE))\n"
+    )
+    assert angle_switches(source) == [4, 6]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda path: path.name)
+def test_no_angle_switch_outside_by_angle(path):
+    assert angle_switches(path.read_text()) == []
