@@ -197,7 +197,11 @@ class Pose:
         points = np.asarray(points, dtype=float)
         if points.ndim == 1:
             return self.rotation @ points + self.translation
-        return points @ self.rotation.T + self.translation
+        # translated in place: a second (N, 3) array would cost a large
+        # batch one more allocation and its page faults
+        moved = points @ self.rotation.T
+        moved += self.translation
+        return moved
 
     def adjoint(self) -> np.ndarray:
         """6x6 Adj with Exp(Adj(P) xi) = P Exp(xi) P^-1, (phi, rho) order."""

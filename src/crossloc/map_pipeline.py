@@ -13,16 +13,19 @@ cloud is first thinned sequentially so no two kept points lie within the
 newness radius; each base point's count increases at most once per session;
 unmatched points join the base with count 1 after the session's pass.
 
-Memory: the ground stage places and files its height-band returns a chunk of
-scans at a time, so its working set is one chunk (``_CHUNK_POINTS``) plus
-the table of occupied cells, however many raw returns the sessions hold.
-The other stages hold only the points that vision transformation keeps.
+Memory: the vision transformation and the ground stage read the scans a
+chunk of consecutive scans at a time, so each holds one chunk of raw returns
+(``_CHUNK_POINTS``) at once, however many the sessions hold: the vision
+transformation with the chunk's feature pixels and the points it keeps, the
+ground stage with the table of occupied cells. The other stages hold only
+the points that vision transformation keeps.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -74,7 +77,84 @@ class MapFilterParams:
 
 
 # ---------------------------------------------------------------------------
+# scans in chunks
+
+
+# Raw returns per chunk of scans, for the vision transformation and the
+# ground stage alike. Chosen on the loop-reverse bench map (1.3 M returns in
+# 1,641 scans; 2-core VM): chunks of 10 k, 20 k, 40 k, 80 k and 160 k returns
+# built the map equally fast within the machine's swing, at peak RSS of 144,
+# 144, 146, 151 and 159 MB. Smaller chunks cost the localization that
+# follows in the same process: glibc sets its heap trim threshold to twice
+# the largest block it has unmapped, and a chunk's (n, 3) arrays are the map
+# build's largest, so below 80 k returns (1.9 MB) the threshold stays under
+# the 2 MB or so by which each LM iteration grows and frees the heap top.
+# Localization then took 33 k to 97 k minor page faults; from 80 k, a few
+# hundred.
+_CHUNK_POINTS = 80_000
+
+
+class _ScanChunk(NamedTuple):
+    """Consecutive scans of one session: scan numbers ``ks``, and their
+    laser-frame returns and labels concatenated; scan ``ks[i]``'s returns
+    are rows ``starts[i]:starts[i + 1]``."""
+
+    ks: list
+    starts: np.ndarray
+    points: np.ndarray
+    labels: np.ndarray
+
+
+def _scan_chunks(session: SessionData):
+    """The session's scans in chunks of consecutive scans, each of at least
+    ``_CHUNK_POINTS`` raw returns but the last. Empty scans and scans past
+    the last ground-truth row are left out."""
+
+    def chunk(ks):
+        scans = [session.scans[k] for k in ks]
+        starts = np.cumsum([0] + [len(points) for points, _ in scans])
+        return _ScanChunk(
+            ks,
+            starts,
+            np.concatenate([points for points, _ in scans]),
+            np.concatenate([labels for _, labels in scans]),
+        )
+
+    pending, size = [], 0
+    for k, (points, _) in enumerate(session.scans[: len(session.gt_poses)]):
+        if len(points) == 0:
+            continue
+        pending.append(k)
+        size += len(points)
+        if size >= _CHUNK_POINTS:
+            yield chunk(pending)
+            pending, size = [], 0
+    if pending:
+        yield chunk(pending)
+
+
+def _placed(session: SessionData, chunk: _ScanChunk, keep: np.ndarray | None = None):
+    """The chunk's returns, or those ``keep`` selects, in the map frame:
+    scan k's by ``gt_poses[k] @ body_t_laser``, one scan at a time."""
+    points, starts = chunk.points, chunk.starts
+    if keep is not None:
+        kept_before = np.concatenate([[0], np.cumsum(keep)])  # kept rows before each row
+        points, starts = points[keep], kept_before[starts]
+    body_t_laser = session.rig.body_t_laser
+    placed = [np.zeros((0, 3))]
+    for k, a, b in zip(chunk.ks, starts[:-1].tolist(), starts[1:].tolist()):
+        if b > a:
+            placed.append((session.gt_poses[k] @ body_t_laser).apply(points[a:b]))
+    return np.concatenate(placed)
+
+
+# ---------------------------------------------------------------------------
 # stage 1: vision transformation
+
+
+# Width of the vision gate's coarse cells, in gates: more than two, so that
+# one feature's gate box touches at most 2 x 2 cells.
+_CELL_GATES = 2.5
 
 
 def vision_transform_session(session: SessionData, params: MapFilterParams) -> PointCloudMap:
@@ -85,23 +165,74 @@ def vision_transform_session(session: SessionData, params: MapFilterParams) -> P
     pixel of the scan's frame are transformed into the map frame via the
     ground-truth pose and accumulated (counts 1, labels carried). Scan,
     frame and ground-truth row k share one timestamp, so scan k takes
-    ``gt_poses[k]``; scans beyond the last ground-truth row are skipped.
+    ``gt_poses[k]``; scans beyond the last ground-truth row are skipped, and
+    a scan beyond the last frame has no features, so it keeps nothing.
+    Scans are gated a chunk at a time (``_scan_chunks``).
     """
-    def near_feature(session, k, points_f):
-        cam = session.rig.camera
-        keep = np.zeros(len(points_f), dtype=bool)
-        p_cam = session.rig.cam_t_laser.apply(points_f)
-        front = np.flatnonzero(p_cam[:, 2] > 1e-6)
-        uv = cam.project(p_cam[front])
-        seen = cam.in_image(uv)
-        features = session.frames[k].pixels[:, :2]
-        if len(features) and seen.any():
-            dist, _ = cKDTree(features).query(uv[seen])
-            keep[front[seen]] = dist <= params.pixel_gate
-        return keep
+    pts, labels = [np.zeros((0, 3))], [np.zeros(0, int)]
+    for chunk in _scan_chunks(session):
+        keep = _near_features(session, chunk, params.pixel_gate)
+        pts.append(_placed(session, chunk, keep))
+        labels.append(chunk.labels[keep])
+    return PointCloudMap(np.concatenate(pts), frame=FRAME_MAP, labels=np.concatenate(labels))
 
-    pts, labels = _concatenated(_placed_scans([session], near_feature))
-    return PointCloudMap(pts, frame=FRAME_MAP, labels=labels)
+
+def _near_features(session: SessionData, chunk: _ScanChunk, gate: float) -> np.ndarray:
+    """Mask of the chunk's returns that project in front of the camera,
+    inside the image and within ``gate`` pixels of a feature of their own
+    scan's frame.
+
+    A coarse table of cells wider than ``2 * gate`` lists, frame by frame,
+    the cells that some feature's gate box touches; only returns in a listed
+    cell of their frame reach the exact test. That test is one k-d tree over
+    the chunk's feature pixels, with the frame as a third coordinate spaced
+    beyond the query bound, so returns pair only with their own frame's
+    features.
+    """
+    cam = session.rig.camera
+    keep = np.zeros(len(chunk.points), dtype=bool)
+    p_cam = session.rig.cam_t_laser.apply(chunk.points)
+    front = np.flatnonzero(p_cam[:, 2] > 1e-6)
+    uv = cam.project(p_cam[front])
+    seen = cam.in_image(uv)
+    rows, uv = front[seen], uv[seen]
+    scan = np.searchsorted(chunk.starts, rows, side="right") - 1
+    frames = [
+        session.frames[k].pixels[:, :2] if k < len(session.frames) else np.zeros((0, 2))
+        for k in chunk.ks
+    ]
+    feature_scan = np.repeat(np.arange(len(frames)), [len(f) for f in frames])
+    features = np.concatenate(frames)
+
+    # the gate box's half-width, widened past any rounding of a distance at
+    # the gate
+    reach = gate * (1.0 + 1e-6)
+    cell = _CELL_GATES * gate
+    n_cells = np.floor(np.array([cam.width - 1, cam.height - 1]) / cell) + 1
+
+    def cell_keys(scan, cx, cy):
+        # float keys: far-off features cannot overflow. A cell outside the
+        # image may share its key with one inside, which only sends that
+        # cell's returns on to the exact test
+        return (scan * n_cells[1] + cy) * n_cells[0] + cx
+
+    lo, hi = np.floor((features - reach) / cell), np.floor((features + reach) / cell)
+    corners = [cell_keys(feature_scan, x[:, 0], y[:, 1]) for x in (lo, hi) for y in (lo, hi)]
+    # sorted, with a last key above every return's
+    table = np.sort(np.concatenate(corners + [[np.inf]]))
+    keys = cell_keys(scan, *np.floor(uv / cell).T)
+    near = np.flatnonzero(table[np.searchsorted(table, keys)] == keys)
+
+    bound = 2.0 * gate
+    spacing = 2.0 * bound
+    tree = cKDTree(
+        np.column_stack([features, spacing * feature_scan]),
+        balanced_tree=False,
+        compact_nodes=False,
+    )
+    dist, _ = tree.query(np.column_stack([uv[near], spacing * scan[near]]), distance_upper_bound=bound)
+    keep[rows[near[dist <= gate]]] = True
+    return keep
 
 
 # ---------------------------------------------------------------------------
@@ -109,32 +240,20 @@ def vision_transform_session(session: SessionData, params: MapFilterParams) -> P
 
 
 def sequential_thin(points: np.ndarray, radius: float) -> np.ndarray:
-    """Indices of a first-come thinning: drop points within radius of a keep."""
-    kept: list[int] = []
-    cells: dict[tuple, list[int]] = {}
-    inv = 1.0 / radius
-    r2 = radius * radius
-    for i, p in enumerate(points):
-        key = (int(math.floor(p[0] * inv)), int(math.floor(p[1] * inv)), int(math.floor(p[2] * inv)))
-        ok = True
-        for dx in (-1, 0, 1):
-            for dy in (-1, 0, 1):
-                for dz in (-1, 0, 1):
-                    for j in cells.get((key[0] + dx, key[1] + dy, key[2] + dz), ()):
-                        d = points[j] - p
-                        if d @ d <= r2:
-                            ok = False
-                            break
-                    if not ok:
-                        break
-                if not ok:
-                    break
-            if not ok:
-                break
-        if ok:
-            kept.append(i)
-            cells.setdefault(key, []).append(i)
-    return np.asarray(kept, dtype=int)
+    """Indices of a first-come thinning, in input order.
+
+    Point i is kept unless an earlier kept point lies at a distance of at
+    most ``radius`` (``<=``) from it; so the result depends on the order.
+    """
+    pairs = cKDTree(points).query_pairs(radius, output_type="ndarray")  # i < j
+    pairs = pairs[np.argsort(pairs[:, 0], kind="stable")]
+    # a point's fate is settled before its own pairs come: its earlier
+    # partners all have lower first indices
+    kept = [True] * len(points)
+    for i, j in pairs.tolist():
+        if kept[i]:
+            kept[j] = False
+    return np.flatnonzero(kept)
 
 
 def merge_sessions(transformed: list[PointCloudMap], params: MapFilterParams) -> PointCloudMap:
@@ -219,19 +338,6 @@ def expand_static(static: PointCloudMap, dynamic: PointCloudMap, params: MapFilt
 
 # ---------------------------------------------------------------------------
 # stage 4: ground modification
-
-
-# Ground returns filed per chunk, chosen from measurements on the
-# loop-reverse bench map (0.9 M in-band returns, 14.6 k cells; 2-core VM).
-# Chunks of 10 k, 20 k, 40 k, 80 k and 160 k points built its ground in 0.27,
-# 0.24, 0.23, 0.21 and 0.23 s, with tracemalloc peaks of 2.5, 3.8, 6.6, 12.2
-# and 23.2 MB. Smaller chunks also cost the localization that follows in the
-# same process: glibc sets its heap trim threshold to twice the largest block
-# it has unmapped, and a chunk's (n, 3) array is the map build's largest, so
-# below about 50 k points the threshold stays under the 2 MB or so by which
-# each LM iteration grows and frees the heap top, and every bench
-# localization takes 57 k to 131 k minor page faults; from 80 k, a few hundred.
-_CHUNK_POINTS = 80_000
 
 
 class _VoxelGrid:
@@ -330,60 +436,20 @@ def voxel_centroids(points: np.ndarray, voxel: float):
     return grid.centroids()
 
 
-def _placed_scans(sessions: list[SessionData], select=None):
-    """Each scan's points in the map frame with their labels, scan by scan.
-
-    Scan k is placed by ``gt_poses[k] @ body_t_laser``; empty scans and scans
-    past the last ground-truth row are skipped. ``select(session, k, points)``,
-    when given, masks scan k's laser-frame points first.
-    """
-    for session in sessions:
-        body_t_laser = session.rig.body_t_laser
-        for k, (points_f, labels) in enumerate(session.scans):
-            if len(points_f) == 0 or k >= len(session.gt_poses):
-                continue
-            if select is not None:
-                keep = select(session, k, points_f)
-                points_f, labels = points_f[keep], labels[keep]
-            yield (session.gt_poses[k] @ body_t_laser).apply(points_f), labels
-
-
-def _concatenated(scans):
-    """(points, labels) of the given scans in one pair of arrays."""
-    pts, labels = [np.zeros((0, 3))], [np.zeros(0, int)]
-    for scan_pts, scan_labels in scans:
-        pts.append(scan_pts)
-        labels.append(scan_labels)
-    return np.concatenate(pts), np.concatenate(labels)
-
-
-def _chunks(scans):
-    """Consecutive scans concatenated into chunks of about ``_CHUNK_POINTS``."""
-    pending, size = [], 0
-    for scan in scans:
-        pending.append(scan)
-        size += len(scan[0])
-        if size >= _CHUNK_POINTS:
-            yield _concatenated(pending)
-            pending, size = [], 0
-    if pending:
-        yield _concatenated(pending)
-
-
 def extract_ground(sessions: list[SessionData], params: MapFilterParams) -> PointCloudMap:
     """Height-band ground points from every scan, merged and voxel-thinned.
 
     Returns are placed and filed a chunk of scans at a time, so the peak
-    memory is one chunk (``_CHUNK_POINTS`` points) plus the cells, not the
+    memory is one chunk (``_CHUNK_POINTS`` returns) plus the cells, not the
     sessions' returns. The ground equals ``voxel_centroids`` over all the
-    returns at once, bit for bit, each cell labelled by its first return.
+    in-band returns at once, bit for bit, each cell labelled by its first
+    return.
     """
     grid = _VoxelGrid(params.ground_voxel)
-    in_band = lambda session, k, points_f: (  # noqa: E731
-        np.abs(points_f[:, 2] + session.rig.laser_height) <= params.ground_band
-    )
-    for pts, labels in _chunks(_placed_scans(sessions, in_band)):
-        grid.add(pts, labels)
+    for session in sessions:
+        for chunk in _scan_chunks(session):
+            in_band = np.abs(chunk.points[:, 2] + session.rig.laser_height) <= params.ground_band
+            grid.add(_placed(session, chunk, in_band), chunk.labels[in_band])
     centroids, labels = grid.centroids()
     normals = np.tile([0.0, 0.0, 1.0], (len(centroids), 1))
     return PointCloudMap(
@@ -410,9 +476,11 @@ def build_final_map(static: PointCloudMap, ground: PointCloudMap) -> PointCloudM
 
 def build_full_map(session: SessionData, voxel: float = 0.3) -> PointCloudMap:
     """Unfiltered baseline: every laser return of one session, voxel-thinned."""
-    pts, labels = _concatenated(_placed_scans([session]))
-    centroids, first = voxel_centroids(pts, voxel)
-    cloud = PointCloudMap(centroids, frame=FRAME_MAP, labels=labels[first])
+    grid = _VoxelGrid(voxel)
+    for chunk in _scan_chunks(session):
+        grid.add(_placed(session, chunk), chunk.labels)
+    centroids, labels = grid.centroids()
+    cloud = PointCloudMap(centroids, frame=FRAME_MAP, labels=labels)
     return estimate_normals(cloud)
 
 

@@ -345,3 +345,60 @@ def voxel_cells(points, voxel):
     first = np.array([cells[k][0] for k in keys], dtype=int)
     centroids = np.array([[s / cells[k][2] for s in cells[k][1]] for k in keys]).reshape(-1, 3)
     return keys, first, centroids
+
+
+def first_come_thin(points, radius):
+    """Indices of a first-come thinning, point by point in input order: a
+    point is kept unless a kept point lies within ``radius`` of it (squared
+    distance <= radius**2). Kept points are filed by their cell of side
+    ``radius``, so each point is tested against the 27 cells around its own.
+    """
+    kept = []
+    cells = {}
+    inv = 1.0 / radius
+    r2 = radius * radius
+    for i, p in enumerate(points):
+        key = (int(math.floor(p[0] * inv)), int(math.floor(p[1] * inv)), int(math.floor(p[2] * inv)))
+        ok = True
+        for dx in (-1, 0, 1):
+            for dy in (-1, 0, 1):
+                for dz in (-1, 0, 1):
+                    for j in cells.get((key[0] + dx, key[1] + dy, key[2] + dz), ()):
+                        d = points[j] - p
+                        if d @ d <= r2:
+                            ok = False
+                            break
+                    if not ok:
+                        break
+                if not ok:
+                    break
+            if not ok:
+                break
+        if ok:
+            kept.append(i)
+            cells.setdefault(key, []).append(i)
+    return np.asarray(kept, dtype=int)
+
+
+def near_feature_returns(session, gate):
+    """Per scan with a ground-truth row, the indices of the returns that the
+    vision transformation keeps, tested one point at a time: in front of the
+    camera, inside the image and within ``gate`` pixels of some feature
+    pixel of the scan's own frame. A scan past the last frame keeps none."""
+    rig, cam = session.rig, session.rig.camera
+    kept = []
+    for k, (points_f, _) in enumerate(session.scans[: len(session.gt_poses)]):
+        features = session.frames[k].pixels[:, :2] if k < len(session.frames) else []
+        idx = []
+        for i, p_f in enumerate(points_f):
+            p_c = rig.cam_t_laser.rotation @ p_f + rig.cam_t_laser.translation
+            if p_c[2] <= 1e-6:
+                continue
+            u = cam.fx * p_c[0] / p_c[2] + cam.cx
+            v = cam.fy * p_c[1] / p_c[2] + cam.cy
+            if not (0 <= u <= cam.width - 1 and 0 <= v <= cam.height - 1):
+                continue
+            if any(math.hypot(u - fu, v - fv) <= gate for fu, fv in features):
+                idx.append(i)
+        kept.append(np.asarray(idx, dtype=int))
+    return kept

@@ -1,4 +1,5 @@
 import math
+import os
 import tracemalloc
 from dataclasses import replace
 
@@ -9,9 +10,14 @@ from crossloc import map_pipeline as mp
 from crossloc import simulator as sim
 from crossloc.laser_map import FRAME_MAP, PointCloudMap
 from crossloc.liegroup import Pose, rot_z, se3_exp
-from crossloc.session import FrameObservations, SessionData
+from crossloc.session import FrameObservations, SessionData, load_session, save_session
 
-from oracles import association_per_point, voxel_cells
+from oracles import (
+    association_per_point,
+    first_come_thin,
+    near_feature_returns,
+    voxel_cells,
+)
 
 
 @pytest.fixture(scope="module")
@@ -70,33 +76,140 @@ class TestVisionTransform:
         assert cloud.labels[0] == 5
 
     def test_matches_brute_force_oracle(self, short_session):
-        params = make_params()
-        got = mp.vision_transform_session(short_session, params)
+        # three gates put the coarse cells' edges at three spacings across
+        # the same features
+        for gate in (1.1, 3.0, 7.3):
+            session, inside = edge_case_session(short_session, gate)
+            got = mp.vision_transform_session(session, make_params(pixel_gate=gate))
 
-        rig = short_session.rig
-        cam = rig.camera
-        expected = []
-        for k, (points_f, labels) in enumerate(short_session.scans):
-            frame = short_session.frames[k]
-            if len(frame.landmark_ids) == 0:
-                continue
-            pose = short_session.gt_poses[k]
-            for p_f in points_f:
-                p_c = rig.cam_t_laser.apply(p_f)
-                if p_c[2] <= 1e-6:
-                    continue
-                u = cam.fx * p_c[0] / p_c[2] + cam.cx
-                v = cam.fy * p_c[1] / p_c[2] + cam.cy
-                if not (0 <= u <= cam.width - 1 and 0 <= v <= cam.height - 1):
-                    continue
-                dmin = min(
-                    math.hypot(u - fu, v - fv) for fu, fv in frame.pixels[:, :2]
-                )
-                if dmin <= params.pixel_gate:
-                    expected.append((pose @ rig.body_t_laser).apply(p_f))
-        expected = np.asarray(expected)
-        assert len(got) == len(expected)
-        assert np.allclose(np.sort(got.positions, axis=0), np.sort(expected, axis=0), atol=1e-9)
+            kept = near_feature_returns(session, gate)
+            for k, idx in inside.items():
+                assert set(idx) <= set(kept[k].tolist())
+            assert len(kept[len(kept) // 2]) == 0  # the frame without features
+            for k in inside:  # the return a quarter pixel outside the image
+                assert len(session.scans[k][0]) - 1 not in kept[k]
+            body_t_laser = session.rig.body_t_laser
+            want = np.concatenate(
+                [np.zeros((0, 3))]
+                + [
+                    (session.gt_poses[k] @ body_t_laser).apply(session.scans[k][0][idx])
+                    for k, idx in enumerate(kept)
+                ]
+            )
+            labels = np.concatenate([session.scans[k][1][idx] for k, idx in enumerate(kept)])
+            assert len(want) > 0
+            np.testing.assert_allclose(got.positions, want, rtol=0, atol=1e-9)
+            np.testing.assert_array_equal(got.labels, labels)
+
+    def test_chunks_leave_the_bits(self, short_session, monkeypatch):
+        # a chunk of 1 return is one scan, 2,000 returns are three scans, and
+        # the default holds the whole session, its featureless frame mid-chunk
+        session, _ = edge_case_session(short_session, 3.0, n_scans=len(short_session.scans))
+        params = make_params()
+        clouds = []
+        for chunk in (1, 2_000, mp._CHUNK_POINTS):
+            monkeypatch.setattr(mp, "_CHUNK_POINTS", chunk)
+            clouds.append(mp.vision_transform_session(session, params))
+        assert len(clouds[0]) > 0
+        for cloud in clouds[1:]:
+            assert cloud.positions.dtype == clouds[0].positions.dtype
+            np.testing.assert_array_equal(cloud.positions, clouds[0].positions)
+            assert cloud.labels.dtype == clouds[0].labels.dtype
+            np.testing.assert_array_equal(cloud.labels, clouds[0].labels)
+
+    def test_scans_past_the_last_frame_keep_nothing(self, short_session):
+        s = short_session
+        m = 10
+        no_features = FrameObservations(np.zeros(0, int), np.zeros((0, 4)))
+        cut = replace(s, frames=s.frames[:m])
+        padded = replace(s, frames=s.frames[:m] + [no_features] * (len(s.scans) - m))
+        got, want = (mp.vision_transform_session(x, make_params()) for x in (cut, padded))
+        assert len(got) > 0
+        np.testing.assert_array_equal(got.positions, want.positions)
+        np.testing.assert_array_equal(got.labels, want.labels)
+
+    def test_saved_session_without_its_last_frame_file(self, tmp_path):
+        session = sim.generate_session(
+            sim.default_world(), sim.default_trajectory_spec(), sim.default_rig(),
+            session_id=0, seed=1, duration=1.0,
+        )
+        save_session(tmp_path / "s", session)
+        last = len(session.frames) - 1
+        os.remove(tmp_path / "s" / "frames" / f"{last:04d}.obs")
+        back = load_session(tmp_path / "s")
+        assert len(back.frames) == last and len(back.scans) == last + 1
+        no_features = FrameObservations(np.zeros(0, int), np.zeros((0, 4)))
+        padded = replace(back, frames=back.frames + [no_features])
+        got, want = (mp.vision_transform_session(x, make_params()) for x in (back, padded))
+        assert len(got) > 0
+        np.testing.assert_array_equal(got.positions, want.positions)
+        np.testing.assert_array_equal(got.labels, want.labels)
+
+
+def edge_case_session(session, gate, n_scans=12, seed=0):
+    """The first ``n_scans`` scans of ``session`` with returns and features
+    added at the edges of the vision gate, of its coarse cells and of the
+    image. The middle scan's frame has no features.
+
+    Per scan, three returns get a feature just inside ``gate`` of their
+    pixel and three just outside. Returns are added 5 m in front of the
+    camera, labelled -1:
+    - four on cell edges, each with a feature 0.995 gates away across the
+      edge, one from each side in u and in v;
+    - four a quarter pixel inside each border of the image, each with a
+      feature half a gate further out, and one a quarter pixel outside the
+      left border with a feature a tenth of a pixel away.
+
+    Returns the session and, per scan, the indices of the returns that a
+    feature lies within the gate of by construction.
+    """
+    rng = np.random.default_rng(seed)
+    rig, cam = session.rig, session.rig.camera
+    right, bottom = cam.width - 1.0, cam.height - 1.0
+    cell = mp._CELL_GATES * gate
+    edge_u, edge_v = cell * np.floor(0.5 * right / cell), cell * np.floor(0.5 * bottom / cell)
+    frames, scans, inside = [], [], {}
+    for k in range(n_scans):
+        points_f, labels = session.scans[k]
+        p_cam = rig.cam_t_laser.apply(points_f)
+        front = np.flatnonzero(p_cam[:, 2] > 1e-6)
+        uv = cam.project(p_cam[front])
+        seen = cam.in_image(uv)
+        rows, uv = front[seen], uv[seen]
+        pick = rng.choice(len(uv), 6, replace=False)
+        angle = rng.uniform(0.0, 2.0 * np.pi, 6)
+        step = gate * np.array([1.0 - 1e-9] * 3 + [1.0 + 1e-9] * 3)
+        near_gate = uv[pick] + step[:, None] * np.column_stack([np.cos(angle), np.sin(angle)])
+
+        x, y = rng.uniform([0.0, 0.0], [right, bottom], (9, 2)).T
+        added = np.array(
+            [[edge_u, y[0]], [edge_u, y[1]], [x[2], edge_v], [x[3], edge_v],
+             [0.25, y[4]], [right - 0.25, y[5]], [x[6], 0.25], [x[7], bottom - 0.25],
+             [-0.25, y[8]]]
+        )
+        beyond = added + np.array(
+            [[-0.995 * gate, 0.0], [0.995 * gate, 0.0], [0.0, -0.995 * gate], [0.0, 0.995 * gate],
+             [-0.5 * gate, 0.0], [0.5 * gate, 0.0], [0.0, -0.5 * gate], [0.0, 0.5 * gate],
+             [0.1, 0.0]]
+        )
+        rays = np.column_stack([(added - [cam.cx, cam.cy]) / [cam.fx, cam.fy], np.ones(len(added))])
+        inside[k] = np.concatenate([rows[pick[:3]], len(points_f) + np.arange(8)])
+        points_f = np.concatenate([points_f, rig.cam_t_laser.inverse().apply(5.0 * rays)])
+        scans.append((points_f, np.concatenate([labels, np.full(len(added), -1)])))
+
+        pixels = np.concatenate([session.frames[k].pixels[:, :2], near_gate, beyond])
+        frames.append(FrameObservations(np.arange(len(pixels)), np.column_stack([pixels, pixels])))
+    mid = n_scans // 2
+    frames[mid] = FrameObservations(np.zeros(0, int), np.zeros((0, 4)))
+    inside.pop(mid)
+    cut = replace(
+        session,
+        gt_times=session.gt_times[:n_scans],
+        gt_poses=session.gt_poses[:n_scans],
+        frames=frames,
+        scans=scans,
+    )
+    return cut, inside
 
 
 class TestScanPoses:
@@ -220,20 +333,10 @@ class TestMergeSessions:
         merged = mp.merge_sessions(clouds, params)
 
         # oracle: same documented rule, plain loops
-        def thin(points, r):
-            kept = []
-            for p in points:
-                if all((p - points[j]) @ (p - points[j]) > r * r for j in kept):
-                    kept.append(len(kept) and None or None)  # placeholder
-            return kept
-
         base, counts = [], []
         r = params.newness_radius
         for i, cloud in enumerate(clouds):
-            kept = []
-            for p in cloud.positions:
-                if all(np.dot(p - q, p - q) > r * r for q in kept):
-                    kept.append(p)
+            kept = list(cloud.positions[first_come_thin(cloud.positions, r)])
             if i == 0:
                 base = [p.copy() for p in kept]
                 counts = [1] * len(base)
@@ -254,6 +357,32 @@ class TestMergeSessions:
         assert len(merged) == len(base)
         assert np.allclose(merged.positions, np.asarray(base), atol=1e-12)
         assert np.array_equal(merged.counts, np.asarray(counts))
+
+
+class TestSequentialThin:
+    """``sequential_thin`` against the point-by-point first-come loop."""
+
+    @pytest.mark.parametrize("n, radius", [(0, 0.2), (1, 0.2), (400, 0.25), (2_000, 0.2), (2_000, 0.6)])
+    def test_matches_first_come_loop(self, n, radius):
+        rng = np.random.default_rng(n)
+        points = rng.uniform(-2.0, 2.0, (n, 3))
+        points[n // 2 :: 7] = points[: len(points[n // 2 :: 7])]  # repeated points
+        got = mp.sequential_thin(points, radius)
+        assert got.dtype.kind == "i"
+        np.testing.assert_array_equal(got, first_come_thin(points, radius))
+
+    def test_lattice_at_the_radius_drops_neighbours(self):
+        # spacing and radius are both 0.25, exact in binary: a neighbour lies
+        # at exactly the radius, and <= drops it
+        side = np.arange(6) * 0.25
+        points = np.stack(np.meshgrid(side, side, side, indexing="ij"), axis=-1).reshape(-1, 3)
+        got = mp.sequential_thin(points, 0.25)
+        np.testing.assert_array_equal(got, first_come_thin(points, 0.25))
+        # the kept points are those with an even index sum: a checkerboard
+        even = np.flatnonzero(np.round(points / 0.25).sum(axis=1) % 2 == 0)
+        np.testing.assert_array_equal(got, even)
+        line = np.column_stack([np.arange(9) * 0.25, np.zeros(9), np.zeros(9)])
+        np.testing.assert_array_equal(mp.sequential_thin(line, 0.25), [0, 2, 4, 6, 8])
 
 
 class TestClassifyErodeExpand:
