@@ -1,29 +1,24 @@
 """Error terms of the hybrid localization cost.
 
-Five families: pixel reprojection, IMU preintegration, point-to-plane and
-point-to-point map alignment, and the anchor pose prior. Each comes as a
-factor kind whose ``evaluate_batch`` evaluates a whole group of rows for
-the solver (see ``solver`` for the group contract: each slot a block family
-and one row of it per factor); pixel reprojection as the stereo kind only,
-which stacks the left and right views. Each kind's docstring names its
-block slots and the ``data`` its group carries. All but the prior also
-come as a bare function returning one term's residual and analytic
-Jacobians; the prior's one kernel is its kind's ``evaluate``.
+Five families: pixel reprojection, IMU preintegration with its bias random
+walk, point-to-plane and point-to-point map alignment, and the anchor pose
+prior. Each is one factor kind with one kernel, which evaluates a whole
+group of rows at once; pixel reprojection is the stereo kind, which stacks
+the left and right views. ``evaluate_batch`` is what the solver calls (see
+``solver`` for the group contract: each slot a block family and one row of
+it per factor). Each kind's docstring names its block slots and the
+``data`` its group carries.
 
-The tests compare every group evaluation with a one-row reference:
+The stereo and map kinds compute in ``evaluate_batch`` itself. The
+preintegration, bias random walk and prior kinds compute in ``evaluate``,
+over stacked rows: ``blocks`` holds each slot's values, a ``Pose`` stack or
+an (n, k) array, and one row is a stack of one. Their ``evaluate_batch``
+only gathers the group's blocks and calls it.
 
-- stereo: ``reprojection_residual(state, landmark, observation, camera)``,
-  once per view;
-- point-to-plane and point-to-point: ``point_to_plane_residual(anchor,
-  landmark, constraint)`` and ``point_to_point_residual``, which take one
-  ``MapConstraint``;
-- preintegration and bias random walk: the kind's one-row
-  ``evaluate(blocks, ...)``, where ``blocks`` holds one factor's block
-  values slot by slot (a ``Pose`` or a vector each), the first by
-  ``preintegration_residual``;
-- anchor prior: its ``evaluate(blocks, prior_mean)``, the kind's one
-  kernel, over one row's ``Pose`` or a stack of them; ``evaluate_batch``
-  calls it once with the group's stacked rows and prior means.
+The tests check each kind against an independent one-row reference in
+``tests/oracles.py`` (``reprojection_residual``, ``preintegration_residual``,
+``point_to_plane_residual`` and ``point_to_point_residual``), against direct
+arithmetic, and against central differences.
 
 The caller gives each group its information: stereo rows share
 ``PIXEL_INFORMATION`` (1 px in each coordinate); the others take theirs
@@ -39,7 +34,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .imu import NavState, PreintegratedImu, bias_corrected_delta
 from .liegroup import (
     Pose,
     se3_log,
@@ -53,18 +47,8 @@ from .liegroup import (
 )
 
 __all__ = [
-    "NavState",
-    "Landmark",
-    "Observation",
     "CameraModel",
     "RobustKernel",
-    "MapConstraint",
-    "BehindCameraError",
-    "MetricMismatchError",
-    "reprojection_residual",
-    "preintegration_residual",
-    "point_to_plane_residual",
-    "point_to_point_residual",
     "stack_preintegrations",
     "StereoReprojectionFactor",
     "PreintegrationFactor",
@@ -75,33 +59,9 @@ __all__ = [
     "PIXEL_INFORMATION",
 ]
 
-POINT_TO_PLANE = "point_to_plane"
-POINT_TO_POINT = "point_to_point"
-
 # 1 px in each stereo coordinate (ul, vl, ur, vr)
 PIXEL_INFORMATION = np.eye(4)
 PIXEL_INFORMATION.flags.writeable = False
-
-
-class BehindCameraError(ValueError):
-    """Landmark has non-positive depth in the camera frame."""
-
-
-class MetricMismatchError(ValueError):
-    """Constraint metric does not match the residual being evaluated."""
-
-
-@dataclass(frozen=True)
-class Landmark:
-    position: np.ndarray
-    id: int = -1
-
-
-@dataclass(frozen=True)
-class Observation:
-    keyframe_id: int
-    landmark_id: int
-    pixel: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -161,151 +121,6 @@ class RobustKernel:
             return s, np.ones_like(s)
         c2 = self.scale * self.scale
         return c2 * np.log1p(s / c2), 1.0 / (1.0 + s / c2)
-
-
-@dataclass(frozen=True)
-class MapConstraint:
-    """Association of one landmark with one laser-map point: the input of the
-    one-row map references ``point_to_plane_residual`` and ``point_to_point_residual``."""
-
-    landmark_id: int
-    point: np.ndarray
-    normal: np.ndarray | None
-    information: np.ndarray
-    metric: str
-
-    def __post_init__(self):
-        if self.metric not in (POINT_TO_PLANE, POINT_TO_POINT):
-            raise ValueError(f"unknown metric {self.metric!r}")
-        if self.metric == POINT_TO_PLANE:
-            if self.normal is None or abs(np.linalg.norm(self.normal) - 1.0) > 1e-9:
-                raise ValueError("point_to_plane constraint needs a unit normal")
-
-
-# ---------------------------------------------------------------------------
-# reprojection
-
-
-def _project_with_jacobians(pose: Pose, p_local: np.ndarray, cam: CameraModel):
-    """Project a local-frame point through pose and extrinsic; chain rule."""
-    q_body = pose.rotation.T @ (p_local - pose.translation)
-    ext = cam.body_t_cam
-    p_cam = ext.rotation.T @ (q_body - ext.translation)
-    z = p_cam[2]
-    if z <= 1e-9:
-        raise BehindCameraError(f"depth {z:.3g} not positive")
-    uv = np.array([cam.fx * p_cam[0] / z + cam.cx, cam.fy * p_cam[1] / z + cam.cy])
-    j_pix = np.array(
-        [
-            [cam.fx / z, 0.0, -cam.fx * p_cam[0] / (z * z)],
-            [0.0, cam.fy / z, -cam.fy * p_cam[1] / (z * z)],
-        ]
-    )
-    j_cam = j_pix @ ext.rotation.T
-    j_pose = np.empty((2, 6))
-    j_pose[:, :3] = j_cam @ skew(q_body)
-    j_pose[:, 3:] = -j_cam
-    j_lm = j_cam @ pose.rotation.T
-    return uv, j_pose, j_lm
-
-
-def reprojection_residual(
-    state: NavState, lm: Landmark, obs: Observation, cam: CameraModel
-):
-    """Pixel residual (projected - observed) with pose/landmark Jacobians."""
-    uv, j_pose, j_lm = _project_with_jacobians(state.pose, lm.position, cam)
-    return uv - obs.pixel, j_pose, j_lm
-
-
-# ---------------------------------------------------------------------------
-# preintegration
-
-
-def preintegration_residual(
-    s_i: NavState, s_k: NavState, pre: PreintegratedImu, gravity: np.ndarray
-):
-    """9-vector motion residual (e_R, e_p, e_v), 6-vector bias residual,
-    and Jacobians of the motion residual keyed by variable name.
-
-    The bias residual stacks (accel, gyro) differences between the two
-    keyframes; its Jacobians are +/- identity and left to the caller.
-    """
-    gravity = np.asarray(gravity, dtype=float)
-    dt = pre.dt_total
-    rot_i = s_i.pose.rotation
-    rot_k = s_k.pose.rotation
-    d_rot, d_p, d_v = bias_corrected_delta(pre, (s_i.gyro_bias, s_i.accel_bias))
-
-    rel = rot_i.T @ rot_k
-    e_rot = so3_log(d_rot.T @ rel)
-    w_p = rot_i.T @ (
-        s_k.pose.translation
-        - s_i.pose.translation
-        - s_i.velocity * dt
-        - 0.5 * gravity * dt * dt
-    )
-    e_p = w_p - d_p
-    w_v = rot_i.T @ (s_k.velocity - s_i.velocity - gravity * dt)
-    e_v = w_v - d_v
-    residual = np.concatenate([e_rot, e_p, e_v])
-    e_bias = np.concatenate([s_i.accel_bias - s_k.accel_bias, s_i.gyro_bias - s_k.gyro_bias])
-
-    jr_inv = so3_right_jacobian_inv(e_rot)
-    db_g = s_i.gyro_bias - pre.linearization_bias[0]
-    j = {
-        "pose_i": np.zeros((9, 6)),
-        "vel_i": np.zeros((9, 3)),
-        "gyro_bias_i": np.zeros((9, 3)),
-        "accel_bias_i": np.zeros((9, 3)),
-        "pose_k": np.zeros((9, 6)),
-        "vel_k": np.zeros((9, 3)),
-    }
-    j["pose_i"][0:3, 0:3] = -jr_inv @ rel.T
-    j["pose_i"][3:6, 0:3] = skew(w_p)
-    j["pose_i"][3:6, 3:6] = -np.eye(3)
-    j["pose_i"][6:9, 0:3] = skew(w_v)
-    j["vel_i"][3:6] = -rot_i.T * dt
-    j["vel_i"][6:9] = -rot_i.T
-    j["gyro_bias_i"][0:3] = (
-        -so3_left_jacobian_inv(e_rot)
-        @ so3_right_jacobian(pre.J_g_dR @ db_g)
-        @ pre.J_g_dR
-    )
-    j["gyro_bias_i"][3:6] = -pre.J_g_dp
-    j["gyro_bias_i"][6:9] = -pre.J_g_dv
-    j["accel_bias_i"][3:6] = -pre.J_a_dp
-    j["accel_bias_i"][6:9] = -pre.J_a_dv
-    j["pose_k"][0:3, 0:3] = jr_inv
-    j["pose_k"][3:6, 3:6] = rel
-    j["vel_k"][6:9] = rot_i.T
-    return residual, e_bias, j
-
-
-# ---------------------------------------------------------------------------
-# map alignment
-
-
-def point_to_plane_residual(anchor: Pose, lm: Landmark, c: MapConstraint):
-    """Signed distance from the anchored landmark to the constraint plane."""
-    if c.metric != POINT_TO_PLANE:
-        raise MetricMismatchError(f"expected point_to_plane, got {c.metric}")
-    n = c.normal
-    p_map = anchor.apply(lm.position)
-    r_n = float(n @ (c.point - p_map))
-    n_rot = n @ anchor.rotation
-    j_anchor = np.hstack([n_rot @ skew(lm.position), -n_rot]).reshape(1, 6)
-    j_lm = (-n_rot).reshape(1, 3)
-    return r_n, j_anchor, j_lm
-
-
-def point_to_point_residual(anchor: Pose, lm: Landmark, c: MapConstraint):
-    """Map point minus anchored landmark; both expressed in the map frame."""
-    if c.metric != POINT_TO_POINT:
-        raise MetricMismatchError(f"expected point_to_point, got {c.metric}")
-    residual = c.point - anchor.apply(lm.position)
-    j_anchor = np.hstack([anchor.rotation @ skew(lm.position), -anchor.rotation])
-    j_lm = -anchor.rotation
-    return residual, j_anchor, j_lm
 
 
 # ---------------------------------------------------------------------------
@@ -388,23 +203,14 @@ class PreintegrationFactor:
     """
 
     @classmethod
-    def evaluate(cls, blocks, pre, gravity, jacobian=True):
-        """One row of block values, by ``preintegration_residual``: residual (9,), Jacobians (9, k)."""
-        pi, vi, bgi, bai, pk, vk = blocks
-        s_i = NavState(pose=pi, velocity=vi, accel_bias=bai, gyro_bias=bgi)
-        s_k = NavState(pose=pk, velocity=vk)
-        residual, _, j = preintegration_residual(s_i, s_k, pre, gravity)
-        names = ("pose_i", "vel_i", "gyro_bias_i", "accel_bias_i", "pose_k", "vel_k")
-        return residual, [j[name] for name in names]
-
-    @classmethod
-    def evaluate_batch(cls, batch, values, jacobian=True):
-        """``evaluate`` for every row at once: residual (n, 9), Jacobians (n, 9, k)."""
-        c = batch.data
-        rot_i, t_i = batch.poses(values, 0)
-        v_i, bg_i, ba_i = (batch.vectors(values, a) for a in (1, 2, 3))
-        rot_k, t_k = batch.poses(values, 4)
-        v_k = batch.vectors(values, 5)
+    def evaluate(cls, blocks, data, jacobian=True):
+        """n stacked rows of block values, the rows' ``stack_preintegrations``
+        in ``data``: residual (n, 9) and Jacobians [(n, 9, k) per slot] (None
+        unless ``jacobian``)."""
+        pose_i, v_i, bg_i, ba_i, pose_k, v_k = blocks
+        rot_i, t_i = pose_i.rotation, pose_i.translation
+        rot_k, t_k = pose_k.rotation, pose_k.translation
+        c = data
         dt = c["dt_total"][:, None]
         gravity = c["gravity"]
 
@@ -425,7 +231,7 @@ class PreintegrationFactor:
         if not jacobian:
             return residual, None
 
-        n = len(batch)
+        n = len(residual)
         eye = np.eye(3)
         jr_inv = so3_right_jacobian_inv(e_rot)
         j_pose_i = np.zeros((n, 9, 6))
@@ -450,6 +256,13 @@ class PreintegrationFactor:
         j_vel_k[:, 6:9] = rot_i_t
         return residual, [j_pose_i, j_vel_i, j_bg_i, j_ba_i, j_pose_k, j_vel_k]
 
+    @classmethod
+    def evaluate_batch(cls, batch, values, jacobian=True):
+        """``evaluate`` of the group's stacked rows."""
+        pose_i, pose_k = (Pose(*batch.poses(values, a)) for a in (0, 4))
+        v_i, bg_i, ba_i, v_k = (batch.vectors(values, a) for a in (1, 2, 3, 5))
+        return cls.evaluate((pose_i, v_i, bg_i, ba_i, pose_k, v_k), batch.data, jacobian)
+
 
 def _matvec(m, v):
     """m (n, i, j) times v (n, j) per row: (n, i)."""
@@ -471,18 +284,18 @@ class BiasRandomWalkFactor:
 
     @classmethod
     def evaluate(cls, blocks, jacobian=True):
-        """One row of block values: residual (6,), Jacobians (6, 3)."""
+        """n stacked rows of block values, (n, 3) each: residual (n, 6) and
+        Jacobians [(n, 6, 3) per slot] (None unless ``jacobian``)."""
         bai, bgi, bak, bgk = blocks
-        return np.concatenate([bai - bak, bgi - bgk]), _bias_jacobians()
-
-    @classmethod
-    def evaluate_batch(cls, batch, values, jacobian=True):
-        """``evaluate`` for every row at once: residual (n, 6), Jacobians (n, 6, 3)."""
-        bai, bgi, bak, bgk = (batch.vectors(values, a) for a in range(4))
         residual = np.concatenate([bai - bak, bgi - bgk], axis=1)
         if not jacobian:
             return residual, None
-        return residual, [np.broadcast_to(j, (len(batch), 6, 3)) for j in _bias_jacobians()]
+        return residual, [np.broadcast_to(j, (len(residual), 6, 3)) for j in _bias_jacobians()]
+
+    @classmethod
+    def evaluate_batch(cls, batch, values, jacobian=True):
+        """``evaluate`` of the group's stacked rows."""
+        return cls.evaluate([batch.vectors(values, a) for a in range(4)], jacobian)
 
 
 class PointToPlaneFactor:
@@ -494,8 +307,9 @@ class PointToPlaneFactor:
 
     @classmethod
     def evaluate_batch(cls, batch, values, jacobian=True):
-        """``point_to_plane_residual`` for every row, as the 3-vector r_n * n:
-        residual (n, 3) and Jacobians [anchor (n, 3, 6), landmark (n, 3, 3)]."""
+        """Signed distance r_n = n . (point - anchor * landmark) for every
+        row, as the 3-vector r_n * n: residual (n, 3) and Jacobians
+        [anchor (n, 3, 6), landmark (n, 3, 3)]."""
         anchor = _group_pose(batch, values)
         p_lm = batch.vectors(values, 1)
         targets, normals = batch.data
@@ -520,7 +334,7 @@ class PointToPointFactor:
 
     @classmethod
     def evaluate_batch(cls, batch, values, jacobian=True):
-        """``point_to_point_residual`` for every row: residual (n, 3) and
+        """point - anchor * landmark for every row: residual (n, 3) and
         Jacobians [anchor (n, 3, 6), landmark (n, 3, 3)]."""
         anchor = _group_pose(batch, values)
         p_lm = batch.vectors(values, 1)

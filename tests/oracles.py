@@ -8,8 +8,22 @@ library code it checks.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
+
+from crossloc.imu import NavState, PreintegratedImu, bias_corrected_delta
+from crossloc.liegroup import (
+    Pose,
+    skew,
+    so3_exp,
+    so3_left_jacobian,
+    so3_left_jacobian_inv,
+    so3_log,
+    so3_right_jacobian,
+    so3_right_jacobian_inv,
+)
+from crossloc.residuals import AnchorPriorFactor, RobustKernel
 
 
 def numeric_jacobian(fn, x, eps=1e-6):
@@ -107,8 +121,6 @@ def integrate_per_sample(samples, bias, noise):
     Returns the fields of a PreintegratedImu as a dict, ``dt_total`` summed
     interval by interval.
     """
-    from crossloc.liegroup import skew, so3_exp, so3_right_jacobian
-
     b_g, b_a = (np.asarray(b, dtype=float) for b in bias)
     d_rot, d_p, d_v, dt_total = np.eye(3), np.zeros(3), np.zeros(3), 0.0
     j_g_dr, j_g_dv, j_a_dv, j_g_dp, j_a_dp = (np.zeros((3, 3)) for _ in range(5))
@@ -160,8 +172,6 @@ def integrate_loop(samples, bias, noise):
     result must match bitwise. Returns the fields of a PreintegratedImu as a
     dict.
     """
-    from crossloc.liegroup import skew, so3_exp, so3_left_jacobian
-
     samples = np.asarray(samples, dtype=float)
     b_g, b_a = (np.asarray(b, dtype=float) for b in bias)
     t = samples[:, 0]
@@ -261,33 +271,206 @@ def levenberg_marquardt_two_evaluations(system, value, max_iterations):
     return value, solver.SolverReport(initial_cost, cost, iterations, termination, grad_norm)
 
 
+# ---------------------------------------------------------------------------
+# one-row references of the factor kinds: the tests compare each kind's
+# stacked kernel with these, row by row
+
+
+POINT_TO_PLANE = "point_to_plane"
+POINT_TO_POINT = "point_to_point"
+
+
+class BehindCameraError(ValueError):
+    """Landmark has non-positive depth in the camera frame."""
+
+
+class MetricMismatchError(ValueError):
+    """Constraint metric does not match the residual being evaluated."""
+
+
+@dataclass(frozen=True)
+class Landmark:
+    position: np.ndarray
+    id: int = -1
+
+
+@dataclass(frozen=True)
+class Observation:
+    keyframe_id: int
+    landmark_id: int
+    pixel: np.ndarray
+
+
+@dataclass(frozen=True)
+class MapConstraint:
+    """Association of one landmark with one laser-map point: the input of the
+    one-row map references ``point_to_plane_residual`` and ``point_to_point_residual``."""
+
+    landmark_id: int
+    point: np.ndarray
+    normal: np.ndarray | None
+    information: np.ndarray
+    metric: str
+
+    def __post_init__(self):
+        if self.metric not in (POINT_TO_PLANE, POINT_TO_POINT):
+            raise ValueError(f"unknown metric {self.metric!r}")
+        if self.metric == POINT_TO_PLANE:
+            if self.normal is None or abs(np.linalg.norm(self.normal) - 1.0) > 1e-9:
+                raise ValueError("point_to_plane constraint needs a unit normal")
+
+
+# ---------------------------------------------------------------------------
+# reprojection
+
+
+def _project_with_jacobians(pose: Pose, p_local: np.ndarray, cam):
+    """Project a local-frame point through pose and the extrinsic of ``cam``,
+    a ``residuals.CameraModel``; chain rule."""
+    q_body = pose.rotation.T @ (p_local - pose.translation)
+    ext = cam.body_t_cam
+    p_cam = ext.rotation.T @ (q_body - ext.translation)
+    z = p_cam[2]
+    if z <= 1e-9:
+        raise BehindCameraError(f"depth {z:.3g} not positive")
+    uv = np.array([cam.fx * p_cam[0] / z + cam.cx, cam.fy * p_cam[1] / z + cam.cy])
+    j_pix = np.array(
+        [
+            [cam.fx / z, 0.0, -cam.fx * p_cam[0] / (z * z)],
+            [0.0, cam.fy / z, -cam.fy * p_cam[1] / (z * z)],
+        ]
+    )
+    j_cam = j_pix @ ext.rotation.T
+    j_pose = np.empty((2, 6))
+    j_pose[:, :3] = j_cam @ skew(q_body)
+    j_pose[:, 3:] = -j_cam
+    j_lm = j_cam @ pose.rotation.T
+    return uv, j_pose, j_lm
+
+
+def reprojection_residual(state: NavState, lm: Landmark, obs: Observation, cam):
+    """Pixel residual (projected - observed) with pose/landmark Jacobians."""
+    uv, j_pose, j_lm = _project_with_jacobians(state.pose, lm.position, cam)
+    return uv - obs.pixel, j_pose, j_lm
+
+
+# ---------------------------------------------------------------------------
+# preintegration
+
+
+def preintegration_residual(
+    s_i: NavState, s_k: NavState, pre: PreintegratedImu, gravity: np.ndarray
+):
+    """9-vector motion residual (e_R, e_p, e_v), 6-vector bias residual,
+    and Jacobians of the motion residual keyed by variable name.
+
+    The bias residual stacks (accel, gyro) differences between the two
+    keyframes; its Jacobians are +/- identity and left to the caller.
+    """
+    gravity = np.asarray(gravity, dtype=float)
+    dt = pre.dt_total
+    rot_i = s_i.pose.rotation
+    rot_k = s_k.pose.rotation
+    d_rot, d_p, d_v = bias_corrected_delta(pre, (s_i.gyro_bias, s_i.accel_bias))
+
+    rel = rot_i.T @ rot_k
+    e_rot = so3_log(d_rot.T @ rel)
+    w_p = rot_i.T @ (
+        s_k.pose.translation
+        - s_i.pose.translation
+        - s_i.velocity * dt
+        - 0.5 * gravity * dt * dt
+    )
+    e_p = w_p - d_p
+    w_v = rot_i.T @ (s_k.velocity - s_i.velocity - gravity * dt)
+    e_v = w_v - d_v
+    residual = np.concatenate([e_rot, e_p, e_v])
+    e_bias = np.concatenate([s_i.accel_bias - s_k.accel_bias, s_i.gyro_bias - s_k.gyro_bias])
+
+    jr_inv = so3_right_jacobian_inv(e_rot)
+    db_g = s_i.gyro_bias - pre.linearization_bias[0]
+    j = {
+        "pose_i": np.zeros((9, 6)),
+        "vel_i": np.zeros((9, 3)),
+        "gyro_bias_i": np.zeros((9, 3)),
+        "accel_bias_i": np.zeros((9, 3)),
+        "pose_k": np.zeros((9, 6)),
+        "vel_k": np.zeros((9, 3)),
+    }
+    j["pose_i"][0:3, 0:3] = -jr_inv @ rel.T
+    j["pose_i"][3:6, 0:3] = skew(w_p)
+    j["pose_i"][3:6, 3:6] = -np.eye(3)
+    j["pose_i"][6:9, 0:3] = skew(w_v)
+    j["vel_i"][3:6] = -rot_i.T * dt
+    j["vel_i"][6:9] = -rot_i.T
+    j["gyro_bias_i"][0:3] = (
+        -so3_left_jacobian_inv(e_rot)
+        @ so3_right_jacobian(pre.J_g_dR @ db_g)
+        @ pre.J_g_dR
+    )
+    j["gyro_bias_i"][3:6] = -pre.J_g_dp
+    j["gyro_bias_i"][6:9] = -pre.J_g_dv
+    j["accel_bias_i"][3:6] = -pre.J_a_dp
+    j["accel_bias_i"][6:9] = -pre.J_a_dv
+    j["pose_k"][0:3, 0:3] = jr_inv
+    j["pose_k"][3:6, 3:6] = rel
+    j["vel_k"][6:9] = rot_i.T
+    return residual, e_bias, j
+
+
+# ---------------------------------------------------------------------------
+# map alignment
+
+
+def point_to_plane_residual(anchor: Pose, lm: Landmark, c: MapConstraint):
+    """Signed distance from the anchored landmark to the constraint plane."""
+    if c.metric != POINT_TO_PLANE:
+        raise MetricMismatchError(f"expected point_to_plane, got {c.metric}")
+    n = c.normal
+    p_map = anchor.apply(lm.position)
+    r_n = float(n @ (c.point - p_map))
+    n_rot = n @ anchor.rotation
+    j_anchor = np.hstack([n_rot @ skew(lm.position), -n_rot]).reshape(1, 6)
+    j_lm = (-n_rot).reshape(1, 3)
+    return r_n, j_anchor, j_lm
+
+
+def point_to_point_residual(anchor: Pose, lm: Landmark, c: MapConstraint):
+    """Map point minus anchored landmark; both expressed in the map frame."""
+    if c.metric != POINT_TO_POINT:
+        raise MetricMismatchError(f"expected point_to_point, got {c.metric}")
+    residual = c.point - anchor.apply(lm.position)
+    j_anchor = np.hstack([anchor.rotation @ skew(lm.position), -anchor.rotation])
+    j_lm = -anchor.rotation
+    return residual, j_anchor, j_lm
+
+
 def anchor_alignment_gauss_newton(anchor, landmarks, constraints, prior, kernel, iterations=200):
     """The rigid step's anchor-only alignment by dense Gauss-Newton, one
     constraint at a time: returns the anchor at convergence and the cost as a
     function of the anchor.
 
-    ``constraints`` are ``residuals.MapConstraint`` records of the
+    ``constraints`` are ``oracles.MapConstraint`` records of the
     ``landmarks`` (id -> position), robustified by ``kernel``; ``prior`` is
     (mean, information), unrobustified. Each row enters the 6x6 normal
     equations through its one-row reference, whitened by the Cholesky
     factor of its information and weighted by rho' of its squared error
     (iteratively re-weighted least squares); the step is ``Pose.retract``.
     """
-    from crossloc import residuals as res
 
     def rows(pose):
         """Whitened residual, Jacobian and kernel of every row at ``pose``."""
         for c in constraints:
-            lm = res.Landmark(landmarks[c.landmark_id])
-            if c.metric == res.POINT_TO_PLANE:
-                r, j, _ = res.point_to_plane_residual(pose, lm, c)
+            lm = Landmark(landmarks[c.landmark_id])
+            if c.metric == POINT_TO_PLANE:
+                r, j, _ = point_to_plane_residual(pose, lm, c)
             else:
-                r, j, _ = res.point_to_point_residual(pose, lm, c)
+                r, j, _ = point_to_point_residual(pose, lm, c)
             s = np.linalg.cholesky(c.information).T
             yield s @ np.atleast_1d(r), s @ j, kernel
-        r, (j,) = res.AnchorPriorFactor.evaluate((pose,), prior[0])
+        r, (j,) = AnchorPriorFactor.evaluate((pose,), prior[0])
         s = np.linalg.cholesky(prior[1]).T
-        yield s @ r, s @ j, res.RobustKernel()
+        yield s @ r, s @ j, RobustKernel()
 
     def cost(pose):
         return sum(float(k.loss(e @ e)[0]) for e, _, k in rows(pose))

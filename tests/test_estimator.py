@@ -14,6 +14,9 @@ from crossloc.liegroup import se3_exp
 from crossloc.solver import solve
 
 from oracles import (
+    POINT_TO_PLANE,
+    POINT_TO_POINT,
+    MapConstraint,
     anchor_alignment_gauss_newton,
     brute_force_knn,
     levenberg_marquardt_two_evaluations,
@@ -342,10 +345,10 @@ def test_anchor_alignment_matches_generic_problem(max_iterations):
         return
 
     constraints = [
-        res.MapConstraint(
+        MapConstraint(
             int(lm_id), point, normal if plane else None,
             np.eye(1 if plane else 3) / cfg.sigma_map**2,
-            res.POINT_TO_PLANE if plane else res.POINT_TO_POINT,
+            POINT_TO_PLANE if plane else POINT_TO_POINT,
         )
         for lm_id, point, normal, plane in zip(
             association.landmark_ids, association.points, association.normals, association.plane
@@ -406,14 +409,14 @@ def test_association_matches_one_landmark_at_a_time():
         normals = cloud.normals[idx]
         angles = np.arccos(np.clip(normals @ normals.T, -1.0, 1.0))
         plane = not np.isnan(normals).any() and np.all(angles <= cfg.normal_consistency_angle + 1e-12)
-        want.append((lm_id, idx[0], res.POINT_TO_PLANE if plane else res.POINT_TO_POINT))
+        want.append((lm_id, idx[0], POINT_TO_PLANE if plane else POINT_TO_POINT))
 
     got = estimator.associate_constraints(window, anchor, cloud, cfg)
-    assert {metric for _, _, metric in want} == {res.POINT_TO_PLANE, res.POINT_TO_POINT}
+    assert {metric for _, _, metric in want} == {POINT_TO_PLANE, POINT_TO_POINT}
     assert 0 < len(want) < len(window.landmarks)
     assert len(got) == len(want)
     assert got.landmark_ids.tolist() == [i for i, _, _ in want]
-    assert got.plane.tolist() == [m == res.POINT_TO_PLANE for _, _, m in want]
+    assert got.plane.tolist() == [m == POINT_TO_PLANE for _, _, m in want]
     nearest = np.array([k for _, k, _ in want])
     assert np.array_equal(got.points, cloud.positions[nearest])
     assert np.array_equal(got.normals[got.plane], cloud.normals[nearest][got.plane])
@@ -421,7 +424,7 @@ def test_association_matches_one_landmark_at_a_time():
     total = 0.0
     for lm_id, k, metric in want:
         offset = cloud.positions[k] - anchor.apply(window.landmarks[lm_id])
-        plane = metric == res.POINT_TO_PLANE
+        plane = metric == POINT_TO_PLANE
         total += abs(float(cloud.normals[k] @ offset)) if plane else float(np.linalg.norm(offset))
     mean = estimator._mean_constraint_residual(window, anchor, got)
     assert mean == pytest.approx(total / len(want), rel=1e-12)

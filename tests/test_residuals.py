@@ -4,10 +4,25 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from crossloc import imu, residuals as res
-from crossloc.liegroup import Pose, rot_z, se3_exp
+from crossloc.liegroup import Pose, se3_exp
 from crossloc.solver import FactorBatch
 
-from oracles import numeric_jacobian, pose_numeric_jacobian, relative_error
+from oracles import (
+    POINT_TO_PLANE,
+    POINT_TO_POINT,
+    BehindCameraError,
+    Landmark,
+    MapConstraint,
+    MetricMismatchError,
+    Observation,
+    numeric_jacobian,
+    point_to_plane_residual,
+    point_to_point_residual,
+    pose_numeric_jacobian,
+    preintegration_residual,
+    relative_error,
+    reprojection_residual,
+)
 
 GRAVITY = np.array([0.0, 0.0, -9.81])
 
@@ -27,50 +42,50 @@ class TestReprojection:
     def test_principal_point(self):
         cam = default_camera()
         state = imu.NavState()
-        lm = res.Landmark(np.array([0.0, 0.0, 1.0]), 0)
-        obs = res.Observation(0, 0, np.array([320.0, 320.0]))
-        r, _, _ = res.reprojection_residual(state, lm, obs, cam)
+        lm = Landmark(np.array([0.0, 0.0, 1.0]), 0)
+        obs = Observation(0, 0, np.array([320.0, 320.0]))
+        r, _, _ = reprojection_residual(state, lm, obs, cam)
         assert np.allclose(r, 0.0, atol=1e-12)
 
     def test_direct_pinhole_arithmetic(self):
         cam = default_camera()
         state = imu.NavState()
-        lm = res.Landmark(np.array([0.1, 0.0, 1.0]), 0)
-        obs = res.Observation(0, 0, np.array([320.0, 320.0]))
-        r, _, _ = res.reprojection_residual(state, lm, obs, cam)
+        lm = Landmark(np.array([0.1, 0.0, 1.0]), 0)
+        obs = Observation(0, 0, np.array([320.0, 320.0]))
+        r, _, _ = reprojection_residual(state, lm, obs, cam)
         assert np.allclose(r, [40.0, 0.0], atol=1e-12)
 
     def test_behind_camera_raises(self):
         cam = default_camera()
         state = imu.NavState()
-        lm = res.Landmark(np.array([0.0, 0.0, -1.0]), 0)
-        obs = res.Observation(0, 0, np.array([320.0, 320.0]))
-        with pytest.raises(res.BehindCameraError):
-            res.reprojection_residual(state, lm, obs, cam)
+        lm = Landmark(np.array([0.0, 0.0, -1.0]), 0)
+        obs = Observation(0, 0, np.array([320.0, 320.0]))
+        with pytest.raises(BehindCameraError):
+            reprojection_residual(state, lm, obs, cam)
 
     def test_jacobians_match_finite_differences(self):
         rng = np.random.default_rng(0)
         cam = default_camera(body_t_cam=se3_exp(np.array([0.0, -0.1, 0.05, 0.1, 0.0, 0.2])))
-        obs = res.Observation(0, 0, np.array([300.0, 350.0]))
+        obs = Observation(0, 0, np.array([300.0, 350.0]))
         checked = 0
         while checked < 200:
             pose = random_pose(rng, rot=0.4, trans=1.0)
             p_lm = pose.apply(np.array([rng.normal(0, 1), rng.normal(0, 1), rng.uniform(2, 10)]))
             state = imu.NavState(pose=pose)
-            lm = res.Landmark(p_lm, 0)
+            lm = Landmark(p_lm, 0)
             try:
-                _, j_pose, j_lm = res.reprojection_residual(state, lm, obs, cam)
-            except res.BehindCameraError:
+                _, j_pose, j_lm = reprojection_residual(state, lm, obs, cam)
+            except BehindCameraError:
                 continue
             fd_pose = pose_numeric_jacobian(
-                lambda p: res.reprojection_residual(
+                lambda p: reprojection_residual(
                     imu.NavState(pose=p), lm, obs, cam
                 )[0],
                 pose,
             )
             fd_lm = numeric_jacobian(
-                lambda x: res.reprojection_residual(
-                    state, res.Landmark(x, 0), obs, cam
+                lambda x: reprojection_residual(
+                    state, Landmark(x, 0), obs, cam
                 )[0],
                 p_lm,
             )
@@ -111,7 +126,7 @@ class TestPreintegrationResidual:
             accel_bias=s_i.accel_bias,
             gyro_bias=s_i.gyro_bias,
         )
-        e9, eb, _ = res.preintegration_residual(s_i, s_k, pre, GRAVITY)
+        e9, eb, _ = preintegration_residual(s_i, s_k, pre, GRAVITY)
         assert np.linalg.norm(e9) < 1e-9
         assert np.linalg.norm(eb) < 1e-15
 
@@ -120,14 +135,14 @@ class TestPreintegrationResidual:
         s_i = random_nav_state(rng)
         pre = random_preintegration(rng)
         s_k = imu.predict_state(s_i, pre, GRAVITY)
-        e0, _, _ = res.preintegration_residual(s_i, s_k, pre, GRAVITY)
+        e0, _, _ = preintegration_residual(s_i, s_k, pre, GRAVITY)
         shifted = imu.NavState(
             pose=Pose(s_k.pose.rotation, s_k.pose.translation + np.array([0.1, 0, 0])),
             velocity=s_k.velocity,
             accel_bias=s_k.accel_bias,
             gyro_bias=s_k.gyro_bias,
         )
-        e1, _, _ = res.preintegration_residual(s_i, shifted, pre, GRAVITY)
+        e1, _, _ = preintegration_residual(s_i, shifted, pre, GRAVITY)
         expected_dp = s_i.pose.rotation.T @ np.array([0.1, 0, 0])
         assert np.allclose(e1[3:6] - e0[3:6], expected_dp, atol=1e-12)
         assert np.allclose(e1[0:3], e0[0:3], atol=1e-15)
@@ -139,10 +154,10 @@ class TestPreintegrationResidual:
             s_i = random_nav_state(rng)
             s_k = random_nav_state(rng)
             pre = random_preintegration(rng)
-            _, _, jac = res.preintegration_residual(s_i, s_k, pre, GRAVITY)
+            _, _, jac = preintegration_residual(s_i, s_k, pre, GRAVITY)
 
             def from_states(si, sk):
-                return res.preintegration_residual(si, sk, pre, GRAVITY)[0]
+                return preintegration_residual(si, sk, pre, GRAVITY)[0]
 
             fd = pose_numeric_jacobian(
                 lambda p: from_states(
@@ -191,7 +206,7 @@ class TestPreintegrationResidual:
 def plane_constraint(point, normal, sigma=0.05):
     n = np.asarray(normal, dtype=float)
     n = n / np.linalg.norm(n)
-    return res.MapConstraint(0, np.asarray(point, dtype=float), n, np.eye(3) / sigma**2, res.POINT_TO_PLANE)
+    return MapConstraint(0, np.asarray(point, dtype=float), n, np.eye(3) / sigma**2, POINT_TO_PLANE)
 
 
 class TestPointToPlane:
@@ -200,27 +215,27 @@ class TestPointToPlane:
         anchor = se3_exp(np.array([0, 0, 0.3, 1.0, -0.5, 0.0]))
         # place the landmark so it lands on the plane z=3 after transforming
         target = np.array([5.0, -2.0, 3.0])
-        lm = res.Landmark(anchor.inverse().apply(target), 0)
-        r_n, _, _ = res.point_to_plane_residual(anchor, lm, c)
+        lm = Landmark(anchor.inverse().apply(target), 0)
+        r_n, _, _ = point_to_plane_residual(anchor, lm, c)
         assert abs(r_n) < 1e-12
 
     def test_direct_substitution(self):
         c = plane_constraint([0.0, 0.0, 0.0], [1.0, 0.0, 0.0])
-        lm = res.Landmark(np.array([1.0, 0.0, 0.0]), 0)
-        r_n, _, _ = res.point_to_plane_residual(Pose.identity(), lm, c)
+        lm = Landmark(np.array([1.0, 0.0, 0.0]), 0)
+        r_n, _, _ = point_to_plane_residual(Pose.identity(), lm, c)
         assert r_n == pytest.approx(-1.0, abs=1e-15)
 
     def test_gauge_translation_in_plane(self):
         c = plane_constraint([1.0, 2.0, 3.0], [0.2, -0.4, 0.7])
         anchor = se3_exp(np.array([0.1, 0.2, -0.1, 0.5, 1.0, -0.3]))
         lm_pos = np.array([0.3, 0.4, 2.0])
-        r0, _, _ = res.point_to_plane_residual(anchor, res.Landmark(lm_pos, 0), c)
+        r0, _, _ = point_to_plane_residual(anchor, Landmark(lm_pos, 0), c)
         # move the landmark so its image slides within the constraint plane
         n = c.normal
         t_map = np.cross(n, [1.0, 0.0, 0.0])
         t_map /= np.linalg.norm(t_map)
         shift_local = anchor.rotation.T @ t_map * 0.37
-        r1, _, _ = res.point_to_plane_residual(anchor, res.Landmark(lm_pos + shift_local, 0), c)
+        r1, _, _ = point_to_plane_residual(anchor, Landmark(lm_pos + shift_local, 0), c)
         assert abs(r1 - r0) < 1e-12
 
     def test_jacobians_match_finite_differences(self):
@@ -229,49 +244,49 @@ class TestPointToPlane:
             c = plane_constraint(rng.normal(size=3), rng.normal(size=3))
             anchor = random_pose(rng)
             lm_pos = rng.normal(size=3)
-            _, j_anchor, j_lm = res.point_to_plane_residual(anchor, res.Landmark(lm_pos, 0), c)
+            _, j_anchor, j_lm = point_to_plane_residual(anchor, Landmark(lm_pos, 0), c)
             fd_a = pose_numeric_jacobian(
-                lambda p: res.point_to_plane_residual(p, res.Landmark(lm_pos, 0), c)[0], anchor
+                lambda p: point_to_plane_residual(p, Landmark(lm_pos, 0), c)[0], anchor
             )
             fd_l = numeric_jacobian(
-                lambda x: res.point_to_plane_residual(anchor, res.Landmark(x, 0), c)[0], lm_pos
+                lambda x: point_to_plane_residual(anchor, Landmark(x, 0), c)[0], lm_pos
             )
             assert np.allclose(j_anchor, fd_a, atol=1e-6)
             assert np.allclose(j_lm, fd_l, atol=1e-6)
 
     def test_metric_mismatch(self):
-        c = res.MapConstraint(0, np.zeros(3), None, np.eye(3), res.POINT_TO_POINT)
-        with pytest.raises(res.MetricMismatchError):
-            res.point_to_plane_residual(Pose.identity(), res.Landmark(np.zeros(3), 0), c)
+        c = MapConstraint(0, np.zeros(3), None, np.eye(3), POINT_TO_POINT)
+        with pytest.raises(MetricMismatchError):
+            point_to_plane_residual(Pose.identity(), Landmark(np.zeros(3), 0), c)
 
 
 class TestPointToPoint:
     def test_perfect_match(self):
         anchor = se3_exp(np.array([0.0, 0.0, 0.5, 1.0, 2.0, 3.0]))
         target = np.array([4.0, 5.0, 6.0])
-        c = res.MapConstraint(0, target, None, np.eye(3), res.POINT_TO_POINT)
-        lm = res.Landmark(anchor.inverse().apply(target), 0)
-        r, _, _ = res.point_to_point_residual(anchor, lm, c)
+        c = MapConstraint(0, target, None, np.eye(3), POINT_TO_POINT)
+        lm = Landmark(anchor.inverse().apply(target), 0)
+        r, _, _ = point_to_point_residual(anchor, lm, c)
         assert np.allclose(r, 0.0, atol=1e-12)
 
     def test_direct_subtraction(self):
-        c = res.MapConstraint(0, np.array([1.0, 2.0, 3.0]), None, np.eye(3), res.POINT_TO_POINT)
-        lm = res.Landmark(np.array([1.0, 2.0, 0.0]), 0)
-        r, _, _ = res.point_to_point_residual(Pose.identity(), lm, c)
+        c = MapConstraint(0, np.array([1.0, 2.0, 3.0]), None, np.eye(3), POINT_TO_POINT)
+        lm = Landmark(np.array([1.0, 2.0, 0.0]), 0)
+        r, _, _ = point_to_point_residual(Pose.identity(), lm, c)
         assert np.allclose(r, [0.0, 0.0, 3.0], atol=1e-15)
 
     def test_jacobians_match_finite_differences(self):
         rng = np.random.default_rng(5)
         for _ in range(100):
-            c = res.MapConstraint(0, rng.normal(size=3), None, np.eye(3), res.POINT_TO_POINT)
+            c = MapConstraint(0, rng.normal(size=3), None, np.eye(3), POINT_TO_POINT)
             anchor = random_pose(rng)
             lm_pos = rng.normal(size=3)
-            _, j_anchor, j_lm = res.point_to_point_residual(anchor, res.Landmark(lm_pos, 0), c)
+            _, j_anchor, j_lm = point_to_point_residual(anchor, Landmark(lm_pos, 0), c)
             fd_a = pose_numeric_jacobian(
-                lambda p: res.point_to_point_residual(p, res.Landmark(lm_pos, 0), c)[0], anchor
+                lambda p: point_to_point_residual(p, Landmark(lm_pos, 0), c)[0], anchor
             )
             fd_l = numeric_jacobian(
-                lambda x: res.point_to_point_residual(anchor, res.Landmark(x, 0), c)[0], lm_pos
+                lambda x: point_to_point_residual(anchor, Landmark(x, 0), c)[0], lm_pos
             )
             assert np.allclose(j_anchor, fd_a, atol=1e-6)
             assert np.allclose(j_lm, fd_l, atol=1e-6)
@@ -353,7 +368,7 @@ def pose_at(values, family, row):
 
 
 class TestBatchedFactors:
-    """``evaluate_batch`` against the bare residual functions, row by row."""
+    """``evaluate_batch`` against the one-row references, row by row."""
 
     @staticmethod
     def assert_close(batch, reference):
@@ -383,16 +398,16 @@ class TestBatchedFactors:
         assert residual.shape == (40, 4) and j_pose.shape == (40, 4, 6) and j_lm.shape == (40, 4, 3)
         for i in range(40):
             state = imu.NavState(pose=poses[i])
-            lm = res.Landmark(landmarks[i], i)
+            lm = Landmark(landmarks[i], i)
             if i == 7:
-                with pytest.raises(res.BehindCameraError):
-                    res.reprojection_residual(state, lm, res.Observation(0, i, pixels[i, :2]), cam_l)
+                with pytest.raises(BehindCameraError):
+                    reprojection_residual(state, lm, Observation(0, i, pixels[i, :2]), cam_l)
                 assert not residual[i].any() and not j_pose[i].any() and not j_lm[i].any()
                 continue
             for c, cam in enumerate((cam_l, cam_r)):
                 rows = slice(2 * c, 2 * c + 2)
-                obs = res.Observation(0, i, pixels[i, rows])
-                r, jp, jl = res.reprojection_residual(state, lm, obs, cam)
+                obs = Observation(0, i, pixels[i, rows])
+                r, jp, jl = reprojection_residual(state, lm, obs, cam)
                 self.assert_close(residual[i, rows], r)
                 self.assert_close(j_pose[i, rows], jp)
                 self.assert_close(j_lm[i, rows], jl)
@@ -415,8 +430,8 @@ class TestBatchedFactors:
         values, batch = self.map_batch(rng, res.PointToPlaneFactor, constraints)
         residual, (j_anchor, j_lm) = res.PointToPlaneFactor.evaluate_batch(batch, values)
         for i, c in enumerate(constraints):
-            r_n, ja, jl = res.point_to_plane_residual(
-                pose_at(values, "anchor", 1), res.Landmark(values["lm"][i], i), c
+            r_n, ja, jl = point_to_plane_residual(
+                pose_at(values, "anchor", 1), Landmark(values["lm"][i], i), c
             )
             self.assert_close(residual[i], r_n * c.normal)
             self.assert_close(j_anchor[i], np.outer(c.normal, ja))
@@ -427,14 +442,14 @@ class TestBatchedFactors:
     def test_point_to_point_matches_reference(self):
         rng = np.random.default_rng(10)
         constraints = [
-            res.MapConstraint(i, rng.normal(size=3) * 3.0, None, np.eye(3), res.POINT_TO_POINT)
+            MapConstraint(i, rng.normal(size=3) * 3.0, None, np.eye(3), POINT_TO_POINT)
             for i in range(30)
         ]
         values, batch = self.map_batch(rng, res.PointToPointFactor, constraints)
         residual, (j_anchor, j_lm) = res.PointToPointFactor.evaluate_batch(batch, values)
         for i, c in enumerate(constraints):
-            r, ja, jl = res.point_to_point_residual(
-                pose_at(values, "anchor", 1), res.Landmark(values["lm"][i], i), c
+            r, ja, jl = point_to_point_residual(
+                pose_at(values, "anchor", 1), Landmark(values["lm"][i], i), c
             )
             self.assert_close(residual[i], r)
             self.assert_close(j_anchor[i], ja)
@@ -444,8 +459,8 @@ class TestBatchedFactors:
 
 
 class TestInertialBatches:
-    """``evaluate_batch`` of the preintegration and bias kinds against their
-    one-row ``evaluate``, on a chain of keyframes that share blocks."""
+    """``evaluate_batch`` of the preintegration, bias and prior kinds against
+    one-row references, on a chain of keyframes that share blocks."""
 
     @staticmethod
     def assert_close(batch, reference):
@@ -485,22 +500,22 @@ class TestInertialBatches:
         bias_slots = [("ba", prev), ("bg", prev), ("ba", curr), ("bg", curr)]
         return values, pres, pre_slots, bias_slots
 
-    def assert_matches_evaluate(self, batch, values, row_data):
-        """``row_data[i]``: what row i's ``evaluate`` takes after its block values."""
-        cls = batch.kind
-        residual, jacs = cls.evaluate_batch(batch, values)
-        assert residual.shape[0] == len(batch) == len(row_data)
-        for i, data in enumerate(row_data):
+    def assert_matches(self, batch, values, reference):
+        """``reference(blocks, i)``: row i's residual and Jacobians, from its
+        block values ``blocks`` (a ``Pose`` or a vector each, slot by slot)."""
+        residual, jacs = batch.kind.evaluate_batch(batch, values)
+        assert residual.shape[0] == len(batch)
+        for i in range(len(batch)):
             blocks = [
                 pose_at(values, family, rows[i]) if isinstance(values[family], tuple) else values[family][rows[i]]
                 for family, rows in batch.slots
             ]
-            r, js = cls.evaluate(blocks, *data)
+            r, js = reference(blocks, i)
             self.assert_close(residual[i], r)
             assert len(jacs) == len(js)
             for j_batch, j in zip(jacs, js):
                 self.assert_close(j_batch[i], j)
-        no_jac, none = cls.evaluate_batch(batch, values, jacobian=False)
+        no_jac, none = batch.kind.evaluate_batch(batch, values, jacobian=False)
         assert none is None
         np.testing.assert_array_equal(no_jac, residual)
         return residual
@@ -511,7 +526,15 @@ class TestInertialBatches:
             res.PreintegrationFactor, slots, res.stack_preintegrations(pres, GRAVITY),
             np.array([pre.information() for pre in pres]),
         )
-        residual = self.assert_matches_evaluate(batch, values, [(pre, GRAVITY) for pre in pres])
+        names = ("pose_i", "vel_i", "gyro_bias_i", "accel_bias_i", "pose_k", "vel_k")
+
+        def reference(blocks, i):
+            pose_i, vel_i, bg_i, ba_i, pose_k, vel_k = blocks
+            s_i = imu.NavState(pose=pose_i, velocity=vel_i, accel_bias=ba_i, gyro_bias=bg_i)
+            r, _, j = preintegration_residual(s_i, imu.NavState(pose=pose_k, velocity=vel_k), pres[i], GRAVITY)
+            return r, [j[name] for name in names]
+
+        residual = self.assert_matches(batch, values, reference)
         e_rot = np.linalg.norm(residual[:, :3], axis=1)
         assert (e_rot < 1e-6).sum() == 2 and (e_rot > 1e-2).sum() == 2
         # the bias correction's rotation: zero at row 1, a closed-form angle elsewhere
@@ -520,10 +543,26 @@ class TestInertialBatches:
         assert min(np.linalg.norm(pre.J_g_dR @ d) for pre, d in zip(pres, db_g) if d.any()) > 1e-6
 
     def test_bias_random_walk_matches_evaluate(self):
+        """The residual by direct subtraction; the Jacobians by central
+        differences of the kernel on a one-row stack."""
         values, pres, _, slots = self.chain(np.random.default_rng(22))
         information = [imu.bias_information(imu.ImuNoiseModel(), pre.dt_total) for pre in pres]
         batch = group(res.BiasRandomWalkFactor, slots, None, information)
-        self.assert_matches_evaluate(batch, values, [()] * len(pres))
+
+        def reference(blocks, i):
+            ba_i, bg_i, ba_k, bg_k = blocks
+            jacs = [
+                numeric_jacobian(
+                    lambda x: res.BiasRandomWalkFactor.evaluate(
+                        [x[None] if b == a else blocks[b][None] for b in range(4)]
+                    )[0][0],
+                    blocks[a],
+                )
+                for a in range(4)
+            ]
+            return np.concatenate([ba_i - ba_k, bg_i - bg_k]), jacs
+
+        self.assert_matches(batch, values, reference)
 
     def test_anchor_prior_matches_evaluate(self):
         rng = np.random.default_rng(23)
@@ -531,4 +570,4 @@ class TestInertialBatches:
         values = {"anchor": pose_family(anchors)}
         means = [anchors[i % 2] @ se3_exp(rng.normal(size=6) * 0.1) for i in range(3)]
         batch = group(res.AnchorPriorFactor, [("anchor", np.arange(3) % 2)], means, np.eye(6))
-        self.assert_matches_evaluate(batch, values, [(mean,) for mean in means])
+        self.assert_matches(batch, values, lambda blocks, i: res.AnchorPriorFactor.evaluate(blocks, means[i]))

@@ -8,7 +8,15 @@ from crossloc.liegroup import Pose, se3_exp
 from crossloc.simulator import default_rig
 from crossloc.solver import FactorBatch, Problem
 
-from oracles import levenberg_marquardt_two_evaluations
+from oracles import (
+    POINT_TO_PLANE,
+    POINT_TO_POINT,
+    Landmark,
+    MapConstraint,
+    levenberg_marquardt_two_evaluations,
+    point_to_plane_residual,
+    point_to_point_residual,
+)
 
 
 class VectorResidualFactor:
@@ -230,12 +238,12 @@ class TestEvaluateCost:
         problem.add_poses("anchor", [se3_exp(np.array([0.1, 0, 0, 0.5, 0, 0]))])
         problem.add_vectors("lm", [[1.0, -1.0, 2.0]])
         kernel = res.RobustKernel("cauchy", 1.3)
-        c1 = res.MapConstraint(0, np.array([1.5, -1.0, 2.2]), None, np.eye(3) / 0.05**2, res.POINT_TO_POINT)
+        c1 = MapConstraint(0, np.array([1.5, -1.0, 2.2]), None, np.eye(3) / 0.05**2, POINT_TO_POINT)
         n = np.array([0.0, 0.0, 1.0])
-        c2 = res.MapConstraint(0, np.array([1.0, -1.0, 2.5]), n, np.eye(3) / 0.05**2, res.POINT_TO_PLANE)
+        c2 = MapConstraint(0, np.array([1.0, -1.0, 2.5]), n, np.eye(3) / 0.05**2, POINT_TO_PLANE)
         # Anisotropic information in the same point-to-point group as c1, so
         # one group whitens by differing square roots.
-        c3 = res.MapConstraint(0, np.array([1.5, -1.0, 2.2]), None, np.diag([400.0, 100.0, 25.0]), res.POINT_TO_POINT)
+        c3 = MapConstraint(0, np.array([1.5, -1.0, 2.2]), None, np.diag([400.0, 100.0, 25.0]), POINT_TO_POINT)
         add_point_to_point(
             problem, [0, 0], [c1.point, c3.point], [c1.information, c3.information], kernel
         )
@@ -254,16 +262,16 @@ class TestEvaluateCost:
             problem.add_factors(res.AnchorPriorFactor, [("anchor", [0])], [mean], f_info, f_kernel)
 
         total = solver.evaluate_cost(problem)
-        # Oracle: rho(r^T info r) per row, with r from the bare residual
-        # functions and info straight from the information, with no square
+        # Oracle: rho(r^T info r) per row, with r from the one-row
+        # references and info straight from the information, with no square
         # root taken.
         expected = 0.0
         anchor = pose_row(problem, "anchor")
-        lm = res.Landmark(problem.value["lm"][0], 0)
+        lm = Landmark(problem.value["lm"][0], 0)
         for c in (c1, c3):
-            r, _, _ = res.point_to_point_residual(anchor, lm, c)
+            r, _, _ = point_to_point_residual(anchor, lm, c)
             expected += kernel.loss(float(r @ c.information @ r))[0]
-        r_n, _, _ = res.point_to_plane_residual(anchor, lm, c2)
+        r_n, _, _ = point_to_plane_residual(anchor, lm, c2)
         r = r_n * n
         expected += kernel.loss(float(r @ c2.information @ r))[0]
         for mean, f_info, f_kernel in priors:

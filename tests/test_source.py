@@ -1,11 +1,12 @@
-"""Checks on the source of the ``crossloc`` package itself."""
+"""Checks on the source of the ``crossloc`` package itself, and on the imports of its tests."""
 
 import ast
 from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "crossloc"
+TESTS = Path(__file__).resolve().parent
+PACKAGE = TESTS.parent / "src" / "crossloc"
 
 
 def unused_imports(source: str) -> list[str]:
@@ -46,7 +47,9 @@ def test_unused_imports_are_found():
     assert unused_imports(source) == ["os (line 3)", "se3_exp (line 4)"]
 
 
-@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda path: path.name)
+@pytest.mark.parametrize(
+    "path", sorted(PACKAGE.glob("*.py")) + sorted(TESTS.glob("*.py")), ids=lambda path: path.name
+)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
 
@@ -78,6 +81,59 @@ def test_batch_twins_are_found():
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda path: path.name)
 def test_no_batch_twins(path):
     assert batch_twins(path.read_text()) == []
+
+
+def second_kernels(source: str) -> list[str]:
+    """Public module-level functions named ``*_residual``, and classes whose
+    ``evaluate_batch`` does not call their own ``evaluate``.
+
+    Each factor kind has one kernel: ``evaluate_batch`` itself, or an
+    ``evaluate`` over stacked rows that ``evaluate_batch`` calls. One-row
+    references belong in ``tests/oracles.py``. A private helper, such as
+    the estimator's ``_mean_constraint_residual`` diagnostic, is no kernel.
+    """
+    tree = ast.parse(source)
+    found = [
+        (node.name, node.lineno)
+        for node in tree.body
+        if isinstance(node, ast.FunctionDef) and node.name.endswith("_residual") and not node.name.startswith("_")
+    ]
+    for cls in (node for node in ast.walk(tree) if isinstance(node, ast.ClassDef)):
+        methods = {node.name: node for node in cls.body if isinstance(node, ast.FunctionDef)}
+        if "evaluate" in methods and "evaluate_batch" in methods:
+            batch = methods["evaluate_batch"]
+            if not any(
+                isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr == "evaluate"
+                for node in ast.walk(batch)
+            ):
+                found.append((f"{cls.name}.evaluate_batch", batch.lineno))
+    return [f"{name} (line {line})" for name, line in found]
+
+
+def test_second_kernels_are_found():
+    source = (
+        "def point_to_point_residual(anchor, lm, c): pass\n"
+        "def _mean_residual(rows): pass\n"
+        "def stack_residuals(rows):\n"
+        "    def row_residual(r): pass\n"
+        "class OneKernel:\n"
+        "    def evaluate(cls, blocks): pass\n"
+        "    def evaluate_batch(cls, batch, values):\n"
+        "        return cls.evaluate(batch.vectors(values, 0))\n"
+        "class BatchOnly:\n"
+        "    def evaluate_batch(cls, batch, values): pass\n"
+        "    def reprojection_residual(cls): pass\n"
+        "class TwoKernels:\n"
+        "    def evaluate(cls, blocks): pass\n"
+        "    def evaluate_batch(cls, batch, values):\n"
+        "        return batch.vectors(values, 0)\n"
+    )
+    assert second_kernels(source) == ["point_to_point_residual (line 1)", "TwoKernels.evaluate_batch (line 14)"]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda path: path.name)
+def test_one_kernel_per_factor_kind(path):
+    assert second_kernels(path.read_text()) == []
 
 
 # liegroup's parts of a retraction: a module that takes them builds its own
