@@ -280,7 +280,7 @@ def _add_anchor_groups(problem: Problem, anchor: AnchorTransform, association, l
             information, kernel,
         )
     problem.add_factors(
-        res.AnchorPriorFactor, [("anchor", [0])], [anchor.prior_mean],
+        res.AnchorPriorFactor, [("anchor", [0])], Pose.stack([anchor.prior_mean]),
         cfg.prior_information(anchor.prior_scale), res.RobustKernel(),
     )
 

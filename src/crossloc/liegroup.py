@@ -11,11 +11,15 @@ Conventions used throughout the package:
 
 Each map is one function over one element or a stack of n, and returns the
 element's shape with n in front: the SO(3) maps (``skew``, ``so3_exp``,
-``so3_log``, the left and right Jacobians and their inverses,
-``so3_exp_and_left_jacobian``) over a (3,) vector or (3, 3) matrix, the
-SE(3) maps (``se3_exp``, ``se3_log``, their Jacobians) and ``Pose``'s
-operations over a (6,) twist or a ``Pose`` of a (3, 3) rotation and a (3,)
-translation; ``Pose.apply`` applies one pose. Small angles switch the
+``so3_log``, the left and right Jacobians and their inverses) over a (3,)
+vector or (3, 3) matrix, the SE(3) maps (``se3_exp``, ``se3_log``, their
+Jacobians) and ``Pose``'s operations over a (6,) twist or a ``Pose`` of a
+(3, 3) rotation and a (3,) translation; ``Pose.apply`` applies one pose.
+Where a caller needs two maps of one argument, a pair computes them from
+one angle and one Phi^2, equal bit for bit to the two calls:
+``so3_exp_and_left_jacobian``, ``so3_exp_and_right_jacobian``,
+``so3_left_and_right_jacobian_inv`` and ``se3_log_and_right_jacobian_inv``
+(the twist of a pose and J_r^-1 of it). Small angles switch the
 trigonometric coefficients to Taylor series against catastrophic
 cancellation, below ``SMALL_ANGLE`` (``Q_SERIES_ANGLE`` for the Q block of
 the SE(3) Jacobians); ``_by_angle`` is the one switch, and it picks the
@@ -57,9 +61,14 @@ def _by_angle(theta, series, closed, switch=SMALL_ANGLE):
     ``series(t2)`` below ``switch``, else ``closed(theta, t2)``.
 
     Both return a tuple of coefficients; each comes out shaped like theta.
+    A branch that no entry takes is not evaluated.
     """
     small = theta < switch
+    if small.all():
+        return series(theta * theta)
     safe = np.maximum(theta, switch)  # keeps the closed form finite at 0
+    if not small.any():
+        return closed(safe, safe * safe)
     return tuple(
         np.where(small, s, c) for s, c in zip(series(theta * theta), closed(safe, safe * safe))
     )
@@ -141,6 +150,13 @@ def so3_exp_and_left_jacobian(phi: np.ndarray):
     return np.eye(3) + a * p + b * p2, np.eye(3) + b * p + c * p2
 
 
+def so3_exp_and_right_jacobian(phi: np.ndarray):
+    """``so3_exp`` and ``so3_right_jacobian`` of phi from one angle and one
+    Phi^2: J_r = I - b*Phi + c*Phi^2 shares Exp's b."""
+    p, p2, (a, b, c) = _skew_terms(phi, _exp_coeffs)
+    return np.eye(3) + a * p + b * p2, np.eye(3) - b * p + c * p2
+
+
 def so3_right_jacobian(phi: np.ndarray) -> np.ndarray:
     """J_r with Exp(phi + d) ~ Exp(phi) Exp(J_r d) to first order."""
     return so3_left_jacobian(-np.asarray(phi, dtype=float))
@@ -153,6 +169,13 @@ def so3_left_jacobian_inv(phi: np.ndarray) -> np.ndarray:
 
 def so3_right_jacobian_inv(phi: np.ndarray) -> np.ndarray:
     return so3_left_jacobian_inv(-np.asarray(phi, dtype=float))
+
+
+def so3_left_and_right_jacobian_inv(phi: np.ndarray):
+    """``so3_left_jacobian_inv`` and ``so3_right_jacobian_inv`` of phi from
+    one angle and one Phi^2: they differ in the sign of Phi / 2 only."""
+    p, p2, (c,) = _skew_terms(phi, _inv_jacobian_coeff)
+    return np.eye(3) - 0.5 * p + c * p2, np.eye(3) + 0.5 * p + c * p2
 
 
 def orthonormalize(rot: np.ndarray) -> np.ndarray:
@@ -180,6 +203,12 @@ class Pose:
     @staticmethod
     def identity() -> "Pose":
         return Pose(np.eye(3), np.zeros(3))
+
+    @staticmethod
+    def stack(poses) -> "Pose":
+        """One stack of a sequence of single poses."""
+        rot = np.array([p.rotation for p in poses], dtype=float).reshape(-1, 3, 3)
+        return Pose(rot, np.array([p.translation for p in poses], dtype=float).reshape(-1, 3))
 
     def compose(self, other: "Pose") -> "Pose":
         rot = self.rotation
@@ -228,10 +257,29 @@ def se3_exp(xi: np.ndarray) -> Pose:
     return Pose(rot, _matvec(jac, xi[..., 3:]))
 
 
+def _log_terms(pose: Pose, coeffs):
+    """se3_log of pose and the terms of its rotation vector phi that its
+    Jacobians reuse: Phi, Phi^2 and J_l^-1's coefficient, then ``coeffs``
+    of phi's angle, each shaped (..., 1, 1)."""
+    phi = so3_log(pose.rotation)
+    p, p2, (c, *rest) = _skew_terms(phi, lambda t: _inv_jacobian_coeff(t) + coeffs(t))
+    rho = _matvec(np.eye(3) - 0.5 * p + c * p2, pose.translation)
+    return np.concatenate([phi, rho], axis=-1), p, p2, c, rest
+
+
 def se3_log(pose: Pose) -> np.ndarray:
     """Inverse of se3_exp; raises AngleNearPiError near antipodal rotations."""
-    phi = so3_log(pose.rotation)
-    return np.concatenate([phi, _matvec(so3_left_jacobian_inv(phi), pose.translation)], axis=-1)
+    return _log_terms(pose, lambda t: ())[0]
+
+
+def se3_log_and_right_jacobian_inv(pose: Pose):
+    """``se3_log`` of pose and ``se3_right_jacobian_inv`` of that twist,
+    from one Phi, one Phi^2 and one angle: J_r^-1 = I + Phi / 2 + c Phi^2
+    has J_l^-1's coefficient c, and Q is taken at (-phi, -rho)."""
+    xi, p, p2, c, (c1, c2, c3) = _log_terms(pose, _q_coeffs)
+    ji = np.eye(3) + 0.5 * p + c * p2
+    q = _q_from_terms(-p, p2, skew(-xi[..., 3:]), c1, c2, c3)
+    return xi, _blocks(ji, -ji @ q @ ji)
 
 
 def _q_coeffs(theta):
@@ -245,21 +293,28 @@ def _q_coeffs(theta):
         c3 = (2.0 * t - 3.0 * sin + t * cos) / (2.0 * t4 * t)
         return (t - sin) / (t2 * t), (t2 + 2.0 * cos - 2.0) / (2.0 * t4), c3
 
-    return _by_angle(
-        theta,
-        lambda t2: (
-            1.0 / 6.0 - t2 / 120.0 + t2**2 / 5040.0 - t2**3 / 362880.0 + t2**4 / 39916800.0,
-            1.0 / 24.0 - t2 / 720.0 + t2**2 / 40320.0 - t2**3 / 3628800.0 + t2**4 / 479001600.0,
-            1.0 / 120.0 - t2 / 2520.0 + t2**2 / 120960.0 - t2**3 / 9979200.0 + t2**4 / 1245404160.0,
-        ),
-        closed, Q_SERIES_ANGLE,
-    )
+    def series(t2):  # by Horner's rule
+        return tuple(a + t2 * (b + t2 * (c + t2 * (d + t2 * e))) for a, b, c, d, e in _Q_SERIES)
+
+    return _by_angle(theta, series, closed, Q_SERIES_ANGLE)
+
+
+# the Q coefficients' series in t^2, to t^8: c1, c2, c3
+_Q_SERIES = (
+    (1.0 / 6.0, -1.0 / 120.0, 1.0 / 5040.0, -1.0 / 362880.0, 1.0 / 39916800.0),
+    (1.0 / 24.0, -1.0 / 720.0, 1.0 / 40320.0, -1.0 / 3628800.0, 1.0 / 479001600.0),
+    (1.0 / 120.0, -1.0 / 2520.0, 1.0 / 120960.0, -1.0 / 9979200.0, 1.0 / 1245404160.0),
+)
 
 
 def _se3_q_matrix(phi: np.ndarray, rho: np.ndarray) -> np.ndarray:
     """Q block of the SE(3) left Jacobian (Barfoot's closed form)."""
     f, f2, (c1, c2, c3) = _skew_terms(phi, _q_coeffs)
-    r = skew(rho)
+    return _q_from_terms(f, f2, skew(rho), c1, c2, c3)
+
+
+def _q_from_terms(f, f2, r, c1, c2, c3):
+    """Q of Phi = f, Phi^2 = f2 and skew(rho) = r, with phi's coefficients."""
     fr, rf = f @ r, r @ f
     frf = fr @ f
     return 0.5 * r + c1 * (fr + rf + frf) + c2 * (f2 @ r + r @ f2 - 3.0 * frf) + c3 * (fr @ f2 + f2 @ rf)

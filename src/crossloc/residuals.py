@@ -37,13 +37,11 @@ import numpy as np
 from .liegroup import (
     Pose,
     se3_log,
-    se3_right_jacobian_inv,
+    se3_log_and_right_jacobian_inv,
     skew,
-    so3_exp,
-    so3_left_jacobian_inv,
+    so3_exp_and_right_jacobian,
+    so3_left_and_right_jacobian_inv,
     so3_log,
-    so3_right_jacobian,
-    so3_right_jacobian_inv,
 )
 
 __all__ = [
@@ -139,44 +137,47 @@ class StereoReprojectionFactor:
 
     @classmethod
     def evaluate_batch(cls, batch, values, jacobian=True):
-        """Residual (n, 4) and Jacobians [pose (n, 4, 6), landmark (n, 4, 3)]."""
+        """Residual (n, 4) and Jacobians [pose (n, 4, 6), landmark (n, 4, 3)].
+
+        Both views in one pass: with the extrinsics stacked as (2, 3, 3)
+        and (2, 3), each row's point is taken into the two cameras as
+        (n, 2, 3) by one product."""
         pixels, *cams = batch.data
         n = len(batch)
         rot, trans = batch.poses(values, 0)
         p_lm = batch.vectors(values, 1)
+        ext_rot = np.array([cam.body_t_cam.rotation for cam in cams])
+        ext_trans = np.array([cam.body_t_cam.translation for cam in cams])
+        focal = np.array([[cam.fx, cam.fy] for cam in cams])
+        centre = np.array([[cam.cx, cam.cy] for cam in cams])
         q_body = np.einsum("nj,nji->ni", p_lm - trans, rot)
-        residual = np.zeros((n, 4))
-        j_pose = np.zeros((n, 4, 6)) if jacobian else None
-        j_lm = np.zeros((n, 4, 3)) if jacobian else None
-        bad = np.zeros(n, dtype=bool)
-        sk_q = skew(q_body) if jacobian else None
-        for c, cam in enumerate(cams):
-            ext = cam.body_t_cam
-            p_cam = (q_body - ext.translation) @ ext.rotation
-            z = p_cam[:, 2]
-            bad |= z <= 1e-9
-            z = np.where(z <= 1e-9, 1.0, z)
-            uv = np.stack(
-                [cam.fx * p_cam[:, 0] / z + cam.cx, cam.fy * p_cam[:, 1] / z + cam.cy],
-                axis=1,
-            )
-            residual[:, 2 * c : 2 * c + 2] = uv - pixels[:, 2 * c : 2 * c + 2]
-            if jacobian:
-                j_pix = np.zeros((n, 2, 3))
-                j_pix[:, 0, 0] = cam.fx / z
-                j_pix[:, 0, 2] = -cam.fx * p_cam[:, 0] / (z * z)
-                j_pix[:, 1, 1] = cam.fy / z
-                j_pix[:, 1, 2] = -cam.fy * p_cam[:, 1] / (z * z)
-                j_cam = j_pix @ ext.rotation.T
-                j_pose[:, 2 * c : 2 * c + 2, :3] = j_cam @ sk_q
-                j_pose[:, 2 * c : 2 * c + 2, 3:] = -j_cam
-                j_lm[:, 2 * c : 2 * c + 2, :] = np.einsum("nij,nkj->nik", j_cam, rot)
+        # (q - t_v) R_v of both views: q [R_0 | R_1] - t_v R_v
+        p_cam = (q_body @ np.concatenate(ext_rot, axis=1)).reshape(n, 2, 3) - np.einsum(
+            "vj,vji->vi", ext_trans, ext_rot
+        )
+        z = p_cam[:, :, 2:]
+        behind = z <= 1e-9
+        z = np.where(behind, 1.0, z)
+        xy = p_cam[:, :, :2] / z
+        residual = (focal * xy + centre).reshape(n, 4) - pixels
+        bad = behind.any(axis=(1, 2))
+        jac = None
+        if jacobian:
+            # d(pixel)/d(q_body), (n, 4, 3): view v's pixel coordinate a is
+            # f_a / z (row a of R_v^T - xy_a * row 2 of R_v^T)
+            rt = ext_rot.transpose(0, 2, 1)
+            j_body = ((focal / z)[..., None] * (rt[:, :2] - xy[..., None] * rt[:, 2:])).reshape(n, 4, 3)
+            # d(q_body)/d(phi, rho, landmark) = [skew(q_body) | -I | R^T]
+            j_q = np.empty((n, 3, 9))
+            j_q[:, :, :3] = skew(q_body)
+            j_q[:, :, 3:6] = -np.eye(3)
+            j_q[:, :, 6:] = rot.transpose(0, 2, 1)
+            jac = j_body @ j_q
         if bad.any():
             residual[bad] = 0.0
             if jacobian:
-                j_pose[bad] = 0.0
-                j_lm[bad] = 0.0
-        return residual, [j_pose, j_lm]
+                jac[bad] = 0.0
+        return residual, None if jac is None else [jac[:, :, :6], jac[:, :, 6:]]
 
 
 _PREINTEGRATION_FIELDS = (
@@ -218,7 +219,8 @@ class PreintegrationFactor:
         db_g = bg_i - c["bias_g"]
         db_a = ba_i - c["bias_a"]
         phi_g = _matvec(c["J_g_dR"], db_g)
-        d_rot = c["delta_R"] @ so3_exp(phi_g)
+        exp_g, jr_g = so3_exp_and_right_jacobian(phi_g)
+        d_rot = c["delta_R"] @ exp_g
         d_p = c["delta_p"] + _matvec(c["J_g_dp"], db_g) + _matvec(c["J_a_dp"], db_a)
         d_v = c["delta_v"] + _matvec(c["J_g_dv"], db_g) + _matvec(c["J_a_dv"], db_a)
 
@@ -233,7 +235,7 @@ class PreintegrationFactor:
 
         n = len(residual)
         eye = np.eye(3)
-        jr_inv = so3_right_jacobian_inv(e_rot)
+        jl_inv, jr_inv = so3_left_and_right_jacobian_inv(e_rot)
         j_pose_i = np.zeros((n, 9, 6))
         j_pose_i[:, 0:3, 0:3] = -jr_inv @ rel.transpose(0, 2, 1)
         j_pose_i[:, 3:6, 0:3] = skew(w_p)
@@ -243,7 +245,7 @@ class PreintegrationFactor:
         j_vel_i[:, 3:6] = -rot_i_t * dt[:, :, None]
         j_vel_i[:, 6:9] = -rot_i_t
         j_bg_i = np.zeros((n, 9, 3))
-        j_bg_i[:, 0:3] = -so3_left_jacobian_inv(e_rot) @ so3_right_jacobian(phi_g) @ c["J_g_dR"]
+        j_bg_i[:, 0:3] = -jl_inv @ jr_g @ c["J_g_dR"]
         j_bg_i[:, 3:6] = -c["J_g_dp"]
         j_bg_i[:, 6:9] = -c["J_g_dv"]
         j_ba_i = np.zeros((n, 9, 3))
@@ -362,7 +364,8 @@ def _group_pose(batch, values) -> Pose:
 class AnchorPriorFactor:
     """Keeps the anchor near the previous step's converged estimate.
 
-    Slot (anchor,); data each row's prior mean ``Pose``.
+    Slot (anchor,); data the rows' prior means as one ``Pose`` stack
+    (``Pose.stack``), stacked once when the group is added.
     """
 
     @classmethod
@@ -370,11 +373,13 @@ class AnchorPriorFactor:
         """Tangent-space deviation of the anchor ``blocks[0]`` from its prior
         mean, one ``Pose`` each or stacks of n: residual (6,) or (n, 6) and
         Jacobians [(6, 6) or (n, 6, 6)] (None unless ``jacobian``)."""
-        residual = se3_log(prior_mean.inverse() @ blocks[0])
-        return residual, [se3_right_jacobian_inv(residual)] if jacobian else None
+        deviation = prior_mean.inverse() @ blocks[0]
+        if not jacobian:
+            return se3_log(deviation), None
+        residual, jr_inv = se3_log_and_right_jacobian_inv(deviation)
+        return residual, [jr_inv]
 
     @classmethod
     def evaluate_batch(cls, batch, values, jacobian=True):
         """``evaluate`` of the group's stacked rows and prior means."""
-        rot, trans = zip(*((m.rotation, m.translation) for m in batch.data))
-        return cls.evaluate((Pose(*batch.poses(values, 0)),), Pose(np.array(rot), np.array(trans)), jacobian)
+        return cls.evaluate((Pose(*batch.poses(values, 0)),), batch.data, jacobian)

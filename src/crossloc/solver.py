@@ -48,25 +48,33 @@ it is condensed out of the damped normal equations by a Schur complement
 (intended for landmarks: many small independent blocks, so a group has at
 most one slot on that family). For its L rows of size s and nc free camera
 coordinates (the free rows of the other families, family by family) the
-system is stacked as ``H_cc (nc, nc)``, ``b_c (nc,)``, ``H_ll (L, s, s)``,
-``b_l (L, s)`` and ``H_cl (L, nc, s)``. A solve maps each group's rows to
-their camera offset and landmark row once, and from them the group's
-scatter maps: flat index arrays from its rows' J^T J and J^T r entries into
-those of the arrays that they reach. Only the slots with a free row take
-columns: a slot whose rows are all fixed (the alignment's landmarks) takes
-none, and a group with no such slot adds its cost only. With no family
-eliminated, L is 0 and the landmark arrays are empty. Every LM iteration
-then adds each group in with one ``bincount`` per array, damps, checks the
+system is stacked as ``b_c (nc,)``, ``b_l (L, s)``, ``H_cc (nc, nc)``,
+``H_lc (L, s, ncl)`` and ``H_ll (L, s, s)``, laid out in that order in one
+flat buffer. ``H_lc`` is the landmark rows' part of H in the ncl camera
+columns that meet a landmark, those of the groups on the eliminated family
+(the poses and the anchor, not the velocities and biases): H_cl over those
+columns, transposed block by block, as the Schur step reads it. A solve
+maps each group's rows to their camera columns and landmark row once, and
+from them every entry of the rows' J^T r and J^T J to its place in the
+buffer. Only the slots with a free row take columns: a slot whose rows are
+all fixed (the alignment's landmarks) takes none, and a group with no such
+slot adds its cost only. With no family eliminated, L is 0 and the
+landmark arrays are empty. Every
+linearization then writes each group's J^T r and J^T J by ``matmul`` into
+one entries vector and sums it into the buffer by one ``bincount``; the
+five arrays are views of the result. Every LM iteration damps, checks the
 landmark blocks by one batched Cholesky and inverts them by one batched
-inverse (cheaper, for s x s blocks, than a solve with 1 + nc right-hand
-sides), and retracts the free rows of every pose family, stacked, by one
-``Pose.retract`` and those of each vector family by one update.
+inverse (cheaper, for s x s blocks, than a solve with 1 + ncl right-hand
+sides), adds the Schur terms into the coupled rows and columns of the
+damped ``H_cc``, and retracts the free rows of every pose family, stacked,
+by one ``Pose.retract`` and those of each vector family by one update.
 
 The damping adds ``lam * max(|h|, 1e-12)`` to each diagonal entry h.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -112,9 +120,9 @@ class Problem:
 
     def add_poses(self, name: str, poses, fixed=False):
         """A family of SE(3) poses, one row per ``Pose``."""
-        rot = np.array([p.rotation for p in poses], dtype=float).reshape(-1, 3, 3)
-        trans = np.array([p.translation for p in poses], dtype=float).reshape(-1, 3)
-        self._add(name, (rot, trans), _Family(True, 6, _row_mask(fixed, len(rot))))
+        stack = Pose.stack(poses)
+        fixed = _row_mask(fixed, len(stack.rotation))
+        self._add(name, (stack.rotation, stack.translation), _Family(True, 6, fixed))
 
     def add_vectors(self, name: str, values, fixed=False, eliminate: bool = False):
         """A family of vectors, one row of ``values`` (n, k) each."""
@@ -224,23 +232,24 @@ class _System:
     The free rows of the families that are not eliminated take consecutive
     offsets of the reduced (camera) vector, family by family in insertion
     order; the eliminated family's rows are the rows of the stacked
-    landmark arrays. Building it maps, per factor group, its rows' blocks
-    to those (``_scatter_maps``), which add the rows' normal-equation
-    entries into the stacked system.
+    landmark arrays. The camera columns that meet a landmark, those of the
+    groups on the eliminated family, are ``coupled`` (sorted); ``H_lc``
+    holds them only. Building it lays the five arrays out in one flat
+    buffer (``parts``: each one's slice and shape) and maps every group's
+    J^T r and J^T J entries to their place in it (``dst``), or to a last,
+    discarded bin where they land nowhere.
     """
 
     def __init__(self, problem: Problem):
         self.problem = problem
         offsets = {}  # family -> each row's camera offset, -1 if fixed or eliminated
-        lm_rows = {}  # family -> each row's landmark row, -1 unless eliminated
         self.free = {}  # family with free camera rows -> (mask, (n_free, size) offsets)
         self.elim, self.n_l, self.elim_size, self.nc = None, 0, 0, 0
         for name, family in problem.families.items():
             n = len(family.fixed)
-            offsets[name], lm_rows[name] = np.full(n, -1), np.full(n, -1)
+            offsets[name] = np.full(n, -1)
             if family.eliminate:
                 self.elim, self.n_l, self.elim_size = name, n, family.size
-                lm_rows[name] = np.arange(n)
             elif not family.fixed.all():
                 free = ~family.fixed
                 offsets[name][free] = self.nc + family.size * np.arange(free.sum())
@@ -248,50 +257,73 @@ class _System:
                 self.free[name] = (free, offsets[name][free, None] + np.arange(family.size))
         if not self.nc and not self.n_l:
             raise ValueError("problem has no free blocks")
+        nc, s, n_l = self.nc, self.elim_size, self.n_l
         # every pose family's free rows, family by family, for one retraction of all
         self.poses = [name for name in self.free if problem.families[name].pose]
         if self.poses:
             self.pose_index = np.concatenate([self.free[name][1] for name in self.poses])
             self.pose_bounds = np.cumsum([0] + [self.free[name][0].sum() for name in self.poses]).tolist()
-        # per group, the slots with a free row and the scatter maps of their columns
-        self.scatter = []
+        # per group, the indices of its slots with a free row and their columns
+        layouts, coupled = [], np.zeros(nc, dtype=bool)
         for batch in problem.groups:
             live = [a for a, (f, rows) in enumerate(batch.slots) if not problem.families[f].fixed[rows].all()]
-            slots = [batch.slots[a] for a in live]
-            maps = _scatter_maps(
-                [offsets[f][rows] for f, rows in slots],
-                [lm_rows[f][rows] for f, rows in slots],
-                [problem.families[f].size for f, _ in slots],
-                self.nc,
-                self.elim_size,
-            )
-            self.scatter.append((live, maps))
+            columns = None
+            if live:
+                columns = _columns([batch.slots[a] for a in live], problem.families, offsets, self.elim)
+                col, _, _, lm = columns
+                if lm is not None:  # a group on the eliminated family
+                    coupled[col[col >= 0]] = True
+            layouts.append((live, columns))
+        self.coupled = np.flatnonzero(coupled)
+        self.coupled_block = np.ix_(self.coupled, self.coupled)
+        ncl = len(self.coupled)
+        shapes = [(nc,), (n_l, s), (nc, nc), (n_l, s, ncl), (n_l, s, s)]  # b_c, b_l, H_cc, H_lc, H_ll
+        bounds = np.cumsum([0] + [math.prod(shape) for shape in shapes]).tolist()
+        self.parts = [(slice(a, b), shape) for a, b, shape in zip(bounds, bounds[1:], shapes)]
+        self.size = bounds[-1]
+        # camera column -> its index among the coupled ones
+        coupled_index = np.full(nc, -1)
+        coupled_index[self.coupled] = np.arange(ncl)
+        # per group, its live slot indices and its span of the entries vector
+        self.groups, dst, start = [], [np.zeros(0, dtype=np.intp)], 0
+        for live, columns in layouts:
+            if live:
+                dst.append(_destinations(*columns, coupled_index, bounds, s))
+            stop = start + (dst[-1].size if live else 0)
+            self.groups.append((live, start, stop))
+            start = stop
+        self.dst = np.concatenate(dst)
+        self.entries = np.empty(start)  # every group's J^T r and J^T J entries, rewritten per linearization
 
     def cost(self, values):
         return evaluate_cost(self.problem, values)
 
     def linearize(self, values):
-        h_cc, b_c, h_ll, b_l, h_cl, cost = _build_normal_equations(self.problem, self, values)
-        grad_norm = max(np.abs(b_c).max(initial=0.0), np.abs(b_l).max(initial=0.0))
-        return (h_cc, b_c, h_ll, b_l, h_cl), cost, grad_norm
+        flat, cost = _build_normal_equations(self.problem, self, values)
+        grad_norm = np.abs(flat[: self.parts[1][0].stop]).max(initial=0.0)  # over b_c and b_l
+        b_c, b_l, h_cc, h_lc, h_ll = (flat[span].reshape(shape) for span, shape in self.parts)
+        return (h_cc, b_c, h_ll, b_l, h_lc), cost, grad_norm
 
     def solve_damped(self, linear, lam):
         """Schur-condensed damped solve; returns (delta_c, delta_l (L, s)) or None."""
-        h_cc, b_c, h_ll, b_l, h_cl = linear
+        h_cc, b_c, h_ll, b_l, h_lc = linear
         hd_l = _damp(h_ll, lam)
         try:
             np.linalg.cholesky(hd_l)  # positive-definiteness check only
         except np.linalg.LinAlgError:
             return None
-        # x = H_ll^-1 [b_l | H_cl^T] per landmark, kept for the back-substitution
-        x = np.linalg.inv(hd_l) @ np.concatenate([b_l[:, :, None], h_cl.transpose(0, 2, 1)], axis=2)
-        # sum over landmarks of H_cl x: the Schur terms of b and of H
-        schur = np.tensordot(h_cl, x, axes=([0, 2], [0, 1]))
-        delta_c = _solve_or_none(_damp(h_cc, lam) - schur[:, 1:], b_c - schur[:, 0])
+        # x = H_ll^-1 [b_l | H_lc] per landmark, kept for the back-substitution
+        x = np.linalg.inv(hd_l) @ np.concatenate([b_l[:, :, None], h_lc], axis=2)
+        # sum over landmarks of H_lc^T x: the Schur terms of b and of H, on the coupled columns
+        schur = np.tensordot(h_lc, x, axes=([0, 1], [0, 1]))
+        hd_c, rhs = _damp(h_cc, lam), b_c.copy()
+        hd_c[self.coupled_block] -= schur[:, 1:]
+        rhs[self.coupled] -= schur[:, 0]
+        delta_c = _solve_or_none(hd_c, rhs)
         if delta_c is None:
             return None
-        # delta_l = H_ll^-1 (b_l - H_cl^T delta_c)
-        return delta_c, x[:, :, 0] - x[:, :, 1:] @ delta_c
+        # delta_l = H_ll^-1 (b_l - H_lc delta_c)
+        return delta_c, x[:, :, 0] - x[:, :, 1:] @ delta_c[self.coupled]
 
     def retract(self, values, delta):
         """One vectorized update of each vector family's free rows and one of
@@ -316,77 +348,91 @@ class _System:
         return new_values
 
 
-def _scatter_maps(cam, lm, sizes, nc, s):
-    """Where one group's normal-equation entries land in the stacked system.
-
-    The group's per-row Jacobians are concatenated over the block slots that
-    have a free row (sizes ``sizes``) into K columns; ``cam`` and ``lm``, one
-    (n,) array per slot, give each row block's camera offset and landmark
-    row, -1 if it has none. Returns (target, source, destination) triples of
-    flat index arrays, one per target that receives entries: J^T r (n, K)
-    into b_c and b_l (targets 0 and 1), J^T J (n, K, K) into H_cc, H_cl and
-    H_ll (targets 2, 3 and 4). Fixed row blocks' columns land nowhere.
-    """
-    if not sizes:
-        return []
-    # camera coordinate and landmark row of each column (n, K), -1 if none,
-    # and each column's coordinate within its block (K,)
+def _columns(slots, families, offsets, elim):
+    """The K columns of a group's slots with a free row, the slots' block
+    columns concatenated: each row's camera column (n, K), -1 where it has
+    none; which columns are the eliminated family's (K,); each column's
+    coordinate within its block (K,); and each row's landmark (n,), None if
+    no slot is on the eliminated family ``elim``."""
     col = np.concatenate(
-        [np.where(c[:, None] < 0, -1, c[:, None] + np.arange(k)) for c, k in zip(cam, sizes)], axis=1
+        [np.where(offsets[f][rows, None] < 0, -1, offsets[f][rows, None] + np.arange(families[f].size))
+         for f, rows in slots], axis=1,
     )
-    row = np.concatenate([np.repeat(r[:, None], k, axis=1) for r, k in zip(lm, sizes)], axis=1)
-    coord = np.concatenate([np.arange(k) for k in sizes])
-    ci, cj = col[:, :, None], col[:, None, :]
+    on_elim = np.concatenate([np.full(families[f].size, f == elim) for f, _ in slots])
+    coord = np.concatenate([np.arange(families[f].size) for f, _ in slots])
+    # the eliminated family's rows are the landmark rows
+    lm = next((rows for f, rows in slots if f == elim), None)
+    return col, on_elim, coord, lm
 
-    def pick(target, mask, dst):
-        return target, np.flatnonzero(mask), dst[mask]
 
-    maps = [pick(0, col >= 0, col), pick(2, (ci >= 0) & (cj >= 0), ci * nc + cj)]
-    if (row >= 0).any():  # only a group on the eliminated family reaches its targets
-        ri, rj = row[:, :, None], row[:, None, :]
-        maps += [
-            pick(1, row >= 0, row * s + coord),
-            pick(3, (ci >= 0) & (rj >= 0), (rj * nc + ci) * s + coord),
-            # a row touches at most one eliminated block: its landmark columns pair up
-            pick(4, (ri >= 0) & (rj >= 0), (ri * s + coord[:, None]) * s + coord),
-        ]
-    return [m for m in maps if len(m[1])]
+def _destinations(col, on_elim, coord, lm, coupled_index, bounds, s):
+    """Flat-buffer index of each of one group's J^T r (n, K) and J^T J
+    (n, K, K) entries, ravelled and concatenated; the last bin where an
+    entry lands nowhere.
+
+    ``col``, ``on_elim``, ``coord`` and ``lm`` are the group's ``_columns``.
+    ``bounds`` are the starts of b_c, b_l, H_cc, H_lc and H_ll in the buffer
+    and its size. J^T r lands in b_c and b_l, J^T J in H_cc, in H_lc
+    (landmark row, camera column: the transposed entries land nowhere) and
+    in H_ll; fixed row blocks' columns land nowhere. Entry (i, j) is a term
+    of row i plus a term of column j, chosen by their kinds. A row touches
+    at most one landmark, so its landmark columns pair up in H_ll.
+    """
+    b_c, b_l, h_cc, h_lc, h_ll, trash = bounds
+    nc, ncl = b_l - b_c, int(coupled_index.max(initial=-1)) + 1
+    n, k = col.shape
+    nowhere = -trash - 1  # a sum with it stays negative
+    cam = col >= 0
+    out = np.empty(n * k * (k + 1), dtype=np.intp)
+    to_g, to_h = out[: n * k].reshape(n, k), out[n * k :].reshape(n, k, k)
+    np.copyto(to_g, np.where(cam, b_c + col, trash))
+    # camera row i, camera column j
+    by_row, by_col = np.where(cam, h_cc + col * nc, nowhere), np.where(cam, col, nowhere)
+    np.add(by_row[:, :, None], by_col[:, None, :], out=to_h)
+    if lm is not None:
+        lm_coord = lm[:, None] * s + coord[on_elim]  # (n, s): each landmark row's place in b_l
+        to_g[:, on_elim] = b_l + lm_coord
+        # landmark row i, camera column j (H_lc) or landmark column j (H_ll)
+        lm_coord = lm_coord[:, :, None]
+        to_h[:, on_elim] = np.where(
+            cam[:, None, :],
+            h_lc + lm_coord * ncl + coupled_index[col][:, None, :],
+            np.where(on_elim, h_ll + lm_coord * s + coord, nowhere),
+        )
+    np.copyto(to_h, trash, where=to_h < 0)
+    return out
 
 
 def _build_normal_equations(problem, system, values):
-    """Assemble H_cc, b_c and the stacked H_ll (L, s, s), b_l (L, s), H_cl (L, nc, s).
+    """The flat normal-equation buffer (``system.parts``) and the cost.
 
     b is the negative gradient, so that delta = H^-1 b descends. The
     landmark part of H is block diagonal because a row touches at most
-    one eliminated block. Each group's entries are summed into the system
-    by its scatter maps, one ``bincount`` per target; a row of zero
-    robust weight adds zeros, and a group with no free row adds its cost only.
+    one eliminated block. Each group writes its rows' J^T r and J^T J, by
+    ``matmul``, into its span of ``system.entries``; one ``bincount`` then
+    sums every entry into its place. A row of zero robust weight adds
+    zeros, and a group with no free row adds its cost only.
     """
-    nc, s, n_l = system.nc, system.elim_size, system.n_l
-    h_cc = np.zeros((nc, nc))
-    b_c = np.zeros(nc)
-    h_ll = np.zeros((n_l, s, s))
-    b_l = np.zeros((n_l, s))
-    h_cl = np.zeros((n_l, nc, s))
-    targets = (b_c, b_l, h_cc, h_cl, h_ll)
+    entries = system.entries
     cost = 0.0
-    for batch, (live, maps) in zip(problem.groups, system.scatter):
+    for batch, (live, start, stop) in zip(problem.groups, system.groups):
         residual, jacs = batch.kind.evaluate_batch(batch, values, jacobian=bool(live))
         jac = np.concatenate([jacs[a] for a in live], axis=2) if live else None
         w_res, w_jac, rho, drho = _whiten(batch.sqrt_info, batch.kernel, residual, jac)
         cost += float(rho.sum())
         if not live:
             continue
-        # square-root re-weighting of the whitened rows by sqrt(rho')
+        # square-root re-weighting of the whitened rows by sqrt(rho'); the
+        # residual's sign flipped, so that J^T r is the negative gradient
         sw = np.sqrt(np.maximum(drho, 0.0))
-        r, jac = w_res * sw[:, None], w_jac * sw[:, None, None]
-        neg_g = -np.einsum("ndk,nd->nk", jac, r).ravel()
-        jtj = np.einsum("ndi,ndj->nij", jac, jac).ravel()
-        for target, src, dst in maps:
-            out = targets[target]
-            entries = neg_g if target < 2 else jtj
-            out.reshape(-1)[:] += np.bincount(dst, weights=entries[src], minlength=out.size)
-    return h_cc, b_c, h_ll, b_l, h_cl, cost
+        r, jac = w_res * -sw[:, None], w_jac * sw[:, None, None]
+        n, k = jac.shape[0], jac.shape[2]
+        jt = jac.transpose(0, 2, 1)
+        mid = start + n * k
+        np.matmul(jt, r[:, :, None], out=entries[start:mid].reshape(n, k, 1))
+        np.matmul(jt, jac, out=entries[mid:stop].reshape(n, k, k))
+    flat = np.bincount(system.dst, weights=entries, minlength=system.size + 1)
+    return flat[:-1], cost
 
 
 def _damp(h, lam):

@@ -188,7 +188,7 @@ class TestBatchedSo3:
     references, with entries on both branches."""
 
     MAPS = ["skew", "so3_exp", "so3_log", "so3_left_jacobian", "so3_left_jacobian_inv",
-            "so3_exp_and_left_jacobian"]
+            "so3_exp_and_left_jacobian", "so3_exp_and_right_jacobian", "so3_left_and_right_jacobian_inv"]
 
     @staticmethod
     def rotation_vectors():
@@ -273,6 +273,18 @@ class TestBatchedSo3:
             np.testing.assert_array_equal(exp, lg.so3_exp(args))
             np.testing.assert_array_equal(jac, lg.so3_left_jacobian(args))
 
+    def test_shared_term_pairs_match_the_separate_maps(self):
+        """``so3_exp_and_right_jacobian`` and ``so3_left_and_right_jacobian_inv``
+        equal the maps they pair bit for bit, on the same stacks and elements."""
+        phi = self.rotation_vectors()
+        for args in (phi, phi[4:], phi[1], phi[-1]):
+            exp, jac = lg.so3_exp_and_right_jacobian(args)
+            np.testing.assert_array_equal(exp, lg.so3_exp(args))
+            np.testing.assert_array_equal(jac, lg.so3_right_jacobian(args))
+            left, right = lg.so3_left_and_right_jacobian_inv(args)
+            np.testing.assert_array_equal(left, lg.so3_left_jacobian_inv(args))
+            np.testing.assert_array_equal(right, lg.so3_right_jacobian_inv(args))
+
 
 def pose_row(pose, i):
     return lg.Pose(pose.rotation[i], pose.translation[i])
@@ -289,6 +301,7 @@ class TestBatchedSe3:
         "se3_left_jacobian": lambda xi, p, q: lg.se3_left_jacobian(xi),
         "se3_right_jacobian": lambda xi, p, q: lg.se3_right_jacobian(xi),
         "se3_right_jacobian_inv": lambda xi, p, q: lg.se3_right_jacobian_inv(xi),
+        "se3_log_and_right_jacobian_inv": lambda xi, p, q: lg.se3_log_and_right_jacobian_inv(p),
         "_se3_q_matrix": lambda xi, p, q: lg._se3_q_matrix(xi[..., :3], xi[..., 3:]),
         "compose": lambda xi, p, q: p @ q,
         "inverse": lambda xi, p, q: p.inverse(),
@@ -315,7 +328,9 @@ class TestBatchedSe3:
         p, q = lg.se3_exp(xi), lg.se3_exp(0.5 * xi[::-1])
 
         def arrays(result):
-            return (result.rotation, result.translation) if isinstance(result, lg.Pose) else (result,)
+            if isinstance(result, lg.Pose):
+                return result.rotation, result.translation
+            return result if isinstance(result, tuple) else (result,)
 
         stacked = arrays(op(xi, p, q))
         for i in range(len(xi)):
@@ -335,6 +350,16 @@ class TestBatchedSe3:
         phi = axes * angles[:, None]
         for got, f, r in zip(lg._se3_q_matrix(phi, rho), phi, rho):
             np.testing.assert_allclose(got, se3_q_matrix_series(f, r), rtol=0.0, atol=1e-13)
+
+    def test_log_and_right_jacobian_inv_match_the_separate_maps(self):
+        """The pair equals ``se3_log`` and ``se3_right_jacobian_inv`` of its
+        twist bit for bit, on a stack with angles either side of both
+        switches and on single poses."""
+        p = lg.se3_exp(self.twists())
+        for pose in (p, pose_row(p, 0), pose_row(p, 5), pose_row(p, 12)):
+            xi, jac = lg.se3_log_and_right_jacobian_inv(pose)
+            np.testing.assert_array_equal(xi, lg.se3_log(pose))
+            np.testing.assert_array_equal(jac, lg.se3_right_jacobian_inv(xi))
 
     def test_retract_orthonormalizes_and_compose_does_not(self):
         """A rotation drifted off orthonormality is composed as it is and

@@ -259,7 +259,7 @@ class TestEvaluateCost:
             (se3_exp(np.array([0.05, 0, 0.01, 0.6, 0, -0.2])), info * 4.0, res.RobustKernel()),
         ]
         for mean, f_info, f_kernel in priors:
-            problem.add_factors(res.AnchorPriorFactor, [("anchor", [0])], [mean], f_info, f_kernel)
+            problem.add_factors(res.AnchorPriorFactor, [("anchor", [0])], Pose.stack([mean]), f_info, f_kernel)
 
         total = solver.evaluate_cost(problem)
         # Oracle: rho(r^T info r) per row, with r from the one-row
@@ -365,6 +365,58 @@ class TestSchurElimination:
         report = solver.solve(problem, max_iterations=60)
         assert report.final_cost < 1e-14
 
+    @staticmethod
+    def _uncoupled_problem(eliminate):
+        """Stereo rows on a [fixed, free, free] pose family and eliminated
+        landmarks; a ``vel`` family that no landmark group touches, tied to
+        the free poses by point rows and to itself by a bias-style group;
+        and a prior on the fixed pose row only, which adds its cost alone."""
+        rng = np.random.default_rng(43)
+        rig = default_rig()
+        cams = (rig.camera, rig.right_camera())
+        poses = [Pose.identity(), se3_exp(np.array([0.01, 0.03, -0.02, 0.5, 0.1, 0.05])),
+                 se3_exp(np.array([-0.02, 0.05, 0.01, 1.0, -0.1, 0.1]))]
+        points = rng.uniform([4.0, -2.0, -1.0], [9.0, 2.0, 1.0], size=(5, 3))
+        problem = Problem()
+        problem.add_poses("pose", poses, fixed=[True, False, False])
+        problem.add_vectors("vel", rng.normal(size=(3, 3)))
+        problem.add_vectors("lm", points + rng.normal(size=(5, 3)) * 0.05, eliminate=eliminate)
+        pixels = [
+            np.concatenate([c.project(c.body_t_cam.inverse().apply(pose.inverse().apply(pt))) for c in cams])
+            + rng.normal(size=4)
+            for pose in poses for pt in points
+        ]
+        problem.add_factors(
+            res.StereoReprojectionFactor, [("pose", np.repeat(np.arange(3), 5)), ("lm", np.tile(np.arange(5), 3))],
+            (np.array(pixels), *cams), res.PIXEL_INFORMATION, res.RobustKernel("cauchy", 2.0),
+        )
+        problem.add_factors(
+            res.PointToPointFactor, [("pose", [1, 2, 2]), ("vel", [0, 1, 2])], (rng.normal(size=(3, 3)),),
+            np.eye(3) * 4.0, res.RobustKernel(),
+        )
+        problem.add_factors(
+            res.BiasRandomWalkFactor, [("vel", [0, 1]), ("vel", [1, 2]), ("vel", [1, 2]), ("vel", [2, 0])],
+            None, np.eye(6), res.RobustKernel(),
+        )
+        problem.add_factors(
+            res.AnchorPriorFactor, [("pose", [0])], Pose.stack([poses[1]]), np.eye(6), res.RobustKernel()
+        )
+        return problem
+
+    @pytest.mark.parametrize("lam", [1e-4, 1e-1])
+    def test_schur_step_with_uncoupled_columns(self, lam):
+        """The Schur step equals the solve of the same damped normal
+        equations with the landmarks not eliminated (their columns last)."""
+        problem, dense = self._uncoupled_problem(True), self._uncoupled_problem(False)
+        system, dense_system = solver._System(problem), solver._System(dense)
+        np.testing.assert_array_equal(system.coupled, np.arange(12))  # the free poses' columns only
+        assert system.nc == 21 and dense_system.nc == 36
+        delta_c, delta_l = system.solve_damped(system.linearize(problem.value)[0], lam)
+        h, b, _, _, _ = dense_system.linearize(dense.value)[0]
+        want = np.linalg.solve(solver._damp(h, lam), b)
+        got = np.concatenate([delta_c, delta_l.ravel()])
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-10 * np.abs(want).max())
+
     def test_factor_with_two_eliminated_blocks_rejected(self):
         problem = Problem()
         problem.add_vectors("lm", np.zeros((2, 3)), eliminate=True)
@@ -396,10 +448,12 @@ class TestSchurElimination:
 
 class TestNormalEquations:
     def test_matches_dense_jacobian(self):
-        """Stacked H_cc, H_cl, H_ll and b are the blocks of J^T J and -J^T r.
+        """Stacked H_cc, H_lc, H_ll and b are the blocks of J^T J and -J^T r.
 
         J and r stack each row's whitened, robust-weighted Jacobian and
         residual, with the whitening taken from the information itself.
+        H_lc holds the camera columns that meet a landmark only: the
+        ``vel`` family's, between the pose's and the anchor's, meet none.
         """
         rng = np.random.default_rng(3)
         rig = default_rig()
@@ -410,13 +464,15 @@ class TestNormalEquations:
         landmarks = np.array([[6.0, 0.5, 0.3], [8.0, -1.0, -0.2]])
         problem = Problem()
         problem.add_poses("pose", poses, fixed=[True, False])
+        problem.add_vectors("vel", [[0.5, -0.2, 0.1], [0.3, 0.4, -0.6]])
         problem.add_poses("anchor", [anchor])
         problem.add_vectors("lm", landmarks, eliminate=True)
         # Camera columns: the free rows family by family, then three per eliminated row.
         cols = {
-            ("pose", 1): slice(0, 6), ("anchor", 0): slice(6, 12),
-            ("lm", 0): slice(12, 15), ("lm", 1): slice(15, 18),
+            ("pose", 1): slice(0, 6), ("vel", 0): slice(6, 9), ("vel", 1): slice(9, 12),
+            ("anchor", 0): slice(12, 18), ("lm", 0): slice(18, 21), ("lm", 1): slice(21, 24),
         }
+        coupled = np.r_[0:6, 12:18]
         values = problem.value
 
         groups = []  # (kind, slots, data, information, kernel)
@@ -444,7 +500,10 @@ class TestNormalEquations:
              (np.array([[6.1, 0.4, 0.5]]), np.array([[0.0, 0.6, 0.8]])), info_plane, kernel),
             (res.PointToPointFactor, [("anchor", [0]), ("lm", [1])],
              (np.array([[8.2, -1.3, 0.1]]),), info_point, kernel),
-            (res.AnchorPriorFactor, [("anchor", [0])], [prior_mean], info_prior, res.RobustKernel()),
+            (res.AnchorPriorFactor, [("anchor", [0])], Pose.stack([prior_mean]), info_prior, res.RobustKernel()),
+            # a row whose slots meet the same block twice
+            (res.BiasRandomWalkFactor, [("vel", [0, 1]), ("vel", [1, 1]), ("vel", [1, 0]), ("vel", [0, 0])],
+             None, np.diag([4.0, 1.0, 2.0, 3.0, 1.0, 0.5]), kernel),
         ]
 
         j_rows, r_rows, expected_cost = [], [], 0.0
@@ -456,7 +515,7 @@ class TestNormalEquations:
                 rho, drho = f_kernel.loss(float(np.sum((s_mat @ r) ** 2)))
                 expected_cost += rho
                 w = np.sqrt(drho) * s_mat
-                j_dense = np.zeros((len(r), 18))
+                j_dense = np.zeros((len(r), 24))
                 for (family, rows), jac in zip(slots, jacs):
                     if (family, rows[i]) in cols:
                         j_dense[:, cols[family, rows[i]]] += w @ jac[i]
@@ -468,20 +527,44 @@ class TestNormalEquations:
         b = -jac.T @ r
 
         system = solver._System(problem)
-        h_cc, b_c, h_ll, b_l, h_cl, cost = solver._build_normal_equations(problem, system, values)
-        assert h_cc.shape == (12, 12) and h_ll.shape == (2, 3, 3) and h_cl.shape == (2, 12, 3)
+        (h_cc, b_c, h_ll, b_l, h_lc), cost, grad_norm = system.linearize(values)
+        np.testing.assert_array_equal(system.coupled, coupled)
+        assert h_cc.shape == (18, 18) and h_ll.shape == (2, 3, 3) and h_lc.shape == (2, 3, 12)
+        assert not h[6:12, 18:].any()  # the velocity columns meet no landmark
 
         def close(got, want, ref):
             np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(ref).max())
 
-        close(h_cc, h[:12, :12], h)
-        close(b_c, b[:12], b)
+        close(h_cc, h[:18, :18], h)
+        close(b_c, b[:18], b)
         for row in range(2):
-            lm = slice(12 + 3 * row, 15 + 3 * row)
+            lm = slice(18 + 3 * row, 21 + 3 * row)
             close(h_ll[row], h[lm, lm], h)
-            close(h_cl[row], h[:12, lm], h)
+            close(h_lc[row], h[lm, coupled], h)
             close(b_l[row], b[lm], b)
         assert cost == pytest.approx(expected_cost, rel=1e-12)
+        assert grad_norm == pytest.approx(np.abs(b).max(), rel=1e-12)
+
+    def test_one_bincount_per_linearization(self, monkeypatch):
+        """Every group's J^T r and J^T J entries reach the flat buffer by one
+        ``np.bincount`` call, whatever the number of groups and targets."""
+        problem = TestSchurElimination()._mini_ba(eliminate=True)
+        problem.add_vectors("vel", np.ones((2, 3)))
+        problem.add_factors(
+            res.BiasRandomWalkFactor, [("vel", [0]), ("vel", [1]), ("vel", [1]), ("vel", [0])],
+            None, np.eye(6), res.RobustKernel(),
+        )
+        problem.add_poses("anchor", [Pose.identity()])
+        add_point_to_point(problem, [0, 1], np.ones((2, 3)), np.eye(3))
+        problem.add_factors(
+            res.AnchorPriorFactor, [("anchor", [0])], Pose.stack([Pose.identity()]), np.eye(6), res.RobustKernel()
+        )
+        system = solver._System(problem)
+        calls = []
+        bincount = np.bincount
+        monkeypatch.setattr(np, "bincount", lambda *a, **k: calls.append(len(a[0])) or bincount(*a, **k))
+        system.linearize(problem.value)
+        assert calls == [len(system.entries)]
 
 
 class TestRetraction:
@@ -583,7 +666,7 @@ class TestOneFreeRow:
             problem.add_poses("pose", [Pose.identity()] * 2, fixed=[True, False])
             for rows in prior_rows:
                 problem.add_factors(
-                    res.AnchorPriorFactor, [("pose", rows)], [poses[r] for r in rows],
+                    res.AnchorPriorFactor, [("pose", rows)], Pose.stack([poses[r] for r in rows]),
                     np.eye(6), res.RobustKernel(),
                 )
             return problem
