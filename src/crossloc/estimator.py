@@ -227,6 +227,12 @@ class MapAssociation:
         return MapAssociation(*(column[mask] for column in vars(self).values()))
 
 
+# no rows, for an empty map or window and for the rigid step's first stage
+_NO_ASSOCIATION = MapAssociation(
+    np.zeros(0, dtype=int), np.zeros((0, 3)), np.zeros((0, 3)), np.zeros(0, dtype=bool)
+)
+
+
 def associate_constraints(
     window: SlidingWindow, anchor: Pose, cloud: PointCloudMap, cfg: EstimatorConfig
 ) -> MapAssociation:
@@ -239,9 +245,7 @@ def associate_constraints(
     """
     lm_ids = np.array(sorted(window.landmarks), dtype=int)
     if len(cloud) == 0 or not len(lm_ids):
-        return MapAssociation(
-            np.zeros(0, dtype=int), np.zeros((0, 3)), np.zeros((0, 3)), np.zeros(0, dtype=bool)
-        )
+        return _NO_ASSOCIATION
     idx, dist = cloud.knn(anchor.apply(_positions(window.landmarks, lm_ids)), cfg.knn_k)
     if idx.shape[1] >= 2:
         plane = normal_consistency(cloud.normals[idx], cfg.normal_consistency_angle)
@@ -369,6 +373,22 @@ def _write_back(problem: Problem, window: SlidingWindow, lm_ids) -> None:
     window.landmarks.update(zip(lm_ids, value["lm"]))
 
 
+def _adjust_window(window, anchor, association, rig, cfg) -> SolverReport:
+    """One solve of the window problem, with the anchor groups of the
+    solvable landmarks' constraints if ``association`` has any, written back
+    into the window and, with constraints, the anchor."""
+    lm_ids = _solvable_landmarks(window)
+    problem = _build_vio_problem(window, rig, rig.gravity_vector(), cfg, lm_ids)
+    if len(association):
+        solvable = association.rows(np.isin(association.landmark_ids, lm_ids))
+        _add_anchor_groups(problem, anchor, solvable, lm_ids, cfg)
+    report = solve(problem, cfg.max_iterations)
+    _write_back(problem, window, lm_ids)
+    if len(association):
+        anchor.pose = _solved_anchor(problem)
+    return report
+
+
 def non_rigid_ba(
     window: SlidingWindow,
     anchor: AnchorTransform,
@@ -382,17 +402,7 @@ def non_rigid_ba(
     problem (no anchor block), matching a VIO-only solve exactly. Otherwise
     the anchor groups take the constraints of the solvable landmarks.
     """
-    gravity = rig.gravity_vector()
-    lm_ids = _solvable_landmarks(window)
-    problem = _build_vio_problem(window, rig, gravity, cfg, lm_ids)
-    if len(association):
-        solvable = association.rows(np.isin(association.landmark_ids, lm_ids))
-        _add_anchor_groups(problem, anchor, solvable, lm_ids, cfg)
-    report = solve(problem, cfg.max_iterations)
-    _write_back(problem, window, lm_ids)
-    if len(association):
-        anchor.pose = _solved_anchor(problem)
-    return report
+    return _adjust_window(window, anchor, association, rig, cfg)
 
 
 def rigid_ba(
@@ -407,13 +417,11 @@ def rigid_ba(
     Stage two repeats association + anchor solve until the anchor update
     falls below the tolerance or ``icp_max_iterations`` is reached; states
     and landmarks stay untouched there. Each anchor solve is an
-    ``_alignment_problem``: one free pose row, nothing eliminated.
+    ``_alignment_problem``: one free pose row, nothing eliminated. The
+    report's initial cost is stage one's, its final cost the last anchor
+    solve's.
     """
-    gravity = rig.gravity_vector()
-    lm_ids = _solvable_landmarks(window)
-    problem = _build_vio_problem(window, rig, gravity, cfg, lm_ids)
-    stage1 = solve(problem, cfg.max_iterations)
-    _write_back(problem, window, lm_ids)
+    stage1 = _adjust_window(window, anchor, _NO_ASSOCIATION, rig, cfg)
 
     iterations = stage1.iterations
     final_cost = stage1.final_cost
@@ -463,6 +471,13 @@ def step(
 
 @dataclass
 class StepRecord:
+    """One step's report. On a non-rigid step ``initial_cost`` and
+    ``final_cost`` are the window problem's before and after its solve. On a
+    rigid step they come from two objectives: ``initial_cost`` is the
+    visual-inertial stage's (reprojection, preintegration and bias terms)
+    before its solve, ``final_cost`` the last anchor-only ICP solve's (map
+    and prior terms) after it, so they are not comparable."""
+
     keyframe_id: int
     timestamp: float
     actions: tuple[str, ...]

@@ -3,7 +3,8 @@
 A PointCloudMap is an immutable array-of-structs cloud: positions, optional
 unit normals (NaN rows mean "absent"), per-point observation counts, ground
 flags, and an optional integer label channel used only as ground-truth
-metadata by the simulator and tests (never serialized).
+metadata by the simulator and tests (never serialized). Every cloud is in
+the map frame, and a map file says so in its ``crossloc-map v1 map`` header.
 
 k-NN queries are exact: candidates come from a kd-tree, then distances are
 recomputed in double precision and sorted by (distance, insertion index) so
@@ -15,8 +16,9 @@ from __future__ import annotations
 import numpy as np
 from scipy.spatial import cKDTree
 
-FRAME_LOCAL = "local"
-FRAME_MAP = "map"
+# the file format's header; its last word names the map frame, the one frame
+# every cloud is in
+_HEADER = "crossloc-map v1 map"
 
 
 class EmptyMapError(ValueError):
@@ -34,7 +36,7 @@ class ParseError(ValueError):
 class PointCloudMap:
     """Point cloud with per-point metadata and an exact spatial index."""
 
-    def __init__(self, positions, normals=None, counts=None, ground=None, frame=FRAME_MAP, labels=None):
+    def __init__(self, positions, normals=None, counts=None, ground=None, labels=None):
         positions = np.asarray(positions, dtype=float)
         if positions.size == 0:
             positions = positions.reshape(0, 3)
@@ -51,9 +53,6 @@ class PointCloudMap:
         self.ground = (
             np.zeros(n, dtype=bool) if ground is None else np.asarray(ground, dtype=bool).reshape(n)
         )
-        if frame not in (FRAME_LOCAL, FRAME_MAP):
-            raise ValueError(f"unknown frame tag {frame!r}")
-        self.frame = frame
         self.labels = None if labels is None else np.asarray(labels, dtype=int).reshape(n)
         self._tree = None
 
@@ -76,7 +75,6 @@ class PointCloudMap:
             self.normals[index],
             self.counts[index],
             self.ground[index],
-            self.frame,
             None if self.labels is None else self.labels[index],
         )
 
@@ -161,7 +159,7 @@ def estimate_normals(cloud: PointCloudMap, neighborhood_k: int = 10) -> PointClo
     normals = _canonical_sign(normals / np.linalg.norm(normals, axis=1, keepdims=True))
     normals[~planar] = np.nan
     return PointCloudMap(
-        cloud.positions, normals, cloud.counts, cloud.ground, cloud.frame, cloud.labels
+        cloud.positions, normals, cloud.counts, cloud.ground, cloud.labels
     )
 
 
@@ -179,12 +177,12 @@ def normal_consistency(normals, angle_threshold: float) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# file IO: `crossloc-map v1 <frame>` header, then one point per line
+# file IO: a `crossloc-map v1 map` header, then one point per line
 
 
 def save_map(cloud: PointCloudMap, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"crossloc-map v1 {cloud.frame}\n")
+        fh.write(f"{_HEADER}\n")
         has_n = cloud.has_normal()
         for i in range(len(cloud)):
             p = cloud.positions[i]
@@ -203,12 +201,8 @@ def load_map(path) -> PointCloudMap:
     positions, normals, counts, ground = [], [], [], []
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline()
-        parts = header.split()
-        if len(parts) != 3 or parts[0] != "crossloc-map" or parts[1] != "v1":
+        if header.split() != _HEADER.split():
             raise ParseError(1, f"bad header {header.strip()!r}")
-        frame = parts[2]
-        if frame not in (FRAME_LOCAL, FRAME_MAP):
-            raise ParseError(1, f"unknown frame {frame!r}")
         for lineno, line in enumerate(fh, start=2):
             line = line.strip()
             if not line or line.startswith("#"):
@@ -232,6 +226,4 @@ def load_map(path) -> PointCloudMap:
                 ground.append(bool(int(rest[1])))
             except ValueError as exc:
                 raise ParseError(lineno, str(exc)) from None
-    if not positions:
-        return PointCloudMap(np.zeros((0, 3)), np.zeros((0, 3)), np.zeros(0, int), np.zeros(0, bool), frame)
-    return PointCloudMap(np.array(positions), np.array(normals), np.array(counts), np.array(ground), frame)
+    return PointCloudMap(positions, normals, counts, ground)

@@ -11,19 +11,20 @@ Conventions used throughout the package:
 
 Each map is one function over one element or a stack of n, and returns the
 element's shape with n in front: the SO(3) maps (``skew``, ``so3_exp``,
-``so3_log``, the left and right Jacobians and their inverses) over a (3,)
-vector or (3, 3) matrix, the SE(3) maps (``se3_exp``, ``se3_log``, their
-Jacobians) and ``Pose``'s operations over a (6,) twist or a ``Pose`` of a
-(3, 3) rotation and a (3,) translation; ``Pose.apply`` applies one pose.
-Where a caller needs two maps of one argument, a pair computes them from
-one angle and one Phi^2, equal bit for bit to the two calls:
-``so3_exp_and_left_jacobian``, ``so3_exp_and_right_jacobian``,
-``so3_left_and_right_jacobian_inv`` and ``se3_log_and_right_jacobian_inv``
-(the twist of a pose and J_r^-1 of it). Small angles switch the
-trigonometric coefficients to Taylor series against catastrophic
-cancellation, below ``SMALL_ANGLE`` (``Q_SERIES_ANGLE`` for the Q block of
-the SE(3) Jacobians); ``_by_angle`` is the one switch, and it picks the
-branch of each entry of a stack on its own.
+``so3_log``, ``so3_left_jacobian``) over a (3,) vector or (3, 3) matrix, the
+SE(3) maps (``se3_exp``, ``se3_log``) and ``Pose``'s operations over a (6,)
+twist or a ``Pose`` of a (3, 3) rotation and a (3,) translation;
+``Pose.apply`` applies one pose. Where a caller needs two maps of one
+argument, a pair computes them from one angle and one Phi^2:
+``so3_exp_and_left_jacobian``, ``so3_exp_and_right_jacobian`` (Exp and
+J_r), ``so3_left_and_right_jacobian_inv`` (J_l^-1 and J_r^-1) and
+``se3_log_and_right_jacobian_inv`` (the twist of a pose and the SE(3) J_r^-1
+of it). The module holds only the maps the package runs; the tests check
+them against independent series references in ``tests/oracles.py``. Small
+angles switch the trigonometric coefficients to Taylor series against
+catastrophic cancellation, below ``SMALL_ANGLE`` (``Q_SERIES_ANGLE`` for the
+Q block of the SE(3) Jacobian); ``_by_angle`` is the one switch, and it
+picks the branch of each entry of a stack on its own.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 SMALL_ANGLE = 1e-6
-# below it, the Q block of the SE(3) Jacobians takes its coefficients' series
+# below it, the Q block of the SE(3) Jacobian takes its coefficients' series
 Q_SERIES_ANGLE = 0.2
 
 # skew(v) flattened is v @ _SKEW_BASIS, and vee(m - m^T) is m flattened @
@@ -151,29 +152,15 @@ def so3_exp_and_left_jacobian(phi: np.ndarray):
 
 
 def so3_exp_and_right_jacobian(phi: np.ndarray):
-    """``so3_exp`` and ``so3_right_jacobian`` of phi from one angle and one
-    Phi^2: J_r = I - b*Phi + c*Phi^2 shares Exp's b."""
+    """``so3_exp`` and J_r of phi, with Exp(phi + d) ~ Exp(phi) Exp(J_r d),
+    from one angle and one Phi^2: J_r = I - b*Phi + c*Phi^2 shares Exp's b."""
     p, p2, (a, b, c) = _skew_terms(phi, _exp_coeffs)
     return np.eye(3) + a * p + b * p2, np.eye(3) - b * p + c * p2
 
 
-def so3_right_jacobian(phi: np.ndarray) -> np.ndarray:
-    """J_r with Exp(phi + d) ~ Exp(phi) Exp(J_r d) to first order."""
-    return so3_left_jacobian(-np.asarray(phi, dtype=float))
-
-
-def so3_left_jacobian_inv(phi: np.ndarray) -> np.ndarray:
-    p, p2, (c,) = _skew_terms(phi, _inv_jacobian_coeff)
-    return np.eye(3) - 0.5 * p + c * p2
-
-
-def so3_right_jacobian_inv(phi: np.ndarray) -> np.ndarray:
-    return so3_left_jacobian_inv(-np.asarray(phi, dtype=float))
-
-
 def so3_left_and_right_jacobian_inv(phi: np.ndarray):
-    """``so3_left_jacobian_inv`` and ``so3_right_jacobian_inv`` of phi from
-    one angle and one Phi^2: they differ in the sign of Phi / 2 only."""
+    """J_l^-1 and J_r^-1 of phi from one angle and one Phi^2: they differ in
+    the sign of Phi / 2 only."""
     p, p2, (c,) = _skew_terms(phi, _inv_jacobian_coeff)
     return np.eye(3) - 0.5 * p + c * p2, np.eye(3) + 0.5 * p + c * p2
 
@@ -232,22 +219,11 @@ class Pose:
         moved += self.translation
         return moved
 
-    def adjoint(self) -> np.ndarray:
-        """6x6 Adj with Exp(Adj(P) xi) = P Exp(xi) P^-1, (phi, rho) order."""
-        return _blocks(self.rotation, skew(self.translation) @ self.rotation)
-
     def retract(self, delta: np.ndarray) -> "Pose":
         """Right-multiplicative update P * Exp(delta), re-orthonormalized:
         repeated updates are where rounding accumulates."""
         moved = self.compose(se3_exp(delta))
         return Pose(orthonormalize(moved.rotation), moved.translation)
-
-    def matrix(self) -> np.ndarray:
-        m = np.zeros(self.rotation.shape[:-2] + (4, 4))
-        m[..., :3, :3] = self.rotation
-        m[..., :3, 3] = self.translation
-        m[..., 3, 3] = 1.0
-        return m
 
 
 def se3_exp(xi: np.ndarray) -> Pose:
@@ -258,8 +234,8 @@ def se3_exp(xi: np.ndarray) -> Pose:
 
 
 def _log_terms(pose: Pose, coeffs):
-    """se3_log of pose and the terms of its rotation vector phi that its
-    Jacobians reuse: Phi, Phi^2 and J_l^-1's coefficient, then ``coeffs``
+    """se3_log of pose and the terms of its rotation vector phi that
+    J_r^-1 reuses: Phi, Phi^2 and J_l^-1's coefficient, then ``coeffs``
     of phi's angle, each shaped (..., 1, 1)."""
     phi = so3_log(pose.rotation)
     p, p2, (c, *rest) = _skew_terms(phi, lambda t: _inv_jacobian_coeff(t) + coeffs(t))
@@ -273,13 +249,20 @@ def se3_log(pose: Pose) -> np.ndarray:
 
 
 def se3_log_and_right_jacobian_inv(pose: Pose):
-    """``se3_log`` of pose and ``se3_right_jacobian_inv`` of that twist,
-    from one Phi, one Phi^2 and one angle: J_r^-1 = I + Phi / 2 + c Phi^2
-    has J_l^-1's coefficient c, and Q is taken at (-phi, -rho)."""
+    """``se3_log`` of pose and the SE(3) J_r^-1 of that twist, from one Phi,
+    one Phi^2 and one angle: J_r^-1 = [[ji, 0], [-ji Q ji, ji]], where ji =
+    I + Phi / 2 + c Phi^2 has J_l^-1's coefficient c and Q, the left
+    Jacobian's block in Barfoot's closed form, is taken at (-phi, -rho)."""
     xi, p, p2, c, (c1, c2, c3) = _log_terms(pose, _q_coeffs)
     ji = np.eye(3) + 0.5 * p + c * p2
-    q = _q_from_terms(-p, p2, skew(-xi[..., 3:]), c1, c2, c3)
-    return xi, _blocks(ji, -ji @ q @ ji)
+    f, r = -p, skew(-xi[..., 3:])
+    fr, rf = f @ r, r @ f
+    frf = fr @ f
+    q = 0.5 * r + c1 * (fr + rf + frf) + c2 * (p2 @ r + r @ p2 - 3.0 * frf) + c3 * (fr @ p2 + p2 @ rf)
+    jac = np.zeros(ji.shape[:-2] + (6, 6))
+    jac[..., :3, :3] = jac[..., 3:, 3:] = ji
+    jac[..., 3:, :3] = -ji @ q @ ji
+    return xi, jac
 
 
 def _q_coeffs(theta):
@@ -307,88 +290,6 @@ _Q_SERIES = (
 )
 
 
-def _se3_q_matrix(phi: np.ndarray, rho: np.ndarray) -> np.ndarray:
-    """Q block of the SE(3) left Jacobian (Barfoot's closed form)."""
-    f, f2, (c1, c2, c3) = _skew_terms(phi, _q_coeffs)
-    return _q_from_terms(f, f2, skew(rho), c1, c2, c3)
-
-
-def _q_from_terms(f, f2, r, c1, c2, c3):
-    """Q of Phi = f, Phi^2 = f2 and skew(rho) = r, with phi's coefficients."""
-    fr, rf = f @ r, r @ f
-    frf = fr @ f
-    return 0.5 * r + c1 * (fr + rf + frf) + c2 * (f2 @ r + r @ f2 - 3.0 * frf) + c3 * (fr @ f2 + f2 @ rf)
-
-
-def _blocks(diag: np.ndarray, corner: np.ndarray) -> np.ndarray:
-    """The 6x6 [[diag, 0], [corner, diag]] of (3, 3) blocks, or a stack of them."""
-    out = np.zeros(diag.shape[:-2] + (6, 6))
-    out[..., :3, :3] = out[..., 3:, 3:] = diag
-    out[..., 3:, :3] = corner
-    return out
-
-
-def se3_left_jacobian(xi: np.ndarray) -> np.ndarray:
-    """6x6 J_l with se3_exp(xi + d) ~ se3_exp(J_l d) * se3_exp(xi)."""
-    xi = np.asarray(xi, dtype=float)
-    return _blocks(so3_left_jacobian(xi[..., :3]), _se3_q_matrix(xi[..., :3], xi[..., 3:]))
-
-
-def se3_right_jacobian(xi: np.ndarray) -> np.ndarray:
-    return se3_left_jacobian(-np.asarray(xi, dtype=float))
-
-
-def se3_right_jacobian_inv(xi: np.ndarray) -> np.ndarray:
-    """Inverse of the SE(3) right Jacobian, in closed form."""
-    xi = np.asarray(xi, dtype=float)
-    ji = so3_right_jacobian_inv(xi[..., :3])
-    return _blocks(ji, -ji @ _se3_q_matrix(-xi[..., :3], -xi[..., 3:]) @ ji)
-
-
 def rot_z(yaw: float) -> np.ndarray:
     c, s = np.cos(yaw), np.sin(yaw)
     return np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
-
-
-def quat_from_rotation(rot: np.ndarray) -> np.ndarray:
-    """Unit quaternion (x, y, z, w) of a rotation matrix (Shepperd's method)."""
-    t = np.trace(rot)
-    if t > 0.0:
-        s = np.sqrt(t + 1.0) * 2.0
-        w = 0.25 * s
-        x = (rot[2, 1] - rot[1, 2]) / s
-        y = (rot[0, 2] - rot[2, 0]) / s
-        z = (rot[1, 0] - rot[0, 1]) / s
-    elif rot[0, 0] >= rot[1, 1] and rot[0, 0] >= rot[2, 2]:
-        s = np.sqrt(1.0 + rot[0, 0] - rot[1, 1] - rot[2, 2]) * 2.0
-        w = (rot[2, 1] - rot[1, 2]) / s
-        x = 0.25 * s
-        y = (rot[0, 1] + rot[1, 0]) / s
-        z = (rot[0, 2] + rot[2, 0]) / s
-    elif rot[1, 1] >= rot[2, 2]:
-        s = np.sqrt(1.0 + rot[1, 1] - rot[0, 0] - rot[2, 2]) * 2.0
-        w = (rot[0, 2] - rot[2, 0]) / s
-        x = (rot[0, 1] + rot[1, 0]) / s
-        y = 0.25 * s
-        z = (rot[1, 2] + rot[2, 1]) / s
-    else:
-        s = np.sqrt(1.0 + rot[2, 2] - rot[0, 0] - rot[1, 1]) * 2.0
-        w = (rot[1, 0] - rot[0, 1]) / s
-        x = (rot[0, 2] + rot[2, 0]) / s
-        y = (rot[1, 2] + rot[2, 1]) / s
-        z = 0.25 * s
-    q = np.array([x, y, z, w])
-    return q / np.linalg.norm(q)
-
-
-def rotation_from_quat(q: np.ndarray) -> np.ndarray:
-    """Rotation matrix of a quaternion (x, y, z, w); normalizes the input."""
-    q = np.asarray(q, dtype=float)
-    x, y, z, w = q / np.linalg.norm(q)
-    return np.array(
-        [
-            [1 - 2 * (y * y + z * z), 2 * (x * y - z * w), 2 * (x * z + y * w)],
-            [2 * (x * y + z * w), 1 - 2 * (x * x + z * z), 2 * (y * z - x * w)],
-            [2 * (x * z - y * w), 2 * (y * z + x * w), 1 - 2 * (x * x + y * y)],
-        ]
-    )

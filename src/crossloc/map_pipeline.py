@@ -18,19 +18,21 @@ chunk of consecutive scans at a time, so each holds one chunk of raw returns
 (``_CHUNK_POINTS``) at once, however many the sessions hold: the vision
 transformation with the chunk's feature pixels and the points it keeps, the
 ground stage with the table of occupied cells. The other stages hold only
-the points that vision transformation keeps.
+the points that vision transformation keeps. The ground's cells, filed chunk
+by chunk, are checked bit for bit against a reference that files all the
+in-band returns one at a time (``voxel_cells`` in ``tests/oracles.py``).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .laser_map import FRAME_MAP, PointCloudMap, estimate_normals
+from .laser_map import PointCloudMap, estimate_normals
 from .liegroup import Pose
 from .session import SessionData
 
@@ -66,14 +68,13 @@ class MapFilterParams:
                 raise ValueError(f"{name} must be positive")
 
     @staticmethod
-    def for_sessions(n_sessions: int, **overrides) -> "MapFilterParams":
+    def for_sessions(n_sessions: int) -> "MapFilterParams":
         """Defaults with count thresholds scaled to the session count."""
-        params = MapFilterParams(
+        return MapFilterParams(
             static_threshold=math.ceil(0.5 * n_sessions),
             erosion_count=math.ceil(0.7 * n_sessions),
             expansion_count=math.ceil(0.6 * n_sessions),
         )
-        return replace(params, **overrides) if overrides else params
 
 
 # ---------------------------------------------------------------------------
@@ -174,7 +175,7 @@ def vision_transform_session(session: SessionData, params: MapFilterParams) -> P
         keep = _near_features(session, chunk, params.pixel_gate)
         pts.append(_placed(session, chunk, keep))
         labels.append(chunk.labels[keep])
-    return PointCloudMap(np.concatenate(pts), frame=FRAME_MAP, labels=np.concatenate(labels))
+    return PointCloudMap(np.concatenate(pts), labels=np.concatenate(labels))
 
 
 def _near_features(session: SessionData, chunk: _ScanChunk, gate: float) -> np.ndarray:
@@ -285,7 +286,7 @@ def merge_sessions(transformed: list[PointCloudMap], params: MapFilterParams) ->
             base_counts = np.concatenate([base_counts, np.ones(int(is_new.sum()), dtype=int)])
             if have_labels:
                 base_labels = np.concatenate([base_labels, labels[is_new]])
-    return PointCloudMap(base_pts, counts=base_counts, frame=FRAME_MAP, labels=base_labels)
+    return PointCloudMap(base_pts, counts=base_counts, labels=base_labels)
 
 
 # ---------------------------------------------------------------------------
@@ -299,8 +300,6 @@ def classify_static(merged: PointCloudMap, params: MapFilterParams):
 
 
 def concat_clouds(a: PointCloudMap, b: PointCloudMap) -> PointCloudMap:
-    if a.frame != b.frame:
-        raise ValueError("cannot concatenate clouds in different frames")
     labels = None
     if a.labels is not None and b.labels is not None:
         labels = np.concatenate([a.labels, b.labels])
@@ -309,7 +308,6 @@ def concat_clouds(a: PointCloudMap, b: PointCloudMap) -> PointCloudMap:
         np.concatenate([a.normals, b.normals]),
         np.concatenate([a.counts, b.counts]),
         np.concatenate([a.ground, b.ground]),
-        a.frame,
         labels,
     )
 
@@ -421,29 +419,15 @@ class _VoxelGrid:
         return np.stack(self.sums, axis=1) / self.counts[:, None], self.first
 
 
-def voxel_centroids(points: np.ndarray, voxel: float):
-    """One centroid per occupied voxel of side ``voxel``.
-
-    Returns ``(centroids, first)``. Cells come in lexicographic order of
-    their integer keys ``floor(points / voxel)`` (x, then y, then z, signed);
-    ``first[c]`` is the index of the first input point in cell c. Each
-    centroid is its cell's coordinate sum, taken in point order, over its
-    count. The occupied extent may hold at most 2**63 - 1 cells; a larger one
-    raises ``ValueError`` (see ``_VoxelGrid``).
-    """
-    grid = _VoxelGrid(voxel)
-    grid.add(points, np.arange(len(points)))
-    return grid.centroids()
-
-
 def extract_ground(sessions: list[SessionData], params: MapFilterParams) -> PointCloudMap:
     """Height-band ground points from every scan, merged and voxel-thinned.
 
     Returns are placed and filed a chunk of scans at a time, so the peak
     memory is one chunk (``_CHUNK_POINTS`` returns) plus the cells, not the
-    sessions' returns. The ground equals ``voxel_centroids`` over all the
-    in-band returns at once, bit for bit, each cell labelled by its first
-    return.
+    sessions' returns. Each cell's centroid is the sum of its in-band
+    returns, taken in scan order, over their count, and the cell is labelled
+    by its first return, however the scans fall into chunks; the tests check
+    this bit for bit against a cell-by-cell reference over all the returns.
     """
     grid = _VoxelGrid(params.ground_voxel)
     for session in sessions:
@@ -457,7 +441,6 @@ def extract_ground(sessions: list[SessionData], params: MapFilterParams) -> Poin
         normals,
         np.full(len(centroids), max(len(sessions), 1), dtype=int),
         np.ones(len(centroids), dtype=bool),
-        FRAME_MAP,
         labels,
     )
 
@@ -480,17 +463,12 @@ def build_full_map(session: SessionData, voxel: float = 0.3) -> PointCloudMap:
     for chunk in _scan_chunks(session):
         grid.add(_placed(session, chunk), chunk.labels)
     centroids, labels = grid.centroids()
-    cloud = PointCloudMap(centroids, frame=FRAME_MAP, labels=labels)
+    cloud = PointCloudMap(centroids, labels=labels)
     return estimate_normals(cloud)
 
 
 # ---------------------------------------------------------------------------
 # association diagnostics (EM view of the localization likelihood)
-
-
-def _gaussian_log_weights(p_query: np.ndarray, candidates: np.ndarray, sigma: float):
-    d2 = np.sum((candidates - p_query) ** 2, axis=1)
-    return -0.5 * d2 / (sigma * sigma)
 
 
 def association_posterior(
@@ -500,17 +478,19 @@ def association_posterior(
     sigma: float,
     k: int = 20,
 ):
-    """Posterior over the k nearest map candidates of a transformed point.
+    """Posterior over the k nearest map candidates of one transformed point
+    (3,) or of each row of a stack (n, 3), by one batched ``knn``.
 
-    ``transform`` maps the visual point into the map frame. Returns
-    (candidate indices, probabilities); probabilities sum to one.
+    ``transform`` maps the visual points into the map frame. Returns
+    (candidate indices, probabilities): (k,) each for one point, (n, k) for
+    a stack; each point's probabilities sum to one.
     """
-    p_map = transform.apply(np.asarray(p_v, dtype=float))
-    idx, _ = cloud.knn(p_map, k)
-    logw = _gaussian_log_weights(p_map, cloud.positions[idx], sigma)
-    logw -= logw.max()
-    w = np.exp(logw)
-    return idx, w / w.sum()
+    p_v = np.asarray(p_v, dtype=float)
+    log_joint, idx = _candidate_log_joint(p_v, cloud, transform, sigma, k)
+    posterior = _posterior(log_joint)
+    if p_v.ndim == 1:
+        return idx[0], posterior[0]
+    return idx, posterior
 
 
 def association_kld(
@@ -518,11 +498,10 @@ def association_kld(
     gt_distribution: np.ndarray,
     candidates_posterior: np.ndarray | None = None,
     candidates_gt: np.ndarray | None = None,
-    drop_eps: float = 1e-12,
 ) -> float:
     """KL(posterior || gt) over a shared candidate set.
 
-    Candidates where both distributions fall below ``drop_eps`` are ignored;
+    Candidates where both distributions fall below 1e-12 are ignored;
     remaining zero-gt mass under positive posterior yields +inf.
     """
     p = np.asarray(posterior, dtype=float)
@@ -532,7 +511,7 @@ def association_kld(
     if candidates_posterior is not None and candidates_gt is not None:
         if not np.array_equal(candidates_posterior, candidates_gt):
             raise MismatchedSupportError("distributions over different candidates")
-    keep = ~((p < drop_eps) & (g < drop_eps))
+    keep = ~((p < 1e-12) & (g < 1e-12))
     p, g = p[keep], g[keep]
     if np.any((g <= 0.0) & (p > 0.0)):
         return float("inf")
@@ -542,20 +521,26 @@ def association_kld(
 
 def _candidate_log_joint(points, cloud: PointCloudMap, transform: Pose, sigma: float, k: int):
     """Per point (n, 3), the log joint of each of its k nearest map candidates
-    under a Gaussian of ``sigma`` and a uniform matching prior: (n, k), by
-    one batched ``knn``."""
+    under a Gaussian of ``sigma`` and a uniform matching prior, and the
+    candidates' indices: (n, k) each, by one batched ``knn``."""
     p_map = transform.apply(np.asarray(points, dtype=float).reshape(-1, 3))
     idx, _ = cloud.knn(p_map, k)
     d2 = np.sum((cloud.positions[idx] - p_map[:, None, :]) ** 2, axis=2)
     norm = -1.5 * math.log(2.0 * math.pi * sigma * sigma)
-    return -0.5 * d2 / (sigma * sigma) + norm - math.log(idx.shape[1])
+    return -0.5 * d2 / (sigma * sigma) + norm - math.log(idx.shape[1]), idx
+
+
+def _posterior(log_joint: np.ndarray) -> np.ndarray:
+    """Each row of ``log_joint`` (n, k) normalized into a distribution."""
+    w = np.exp(log_joint - log_joint.max(axis=1, keepdims=True))
+    return w / w.sum(axis=1, keepdims=True)
 
 
 def association_log_likelihood(
     points: np.ndarray, cloud: PointCloudMap, transform: Pose, sigma: float, k: int = 20
 ) -> float:
     """Candidate-marginalized log likelihood with a uniform matching prior."""
-    log_joint = _candidate_log_joint(points, cloud, transform, sigma, k)
+    log_joint, _ = _candidate_log_joint(points, cloud, transform, sigma, k)
     m = log_joint.max(axis=1, keepdims=True)
     return float(np.sum(m[:, 0] + np.log(np.exp(log_joint - m).sum(axis=1))))
 
@@ -573,10 +558,9 @@ def em_lower_bound(
     With ``q_distributions`` omitted, the posterior is used and the bound is
     tight (equals the log likelihood).
     """
-    log_joint = _candidate_log_joint(points, cloud, transform, sigma, k)
+    log_joint, _ = _candidate_log_joint(points, cloud, transform, sigma, k)
     if q_distributions is None:
-        w = np.exp(log_joint - log_joint.max(axis=1, keepdims=True))
-        q = w / w.sum(axis=1, keepdims=True)
+        q = _posterior(log_joint)
     else:
         q = np.asarray(q_distributions, dtype=float).reshape(log_joint.shape)
     pos = q > 0.0

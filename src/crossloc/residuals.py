@@ -89,13 +89,14 @@ class CameraModel:
             axis=-1,
         )
 
-    def in_image(self, uv: np.ndarray, margin: float = 0.0) -> np.ndarray:
+    def in_image(self, uv: np.ndarray) -> np.ndarray:
+        """Whether each pixel (..., 2) lies on the image, edges included."""
         uv = np.asarray(uv, dtype=float)
         return (
-            (uv[..., 0] >= margin)
-            & (uv[..., 0] <= self.width - 1 - margin)
-            & (uv[..., 1] >= margin)
-            & (uv[..., 1] <= self.height - 1 - margin)
+            (uv[..., 0] >= 0)
+            & (uv[..., 0] <= self.width - 1)
+            & (uv[..., 1] >= 0)
+            & (uv[..., 1] <= self.height - 1)
         )
 
 

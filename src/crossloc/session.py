@@ -11,7 +11,8 @@ A session directory holds:
 
 Frame k's timestamp is row k of gt.txt; scans share the frame clock.
 Frame and scan k load from the files numbered k; a number without a file
-loads as an empty frame or scan.
+loads as an empty frame or scan, and files with another extension are
+ignored.
 ``SessionData.imu_samples`` holds the rows of imu.txt as one (N, 7) array.
 """
 
@@ -51,10 +52,6 @@ class SensorRig:
     imu_rate: float = 200.0
     frame_rate: float = 10.0
     gravity: float = 9.81
-
-    @property
-    def body_t_cam(self) -> Pose:
-        return self.camera.body_t_cam
 
     @property
     def body_t_laser(self) -> Pose:
@@ -193,14 +190,23 @@ def save_session(directory, session: SessionData) -> None:
                 fh.write(f"{elem_id} {kind}{tail}\n")
 
 
-def _by_index(directory: str) -> list:
-    """Paths of the files of ``directory`` at their integer stems: entry k is
-    the file numbered k, None where no file has that number. ``save_session``
-    pads numbers to four digits, so ``10000`` follows ``9999``; a number
-    given by two files (``0002.txt`` and ``2.txt``) raises ``ValueError``."""
+def _by_index(directory: str, extension: str) -> list:
+    """Paths of the files of ``directory`` named ``<number><extension>``, at
+    their numbers: entry k is the file numbered k, None where no file has
+    that number. Files with another extension (``.DS_Store``, an editor's
+    ``0001.obs~``) are not read. ``save_session`` pads numbers to four
+    digits, so ``10000`` follows ``9999``; a name with the extension and a
+    stem that is no integer, or a number given by two files (``0002.txt``
+    and ``2.txt``), raises ``ValueError``."""
     paths = {}
     for name in os.listdir(directory):
-        k = int(os.path.splitext(name)[0])
+        stem, ext = os.path.splitext(name)
+        if ext != extension:
+            continue
+        try:
+            k = int(stem)
+        except ValueError:
+            raise ValueError(f"{os.path.join(directory, name)}: stem {stem!r} is not an integer") from None
         if k in paths:
             raise ValueError(f"{directory}: {paths[k]} and {name} both hold index {k}")
         paths[k] = os.path.join(directory, name)
@@ -238,8 +244,8 @@ def load_session(directory, session_id: int = 0) -> SessionData:
     rig = load_rig(os.path.join(directory, "rig.cfg"))
     imu_samples = load_imu_stream(os.path.join(directory, "imu.txt"))
     gt_times, gt_poses = load_trajectory(os.path.join(directory, "gt.txt"))
-    frames = [_load_frame(path) for path in _by_index(os.path.join(directory, "frames"))]
-    scans = [_load_scan(path) for path in _by_index(os.path.join(directory, "scans"))]
+    frames = [_load_frame(path) for path in _by_index(os.path.join(directory, "frames"), ".obs")]
+    scans = [_load_scan(path) for path in _by_index(os.path.join(directory, "scans"), ".txt")]
 
     element_kinds = None
     labels_path = os.path.join(directory, "labels.txt")

@@ -30,7 +30,7 @@ from functools import cached_property
 import numpy as np
 from scipy.interpolate import CubicSpline
 
-from .laser_map import FRAME_MAP, PointCloudMap, _canonical_sign
+from .laser_map import PointCloudMap, _canonical_sign
 from .liegroup import Pose, rot_z
 from .residuals import CameraModel
 from .session import FrameObservations, LaserModel, SensorRig, SessionData
@@ -82,6 +82,19 @@ class Pole:
     feature_density: float = 0.0  # features per m of height
     kind: str = KIND_STATIC
     sessions: tuple | None = None
+
+
+def _pole_frame(pole: Pole):
+    """The pole's unit axis, its height, and two unit vectors that complete
+    a right-handed frame around the axis: (axis, height, e1, e2)."""
+    axis = pole.tip - pole.base
+    height = np.linalg.norm(axis)
+    axis = axis / height
+    e1 = np.cross(axis, [1.0, 0.0, 0.0])
+    if np.linalg.norm(e1) < 1e-6:
+        e1 = np.cross(axis, [0.0, 1.0, 0.0])
+    e1 /= np.linalg.norm(e1)
+    return axis, height, e1, np.cross(axis, e1)
 
 
 @dataclass(frozen=True)
@@ -180,14 +193,7 @@ class WorldModel:
             r = rng.uniform(size=(count, 2))
             return list(elem.origin + r[:, :1] * elem.edge_u + r[:, 1:] * elem.edge_v)
         if isinstance(elem, Pole):
-            axis = elem.tip - elem.base
-            height = np.linalg.norm(axis)
-            axis = axis / height
-            e1 = np.cross(axis, [1.0, 0.0, 0.0])
-            if np.linalg.norm(e1) < 1e-6:
-                e1 = np.cross(axis, [0.0, 1.0, 0.0])
-            e1 /= np.linalg.norm(e1)
-            e2 = np.cross(axis, e1)
+            axis, height, e1, e2 = _pole_frame(elem)
             count = int(round(elem.feature_density * height))
             h = rng.uniform(0, height, size=count)
             ang = rng.uniform(0, 2 * np.pi, size=count)
@@ -261,18 +267,11 @@ class SampledTrajectory:
     yaw_rates: np.ndarray
     stride: int
 
-    @property
-    def frame_times(self) -> np.ndarray:
-        return self.imu_times[:: self.stride]
-
     def frame_indices(self, n_frames: int) -> np.ndarray:
         return np.arange(n_frames) * self.stride
 
     def pose_at(self, imu_index: int) -> Pose:
         return Pose(rot_z(self.yaws[imu_index]), self.positions[imu_index].copy())
-
-    def frame_poses(self, n_frames: int):
-        return [self.pose_at(i) for i in self.frame_indices(n_frames)]
 
 
 class TrajectorySampler:
@@ -386,6 +385,8 @@ def synthesize_imu(
 # ---------------------------------------------------------------------------
 # camera synthesis
 
+_MAX_FEATURE_RANGE = 20.0  # m
+
 
 def synthesize_camera(
     sampled: SampledTrajectory,
@@ -396,22 +397,22 @@ def synthesize_camera(
     n_frames: int,
     pixel_sigma: float = 0.5,
     outlier_fraction: float = 0.0,
-    max_feature_range: float = 20.0,
 ):
-    """Per-frame stereo observations of the session's visible features."""
+    """Per-frame stereo observations of the session's visible features,
+    those at most ``_MAX_FEATURE_RANGE`` (20 m) from the camera."""
     rng = np.random.default_rng([seed, session_id, 23])
     ids, positions, _ = world.features_for_session(session_id)
     cams = (rig.camera, rig.right_camera())
     frames = []
     for k in sampled.frame_indices(n_frames):
-        body_pose = Pose(rot_z(sampled.yaws[k]), sampled.positions[k])
+        body_pose = sampled.pose_at(k)
         uv_pair = []
         visible = np.ones(len(ids), dtype=bool)
         for cam in cams:
             world_t_cam = body_pose @ cam.body_t_cam
             p_cam = (positions - world_t_cam.translation) @ world_t_cam.rotation
             depth_ok = p_cam[:, 2] > 0.2
-            rng_ok = np.linalg.norm(p_cam, axis=1) <= max_feature_range
+            rng_ok = np.linalg.norm(p_cam, axis=1) <= _MAX_FEATURE_RANGE
             with np.errstate(divide="ignore", invalid="ignore"):
                 uv = cam.project(p_cam)
             visible &= depth_ok & rng_ok & cam.in_image(np.nan_to_num(uv, nan=-1.0))
@@ -644,8 +645,7 @@ def synthesize_laser(
     scans = []
     for k in sampled.frame_indices(n_frames):
         t_scan = float(sampled.imu_times[k])
-        body_pose = Pose(rot_z(sampled.yaws[k]), sampled.positions[k])
-        world_t_laser = body_pose @ body_t_laser
+        world_t_laser = sampled.pose_at(k) @ body_t_laser
         dirs_g = dirs_f @ world_t_laser.rotation.T
         t_hit, labels = cast_rays(world_t_laser.translation, dirs_g, world, session_id, t_scan)
         ok = np.isfinite(t_hit) & (t_hit <= rig.laser.max_range)
@@ -676,6 +676,7 @@ def generate_session(
     sampler = generate_trajectory(spec, rig.imu_rate, rig.frame_rate)
     sampled = sampler.sample(duration)
     n_frames = int(round(duration * rig.frame_rate))
+    frame_rows = sampled.frame_indices(n_frames)  # on the IMU clock
     imu_samples = synthesize_imu(sampled, rig, seed, session_id, noise=noise)
     frames = synthesize_camera(
         sampled,
@@ -691,8 +692,8 @@ def generate_session(
     return SessionData(
         session_id=session_id,
         rig=rig,
-        gt_times=sampled.frame_times[:n_frames].copy(),
-        gt_poses=sampled.frame_poses(n_frames),
+        gt_times=sampled.imu_times[frame_rows],
+        gt_poses=[sampled.pose_at(k) for k in frame_rows],
         imu_samples=imu_samples,
         frames=frames,
         scans=scans,
@@ -733,14 +734,7 @@ def sample_world_map(
             # curved surfaces take the point-to-point branch downstream, so
             # sample them finer than planes to keep nearest-sample error small
             fine = spacing / 3.0
-            axis = elem.tip - elem.base
-            height = np.linalg.norm(axis)
-            axis_u = axis / height
-            e1 = np.cross(axis_u, [1.0, 0.0, 0.0])
-            if np.linalg.norm(e1) < 1e-6:
-                e1 = np.cross(axis_u, [0.0, 1.0, 0.0])
-            e1 /= np.linalg.norm(e1)
-            e2 = np.cross(axis_u, e1)
+            axis_u, height, e1, e2 = _pole_frame(elem)
             n_h = max(2, int(round(height / fine)) + 1)
             n_c = max(8, int(round(2 * np.pi * elem.radius / fine)))
             hh = np.linspace(0, height, n_h)
@@ -790,7 +784,6 @@ def sample_world_map(
         np.concatenate(normals),
         np.ones(sum(len(p) for p in positions), dtype=int),
         np.concatenate(grounds),
-        FRAME_MAP,
         np.concatenate(labels),
     )
 

@@ -1,27 +1,29 @@
 """Pose rows `tx ty tz qx qy qz qw`, and timestamped pose sequences as
 `t tx ty tz qx qy qz qw` files.
 
-Quaternions appear only in these rows; everything else in the package works
-with rotation matrices.
+Quaternions appear only in these rows, converted by scipy's ``Rotation``
+(scalar last, as in the rows); everything else in the package works with
+rotation matrices.
 """
 
 from __future__ import annotations
 
 import numpy as np
+from scipy.spatial.transform import Rotation
 
-from .liegroup import Pose, quat_from_rotation, rotation_from_quat
+from .liegroup import Pose
 
 
 def pose_to_row(pose: Pose) -> str:
     """The pose as `tx ty tz qx qy qz qw`, each to 17 significant digits."""
-    q = quat_from_rotation(pose.rotation)
+    q = Rotation.from_matrix(pose.rotation).as_quat()
     return " ".join(f"{v:.17g}" for v in (*pose.translation, *q))
 
 
 def pose_from_row(fields) -> Pose:
     """The pose of seven fields `tx ty tz qx qy qz qw` (strings or numbers)."""
     vals = [float(v) for v in fields]
-    return Pose(rotation_from_quat(np.array(vals[3:7])), np.array(vals[0:3]))
+    return Pose(Rotation.from_quat(vals[3:7]).as_matrix(), np.array(vals[0:3]))
 
 
 def save_trajectory(path, times, poses) -> None:

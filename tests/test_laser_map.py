@@ -7,12 +7,11 @@ from crossloc.liegroup import so3_exp
 from oracles import brute_force_knn
 
 
-def random_cloud(rng, n=100, frame=lm.FRAME_MAP):
+def random_cloud(rng, n=100):
     return lm.PointCloudMap(
         rng.uniform(-10, 10, size=(n, 3)),
         counts=rng.integers(1, 9, size=n),
         ground=rng.uniform(size=n) < 0.2,
-        frame=frame,
     )
 
 
@@ -228,7 +227,7 @@ class TestMapIO:
         path = tmp_path / "map.txt"
         lm.save_map(cloud, path)
         back = lm.load_map(path)
-        assert back.frame == cloud.frame
+        assert path.read_text().splitlines()[0] == "crossloc-map v1 map"
         assert np.array_equal(back.positions, cloud.positions)
         assert np.array_equal(back.counts, cloud.counts)
         assert np.array_equal(back.ground, cloud.ground)
@@ -255,8 +254,10 @@ class TestMapIO:
         assert exc.value.line == 7
 
     def test_bad_header(self, tmp_path):
+        # every map is in the map frame: a header naming another is malformed
         path = tmp_path / "map.txt"
-        path.write_text("not-a-map\n")
-        with pytest.raises(lm.ParseError) as exc:
-            lm.load_map(path)
-        assert exc.value.line == 1
+        for header in ("not-a-map", "crossloc-map v1 local", "crossloc-map v2 map"):
+            path.write_text(header + "\n0 0 0 - 1 0\n")
+            with pytest.raises(lm.ParseError) as exc:
+                lm.load_map(path)
+            assert exc.value.line == 1

@@ -4,8 +4,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from crossloc import liegroup as lg
+from crossloc.trajectory import pose_from_row, pose_to_row
 
-from oracles import matrix_exp_series, numeric_jacobian, se3_hat, se3_q_matrix_series
+from oracles import (
+    matrix_exp_series,
+    numeric_jacobian,
+    pose_matrix,
+    se3_hat,
+    se3_left_jacobian,
+    se3_right_jacobian,
+    se3_right_jacobian_inv,
+    so3_left_jacobian_inv,
+    so3_right_jacobian,
+    so3_right_jacobian_inv,
+)
 
 
 def random_twist(rng, rot_scale=1.0, trans_scale=1.0):
@@ -30,14 +42,14 @@ class TestExp:
     def test_matches_matrix_exponential_series(self):
         xi = np.array([0.1, 0.2, 0.3, 1.0, 2.0, 3.0])
         oracle = matrix_exp_series(se3_hat(xi), terms=20)
-        assert np.allclose(lg.se3_exp(xi).matrix(), oracle, atol=1e-10)
+        assert np.allclose(pose_matrix(lg.se3_exp(xi)), oracle, atol=1e-10)
 
     def test_small_angle_branch_continuous(self):
         # values straddling the series/trig switch agree
         for theta in (9.9e-7, 1.1e-6):
             xi = np.array([theta, 0.0, 0.0, 0.5, 0.0, 0.0])
             oracle = matrix_exp_series(se3_hat(xi), terms=20)
-            assert np.allclose(lg.se3_exp(xi).matrix(), oracle, atol=1e-14)
+            assert np.allclose(pose_matrix(lg.se3_exp(xi)), oracle, atol=1e-14)
 
 
 class TestLog:
@@ -55,7 +67,7 @@ class TestLog:
         target = lg.Pose(lg.rot_z(np.pi / 2), np.array([1.0, 0.0, 0.0]))
 
         def residual(xi):
-            return (lg.se3_exp(xi).matrix() - target.matrix())[:3, :].ravel()
+            return (pose_matrix(lg.se3_exp(xi)) - pose_matrix(target))[:3, :].ravel()
 
         xi = np.zeros(6)
         for _ in range(50):
@@ -74,8 +86,12 @@ class TestLog:
 
 
 class TestRightJacobian:
+    """``so3_exp_and_right_jacobian``'s J_r and ``so3_left_and_right_jacobian_inv``'s
+    J_r^-1, against their definition and each other."""
+
     def test_zero_angle_is_identity(self):
-        assert np.allclose(lg.so3_right_jacobian(np.zeros(3)), np.eye(3), atol=1e-15)
+        _, jac = lg.so3_exp_and_right_jacobian(np.zeros(3))
+        assert np.allclose(jac, np.eye(3), atol=1e-15)
 
     def test_defining_relation_finite_difference(self):
         phi = np.array([0.2, -0.1, 0.3])
@@ -85,16 +101,20 @@ class TestRightJacobian:
             return lg.so3_log(lg.so3_exp(phi).T @ lg.so3_exp(phi + delta))
 
         fd = numeric_jacobian(f, np.zeros(3), eps=1e-6)
-        assert np.allclose(lg.so3_right_jacobian(phi), fd, atol=1e-6)
+        assert np.allclose(lg.so3_exp_and_right_jacobian(phi)[1], fd, atol=1e-6)
+        # the reference the tests take J_r from meets the same relation
+        assert np.allclose(so3_right_jacobian(phi), fd, atol=1e-6)
 
     def test_inverse_consistency(self):
         phi = np.array([0.2, -0.1, 0.3])
-        prod = lg.so3_right_jacobian(phi) @ lg.so3_right_jacobian_inv(phi)
+        prod = lg.so3_exp_and_right_jacobian(phi)[1] @ lg.so3_left_and_right_jacobian_inv(phi)[1]
         assert np.allclose(prod, np.eye(3), atol=1e-10)
 
 
 class TestSe3Jacobians:
     def test_left_jacobian_defining_relation(self):
+        """The series reference for the SE(3) J_l against finite differences
+        of ``se3_exp`` and ``se3_log``."""
         rng = np.random.default_rng(7)
         for _ in range(20):
             xi = random_twist(rng, rot_scale=1.5, trans_scale=2.0)
@@ -103,14 +123,20 @@ class TestSe3Jacobians:
                 return lg.se3_log(lg.se3_exp(xi + delta) @ lg.se3_exp(xi).inverse())
 
             fd = numeric_jacobian(f, np.zeros(6), eps=1e-6)
-            assert np.allclose(lg.se3_left_jacobian(xi), fd, atol=5e-5)
+            assert np.allclose(se3_left_jacobian(xi), fd, atol=5e-5)
 
     def test_right_jacobian_inverse(self):
+        """``se3_log_and_right_jacobian_inv``'s J_r^-1 inverts the series J_r,
+        and is the derivative of the twist of P * Exp(d) at d = 0."""
         rng = np.random.default_rng(8)
         for _ in range(20):
             xi = random_twist(rng, rot_scale=1.5, trans_scale=2.0)
-            prod = lg.se3_right_jacobian(xi) @ lg.se3_right_jacobian_inv(xi)
+            pose = lg.se3_exp(xi)
+            twist, jac_inv = lg.se3_log_and_right_jacobian_inv(pose)
+            prod = se3_right_jacobian(twist) @ jac_inv
             assert np.allclose(prod, np.eye(6), atol=1e-9)
+            fd = numeric_jacobian(lambda d: lg.se3_log(pose @ lg.se3_exp(d)), np.zeros(6), eps=1e-6)
+            assert np.allclose(jac_inv, fd, atol=5e-5)
 
 
 class TestProperties:
@@ -131,15 +157,6 @@ class TestProperties:
             assert np.allclose(
                 pose.apply(pt), pose.rotation @ pt + pose.translation, atol=1e-12
             )
-
-    def test_adjoint_identity(self):
-        rng = np.random.default_rng(4)
-        for _ in range(50):
-            pose = lg.se3_exp(random_twist(rng, 1.5, 2.0))
-            xi = random_twist(rng, 0.5, 1.0)
-            lhs = lg.se3_exp(pose.adjoint() @ xi)
-            rhs = pose @ lg.se3_exp(xi) @ pose.inverse()
-            assert np.allclose(lhs.matrix(), rhs.matrix(), atol=1e-9)
 
     def test_compose_inverse_is_identity(self):
         rng = np.random.default_rng(5)
@@ -172,23 +189,28 @@ class TestProperties:
 
 
 class TestQuaternion:
+    """The pose rows of ``crossloc.trajectory``, the one place quaternions
+    (x, y, z, w) appear."""
+
     def test_round_trip(self):
         rng = np.random.default_rng(11)
         for _ in range(200):
-            rot = lg.so3_exp(random_twist(rng, 3.1, 0.0)[:3])
-            back = lg.rotation_from_quat(lg.quat_from_rotation(rot))
-            assert np.allclose(back, rot, atol=1e-12)
+            pose = lg.se3_exp(random_twist(rng, 3.1, 5.0))
+            back = pose_from_row(pose_to_row(pose).split())
+            assert np.allclose(back.rotation, pose.rotation, atol=1e-12)
+            np.testing.assert_array_equal(back.translation, pose.translation)
 
     def test_identity_quaternion(self):
-        assert np.allclose(lg.quat_from_rotation(np.eye(3)), [0, 0, 0, 1], atol=1e-15)
+        fields = [float(v) for v in pose_to_row(lg.Pose.identity()).split()]
+        assert np.allclose(fields, [0, 0, 0, 0, 0, 0, 1], atol=1e-15)
 
 
 class TestBatchedSo3:
     """Each SO(3) map on one element and on a stack, against independent
     references, with entries on both branches."""
 
-    MAPS = ["skew", "so3_exp", "so3_log", "so3_left_jacobian", "so3_left_jacobian_inv",
-            "so3_exp_and_left_jacobian", "so3_exp_and_right_jacobian", "so3_left_and_right_jacobian_inv"]
+    MAPS = ["skew", "so3_exp", "so3_log", "so3_left_jacobian", "so3_exp_and_left_jacobian",
+            "so3_exp_and_right_jacobian", "so3_left_and_right_jacobian_inv"]
 
     @staticmethod
     def rotation_vectors():
@@ -245,7 +267,7 @@ class TestBatchedSo3:
 
     def test_left_jacobian_inv_inverts_it(self):
         phi = self.rotation_vectors()
-        prod = lg.so3_left_jacobian_inv(phi) @ lg.so3_left_jacobian(phi)
+        prod = lg.so3_left_and_right_jacobian_inv(phi)[0] @ lg.so3_left_jacobian(phi)
         # every row, either branch, to the rounding of entries of size 1
         # (at most 4.6e-16, at 3.1 rad; 2.2e-16 at 1.1e-6 rad)
         np.testing.assert_allclose(prod, np.broadcast_to(np.eye(3), prod.shape), rtol=0.0, atol=1e-15)
@@ -275,15 +297,17 @@ class TestBatchedSo3:
 
     def test_shared_term_pairs_match_the_separate_maps(self):
         """``so3_exp_and_right_jacobian`` and ``so3_left_and_right_jacobian_inv``
-        equal the maps they pair bit for bit, on the same stacks and elements."""
+        against the separate series references (J_r, and the inverses of J_l
+        and J_r) on a stack of both branches; Exp equals ``so3_exp`` bit for
+        bit."""
         phi = self.rotation_vectors()
-        for args in (phi, phi[4:], phi[1], phi[-1]):
-            exp, jac = lg.so3_exp_and_right_jacobian(args)
-            np.testing.assert_array_equal(exp, lg.so3_exp(args))
-            np.testing.assert_array_equal(jac, lg.so3_right_jacobian(args))
-            left, right = lg.so3_left_and_right_jacobian_inv(args)
-            np.testing.assert_array_equal(left, lg.so3_left_jacobian_inv(args))
-            np.testing.assert_array_equal(right, lg.so3_right_jacobian_inv(args))
+        exp, jac = lg.so3_exp_and_right_jacobian(phi)
+        left, right = lg.so3_left_and_right_jacobian_inv(phi)
+        np.testing.assert_array_equal(exp, lg.so3_exp(phi))
+        for v, *got in zip(phi, jac, left, right):
+            want = (so3_right_jacobian(v), so3_left_jacobian_inv(v), so3_right_jacobian_inv(v))
+            for g, w in zip(got, want):
+                np.testing.assert_allclose(g, w, rtol=0.0, atol=1e-14)
 
 
 def pose_row(pose, i):
@@ -298,16 +322,10 @@ class TestBatchedSe3:
     OPS = {
         "se3_exp": lambda xi, p, q: lg.se3_exp(xi),
         "se3_log": lambda xi, p, q: lg.se3_log(p),
-        "se3_left_jacobian": lambda xi, p, q: lg.se3_left_jacobian(xi),
-        "se3_right_jacobian": lambda xi, p, q: lg.se3_right_jacobian(xi),
-        "se3_right_jacobian_inv": lambda xi, p, q: lg.se3_right_jacobian_inv(xi),
         "se3_log_and_right_jacobian_inv": lambda xi, p, q: lg.se3_log_and_right_jacobian_inv(p),
-        "_se3_q_matrix": lambda xi, p, q: lg._se3_q_matrix(xi[..., :3], xi[..., 3:]),
         "compose": lambda xi, p, q: p @ q,
         "inverse": lambda xi, p, q: p.inverse(),
         "retract": lambda xi, p, q: q.retract(xi),
-        "adjoint": lambda xi, p, q: p.adjoint(),
-        "matrix": lambda xi, p, q: p.matrix(),
     }
 
     @staticmethod
@@ -339,27 +357,29 @@ class TestBatchedSe3:
                 np.testing.assert_array_equal(s[i], one)
 
     def test_q_matrix_matches_the_series(self):
-        """Q of unit-length rho against its coefficients' long Taylor series,
-        on angles either side of both switches."""
+        """J_r^-1 of unit-length rho, whose lower-left block holds Q, against
+        the inverse of the series J_r, on angles either side of both
+        switches: the closed form of Q's coefficients would be off by 4e-10
+        at 1e-4 rad."""
         rng = np.random.default_rng(31)
         angles = np.array([0.0, 1e-9, 9.9e-7, 1.1e-6, 2e-6, 1e-5, 1e-4, 1e-3, 1e-2, 0.1, 0.19, 0.21, 0.3])
         assert (angles < lg.SMALL_ANGLE).any() and (angles > lg.Q_SERIES_ANGLE).any()
         axes, rho = rng.normal(size=(2, len(angles), 3))
         axes /= np.linalg.norm(axes, axis=1, keepdims=True)
         rho /= np.linalg.norm(rho, axis=1, keepdims=True)
-        phi = axes * angles[:, None]
-        for got, f, r in zip(lg._se3_q_matrix(phi, rho), phi, rho):
-            np.testing.assert_allclose(got, se3_q_matrix_series(f, r), rtol=0.0, atol=1e-13)
+        xi, jac = lg.se3_log_and_right_jacobian_inv(lg.se3_exp(np.concatenate([axes * angles[:, None], rho], axis=1)))
+        for got, twist in zip(jac, xi):
+            np.testing.assert_allclose(got, se3_right_jacobian_inv(twist), rtol=0.0, atol=1e-13)
 
     def test_log_and_right_jacobian_inv_match_the_separate_maps(self):
-        """The pair equals ``se3_log`` and ``se3_right_jacobian_inv`` of its
-        twist bit for bit, on a stack with angles either side of both
-        switches and on single poses."""
+        """The pair's twist equals ``se3_log`` bit for bit, and its J_r^-1
+        the inverse of the series J_r, on a stack with angles either side of
+        both switches."""
         p = lg.se3_exp(self.twists())
-        for pose in (p, pose_row(p, 0), pose_row(p, 5), pose_row(p, 12)):
-            xi, jac = lg.se3_log_and_right_jacobian_inv(pose)
-            np.testing.assert_array_equal(xi, lg.se3_log(pose))
-            np.testing.assert_array_equal(jac, lg.se3_right_jacobian_inv(xi))
+        xi, jac = lg.se3_log_and_right_jacobian_inv(p)
+        np.testing.assert_array_equal(xi, lg.se3_log(p))
+        for got, twist in zip(jac, xi):
+            np.testing.assert_allclose(got, se3_right_jacobian_inv(twist), rtol=0.0, atol=1e-12)
 
     def test_retract_orthonormalizes_and_compose_does_not(self):
         """A rotation drifted off orthonormality is composed as it is and

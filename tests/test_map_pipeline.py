@@ -8,7 +8,7 @@ import pytest
 
 from crossloc import map_pipeline as mp
 from crossloc import simulator as sim
-from crossloc.laser_map import FRAME_MAP, PointCloudMap
+from crossloc.laser_map import PointCloudMap
 from crossloc.liegroup import Pose, rot_z, se3_exp
 from crossloc.session import FrameObservations, SessionData, load_session, save_session
 
@@ -57,7 +57,7 @@ class TestVisionTransform:
         rig = sim.default_rig()
         pose = Pose.identity()
         p_world = np.array([6.0, 0.15, 0.6])  # in front of the camera
-        cam_t_world = rig.body_t_cam.inverse()
+        cam_t_world = rig.camera.body_t_cam.inverse()
         p_cam = cam_t_world.apply(p_world)
         uv = rig.camera.project(p_cam)
         p_laser = rig.body_t_laser.inverse().apply(p_world)
@@ -237,7 +237,7 @@ class TestScanPoses:
         pts = np.concatenate(
             [(s.gt_poses[k] @ s.rig.body_t_laser).apply(points) for k, (points, _) in enumerate(s.scans)]
         )
-        centroids, _ = mp.voxel_centroids(pts, 0.3)
+        _, _, centroids = voxel_cells(pts, 0.3)
         np.testing.assert_array_equal(mp.build_full_map(s, voxel=0.3).positions, centroids)
 
     def test_session_without_returns_gives_an_empty_labelled_cloud(self):
@@ -253,13 +253,12 @@ class TestScanPoses:
         )
         for cloud in (mp.build_full_map(session), mp.extract_ground([session], make_params())):
             assert len(cloud) == 0
-            assert cloud.frame == FRAME_MAP
             assert cloud.labels is not None and cloud.labels.shape == (0,)
 
 
 def cloud_of(points, labels=None):
     points = np.asarray(points, dtype=float)
-    return PointCloudMap(points, frame=FRAME_MAP, labels=labels)
+    return PointCloudMap(points, labels=labels)
 
 
 class TestMergeSessions:
@@ -388,21 +387,21 @@ class TestSequentialThin:
 class TestClassifyErodeExpand:
     def test_uniform_counts_all_static(self):
         cloud = PointCloudMap(np.random.default_rng(0).uniform(size=(50, 3)),
-                              counts=np.full(50, 8), frame=FRAME_MAP)
+                              counts=np.full(50, 8))
         static, dynamic = mp.classify_static(cloud, make_params(static_threshold=4))
         assert len(static) == 50 and len(dynamic) == 0
 
     def test_below_threshold_dynamic(self):
-        cloud = PointCloudMap(np.zeros((1, 3)), counts=np.array([1]), frame=FRAME_MAP)
+        cloud = PointCloudMap(np.zeros((1, 3)), counts=np.array([1]))
         static, dynamic = mp.classify_static(cloud, make_params(static_threshold=3))
         assert len(static) == 0 and len(dynamic) == 1
 
     def test_erosion_both_conditions(self):
         params = make_params(erosion_radius=0.5, erosion_count=4)
         static = PointCloudMap(
-            np.array([[0.0, 0, 0], [5.0, 0, 0]]), counts=np.array([3, 3]), frame=FRAME_MAP
+            np.array([[0.0, 0, 0], [5.0, 0, 0]]), counts=np.array([3, 3])
         )
-        dynamic = PointCloudMap(np.array([[0.25, 0, 0]]), counts=np.array([1]), frame=FRAME_MAP)
+        dynamic = PointCloudMap(np.array([[0.25, 0, 0]]), counts=np.array([1]))
         static2, dynamic2 = mp.erode_static(static, dynamic, params)
         assert len(static2) == 1 and np.allclose(static2.positions[0], [5, 0, 0])
         assert len(dynamic2) == 2
@@ -410,17 +409,16 @@ class TestClassifyErodeExpand:
     def test_erosion_empty_dynamic_is_noop(self):
         params = make_params()
         static = cloud_of(np.random.default_rng(1).uniform(size=(20, 3)))
-        empty = PointCloudMap(np.zeros((0, 3)), frame=FRAME_MAP)
+        empty = PointCloudMap(np.zeros((0, 3)))
         static2, _ = mp.erode_static(static, empty, params)
         assert len(static2) == 20
 
     def test_expansion_both_conditions(self):
         params = make_params(expansion_radius=0.5, expansion_count=2)
-        static = PointCloudMap(np.array([[0.0, 0, 0]]), counts=np.array([8]), frame=FRAME_MAP)
+        static = PointCloudMap(np.array([[0.0, 0, 0]]), counts=np.array([8]))
         dynamic = PointCloudMap(
             np.array([[0.3, 0, 0], [0.4, 0, 0], [3.0, 0, 0]]),
             counts=np.array([3, 1, 5]),
-            frame=FRAME_MAP,
         )
         static2, dynamic2 = mp.expand_static(static, dynamic, params)
         assert len(static2) == 2  # original + the close high-count point
@@ -437,10 +435,10 @@ class TestClassifyErodeExpand:
             )
             ns, nd = int(rng.integers(5, 60)), int(rng.integers(5, 60))
             static = PointCloudMap(
-                rng.uniform(-1.5, 1.5, (ns, 3)), counts=rng.integers(1, 9, ns), frame=FRAME_MAP
+                rng.uniform(-1.5, 1.5, (ns, 3)), counts=rng.integers(1, 9, ns)
             )
             dynamic = PointCloudMap(
-                rng.uniform(-1.5, 1.5, (nd, 3)), counts=rng.integers(1, 9, nd), frame=FRAME_MAP
+                rng.uniform(-1.5, 1.5, (nd, 3)), counts=rng.integers(1, 9, nd)
             )
             s2, d2 = mp.erode_static(static, dynamic, params)
             move = np.array(
@@ -468,7 +466,7 @@ class TestClassifyErodeExpand:
     def test_conservation_and_monotonicity(self):
         rng = np.random.default_rng(5)
         cloud = PointCloudMap(
-            rng.uniform(-3, 3, (300, 3)), counts=rng.integers(1, 9, 300), frame=FRAME_MAP
+            rng.uniform(-3, 3, (300, 3)), counts=rng.integers(1, 9, 300)
         )
         sizes = []
         for beta in range(1, 9):
@@ -500,18 +498,31 @@ def fake_ground_session(slope=0.0, rig=None, n_scans=5, seed=0):
     return SessionData(0, rig, gt_times, gt_poses, [], frames, scans)
 
 
+def voxel_centroids(points, voxel, chunk=None):
+    """``_VoxelGrid``'s (centroids, first point) of ``points``, filed
+    ``chunk`` points at a time (all at once by default), each point's index
+    as its payload."""
+    grid = mp._VoxelGrid(voxel)
+    step = chunk or max(len(points), 1)
+    for start in range(0, len(points), step):
+        grid.add(points[start : start + step], np.arange(start, min(start + step, len(points))))
+    return grid.centroids()
+
+
 class TestVoxelCentroids:
-    """Against a dict of cells: lexicographic cell order, each cell's first
-    point, and centroids summed in point order."""
+    """``_VoxelGrid`` against a dict of cells: lexicographic cell order, each
+    cell's first point, and centroids summed in point order, whether the
+    points are filed at once or in chunks."""
 
     @staticmethod
     def assert_matches_oracle(points, voxel):
-        centroids, first = mp.voxel_centroids(points, voxel)
         keys, want_first, want = voxel_cells(points, voxel)
-        got_keys = [tuple(int(c) for c in np.floor(points[i] / voxel)) for i in first]
-        assert got_keys == keys
-        np.testing.assert_array_equal(first, want_first)
-        np.testing.assert_array_equal(centroids, want)
+        for chunk in (None, 7):
+            centroids, first = voxel_centroids(points, voxel, chunk)
+            got_keys = [tuple(int(c) for c in np.floor(points[i] / voxel)) for i in first]
+            assert got_keys == keys
+            np.testing.assert_array_equal(first, want_first)
+            np.testing.assert_array_equal(centroids, want)
 
     def test_negative_coordinates(self):
         rng = np.random.default_rng(21)
@@ -528,19 +539,19 @@ class TestVoxelCentroids:
         lonely = np.array([[-9.9, 7.3, -4.4], [6.1, -8.8, 9.05]])
         points = np.concatenate([faces, mixed, lonely, faces[:5]])
         self.assert_matches_oracle(points, voxel)
-        centroids, _ = mp.voxel_centroids(points, voxel)
+        centroids, _ = voxel_centroids(points, voxel)
         for p in lonely:
             assert (centroids == p).all(axis=1).sum() == 1
         # a point on a face belongs to the cell above it
         xs = np.array([0.49, 0.5, 0.51, -0.51, -0.5, -0.49])
-        centroids, first = mp.voxel_centroids(np.column_stack([xs, 0 * xs, 0 * xs]), voxel)
+        centroids, first = voxel_centroids(np.column_stack([xs, 0 * xs, 0 * xs]), voxel)
         np.testing.assert_array_equal(first, [3, 4, 0, 1])
         np.testing.assert_array_equal(
             centroids[:, 0], [-0.51, (-0.5 + -0.49) / 2, 0.49, (0.5 + 0.51) / 2]
         )
 
     def test_empty_input(self):
-        centroids, first = mp.voxel_centroids(np.zeros((0, 3)), 0.5)
+        centroids, first = voxel_centroids(np.zeros((0, 3)), 0.5)
         assert centroids.shape == (0, 3)
         assert first.shape == (0,) and first.dtype.kind == "i"
 
@@ -552,10 +563,10 @@ class TestVoxelCentroids:
         beyond = near.copy()
         beyond[1, 1] += 1.0
         with pytest.raises(ValueError, match="int64"):
-            mp.voxel_centroids(beyond, 1.0)
+            voxel_centroids(beyond, 1.0)
         far = np.array([[0.0, 0.0, 0.0], [1.0e7, -1.0e7, 1.0e7]])
         with pytest.raises(ValueError, match="int64"):
-            mp.voxel_centroids(far, 1.0e-3)
+            voxel_centroids(far, 1.0e-3)
         # a small extent far from the origin fits: keys are offset before packing
         # (unoffset, x = 2**62 would pack past 2**63 and sort first)
         remote = np.array([[2.0**62, 0.0, 0.0], [2.0**62 - 1024, 1.0, 0.0], [2.0**62, 1.0, 0.0]])
@@ -637,7 +648,7 @@ class TestStreamedGround:
         for sessions in ([], self.sessions(3), self.sessions(3)[:1] + [no_returns] + self.sessions(2)):
             ground = mp.extract_ground(sessions, params)
             pts, labels = self.in_band_points(sessions, params)
-            centroids, first = mp.voxel_centroids(pts, params.ground_voxel)
+            _, first, centroids = voxel_cells(pts, params.ground_voxel)
             assert ground.positions.dtype == centroids.dtype == np.float64
             np.testing.assert_array_equal(ground.positions, centroids)
             assert ground.labels.dtype == labels.dtype
@@ -665,7 +676,7 @@ class TestBuildFinalMap:
     def test_empty_ground(self):
         rng = np.random.default_rng(6)
         static = cloud_of(np.column_stack([rng.uniform(-3, 3, (80, 2)), np.zeros(80)]))
-        empty = PointCloudMap(np.zeros((0, 3)), frame=FRAME_MAP)
+        empty = PointCloudMap(np.zeros((0, 3)))
         final = mp.build_final_map(static, empty)
         assert len(final) == 80
         assert final.has_normal().mean() > 0.9
@@ -674,7 +685,7 @@ class TestBuildFinalMap:
         session = fake_ground_session()
         params = make_params(ground_band=0.12)
         ground = mp.extract_ground([session], params)
-        empty = PointCloudMap(np.zeros((0, 3)), frame=FRAME_MAP)
+        empty = PointCloudMap(np.zeros((0, 3)))
         final = mp.build_final_map(empty, ground)
         assert np.all(final.ground)
         assert np.all(final.has_normal())
@@ -717,6 +728,33 @@ class TestAssociationDiagnostics:
             ]
         )
         assert np.allclose(probs, lik / lik.sum(), atol=1e-12)
+
+    def test_stack_matches_single_points(self, monkeypatch):
+        """A stack of points takes one ``knn`` call, and each row equals the
+        point's own call and the direct formula."""
+        calls = []
+        knn = PointCloudMap.knn
+
+        def counted(cloud, query, k):
+            calls.append(np.shape(query))
+            return knn(cloud, query, k)
+
+        monkeypatch.setattr(PointCloudMap, "knn", counted)
+        rng = np.random.default_rng(15)
+        cloud = cloud_of(rng.uniform(-2, 2, (200, 3)))
+        xi = se3_exp(np.array([0.05, -0.02, 0.1, 0.3, -0.2, 0.1]))
+        points = rng.uniform(-1, 1, (6, 3))
+        idx, probs = mp.association_posterior(points, cloud, xi, sigma=0.25, k=12)
+        assert idx.shape == probs.shape == (6, 12)
+        assert calls == [(6, 3)]
+        np.testing.assert_allclose(probs.sum(axis=1), 1.0, rtol=0.0, atol=1e-15)
+        for p_v, row_idx, row_probs in zip(points, idx, probs):
+            one_idx, one_probs = mp.association_posterior(p_v, cloud, xi, sigma=0.25, k=12)
+            np.testing.assert_array_equal(row_idx, one_idx)
+            np.testing.assert_allclose(row_probs, one_probs, rtol=1e-14, atol=0.0)
+            d2 = np.sum((cloud.positions[row_idx] - xi.apply(p_v)) ** 2, axis=1)
+            lik = np.exp(-(d2 - d2.min()) / (2 * 0.25**2))
+            np.testing.assert_allclose(row_probs, lik / lik.sum(), rtol=1e-12, atol=0.0)
 
     def test_kld_identical_zero(self):
         p = np.array([0.2, 0.5, 0.3])

@@ -539,7 +539,8 @@ class TestGenerateSession:
             assert np.array_equal(la, lb)
         # rig survives the round trip
         assert back.rig.camera.fx == rig.camera.fx
-        assert np.allclose(back.rig.body_t_laser.matrix(), rig.body_t_laser.matrix(), atol=1e-12)
+        assert np.allclose(back.rig.body_t_laser.rotation, rig.body_t_laser.rotation, atol=1e-12)
+        assert np.allclose(back.rig.body_t_laser.translation, rig.body_t_laser.translation, atol=1e-12)
 
     def test_load_orders_files_past_four_digits_by_number(self, tmp_path):
         """Frame and scan files 9999 and 10000 load at their numbers, not by name."""
@@ -597,6 +598,30 @@ class TestGenerateSession:
         save_session(tmp_path / "s", session)
         shutil.copy(tmp_path / "s" / "scans" / "0002.txt", tmp_path / "s" / "scans" / "2.txt")
         with pytest.raises(ValueError, match="index 2"):
+            load_session(tmp_path / "s")
+
+    def test_stray_files_are_not_read(self, tmp_path):
+        """Only ``.obs`` frames and ``.txt`` scans load: a ``.DS_Store`` and an
+        editor's backup ``0001.obs~`` leave the session as saved. A name with
+        that extension and a stem that is no integer names its file."""
+        session = sim.generate_session(
+            sim.default_world(), sim.default_trajectory_spec(), sim.default_rig(),
+            session_id=0, seed=1, duration=0.5,
+        )
+        save_session(tmp_path / "s", session)
+        for sub in ("frames", "scans"):
+            (tmp_path / "s" / sub / ".DS_Store").write_bytes(b"\0\0\0\1Bud1")
+        shutil.copy(tmp_path / "s" / "frames" / "0002.obs", tmp_path / "s" / "frames" / "0001.obs~")
+        shutil.copy(tmp_path / "s" / "scans" / "0002.txt", tmp_path / "s" / "scans" / "0001.txt~")
+        back = load_session(tmp_path / "s")
+        assert len(back.frames) == len(session.frames) and len(back.scans) == len(session.scans)
+        for a, b in zip(session.frames, back.frames):
+            assert np.array_equal(a.landmark_ids, b.landmark_ids) and np.array_equal(a.pixels, b.pixels)
+        for (pa, la), (pb, lb) in zip(session.scans, back.scans):
+            assert np.array_equal(pa, pb) and np.array_equal(la, lb)
+        notes = tmp_path / "s" / "scans" / "notes.txt"
+        notes.write_text("1 2 3 4\n")
+        with pytest.raises(ValueError, match="notes.txt"):
             load_session(tmp_path / "s")
 
 

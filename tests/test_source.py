@@ -7,6 +7,7 @@ import pytest
 
 TESTS = Path(__file__).resolve().parent
 PACKAGE = TESTS.parent / "src" / "crossloc"
+BENCH = TESTS.parent / "perfbench"
 
 
 def unused_imports(source: str) -> list[str]:
@@ -211,3 +212,126 @@ def test_angle_switches_are_found():
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda path: path.name)
 def test_no_angle_switch_outside_by_angle(path):
     assert angle_switches(path.read_text()) == []
+
+
+# Public definitions that no src or perfbench module reads yet, each with the
+# ROADMAP direction that will call it. An entry goes when its caller lands.
+ENTRY_POINTS = {
+    "laser_map.save_map": "7: the CLI's build-map",
+    "laser_map.load_map": "7: the CLI's localize",
+    "session.save_session": "7: the CLI's simulate",
+    "session.load_session": "7: the CLI's build-map and localize",
+    "map_pipeline.build_full_map": "5: the unfiltered map variant",
+    "map_pipeline.association_posterior": "5: the association KL per map variant",
+    "map_pipeline.association_kld": "5: the association KL per map variant",
+    "map_pipeline.em_lower_bound": "5: kept only if the comparison uses it",
+    "simulator.sample_world_map": "5: the true map the KL is taken against",
+    "map_pipeline.association_log_likelihood": "20: the likelihood the anchor search scores",
+}
+
+
+def _reads(node, skip=frozenset()) -> set[str]:
+    """Names read under ``node``, outside the nodes whose ids are in
+    ``skip``: names, attributes (``lg.se3_log`` reads ``se3_log``), imported
+    names, and strings that are identifiers (the benchmark names the
+    attributes it wraps as strings)."""
+    read, stack = set(), [node]
+    while stack:
+        node = stack.pop()
+        if id(node) in skip:
+            continue
+        if isinstance(node, ast.Name):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            read.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            read.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str) and node.value.isidentifier():
+            read.add(node.value)
+        stack.extend(ast.iter_child_nodes(node))
+    return read
+
+
+def unread_definitions(modules: dict, readers=(), entry_points=()) -> list[str]:
+    """Public module-level functions and classes, and public methods of
+    module-level classes, of ``modules`` (name -> source) that no live code
+    reads, as ``module.name (line n)``.
+
+    Live code is the ``readers`` sources, every module's code outside its
+    public definitions, and, in turn, the body of each definition that live
+    code reads or that ``entry_points`` names; so a definition read only by
+    unread ones is unread too. A name is matched alone: a method is read
+    wherever an attribute of its name is.
+    """
+    live, found = set(), []
+    for module, source in modules.items():
+        tree = ast.parse(source)
+        defs = []
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+                defs.append((node.name, node))
+                if isinstance(node, ast.ClassDef):
+                    defs += [
+                        (f"{node.name}.{m.name}", m)
+                        for m in node.body
+                        if isinstance(m, ast.FunctionDef) and not m.name.startswith("_")
+                    ]
+        nodes = {id(node) for _, node in defs}
+        live |= _reads(tree, nodes)
+        found += [(f"{module}.{qualname}", node, _reads(node, nodes - {id(node)})) for qualname, node in defs]
+    for source in readers:
+        live |= _reads(ast.parse(source))
+    unread = {name for name, _, _ in found}
+    grew = True
+    while grew:
+        grew = False
+        for name, node, body in found:
+            if name in unread and (node.name in live or name in entry_points):
+                unread.discard(name)
+                live |= body
+                grew = True
+    return [f"{name} (line {node.lineno})" for name, node, _ in found if name in unread]
+
+
+def test_unread_definitions_are_found():
+    modules = {
+        "geo": (
+            "def used(): return helper()\n"
+            "def helper(): pass\n"
+            "def only_by_dead(): pass\n"
+            "def dead(): return only_by_dead()\n"
+            "def _private(): pass\n"
+            "def wrapped(): pass\n"
+            "def planned(): return Shape\n"
+            "class Shape:\n"
+            "    def area(self): pass\n"
+            "    def unused(self): return self.unused()\n"
+            "    def _hidden(self): pass\n"
+        ),
+        "app": "from .geo import used\nx = used().area()\n",
+    }
+    bench = "patch(geo, 'wrapped')\n"
+    assert unread_definitions(modules, [bench], {"geo.planned"}) == [
+        "geo.only_by_dead (line 3)",
+        "geo.dead (line 4)",
+        "geo.Shape.unused (line 10)",
+    ]
+
+
+def _package_and_bench():
+    modules = {path.stem: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
+    return modules, [path.read_text() for path in sorted(BENCH.glob("*.py"))]
+
+
+def test_every_public_definition_is_read():
+    """``src`` holds what the system runs: each public definition is read by
+    the package or the benchmark, or is an entry point a direction will call.
+    A reference only tests read belongs in ``tests/oracles.py``."""
+    assert unread_definitions(*_package_and_bench(), ENTRY_POINTS) == []
+
+
+def test_entry_points_are_unread_otherwise():
+    """Every ``ENTRY_POINTS`` name exists and nothing calls it yet: once its
+    caller lands, its entry goes."""
+    unread = {entry.split(" (line")[0] for entry in unread_definitions(*_package_and_bench())}
+    assert set(ENTRY_POINTS) <= unread, set(ENTRY_POINTS) - unread
