@@ -17,20 +17,21 @@ IMU samples between the window's newest keyframe and each later frame, by
 timestamp, and yields a keyframe wherever the policy (``_keyframe_due``:
 translation, rotation or landmark overlap) fires on a frame that tracks
 enough landmarks; ``initialize`` inserts frame 0 and its first yield,
-``run_localization`` the rest. After each insertion ``activate_landmarks``
-triangulates every inactive landmark that two window keyframes see, from its
-stereo pixels in the oldest of them.
+``run_localization`` the rest. Each insertion restacks the window's two
+tables (``SlidingWindow``), its keyframes' observation rows and its active
+landmarks; ``activate_landmarks`` then triangulates in one call every
+inactive landmark that two window keyframes see, from its first row.
 
 Both steps state their terms as arrays. The window problem
 (``_build_vio_problem``) stacks the window in block families: ``pose``,
 ``vel``, ``bg`` and ``ba`` with one row per keyframe in window order (the
 oldest pose fixed), and ``lm``, eliminated, with one row per solvable
-landmark in id order. It has one factor group per term family, whose slots
-index those rows: every stereo observation of a solvable landmark, in
-window order (keyframe rows by ``np.repeat``, landmark rows by
+landmark (a mask over the active ones) in id order. It has one factor group
+per term family, whose slots index those rows: the window's observation rows
+of solvable landmarks, masked from its table (landmark rows by
 ``np.searchsorted`` of the ids), then the preintegration and the bias terms
 between consecutive keyframes. After a solve ``_write_back`` unstacks the
-families into the keyframe states and the landmark positions. An
+families into the keyframe states and, through the mask, the positions. An
 association (``associate_constraints``, one k-NN query over all landmarks)
 is one ``MapAssociation`` record of landmark ids, map points, normals and a
 point-to-plane mask.
@@ -145,21 +146,26 @@ class BaSchedule:
 
 
 class SlidingWindow:
-    """Keyframes plus the landmarks currently observed by at least two."""
+    """Keyframes, their observation rows as one table, and the active landmarks.
+
+    Each insertion stacks the rows keyframe by keyframe: ``row_ids``,
+    ``row_pixels`` (n, 4) and ``row_keyframe`` (window index, 0 the oldest).
+    ``seen_ids`` are their ids, sorted, and ``observers`` how many keyframes
+    see each (a keyframe counts once per id). The active landmarks are
+    ``landmarks``, sorted ids, and ``positions`` (m, 3) in L, row for row:
+    one stays active while a window keyframe sees it, and is solvable when two do.
+    """
 
     def __init__(self, capacity: int = 7):
         self.capacity = capacity
         self.keyframes: list[Keyframe] = []
-        self.landmarks: dict[int, np.ndarray] = {}  # active, positions in L
-
-    def observer_counts(self) -> dict[int, int]:
-        """Per observed landmark id, the number of window keyframes that see it."""
-        seen = [np.unique(kf.landmark_ids) for kf in self.keyframes]  # once per keyframe
-        ids, counts = np.unique(np.concatenate([np.zeros(0, dtype=int), *seen]), return_counts=True)
-        return dict(zip(ids.tolist(), counts.tolist()))
+        empty = np.zeros(0, dtype=int)  # replaced, never written into
+        self.row_ids, self.row_pixels, self.row_keyframe = empty, np.zeros((0, 4)), empty
+        self.seen_ids, self.observers = empty, empty
+        self.landmarks, self.positions = empty, np.zeros((0, 3))
 
     def insert_keyframe(self, kf: Keyframe, min_landmarks: int = 15) -> None:
-        """Append; evict the oldest beyond capacity; retire orphan landmarks."""
+        """Append; evict the oldest beyond capacity; restack; retire orphan landmarks."""
         if len(kf.landmark_ids) < min_landmarks:
             raise TooFewObservationsError(
                 f"frame tracks {len(kf.landmark_ids)} < {min_landmarks} landmarks"
@@ -167,44 +173,54 @@ class SlidingWindow:
         self.keyframes.append(kf)
         if len(self.keyframes) > self.capacity:
             self.keyframes.pop(0)
-        alive = self.observer_counts()
-        self.landmarks = {i: p for i, p in self.landmarks.items() if i in alive}
+        kfs = self.keyframes
+        self.row_ids = np.concatenate([kf.landmark_ids for kf in kfs])
+        self.row_pixels = np.concatenate([kf.pixels for kf in kfs])
+        self.row_keyframe = np.repeat(np.arange(len(kfs)), [len(kf.landmark_ids) for kf in kfs])
+        # one (id, keyframe) pair per keyframe that sees an id
+        pairs = np.unique(np.column_stack([self.row_ids, self.row_keyframe]), axis=0)
+        self.seen_ids, self.observers = np.unique(pairs[:, 0], return_counts=True)
+        alive = np.isin(self.landmarks, self.seen_ids)
+        self.landmarks, self.positions = self.landmarks[alive], self.positions[alive]
+
+    def solvable(self) -> np.ndarray:
+        """Mask over ``landmarks``: those that two window keyframes see."""
+        return self.observers[np.searchsorted(self.seen_ids, self.landmarks)] >= 2
 
 
-def triangulate_stereo(rig: SensorRig, state: NavState, stereo_px, min_disparity: float):
-    """Landmark position in the local frame from one stereo observation."""
+def triangulate_stereo(rig: SensorRig, pose: Pose, stereo_px, min_disparity: float):
+    """Local-frame positions of stereo observations (ul, vl, ur, vr) seen
+    from body poses, and which have more than ``min_disparity`` px of
+    disparity: (3,) and a bool for one pose and (4,) row, (n, 3) and (n,)
+    for a stack. A row without enough disparity has a NaN position."""
     cam = rig.camera
-    ul, vl, ur, _ = (float(v) for v in stereo_px)
+    ul, vl, ur = (np.asarray(stereo_px, dtype=float)[..., i] for i in range(3))
     disparity = ul - ur
-    if disparity <= min_disparity:
-        return None
-    z = cam.fx * rig.stereo_baseline / disparity
-    p_cam = np.array([(ul - cam.cx) * z / cam.fx, (vl - cam.cy) * z / cam.fy, z])
-    return (state.pose @ cam.body_t_cam).apply(p_cam)
+    ok = disparity > min_disparity
+    z = cam.fx * rig.stereo_baseline / np.where(ok, disparity, 1.0)
+    p_cam = np.stack([(ul - cam.cx) * z / cam.fx, (vl - cam.cy) * z / cam.fy, z], axis=-1)
+    world = pose @ cam.body_t_cam
+    position = (world.rotation @ p_cam[..., None])[..., 0] + world.translation
+    return np.where(ok[..., None], position, np.nan), ok
 
 
 def activate_landmarks(window: SlidingWindow, rig: SensorRig, cfg: EstimatorConfig) -> int:
-    """Triangulate, in id order, each inactive landmark that two window keyframes see.
+    """Triangulate each inactive landmark that two window keyframes see.
 
-    A landmark is triangulated from its first row in the oldest window
-    keyframe that sees it; one without enough disparity stays inactive.
+    A landmark is triangulated from its first row, which is in the oldest
+    window keyframe that sees it; one without enough disparity stays inactive.
     """
-    kfs = window.keyframes
-    ids = np.concatenate([kf.landmark_ids for kf in kfs])
-    pixels = np.concatenate([kf.pixels for kf in kfs])
-    owner = np.repeat(np.arange(len(kfs)), [len(kf.landmark_ids) for kf in kfs])
-    observers = window.observer_counts()
-    _, first = np.unique(ids, return_index=True)  # first rows, oldest keyframe first
-    activated = 0
-    for lm_id, row in zip(ids[first].tolist(), first.tolist()):
-        if observers[lm_id] < 2 or lm_id in window.landmarks:
-            continue
-        pos = triangulate_stereo(rig, kfs[owner[row]].state, pixels[row], cfg.min_disparity)
-        if pos is None:
-            continue
-        window.landmarks[lm_id] = pos
-        activated += 1
-    return activated
+    ids, first = np.unique(window.row_ids, return_index=True)  # ids are seen_ids
+    rows = first[(window.observers >= 2) & ~np.isin(ids, window.landmarks)]
+    kf_poses = Pose.stack([kf.state.pose for kf in window.keyframes])
+    owner = window.row_keyframe[rows]
+    pose = Pose(kf_poses.rotation[owner], kf_poses.translation[owner])
+    positions, ok = triangulate_stereo(rig, pose, window.row_pixels[rows], cfg.min_disparity)
+    ids = np.concatenate([window.landmarks, window.row_ids[rows[ok]]])
+    order = np.argsort(ids)
+    window.landmarks = ids[order]
+    window.positions = np.concatenate([window.positions, positions[ok]])[order]
+    return int(ok.sum())
 
 
 @dataclass(frozen=True)
@@ -241,12 +257,12 @@ def associate_constraints(
     All landmarks are moved into the map frame and queried in one k-NN call.
     The k nearest neighbors decide the metric: consistent normals pick the
     point-to-plane branch, anything else point-to-point; matches beyond the
-    gate radius are dropped. Rows follow ``sorted(window.landmarks)``.
+    gate radius are dropped. Rows follow ``window.landmarks``, by id.
     """
-    lm_ids = np.array(sorted(window.landmarks), dtype=int)
+    lm_ids = window.landmarks
     if len(cloud) == 0 or not len(lm_ids):
         return _NO_ASSOCIATION
-    idx, dist = cloud.knn(anchor.apply(_positions(window.landmarks, lm_ids)), cfg.knn_k)
+    idx, dist = cloud.knn(anchor.apply(window.positions), cfg.knn_k)
     if idx.shape[1] >= 2:
         plane = normal_consistency(cloud.normals[idx], cfg.normal_consistency_angle)
     else:
@@ -256,11 +272,6 @@ def associate_constraints(
     return MapAssociation(
         lm_ids[gated], cloud.positions[nearest], cloud.normals[nearest], plane[gated]
     )
-
-
-def _positions(landmarks: dict, lm_ids) -> np.ndarray:
-    """The positions of ``lm_ids``, (m, 3)."""
-    return np.array([landmarks[lm_id] for lm_id in lm_ids.tolist()], dtype=float).reshape(-1, 3)
 
 
 def _add_anchor_groups(problem: Problem, anchor: AnchorTransform, association, lm_ids, cfg) -> None:
@@ -289,11 +300,12 @@ def _add_anchor_groups(problem: Problem, anchor: AnchorTransform, association, l
     )
 
 
-def _alignment_problem(landmarks: dict, anchor: AnchorTransform, association, cfg) -> Problem:
+def _alignment_problem(window: SlidingWindow, anchor: AnchorTransform, association, cfg) -> Problem:
     """The rigid step's anchor-only problem: the associated landmarks as a
     fixed ``lm`` family, in id order, and the anchor groups."""
     problem = Problem()
-    problem.add_vectors("lm", _positions(landmarks, association.landmark_ids), fixed=True)
+    rows = np.searchsorted(window.landmarks, association.landmark_ids)
+    problem.add_vectors("lm", window.positions[rows], fixed=True)
     _add_anchor_groups(problem, anchor, association, association.landmark_ids, cfg)
     return problem
 
@@ -307,20 +319,14 @@ def _solved_anchor(problem: Problem) -> Pose:
 # problem assembly
 
 
-def _solvable_landmarks(window: SlidingWindow) -> list[int]:
-    """Active landmarks with at least two current observers."""
-    observers = window.observer_counts()
-    return [lm_id for lm_id in sorted(window.landmarks) if observers.get(lm_id, 0) >= 2]
-
-
-def _build_vio_problem(window, rig, gravity, cfg, lm_ids) -> Problem:
+def _build_vio_problem(window, rig, gravity, cfg, solvable) -> Problem:
     """The window's block families and its stereo, preintegration and bias groups.
 
     Families ``pose`` (the oldest row fixed), ``vel``, ``bg`` and ``ba`` have
     one row per keyframe in window order; ``lm``, eliminated, one per
-    solvable landmark in ``lm_ids`` (sorted). The stereo group has one row
-    per occurrence of a solvable landmark in a keyframe's ``landmark_ids``,
-    keyframe by keyframe, carrying that keyframe's pixels.
+    landmark that the mask ``solvable`` picks from ``window.landmarks``. The
+    stereo group has one row per window row of such a landmark, keyframe by
+    keyframe, carrying that row's pixels.
     """
     kfs = window.keyframes
     states = [kf.state for kf in kfs]
@@ -329,16 +335,14 @@ def _build_vio_problem(window, rig, gravity, cfg, lm_ids) -> Problem:
     problem.add_vectors("vel", [s.velocity for s in states])
     problem.add_vectors("bg", [s.gyro_bias for s in states])
     problem.add_vectors("ba", [s.accel_bias for s in states])
-    problem.add_vectors("lm", _positions(window.landmarks, np.asarray(lm_ids)), eliminate=True)
+    problem.add_vectors("lm", window.positions[solvable], eliminate=True)
 
-    seen = [np.isin(kf.landmark_ids, lm_ids) for kf in kfs]
-    occurrences = np.concatenate([kf.landmark_ids[rows] for kf, rows in zip(kfs, seen)])
-    pixels = np.concatenate([kf.pixels[rows] for kf, rows in zip(kfs, seen)])
+    lm_ids = window.landmarks[solvable]
+    rows = np.isin(window.row_ids, lm_ids)
     problem.add_factors(
         res.StereoReprojectionFactor,
-        [("pose", np.repeat(np.arange(len(kfs)), [rows.sum() for rows in seen])),
-         ("lm", np.searchsorted(lm_ids, occurrences))],
-        (pixels, rig.camera, rig.right_camera()),
+        [("pose", window.row_keyframe[rows]), ("lm", np.searchsorted(lm_ids, window.row_ids[rows]))],
+        (window.row_pixels[rows], rig.camera, rig.right_camera()),
         res.PIXEL_INFORMATION,
         res.RobustKernel("cauchy", cfg.cauchy_pixel),
     )
@@ -364,26 +368,27 @@ def _build_vio_problem(window, rig, gravity, cfg, lm_ids) -> Problem:
     return problem
 
 
-def _write_back(problem: Problem, window: SlidingWindow, lm_ids) -> None:
-    """The solved families back into the keyframe states and the landmark positions."""
+def _write_back(problem: Problem, window: SlidingWindow, solvable) -> None:
+    """The solved families back into the keyframe states and, through ``solvable``, the positions."""
     value = problem.value
     rows = zip(*value["pose"], value["vel"], value["ba"], value["bg"])
     for kf, (rot, trans, vel, ba, bg) in zip(window.keyframes, rows):
         kf.state = NavState(Pose(rot, trans), vel, ba, bg)
-    window.landmarks.update(zip(lm_ids, value["lm"]))
+    window.positions[solvable] = value["lm"]
 
 
 def _adjust_window(window, anchor, association, rig, cfg) -> SolverReport:
     """One solve of the window problem, with the anchor groups of the
     solvable landmarks' constraints if ``association`` has any, written back
     into the window and, with constraints, the anchor."""
-    lm_ids = _solvable_landmarks(window)
-    problem = _build_vio_problem(window, rig, rig.gravity_vector(), cfg, lm_ids)
+    solvable = window.solvable()
+    problem = _build_vio_problem(window, rig, rig.gravity_vector(), cfg, solvable)
     if len(association):
-        solvable = association.rows(np.isin(association.landmark_ids, lm_ids))
-        _add_anchor_groups(problem, anchor, solvable, lm_ids, cfg)
+        lm_ids = window.landmarks[solvable]
+        rows = association.rows(np.isin(association.landmark_ids, lm_ids))
+        _add_anchor_groups(problem, anchor, rows, lm_ids, cfg)
     report = solve(problem, cfg.max_iterations)
-    _write_back(problem, window, lm_ids)
+    _write_back(problem, window, solvable)
     if len(association):
         anchor.pose = _solved_anchor(problem)
     return report
@@ -430,7 +435,7 @@ def rigid_ba(
         association = associate_constraints(window, anchor.pose, cloud, cfg)
         if not len(association):
             break
-        alignment = _alignment_problem(window.landmarks, anchor, association, cfg)
+        alignment = _alignment_problem(window, anchor, association, cfg)
         report = solve(alignment, cfg.max_iterations)
         aligned = _solved_anchor(alignment)
         update = np.linalg.norm(se3_log(anchor.pose.inverse() @ aligned))
@@ -503,7 +508,8 @@ def _mean_constraint_residual(window, anchor: Pose, association: MapAssociation)
     point-to-plane rows, point distance on the others; NaN with no rows."""
     if not len(association):
         return float("nan")
-    offset = association.points - anchor.apply(_positions(window.landmarks, association.landmark_ids))
+    rows = np.searchsorted(window.landmarks, association.landmark_ids)
+    offset = association.points - anchor.apply(window.positions[rows])
     dist = np.linalg.norm(offset, axis=1)
     plane = association.plane
     dist[plane] = np.abs(np.einsum("ni,ni->n", association.normals[plane], offset[plane]))

@@ -117,7 +117,7 @@ class PointCloudMap:
         return idx, dists
 
 
-def _canonical_sign(normals: np.ndarray) -> np.ndarray:
+def canonical_sign(normals: np.ndarray) -> np.ndarray:
     """Orient toward the +z hemisphere; ties toward +x, then +y."""
     out = normals.copy()
     tol = 1e-12
@@ -156,7 +156,7 @@ def estimate_normals(cloud: PointCloudMap, neighborhood_k: int = 10) -> PointClo
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = eigval[:, 0] / eigval[:, 1]
     planar = mid_ok & (ratio <= 0.5) & (kk >= 3)
-    normals = _canonical_sign(normals / np.linalg.norm(normals, axis=1, keepdims=True))
+    normals = canonical_sign(normals / np.linalg.norm(normals, axis=1, keepdims=True))
     normals[~planar] = np.nan
     return PointCloudMap(
         cloud.positions, normals, cloud.counts, cloud.ground, cloud.labels
@@ -215,11 +215,8 @@ def load_map(path) -> PointCloudMap:
                 elif len(tok) == 6 and tok[3] == "-":
                     normal = [np.nan] * 3
                     rest = tok[4:]
-                elif len(tok) == 5:
-                    normal = [np.nan] * 3
-                    rest = tok[3:]
                 else:
-                    raise ValueError(f"expected 5, 6 or 8 fields, got {len(tok)}")
+                    raise ValueError(f"expected 8 fields, or 6 with '-' for the normal, got {len(tok)}")
                 positions.append([float(tok[0]), float(tok[1]), float(tok[2])])
                 normals.append(normal)
                 counts.append(int(rest[0]))

@@ -451,10 +451,7 @@ def build_final_map(static: PointCloudMap, ground: PointCloudMap) -> PointCloudM
     Ground normals stay forced to +z so ground association always takes the
     point-to-plane branch.
     """
-    static_n = estimate_normals(static) if len(static) else static
-    if len(ground) == 0:
-        return static_n
-    return concat_clouds(static_n, ground)
+    return concat_clouds(estimate_normals(static), ground)
 
 
 def build_full_map(session: SessionData, voxel: float = 0.3) -> PointCloudMap:

@@ -30,7 +30,7 @@ from functools import cached_property
 import numpy as np
 from scipy.interpolate import CubicSpline
 
-from .laser_map import PointCloudMap, _canonical_sign
+from .laser_map import PointCloudMap, canonical_sign
 from .liegroup import Pose, rot_z
 from .residuals import CameraModel
 from .session import FrameObservations, LaserModel, SensorRig, SessionData
@@ -775,7 +775,7 @@ def sample_world_map(
             continue
         positions.append(pts)
         valid = ~np.isnan(nrm[:, 0])
-        nrm[valid] = _canonical_sign(nrm[valid])
+        nrm[valid] = canonical_sign(nrm[valid])
         normals.append(nrm)
         grounds.append(np.full(len(pts), elem.kind == KIND_GROUND, dtype=bool))
         labels.append(np.full(len(pts), elem.elem_id, dtype=int))
@@ -795,8 +795,6 @@ def sample_world_map(
 def _rounded_rectangle_waypoints(half_x, half_y, corner_radius, spacing, z):
     """Closed loop of waypoints along a rounded rectangle, CCW."""
     hx, hy, r = half_x, half_y, corner_radius
-    segs = []
-    # straights: +y side right-to-left ... use CCW starting at (hx - r, -hy)
     corners = [
         (np.array([hx - r, -hy + r]), -np.pi / 2),
         (np.array([hx - r, hy - r]), 0.0),

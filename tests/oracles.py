@@ -611,3 +611,85 @@ def near_feature_returns(session, gate):
                 idx.append(i)
         kept.append(np.asarray(idx, dtype=int))
     return kept
+
+
+# ---------------------------------------------------------------------------
+# the sliding window's landmark bookkeeping, one keyframe row at a time
+
+
+def triangulate_one(rig, pose, stereo_px, min_disparity):
+    """Local-frame position of one stereo observation (ul, vl, ur, vr) seen
+    from one body pose, in Python floats; None unless its disparity exceeds
+    ``min_disparity``."""
+    cam = rig.camera
+    ul, vl, ur, _ = (float(v) for v in stereo_px)
+    disparity = ul - ur
+    if disparity <= min_disparity:
+        return None
+    z = cam.fx * rig.stereo_baseline / disparity
+    p_cam = np.array([(ul - cam.cx) * z / cam.fx, (vl - cam.cy) * z / cam.fy, z])
+    return (pose @ cam.body_t_cam).apply(p_cam)
+
+
+class DictWindow:
+    """A sliding window as a keyframe list and a dict from active landmark id
+    to position, every count taken by walking the keyframes' rows.
+
+    The reference for the tables of ``estimator.SlidingWindow``: the oldest
+    keyframe is evicted beyond ``capacity``, an insertion retires the active
+    landmarks no keyframe sees, and activation triangulates each inactive
+    landmark that two keyframes see from its first row, oldest keyframe
+    first, through ``triangulate_one``.
+    """
+
+    def __init__(self, capacity):
+        self.capacity = capacity
+        self.keyframes = []
+        self.landmarks = {}
+
+    def observer_counts(self):
+        """Per id the keyframes hold, how many keyframes hold it."""
+        counts = {}
+        for kf in self.keyframes:
+            for lm_id in set(kf.landmark_ids.tolist()):
+                counts[lm_id] = counts.get(lm_id, 0) + 1
+        return counts
+
+    def insert(self, kf):
+        self.keyframes.append(kf)
+        if len(self.keyframes) > self.capacity:
+            self.keyframes.pop(0)
+        counts = self.observer_counts()
+        self.landmarks = {i: p for i, p in self.landmarks.items() if i in counts}
+
+    def solvable(self):
+        """The active ids that two keyframes see, sorted."""
+        counts = self.observer_counts()
+        return sorted(i for i in self.landmarks if counts[i] >= 2)
+
+    def activate(self, rig, min_disparity):
+        """Activate what can be; returns how many were."""
+        counts = self.observer_counts()
+        first = {}
+        for kf in self.keyframes:
+            for lm_id, px in zip(kf.landmark_ids.tolist(), kf.pixels):
+                first.setdefault(lm_id, (kf.state.pose, px))
+        activated = 0
+        for lm_id, (pose, px) in first.items():
+            if counts[lm_id] >= 2 and lm_id not in self.landmarks:
+                position = triangulate_one(rig, pose, px, min_disparity)
+                if position is not None:
+                    self.landmarks[lm_id] = position
+                    activated += 1
+        return activated
+
+    def stereo_rows(self):
+        """(keyframe index, id, pixels) of every row of a solvable id,
+        keyframe by keyframe, oldest first."""
+        solvable = set(self.solvable())
+        return [
+            (k, lm_id, px)
+            for k, kf in enumerate(self.keyframes)
+            for lm_id, px in zip(kf.landmark_ids.tolist(), kf.pixels)
+            if lm_id in solvable
+        ]

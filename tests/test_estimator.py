@@ -16,6 +16,7 @@ from crossloc.solver import solve
 from oracles import (
     POINT_TO_PLANE,
     POINT_TO_POINT,
+    DictWindow,
     MapConstraint,
     anchor_alignment_gauss_newton,
     brute_force_knn,
@@ -99,6 +100,17 @@ def _hand_built_window():
     return window
 
 
+def _set_active(window, ids, positions=None):
+    """Make ``ids`` (sorted, each seen by a window keyframe) the active
+    landmarks, at ``positions`` or the origin."""
+    window.landmarks = np.array(ids, dtype=int)
+    window.positions = np.zeros((len(ids), 3)) if positions is None else np.array(positions, dtype=float)
+
+
+def _observers(window):
+    return dict(zip(window.seen_ids.tolist(), window.observers.tolist()))
+
+
 def test_observer_counts_on_a_hand_built_window():
     """Each keyframe counts once per landmark; evicted keyframes not at all.
     Activation triangulates each inactive landmark that two window keyframes
@@ -107,39 +119,107 @@ def test_observer_counts_on_a_hand_built_window():
     cfg = estimator.EstimatorConfig()
 
     def triangulated(kf, row):
-        return estimator.triangulate_stereo(rig, kf.state, kf.pixels[row], cfg.min_disparity)
+        position, ok = estimator.triangulate_stereo(rig, kf.state.pose, kf.pixels[row], cfg.min_disparity)
+        assert ok
+        return position
 
     window = _hand_built_window()
     assert [kf.kf_id for kf in window.keyframes] == [1, 2, 3]
-    assert window.observer_counts() == {9: 2, 2: 1, 3: 2, 4: 2, 5: 2, 6: 1, 7: 1}
+    assert window.row_ids.tolist() == [9, 2, 3, 3, 9, 3, 4, 5, 6, 7, 4, 5]
+    assert window.row_keyframe.tolist() == [0] * 4 + [1] * 4 + [2] * 4
+    np.testing.assert_array_equal(window.row_pixels, np.vstack([kf.pixels for kf in window.keyframes]))
+    assert _observers(window) == {9: 2, 2: 1, 3: 2, 4: 2, 5: 2, 6: 1, 7: 1}
     # landmark 3, seen twice by keyframe 1 ([9, 2, 3, 3]), takes the first of those rows
     assert estimator.activate_landmarks(window, rig, cfg) == 4
-    assert sorted(window.landmarks) == [3, 4, 5, 9]
+    assert window.landmarks.tolist() == [3, 4, 5, 9]
     kf1 = window.keyframes[0]
-    np.testing.assert_array_equal(window.landmarks[3], triangulated(kf1, 2))
-    assert not np.array_equal(window.landmarks[3], triangulated(kf1, 3))
+    np.testing.assert_array_equal(window.positions[0], triangulated(kf1, 2))
+    assert not np.array_equal(window.positions[0], triangulated(kf1, 3))
 
-    window.landmarks = {i: np.zeros(3) for i in (1, 2, 3, 9)}
-    assert estimator._solvable_landmarks(window) == [3, 9]
+    # landmark 2, seen by keyframe 1 only, is active but not solvable
+    _set_active(window, [2, 3, 9])
+    assert window.landmarks[window.solvable()].tolist() == [3, 9]
     # inserting a keyframe retires the landmarks no window keyframe sees
-    window.insert_keyframe(_keyframe(4, [9, 4, 5, 6]), min_landmarks=0)
-    assert window.observer_counts() == {9: 2, 3: 1, 4: 3, 5: 3, 6: 2, 7: 1}
-    assert sorted(window.landmarks) == [3, 9]
-    assert estimator._solvable_landmarks(window) == [9]
+    kf4 = _keyframe(4, [9, 4, 5, 6])
+    window.insert_keyframe(kf4, min_landmarks=0)
+    assert _observers(window) == {9: 2, 3: 1, 4: 3, 5: 3, 6: 2, 7: 1}
+    assert window.landmarks.tolist() == [3, 9]
+    assert window.landmarks[window.solvable()].tolist() == [9]
 
     # keyframes 2-4 see [9, 3, 4, 5], [6, 7, 4, 5] and [9, 4, 5, 6]. Landmark 9
     # (first seen by the evicted keyframe 0) and 6 come from their oldest
     # window observer; 3 and 7, seen once, stay inactive, and so does 5,
-    # whose row in its oldest observer has too little disparity.
+    # whose row in its oldest observer has too little disparity. Rows are
+    # stacked at insertion, so keyframe 2's pixels change before it goes in.
     kf2, kf3, _ = window.keyframes
+    kf2 = replace(kf2, pixels=kf2.pixels.copy())
     kf2.pixels[3, 2] = kf2.pixels[3, 0] - 0.5 * cfg.min_disparity
-    window.landmarks = {4: np.zeros(3)}
+    window = estimator.SlidingWindow(capacity=3)
+    for kf in (kf2, kf3, kf4):
+        window.insert_keyframe(kf, min_landmarks=0)
+    _set_active(window, [4])
     assert estimator.activate_landmarks(window, rig, cfg) == 2
-    assert sorted(window.landmarks) == [4, 6, 9]
-    np.testing.assert_array_equal(window.landmarks[4], np.zeros(3))
-    np.testing.assert_array_equal(window.landmarks[9], triangulated(kf2, 0))
-    np.testing.assert_array_equal(window.landmarks[6], triangulated(kf3, 0))
-    assert window.observer_counts()[5] == 3
+    assert window.landmarks.tolist() == [4, 6, 9]
+    np.testing.assert_array_equal(window.positions[0], np.zeros(3))
+    np.testing.assert_array_equal(window.positions[2], triangulated(kf2, 0))
+    np.testing.assert_array_equal(window.positions[1], triangulated(kf3, 0))
+    assert _observers(window)[5] == 3
+    position, ok = estimator.triangulate_stereo(rig, kf2.state.pose, kf2.pixels[3], cfg.min_disparity)
+    assert not ok and np.isnan(position).all()
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_window_tables_match_the_dict_reference(seed):
+    """Random keyframes into a capacity-3 window and into the dict window of
+    ``tests/oracles.py``: ids repeat within a keyframe, keyframes are
+    evicted, and about a third of the rows have too little disparity. After
+    every insertion, activation and solve write-back the active ids, their
+    positions (bitwise), the observer counts, the solvable set and the
+    window problem's stereo slots and pixels agree."""
+    rng = np.random.default_rng(seed)
+    rig = sim.default_rig()
+    cfg = estimator.EstimatorConfig()
+    window, reference = estimator.SlidingWindow(capacity=3), DictWindow(3)
+
+    def check():
+        assert window.landmarks.tolist() == sorted(reference.landmarks)
+        want = [reference.landmarks[i] for i in sorted(reference.landmarks)]
+        np.testing.assert_array_equal(window.positions, np.reshape(want, (-1, 3)))
+        assert _observers(window) == reference.observer_counts()
+        solvable = window.solvable()
+        assert window.landmarks[solvable].tolist() == reference.solvable()
+        problem = estimator._build_vio_problem(window, rig, rig.gravity_vector(), cfg, solvable)
+        rows = reference.stereo_rows()
+        assert len(problem.groups) == (len(rows) > 0)
+        if rows:
+            (stereo,) = problem.groups
+            (_, kf_rows), (_, lm_rows) = stereo.slots
+            got = zip(kf_rows.tolist(), window.landmarks[solvable][lm_rows].tolist())
+            assert list(got) == [(k, lm_id) for k, lm_id, _ in rows]
+            np.testing.assert_array_equal(stereo.data[0], [px for _, _, px in rows])
+        return problem, solvable
+
+    retired = set()
+    for kf_id in range(12):
+        n = int(rng.integers(4, 10))
+        ids = rng.integers(kf_id, kf_id + 6, size=n)  # a pool that drifts, so ids leave
+        ul, vl = rng.uniform(200.0, 440.0, n), rng.uniform(100.0, 380.0, n)
+        disparity = rng.uniform(0.0, 3.0 * cfg.min_disparity, n)
+        state = estimator.NavState(pose=se3_exp(rng.normal(scale=[0.1, 0.1, 0.1, 1.0, 1.0, 1.0])))
+        kf = estimator.Keyframe(kf_id, 0.1 * kf_id, state, ids, np.column_stack([ul, vl, ul - disparity, vl]))
+        active = set(reference.landmarks)
+        window.insert_keyframe(kf, min_landmarks=0)
+        reference.insert(kf)
+        retired |= active - set(reference.landmarks)
+        check()
+        assert estimator.activate_landmarks(window, rig, cfg) == reference.activate(rig, cfg.min_disparity)
+        problem, solvable = check()
+        # a solve moves the solvable landmarks; the keyframes are shared
+        problem.value["lm"] = problem.value["lm"] + rng.normal(size=problem.value["lm"].shape)
+        estimator._write_back(problem, window, solvable)
+        reference.landmarks.update(zip(reference.solvable(), problem.value["lm"]))
+        check()
+    assert retired and reference.landmarks
 
 
 def test_initialize_rejects_unusable_starts(short_inputs):
@@ -235,12 +315,13 @@ def test_window_problem_has_one_stereo_row_per_solvable_occurrence():
     repeated in one keyframe gives two rows, and landmarks that are inactive
     (5) or seen by one keyframe only (2) give none."""
     window = _hand_built_window()
-    window.landmarks = {i: np.array([0.5, 0.1 * i, 5.0]) for i in (2, 3, 4, 9)}
-    lm_ids = estimator._solvable_landmarks(window)
+    _set_active(window, [2, 3, 4, 9], [[0.5, 0.1 * i, 5.0] for i in (2, 3, 4, 9)])
+    solvable = window.solvable()
+    lm_ids = window.landmarks[solvable].tolist()
     assert lm_ids == [3, 4, 9]
     rig = sim.default_rig()
     problem = estimator._build_vio_problem(
-        window, rig, rig.gravity_vector(), estimator.EstimatorConfig(), lm_ids
+        window, rig, rig.gravity_vector(), estimator.EstimatorConfig(), solvable
     )
     # no keyframe here carries a preintegration, so the stereo group is the only one
     (stereo,) = problem.groups
@@ -262,7 +343,7 @@ def test_window_problem_has_one_stereo_row_per_solvable_occurrence():
     # one family row per keyframe in window order, the oldest fixed; one per solvable landmark
     np.testing.assert_array_equal(problem.value["pose"][1], [kf.state.pose.translation for kf in window.keyframes])
     assert problem.families["pose"].fixed.tolist() == [True, False, False]
-    np.testing.assert_array_equal(problem.value["lm"], [window.landmarks[i] for i in lm_ids])
+    np.testing.assert_array_equal(problem.value["lm"], [[0.5, 0.1 * i, 5.0] for i in lm_ids])
     assert problem.families["lm"].eliminate
 
 
@@ -271,7 +352,7 @@ def test_empty_association():
     non-rigid step without an anchor block that leaves the anchor alone."""
     cfg = estimator.EstimatorConfig()
     window = _hand_built_window()
-    window.landmarks = {i: np.array([0.5, 0.1 * i, 5.0]) for i in (3, 4, 9)}
+    _set_active(window, [3, 4, 9], [[0.5, 0.1 * i, 5.0] for i in (3, 4, 9)])
     bare = _hand_built_window()
     cloud = laser_map.PointCloudMap(np.random.default_rng(4).uniform(-6, 6, size=(50, 3)))
     pose = se3_exp(np.array([0.0, 0.0, 0.1, 0.2, -0.1, 0.0]))
@@ -300,23 +381,26 @@ def test_empty_association():
 
 
 def _fixed_association(rng, cfg):
-    """Landmarks and an association of both metrics, a tenth of them outliers."""
+    """A window of 60 landmarks, ids odd from 5, and an association of both
+    metrics with a row for each, a tenth of them outliers."""
     truth = se3_exp(np.array([0.02, -0.01, 0.3, 1.0, -2.0, 0.5]))
-    landmarks, points, normals, plane = {}, [], [], []
-    for lm_id in range(60):
-        landmarks[lm_id] = rng.uniform(-8.0, 8.0, size=3)
-        point = truth.apply(landmarks[lm_id]) + rng.normal(scale=cfg.sigma_map, size=3)
-        if lm_id % 10 == 3:
+    window = estimator.SlidingWindow()
+    positions, points, normals, plane = [], [], [], []
+    for i in range(60):
+        positions.append(rng.uniform(-8.0, 8.0, size=3))
+        point = truth.apply(positions[-1]) + rng.normal(scale=cfg.sigma_map, size=3)
+        if i % 10 == 3:
             point = point + rng.uniform(-2.0, 2.0, size=3)
         points.append(point)
         plane.append(rng.uniform() < 0.5)
         normal = rng.normal(size=3) if plane[-1] else np.full(3, np.nan)
         normals.append(normal / np.linalg.norm(normal))
+    _set_active(window, 5 + 2 * np.arange(60), positions)
     association = estimator.MapAssociation(
-        np.arange(60), np.array(points), np.array(normals), np.array(plane)
+        window.landmarks, np.array(points), np.array(normals), np.array(plane)
     )
     guess = truth.retract(np.array([0.01, 0.0, -0.02, 0.2, 0.1, -0.15]))
-    return landmarks, association, estimator.AnchorTransform(guess, guess, prior_scale=10.0)
+    return window, association, estimator.AnchorTransform(guess, guess, prior_scale=10.0)
 
 
 @pytest.mark.parametrize("max_iterations", [8, 50])
@@ -331,10 +415,10 @@ def test_anchor_alignment_matches_generic_problem(max_iterations):
     1e-6 and the costs, quadratic in that gap, to 1e-9.
     """
     cfg = estimator.EstimatorConfig()
-    landmarks, association, anchor = _fixed_association(np.random.default_rng(11), cfg)
+    window, association, anchor = _fixed_association(np.random.default_rng(11), cfg)
     assert 0 < association.plane.sum() < len(association)
 
-    problem = estimator._alignment_problem(landmarks, anchor, association, cfg)
+    problem = estimator._alignment_problem(window, anchor, association, cfg)
     assert [g.kind for g in problem.groups] == [
         res.PointToPlaneFactor, res.PointToPointFactor, res.AnchorPriorFactor
     ]
@@ -355,7 +439,7 @@ def test_anchor_alignment_matches_generic_problem(max_iterations):
         )
     ]
     want, cost = anchor_alignment_gauss_newton(
-        anchor.pose, landmarks, constraints,
+        anchor.pose, dict(zip(window.landmarks.tolist(), window.positions)), constraints,
         (anchor.prior_mean, cfg.prior_information(anchor.prior_scale)),
         res.RobustKernel("cauchy", cfg.cauchy_metric),
     )
@@ -374,8 +458,8 @@ def test_alignment_solve_matches_two_evaluation_loop(max_iterations):
     each iterate once gives the value and the report of the loop that
     evaluates each iterate twice, bitwise."""
     cfg = estimator.EstimatorConfig()
-    landmarks, association, anchor = _fixed_association(np.random.default_rng(11), cfg)
-    problem, reference = (estimator._alignment_problem(landmarks, anchor, association, cfg) for _ in range(2))
+    window, association, anchor = _fixed_association(np.random.default_rng(11), cfg)
+    problem, reference = (estimator._alignment_problem(window, anchor, association, cfg) for _ in range(2))
     got = solve(problem, max_iterations)
     value, want = levenberg_marquardt_two_evaluations(
         solver._System(reference), reference.value, max_iterations
@@ -397,13 +481,14 @@ def test_association_matches_one_landmark_at_a_time():
     assert 0 < cloud.has_normal().sum() < len(cloud)
     cfg = estimator.EstimatorConfig()
     anchor = se3_exp(np.array([0.0, 0.0, 0.1, 0.2, -0.1, 0.0]))
-    window = estimator.SlidingWindow()
     local = anchor.inverse().apply(rng.uniform([-8, -8, -1], [8, 8, 4], size=(200, 3)))
-    window.landmarks = {int(lm_id): p for lm_id, p in zip(rng.permutation(1000)[:200], local)}
+    landmarks = dict(zip(rng.permutation(1000)[:200].tolist(), local))
+    window = estimator.SlidingWindow()
+    _set_active(window, sorted(landmarks), [landmarks[i] for i in sorted(landmarks)])
 
     want = []
-    for lm_id in sorted(window.landmarks):
-        idx, dist = brute_force_knn(cloud.positions, anchor.apply(window.landmarks[lm_id]), cfg.knn_k)
+    for lm_id in sorted(landmarks):
+        idx, dist = brute_force_knn(cloud.positions, anchor.apply(landmarks[lm_id]), cfg.knn_k)
         if dist[0] > cfg.gate_radius:
             continue
         normals = cloud.normals[idx]
@@ -423,7 +508,7 @@ def test_association_matches_one_landmark_at_a_time():
     # the mean map residual against a landmark-by-landmark sum
     total = 0.0
     for lm_id, k, metric in want:
-        offset = cloud.positions[k] - anchor.apply(window.landmarks[lm_id])
+        offset = cloud.positions[k] - anchor.apply(landmarks[lm_id])
         plane = metric == POINT_TO_PLANE
         total += abs(float(cloud.normals[k] @ offset)) if plane else float(np.linalg.norm(offset))
     mean = estimator._mean_constraint_residual(window, anchor, got)

@@ -236,13 +236,19 @@ class TestMapIO:
         assert np.array_equal(cloud.normals[~nan_a], back.normals[~nan_b])
 
     def test_missing_normal_columns(self, tmp_path):
+        # save_map writes "-" for a missing normal; a row with no normal
+        # column at all is no layout it writes
         path = tmp_path / "map.txt"
-        path.write_text("crossloc-map v1 map\n1 2 3 4 1\n5 6 7 - 2 0\n")
+        path.write_text("crossloc-map v1 map\n5 6 7 - 2 0\n1 2 3 - 4 1\n")
         cloud = lm.load_map(path)
         assert len(cloud) == 2
         assert not np.any(cloud.has_normal())
-        assert list(cloud.counts) == [4, 2]
-        assert list(cloud.ground) == [True, False]
+        assert list(cloud.counts) == [2, 4]
+        assert list(cloud.ground) == [False, True]
+        path.write_text("crossloc-map v1 map\n1 2 3 4 1\n5 6 7 - 2 0\n")
+        with pytest.raises(lm.ParseError, match="got 5") as exc:
+            lm.load_map(path)
+        assert exc.value.line == 2
 
     def test_malformed_line_number(self, tmp_path):
         path = tmp_path / "map.txt"

@@ -137,6 +137,38 @@ def test_one_kernel_per_factor_kind(path):
     assert second_kernels(path.read_text()) == []
 
 
+def private_imports(source: str) -> list[str]:
+    """Private names (``_name``) a module imports from a module of its own
+    package, relatively (``from .laser_map import _name``) or by the
+    package's name, with their lines. What one module of ``src`` reads of
+    another is that module's public API."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").split(".")[0] == "crossloc"):
+            found += [(alias.name, node.lineno) for alias in node.names if alias.name.startswith("_")]
+    return [f"{name} (line {line})" for name, line in found]
+
+
+def test_private_imports_are_found():
+    source = (
+        "from __future__ import annotations\n"
+        "from numpy import _NoValue\n"
+        "from .laser_map import PointCloudMap, _canonical_sign\n"
+        "from .liegroup import Pose\n"
+        "from crossloc.liegroup import _matvec, skew\n"
+        "from . import _private\n"
+        "def f(): from ..solver import _System\n"
+    )
+    assert private_imports(source) == [
+        "_canonical_sign (line 3)", "_matvec (line 5)", "_private (line 6)", "_System (line 7)"
+    ]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda path: path.name)
+def test_no_private_imports_across_modules(path):
+    assert private_imports(path.read_text()) == []
+
+
 # liegroup's parts of a retraction: a module that takes them builds its own
 RETRACTION_PARTS = {"so3_exp_and_left_jacobian", "orthonormalize"}
 
