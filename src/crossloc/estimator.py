@@ -45,6 +45,12 @@ system, which gives the fixed landmarks no columns.
 
 The anchor prior mean is re-pinned to the converged anchor after every
 step, so the prior always encodes "the last step's estimate".
+
+The thresholds (keyframe policy, map noise, robust scales, the ICP stop and
+the divergence rules) are the module constants below. ``EstimatorConfig``
+holds the five values that the ROADMAP's measurements vary: the window
+capacity and the iteration budget, the k-NN k, the gate radius and the
+prior's translation stddev.
 """
 
 from __future__ import annotations
@@ -70,32 +76,40 @@ class InsufficientParallaxError(ValueError):
     """Not enough stereo disparity to triangulate an initial landmark set."""
 
 
+# keyframe policy: a frame must track MIN_FRAME_LANDMARKS, and is due after
+# this much motion from the newest keyframe or below this share of its landmarks
+MIN_FRAME_LANDMARKS = 15
+KF_TRANSLATION = 0.5  # m
+KF_ROTATION = math.radians(10.0)
+KF_OVERLAP = 0.6
+MIN_DISPARITY = 1.0  # px, for a stereo row to triangulate
+# map terms: point noise, the normal agreement that picks point-to-plane; robust scales
+SIGMA_MAP = 0.05  # m
+NORMAL_CONSISTENCY_ANGLE = math.radians(20.0)
+CAUCHY_PIXEL = 2.0
+CAUCHY_METRIC = 1.0
+# the anchor prior, and its stddev multiplier before the first step
+PRIOR_ROT_SIGMA = 0.01  # rad
+INITIAL_PRIOR_SCALE = 10.0
+# the rigid step's ICP loop
+ICP_MAX_ITERATIONS = 20
+ICP_UPDATE_TOL = 1e-6
+# divergence: residual growth over the first good step's, or too few constraints
+DIVERGENCE_RATIO = 3.0
+DIVERGENCE_STEPS = 5
+DIVERGENCE_MIN_CONSTRAINTS = 5
+
+
 @dataclass
 class EstimatorConfig:
     window_capacity: int = 7
-    min_frame_landmarks: int = 15
-    kf_translation: float = 0.5  # m
-    kf_rotation: float = math.radians(10.0)
-    kf_overlap: float = 0.6
     knn_k: int = 5
     gate_radius: float = 1.0
-    sigma_map: float = 0.05
-    normal_consistency_angle: float = math.radians(20.0)
-    cauchy_pixel: float = 2.0
-    cauchy_metric: float = 1.0
-    prior_rot_sigma: float = 0.01  # rad
     prior_trans_sigma: float = 0.1  # m
-    min_disparity: float = 1.0  # px
-    initial_prior_scale: float = 10.0  # prior stddev multiplier before step 1
     max_iterations: int = 8
-    icp_max_iterations: int = 20
-    icp_update_tol: float = 1e-6
-    divergence_ratio: float = 3.0
-    divergence_steps: int = 5
-    divergence_min_constraints: int = 5
 
     def prior_information(self, scale: float = 1.0) -> np.ndarray:
-        rot = self.prior_rot_sigma * scale
+        rot = PRIOR_ROT_SIGMA * scale
         trans = self.prior_trans_sigma * scale
         return np.diag(
             np.concatenate([np.full(3, 1.0 / rot**2), np.full(3, 1.0 / trans**2)])
@@ -156,7 +170,7 @@ class SlidingWindow:
     one stays active while a window keyframe sees it, and is solvable when two do.
     """
 
-    def __init__(self, capacity: int = 7):
+    def __init__(self, capacity: int):
         self.capacity = capacity
         self.keyframes: list[Keyframe] = []
         empty = np.zeros(0, dtype=int)  # replaced, never written into
@@ -164,7 +178,7 @@ class SlidingWindow:
         self.seen_ids, self.observers = empty, empty
         self.landmarks, self.positions = empty, np.zeros((0, 3))
 
-    def insert_keyframe(self, kf: Keyframe, min_landmarks: int = 15) -> None:
+    def insert_keyframe(self, kf: Keyframe, min_landmarks: int = MIN_FRAME_LANDMARKS) -> None:
         """Append; evict the oldest beyond capacity; restack; retire orphan landmarks."""
         if len(kf.landmark_ids) < min_landmarks:
             raise TooFewObservationsError(
@@ -188,15 +202,15 @@ class SlidingWindow:
         return self.observers[np.searchsorted(self.seen_ids, self.landmarks)] >= 2
 
 
-def triangulate_stereo(rig: SensorRig, pose: Pose, stereo_px, min_disparity: float):
+def triangulate_stereo(rig: SensorRig, pose: Pose, stereo_px):
     """Local-frame positions of stereo observations (ul, vl, ur, vr) seen
-    from body poses, and which have more than ``min_disparity`` px of
+    from body poses, and which have more than ``MIN_DISPARITY`` px of
     disparity: (3,) and a bool for one pose and (4,) row, (n, 3) and (n,)
     for a stack. A row without enough disparity has a NaN position."""
     cam = rig.camera
     ul, vl, ur = (np.asarray(stereo_px, dtype=float)[..., i] for i in range(3))
     disparity = ul - ur
-    ok = disparity > min_disparity
+    ok = disparity > MIN_DISPARITY
     z = cam.fx * rig.stereo_baseline / np.where(ok, disparity, 1.0)
     p_cam = np.stack([(ul - cam.cx) * z / cam.fx, (vl - cam.cy) * z / cam.fy, z], axis=-1)
     world = pose @ cam.body_t_cam
@@ -204,7 +218,7 @@ def triangulate_stereo(rig: SensorRig, pose: Pose, stereo_px, min_disparity: flo
     return np.where(ok[..., None], position, np.nan), ok
 
 
-def activate_landmarks(window: SlidingWindow, rig: SensorRig, cfg: EstimatorConfig) -> int:
+def activate_landmarks(window: SlidingWindow, rig: SensorRig) -> int:
     """Triangulate each inactive landmark that two window keyframes see.
 
     A landmark is triangulated from its first row, which is in the oldest
@@ -215,7 +229,7 @@ def activate_landmarks(window: SlidingWindow, rig: SensorRig, cfg: EstimatorConf
     kf_poses = Pose.stack([kf.state.pose for kf in window.keyframes])
     owner = window.row_keyframe[rows]
     pose = Pose(kf_poses.rotation[owner], kf_poses.translation[owner])
-    positions, ok = triangulate_stereo(rig, pose, window.row_pixels[rows], cfg.min_disparity)
+    positions, ok = triangulate_stereo(rig, pose, window.row_pixels[rows])
     ids = np.concatenate([window.landmarks, window.row_ids[rows[ok]]])
     order = np.argsort(ids)
     window.landmarks = ids[order]
@@ -264,7 +278,7 @@ def associate_constraints(
         return _NO_ASSOCIATION
     idx, dist = cloud.knn(anchor.apply(window.positions), cfg.knn_k)
     if idx.shape[1] >= 2:
-        plane = normal_consistency(cloud.normals[idx], cfg.normal_consistency_angle)
+        plane = normal_consistency(cloud.normals[idx], NORMAL_CONSISTENCY_ANGLE)
     else:
         plane = np.zeros(len(lm_ids), dtype=bool)
     gated = dist[:, 0] <= cfg.gate_radius
@@ -284,8 +298,8 @@ def _add_anchor_groups(problem: Problem, anchor: AnchorTransform, association, l
     """
     problem.add_poses("anchor", [anchor.pose])
     rows = np.searchsorted(lm_ids, association.landmark_ids)
-    information = np.eye(3) / (cfg.sigma_map**2)
-    kernel = res.RobustKernel("cauchy", cfg.cauchy_metric)
+    information = np.eye(3) / (SIGMA_MAP**2)
+    kernel = res.RobustKernel("cauchy", CAUCHY_METRIC)
     for kind, plane in ((res.PointToPlaneFactor, True), (res.PointToPointFactor, False)):
         metric = association.plane == plane
         points = association.points[metric]
@@ -319,7 +333,7 @@ def _solved_anchor(problem: Problem) -> Pose:
 # problem assembly
 
 
-def _build_vio_problem(window, rig, gravity, cfg, solvable) -> Problem:
+def _build_vio_problem(window, rig, gravity, solvable) -> Problem:
     """The window's block families and its stereo, preintegration and bias groups.
 
     Families ``pose`` (the oldest row fixed), ``vel``, ``bg`` and ``ba`` have
@@ -344,7 +358,7 @@ def _build_vio_problem(window, rig, gravity, cfg, solvable) -> Problem:
         [("pose", window.row_keyframe[rows]), ("lm", np.searchsorted(lm_ids, window.row_ids[rows]))],
         (window.row_pixels[rows], rig.camera, rig.right_camera()),
         res.PIXEL_INFORMATION,
-        res.RobustKernel("cauchy", cfg.cauchy_pixel),
+        res.RobustKernel("cauchy", CAUCHY_PIXEL),
     )
 
     # a link joins the keyframes curr - 1 and curr
@@ -382,7 +396,7 @@ def _adjust_window(window, anchor, association, rig, cfg) -> SolverReport:
     solvable landmarks' constraints if ``association`` has any, written back
     into the window and, with constraints, the anchor."""
     solvable = window.solvable()
-    problem = _build_vio_problem(window, rig, rig.gravity_vector(), cfg, solvable)
+    problem = _build_vio_problem(window, rig, rig.gravity_vector(), solvable)
     if len(association):
         lm_ids = window.landmarks[solvable]
         rows = association.rows(np.isin(association.landmark_ids, lm_ids))
@@ -420,7 +434,7 @@ def rigid_ba(
     """VIO-only adjustment, then ICP-style anchor-only alignment.
 
     Stage two repeats association + anchor solve until the anchor update
-    falls below the tolerance or ``icp_max_iterations`` is reached; states
+    falls below ``ICP_UPDATE_TOL`` or ``ICP_MAX_ITERATIONS`` is reached; states
     and landmarks stay untouched there. Each anchor solve is an
     ``_alignment_problem``: one free pose row, nothing eliminated. The
     report's initial cost is stage one's, its final cost the last anchor
@@ -431,7 +445,7 @@ def rigid_ba(
     iterations = stage1.iterations
     final_cost = stage1.final_cost
     termination = stage1.termination
-    for _ in range(cfg.icp_max_iterations):
+    for _ in range(ICP_MAX_ITERATIONS):
         association = associate_constraints(window, anchor.pose, cloud, cfg)
         if not len(association):
             break
@@ -443,7 +457,7 @@ def rigid_ba(
         iterations += report.iterations
         final_cost = report.final_cost
         termination = report.termination
-        if update < cfg.icp_update_tol:
+        if update < ICP_UPDATE_TOL:
             break
     return SolverReport(stage1.initial_cost, final_cost, iterations, termination)
 
@@ -519,32 +533,30 @@ def _mean_constraint_residual(window, anchor: Pose, association: MapAssociation)
 class DivergenceMonitor:
     """Flags runs whose map residuals blow up or associations collapse."""
 
-    def __init__(self, cfg: EstimatorConfig):
-        self.cfg = cfg
+    def __init__(self):
         self.baseline = None
         self.bad_residual = 0
         self.bad_count = 0
 
     def update(self, n_constraints: int, mean_residual: float) -> str:
-        cfg = self.cfg
-        if n_constraints < cfg.divergence_min_constraints:
+        if n_constraints < DIVERGENCE_MIN_CONSTRAINTS:
             self.bad_count += 1
         else:
             self.bad_count = 0
-        if math.isfinite(mean_residual) and n_constraints >= cfg.divergence_min_constraints:
+        if math.isfinite(mean_residual) and n_constraints >= DIVERGENCE_MIN_CONSTRAINTS:
             if self.baseline is None:
                 # floor at the map noise scale: a near-zero first residual
                 # must not make ordinary noise look like divergence
-                self.baseline = max(mean_residual, 2.0 * cfg.sigma_map)
-            if mean_residual > cfg.divergence_ratio * self.baseline:
+                self.baseline = max(mean_residual, 2.0 * SIGMA_MAP)
+            if mean_residual > DIVERGENCE_RATIO * self.baseline:
                 self.bad_residual += 1
             else:
                 self.bad_residual = 0
         # associations may legitimately be sparse while a coarse anchor
         # converges, so the count rule gets a 3x longer fuse
-        if self.bad_count >= 3 * cfg.divergence_steps:
+        if self.bad_count >= 3 * DIVERGENCE_STEPS:
             return "no map constraints"
-        if self.bad_residual >= cfg.divergence_steps:
+        if self.bad_residual >= DIVERGENCE_STEPS:
             return "map residual grew beyond ratio"
         return ""
 
@@ -590,9 +602,9 @@ def _initial_state(session: SessionData) -> NavState:
     return NavState(pose=Pose.identity(), velocity=velocity)
 
 
-def _due_keyframes(session: SessionData, window: SlidingWindow, cfg: EstimatorConfig):
+def _due_keyframes(session: SessionData, window: SlidingWindow):
     """Yield a ``Keyframe`` for each later frame that tracks at least
-    ``cfg.min_frame_landmarks`` landmarks and where the keyframe policy fires.
+    ``MIN_FRAME_LANDMARKS`` landmarks and where the keyframe policy fires.
 
     Every frame is predicted from the window's newest keyframe, read again
     for each frame, so a keyframe the caller inserts becomes the next base.
@@ -608,8 +620,8 @@ def _due_keyframes(session: SessionData, window: SlidingWindow, cfg: EstimatorCo
         )
         state = predict_state(last.state, pre, rig.gravity_vector())
         frame = session.frames[k]
-        if len(frame.landmark_ids) >= cfg.min_frame_landmarks and _keyframe_due(
-            last, state, frame.landmark_ids, cfg
+        if len(frame.landmark_ids) >= MIN_FRAME_LANDMARKS and _keyframe_due(
+            last, state, frame.landmark_ids
         ):
             yield Keyframe(k, timestamp, state, frame.landmark_ids.copy(),
                            frame.pixels.copy(), pre_from_prev=pre)
@@ -629,35 +641,35 @@ def initialize(
     frame0 = session.frames[0]
     kf0 = Keyframe(0, float(session.gt_times[0]), _initial_state(session),
                    frame0.landmark_ids.copy(), frame0.pixels.copy())
-    window.insert_keyframe(kf0, cfg.min_frame_landmarks)
-    kf1 = next(_due_keyframes(session, window, cfg), None)
+    window.insert_keyframe(kf0)
+    kf1 = next(_due_keyframes(session, window), None)
     if kf1 is None:
         raise InsufficientParallaxError("session too short to create a second keyframe")
-    window.insert_keyframe(kf1, cfg.min_frame_landmarks)
-    activated = activate_landmarks(window, session.rig, cfg)
-    if activated < cfg.min_frame_landmarks:
+    window.insert_keyframe(kf1)
+    activated = activate_landmarks(window, session.rig)
+    if activated < MIN_FRAME_LANDMARKS:
         raise InsufficientParallaxError(
             f"only {activated} landmarks triangulated at initialization"
         )
     anchor = AnchorTransform(
-        pose=anchor_guess, prior_mean=anchor_guess, prior_scale=cfg.initial_prior_scale
+        pose=anchor_guess, prior_mean=anchor_guess, prior_scale=INITIAL_PRIOR_SCALE
     )
     return window, anchor
 
 
-def _keyframe_due(last: Keyframe, state: NavState, frame_ids, cfg) -> bool:
+def _keyframe_due(last: Keyframe, state: NavState, frame_ids) -> bool:
     """Keyframe policy: motion from the newest keyframe ``last``, or too little overlap."""
     trans = np.linalg.norm(state.pose.translation - last.state.pose.translation)
-    if trans > cfg.kf_translation:
+    if trans > KF_TRANSLATION:
         return True
     rel = last.state.pose.rotation.T @ state.pose.rotation
-    if np.linalg.norm(so3_log(rel)) > cfg.kf_rotation:
+    if np.linalg.norm(so3_log(rel)) > KF_ROTATION:
         return True
     last_ids = set(last.landmark_ids.tolist())
     if not last_ids:
         return False
     overlap = len(last_ids.intersection(frame_ids.tolist())) / len(last_ids)
-    return overlap < cfg.kf_overlap
+    return overlap < KF_OVERLAP
 
 
 def run_localization(
@@ -672,14 +684,11 @@ def run_localization(
     schedule = schedule or BaSchedule()
     rig = session.rig
     window, anchor = initialize(session, anchor_guess, cfg)
-    monitor = DivergenceMonitor(cfg)
+    monitor = DivergenceMonitor()
     poses_map, anchors, records = [], [], []
-    counter = 0
 
     def run_step(kf: Keyframe):
-        nonlocal counter
-        report, association, actions = step(window, anchor, cloud, schedule, counter, rig, cfg)
-        counter += 1
+        report, association, actions = step(window, anchor, cloud, schedule, len(records), rig, cfg)
         mean_res = _mean_constraint_residual(window, anchor.pose, association)
         records.append(
             StepRecord(
@@ -700,9 +709,9 @@ def run_localization(
 
     reason = run_step(window.keyframes[-1])
     if not reason:
-        for kf in _due_keyframes(session, window, cfg):
-            window.insert_keyframe(kf, cfg.min_frame_landmarks)
-            activate_landmarks(window, rig, cfg)
+        for kf in _due_keyframes(session, window):
+            window.insert_keyframe(kf)
+            activate_landmarks(window, rig)
             reason = run_step(kf)
             if reason:
                 break

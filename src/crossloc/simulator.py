@@ -15,10 +15,10 @@ are tested exactly only for the rays that meet their bounding sphere,
 which contains (with a margin) every point the exact test can hit, so the
 cull never drops a hit.
 
-A trajectory is a C2 cubic spline through waypoints traversed at a spline
-speed profile; angular velocity and acceleration come from analytic spline
-derivatives, so synthesized IMU streams are consistent with the sampled
-ground truth up to integration error only.
+A trajectory is a C2 cubic spline through waypoints timed by their chord
+lengths at one speed; angular velocity and acceleration come from analytic
+spline derivatives, so synthesized IMU streams are consistent with the
+sampled ground truth up to integration error only.
 """
 
 from __future__ import annotations
@@ -241,16 +241,15 @@ class WorldModel:
 @dataclass(frozen=True)
 class TrajectorySpec:
     waypoints: np.ndarray  # (K, 3); first == last closes the loop
-    speed: float | np.ndarray = 2.0  # scalar or per-waypoint (m/s)
+    speed: float = 2.0  # m/s
     direction: str = "forward"
 
     def __post_init__(self):
         wp = np.asarray(self.waypoints, dtype=float)
         if wp.ndim != 2 or wp.shape[0] < 2 or wp.shape[1] != 3:
             raise ValueError("waypoints must be (K>=2, 3)")
-        speeds = np.atleast_1d(np.asarray(self.speed, dtype=float))
-        if np.any(speeds <= 0):
-            raise ValueError("speeds must be positive")
+        if self.speed <= 0:
+            raise ValueError("speed must be positive")
         if self.direction not in ("forward", "reverse"):
             raise ValueError("direction must be forward or reverse")
 
@@ -277,7 +276,7 @@ class SampledTrajectory:
 class TrajectorySampler:
     """C2 time-parameterized spline through waypoints.
 
-    Waypoint times come from chord lengths and the speed profile, and the
+    Waypoint times come from chord lengths and the speed, and the
     path is splined directly against time, so sampled velocities and
     accelerations are exact derivatives of the sampled positions (no ODE
     integration between the two). Closed loops (first waypoint == last)
@@ -302,15 +301,7 @@ class TrajectorySampler:
         chord = np.linalg.norm(np.diff(wp, axis=0), axis=1)
         if np.any(chord <= 0):
             raise ValueError("consecutive waypoints must be distinct")
-        speeds = np.atleast_1d(np.asarray(spec.speed, dtype=float))
-        if speeds.size == 1:
-            speeds = np.full(len(wp), speeds[0])
-        elif speeds.size != len(wp):
-            raise ValueError("speed profile must be scalar or one per waypoint")
-        if spec.direction == "reverse":
-            speeds = speeds[::-1]
-        seg_time = chord / (0.5 * (speeds[:-1] + speeds[1:]))
-        knots = np.concatenate([[0.0], np.cumsum(seg_time)])
+        knots = np.concatenate([[0.0], np.cumsum(chord / spec.speed)])
         self.total_time = float(knots[-1])
         bc = "periodic" if self.closed else "natural"
         self.path = CubicSpline(knots, wp, bc_type=bc, axis=0)
@@ -972,8 +963,8 @@ def default_world(seed: int = 7, car_sessions=(0, 1)) -> WorldModel:
     return WorldModel(elems, seed=seed)
 
 
-def default_trajectory_spec(direction: str = "forward", speed: float = 2.0) -> TrajectorySpec:
+def default_trajectory_spec(direction: str = "forward") -> TrajectorySpec:
     waypoints = _rounded_rectangle_waypoints(
         half_x=20.0, half_y=10.0, corner_radius=6.0, spacing=2.5, z=BODY_HEIGHT
     )
-    return TrajectorySpec(waypoints=waypoints, speed=speed, direction=direction)
+    return TrajectorySpec(waypoints=waypoints, direction=direction)

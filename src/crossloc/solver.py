@@ -97,7 +97,6 @@ class SolverReport:
     final_cost: float
     iterations: int
     termination: str  # converged | max_iter | stalled | failure
-    gradient_norm: float = float("nan")
 
 
 @dataclass
@@ -454,8 +453,7 @@ def _solve_or_none(h, b):
 
 def _levenberg_marquardt(system, value, max_iterations: int):
     """The LM loop over a ``_System``, one linearization per iterate (see
-    the module docstring); returns (final value, report). The report's
-    gradient norm is the one at the iterate that the last iteration started from."""
+    the module docstring); returns (final value, report)."""
     linearized = system.linearize(value)
     initial_cost = linearized[1]
     if not np.isfinite(initial_cost):
@@ -464,7 +462,6 @@ def _levenberg_marquardt(system, value, max_iterations: int):
     lam = INITIAL_LAMBDA
     iterations = 0
     termination = "max_iter"
-    grad_norm = float("nan")
 
     while iterations < max_iterations:
         linear, cost, grad_norm = linearized
@@ -507,7 +504,7 @@ def _levenberg_marquardt(system, value, max_iterations: int):
         if termination == "converged":
             break
 
-    return value, SolverReport(initial_cost, cost, iterations, termination, grad_norm)
+    return value, SolverReport(initial_cost, cost, iterations, termination)
 
 
 def solve(problem: Problem, max_iterations: int = 50) -> SolverReport:

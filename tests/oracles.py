@@ -256,7 +256,7 @@ def levenberg_marquardt_two_evaluations(system, value, max_iterations):
     if not np.isfinite(initial_cost):
         return value, solver.SolverReport(initial_cost, initial_cost, 0, "failure")
     cost, lam, iterations = initial_cost, solver.INITIAL_LAMBDA, 0
-    termination, grad_norm = "max_iter", float("nan")
+    termination = "max_iter"
     while iterations < max_iterations:
         linear, cost, grad_norm = system.linearize(value)
         if grad_norm < solver.GRADIENT_TOL:
@@ -289,7 +289,7 @@ def levenberg_marquardt_two_evaluations(system, value, max_iterations):
             break
         if termination == "converged":
             break
-    return value, solver.SolverReport(initial_cost, cost, iterations, termination, grad_norm)
+    return value, solver.SolverReport(initial_cost, cost, iterations, termination)
 
 
 # ---------------------------------------------------------------------------

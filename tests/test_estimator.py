@@ -10,7 +10,7 @@ import pytest
 from crossloc import estimator, laser_map, map_pipeline, solver
 from crossloc import residuals as res
 from crossloc import simulator as sim
-from crossloc.liegroup import se3_exp
+from crossloc.liegroup import Pose, se3_exp, so3_exp
 from crossloc.solver import solve
 
 from oracles import (
@@ -116,10 +116,9 @@ def test_observer_counts_on_a_hand_built_window():
     Activation triangulates each inactive landmark that two window keyframes
     see from its first row in the oldest window keyframe that sees it."""
     rig = sim.default_rig()
-    cfg = estimator.EstimatorConfig()
 
     def triangulated(kf, row):
-        position, ok = estimator.triangulate_stereo(rig, kf.state.pose, kf.pixels[row], cfg.min_disparity)
+        position, ok = estimator.triangulate_stereo(rig, kf.state.pose, kf.pixels[row])
         assert ok
         return position
 
@@ -130,7 +129,7 @@ def test_observer_counts_on_a_hand_built_window():
     np.testing.assert_array_equal(window.row_pixels, np.vstack([kf.pixels for kf in window.keyframes]))
     assert _observers(window) == {9: 2, 2: 1, 3: 2, 4: 2, 5: 2, 6: 1, 7: 1}
     # landmark 3, seen twice by keyframe 1 ([9, 2, 3, 3]), takes the first of those rows
-    assert estimator.activate_landmarks(window, rig, cfg) == 4
+    assert estimator.activate_landmarks(window, rig) == 4
     assert window.landmarks.tolist() == [3, 4, 5, 9]
     kf1 = window.keyframes[0]
     np.testing.assert_array_equal(window.positions[0], triangulated(kf1, 2))
@@ -153,18 +152,18 @@ def test_observer_counts_on_a_hand_built_window():
     # stacked at insertion, so keyframe 2's pixels change before it goes in.
     kf2, kf3, _ = window.keyframes
     kf2 = replace(kf2, pixels=kf2.pixels.copy())
-    kf2.pixels[3, 2] = kf2.pixels[3, 0] - 0.5 * cfg.min_disparity
+    kf2.pixels[3, 2] = kf2.pixels[3, 0] - 0.5 * estimator.MIN_DISPARITY
     window = estimator.SlidingWindow(capacity=3)
     for kf in (kf2, kf3, kf4):
         window.insert_keyframe(kf, min_landmarks=0)
     _set_active(window, [4])
-    assert estimator.activate_landmarks(window, rig, cfg) == 2
+    assert estimator.activate_landmarks(window, rig) == 2
     assert window.landmarks.tolist() == [4, 6, 9]
     np.testing.assert_array_equal(window.positions[0], np.zeros(3))
     np.testing.assert_array_equal(window.positions[2], triangulated(kf2, 0))
     np.testing.assert_array_equal(window.positions[1], triangulated(kf3, 0))
     assert _observers(window)[5] == 3
-    position, ok = estimator.triangulate_stereo(rig, kf2.state.pose, kf2.pixels[3], cfg.min_disparity)
+    position, ok = estimator.triangulate_stereo(rig, kf2.state.pose, kf2.pixels[3])
     assert not ok and np.isnan(position).all()
 
 
@@ -178,7 +177,6 @@ def test_window_tables_match_the_dict_reference(seed):
     window problem's stereo slots and pixels agree."""
     rng = np.random.default_rng(seed)
     rig = sim.default_rig()
-    cfg = estimator.EstimatorConfig()
     window, reference = estimator.SlidingWindow(capacity=3), DictWindow(3)
 
     def check():
@@ -188,7 +186,7 @@ def test_window_tables_match_the_dict_reference(seed):
         assert _observers(window) == reference.observer_counts()
         solvable = window.solvable()
         assert window.landmarks[solvable].tolist() == reference.solvable()
-        problem = estimator._build_vio_problem(window, rig, rig.gravity_vector(), cfg, solvable)
+        problem = estimator._build_vio_problem(window, rig, rig.gravity_vector(), solvable)
         rows = reference.stereo_rows()
         assert len(problem.groups) == (len(rows) > 0)
         if rows:
@@ -204,7 +202,7 @@ def test_window_tables_match_the_dict_reference(seed):
         n = int(rng.integers(4, 10))
         ids = rng.integers(kf_id, kf_id + 6, size=n)  # a pool that drifts, so ids leave
         ul, vl = rng.uniform(200.0, 440.0, n), rng.uniform(100.0, 380.0, n)
-        disparity = rng.uniform(0.0, 3.0 * cfg.min_disparity, n)
+        disparity = rng.uniform(0.0, 3.0 * estimator.MIN_DISPARITY, n)
         state = estimator.NavState(pose=se3_exp(rng.normal(scale=[0.1, 0.1, 0.1, 1.0, 1.0, 1.0])))
         kf = estimator.Keyframe(kf_id, 0.1 * kf_id, state, ids, np.column_stack([ul, vl, ul - disparity, vl]))
         active = set(reference.landmarks)
@@ -212,7 +210,7 @@ def test_window_tables_match_the_dict_reference(seed):
         reference.insert(kf)
         retired |= active - set(reference.landmarks)
         check()
-        assert estimator.activate_landmarks(window, rig, cfg) == reference.activate(rig, cfg.min_disparity)
+        assert estimator.activate_landmarks(window, rig) == reference.activate(rig, estimator.MIN_DISPARITY)
         problem, solvable = check()
         # a solve moves the solvable landmarks; the keyframes are shared
         problem.value["lm"] = problem.value["lm"] + rng.normal(size=problem.value["lm"].shape)
@@ -223,19 +221,23 @@ def test_window_tables_match_the_dict_reference(seed):
 
 
 def test_initialize_rejects_unusable_starts(short_inputs):
-    """Too few frames for a second keyframe, nothing to triangulate, or a
-    first frame that tracks too few landmarks."""
+    """Too few frames for a second keyframe, nothing to triangulate (every
+    right pixel on its left one), or a first frame that tracks too few
+    landmarks."""
     query, _, guess = short_inputs
     cfg = estimator.EstimatorConfig()
     window, _ = estimator.initialize(query, guess, cfg)
     assert window.keyframes[0].kf_id == 0 and len(window.keyframes) == 2
     with pytest.raises(estimator.InsufficientParallaxError, match="too short"):
         estimator.initialize(replace(query, frames=query.frames[:2]), guess, cfg)
-    with pytest.raises(estimator.InsufficientParallaxError, match="triangulated"):
-        estimator.initialize(query, guess, replace(cfg, min_disparity=1e6))
-    first_frame = len(query.frames[0].landmark_ids)
-    with pytest.raises(estimator.TooFewObservationsError, match=f"{first_frame} < {first_frame + 1}"):
-        estimator.initialize(query, guess, replace(cfg, min_frame_landmarks=first_frame + 1))
+    flat = [replace(f, pixels=np.tile(f.pixels[:, :2], 2)) for f in query.frames]
+    with pytest.raises(estimator.InsufficientParallaxError, match="only 0 landmarks triangulated"):
+        estimator.initialize(replace(query, frames=flat), guess, cfg)
+    n = estimator.MIN_FRAME_LANDMARKS
+    first = query.frames[0]
+    cut = [replace(first, landmark_ids=first.landmark_ids[: n - 1], pixels=first.pixels[: n - 1])]
+    with pytest.raises(estimator.TooFewObservationsError, match=f"{n - 1} < {n}"):
+        estimator.initialize(replace(query, frames=cut + list(query.frames[1:])), guess, cfg)
 
 
 def test_initialize_passes_over_a_sparse_due_frame(short_inputs):
@@ -279,8 +281,8 @@ def _assert_keyframes_span_their_gaps(query, guess):
     cfg = estimator.EstimatorConfig()
     window, _ = estimator.initialize(query, guess, cfg)
     keyframes = list(window.keyframes)
-    for kf in estimator._due_keyframes(query, window, cfg):
-        window.insert_keyframe(kf, cfg.min_frame_landmarks)
+    for kf in estimator._due_keyframes(query, window):
+        window.insert_keyframe(kf)
         keyframes.append(kf)
     assert len(keyframes) > 5
     for prev, kf in zip(keyframes, keyframes[1:]):
@@ -310,6 +312,69 @@ def test_imu_between_interpolates_missing_ends():
     np.testing.assert_array_equal(between[:, 0], [0.12, 0.18])
 
 
+def test_divergence_count_rule():
+    """The count rule fires on exactly the 3 * DIVERGENCE_STEPS-th step in a
+    row with fewer than DIVERGENCE_MIN_CONSTRAINTS constraints; a step with
+    enough of them resets it."""
+    sparse, enough = estimator.DIVERGENCE_MIN_CONSTRAINTS - 1, estimator.DIVERGENCE_MIN_CONSTRAINTS
+    fuse = 3 * estimator.DIVERGENCE_STEPS
+    monitor = estimator.DivergenceMonitor()
+    assert [monitor.update(sparse, math.nan) for _ in range(fuse - 1)] == [""] * (fuse - 1)
+    assert monitor.update(enough, 1.0) == ""
+    assert [monitor.update(sparse, 1.0) for _ in range(fuse - 1)] == [""] * (fuse - 1)
+    assert monitor.update(sparse, 1.0) == "no map constraints"
+
+
+def test_divergence_residual_rule():
+    """The residual rule fires on the DIVERGENCE_STEPS-th step in a row above
+    DIVERGENCE_RATIO times the first good step's residual; a step at the
+    ratio resets it, and a sparse step leaves it as it is."""
+    steps, enough = estimator.DIVERGENCE_STEPS, estimator.DIVERGENCE_MIN_CONSTRAINTS
+    monitor = estimator.DivergenceMonitor()
+    assert monitor.update(enough, 1.0) == ""
+    at = estimator.DIVERGENCE_RATIO * 1.0
+    above = np.nextafter(at, np.inf)
+    assert [monitor.update(enough, above) for _ in range(steps - 1)] == [""] * (steps - 1)
+    assert monitor.update(enough, at) == ""
+    assert [monitor.update(enough, above) for _ in range(steps - 1)] == [""] * (steps - 1)
+    assert monitor.update(enough - 1, 0.0) == ""
+    assert monitor.update(enough, above) == "map residual grew beyond ratio"
+
+
+def test_divergence_baseline_is_floored_at_the_map_noise():
+    """A first residual below 2 * SIGMA_MAP sets the baseline at that floor,
+    so residuals up to DIVERGENCE_RATIO times the floor never fire."""
+    steps, enough = estimator.DIVERGENCE_STEPS, estimator.DIVERGENCE_MIN_CONSTRAINTS
+    floor = 2.0 * estimator.SIGMA_MAP
+    monitor = estimator.DivergenceMonitor()
+    assert monitor.update(enough, 0.01 * floor) == ""
+    at = estimator.DIVERGENCE_RATIO * floor
+    assert [monitor.update(enough, at) for _ in range(3 * steps)] == [""] * (3 * steps)
+    above = [monitor.update(enough, np.nextafter(at, np.inf)) for _ in range(steps)]
+    assert above == [""] * (steps - 1) + ["map residual grew beyond ratio"]
+
+
+def test_keyframe_policy_fires_just_past_each_threshold():
+    """Translation, rotation and landmark overlap each make a frame due
+    alone, just past their constant, and not just short of it."""
+    ids = np.arange(100)
+    last = estimator.Keyframe(0, 0.0, estimator.NavState(pose=Pose.identity()), ids, np.zeros((100, 4)))
+
+    def due(translation=0.0, rotation=0.0, kept=len(ids)):
+        pose = Pose(so3_exp(np.array([0.0, 0.0, rotation])), np.array([translation, 0.0, 0.0]))
+        return estimator._keyframe_due(last, estimator.NavState(pose=pose), ids[:kept])
+
+    eps = 1e-9
+    assert due(translation=estimator.KF_TRANSLATION + eps)
+    assert not due(translation=estimator.KF_TRANSLATION - eps)
+    assert due(rotation=estimator.KF_ROTATION + eps)
+    assert not due(rotation=estimator.KF_ROTATION - eps)
+    kept = round(estimator.KF_OVERLAP * len(ids))
+    assert kept / len(ids) == estimator.KF_OVERLAP
+    assert due(kept=kept - 1)
+    assert not due(kept=kept)
+
+
 def test_window_problem_has_one_stereo_row_per_solvable_occurrence():
     """The stereo group, keyframe by keyframe in window order: a landmark id
     repeated in one keyframe gives two rows, and landmarks that are inactive
@@ -320,9 +385,7 @@ def test_window_problem_has_one_stereo_row_per_solvable_occurrence():
     lm_ids = window.landmarks[solvable].tolist()
     assert lm_ids == [3, 4, 9]
     rig = sim.default_rig()
-    problem = estimator._build_vio_problem(
-        window, rig, rig.gravity_vector(), estimator.EstimatorConfig(), solvable
-    )
+    problem = estimator._build_vio_problem(window, rig, rig.gravity_vector(), solvable)
     # no keyframe here carries a preintegration, so the stereo group is the only one
     (stereo,) = problem.groups
     assert stereo.kind is res.StereoReprojectionFactor
@@ -384,11 +447,11 @@ def _fixed_association(rng, cfg):
     """A window of 60 landmarks, ids odd from 5, and an association of both
     metrics with a row for each, a tenth of them outliers."""
     truth = se3_exp(np.array([0.02, -0.01, 0.3, 1.0, -2.0, 0.5]))
-    window = estimator.SlidingWindow()
+    window = estimator.SlidingWindow(cfg.window_capacity)
     positions, points, normals, plane = [], [], [], []
     for i in range(60):
         positions.append(rng.uniform(-8.0, 8.0, size=3))
-        point = truth.apply(positions[-1]) + rng.normal(scale=cfg.sigma_map, size=3)
+        point = truth.apply(positions[-1]) + rng.normal(scale=estimator.SIGMA_MAP, size=3)
         if i % 10 == 3:
             point = point + rng.uniform(-2.0, 2.0, size=3)
         points.append(point)
@@ -431,7 +494,7 @@ def test_anchor_alignment_matches_generic_problem(max_iterations):
     constraints = [
         MapConstraint(
             int(lm_id), point, normal if plane else None,
-            np.eye(1 if plane else 3) / cfg.sigma_map**2,
+            np.eye(1 if plane else 3) / estimator.SIGMA_MAP**2,
             POINT_TO_PLANE if plane else POINT_TO_POINT,
         )
         for lm_id, point, normal, plane in zip(
@@ -441,7 +504,7 @@ def test_anchor_alignment_matches_generic_problem(max_iterations):
     want, cost = anchor_alignment_gauss_newton(
         anchor.pose, dict(zip(window.landmarks.tolist(), window.positions)), constraints,
         (anchor.prior_mean, cfg.prior_information(anchor.prior_scale)),
-        res.RobustKernel("cauchy", cfg.cauchy_metric),
+        res.RobustKernel("cauchy", estimator.CAUCHY_METRIC),
     )
     got = estimator._solved_anchor(problem)
     assert report.termination == "converged"
@@ -483,7 +546,7 @@ def test_association_matches_one_landmark_at_a_time():
     anchor = se3_exp(np.array([0.0, 0.0, 0.1, 0.2, -0.1, 0.0]))
     local = anchor.inverse().apply(rng.uniform([-8, -8, -1], [8, 8, 4], size=(200, 3)))
     landmarks = dict(zip(rng.permutation(1000)[:200].tolist(), local))
-    window = estimator.SlidingWindow()
+    window = estimator.SlidingWindow(cfg.window_capacity)
     _set_active(window, sorted(landmarks), [landmarks[i] for i in sorted(landmarks)])
 
     want = []
@@ -493,7 +556,7 @@ def test_association_matches_one_landmark_at_a_time():
             continue
         normals = cloud.normals[idx]
         angles = np.arccos(np.clip(normals @ normals.T, -1.0, 1.0))
-        plane = not np.isnan(normals).any() and np.all(angles <= cfg.normal_consistency_angle + 1e-12)
+        plane = not np.isnan(normals).any() and np.all(angles <= estimator.NORMAL_CONSISTENCY_ANGLE + 1e-12)
         want.append((lm_id, idx[0], POINT_TO_PLANE if plane else POINT_TO_POINT))
 
     got = estimator.associate_constraints(window, anchor, cloud, cfg)

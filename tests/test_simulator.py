@@ -66,14 +66,6 @@ class TestTrajectory:
             dyaw = (yr - yf - np.pi) % (2 * np.pi)
             assert min(dyaw, 2 * np.pi - dyaw) < 1e-9
 
-    def test_speed_profile_per_waypoint(self):
-        wp = np.array([[0.0, 0, 0], [10.0, 0, 0], [20.0, 0, 0]])
-        sampler = sim.generate_trajectory(
-            sim.TrajectorySpec(wp, speed=np.array([1.0, 2.0, 1.0])), 200, 10
-        )
-        # segment times: 10/1.5 each
-        assert sampler.total_time == pytest.approx(2 * 10 / 1.5, abs=1e-9)
-
     def test_bad_specs_rejected(self):
         with pytest.raises(ValueError):
             sim.TrajectorySpec(np.zeros((1, 3)))
