@@ -178,12 +178,8 @@ class SlidingWindow:
         self.seen_ids, self.observers = empty, empty
         self.landmarks, self.positions = empty, np.zeros((0, 3))
 
-    def insert_keyframe(self, kf: Keyframe, min_landmarks: int = MIN_FRAME_LANDMARKS) -> None:
+    def insert_keyframe(self, kf: Keyframe) -> None:
         """Append; evict the oldest beyond capacity; restack; retire orphan landmarks."""
-        if len(kf.landmark_ids) < min_landmarks:
-            raise TooFewObservationsError(
-                f"frame tracks {len(kf.landmark_ids)} < {min_landmarks} landmarks"
-            )
         self.keyframes.append(kf)
         if len(self.keyframes) > self.capacity:
             self.keyframes.pop(0)
@@ -639,6 +635,10 @@ def initialize(
     cfg = cfg or EstimatorConfig()
     window = SlidingWindow(cfg.window_capacity)
     frame0 = session.frames[0]
+    if len(frame0.landmark_ids) < MIN_FRAME_LANDMARKS:
+        raise TooFewObservationsError(
+            f"frame tracks {len(frame0.landmark_ids)} < {MIN_FRAME_LANDMARKS} landmarks"
+        )
     kf0 = Keyframe(0, float(session.gt_times[0]), _initial_state(session),
                    frame0.landmark_ids.copy(), frame0.pixels.copy())
     window.insert_keyframe(kf0)

@@ -6,14 +6,13 @@ semi-static ones only in their session set, dynamic ones move and affect
 laser returns only. Feature points are sampled once per world (seeded by
 the world seed), so the same physical features reappear across sessions.
 
-The laser is ray cast against a ``RayGeometry``: the elements present in
-one session, stacked per element type and compiled once per (world,
-session) on the ``WorldModel``. Each scan casts every type in one array
-pass into a (rays, elements) distance array and keeps the nearest hit; on
-equal distances the element earlier in world order wins. Poles and bushes
-are tested exactly only for the rays that meet their bounding sphere,
-which contains (with a margin) every point the exact test can hit, so the
-cull never drops a hit.
+The laser is ray cast against a ``RayGeometry``: the elements present in a
+session, stacked per element type and compiled once per (world, session).
+Scans are cast a chunk at a time, and each element's exact test runs only
+on the rays whose azimuth lies in its window, the arc under which a scan's
+origin sees the element's axis-aligned box, widened by a margin (every ray
+when the arc is a half circle or more). The nearest hit wins, and of equal
+distances the element earlier in world order.
 
 A trajectory is a C2 cubic spline through waypoints timed by their chord
 lengths at one speed; angular velocity and acceleration come from analytic
@@ -378,6 +377,11 @@ def synthesize_imu(
 
 _MAX_FEATURE_RANGE = 20.0  # m
 
+# Frames per pass of the camera and laser synthesis. The default laser took
+# 0.189 ms per scan in chunks of 16, 0.200 in 8, 0.193 in 32 and 0.252 in 64
+# (medians of 7 forward sessions of 576 scans, one core of a 2-core VM).
+_FRAME_CHUNK = 16
+
 
 def synthesize_camera(
     sampled: SampledTrajectory,
@@ -395,37 +399,33 @@ def synthesize_camera(
     ids, positions, _ = world.features_for_session(session_id)
     cams = (rig.camera, rig.right_camera())
     frames = []
-    for k in sampled.frame_indices(n_frames):
-        body_pose = sampled.pose_at(k)
-        uv_pair = []
-        visible = np.ones(len(ids), dtype=bool)
+    indices = sampled.frame_indices(n_frames)
+    for start in range(0, len(indices), _FRAME_CHUNK):
+        body = [sampled.pose_at(k) for k in indices[start : start + _FRAME_CHUNK]]
+        uv_pair, visible = [], np.ones((len(body), len(ids)), dtype=bool)
         for cam in cams:
-            world_t_cam = body_pose @ cam.body_t_cam
-            p_cam = (positions - world_t_cam.translation) @ world_t_cam.rotation
-            depth_ok = p_cam[:, 2] > 0.2
-            rng_ok = np.linalg.norm(p_cam, axis=1) <= _MAX_FEATURE_RANGE
+            world_t_cam = [pose @ cam.body_t_cam for pose in body]
+            rotations = np.array([p.rotation for p in world_t_cam])
+            p_cam = (positions - _rows([p.translation for p in world_t_cam])[:, None]) @ rotations
+            depth_ok = p_cam[..., 2] > 0.2
+            rng_ok = np.linalg.norm(p_cam, axis=-1) <= _MAX_FEATURE_RANGE
             with np.errstate(divide="ignore", invalid="ignore"):
                 uv = cam.project(p_cam)
             visible &= depth_ok & rng_ok & cam.in_image(np.nan_to_num(uv, nan=-1.0))
             uv_pair.append(uv)
-        sel = np.nonzero(visible)[0]
-        pixels = np.concatenate([uv_pair[0][sel], uv_pair[1][sel]], axis=1)
-        if pixel_sigma > 0:
-            pixels = pixels + rng.normal(0.0, pixel_sigma, size=pixels.shape)
-        if outlier_fraction > 0 and len(sel) > 0:
-            bad = rng.uniform(size=len(sel)) < outlier_fraction
-            n_bad = int(bad.sum())
-            if n_bad:
-                w, h = rig.camera.width, rig.camera.height
-                pixels[bad] = np.column_stack(
-                    [
-                        rng.uniform(0, w - 1, n_bad),
-                        rng.uniform(0, h - 1, n_bad),
-                        rng.uniform(0, w - 1, n_bad),
-                        rng.uniform(0, h - 1, n_bad),
-                    ]
-                )
-        frames.append(FrameObservations(ids[sel].copy(), pixels))
+        # noise and outliers frame by frame, in frame order
+        for seen, uv_left, uv_right in zip(visible, *uv_pair):
+            sel = np.nonzero(seen)[0]
+            pixels = np.concatenate([uv_left[sel], uv_right[sel]], axis=1)
+            if pixel_sigma > 0:
+                pixels = pixels + rng.normal(0.0, pixel_sigma, size=pixels.shape)
+            if outlier_fraction > 0 and len(sel) > 0:
+                bad = rng.uniform(size=len(sel)) < outlier_fraction
+                n_bad = int(bad.sum())
+                if n_bad:
+                    w, h = rig.camera.width, rig.camera.height
+                    pixels[bad] = np.column_stack([rng.uniform(0, m - 1, n_bad) for m in (w, h, w, h)])
+            frames.append(FrameObservations(ids[sel].copy(), pixels))
     return frames
 
 
@@ -445,24 +445,22 @@ def laser_ray_directions(laser: LaserModel) -> np.ndarray:
     ).reshape(-1, 3)
 
 
-# Slack (m) on the bounding spheres of the cull. Rounding in the
-# ray-to-centre distance is below 1e-9 m at scene scale, so no true hit is
-# culled.
-_CULL_MARGIN = 1e-3
+# Widening (rad) of each element's azimuth window. Rounding moves azimuths
+# and hits far less at scene scale, so the cull drops no hit the kernels find.
+_AZIMUTH_MARGIN = 1e-6
 
 
 class RayGeometry:
     """One session's present elements, stacked per element type for casting.
 
     Built once per (world, session) by ``WorldModel.ray_geometry``. Each
-    element owns one column of ``cast_rays``' distance array, in world
-    order. Poles and bushes carry a bounding sphere (plus ``_CULL_MARGIN``)
-    that contains every surface point the exact test can hit.
+    element owns one entry of ``column_ids``, in world order. ``hull_low``
+    and ``hull_high`` bound each patch, pole and bush, in that order, by an
+    axis-aligned box that holds every point the exact test can hit.
     """
 
     def __init__(self, world: WorldModel, elements):
-        # element id per column; a last column that no element fills keeps
-        # argmin defined when nothing is present
+        # element id per column; a last column that no element fills is the miss
         self.column_ids = np.array([e.elem_id for e in elements] + [-1], dtype=int)
 
         def columns(cls):
@@ -471,9 +469,9 @@ class RayGeometry:
 
         self.patch_cols, patches = columns(PlanarPatch)
         self.patch_origin = _rows([p.origin for p in patches])
-        self.patch_normal = _rows([p.normal for p in patches])
-        self.patch_edge_u = _rows([p.edge_u for p in patches])
-        self.patch_edge_v = _rows([p.edge_v for p in patches])
+        u, v = _rows([p.edge_u for p in patches]), _rows([p.edge_v for p in patches])
+        # (patches, 3, 3): the normal and the two edges as columns
+        self.patch_frame = np.stack([_rows([p.normal for p in patches]), u, v], axis=2)
         self.patch_lu2 = np.array([float(p.edge_u @ p.edge_u) for p in patches])
         self.patch_lv2 = np.array([float(p.edge_v @ p.edge_v) for p in patches])
 
@@ -482,8 +480,7 @@ class RayGeometry:
         self.pole_length = np.array([np.linalg.norm(p.tip - p.base) for p in poles])
         self.pole_axis = _rows([(p.tip - p.base) / h for p, h in zip(poles, self.pole_length)])
         self.pole_radius = np.array([p.radius for p in poles])
-        self.pole_center = _rows([0.5 * (p.base + p.tip) for p in poles])
-        self.pole_bound = np.hypot(0.5 * self.pole_length, self.pole_radius) + _CULL_MARGIN
+        ends = np.stack([self.pole_base, _rows([p.tip for p in poles])], axis=1)
 
         self.box_cols, self.boxes = columns(Box)
         self.box_half = _rows([b.size / 2.0 for b in self.boxes])
@@ -501,93 +498,125 @@ class RayGeometry:
             [np.concatenate([p, np.repeat(p[:1], m - len(p), axis=0)]) for p in points]
         ).reshape(len(points), m, 3)
         self.bush_radius = np.array([b.point_radius for b in bushes])
-        self.bush_center = _rows([b.center for b in bushes])
-        self.bush_bound = np.array(
-            [np.linalg.norm(p - b.center, axis=1).max() for p, b in zip(points, bushes)]
-        ) + self.bush_radius + _CULL_MARGIN
+
+        o = self.patch_origin
+        # the points that span each element and the radius that widens them
+        spans = ((np.stack([o, o + u, o + v, o + u + v], 1), 0.0), (ends, self.pole_radius[:, None]),
+                 (self.bush_points, self.bush_radius[:, None]))
+        self.hull_low = np.concatenate([p.min(axis=1, initial=np.inf) - r for p, r in spans])
+        self.hull_high = np.concatenate([p.max(axis=1, initial=-np.inf) + r for p, r in spans])
+        # the columns in hull order, the boxes (made per scan) last, and each type's start
+        kinds = (self.patch_cols, self.pole_cols, self.bush_cols, self.box_cols)
+        self.hull_cols, self.type_starts = np.concatenate(kinds), np.cumsum([0, *map(len, kinds[:3])])
 
 
 def _rows(vectors) -> np.ndarray:
     return np.array(vectors, dtype=float).reshape(len(vectors), 3)
 
 
-def _ray_pairs(origin, dirs, centers, bounds):
-    """(ray, element) index pairs whose ray passes within ``bounds`` of ``centers``.
+def _window_pairs(low, high, dirs):
+    """(ray, window) of each ray of ``dirs`` (scans, rays, 3) in the azimuth
+    window of an element's box, ``low`` to ``high`` (elements, scans, 3) from
+    the scan's origin; ``window`` (ascending) indexes the flat (elements, scans).
 
-    A ray that starts outside a sphere meets it only if its closest approach
-    to the centre lies ahead of the origin and within the radius.
+    The window is the arc of the box corners' azimuths, widened by
+    ``_AZIMUTH_MARGIN``; it is every ray when the arc is a half circle or
+    more or a corner lies straight above or below the origin.
     """
-    oc = centers - origin
-    oc2 = np.einsum("ij,ij->i", oc, oc)
-    along = dirs @ oc.T
-    dd = np.einsum("ij,ij->i", dirs, dirs)[:, None]
-    meets = oc2 * dd - along * along <= bounds * bounds * dd
-    return np.nonzero(meets & ((along > 0.0) | (oc2 <= bounds * bounds)))
+    n_scans, n_rays = dirs.shape[:2]
+    azimuth = np.arctan2(dirs[..., 1], dirs[..., 0])
+    by_azimuth = np.argsort(azimuth, axis=1)
+    azimuth = np.take_along_axis(azimuth, by_azimuth, axis=1)
+    # the x and y of the box's four vertical edges
+    x = np.stack([low[..., 0], high[..., 0], low[..., 0], high[..., 0]], axis=-1)
+    y = np.stack([low[..., 1], low[..., 1], high[..., 1], high[..., 1]], axis=-1)
+    corner = np.arctan2(y, x)
+    # offsets from the first corner: the true ones when all fit in a half circle
+    offset = np.mod(corner - corner[..., :1] + np.pi, 2 * np.pi) - np.pi
+    start = corner[..., 0] + offset.min(axis=-1) - _AZIMUTH_MARGIN
+    span = offset.max(axis=-1) - offset.min(axis=-1) + 2 * _AZIMUTH_MARGIN
+    every = (span >= np.pi) | np.any((x == 0) & (y == 0), axis=-1)
+    # each ray also a turn below and above, so that a window's rays are one run of ranks
+    turns = np.concatenate([azimuth - 2 * np.pi, azimuth, azimuth + 2 * np.pi], axis=1)
+    first = np.array([np.searchsorted(row, w) for row, w in zip(turns, start.T)]).T
+    stop = np.array([np.searchsorted(row, w, "right") for row, w in zip(turns, (start + span).T)]).T
+    first = np.where(every, 0, first).ravel()
+    count = np.where(every, n_rays, stop).ravel() - first
+    window = np.repeat(np.arange(count.size), count)
+    rank = np.arange(window.size) - np.repeat(np.cumsum(count) - count, count) + first[window]
+    scan = window % n_scans
+    return scan * n_rays + by_azimuth[scan, rank % n_rays], window
 
 
-def _hit_patches(origin, dirs, geo: RayGeometry):
-    n = geo.patch_normal
-    denom = dirs @ n.T
+def _hit_patches(dirs, window, origins, geo: RayGeometry):
+    """Distances along ``dirs[k]`` to ``window[k]``'s patch, from its scan's origin."""
+    patch = window // len(origins)
+    # per patch and scan: the origin along the normal and the edges, from the corner
+    rel = np.einsum("psj,pjk->kps", origins - geo.patch_origin[:, None], geo.patch_frame)
+    rel_n, rel_u, rel_v = rel.reshape(3, -1).take(window, axis=1)
+    # the rays along the normal and the edges, rounded like the rows of a matrix product
+    denom, along_u, along_v = (dirs[:, None] @ geo.patch_frame.take(patch, axis=0))[:, 0].T
     with np.errstate(divide="ignore", invalid="ignore"):
-        t = np.einsum("pj,pj->p", geo.patch_origin - origin, n) / denom
+        t = -rel_n / denom
     t = np.where(np.abs(denom) < 1e-12, np.inf, t)
     finite = np.isfinite(t)
     tf = np.where(finite, t, 0.0)
     # edge coordinates of the hit point origin + t * dir, from the corner
-    rel = origin - geo.patch_origin
-    a = np.einsum("pj,pj->p", rel, geo.patch_edge_u) + tf * (dirs @ geo.patch_edge_u.T)
-    b = np.einsum("pj,pj->p", rel, geo.patch_edge_v) + tf * (dirs @ geo.patch_edge_v.T)
-    a /= geo.patch_lu2
-    b /= geo.patch_lv2
+    a = (rel_u + tf * along_u) / geo.patch_lu2.take(patch)
+    b = (rel_v + tf * along_v) / geo.patch_lv2.take(patch)
     ok = finite & (t > 1e-9) & (a >= 0) & (a <= 1) & (b >= 0) & (b <= 1)
     return np.where(ok, t, np.inf)
 
 
-def _hit_boxes(origin, dirs, geo: RayGeometry, t_scan: float):
-    center = _rows([b.center_at(t_scan) for b in geo.boxes])
+def _hit_boxes(dirs, window, low, high):
+    """Distances along ``dirs[k]`` into ``window[k]``'s box, whose faces lie
+    ``low`` and ``high`` (boxes, scans, 3) from each scan's origin."""
     with np.errstate(divide="ignore", invalid="ignore"):
-        inv = 1.0 / dirs[:, None, :]
-        t1 = (center - geo.box_half - origin) * inv
-        t2 = (center + geo.box_half - origin) * inv
+        inv = 1.0 / dirs
+        t1 = low.reshape(-1, 3).take(window, axis=0) * inv
+        t2 = high.reshape(-1, 3).take(window, axis=0) * inv
         near = np.minimum(t1, t2)
         far = np.maximum(t1, t2)
     # fmax / fmin skip the NaN of a zero direction component on a slab plane
-    tmin = np.fmax(np.fmax(near[..., 0], near[..., 1]), near[..., 2])
-    tmax = np.fmin(np.fmin(far[..., 0], far[..., 1]), far[..., 2])
+    tmin = np.fmax(np.fmax(near[:, 0], near[:, 1]), near[:, 2])
+    tmax = np.fmin(np.fmin(far[:, 0], far[:, 1]), far[:, 2])
     hit = (tmax >= tmin) & (tmax > 1e-9)
     t = np.where(tmin > 1e-9, tmin, tmax)
     return np.where(hit, t, np.inf)
 
 
-def _hit_poles(origin, dirs, geo: RayGeometry, pole):
-    """Distances along ``dirs[k]`` to pole ``pole[k]``'s side surface."""
-    axis = geo.pole_axis[pole]
-    oc = origin - geo.pole_base
-    oc_par = np.einsum("pj,pj->p", oc, geo.pole_axis)
-    oc_perp = oc - oc_par[:, None] * geo.pole_axis
-    c = np.einsum("pj,pj->p", oc_perp, oc_perp) - geo.pole_radius * geo.pole_radius
+def _hit_poles(dirs, window, origins, geo: RayGeometry):
+    """Distances along ``dirs[k]`` to the side of ``window[k]``'s pole, from its scan's origin."""
+    pole = window // len(origins)
+    oc = origins - geo.pole_base[:, None]  # (poles, scans, 3)
+    oc_par = np.einsum("psj,pj->ps", oc, geo.pole_axis)
+    oc_perp = oc - oc_par[..., None] * geo.pole_axis[:, None]
+    c = np.einsum("psj,psj->ps", oc_perp, oc_perp) - (geo.pole_radius * geo.pole_radius)[:, None]
+    oc_par, oc_perp, c = oc_par.take(window), oc_perp.reshape(-1, 3).take(window, axis=0), c.take(window)
+    axis = geo.pole_axis.take(pole, axis=0)
     d_par = np.einsum("kj,kj->k", dirs, axis)
     d_perp = dirs - d_par[:, None] * axis
     a = np.einsum("kj,kj->k", d_perp, d_perp)
-    b = 2.0 * np.einsum("kj,kj->k", d_perp, oc_perp[pole])
-    disc = b * b - 4.0 * a * c[pole]
+    b = 2.0 * np.einsum("kj,kj->k", d_perp, oc_perp)
+    disc = b * b - 4.0 * a * c
     t_out = np.full(len(dirs), np.inf)
     ok = (disc >= 0) & (a > 1e-12)
     sq = np.sqrt(np.where(ok, disc, 0.0))
     for sign in (-1.0, 1.0):
         t = (-b + sign * sq) / (2.0 * np.where(ok, a, 1.0))
-        s = oc_par[pole] + t * d_par
-        good = ok & (t > 1e-9) & (s >= 0.0) & (s <= geo.pole_length[pole]) & (t < t_out)
+        s = oc_par + t * d_par
+        good = ok & (t > 1e-9) & (s >= 0.0) & (s <= geo.pole_length.take(pole)) & (t < t_out)
         t_out[good] = t[good]
     return t_out
 
 
-def _hit_bushes(origin, dirs, geo: RayGeometry, bush):
-    """Nearest distances along unit ``dirs[k]`` to bush ``bush[k]``'s spheres."""
-    oc = origin - geo.bush_points  # (bushes, spheres, 3)
-    c = np.einsum("bmj,bmj->bm", oc, oc) - (geo.bush_radius * geo.bush_radius)[:, None]
-    b = 2.0 * np.einsum("kj,kmj->km", dirs, oc[bush])
-    disc = b * b - 4.0 * c[bush]
+def _hit_bushes(dirs, window, origins, geo: RayGeometry):
+    """Nearest distances along unit ``dirs[k]`` to the spheres of ``window[k]``'s bush."""
+    oc = origins[:, None] - geo.bush_points[:, None]  # (bushes, scans, spheres, 3)
+    c = np.einsum("bsmj,bsmj->bsm", oc, oc) - (geo.bush_radius * geo.bush_radius)[:, None, None]
+    bush, scan = np.divmod(window, len(origins))
+    b = 2.0 * np.einsum("kj,kmj->km", dirs, oc[bush, scan])
+    disc = b * b - 4.0 * c[bush, scan]
     sq = np.sqrt(np.maximum(disc, 0.0))
     t1 = (-b - sq) / 2.0
     t2 = (-b + sq) / 2.0
@@ -596,28 +625,43 @@ def _hit_bushes(origin, dirs, geo: RayGeometry, bush):
     return t.min(axis=1, initial=np.inf)
 
 
-def cast_rays(origin, dirs, world: WorldModel, session_id: int, t_scan: float):
-    """Nearest-hit distances and element ids (-1 for miss).
+def cast_rays(origin, dirs, world: WorldModel, session_id: int, t_scan):
+    """Nearest-hit distances and element ids (-1 for miss), one per ray.
 
-    Every element type is cast in one array pass into a (rays, elements)
-    distance array; poles and bushes only for the rays that meet their
-    bounding spheres. ``argmin`` keeps the first of equal distances, so ties
-    go to the element earlier in world order.
+    A scan is an ``origin`` (3,), rays ``dirs`` (N, 3) and a time ``t_scan``;
+    S scans stack to (S, 3), their rays one scan after the other (S * N, 3),
+    and (S,). Ties go to the element earlier in world order.
     """
-    origin = np.asarray(origin, dtype=float)
+    origins = np.asarray(origin, dtype=float).reshape(-1, 3)
     dirs = np.asarray(dirs, dtype=float)
     geo = world.ray_geometry(session_id)
-    dist = np.full((len(dirs), len(geo.column_ids)), np.inf)
-    dist[:, geo.patch_cols] = _hit_patches(origin, dirs, geo)
-    dist[:, geo.box_cols] = _hit_boxes(origin, dirs, geo, t_scan)
-    ray, pole = _ray_pairs(origin, dirs, geo.pole_center, geo.pole_bound)
-    dist[ray, geo.pole_cols[pole]] = _hit_poles(origin, dirs[ray], geo, pole)
-    ray, bush = _ray_pairs(origin, dirs, geo.bush_center, geo.bush_bound)
-    dist[ray, geo.bush_cols[bush]] = _hit_bushes(origin, dirs[ray], geo, bush)
-    nearest = np.argmin(dist, axis=1)
-    best_t = dist[np.arange(len(dirs)), nearest]
-    best_id = np.where(np.isfinite(best_t), geo.column_ids[nearest], -1)
-    return best_t, best_id
+    n_scans = len(origins)
+    centers = np.array([[b.center_at(t) for t in np.ravel(t_scan).tolist()] for b in geo.boxes])
+    centers = centers.reshape(len(geo.boxes), n_scans, 3)
+    # the boxes' faces per axis, from each scan's origin
+    box_low, box_high = (centers + sign * geo.box_half[:, None] - origins for sign in (-1.0, 1.0))
+    ray, window = _window_pairs(
+        np.concatenate([geo.hull_low[:, None] - origins, box_low]),
+        np.concatenate([geo.hull_high[:, None] - origins, box_high]),
+        dirs.reshape(n_scans, -1, 3),
+    )
+    # each element type's exact test and what it reads of the scans, in hull order
+    tests = ((_hit_patches, origins, geo), (_hit_poles, origins, geo), (_hit_bushes, origins, geo),
+             (_hit_boxes, box_low, box_high))
+    starts = n_scans * geo.type_starts  # each type's first window, then its first pair
+    pairs = np.searchsorted(window, starts).tolist() + [len(window)]
+    t = np.concatenate([
+        test(dirs.take(ray[a:b], axis=0), window[a:b] - w0, *scans)
+        for (test, *scans), w0, a, b in zip(tests, starts, pairs, pairs[1:])
+    ])
+    found = np.isfinite(t)
+    ray, col, t = ray[found], geo.hull_cols.take(window[found] // n_scans), t[found]
+    best_t = np.full(len(dirs), np.inf)
+    np.minimum.at(best_t, ray, t)
+    tie = t == best_t.take(ray)  # of equal distances, the first column wins
+    best_col = np.full(len(dirs), len(geo.column_ids) - 1)
+    np.minimum.at(best_col, ray[tie], col[tie])
+    return best_t, geo.column_ids[best_col]
 
 
 def synthesize_laser(
@@ -633,18 +677,21 @@ def synthesize_laser(
     rng = np.random.default_rng([seed, session_id, 37])
     dirs_f = laser_ray_directions(rig.laser)
     body_t_laser = rig.body_t_laser
+    frames = sampled.frame_indices(n_frames)
     scans = []
-    for k in sampled.frame_indices(n_frames):
-        t_scan = float(sampled.imu_times[k])
-        world_t_laser = sampled.pose_at(k) @ body_t_laser
-        dirs_g = dirs_f @ world_t_laser.rotation.T
-        t_hit, labels = cast_rays(world_t_laser.translation, dirs_g, world, session_id, t_scan)
-        ok = np.isfinite(t_hit) & (t_hit <= rig.laser.max_range)
-        ranges = t_hit[ok]
-        if noise and rig.laser.range_noise > 0:
-            ranges = ranges + rng.normal(0.0, rig.laser.range_noise, size=ranges.shape)
-        points_f = dirs_f[ok] * ranges[:, None]
-        scans.append((points_f, labels[ok]))
+    for start in range(0, len(frames), _FRAME_CHUNK):
+        chunk = frames[start : start + _FRAME_CHUNK]
+        poses = [sampled.pose_at(k) @ body_t_laser for k in chunk]
+        origins = _rows([p.translation for p in poses])
+        dirs_g = np.concatenate([dirs_f @ p.rotation.T for p in poses])
+        t_hit, labels = cast_rays(origins, dirs_g, world, session_id, sampled.imu_times[chunk])
+        # the range filter and the noise draws scan by scan, in frame order
+        for t, lab in zip(t_hit.reshape(len(chunk), -1), labels.reshape(len(chunk), -1)):
+            ok = np.isfinite(t) & (t <= rig.laser.max_range)
+            ranges = t[ok]
+            if noise and rig.laser.range_noise > 0:
+                ranges = ranges + rng.normal(0.0, rig.laser.range_noise, size=ranges.shape)
+            scans.append((dirs_f[ok] * ranges[:, None], lab[ok]))
     return scans
 
 

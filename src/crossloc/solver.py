@@ -306,6 +306,9 @@ class _System:
     def solve_damped(self, linear, lam):
         """Schur-condensed damped solve; returns (delta_c, delta_l (L, s)) or None."""
         h_cc, b_c, h_ll, b_l, h_lc = linear
+        if not self.n_l:  # nothing eliminated: the damped camera system alone
+            delta_c = _solve_or_none(_damp(h_cc, lam), b_c)
+            return None if delta_c is None else (delta_c, b_l)  # b_l is (0, s)
         hd_l = _damp(h_ll, lam)
         try:
             np.linalg.cholesky(hd_l)  # positive-definiteness check only

@@ -96,7 +96,7 @@ def _hand_built_window():
     keyframe 0, was evicted by keyframe 3."""
     window = estimator.SlidingWindow(capacity=3)
     for kf_id, ids in enumerate([[9, 1, 2, 3], [9, 2, 3, 3], [9, 3, 4, 5], [6, 7, 4, 5]]):
-        window.insert_keyframe(_keyframe(kf_id, ids), min_landmarks=0)
+        window.insert_keyframe(_keyframe(kf_id, ids))
     return window
 
 
@@ -140,7 +140,7 @@ def test_observer_counts_on_a_hand_built_window():
     assert window.landmarks[window.solvable()].tolist() == [3, 9]
     # inserting a keyframe retires the landmarks no window keyframe sees
     kf4 = _keyframe(4, [9, 4, 5, 6])
-    window.insert_keyframe(kf4, min_landmarks=0)
+    window.insert_keyframe(kf4)
     assert _observers(window) == {9: 2, 3: 1, 4: 3, 5: 3, 6: 2, 7: 1}
     assert window.landmarks.tolist() == [3, 9]
     assert window.landmarks[window.solvable()].tolist() == [9]
@@ -155,7 +155,7 @@ def test_observer_counts_on_a_hand_built_window():
     kf2.pixels[3, 2] = kf2.pixels[3, 0] - 0.5 * estimator.MIN_DISPARITY
     window = estimator.SlidingWindow(capacity=3)
     for kf in (kf2, kf3, kf4):
-        window.insert_keyframe(kf, min_landmarks=0)
+        window.insert_keyframe(kf)
     _set_active(window, [4])
     assert estimator.activate_landmarks(window, rig) == 2
     assert window.landmarks.tolist() == [4, 6, 9]
@@ -206,7 +206,7 @@ def test_window_tables_match_the_dict_reference(seed):
         state = estimator.NavState(pose=se3_exp(rng.normal(scale=[0.1, 0.1, 0.1, 1.0, 1.0, 1.0])))
         kf = estimator.Keyframe(kf_id, 0.1 * kf_id, state, ids, np.column_stack([ul, vl, ul - disparity, vl]))
         active = set(reference.landmarks)
-        window.insert_keyframe(kf, min_landmarks=0)
+        window.insert_keyframe(kf)
         reference.insert(kf)
         retired |= active - set(reference.landmarks)
         check()

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from crossloc import imu, simulator as sim
-from crossloc.liegroup import Pose, rot_z
+from crossloc.liegroup import Pose, rot_z, so3_exp
 from crossloc.session import LaserModel, SensorRig, load_session, save_session
 from crossloc.residuals import CameraModel
 
@@ -303,8 +303,8 @@ def _oracle_targets(world, origin, session_id, t_scan):
 
     Patch corners are approached a hair inside and a hair outside, so the
     edge tests decide them rather than rounding between coincident faces.
-    Pole rims at both ends and sphere silhouettes lie near the edge of the
-    bounding spheres the cast culls by.
+    Pole rims at both ends and sphere silhouettes are where the exact tests
+    come closest to a miss.
     """
     targets = []
     for elem in world.elements:
@@ -338,18 +338,24 @@ def _oracle_targets(world, origin, session_id, t_scan):
     return np.asarray(targets)
 
 
-def _assert_matches_oracle(world, origin, targets, session_id, t_scan, must_hit=None):
-    dirs = _unit_rows(np.asarray(targets) - origin)
+def _assert_rays_match_oracle(world, origin, dirs, session_id, t_scan):
+    """``cast_rays`` of one scan against ``brute_force_ray_cast``; returns the labels."""
     t_fast, id_fast = sim.cast_rays(origin, dirs, world, session_id, t_scan)
     hits = brute_force_ray_cast(origin, dirs, world, session_id, t_scan)
     for i, (t_slow, id_slow) in enumerate(hits):
-        assert id_fast[i] == id_slow, (i, targets[i])
+        assert id_fast[i] == id_slow, (i, dirs[i])
         if np.isinf(t_slow):
             assert np.isinf(t_fast[i])
         else:
-            assert abs(t_fast[i] - t_slow) < 1e-9, (i, targets[i])
+            assert abs(t_fast[i] - t_slow) < 1e-9, (i, dirs[i])
+    return id_fast
+
+
+def _assert_matches_oracle(world, origin, targets, session_id, t_scan, must_hit=None):
+    dirs = _unit_rows(np.asarray(targets) - origin)
+    labels = _assert_rays_match_oracle(world, origin, dirs, session_id, t_scan)
     if must_hit is not None:
-        assert np.all(id_fast == must_hit)
+        assert np.all(labels == must_hit)
 
 
 class TestSynthesizeLaser:
@@ -400,8 +406,8 @@ class TestSynthesizeLaser:
         cases = [
             (np.array([-3.0, -2.0, 0.8]), 0, 2.0),
             (np.array([6.0, 4.5, 0.8]), 3, 11.0),
-            # inside the bush's bounding sphere: rays leaving it in every
-            # direction must still find the spheres behind the centre
+            # inside the bush's box: rays leaving it in every direction must
+            # still find the spheres behind the centre
             (bush.center + np.array([0.1, -0.05, 0.05]), 0, 7.5),
         ]
         for origin, session_id, t_scan in cases:
@@ -465,6 +471,158 @@ class TestSynthesizeLaser:
         c0 = box.center_at(0.0)
         c1 = box.center_at(box.motion_period / 4.0)
         assert np.linalg.norm(c1 - c0) > 1.0
+
+
+# straight up, straight down, and up with a last-bit tilt: their azimuths say
+# nothing of where they go
+VERTICAL_RAYS = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, -1.0], [1e-12, 0.0, 1.0]])
+
+
+def _probe_dirs(rng, n):
+    return np.concatenate([VERTICAL_RAYS, _unit_rows(rng.normal(size=(n, 3)))])
+
+
+def _assert_probes_match_oracle(world, origin, session_id, t_scan, rng, extra=()):
+    """Vertical, random and ``_oracle_targets`` rays from ``origin`` against the oracle."""
+    targets = _oracle_targets(world, origin, session_id, t_scan)
+    dirs = [_probe_dirs(rng, 40), _unit_rows(targets - origin)] + [np.reshape(extra, (-1, 3))]
+    return _assert_rays_match_oracle(world, origin, np.concatenate(dirs), session_id, t_scan)
+
+
+class TestAzimuthCull:
+    """``cast_rays`` tests an element only on the rays whose azimuth lies in
+    the element's window; these cases sit where a window could lose a hit."""
+
+    def test_stacked_cast_equals_one_scan_casts(self):
+        world = sim.default_world()
+        bush = next(e for e in world.elements if isinstance(e, sim.ScatterCluster))
+        rng = np.random.default_rng(12)
+        origins = np.column_stack(
+            [rng.uniform(-20, 20, 6), rng.uniform(-12, 12, 6), rng.uniform(0.3, 3.0, 6)]
+        )
+        # inside a bush's box, and beside the moving box's lane
+        origins[:2] = [bush.center + [0.1, -0.05, 0.05], [0.0, -8.0, 0.8]]
+        times = np.array([0.0, 3.0, 4.5, 7.5, 11.0, 14.0])
+        dirs = [_probe_dirs(rng, 120) for _ in origins]
+        for session_id in (0, 3):
+            t, labels = sim.cast_rays(origins, np.concatenate(dirs), world, session_id, times)
+            n = len(dirs[0])
+            for s, (origin, d, t_scan) in enumerate(zip(origins, dirs, times)):
+                t_one, labels_one = sim.cast_rays(origin, d, world, session_id, t_scan)
+                assert np.array_equal(t[s * n : (s + 1) * n], t_one)
+                assert np.array_equal(labels[s * n : (s + 1) * n], labels_one)
+        assert (labels >= 0).sum() > 300
+
+    def test_origin_inside_a_box_or_a_bush_box(self):
+        # boxes off the ground, so that no wall lies on another element
+        crate = sim.Box(100, np.array([5.0, 3.0, 1.6]), np.array([1.2, 0.8, 0.6]))
+        mover = sim.Box(101, np.array([2.0, -3.0, 1.5]), np.ones(3), kind=sim.KIND_DYNAMIC,
+                        motion_direction=np.array([0.6, 0.8, 0.0]), motion_amplitude=3.0,
+                        motion_period=10.0)
+        world = sim.WorldModel(sim.default_world().elements + (crate, mover), seed=7)
+        bush = next(e for e in world.elements if isinstance(e, sim.ScatterCluster))
+        rng = np.random.default_rng(13)
+        for origin, t_scan, box in (
+            (crate.center + [0.3, -0.2, 0.1], 1.0, crate),
+            (mover.center_at(4.0) + [0.1, 0.2, -0.1], 4.0, mover),
+        ):
+            labels = _assert_probes_match_oracle(world, origin, 0, t_scan, rng)
+            # from inside, every ray meets the box's walls first
+            assert np.all(labels == box.elem_id)
+        # between the spheres of a bush: some rays meet them, in every direction
+        labels = _assert_probes_match_oracle(world, bush.center + [0.3, 0.3, 0.2], 0, 2.0, rng)
+        assert (labels == bush.elem_id).sum() > 10
+
+    def test_origin_straight_above_a_patch_edge_or_corner_or_a_pole_tip(self):
+        rng = np.random.default_rng(14)
+        # roofs that lie towards -x from an origin above their edge: a
+        # vertical ray's azimuth (0) is then half a turn from the window,
+        # yet it lands on the edge
+        roofs = []
+        for i in range(12):
+            x0, y0, z = rng.uniform(-9, 9), rng.uniform(-9, 9), rng.uniform(0.2, 2.0)
+            width, depth = rng.uniform(0.5, 6.0, size=2)
+            roofs.append(
+                sim.PlanarPatch(i, np.array([x0, y0, z]), np.array([-width, 0.0, 0.0]),
+                                np.array([0.0, depth, 0.0]))
+            )
+        for roof in roofs:
+            world = sim.WorldModel([roof])
+            for f in (0.1, 0.5, 0.9):
+                origin = roof.origin + f * roof.edge_v + [0.0, 0.0, 1.0]
+                labels = _assert_probes_match_oracle(world, origin, 0, 0.0, rng)
+                assert labels[1] == roof.elem_id  # straight down
+        # above the corner of a roof that lies towards +x and +y: straight
+        # down with signed zeros, a ray's azimuth can be pi or -pi, outside
+        # the roof's quarter of azimuths, yet it lands on the corner
+        down = np.array([[0.0, 0.0, -1.0], [-0.0, 0.0, -1.0], [0.0, -0.0, -1.0], [-0.0, -0.0, -1.0]])
+        for roof in roofs[:4]:
+            table = replace(roof, edge_u=-roof.edge_u)
+            world = sim.WorldModel([table])
+            origin = table.origin + [0.0, 0.0, 1.0]
+            labels = _assert_probes_match_oracle(world, origin, 0, 0.0, rng, extra=down)
+            assert np.all(labels[-4:] == table.elem_id)
+        world = sim.default_world()
+        ground = world.elements[0]
+        # above the ground's far edge (x = 30), where a = 1 exactly
+        origin = ground.origin + ground.edge_u + [0.0, 18.0, 1.0]
+        labels = _assert_probes_match_oracle(world, origin, 0, 0.0, rng)
+        assert labels[1] == ground.elem_id
+        # above a pole's tip: rays falling steeply meet its side from within
+        pole = next(e for e in world.elements if isinstance(e, sim.Pole))
+        ang = np.arange(12) * (np.pi / 6)
+        steep = np.column_stack([0.1 * np.cos(ang), 0.1 * np.sin(ang), -np.ones(12)])
+        labels = _assert_probes_match_oracle(
+            world, pole.tip + [0.0, 0.0, 0.5], 0, 0.0, rng, extra=_unit_rows(steep)
+        )
+        assert np.all(labels[-12:] == pole.elem_id)
+
+    def test_rays_along_a_box_silhouette(self):
+        # power-of-two components make the slab test exact: each ray meets
+        # the box on the vertical edge that bounds its window, at t = 1
+        for a in range(4):
+            for b in range(4):
+                x1, x2, y1, y2 = 2.0**a, 2.0 ** (a + 1), 2.0 ** (b - 1), 3 * 2.0 ** (b - 1)
+                for sx, sy in ((1, 1), (-1, 1), (1, -1), (-1, -1)):
+                    origin = np.array([-3.0, 5.0, 0.0])
+                    center = origin + [sx * (x1 + x2) / 2, sy * (y1 + y2) / 2, 0.0]
+                    world = sim.WorldModel([sim.Box(0, center, np.array([x2 - x1, y2 - y1, 2.0]))])
+                    dirs = np.array([[sx * x2, sy * y1, 0.0], [sx * x1, sy * y2, 0.0]])
+                    t, labels = sim.cast_rays(origin, dirs, world, 0, 0.0)
+                    assert labels.tolist() == [0, 0] and t.tolist() == [1.0, 1.0]
+                    _assert_rays_match_oracle(world, origin, dirs, 0, 0.0)
+
+    def test_worlds_without_bushes_or_boxes(self):
+        base = sim.default_world()
+        rng = np.random.default_rng(15)
+        for kind in (sim.ScatterCluster, sim.Box):
+            world = sim.WorldModel([e for e in base.elements if not isinstance(e, kind)], seed=7)
+            for origin in (np.array([-3.0, -2.0, 0.8]), np.array([11.0, 9.0, 1.2])):
+                _assert_probes_match_oracle(world, origin, 0, 5.0, rng)
+            sampled = static_sampled(n=40, pos=(2.0, -1.0, 0.5))
+            scans = sim.synthesize_laser(sampled, world, sim.default_rig(), 0, seed=0, n_frames=2)
+            assert all(len(points) > 0 for points, _ in scans)
+
+    def test_pitched_laser_matches_oracle(self):
+        # no ray is level: the windows cannot lean on the laser's own azimuths
+        laser = LaserModel(channels=3, elevation_min_deg=-12.0, elevation_max_deg=6.0,
+                           azimuth_step_deg=24.0, max_range=40.0, range_noise=0.0)
+        pitch = Pose(so3_exp(np.array([0.0, np.deg2rad(10.0), 0.0])), np.array([0.2, 0.0, 0.3]))
+        rig = replace(simple_rig(laser), cam_t_laser=pitch)
+        world = sim.default_world()
+        spec = sim.default_trajectory_spec()
+        sampled = sim.generate_trajectory(spec, rig.imu_rate, rig.frame_rate).sample(2.0)
+        n_frames = 18  # one chunk of 16 scans and one of 2
+        scans = sim.synthesize_laser(sampled, world, rig, 0, seed=0, n_frames=n_frames, noise=False)
+        dirs_f = sim.laser_ray_directions(laser)
+        for k, (points, labels) in zip(sampled.frame_indices(n_frames), scans):
+            world_t_laser = sampled.pose_at(k) @ rig.body_t_laser
+            hits = brute_force_ray_cast(world_t_laser.translation, dirs_f @ world_t_laser.rotation.T,
+                                        world, 0, float(sampled.imu_times[k]))
+            t_ref = np.array([t for t, _ in hits])
+            keep = t_ref <= laser.max_range
+            assert labels.tolist() == [i for (_, i), kept in zip(hits, keep) if kept]
+            np.testing.assert_allclose(np.linalg.norm(points, axis=1), t_ref[keep], rtol=0, atol=1e-9)
 
 
 class TestGenerateSession:
