@@ -10,7 +10,7 @@ one bundle-adjustment step chosen by the schedule:
 - rigid: plain visual-inertial adjustment first, then an ICP-style loop
   that re-associates and refines the anchor alone with everything else
   held fixed, each iteration one association and one anchor-only solve;
-- hybrid m:n cycles m non-rigid steps then n rigid ones.
+- hybrid repeats ``HYBRID_CYCLE``: one non-rigid step, then three rigid.
 
 The front end is one keyframe path. ``_due_keyframes`` preintegrates the
 IMU samples between the window's newest keyframe and each later frame, by
@@ -98,6 +98,8 @@ ICP_UPDATE_TOL = 1e-6
 DIVERGENCE_RATIO = 3.0
 DIVERGENCE_STEPS = 5
 DIVERGENCE_MIN_CONSTRAINTS = 5
+# the hybrid schedule's steps, over and over: the paper's 1:3
+HYBRID_CYCLE = (("non_rigid",),) + (("rigid",),) * 3
 
 
 @dataclass
@@ -144,19 +146,15 @@ class BaSchedule:
     """Dispatch rule for per-keyframe adjustment steps."""
 
     mode: str = "hybrid"  # non_rigid_only | hybrid
-    m: int = 1
-    n: int = 3
 
     def __post_init__(self):
         if self.mode not in ("non_rigid_only", "hybrid"):
             raise ValueError(f"unknown schedule mode {self.mode!r}")
-        if self.mode == "hybrid" and (self.m < 1 or self.n < 1):
-            raise ValueError("hybrid schedule needs m, n >= 1")
 
     def actions_at(self, counter: int) -> tuple[str, ...]:
         if self.mode == "non_rigid_only":
             return ("non_rigid",)
-        return ("non_rigid",) if counter % (self.m + self.n) < self.m else ("rigid",)
+        return HYBRID_CYCLE[counter % len(HYBRID_CYCLE)]
 
 
 class SlidingWindow:
@@ -507,7 +505,6 @@ class StepRecord:
 @dataclass
 class LocalizationResult:
     poses_map: list  # keyframe poses in the map frame (anchor o local pose)
-    anchors: list
     records: list
     diverged: bool = False
     divergence_reason: str = ""
@@ -604,11 +601,15 @@ def _due_keyframes(session: SessionData, window: SlidingWindow):
 
     Every frame is predicted from the window's newest keyframe, read again
     for each frame, so a keyframe the caller inserts becomes the next base.
+    It stops at the first frame after the IMU stream's last sample.
     """
     rig = session.rig
+    imu_end = session.imu_samples[-1, 0] if len(session.imu_samples) else -math.inf
     for k in range(window.keyframes[-1].kf_id + 1, len(session.frames)):
-        last = window.keyframes[-1]
         timestamp = float(session.gt_times[k])
+        if timestamp > imu_end:
+            return
+        last = window.keyframes[-1]
         pre = integrate(
             _imu_between(session, last.timestamp, timestamp),
             (last.state.gyro_bias, last.state.accel_bias),
@@ -685,7 +686,7 @@ def run_localization(
     rig = session.rig
     window, anchor = initialize(session, anchor_guess, cfg)
     monitor = DivergenceMonitor()
-    poses_map, anchors, records = [], [], []
+    poses_map, records = [], []
 
     def run_step(kf: Keyframe):
         report, association, actions = step(window, anchor, cloud, schedule, len(records), rig, cfg)
@@ -704,7 +705,6 @@ def run_localization(
             )
         )
         poses_map.append(anchor.pose @ kf.state.pose)
-        anchors.append(anchor.pose)
         return monitor.update(len(association), mean_res)
 
     reason = run_step(window.keyframes[-1])
@@ -718,7 +718,6 @@ def run_localization(
 
     return LocalizationResult(
         poses_map=poses_map,
-        anchors=anchors,
         records=records,
         diverged=bool(reason),
         divergence_reason=reason,

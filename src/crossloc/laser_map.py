@@ -20,6 +20,8 @@ from scipy.spatial import cKDTree
 # every cloud is in
 _HEADER = "crossloc-map v1 map"
 
+NORMAL_NEIGHBORHOOD = 10  # points per normal estimate, the point itself included
+
 
 class EmptyMapError(ValueError):
     """Query against a map with no points."""
@@ -129,19 +131,18 @@ def canonical_sign(normals: np.ndarray) -> np.ndarray:
     return out
 
 
-def estimate_normals(cloud: PointCloudMap, neighborhood_k: int = 10) -> PointCloudMap:
-    """Per-point normals from the smallest covariance eigenvector.
+def estimate_normals(cloud: PointCloudMap) -> PointCloudMap:
+    """Per-point normals from the smallest covariance eigenvector of each
+    point's ``NORMAL_NEIGHBORHOOD`` nearest points.
 
     A normal is left absent when the neighborhood is degenerate: the
     smallest-to-middle eigenvalue ratio exceeds 0.5 (no dominant plane), or
     the middle eigenvalue itself vanishes (points on a line).
     """
-    if neighborhood_k < 3:
-        raise ValueError("neighborhood_k must be >= 3")
     n = len(cloud)
     if n == 0:
         return cloud
-    kk = min(neighborhood_k, n)
+    kk = min(NORMAL_NEIGHBORHOOD, n)
     _, idx = cloud.tree.query(cloud.positions, k=kk)
     idx = np.atleast_2d(idx)
     if idx.shape[0] != n:  # kk == 1 collapses the axis

@@ -8,6 +8,10 @@ provides the probabilistic association diagnostics (candidate posterior,
 ground-truth association distribution, KL divergence, EM lower bound) used
 to quantify how much a map edit improves data association.
 
+The pixel gate, the newness radius d_alpha, the erosion and expansion radii
+and the ground band are module constants; ``MapFilterParams`` holds the
+count thresholds, scaled to the session count, and the ground voxel.
+
 Merge semantics (the documented rule all oracles follow): each session's
 cloud is first thinned sequentially so no two kept points lie within the
 newness radius; each base point's count increases at most once per session;
@@ -41,31 +45,26 @@ class MismatchedSupportError(ValueError):
     """KLD of distributions over different candidate sets."""
 
 
+PIXEL_GATE = 3.0  # max pixel distance laser-to-feature
+NEWNESS_RADIUS = 0.2  # merge radius d_alpha (m)
+EROSION_RADIUS = 0.3  # m
+EXPANSION_RADIUS = 0.2  # m
+GROUND_BAND = 0.15  # half-width of the ground height slab (m)
+
+
 @dataclass(frozen=True)
 class MapFilterParams:
-    """All knobs of the map pipeline, as absolute values."""
+    """The count thresholds (beta, erosion, expansion) and the ground voxel."""
 
-    pixel_gate: float = 3.0  # max pixel distance laser-to-feature
-    newness_radius: float = 0.2  # merge radius d_alpha (m)
     static_threshold: int = 2  # min observation count beta
-    erosion_radius: float = 0.3
     erosion_count: int = 3
-    expansion_radius: float = 0.2
     expansion_count: int = 2
-    ground_band: float = 0.15  # half-width of the ground height slab (m)
     ground_voxel: float = 0.5
+    ground_band = GROUND_BAND  # not a field: the bench's ground check reads it here
 
     def __post_init__(self):
-        for name in (
-            "pixel_gate",
-            "newness_radius",
-            "erosion_radius",
-            "expansion_radius",
-            "ground_band",
-            "ground_voxel",
-        ):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+        if self.ground_voxel <= 0:
+            raise ValueError("ground_voxel must be positive")
 
     @staticmethod
     def for_sessions(n_sessions: int) -> "MapFilterParams":
@@ -158,11 +157,11 @@ def _placed(session: SessionData, chunk: _ScanChunk, keep: np.ndarray | None = N
 _CELL_GATES = 2.5
 
 
-def vision_transform_session(session: SessionData, params: MapFilterParams) -> PointCloudMap:
+def vision_transform_session(session: SessionData) -> PointCloudMap:
     """Keep laser points whose image projection lands near a visual feature.
 
     Scan points are projected into the (left) camera through the
-    laser-to-camera extrinsic; points within ``pixel_gate`` of any feature
+    laser-to-camera extrinsic; points within ``PIXEL_GATE`` of any feature
     pixel of the scan's frame are transformed into the map frame via the
     ground-truth pose and accumulated (counts 1, labels carried). Scan,
     frame and ground-truth row k share one timestamp, so scan k takes
@@ -172,7 +171,7 @@ def vision_transform_session(session: SessionData, params: MapFilterParams) -> P
     """
     pts, labels = [np.zeros((0, 3))], [np.zeros(0, int)]
     for chunk in _scan_chunks(session):
-        keep = _near_features(session, chunk, params.pixel_gate)
+        keep = _near_features(session, chunk, PIXEL_GATE)
         pts.append(_placed(session, chunk, keep))
         labels.append(chunk.labels[keep])
     return PointCloudMap(np.concatenate(pts), labels=np.concatenate(labels))
@@ -257,7 +256,7 @@ def sequential_thin(points: np.ndarray, radius: float) -> np.ndarray:
     return np.flatnonzero(kept)
 
 
-def merge_sessions(transformed: list[PointCloudMap], params: MapFilterParams) -> PointCloudMap:
+def merge_sessions(transformed: list[PointCloudMap]) -> PointCloudMap:
     """Sequential merge: count re-observations, insert genuinely new points."""
     if not transformed:
         raise ValueError("need at least one session")
@@ -266,7 +265,7 @@ def merge_sessions(transformed: list[PointCloudMap], params: MapFilterParams) ->
     base_labels: np.ndarray | None = None
     have_labels = all(c.labels is not None for c in transformed)
     for i, cloud in enumerate(transformed):
-        keep = sequential_thin(cloud.positions, params.newness_radius)
+        keep = sequential_thin(cloud.positions, NEWNESS_RADIUS)
         pts = cloud.positions[keep]
         labels = cloud.labels[keep] if have_labels else None
         if i == 0 or base_pts is None or len(base_pts) == 0:
@@ -278,7 +277,7 @@ def merge_sessions(transformed: list[PointCloudMap], params: MapFilterParams) ->
             continue
         tree = cKDTree(base_pts)
         dist, idx = tree.query(pts)
-        is_new = dist > params.newness_radius
+        is_new = dist > NEWNESS_RADIUS
         matched = np.unique(idx[~is_new])
         base_counts[matched] += 1
         if is_new.any():
@@ -321,7 +320,7 @@ def erode_static(static: PointCloudMap, dynamic: PointCloudMap, params: MapFilte
     if len(static) == 0 or len(dynamic) == 0:
         return static, dynamic
     dist, _ = dynamic.tree.query(static.positions)
-    move = (dist < params.erosion_radius) & (static.counts < params.erosion_count)
+    move = (dist < EROSION_RADIUS) & (static.counts < params.erosion_count)
     return static.subset(~move), concat_clouds(dynamic, static.subset(move))
 
 
@@ -330,7 +329,7 @@ def expand_static(static: PointCloudMap, dynamic: PointCloudMap, params: MapFilt
     if len(static) == 0 or len(dynamic) == 0:
         return static, dynamic
     dist, _ = static.tree.query(dynamic.positions)
-    move = (dist < params.expansion_radius) & (dynamic.counts > params.expansion_count)
+    move = (dist < EXPANSION_RADIUS) & (dynamic.counts > params.expansion_count)
     return concat_clouds(static, dynamic.subset(move)), dynamic.subset(~move)
 
 
@@ -432,7 +431,7 @@ def extract_ground(sessions: list[SessionData], params: MapFilterParams) -> Poin
     grid = _VoxelGrid(params.ground_voxel)
     for session in sessions:
         for chunk in _scan_chunks(session):
-            in_band = np.abs(chunk.points[:, 2] + session.rig.laser_height) <= params.ground_band
+            in_band = np.abs(chunk.points[:, 2] + session.rig.laser_height) <= GROUND_BAND
             grid.add(_placed(session, chunk, in_band), chunk.labels[in_band])
     centroids, labels = grid.centroids()
     normals = np.tile([0.0, 0.0, 1.0], (len(centroids), 1))
@@ -578,10 +577,10 @@ def run_map_pipeline(sessions: list[SessionData], params: MapFilterParams | None
     stats = []
     transformed = []
     for session in sessions:
-        cloud = vision_transform_session(session, params)
+        cloud = vision_transform_session(session)
         transformed.append(cloud)
         stats.append((f"vision_transform_session_{session.session_id}", len(cloud)))
-    merged = merge_sessions(transformed, params)
+    merged = merge_sessions(transformed)
     stats.append(("merged", len(merged)))
     static, dynamic = classify_static(merged, params)
     stats.append(("classified_static", len(static)))

@@ -74,12 +74,18 @@ def test_hybrid_localization_is_deterministic(short_inputs):
     assert {r.actions for r in run.records} == {("rigid",), ("non_rigid",)}
 
 
-@pytest.mark.parametrize(
-    "mode, m, n", [("rigid_only", 1, 3), ("nope", 1, 3), ("hybrid", 0, 3), ("hybrid", 1, 0)]
-)
-def test_schedule_rejects_unknown_modes_and_ratios(mode, m, n):
+@pytest.mark.parametrize("mode", ["rigid_only", "nope"])
+def test_schedule_rejects_unknown_modes(mode):
     with pytest.raises(ValueError):
-        estimator.BaSchedule(mode, m, n)
+        estimator.BaSchedule(mode)
+
+
+def test_schedule_cycles():
+    """Hybrid: one non-rigid step, then three rigid ones, over and over."""
+    hybrid, non_rigid = estimator.BaSchedule("hybrid"), estimator.BaSchedule("non_rigid_only")
+    cycle = [("non_rigid",)] + [("rigid",)] * 3
+    assert [hybrid.actions_at(c) for c in range(8)] == 2 * cycle
+    assert [non_rigid.actions_at(c) for c in range(8)] == [("non_rigid",)] * 8
 
 
 def _keyframe(kf_id, ids):
@@ -275,6 +281,20 @@ def test_missing_frame_time_samples(short_inputs):
     at_frame = np.isin(samples[:, 0], query.gt_times[1:])
     assert at_frame.sum() == len(query.gt_times) - 1
     _assert_keyframes_span_their_gaps(replace(query, imu_samples=samples[~at_frame]), guess)
+
+
+@pytest.mark.parametrize("back", [5, 8, 11])
+def test_imu_stream_ending_before_the_last_frames(short_inputs, back):
+    """An IMU stream that ends 0.055 s after an early frame: keyframes stop
+    at the first frame after its last sample, each spans its whole gap, and
+    the run ends cleanly."""
+    query, cloud, guess = short_inputs
+    end = query.gt_times[-back] + 0.055
+    cut = replace(query, imu_samples=query.imu_samples[query.imu_samples[:, 0] <= end])
+    _assert_keyframes_span_their_gaps(cut, guess)
+    run = estimator.run_localization(cut, cloud, guess)
+    assert not run.diverged, run.divergence_reason
+    assert query.gt_times[run.records[-1].keyframe_id] <= end
 
 
 def _assert_keyframes_span_their_gaps(query, guess):
@@ -538,9 +558,7 @@ def test_association_matches_one_landmark_at_a_time():
     ground = np.column_stack([rng.uniform(-6, 6, 600), rng.uniform(-6, 6, 600), np.zeros(600)])
     wall = np.column_stack([np.full(300, 5.0), rng.uniform(-6, 6, 300), rng.uniform(0, 3, 300)])
     scatter = rng.uniform(-6, 6, size=(100, 3))
-    cloud = laser_map.estimate_normals(
-        laser_map.PointCloudMap(np.vstack([ground, wall, scatter])), neighborhood_k=8
-    )
+    cloud = laser_map.estimate_normals(laser_map.PointCloudMap(np.vstack([ground, wall, scatter])))
     assert 0 < cloud.has_normal().sum() < len(cloud)
     cfg = estimator.EstimatorConfig()
     anchor = se3_exp(np.array([0.0, 0.0, 0.1, 0.2, -0.1, 0.0]))

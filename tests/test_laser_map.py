@@ -122,21 +122,21 @@ class TestEstimateNormals:
     def test_planar_cloud(self):
         rng = np.random.default_rng(3)
         pts = np.column_stack([rng.uniform(-5, 5, 400), rng.uniform(-5, 5, 400), np.zeros(400)])
-        cloud = lm.estimate_normals(lm.PointCloudMap(pts), neighborhood_k=10)
+        cloud = lm.estimate_normals(lm.PointCloudMap(pts))
         assert np.all(cloud.has_normal())
         assert np.allclose(cloud.normals, [0, 0, 1.0], atol=1e-6)
 
     def test_thin_pole_degenerate(self):
         z = np.linspace(0, 3, 60)
         pts = np.column_stack([np.zeros_like(z), np.zeros_like(z), z])
-        cloud = lm.estimate_normals(lm.PointCloudMap(pts), neighborhood_k=8)
+        cloud = lm.estimate_normals(lm.PointCloudMap(pts))
         assert not np.any(cloud.has_normal())
 
     def test_sphere_normals_radial(self):
         rng = np.random.default_rng(4)
         v = rng.normal(size=(3000, 3))
         pts = v / np.linalg.norm(v, axis=1, keepdims=True)
-        cloud = lm.estimate_normals(lm.PointCloudMap(pts), neighborhood_k=12)
+        cloud = lm.estimate_normals(lm.PointCloudMap(pts))
         ok = cloud.has_normal()
         assert ok.mean() > 0.99
         cosang = np.abs(np.sum(cloud.normals[ok] * pts[ok], axis=1))
@@ -149,16 +149,12 @@ class TestEstimateNormals:
             [rng.uniform(-3, 3, 500), rng.uniform(-3, 3, 500), 0.05 * rng.normal(size=500)]
         )
         rot = so3_exp(np.array([0.4, -0.3, 0.8]))
-        a = lm.estimate_normals(lm.PointCloudMap(base), neighborhood_k=10)
-        b = lm.estimate_normals(lm.PointCloudMap(base @ rot.T), neighborhood_k=10)
+        a = lm.estimate_normals(lm.PointCloudMap(base))
+        b = lm.estimate_normals(lm.PointCloudMap(base @ rot.T))
         ok = a.has_normal() & b.has_normal()
         rotated = a.normals[ok] @ rot.T
         cosang = np.abs(np.sum(rotated * b.normals[ok], axis=1))
         assert np.all(cosang > 1.0 - 1e-6)
-
-    def test_small_k_rejected(self):
-        with pytest.raises(ValueError):
-            lm.estimate_normals(lm.PointCloudMap(np.zeros((4, 3))), neighborhood_k=2)
 
 
 class TestNormalConsistency:
@@ -223,7 +219,7 @@ class TestMapIO:
     def test_round_trip(self, tmp_path):
         rng = np.random.default_rng(7)
         cloud = random_cloud(rng, 200)
-        cloud = lm.estimate_normals(cloud, neighborhood_k=10)
+        cloud = lm.estimate_normals(cloud)
         path = tmp_path / "map.txt"
         lm.save_map(cloud, path)
         back = lm.load_map(path)

@@ -28,20 +28,6 @@ def short_session():
     return sim.generate_session(world, spec, rig, session_id=0, seed=11, duration=6.0)
 
 
-def make_params(**kw):
-    base = dict(
-        pixel_gate=3.0,
-        newness_radius=0.2,
-        static_threshold=2,
-        erosion_radius=0.3,
-        erosion_count=3,
-        expansion_radius=0.2,
-        expansion_count=2,
-    )
-    base.update(kw)
-    return mp.MapFilterParams(**base)
-
-
 class TestVisionTransform:
     def test_no_features_keeps_nothing(self, short_session):
         s = short_session
@@ -49,7 +35,7 @@ class TestVisionTransform:
         clone = SessionData(
             s.session_id, s.rig, s.gt_times, s.gt_poses, s.imu_samples, empty_frames, s.scans
         )
-        cloud = mp.vision_transform_session(clone, make_params())
+        cloud = mp.vision_transform_session(clone)
         assert len(cloud) == 0
 
     def test_exact_pixel_match_kept(self):
@@ -70,17 +56,18 @@ class TestVisionTransform:
             [FrameObservations(np.array([1]), np.array([[uv[0], uv[1], uv[0] - 40, uv[1]]]))],
             [(p_laser[None, :], np.array([5]))],
         )
-        cloud = mp.vision_transform_session(session, make_params(pixel_gate=2.0))
+        cloud = mp.vision_transform_session(session)
         assert len(cloud) == 1
         assert np.allclose(cloud.positions[0], p_world, atol=1e-9)
         assert cloud.labels[0] == 5
 
-    def test_matches_brute_force_oracle(self, short_session):
+    def test_matches_brute_force_oracle(self, short_session, monkeypatch):
         # three gates put the coarse cells' edges at three spacings across
         # the same features
-        for gate in (1.1, 3.0, 7.3):
+        for gate in (1.1, mp.PIXEL_GATE, 7.3):
+            monkeypatch.setattr(mp, "PIXEL_GATE", gate)
             session, inside = edge_case_session(short_session, gate)
-            got = mp.vision_transform_session(session, make_params(pixel_gate=gate))
+            got = mp.vision_transform_session(session)
 
             kept = near_feature_returns(session, gate)
             for k, idx in inside.items():
@@ -104,12 +91,11 @@ class TestVisionTransform:
     def test_chunks_leave_the_bits(self, short_session, monkeypatch):
         # a chunk of 1 return is one scan, 2,000 returns are three scans, and
         # the default holds the whole session, its featureless frame mid-chunk
-        session, _ = edge_case_session(short_session, 3.0, n_scans=len(short_session.scans))
-        params = make_params()
+        session, _ = edge_case_session(short_session, mp.PIXEL_GATE, n_scans=len(short_session.scans))
         clouds = []
         for chunk in (1, 2_000, mp._CHUNK_POINTS):
             monkeypatch.setattr(mp, "_CHUNK_POINTS", chunk)
-            clouds.append(mp.vision_transform_session(session, params))
+            clouds.append(mp.vision_transform_session(session))
         assert len(clouds[0]) > 0
         for cloud in clouds[1:]:
             assert cloud.positions.dtype == clouds[0].positions.dtype
@@ -123,7 +109,7 @@ class TestVisionTransform:
         no_features = FrameObservations(np.zeros(0, int), np.zeros((0, 4)))
         cut = replace(s, frames=s.frames[:m])
         padded = replace(s, frames=s.frames[:m] + [no_features] * (len(s.scans) - m))
-        got, want = (mp.vision_transform_session(x, make_params()) for x in (cut, padded))
+        got, want = (mp.vision_transform_session(x) for x in (cut, padded))
         assert len(got) > 0
         np.testing.assert_array_equal(got.positions, want.positions)
         np.testing.assert_array_equal(got.labels, want.labels)
@@ -140,7 +126,7 @@ class TestVisionTransform:
         assert len(back.frames) == last and len(back.scans) == last + 1
         no_features = FrameObservations(np.zeros(0, int), np.zeros((0, 4)))
         padded = replace(back, frames=back.frames + [no_features])
-        got, want = (mp.vision_transform_session(x, make_params()) for x in (back, padded))
+        got, want = (mp.vision_transform_session(x) for x in (back, padded))
         assert len(got) > 0
         np.testing.assert_array_equal(got.positions, want.positions)
         np.testing.assert_array_equal(got.labels, want.labels)
@@ -221,9 +207,9 @@ class TestScanPoses:
         rows = (s.session_id, s.rig, s.gt_times[:m], s.gt_poses[:m], s.imu_samples)
         cut_truth = SessionData(*rows, s.frames, s.scans)
         cut_all = SessionData(*rows, s.frames[:m], s.scans[:m])
-        params = make_params()
+        params = mp.MapFilterParams()
         for build in (
-            lambda session: mp.vision_transform_session(session, params),
+            mp.vision_transform_session,
             lambda session: mp.extract_ground([session], params),
             mp.build_full_map,
         ):
@@ -251,7 +237,7 @@ class TestScanPoses:
             [FrameObservations(np.zeros(0, int), np.zeros((0, 4)))],
             [(np.zeros((0, 3)), np.zeros(0, int))],
         )
-        for cloud in (mp.build_full_map(session), mp.extract_ground([session], make_params())):
+        for cloud in (mp.build_full_map(session), mp.extract_ground([session], mp.MapFilterParams())):
             assert len(cloud) == 0
             assert cloud.labels is not None and cloud.labels.shape == (0,)
 
@@ -265,7 +251,7 @@ class TestMergeSessions:
     def test_single_session_counts_one(self):
         rng = np.random.default_rng(0)
         cloud = cloud_of(rng.uniform(-5, 5, (200, 3)))
-        merged = mp.merge_sessions([cloud], make_params())
+        merged = mp.merge_sessions([cloud])
         assert np.all(merged.counts == 1)
 
     def test_identical_sessions_count_two(self):
@@ -273,8 +259,7 @@ class TestMergeSessions:
         pts = rng.uniform(-5, 5, (100, 3))
         # spread out so within-session thinning keeps everything
         pts = pts * 10.0
-        params = make_params(newness_radius=0.1)
-        merged = mp.merge_sessions([cloud_of(pts), cloud_of(pts.copy())], params)
+        merged = mp.merge_sessions([cloud_of(pts), cloud_of(pts.copy())])
         assert len(merged) == len(pts)
         assert np.all(merged.counts == 2)
 
@@ -311,14 +296,13 @@ class TestMergeSessions:
         spec = sim.TrajectorySpec(
             np.array([[-8.0, 0.0, sim.BODY_HEIGHT], [8.0, 0.0, sim.BODY_HEIGHT]]), speed=2.0
         )
-        params = mp.MapFilterParams.for_sessions(5)
         clouds = []
         for sid in range(5):
             session = sim.generate_session(
                 world, spec, rig, session_id=sid, seed=2, duration=8.0, noise=False
             )
-            clouds.append(mp.vision_transform_session(session, params))
-        merged = mp.merge_sessions(clouds, params)
+            clouds.append(mp.vision_transform_session(session))
+        merged = mp.merge_sessions(clouds)
         car_mask = merged.labels == 2
         assert car_mask.any()
         assert np.all(merged.counts[car_mask] == 1)
@@ -327,13 +311,12 @@ class TestMergeSessions:
 
     def test_matches_brute_force_oracle(self):
         rng = np.random.default_rng(3)
-        params = make_params(newness_radius=0.25)
+        r = mp.NEWNESS_RADIUS
         clouds = [cloud_of(rng.uniform(-2, 2, (rng.integers(30, 80), 3))) for _ in range(4)]
-        merged = mp.merge_sessions(clouds, params)
+        merged = mp.merge_sessions(clouds)
 
         # oracle: same documented rule, plain loops
         base, counts = [], []
-        r = params.newness_radius
         for i, cloud in enumerate(clouds):
             kept = list(cloud.positions[first_come_thin(cloud.positions, r)])
             if i == 0:
@@ -388,16 +371,16 @@ class TestClassifyErodeExpand:
     def test_uniform_counts_all_static(self):
         cloud = PointCloudMap(np.random.default_rng(0).uniform(size=(50, 3)),
                               counts=np.full(50, 8))
-        static, dynamic = mp.classify_static(cloud, make_params(static_threshold=4))
+        static, dynamic = mp.classify_static(cloud, mp.MapFilterParams(static_threshold=4))
         assert len(static) == 50 and len(dynamic) == 0
 
     def test_below_threshold_dynamic(self):
         cloud = PointCloudMap(np.zeros((1, 3)), counts=np.array([1]))
-        static, dynamic = mp.classify_static(cloud, make_params(static_threshold=3))
+        static, dynamic = mp.classify_static(cloud, mp.MapFilterParams(static_threshold=3))
         assert len(static) == 0 and len(dynamic) == 1
 
     def test_erosion_both_conditions(self):
-        params = make_params(erosion_radius=0.5, erosion_count=4)
+        params = mp.MapFilterParams(erosion_count=4)
         static = PointCloudMap(
             np.array([[0.0, 0, 0], [5.0, 0, 0]]), counts=np.array([3, 3])
         )
@@ -407,32 +390,32 @@ class TestClassifyErodeExpand:
         assert len(dynamic2) == 2
 
     def test_erosion_empty_dynamic_is_noop(self):
-        params = make_params()
+        params = mp.MapFilterParams()
         static = cloud_of(np.random.default_rng(1).uniform(size=(20, 3)))
         empty = PointCloudMap(np.zeros((0, 3)))
         static2, _ = mp.erode_static(static, empty, params)
         assert len(static2) == 20
 
     def test_expansion_both_conditions(self):
-        params = make_params(expansion_radius=0.5, expansion_count=2)
+        params = mp.MapFilterParams(expansion_count=2)
         static = PointCloudMap(np.array([[0.0, 0, 0]]), counts=np.array([8]))
         dynamic = PointCloudMap(
-            np.array([[0.3, 0, 0], [0.4, 0, 0], [3.0, 0, 0]]),
+            np.array([[0.1, 0, 0], [0.15, 0, 0], [3.0, 0, 0]]),
             counts=np.array([3, 1, 5]),
         )
         static2, dynamic2 = mp.expand_static(static, dynamic, params)
         assert len(static2) == 2  # original + the close high-count point
         assert len(dynamic2) == 2
 
-    def test_randomized_match_brute_force(self):
+    def test_randomized_match_brute_force(self, monkeypatch):
         rng = np.random.default_rng(4)
         for _ in range(20):
-            params = make_params(
-                erosion_radius=float(rng.uniform(0.1, 0.6)),
-                erosion_count=int(rng.integers(2, 6)),
-                expansion_radius=float(rng.uniform(0.1, 0.6)),
-                expansion_count=int(rng.integers(1, 5)),
-            )
+            erosion_radius = float(rng.uniform(0.1, 0.6))
+            erosion_count = int(rng.integers(2, 6))
+            expansion_radius = float(rng.uniform(0.1, 0.6))
+            params = mp.MapFilterParams(erosion_count=erosion_count, expansion_count=int(rng.integers(1, 5)))
+            monkeypatch.setattr(mp, "EROSION_RADIUS", erosion_radius)
+            monkeypatch.setattr(mp, "EXPANSION_RADIUS", expansion_radius)
             ns, nd = int(rng.integers(5, 60)), int(rng.integers(5, 60))
             static = PointCloudMap(
                 rng.uniform(-1.5, 1.5, (ns, 3)), counts=rng.integers(1, 9, ns)
@@ -443,7 +426,7 @@ class TestClassifyErodeExpand:
             s2, d2 = mp.erode_static(static, dynamic, params)
             move = np.array(
                 [
-                    min(np.linalg.norm(p - q) for q in dynamic.positions) < params.erosion_radius
+                    min(np.linalg.norm(p - q) for q in dynamic.positions) < erosion_radius
                     and c < params.erosion_count
                     for p, c in zip(static.positions, static.counts)
                 ]
@@ -455,7 +438,7 @@ class TestClassifyErodeExpand:
             s3, d3 = mp.expand_static(s2, d2, params)
             move2 = np.array(
                 [
-                    min(np.linalg.norm(p - q) for q in s2.positions) < params.expansion_radius
+                    min(np.linalg.norm(p - q) for q in s2.positions) < expansion_radius
                     and c > params.expansion_count
                     for p, c in zip(d2.positions, d2.counts)
                 ]
@@ -470,9 +453,9 @@ class TestClassifyErodeExpand:
         )
         sizes = []
         for beta in range(1, 9):
-            static, dynamic = mp.classify_static(cloud, make_params(static_threshold=beta))
+            static, dynamic = mp.classify_static(cloud, mp.MapFilterParams(static_threshold=beta))
             sizes.append(len(static))
-            params = make_params(static_threshold=beta)
+            params = mp.MapFilterParams(static_threshold=beta)
             s2, d2 = mp.erode_static(static, dynamic, params)
             assert len(s2) + len(d2) == 300
             s3, d3 = mp.expand_static(s2, d2, params)
@@ -576,28 +559,28 @@ class TestVoxelCentroids:
 class TestExtractGround:
     def test_flat_ground_band(self):
         session = fake_ground_session(slope=0.0)
-        params = make_params(ground_band=0.1, ground_voxel=0.5)
+        params = mp.MapFilterParams(ground_voxel=0.5)
         ground = mp.extract_ground([session], params)
         assert len(ground) > 0
-        assert np.all(np.abs(ground.positions[:, 2]) < 0.1 + 1e-9)
+        assert np.all(np.abs(ground.positions[:, 2]) < mp.GROUND_BAND + 1e-9)
         assert np.all(ground.ground)
         assert np.allclose(ground.normals, [0, 0, 1.0])
 
     def test_voxel_uniqueness(self):
         session = fake_ground_session(slope=0.0, seed=3)
-        params = make_params(ground_band=0.12, ground_voxel=0.5)
+        params = mp.MapFilterParams(ground_voxel=0.5)
         ground = mp.extract_ground([session], params)
         cells = np.floor(ground.positions / params.ground_voxel).astype(int)
         assert len(np.unique(cells, axis=0)) == len(cells)
 
     def test_sloped_scene_matches_brute_force(self):
         session = fake_ground_session(slope=0.08, seed=4)
-        params = make_params(ground_band=0.15, ground_voxel=0.4)
+        params = mp.MapFilterParams(ground_voxel=0.4)
         ground = mp.extract_ground([session], params)
 
         pts = []
         for k, (points_f, _) in enumerate(session.scans):
-            keep = np.abs(points_f[:, 2] + session.rig.laser_height) <= params.ground_band
+            keep = np.abs(points_f[:, 2] + session.rig.laser_height) <= mp.GROUND_BAND
             pose = session.gt_poses[k] @ session.rig.body_t_laser
             for p in points_f[keep]:
                 pts.append(pose.apply(p))
@@ -626,11 +609,11 @@ class TestStreamedGround:
         return out
 
     @staticmethod
-    def in_band_points(sessions, params):
+    def in_band_points(sessions):
         pts, labels = [np.zeros((0, 3))], [np.zeros(0, int)]
         for session in sessions:
             for k, (points_f, scan_labels) in enumerate(session.scans):
-                keep = np.abs(points_f[:, 2] + session.rig.laser_height) <= params.ground_band
+                keep = np.abs(points_f[:, 2] + session.rig.laser_height) <= mp.GROUND_BAND
                 pose = session.gt_poses[k] @ session.rig.body_t_laser
                 pts.append(pose.apply(points_f[keep]))
                 labels.append(scan_labels[keep])
@@ -642,12 +625,12 @@ class TestStreamedGround:
         # Scans 2 m apart and sessions on one route share cells, so cells
         # are split across chunk and session boundaries
         monkeypatch.setattr(mp, "_CHUNK_POINTS", chunk)
-        params = make_params(ground_band=0.1, ground_voxel=0.5)
+        params = mp.MapFilterParams(ground_voxel=0.5)
         no_returns = self.sessions(1)[0]
         no_returns.scans = [(pts + [0.0, 0.0, 5.0], labels) for pts, labels in no_returns.scans]
         for sessions in ([], self.sessions(3), self.sessions(3)[:1] + [no_returns] + self.sessions(2)):
             ground = mp.extract_ground(sessions, params)
-            pts, labels = self.in_band_points(sessions, params)
+            pts, labels = self.in_band_points(sessions)
             _, first, centroids = voxel_cells(pts, params.ground_voxel)
             assert ground.positions.dtype == centroids.dtype == np.float64
             np.testing.assert_array_equal(ground.positions, centroids)
@@ -659,7 +642,7 @@ class TestStreamedGround:
         # four sessions over the same ground: four times the returns of one
         # in nearly the same cells (736 against 715)
         monkeypatch.setattr(mp, "_CHUNK_POINTS", 300)
-        params = make_params(ground_band=0.15, ground_voxel=1.0)
+        params = mp.MapFilterParams(ground_voxel=1.0)
         peaks = []
         for n_sessions in (1, 4):
             sessions = self.sessions(n_sessions, n_scans=20, slope=0.0)
@@ -683,8 +666,7 @@ class TestBuildFinalMap:
 
     def test_ground_only_map_all_point_to_plane(self):
         session = fake_ground_session()
-        params = make_params(ground_band=0.12)
-        ground = mp.extract_ground([session], params)
+        ground = mp.extract_ground([session], mp.MapFilterParams())
         empty = PointCloudMap(np.zeros((0, 3)))
         final = mp.build_final_map(empty, ground)
         assert np.all(final.ground)
@@ -695,7 +677,7 @@ class TestBuildFinalMap:
         rng = np.random.default_rng(7)
         static = cloud_of(rng.uniform(-3, 3, (120, 3)))
         session = fake_ground_session(seed=8)
-        ground = mp.extract_ground([session], make_params())
+        ground = mp.extract_ground([session], mp.MapFilterParams())
         final = mp.build_final_map(static, ground)
         assert len(final) == len(static) + len(ground)
 
@@ -831,6 +813,17 @@ class TestAssociationDiagnostics:
         assert calls == [60, 60]  # one call of all 60 points each
         assert mp.association_log_likelihood(pts[:0], cloud, transform, sigma=0.15, k=12) == 0.0
         assert mp.em_lower_bound(pts[:0], cloud, transform, sigma=0.15, k=12) == 0.0
+
+
+def test_filter_params():
+    """``for_sessions`` scales the counts to the session count, the ground
+    band is the module's, and a ground voxel must be positive."""
+    params = mp.MapFilterParams.for_sessions(3)
+    assert (params.static_threshold, params.erosion_count, params.expansion_count) == (2, 3, 2)
+    assert params.ground_band == mp.GROUND_BAND
+    for voxel in (0.0, -0.5):
+        with pytest.raises(ValueError, match="ground_voxel"):
+            mp.MapFilterParams(ground_voxel=voxel)
 
 
 class TestPipelineDriver:

@@ -367,3 +367,160 @@ def test_entry_points_are_unread_otherwise():
     caller lands, its entry goes."""
     unread = {entry.split(" (line")[0] for entry in unread_definitions(*_package_and_bench())}
     assert set(ENTRY_POINTS) <= unread, set(ENTRY_POINTS) - unread
+
+
+# Defaults of public src definitions that no src or perfbench call sets, each
+# with the measurement or the scene it describes that varies it. A default
+# that nothing varies is a module constant; an entry goes when a call sets it.
+KEPT_OPTIONS = {
+    "estimator.EstimatorConfig.window_capacity": "Table A: capacities 7, 12 and 20",
+    "estimator.EstimatorConfig.max_iterations": "Table A: 4, 8 and 16 iterations",
+    "estimator.EstimatorConfig.knn_k": "Table C: k-NN k 20",
+    "estimator.EstimatorConfig.gate_radius": "Table C: a 2.5 m gate",
+    "estimator.EstimatorConfig.prior_trans_sigma": "Table C: prior sigmas of 0.3 and 1.0 m",
+    "estimator.run_localization.cfg": "Tables A and C: a sweep passes its config",
+    "map_pipeline.MapFilterParams.ground_voxel": "Table D: a 1.0 m ground voxel",
+    "map_pipeline.run_map_pipeline.params": "Table D: a sweep passes its ground voxel",
+    "simulator.PlanarPatch.sessions": "the scene: an element only some sessions see",
+    "simulator.Pole.sessions": "the scene: an element only some sessions see",
+    "simulator.ScatterCluster.sessions": "the scene: an element only some sessions see",
+    "simulator.ScatterCluster.point_radius": "the scene: a bush's spread (direction 11's seasons)",
+    "simulator.TrajectorySpec.speed": "the scene: a route's speed",
+    "simulator.generate_session.pixel_sigma": "the sensors: pixel noise",
+    "simulator.generate_session.outlier_fraction": "the sensors: pixel outliers (direction 4)",
+    "simulator.generate_session.noise": "the sensors: noise-free sessions",
+    "simulator.default_world.seed": "the scene: another world",
+    "simulator.default_world.car_sessions": "the scene: the sessions that see the parked cars",
+}
+
+
+def _parameters(function: ast.FunctionDef, bound: bool):
+    """A function's parameters that a call fills by position, after a bound
+    first one unless it is a ``staticmethod``, and the line of each that has
+    a default."""
+    args = function.args
+    positional = args.posonlyargs + args.args
+    defaulted = positional[len(positional) - len(args.defaults):]
+    defaulted += [a for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
+    if bound and "staticmethod" not in [ast.unparse(d) for d in function.decorator_list]:
+        positional = positional[1:]
+    return [a.arg for a in positional], {a.arg: a.lineno for a in defaulted}
+
+
+def _signatures(module: str, source: str):
+    """``(name, callee, positional parameters, {defaulted parameter: line})``
+    of each public module-level function, each public method of a public
+    module-level class, and each such class's constructor: its dataclass
+    fields, and its ``__init__``. A method is called by its own name, a
+    constructor by its class's, and both are named ``module.Class``."""
+    for node in ast.parse(source).body:
+        if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name.startswith("_"):
+            continue
+        name = f"{module}.{node.name}"
+        if isinstance(node, ast.FunctionDef):
+            yield (name, node.name, *_parameters(node, bound=False))
+            continue
+        if any(ast.unparse(d).split("(")[0] == "dataclass" for d in node.decorator_list):
+            fields = [f for f in node.body if isinstance(f, ast.AnnAssign)]
+            defaults = {f.target.id: f.lineno for f in fields if f.value is not None}
+            yield name, node.name, [f.target.id for f in fields], defaults
+        for method in node.body:
+            if isinstance(method, ast.FunctionDef) and method.name == "__init__":
+                yield (name, node.name, *_parameters(method, bound=True))
+            elif isinstance(method, ast.FunctionDef) and not method.name.startswith("_"):
+                yield (f"{name}.{method.name}", method.name, *_parameters(method, bound=True))
+
+
+def _sets(call: ast.Call, positional: list, parameter: str) -> bool:
+    """Whether ``call`` sets ``parameter``: by keyword or ``**``, or by its
+    place in ``positional``, which a starred argument fills from its own on."""
+    keywords = {k.arg for k in call.keywords}
+    if parameter in keywords or None in keywords:
+        return True
+    starred = any(isinstance(a, ast.Starred) for a in call.args)
+    return parameter in positional and (starred or positional.index(parameter) < len(call.args))
+
+
+def unset_defaults(modules: dict, readers=(), kept=()) -> list[str]:
+    """Defaults in the ``_signatures`` of ``modules`` (name -> source) that
+    no call in ``modules`` or ``readers`` sets, as ``name.parameter (line
+    n)``, leaving out those that ``kept`` names, or whose definition it
+    names. A callee is matched by name alone, as ``unread_definitions``
+    matches a read."""
+    calls = {}
+    for source in [*modules.values(), *readers]:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Call):
+                callee = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+                calls.setdefault(callee, []).append(node)
+    found = []
+    for module, source in modules.items():
+        for name, callee, positional, defaults in _signatures(module, source):
+            for parameter, line in defaults.items():
+                option = f"{name}.{parameter}"
+                if name in kept or option in kept:
+                    continue
+                if not any(_sets(call, positional, parameter) for call in calls.get(callee, [])):
+                    found.append(f"{option} (line {line})")
+    return found
+
+
+def test_unset_defaults_are_found():
+    modules = {
+        "geo": (
+            "from dataclasses import dataclass, field\n"
+            "def area(w, h=1.0, *, unit='m', scale=2): pass\n"
+            "def volume(w, depth=1.0): pass\n"
+            "def ratio(a, b=1.0): pass\n"
+            "def _private(k=3): pass\n"
+            "@dataclass(frozen=True)\n"
+            "class Box:\n"
+            "    w: float\n"
+            "    h: float = 1.0\n"
+            "    d: float = 1.0\n"
+            "    tag: str = field(default='')\n"
+            "    def grow(self, by=1.0, twice=False): pass\n"
+            "    @staticmethod\n"
+            "    def unit(size=1.0): pass\n"
+            "class Grid:\n"
+            "    def __init__(self, cell=0.5, seed=0): pass\n"
+            "    def fill(self, value=0): pass\n"
+            "    def _hidden(self, k=2): pass\n"
+            "@dataclass\n"
+            "class Spec:\n"
+            "    name: str\n"
+            "    kind = 'spec'\n"
+        ),
+        "app": (
+            "from .geo import Box, Grid, area, volume\n"
+            "area(2.0, 3.0, unit='cm')\n"
+            "log(scale=2, d=3, seed=1)\n"
+            "volume(*sizes)\n"
+            "b = Box(1.0, 2.0)\n"
+            "b.grow(2.0)\n"
+            "Box.unit(3.0)\n"
+            "Grid(0.25)\n"
+        ),
+    }
+    bench = "ratio(**options)\n"
+    assert unset_defaults(modules, [bench], {"geo.Box.tag", "geo.Grid.fill"}) == [
+        "geo.area.scale (line 2)",
+        "geo.Box.d (line 10)",
+        "geo.Box.grow.twice (line 12)",
+        "geo.Grid.seed (line 16)",
+    ]
+
+
+def test_every_default_is_set():
+    """A default is set by some ``src`` or benchmark call, or it is a
+    constant: ``KEPT_OPTIONS`` lists those a measurement varies, and an
+    entry point's wait for its caller."""
+    modules, readers = _package_and_bench()
+    assert unset_defaults(modules, readers, set(ENTRY_POINTS) | set(KEPT_OPTIONS)) == []
+
+
+def test_kept_options_are_unset_otherwise():
+    """Every ``KEPT_OPTIONS`` name is a default that no call sets yet: once
+    one does, its entry goes."""
+    unset = {entry.split(" (line")[0] for entry in unset_defaults(*_package_and_bench())}
+    assert set(KEPT_OPTIONS) <= unset, set(KEPT_OPTIONS) - unset
