@@ -17,10 +17,13 @@ IMU samples between the window's newest keyframe and each later frame, by
 timestamp, and yields a keyframe wherever the policy (``_keyframe_due``:
 translation, rotation or landmark overlap) fires on a frame that tracks
 enough landmarks; ``initialize`` inserts frame 0 and its first yield,
-``run_localization`` the rest. Each insertion restacks the window's two
-tables (``SlidingWindow``), its keyframes' observation rows and its active
-landmarks; ``activate_landmarks`` then triangulates in one call every
-inactive landmark that two window keyframes see, from its first row.
+``run_localization`` the rest. The IMU stream must start at or before frame
+0, whose body the anchor guess places (``initialize`` raises otherwise);
+where it ends, keyframes stop at the first frame after its last sample.
+Each insertion restacks the window's two tables (``SlidingWindow``), its
+keyframes' observation rows and its active landmarks;
+``activate_landmarks`` then triangulates in one call every inactive
+landmark that two window keyframes see, from its first row.
 
 Both steps state their terms as arrays. The window problem
 (``_build_vio_problem``) stacks the window in block families: ``pose``,
@@ -629,18 +632,25 @@ def initialize(
 ):
     """Seed the window with the first two keyframes and stereo landmarks.
 
-    Returns ``(window, anchor)``. Raises ``TooFewObservationsError`` when
-    frame 0 tracks too few landmarks, and ``InsufficientParallaxError`` when
-    no second keyframe comes or too few landmarks triangulate.
+    Returns ``(window, anchor)``. Raises ``ValueError`` when the IMU stream
+    starts after frame 0, which would leave the head of the first keyframe
+    link unintegrated; ``TooFewObservationsError`` when frame 0 tracks too
+    few landmarks; and ``InsufficientParallaxError`` when no second keyframe
+    comes or too few landmarks triangulate.
     """
     cfg = cfg or EstimatorConfig()
     window = SlidingWindow(cfg.window_capacity)
+    t0 = float(session.gt_times[0])
+    if len(session.imu_samples) and session.imu_samples[0, 0] > t0:
+        raise ValueError(
+            f"IMU stream starts after frame 0: [{t0:.6f}, {session.imu_samples[0, 0]:.6f}) s has no samples"
+        )
     frame0 = session.frames[0]
     if len(frame0.landmark_ids) < MIN_FRAME_LANDMARKS:
         raise TooFewObservationsError(
             f"frame tracks {len(frame0.landmark_ids)} < {MIN_FRAME_LANDMARKS} landmarks"
         )
-    kf0 = Keyframe(0, float(session.gt_times[0]), _initial_state(session),
+    kf0 = Keyframe(0, t0, _initial_state(session),
                    frame0.landmark_ids.copy(), frame0.pixels.copy())
     window.insert_keyframe(kf0)
     kf1 = next(_due_keyframes(session, window), None)

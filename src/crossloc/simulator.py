@@ -27,7 +27,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .laser_map import PointCloudMap, canonical_sign
 from .liegroup import Pose, rot_z
@@ -272,14 +271,118 @@ class SampledTrajectory:
         return Pose(rot_z(self.yaws[imu_index]), self.positions[imu_index].copy())
 
 
-class TrajectorySampler:
-    """C2 time-parameterized spline through waypoints.
+def _tridiagonal_solve(band: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve a tridiagonal system, step for step as LAPACK's ``dgtsv``.
 
-    Waypoint times come from chord lengths and the speed, and the
-    path is splined directly against time, so sampled velocities and
-    accelerations are exact derivatives of the sampled positions (no ODE
-    integration between the two). Closed loops (first waypoint == last)
-    wrap periodically.
+    ``band`` is (3, n) in ``scipy.linalg.solve_banded``'s (1, 1) layout: the
+    superdiagonal from column 1, the diagonal, the subdiagonal up to column
+    n - 1, with n >= 2. ``rhs`` is (n, k). Each elimination takes the larger of the
+    diagonal and the subdiagonal entry as its pivot, and a row swap fills in
+    a second superdiagonal, which ``dgtsv`` keeps in the subdiagonal's
+    storage (zero where no swap happened).
+    """
+    upper, diag, lower = band[0, 1:].tolist(), band[1].tolist(), band[2, :-1].tolist()
+    x = np.array(rhs, dtype=float)
+    n = len(diag)
+    for i in range(n - 1):
+        if abs(diag[i]) >= abs(lower[i]):
+            factor = lower[i] / diag[i]
+            diag[i + 1] = diag[i + 1] - factor * upper[i]
+            x[i + 1] = x[i + 1] - factor * x[i]
+            lower[i] = 0.0
+        else:
+            factor = diag[i] / lower[i]
+            diag[i], below = lower[i], diag[i + 1]
+            diag[i + 1] = upper[i] - factor * below
+            if i < n - 2:
+                lower[i] = upper[i + 1]
+                upper[i + 1] = -factor * lower[i]
+            upper[i] = below
+            row = x[i].copy()
+            x[i] = x[i + 1]
+            x[i + 1] = row - factor * x[i + 1]
+    x[n - 1] = x[n - 1] / diag[n - 1]
+    x[n - 2] = (x[n - 2] - upper[n - 2] * x[n - 1]) / diag[n - 2]
+    for i in range(n - 3, -1, -1):
+        x[i] = (x[i] - upper[i] * x[i + 1] - lower[i] * x[i + 2]) / diag[i]
+    return x
+
+
+def _knot_slopes(knots: np.ndarray, y: np.ndarray, closed: bool) -> np.ndarray:
+    """The C2 cubic spline's first derivative at each knot, (n, 3).
+
+    Natural ends (zero second derivative) on an open route; on a closed one
+    the periodic system, reduced to a tridiagonal one and its corner by two
+    solves, except for three rows, which have a closed form. The system and
+    its arithmetic are ``scipy.interpolate.CubicSpline``'s, so the spline is
+    bitwise that of scipy's with LAPACK's reference ``dgtsv``.
+    """
+    n = len(knots)
+    dx = np.diff(knots)
+    dxr = dx[:, None]
+    slope = np.diff(y, axis=0) / dxr
+    if closed and n == 3:
+        t = (slope / dxr).sum(0) / (1.0 / dxr).sum(0)
+        return np.broadcast_to(t, y.shape)
+    band = np.zeros((3, n))
+    band[1, 1:-1] = 2 * (dx[:-1] + dx[1:])
+    band[0, 2:] = dx[:-1]
+    band[2, :-2] = dx[1:]
+    b = np.empty_like(y)
+    b[1:-1] = 3 * (dxr[1:] * slope[:-1] + dxr[:-1] * slope[1:])
+    if not closed:
+        # a second derivative of 0.0 at each end, written as scipy writes one
+        band[1, 0], band[0, 1] = 2 * dx[0], dx[0]
+        band[1, -1], band[2, -2] = 2 * dx[-1], dx[-1]
+        b[0] = -0.5 * 0.0 * dx[0] ** 2 + 3 * (y[1] - y[0])
+        b[-1] = 0.5 * 0.0 * dx[-1] ** 2 + 3 * (y[-1] - y[-2])
+        return _tridiagonal_solve(band, b)
+    # y[-1] == y[0] leaves n - 1 unknowns; the last row and column, cut off
+    # to make the system tridiagonal, come back through a second solve
+    band = band[:, :-1]
+    band[1, 0], band[0, 1] = 2 * (dx[-1] + dx[0]), dx[-1]
+    b = b[:-1]
+    b[0] = 3 * (dxr[0] * slope[-1] + dxr[-1] * slope[0])
+    b[-1] = 3 * (dxr[-1] * slope[-2] + dxr[-2] * slope[-1])
+    corner = np.zeros_like(b[:-1])
+    corner[0], corner[-1] = -dx[0], -dx[-3]
+    s1 = _tridiagonal_solve(band[:, :-1], b[:-1])
+    s2 = _tridiagonal_solve(band[:, :-1], corner)
+    last = (b[-1] - dx[-2] * s1[0] - dx[-1] * s1[-1]) / (
+        2 * (dx[-1] + dx[-2]) + dx[-2] * s2[0] + dx[-1] * s2[-1]
+    )
+    s = np.empty_like(y)
+    s[:-2] = s1 + last * s2
+    s[-2] = last
+    s[-1] = s[0]
+    return s
+
+
+def _power_series(c: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """``sum_k c[k] s^(K-1-k)``, summed from the constant term up with powers
+    by repeated multiplication, as ``scipy.interpolate.PPoly`` evaluates."""
+    value, power = 0.0, 1.0
+    for ck in c[::-1]:
+        value = value + ck * power
+        power = power * s
+    return value
+
+
+class TrajectorySampler:
+    """C2 time-parameterized cubic spline through waypoints.
+
+    Waypoint times come from chord lengths and the speed, and the path is
+    splined directly against time, so sampled velocities and accelerations
+    are exact derivatives of the sampled positions (no ODE integration
+    between the two). A closed route (first waypoint within 1e-12 m of the
+    last in each coordinate) has periodic ends and wraps in time; an open
+    one has natural ends and holds its end states outside them.
+
+    The spline is computed with numpy, in ``scipy.interpolate.CubicSpline``'s
+    arithmetic (``_knot_slopes``, its Hermite coefficients, ``PPoly``'s
+    derivatives and evaluation), so the simulated sessions are bitwise the
+    ones scipy's spline gave; ``tests/test_simulator.py`` holds it to
+    ``CubicSpline``.
     """
 
     def __init__(self, spec: TrajectorySpec, imu_rate: float, frame_rate: float):
@@ -294,18 +397,25 @@ class TrajectorySampler:
         wp = np.array(spec.waypoints, dtype=float)
         if spec.direction == "reverse":
             wp = wp[::-1]
-        self.closed = bool(np.allclose(wp[0], wp[-1], atol=1e-12))
+        self.closed = bool(np.allclose(wp[0], wp[-1], rtol=0.0, atol=1e-12))
         if self.closed:
-            wp[-1] = wp[0]  # scipy's periodic bc requires exact equality
+            wp[-1] = wp[0]  # the periodic system takes y[-1] as y[0]
         chord = np.linalg.norm(np.diff(wp, axis=0), axis=1)
-        if np.any(chord <= 0):
-            raise ValueError("consecutive waypoints must be distinct")
         knots = np.concatenate([[0.0], np.cumsum(chord / spec.speed)])
+        if not np.all(np.diff(knots) > 0):
+            raise ValueError("consecutive waypoints must be distinct")
         self.total_time = float(knots[-1])
-        bc = "periodic" if self.closed else "natural"
-        self.path = CubicSpline(knots, wp, bc_type=bc, axis=0)
-        self._d_path = self.path.derivative()
-        self._dd_path = self._d_path.derivative()
+        # power-basis coefficients per interval, highest power first, of the
+        # path and its two derivatives (PPoly.derivative's factors)
+        dx = np.diff(knots)[:, None]
+        slope = np.diff(wp, axis=0) / dx
+        s = _knot_slopes(knots, wp, self.closed)
+        t = (s[:-1] + s[1:] - 2 * slope) / dx
+        path = np.stack((t / dx, (slope - s[:-1]) / dx - t, s[:-1], wp[:-1]))
+        d_path = path[:-1] * np.array([3.0, 2.0, 1.0])[:, None, None]
+        dd_path = d_path[:-1] * np.array([2.0, 1.0])[:, None, None]
+        self._knots = knots
+        self._coefficients = (path, d_path, dd_path)
 
     def _wrap(self, t):
         if self.closed:
@@ -315,9 +425,10 @@ class TrajectorySampler:
     def states_at(self, times):
         """Vectorized (pos, vel, acc, yaw, yaw_rate) at the given times."""
         tw = self._wrap(np.asarray(times, dtype=float))
-        pos = self.path(tw)
-        vel = self._d_path(tw)
-        acc = self._dd_path(tw)
+        # the interval of the last knot at or below t, the last one closed
+        i = np.clip(np.searchsorted(self._knots, tw, side="right") - 1, 0, len(self._knots) - 2)
+        s = (tw - self._knots[i])[..., None]
+        pos, vel, acc = (_power_series(c[:, i], s) for c in self._coefficients)
         yaw = np.arctan2(vel[..., 1], vel[..., 0])
         denom = vel[..., 0] ** 2 + vel[..., 1] ** 2
         denom = np.maximum(denom, 1e-18)

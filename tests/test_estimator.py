@@ -297,6 +297,22 @@ def test_imu_stream_ending_before_the_last_frames(short_inputs, back):
     assert query.gt_times[run.records[-1].keyframe_id] <= end
 
 
+def test_imu_stream_starting_after_frame_0(short_inputs):
+    """A stream that starts 0.055 s after frame 0 would preintegrate the
+    first keyframe link over part of its gap: ``initialize`` names the
+    uncovered interval instead. A stream that starts on frame 0 is taken."""
+    query, _, guess = short_inputs
+    t0 = query.gt_times[0]
+    samples = query.imu_samples
+    late = replace(query, imu_samples=samples[samples[:, 0] >= t0 + 0.055])
+    assert late.imu_samples[0, 0] == pytest.approx(t0 + 0.055)
+    with pytest.raises(ValueError, match=r"\[0\.000000, 0\.055000\) s has no samples"):
+        estimator.initialize(late, guess)
+    on_time = replace(query, imu_samples=samples[samples[:, 0] >= t0])
+    assert on_time.imu_samples[0, 0] == t0
+    _assert_keyframes_span_their_gaps(on_time, guess)
+
+
 def _assert_keyframes_span_their_gaps(query, guess):
     cfg = estimator.EstimatorConfig()
     window, _ = estimator.initialize(query, guess, cfg)

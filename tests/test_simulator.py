@@ -6,6 +6,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.interpolate import CubicSpline
 
 from crossloc import imu, simulator as sim
 from crossloc.liegroup import Pose, rot_z, so3_exp
@@ -66,6 +67,17 @@ class TestTrajectory:
             dyaw = (yr - yf - np.pi) % (2 * np.pi)
             assert min(dyaw, 2 * np.pi - dyaw) < 1e-9
 
+    def test_ends_half_a_millimetre_apart_stay_open(self):
+        """Closing a route takes its ends within 1e-12 m, with no tolerance
+        relative to their size: 0.5 mm apart at x = 100 m is an open route,
+        and its last waypoint stays where it is."""
+        wp = np.array([[100.0, 0, 0.5], [110.0, 8.0, 0.5], [90.0, 8.0, 0.5], [100.0005, 0, 0.5]])
+        sampler = sim.generate_trajectory(sim.TrajectorySpec(wp), 200, 10)
+        assert not sampler.closed
+        np.testing.assert_allclose(sampler.states_at(sampler.total_time)[0], wp[-1], rtol=0, atol=1e-9)
+        wp[-1] = wp[0] + 1e-13
+        assert sim.generate_trajectory(sim.TrajectorySpec(wp), 200, 10).closed
+
     def test_bad_specs_rejected(self):
         with pytest.raises(ValueError):
             sim.TrajectorySpec(np.zeros((1, 3)))
@@ -75,6 +87,60 @@ class TestTrajectory:
             sim.generate_trajectory(
                 sim.TrajectorySpec(np.array([[0.0, 0, 0], [1.0, 0, 0]])), 200, 7
             )
+
+
+def _assert_matches_cubic_spline(spec):
+    """The sampler's positions, velocities and accelerations over 1.25 runs
+    of the route, and at its knots, against scipy's ``CubicSpline``:
+    periodic through a closed route, natural through an open one, whose end
+    states hold past its end. Return the knots."""
+    sampler = sim.generate_trajectory(spec, 200, 10)
+    wp = np.array(spec.waypoints, dtype=float)[:: -1 if spec.direction == "reverse" else 1]
+    knots = np.concatenate([[0.0], np.cumsum(np.linalg.norm(np.diff(wp, axis=0), axis=1) / spec.speed)])
+    closed = bool(np.all(np.abs(wp[0] - wp[-1]) <= 1e-12))
+    assert sampler.closed == closed
+    spline = CubicSpline(knots, wp, bc_type="periodic" if closed else "natural", axis=0)
+    times = np.concatenate([np.linspace(0.0, 1.25 * knots[-1], 1001), knots])
+    if not closed:
+        times = np.clip(times, knots[0], knots[-1])
+    for got, nu in zip(sampler.states_at(times)[:3], (0, 1, 2)):
+        np.testing.assert_allclose(got, spline(times, nu), rtol=1e-13, atol=1e-12)
+    return knots
+
+
+class TestRouteSpline:
+    """The numpy route spline against scipy's, which it computes in scipy's
+    own arithmetic. Other scipy builds may solve the knot system in another
+    order, so the match is to 1e-13 relative here, not bitwise."""
+
+    @pytest.mark.parametrize("direction", ["forward", "reverse"])
+    def test_default_routes(self, direction):
+        _assert_matches_cubic_spline(sim.default_trajectory_spec(direction))
+
+    def test_three_row_closed_route(self):
+        wp = np.array([[0.0, 0, 0.5], [10.0, 4.0, 0.5], [0.0, 0, 0.5]])
+        _assert_matches_cubic_spline(sim.TrajectorySpec(wp, speed=1.5))
+
+    def test_random_routes_with_uneven_chords(self):
+        """Routes of 2 to 13 waypoints with chords spread over two decades,
+        open and closed. A chord more than twice its predecessor's makes the
+        open route's knot system pivot on its first row."""
+        rng = np.random.default_rng(5)
+        pivoted = 0
+        for n in range(2, 14):
+            for closed in (False, True):
+                if closed and n < 3:
+                    continue
+                chords = 10.0 ** rng.uniform(-1.0, 1.0, n - 1)
+                steps = rng.normal(size=(n - 1, 3))
+                steps *= (chords / np.linalg.norm(steps, axis=1))[:, None]
+                wp = np.cumsum(np.vstack([rng.uniform(-5, 5, (1, 3)), steps]), axis=0)
+                if closed:
+                    wp[-1] = wp[0]
+                spec = sim.TrajectorySpec(wp, speed=float(rng.uniform(0.5, 4.0)))
+                dx = np.diff(_assert_matches_cubic_spline(spec))
+                pivoted += not closed and n > 2 and dx[1] > 2 * dx[0]
+        assert pivoted > 0
 
 
 class TestSynthesizeImu:

@@ -169,6 +169,57 @@ def test_no_private_imports_across_modules(path):
     assert private_imports(path.read_text()) == []
 
 
+# the one part of scipy the package may import, with its submodules
+SCIPY_ALLOWED = "scipy.spatial"
+
+
+def scipy_imports(source: str) -> list[str]:
+    """Modules of scipy a module imports from outside ``SCIPY_ALLOWED``,
+    with their lines. ``import scipy`` counts as all of scipy, and ``from
+    scipy import x`` as ``scipy.x``."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found += [(alias.name, node.lineno) for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            if node.module == "scipy":
+                found += [(f"scipy.{alias.name}", node.lineno) for alias in node.names]
+            else:
+                found.append((node.module, node.lineno))
+    return [
+        f"{module} (line {line})"
+        for module, line in found
+        if module.split(".")[0] == "scipy" and not f"{module}.".startswith(f"{SCIPY_ALLOWED}.")
+    ]
+
+
+def test_scipy_imports_are_found():
+    source = (
+        "import numpy as np\n"
+        "import scipy\n"
+        "from scipy.interpolate import CubicSpline\n"
+        "from scipy.spatial import cKDTree\n"
+        "from scipy.spatial.transform import Rotation\n"
+        "import scipy.spatial.distance, scipy.optimize\n"
+        "from scipy import spatial, fft\n"
+        "from scipy.spatialx import thing\n"
+        "from .scipy import local\n"
+        "def f(): import scipy.linalg as la\n"
+    )
+    assert scipy_imports(source) == [
+        "scipy (line 2)", "scipy.interpolate (line 3)", "scipy.optimize (line 6)", "scipy.fft (line 7)",
+        "scipy.spatialx (line 8)", "scipy.linalg (line 10)",
+    ]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda path: path.name)
+def test_scipy_only_from_spatial(path):
+    """The runtime loads no scipy beyond ``scipy.spatial`` (the k-d tree and
+    ``Rotation``): ``scipy.interpolate`` alone, which the route spline once
+    came from, also loads ``scipy.optimize`` and ``scipy.fft``."""
+    assert scipy_imports(path.read_text()) == []
+
+
 # liegroup's parts of a retraction: a module that takes them builds its own
 RETRACTION_PARTS = {"so3_exp_and_left_jacobian", "orthonormalize"}
 
