@@ -373,7 +373,7 @@ def _build_vio_problem(window, rig, gravity, solvable) -> Problem:
         res.BiasRandomWalkFactor,
         [("ba", prev), ("bg", prev), ("ba", curr), ("bg", curr)],
         None,
-        np.array([bias_information(rig.imu_noise, pre.dt_total) for pre in pres]),
+        np.array([bias_information(pre.dt_total) for pre in pres]),
         res.RobustKernel(),
     )
     return problem
@@ -616,7 +616,6 @@ def _due_keyframes(session: SessionData, window: SlidingWindow):
         pre = integrate(
             _imu_between(session, last.timestamp, timestamp),
             (last.state.gyro_bias, last.state.accel_bias),
-            rig.imu_noise,
         )
         state = predict_state(last.state, pre, rig.gravity_vector())
         frame = session.frames[k]

@@ -2,8 +2,7 @@
 
 An IMU stream is one float array of shape (N, 7), a row per sample with
 the columns ``t wx wy wz ax ay az``: timestamp (s), angular rate (rad/s)
-and specific force (m/s^2), both in the body frame. These are the rows of
-a session's ``imu.txt``.
+and specific force (m/s^2), both in the body frame.
 
 Accumulates a stream into relative rotation, velocity and position
 pseudo-measurements, together with first-order bias Jacobians and a
@@ -33,27 +32,20 @@ import numpy as np
 from .liegroup import Pose, skew, so3_exp, so3_left_jacobian
 
 
+# continuous-time noise densities (per sqrt(Hz)) and bias random walks of
+# the IMU: the simulator draws its noise from them, the estimator weighs by them
+GYRO_NOISE_DENSITY = 2.0e-4
+ACCEL_NOISE_DENSITY = 2.0e-3
+GYRO_BIAS_WALK = 1.0e-5
+ACCEL_BIAS_WALK = 1.0e-4
+
+
 class EmptyStreamError(ValueError):
     """No sample interval to integrate."""
 
 
 class NonMonotonicTimestampsError(ValueError):
     """Sample timestamps must be strictly increasing."""
-
-
-@dataclass(frozen=True)
-class ImuNoiseModel:
-    """Continuous-time noise densities (per sqrt(Hz)) and bias random walks."""
-
-    gyro_noise_density: float = 2.0e-4
-    accel_noise_density: float = 2.0e-3
-    gyro_bias_walk: float = 1.0e-5
-    accel_bias_walk: float = 1.0e-4
-
-    def __post_init__(self):
-        for name in ("gyro_noise_density", "accel_noise_density", "gyro_bias_walk", "accel_bias_walk"):
-            if getattr(self, name) <= 0.0:
-                raise ValueError(f"{name} must be strictly positive")
 
 
 @dataclass(frozen=True)
@@ -96,7 +88,6 @@ class PreintegratedImu:
 def integrate(
     samples: np.ndarray,
     bias: tuple[np.ndarray, np.ndarray] = (np.zeros(3), np.zeros(3)),
-    noise: ImuNoiseModel = ImuNoiseModel(),
 ) -> PreintegratedImu:
     """Fold an (N, 7) IMU stream into a PreintegratedImu at the given bias.
 
@@ -130,7 +121,7 @@ def integrate(
     skew_a_halves = skew(np.einsum("nij,nj->ni", halves, a_mids))
     # dt / 2 * half @ dacc_half is d(half a_mid)/d(gyro bias)
     dacc_halves = skew(a_mids) @ so3_left_jacobian(-0.5 * dthetas)
-    variances = np.repeat([noise.gyro_noise_density**2, noise.accel_noise_density**2], 3)
+    variances = np.repeat([GYRO_NOISE_DENSITY**2, ACCEL_NOISE_DENSITY**2], 3)
     q_diags = variances / dts[:, None]
     dt3 = dts[:, None, None]
     n = len(dts)
@@ -234,7 +225,7 @@ def predict_state(state: NavState, pre: PreintegratedImu, gravity: np.ndarray) -
     )
 
 
-def bias_information(noise: ImuNoiseModel, dt_total: float) -> np.ndarray:
+def bias_information(dt_total: float) -> np.ndarray:
     """6x6 information of the bias random-walk residual over one interval.
 
     Order (accel, gyro), matching the stacked bias residual. Inverse of
@@ -243,27 +234,9 @@ def bias_information(noise: ImuNoiseModel, dt_total: float) -> np.ndarray:
     dt_total = max(dt_total, 1e-12)
     var = np.concatenate(
         [
-            np.full(3, noise.accel_bias_walk**2 * dt_total),
-            np.full(3, noise.gyro_bias_walk**2 * dt_total),
+            np.full(3, ACCEL_BIAS_WALK**2 * dt_total),
+            np.full(3, GYRO_BIAS_WALK**2 * dt_total),
         ]
     )
     return np.diag(1.0 / var)
 
-
-def load_imu_stream(path) -> np.ndarray:
-    """Read a `t wx wy wz ax ay az` text stream into an (N, 7) array; '#' starts a comment."""
-    rows = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            parts = line.split()
-            if len(parts) != 7:
-                raise ValueError(f"{path}:{lineno}: expected 7 fields, got {len(parts)}")
-            rows.append([float(p) for p in parts])
-    return np.array(rows, dtype=float).reshape(-1, 7)
-
-
-def save_imu_stream(path, samples: np.ndarray) -> None:
-    np.savetxt(path, samples, fmt=["%.9f"] + ["%.17g"] * 6, header="t wx wy wz ax ay az")

@@ -1,10 +1,9 @@
-"""Prior laser map storage: spatial index, normals, consistency, file IO.
+"""Prior laser map storage: spatial index, normals, consistency.
 
 A PointCloudMap is an immutable array-of-structs cloud: positions, optional
 unit normals (NaN rows mean "absent"), per-point observation counts, ground
 flags, and an optional integer label channel used only as ground-truth
-metadata by the simulator and tests (never serialized). Every cloud is in
-the map frame, and a map file says so in its ``crossloc-map v1 map`` header.
+metadata by the simulator and tests. Every cloud is in the map frame.
 
 k-NN queries are exact: candidates come from a kd-tree, then distances are
 recomputed in double precision and sorted by (distance, insertion index) so
@@ -16,23 +15,11 @@ from __future__ import annotations
 import numpy as np
 from scipy.spatial import cKDTree
 
-# the file format's header; its last word names the map frame, the one frame
-# every cloud is in
-_HEADER = "crossloc-map v1 map"
-
 NORMAL_NEIGHBORHOOD = 10  # points per normal estimate, the point itself included
 
 
 class EmptyMapError(ValueError):
     """Query against a map with no points."""
-
-
-class ParseError(ValueError):
-    """Malformed map file; carries the 1-based line number."""
-
-    def __init__(self, line: int, message: str):
-        super().__init__(f"line {line}: {message}")
-        self.line = line
 
 
 class PointCloudMap:
@@ -176,52 +163,3 @@ def normal_consistency(normals, angle_threshold: float) -> np.ndarray:
     dots = np.clip(normals @ normals.transpose(0, 2, 1), -1.0, 1.0)
     return np.all(np.arccos(dots) <= angle_threshold + 1e-12, axis=(1, 2))
 
-
-# ---------------------------------------------------------------------------
-# file IO: a `crossloc-map v1 map` header, then one point per line
-
-
-def save_map(cloud: PointCloudMap, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"{_HEADER}\n")
-        has_n = cloud.has_normal()
-        for i in range(len(cloud)):
-            p = cloud.positions[i]
-            if has_n[i]:
-                nrm = cloud.normals[i]
-                mid = f"{nrm[0]:.17g} {nrm[1]:.17g} {nrm[2]:.17g}"
-            else:
-                mid = "-"
-            fh.write(
-                f"{p[0]:.17g} {p[1]:.17g} {p[2]:.17g} {mid} "
-                f"{int(cloud.counts[i])} {int(cloud.ground[i])}\n"
-            )
-
-
-def load_map(path) -> PointCloudMap:
-    positions, normals, counts, ground = [], [], [], []
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline()
-        if header.split() != _HEADER.split():
-            raise ParseError(1, f"bad header {header.strip()!r}")
-        for lineno, line in enumerate(fh, start=2):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            tok = line.split()
-            try:
-                if len(tok) == 8:
-                    normal = [float(tok[3]), float(tok[4]), float(tok[5])]
-                    rest = tok[6:]
-                elif len(tok) == 6 and tok[3] == "-":
-                    normal = [np.nan] * 3
-                    rest = tok[4:]
-                else:
-                    raise ValueError(f"expected 8 fields, or 6 with '-' for the normal, got {len(tok)}")
-                positions.append([float(tok[0]), float(tok[1]), float(tok[2])])
-                normals.append(normal)
-                counts.append(int(rest[0]))
-                ground.append(bool(int(rest[1])))
-            except ValueError as exc:
-                raise ParseError(lineno, str(exc)) from None
-    return PointCloudMap(positions, normals, counts, ground)

@@ -28,6 +28,7 @@ from functools import cached_property
 
 import numpy as np
 
+from .imu import ACCEL_BIAS_WALK, ACCEL_NOISE_DENSITY, GYRO_BIAS_WALK, GYRO_NOISE_DENSITY
 from .laser_map import PointCloudMap, canonical_sign
 from .liegroup import Pose, rot_z
 from .residuals import CameraModel
@@ -462,16 +463,15 @@ def synthesize_imu(
     n = len(sampled.imu_times)
     dt = 1.0 / rig.imu_rate
     gravity = rig.gravity_vector()
-    nm = rig.imu_noise
     gyro_noise = np.zeros((n, 3))
     accel_noise = np.zeros((n, 3))
     bias_g = np.zeros((n, 3))
     bias_a = np.zeros((n, 3))
     if noise:
-        gyro_noise = rng.normal(0.0, nm.gyro_noise_density / math.sqrt(dt), size=(n, 3))
-        accel_noise = rng.normal(0.0, nm.accel_noise_density / math.sqrt(dt), size=(n, 3))
-        bias_g = np.cumsum(rng.normal(0.0, nm.gyro_bias_walk * math.sqrt(dt), size=(n, 3)), axis=0)
-        bias_a = np.cumsum(rng.normal(0.0, nm.accel_bias_walk * math.sqrt(dt), size=(n, 3)), axis=0)
+        gyro_noise = rng.normal(0.0, GYRO_NOISE_DENSITY / math.sqrt(dt), size=(n, 3))
+        accel_noise = rng.normal(0.0, ACCEL_NOISE_DENSITY / math.sqrt(dt), size=(n, 3))
+        bias_g = np.cumsum(rng.normal(0.0, GYRO_BIAS_WALK * math.sqrt(dt), size=(n, 3)), axis=0)
+        bias_a = np.cumsum(rng.normal(0.0, ACCEL_BIAS_WALK * math.sqrt(dt), size=(n, 3)), axis=0)
     rate = np.zeros((n, 3))
     rate[:, 2] = sampled.yaw_rates
     omega = rate + bias_g + gyro_noise
@@ -983,11 +983,16 @@ def default_rig() -> SensorRig:
     cam = CameraModel(
         fx=460.0, fy=460.0, cx=320.0, cy=240.0, width=640, height=480, body_t_cam=body_t_cam
     )
+    laser = LaserModel(
+        channels=8, elevation_min_deg=-16.0, elevation_max_deg=8.0, azimuth_step_deg=3.0,
+        max_range=40.0, range_noise=0.02,
+    )
     laser_height = 0.8
     body_t_laser = Pose(np.eye(3), np.array([0.0, 0.0, laser_height - BODY_HEIGHT]))
     cam_t_laser = body_t_cam.inverse() @ body_t_laser
     return SensorRig(
         camera=cam,
+        laser=laser,
         stereo_baseline=0.4,
         cam_t_laser=cam_t_laser,
         laser_height=laser_height,

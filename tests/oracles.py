@@ -136,8 +136,9 @@ def relative_error(a, b, floor=1e-6):
     return float(np.max(np.abs(a - b) / scale))
 
 
-def integrate_per_sample(samples, bias, noise):
-    """``imu.integrate`` as a loop over intervals, on single-element SO(3) calls.
+def integrate_per_sample(samples, bias, gyro_density, accel_density):
+    """``imu.integrate`` as a loop over intervals, on single-element SO(3) calls,
+    with the given gyro and accelerometer noise densities (per sqrt(Hz)).
 
     Returns the fields of a PreintegratedImu as a dict, ``dt_total`` summed
     interval by interval.
@@ -146,7 +147,7 @@ def integrate_per_sample(samples, bias, noise):
     d_rot, d_p, d_v, dt_total = np.eye(3), np.zeros(3), np.zeros(3), 0.0
     j_g_dr, j_g_dv, j_a_dv, j_g_dp, j_a_dp = (np.zeros((3, 3)) for _ in range(5))
     cov = np.zeros((9, 9))
-    q = np.repeat([noise.gyro_noise_density**2, noise.accel_noise_density**2], 3)
+    q = np.repeat([gyro_density**2, accel_density**2], 3)
     for prev, curr in zip(samples[:-1], samples[1:]):
         dt = curr[0] - prev[0]
         w_mid = 0.5 * (prev[1:4] + curr[1:4]) - b_g
@@ -186,8 +187,9 @@ def integrate_per_sample(samples, bias, noise):
     )
 
 
-def integrate_loop(samples, bias, noise):
-    """``imu.integrate`` as one loop over intervals on its batched per-interval terms.
+def integrate_loop(samples, bias, gyro_density, accel_density):
+    """``imu.integrate`` as one loop over intervals on its batched per-interval
+    terms, with the given gyro and accelerometer noise densities.
 
     The order of every operation is the library's, so each field of its
     result must match bitwise. Returns the fields of a PreintegratedImu as a
@@ -205,7 +207,7 @@ def integrate_loop(samples, bias, noise):
     halves = so3_exp(0.5 * dthetas)
     skew_a_halves = skew(np.einsum("nij,nj->ni", halves, a_mids))
     dacc_halves = skew(a_mids) @ so3_left_jacobian(-0.5 * dthetas)
-    variances = np.repeat([noise.gyro_noise_density**2, noise.accel_noise_density**2], 3)
+    variances = np.repeat([gyro_density**2, accel_density**2], 3)
     q_diags = variances / dts[:, None]
 
     d_rot, d_p, d_v = np.eye(3), np.zeros(3), np.zeros(3)

@@ -98,9 +98,9 @@ class TestIntegrate:
         wiggly = wiggly_stream(duration=1.0, seed=31)
         stream = np.column_stack([wiggly[:, 0], gyro_scale * wiggly[:, 1:4], wiggly[:, 4:]])
         bias = (np.array([0.01, -0.02, 0.005]) * gyro_scale, np.array([0.1, 0.0, -0.05]))
-        noise = imu.ImuNoiseModel()
-        pre = imu.integrate(stream, bias, noise)
-        for name, want in integrate_per_sample(stream, bias, noise).items():
+        pre = imu.integrate(stream, bias)
+        densities = imu.GYRO_NOISE_DENSITY, imu.ACCEL_NOISE_DENSITY
+        for name, want in integrate_per_sample(stream, bias, *densities).items():
             np.testing.assert_allclose(getattr(pre, name), want, rtol=1e-12, atol=1e-15, err_msg=name)
 
     @pytest.mark.parametrize(
@@ -116,9 +116,8 @@ class TestIntegrate:
     def test_matches_interval_loop_bitwise(self, stream, bias):
         """The cumulative sums and stacked terms keep the interval loop's
         rounding: every field equal bit for bit."""
-        noise = imu.ImuNoiseModel()
-        pre = imu.integrate(stream, bias, noise)
-        want = integrate_loop(stream, bias, noise)
+        pre = imu.integrate(stream, bias)
+        want = integrate_loop(stream, bias, imu.GYRO_NOISE_DENSITY, imu.ACCEL_NOISE_DENSITY)
         assert set(want) == set(imu.PreintegratedImu.__dataclass_fields__) - {"linearization_bias"}
         for name, value in want.items():
             np.testing.assert_array_equal(getattr(pre, name), value, err_msg=name)
@@ -263,27 +262,3 @@ class TestPredictState:
         assert np.allclose(out.pose.translation, expected_p, atol=1e-15)
         assert np.allclose(out.velocity, expected_v, atol=1e-15)
         assert np.allclose(out.pose.rotation, pre.delta_R, atol=1e-12)
-
-
-class TestStreamIO:
-    def test_round_trip(self, tmp_path):
-        stream = wiggly_stream(duration=0.1, seed=29)
-        path = tmp_path / "imu.txt"
-        imu.save_imu_stream(path, stream)
-        back = imu.load_imu_stream(path)
-        assert back.shape == stream.shape
-        np.testing.assert_allclose(back[:, 0], stream[:, 0], rtol=0.0, atol=1e-9)
-        assert np.array_equal(back[:, 1:], stream[:, 1:])
-
-    def test_comments_and_blanks_skipped(self, tmp_path):
-        path = tmp_path / "imu.txt"
-        path.write_text("# header\n\n0.0 0 0 0 0 0 9.81\n0.01 0 0 0 0 0 9.81 # inline\n")
-        assert imu.load_imu_stream(path).shape == (2, 7)
-        path.write_text("# header only\n\n")
-        assert imu.load_imu_stream(path).shape == (0, 7)
-
-    def test_malformed_line_reports_position(self, tmp_path):
-        path = tmp_path / "imu.txt"
-        path.write_text("0.0 0 0 0 0 0 9.81\n0.01 0 0\n")
-        with pytest.raises(ValueError, match=":2:"):
-            imu.load_imu_stream(path)

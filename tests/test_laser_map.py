@@ -213,53 +213,3 @@ class TestNormalConsistency:
     def test_fewer_than_two_normals_rejected(self):
         with pytest.raises(ValueError):
             lm.normal_consistency(np.zeros((3, 1, 3)), angle_threshold=1.0)
-
-
-class TestMapIO:
-    def test_round_trip(self, tmp_path):
-        rng = np.random.default_rng(7)
-        cloud = random_cloud(rng, 200)
-        cloud = lm.estimate_normals(cloud)
-        path = tmp_path / "map.txt"
-        lm.save_map(cloud, path)
-        back = lm.load_map(path)
-        assert path.read_text().splitlines()[0] == "crossloc-map v1 map"
-        assert np.array_equal(back.positions, cloud.positions)
-        assert np.array_equal(back.counts, cloud.counts)
-        assert np.array_equal(back.ground, cloud.ground)
-        nan_a, nan_b = np.isnan(cloud.normals), np.isnan(back.normals)
-        assert np.array_equal(nan_a, nan_b)
-        assert np.array_equal(cloud.normals[~nan_a], back.normals[~nan_b])
-
-    def test_missing_normal_columns(self, tmp_path):
-        # save_map writes "-" for a missing normal; a row with no normal
-        # column at all is no layout it writes
-        path = tmp_path / "map.txt"
-        path.write_text("crossloc-map v1 map\n5 6 7 - 2 0\n1 2 3 - 4 1\n")
-        cloud = lm.load_map(path)
-        assert len(cloud) == 2
-        assert not np.any(cloud.has_normal())
-        assert list(cloud.counts) == [2, 4]
-        assert list(cloud.ground) == [False, True]
-        path.write_text("crossloc-map v1 map\n1 2 3 4 1\n5 6 7 - 2 0\n")
-        with pytest.raises(lm.ParseError, match="got 5") as exc:
-            lm.load_map(path)
-        assert exc.value.line == 2
-
-    def test_malformed_line_number(self, tmp_path):
-        path = tmp_path / "map.txt"
-        lines = ["crossloc-map v1 map"] + ["0 0 %d - 1 0" % i for i in range(5)]
-        lines.insert(6, "0 0 zap - 1 0")
-        path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(lm.ParseError) as exc:
-            lm.load_map(path)
-        assert exc.value.line == 7
-
-    def test_bad_header(self, tmp_path):
-        # every map is in the map frame: a header naming another is malformed
-        path = tmp_path / "map.txt"
-        for header in ("not-a-map", "crossloc-map v1 local", "crossloc-map v2 map"):
-            path.write_text(header + "\n0 0 0 - 1 0\n")
-            with pytest.raises(lm.ParseError) as exc:
-                lm.load_map(path)
-            assert exc.value.line == 1

@@ -4,7 +4,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from crossloc import liegroup as lg
-from crossloc.trajectory import pose_from_row, pose_to_row
 
 from oracles import (
     matrix_exp_series,
@@ -186,23 +185,6 @@ class TestProperties:
         batch = pose.apply(pts)
         for i in range(4):
             assert np.allclose(batch[i], pose.apply(pts[i]), atol=1e-12)
-
-
-class TestQuaternion:
-    """The pose rows of ``crossloc.trajectory``, the one place quaternions
-    (x, y, z, w) appear."""
-
-    def test_round_trip(self):
-        rng = np.random.default_rng(11)
-        for _ in range(200):
-            pose = lg.se3_exp(random_twist(rng, 3.1, 5.0))
-            back = pose_from_row(pose_to_row(pose).split())
-            assert np.allclose(back.rotation, pose.rotation, atol=1e-12)
-            np.testing.assert_array_equal(back.translation, pose.translation)
-
-    def test_identity_quaternion(self):
-        fields = [float(v) for v in pose_to_row(lg.Pose.identity()).split()]
-        assert np.allclose(fields, [0, 0, 0, 0, 0, 0, 1], atol=1e-15)
 
 
 class TestBatchedSo3:

@@ -1,5 +1,4 @@
 import math
-import os
 import tracemalloc
 from dataclasses import replace
 
@@ -10,7 +9,7 @@ from crossloc import map_pipeline as mp
 from crossloc import simulator as sim
 from crossloc.laser_map import PointCloudMap
 from crossloc.liegroup import Pose, rot_z, se3_exp
-from crossloc.session import FrameObservations, SessionData, load_session, save_session
+from crossloc.session import FrameObservations, SessionData
 
 from oracles import (
     association_per_point,
@@ -110,23 +109,6 @@ class TestVisionTransform:
         cut = replace(s, frames=s.frames[:m])
         padded = replace(s, frames=s.frames[:m] + [no_features] * (len(s.scans) - m))
         got, want = (mp.vision_transform_session(x) for x in (cut, padded))
-        assert len(got) > 0
-        np.testing.assert_array_equal(got.positions, want.positions)
-        np.testing.assert_array_equal(got.labels, want.labels)
-
-    def test_saved_session_without_its_last_frame_file(self, tmp_path):
-        session = sim.generate_session(
-            sim.default_world(), sim.default_trajectory_spec(), sim.default_rig(),
-            session_id=0, seed=1, duration=1.0,
-        )
-        save_session(tmp_path / "s", session)
-        last = len(session.frames) - 1
-        os.remove(tmp_path / "s" / "frames" / f"{last:04d}.obs")
-        back = load_session(tmp_path / "s")
-        assert len(back.frames) == last and len(back.scans) == last + 1
-        no_features = FrameObservations(np.zeros(0, int), np.zeros((0, 4)))
-        padded = replace(back, frames=back.frames + [no_features])
-        got, want = (mp.vision_transform_session(x) for x in (back, padded))
         assert len(got) > 0
         np.testing.assert_array_equal(got.positions, want.positions)
         np.testing.assert_array_equal(got.labels, want.labels)

@@ -546,7 +546,7 @@ class TestInertialBatches:
         """The residual by direct subtraction; the Jacobians by central
         differences of the kernel on a one-row stack."""
         values, pres, _, slots = self.chain(np.random.default_rng(22))
-        information = [imu.bias_information(imu.ImuNoiseModel(), pre.dt_total) for pre in pres]
+        information = [imu.bias_information(pre.dt_total) for pre in pres]
         batch = group(res.BiasRandomWalkFactor, slots, None, information)
 
         def reference(blocks, i):

@@ -214,9 +214,9 @@ def test_scipy_imports_are_found():
 
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda path: path.name)
 def test_scipy_only_from_spatial(path):
-    """The runtime loads no scipy beyond ``scipy.spatial`` (the k-d tree and
-    ``Rotation``): ``scipy.interpolate`` alone, which the route spline once
-    came from, also loads ``scipy.optimize`` and ``scipy.fft``."""
+    """The runtime loads no scipy beyond ``scipy.spatial`` (the k-d tree):
+    ``scipy.interpolate`` alone, which the route spline once came from, also
+    loads ``scipy.optimize`` and ``scipy.fft``."""
     assert scipy_imports(path.read_text()) == []
 
 
@@ -300,10 +300,6 @@ def test_no_angle_switch_outside_by_angle(path):
 # Public definitions that no src or perfbench module reads yet, each with the
 # ROADMAP direction that will call it. An entry goes when its caller lands.
 ENTRY_POINTS = {
-    "laser_map.save_map": "7: the CLI's build-map",
-    "laser_map.load_map": "7: the CLI's localize",
-    "session.save_session": "7: the CLI's simulate",
-    "session.load_session": "7: the CLI's build-map and localize",
     "map_pipeline.build_full_map": "5: the unfiltered map variant",
     "map_pipeline.association_posterior": "5: the association KL per map variant",
     "map_pipeline.association_kld": "5: the association KL per map variant",
