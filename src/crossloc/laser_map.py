@@ -7,10 +7,18 @@ metadata by the simulator and tests. Every cloud is in the map frame.
 
 k-NN queries are exact: candidates come from a kd-tree, then distances are
 recomputed in double precision and sorted by (distance, insertion index) so
-results match a brute-force scan even under ties.
+results match a brute-force scan even under ties. A query returns the
+association record ``Candidates``, ascending in distance with ties by
+insertion order, and its methods state the paper's association model once:
+each query point is drawn from an isotropic Gaussian of ``sigma`` around one
+of its k candidates, under a uniform prior over the k. They reduce over the
+last axis, so one point (k,) and a stack (n, k) take one path.
 """
 
 from __future__ import annotations
+
+import math
+from typing import NamedTuple
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -20,6 +28,36 @@ NORMAL_NEIGHBORHOOD = 10  # points per normal estimate, the point itself include
 
 class EmptyMapError(ValueError):
     """Query against a map with no points."""
+
+
+class MismatchedSupportError(ValueError):
+    """KLD of distributions over different candidate sets."""
+
+
+class Candidates(NamedTuple):
+    """The k nearest map points of one query point (k,) or of each row of a
+    stack (n, k): map ``indices`` and Euclidean ``distances``, ascending."""
+
+    indices: np.ndarray
+    distances: np.ndarray
+
+    def log_joint(self, sigma: float) -> np.ndarray:
+        """Log of each candidate's Gaussian density of ``sigma`` at the query
+        point, times the uniform prior 1/k."""
+        norm = 1.5 * math.log(2.0 * math.pi * sigma**2) + math.log(self.indices.shape[-1])
+        return -0.5 * (self.distances / sigma) ** 2 - norm
+
+    def posterior(self, sigma: float) -> np.ndarray:
+        """Each query point's distribution over its candidates."""
+        log_joint = self.log_joint(sigma)
+        w = np.exp(log_joint - log_joint.max(axis=-1, keepdims=True))
+        return w / w.sum(axis=-1, keepdims=True)
+
+    def log_likelihood(self, sigma: float) -> np.ndarray:
+        """Each query point's log likelihood, marginalized over its candidates."""
+        log_joint = self.log_joint(sigma)
+        top = log_joint.max(axis=-1)
+        return top + np.log(np.exp(log_joint - top[..., None]).sum(axis=-1))
 
 
 class PointCloudMap:
@@ -67,15 +105,16 @@ class PointCloudMap:
             None if self.labels is None else self.labels[index],
         )
 
-    def knn(self, query, k: int):
+    def knn(self, query, k: int) -> Candidates:
         """Exact k nearest neighbors of one (3,) point or each row of an (n, 3) batch.
 
-        Returns (indices, distances), ascending: 1-D for one point, (n, k) for a
-        batch, with k capped at the map size. Ties are broken by insertion
-        order; distances are recomputed with numpy so they are bit-identical to
-        a brute-force scan. The kd-tree proposes k + 1 candidates per row; a
-        row whose (k+1)-th candidate ties its k-th within rounding is redone
-        over every point within that radius.
+        Returns the association record ``Candidates(indices, distances)``,
+        ascending: 1-D for one point, (n, k) for a batch, with k capped at the
+        map size. Ties are broken by insertion order; distances are
+        recomputed with numpy so they are bit-identical to a brute-force scan.
+        The kd-tree proposes k + 1 candidates per row; a row whose (k+1)-th
+        candidate ties its k-th within rounding is redone over every point
+        within that radius.
         """
         n = len(self)
         if n == 0:
@@ -102,8 +141,8 @@ class PointCloudMap:
         idx = np.take_along_axis(idx, order, axis=1)
         dists = np.take_along_axis(dists, order, axis=1)
         if query.ndim == 1:
-            return idx[0], dists[0]
-        return idx, dists
+            return Candidates(idx[0], dists[0])
+        return Candidates(idx, dists)
 
 
 def canonical_sign(normals: np.ndarray) -> np.ndarray:
@@ -163,3 +202,28 @@ def normal_consistency(normals, angle_threshold: float) -> np.ndarray:
     dots = np.clip(normals @ normals.transpose(0, 2, 1), -1.0, 1.0)
     return np.all(np.arccos(dots) <= angle_threshold + 1e-12, axis=(1, 2))
 
+
+def association_kld(
+    posterior: np.ndarray,
+    gt_distribution: np.ndarray,
+    candidates_posterior: np.ndarray | None = None,
+    candidates_gt: np.ndarray | None = None,
+) -> float:
+    """KL(posterior || gt) over a shared candidate set.
+
+    Candidates where both distributions fall below 1e-12 are ignored;
+    remaining zero-gt mass under positive posterior yields +inf.
+    """
+    p = np.asarray(posterior, dtype=float)
+    g = np.asarray(gt_distribution, dtype=float)
+    if p.shape != g.shape:
+        raise MismatchedSupportError("distributions have different lengths")
+    if candidates_posterior is not None and candidates_gt is not None:
+        if not np.array_equal(candidates_posterior, candidates_gt):
+            raise MismatchedSupportError("distributions over different candidates")
+    keep = ~((p < 1e-12) & (g < 1e-12))
+    p, g = p[keep], g[keep]
+    if np.any((g <= 0.0) & (p > 0.0)):
+        return float("inf")
+    pos = p > 0.0
+    return float(np.sum(p[pos] * np.log(p[pos] / g[pos])))

@@ -3,10 +3,7 @@
 Stages, in order: per-session vision transformation (keep laser points that
 project near visual features), sequential merge with observation counting,
 static/dynamic classification by count, erosion and expansion post-filters,
-ground extraction with voxel thinning, and the final union. The module also
-provides the probabilistic association diagnostics (candidate posterior,
-ground-truth association distribution, KL divergence, EM lower bound) used
-to quantify how much a map edit improves data association.
+ground extraction with voxel thinning, and the final union.
 
 The pixel gate, the newness radius d_alpha, the erosion and expansion radii
 and the ground band are module constants; ``MapFilterParams`` holds the
@@ -37,12 +34,7 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from .laser_map import PointCloudMap, estimate_normals
-from .liegroup import Pose
 from .session import SessionData
-
-
-class MismatchedSupportError(ValueError):
-    """KLD of distributions over different candidate sets."""
 
 
 PIXEL_GATE = 3.0  # max pixel distance laser-to-feature
@@ -461,106 +453,6 @@ def build_full_map(session: SessionData, voxel: float = 0.3) -> PointCloudMap:
     centroids, labels = grid.centroids()
     cloud = PointCloudMap(centroids, labels=labels)
     return estimate_normals(cloud)
-
-
-# ---------------------------------------------------------------------------
-# association diagnostics (EM view of the localization likelihood)
-
-
-def association_posterior(
-    p_v: np.ndarray,
-    cloud: PointCloudMap,
-    transform: Pose,
-    sigma: float,
-    k: int = 20,
-):
-    """Posterior over the k nearest map candidates of one transformed point
-    (3,) or of each row of a stack (n, 3), by one batched ``knn``.
-
-    ``transform`` maps the visual points into the map frame. Returns
-    (candidate indices, probabilities): (k,) each for one point, (n, k) for
-    a stack; each point's probabilities sum to one.
-    """
-    p_v = np.asarray(p_v, dtype=float)
-    log_joint, idx = _candidate_log_joint(p_v, cloud, transform, sigma, k)
-    posterior = _posterior(log_joint)
-    if p_v.ndim == 1:
-        return idx[0], posterior[0]
-    return idx, posterior
-
-
-def association_kld(
-    posterior: np.ndarray,
-    gt_distribution: np.ndarray,
-    candidates_posterior: np.ndarray | None = None,
-    candidates_gt: np.ndarray | None = None,
-) -> float:
-    """KL(posterior || gt) over a shared candidate set.
-
-    Candidates where both distributions fall below 1e-12 are ignored;
-    remaining zero-gt mass under positive posterior yields +inf.
-    """
-    p = np.asarray(posterior, dtype=float)
-    g = np.asarray(gt_distribution, dtype=float)
-    if p.shape != g.shape:
-        raise MismatchedSupportError("distributions have different lengths")
-    if candidates_posterior is not None and candidates_gt is not None:
-        if not np.array_equal(candidates_posterior, candidates_gt):
-            raise MismatchedSupportError("distributions over different candidates")
-    keep = ~((p < 1e-12) & (g < 1e-12))
-    p, g = p[keep], g[keep]
-    if np.any((g <= 0.0) & (p > 0.0)):
-        return float("inf")
-    pos = p > 0.0
-    return float(np.sum(p[pos] * np.log(p[pos] / g[pos])))
-
-
-def _candidate_log_joint(points, cloud: PointCloudMap, transform: Pose, sigma: float, k: int):
-    """Per point (n, 3), the log joint of each of its k nearest map candidates
-    under a Gaussian of ``sigma`` and a uniform matching prior, and the
-    candidates' indices: (n, k) each, by one batched ``knn``."""
-    p_map = transform.apply(np.asarray(points, dtype=float).reshape(-1, 3))
-    idx, _ = cloud.knn(p_map, k)
-    d2 = np.sum((cloud.positions[idx] - p_map[:, None, :]) ** 2, axis=2)
-    norm = -1.5 * math.log(2.0 * math.pi * sigma * sigma)
-    return -0.5 * d2 / (sigma * sigma) + norm - math.log(idx.shape[1]), idx
-
-
-def _posterior(log_joint: np.ndarray) -> np.ndarray:
-    """Each row of ``log_joint`` (n, k) normalized into a distribution."""
-    w = np.exp(log_joint - log_joint.max(axis=1, keepdims=True))
-    return w / w.sum(axis=1, keepdims=True)
-
-
-def association_log_likelihood(
-    points: np.ndarray, cloud: PointCloudMap, transform: Pose, sigma: float, k: int = 20
-) -> float:
-    """Candidate-marginalized log likelihood with a uniform matching prior."""
-    log_joint, _ = _candidate_log_joint(points, cloud, transform, sigma, k)
-    m = log_joint.max(axis=1, keepdims=True)
-    return float(np.sum(m[:, 0] + np.log(np.exp(log_joint - m).sum(axis=1))))
-
-
-def em_lower_bound(
-    points: np.ndarray,
-    cloud: PointCloudMap,
-    transform: Pose,
-    sigma: float,
-    k: int = 20,
-    q_distributions: list[np.ndarray] | None = None,
-) -> float:
-    """Jensen lower bound on the marginal log likelihood.
-
-    With ``q_distributions`` omitted, the posterior is used and the bound is
-    tight (equals the log likelihood).
-    """
-    log_joint, _ = _candidate_log_joint(points, cloud, transform, sigma, k)
-    if q_distributions is None:
-        q = _posterior(log_joint)
-    else:
-        q = np.asarray(q_distributions, dtype=float).reshape(log_joint.shape)
-    pos = q > 0.0
-    return float(np.sum(q[pos] * (log_joint[pos] - np.log(q[pos]))))
 
 
 # ---------------------------------------------------------------------------

@@ -516,25 +516,20 @@ def anchor_alignment_gauss_newton(anchor, landmarks, constraints, prior, kernel,
     return anchor, cost
 
 
-def association_per_point(points, positions, transform, sigma, k, q_distributions=None):
-    """The association log likelihood and its EM lower bound, point by point
-    over brute-force candidates: (log likelihood, bound). The bound's q is
-    each point's posterior unless ``q_distributions`` gives one per point."""
-    log_likelihood, bound = 0.0, 0.0
-    for i, p_v in enumerate(np.asarray(points, dtype=float)):
+def association_per_point(points, positions, transform, sigma, k):
+    """Each point's association log likelihood, one point at a time over
+    brute-force candidates: the point moved by ``transform``, a Gaussian of
+    ``sigma`` around each of its k nearest positions, a uniform prior over
+    them, and the candidates summed out."""
+    log_likelihoods = []
+    for p_v in np.asarray(points, dtype=float):
         p_map = transform.rotation @ p_v + transform.translation
-        idx, dist = brute_force_knn(positions, p_map, k)
-        # Gaussian density of each candidate, times a uniform prior over them
-        log_prior = -1.5 * math.log(2.0 * math.pi * sigma**2) - math.log(len(idx))
-        log_joint = np.array([-0.5 * (d / sigma) ** 2 + log_prior for d in dist])
+        _, dist = brute_force_knn(positions, p_map, k)
+        log_prior = -1.5 * math.log(2.0 * math.pi * sigma**2) - math.log(len(dist))
+        log_joint = [-0.5 * (d / sigma) ** 2 + log_prior for d in dist]
         top = max(log_joint)
-        log_likelihood += top + math.log(sum(math.exp(x - top) for x in log_joint))
-        if q_distributions is None:
-            q = np.exp(log_joint - top) / sum(math.exp(x - top) for x in log_joint)
-        else:
-            q = np.asarray(q_distributions[i], dtype=float)
-        bound += sum(qj * (lj - math.log(qj)) for qj, lj in zip(q, log_joint) if qj > 0.0)
-    return log_likelihood, bound
+        log_likelihoods.append(top + math.log(sum(math.exp(x - top) for x in log_joint)))
+    return np.array(log_likelihoods)
 
 
 def voxel_cells(points, voxel):

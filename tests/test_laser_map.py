@@ -1,10 +1,12 @@
+import math
+
 import numpy as np
 import pytest
 
 from crossloc import laser_map as lm
-from crossloc.liegroup import so3_exp
+from crossloc.liegroup import se3_exp, so3_exp
 
-from oracles import brute_force_knn
+from oracles import association_per_point, brute_force_knn
 
 
 def random_cloud(rng, n=100):
@@ -213,3 +215,85 @@ class TestNormalConsistency:
     def test_fewer_than_two_normals_rejected(self):
         with pytest.raises(ValueError):
             lm.normal_consistency(np.zeros((3, 1, 3)), angle_threshold=1.0)
+
+
+class TestAssociationDiagnostics:
+    def test_single_candidate_probability_one(self):
+        cloud = lm.PointCloudMap(np.array([[1.0, 2.0, 3.0]]))
+        candidates = cloud.knn([1.1, 2.0, 3.0], k=20)
+        assert list(candidates.indices) == [0]
+        assert candidates.posterior(0.1)[0] == pytest.approx(1.0)
+
+    def test_two_equidistant_candidates(self):
+        cloud = lm.PointCloudMap(np.array([[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0]]))
+        assert np.allclose(cloud.knn(np.zeros(3), k=20).posterior(0.3), 0.5)
+
+    def test_matches_direct_formula(self):
+        rng = np.random.default_rng(8)
+        cloud = lm.PointCloudMap(rng.uniform(-2, 2, (200, 3)))
+        p_map = rng.uniform(-1, 1, 3)
+        candidates = cloud.knn(p_map, k=20)
+        lik = np.array(
+            [
+                math.exp(-np.dot(p_map - cloud.positions[j], p_map - cloud.positions[j]) / (2 * 0.25**2))
+                for j in candidates.indices
+            ]
+        )
+        assert np.allclose(candidates.posterior(0.25), lik / lik.sum(), atol=1e-12)
+
+    def test_stack_matches_single_points(self):
+        """The record of a stack, from one ``knn`` call, equals each point's
+        own record row by row, and so do its posterior and log likelihood."""
+        rng = np.random.default_rng(15)
+        cloud = lm.PointCloudMap(rng.uniform(-2, 2, (200, 3)))
+        points = rng.uniform(-1, 1, (6, 3))
+        stack = cloud.knn(points, k=12)
+        probs, log_likelihood = stack.posterior(0.25), stack.log_likelihood(0.25)
+        assert isinstance(stack, lm.Candidates)
+        assert stack.indices.shape == probs.shape == (6, 12) and log_likelihood.shape == (6,)
+        np.testing.assert_allclose(probs.sum(axis=1), 1.0, rtol=0.0, atol=1e-15)
+        for p_map, row_idx, row_probs, row_ll in zip(points, stack.indices, probs, log_likelihood):
+            one = cloud.knn(p_map, k=12)
+            np.testing.assert_array_equal(row_idx, one.indices)
+            np.testing.assert_allclose(row_probs, one.posterior(0.25), rtol=1e-14, atol=0.0)
+            assert row_ll == pytest.approx(one.log_likelihood(0.25), rel=1e-14)
+            d2 = np.sum((cloud.positions[row_idx] - p_map) ** 2, axis=1)
+            lik = np.exp(-(d2 - d2.min()) / (2 * 0.25**2))
+            np.testing.assert_allclose(row_probs, lik / lik.sum(), rtol=1e-12, atol=0.0)
+
+    def test_likelihood_matches_per_point_loop(self):
+        """Each point's log likelihood equals the one-point-at-a-time
+        reference over brute-force candidates, to 1e-12 relative."""
+        rng = np.random.default_rng(14)
+        cloud = lm.PointCloudMap(rng.uniform(-2, 2, (200, 3)))
+        transform = se3_exp(rng.normal(size=6) * 0.2)
+        pts = rng.uniform(-2, 2, (60, 3))
+        want = association_per_point(pts, cloud.positions, transform, 0.15, 12)
+        got = cloud.knn(transform.apply(pts), k=12).log_likelihood(0.15)
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+        assert cloud.knn(pts[:0], k=12).log_likelihood(0.15).shape == (0,)
+
+    def test_kld_identical_zero(self):
+        p = np.array([0.2, 0.5, 0.3])
+        assert lm.association_kld(p, p.copy()) == pytest.approx(0.0, abs=1e-15)
+
+    def test_kld_closed_form(self):
+        kld = lm.association_kld(np.array([0.5, 0.5]), np.array([0.9, 0.1]))
+        expected = 0.5 * math.log(0.5 / 0.9) + 0.5 * math.log(0.5 / 0.1)
+        assert kld == pytest.approx(expected, abs=1e-12)
+        assert kld == pytest.approx(0.5108, abs=1e-4)
+
+    def test_kld_support_mismatch(self):
+        with pytest.raises(lm.MismatchedSupportError):
+            lm.association_kld(np.array([1.0]), np.array([0.5, 0.5]))
+        with pytest.raises(lm.MismatchedSupportError):
+            lm.association_kld(
+                np.array([0.5, 0.5]),
+                np.array([0.5, 0.5]),
+                candidates_posterior=np.array([1, 2]),
+                candidates_gt=np.array([1, 3]),
+            )
+
+    def test_kld_infinite_flagged(self):
+        kld = lm.association_kld(np.array([0.5, 0.5]), np.array([1.0, 0.0]))
+        assert math.isinf(kld)

@@ -1,4 +1,3 @@
-import math
 import tracemalloc
 from dataclasses import replace
 
@@ -8,11 +7,10 @@ import pytest
 from crossloc import map_pipeline as mp
 from crossloc import simulator as sim
 from crossloc.laser_map import PointCloudMap
-from crossloc.liegroup import Pose, rot_z, se3_exp
+from crossloc.liegroup import Pose, rot_z
 from crossloc.session import FrameObservations, SessionData
 
 from oracles import (
-    association_per_point,
     first_come_thin,
     near_feature_returns,
     voxel_cells,
@@ -662,139 +660,6 @@ class TestBuildFinalMap:
         ground = mp.extract_ground([session], mp.MapFilterParams())
         final = mp.build_final_map(static, ground)
         assert len(final) == len(static) + len(ground)
-
-
-class TestAssociationDiagnostics:
-    def test_single_candidate_probability_one(self):
-        cloud = cloud_of([[1.0, 2.0, 3.0]])
-        idx, probs = mp.association_posterior(
-            np.array([1.1, 2.0, 3.0]), cloud, Pose.identity(), sigma=0.1
-        )
-        assert list(idx) == [0]
-        assert probs[0] == pytest.approx(1.0)
-
-    def test_two_equidistant_candidates(self):
-        cloud = cloud_of([[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0]])
-        _, probs = mp.association_posterior(np.zeros(3), cloud, Pose.identity(), sigma=0.3)
-        assert np.allclose(probs, 0.5)
-
-    def test_matches_direct_formula(self):
-        rng = np.random.default_rng(8)
-        cloud = cloud_of(rng.uniform(-2, 2, (200, 3)))
-        xi = se3_exp(np.array([0.05, -0.02, 0.1, 0.3, -0.2, 0.1]))
-        p_v = rng.uniform(-1, 1, 3)
-        idx, probs = mp.association_posterior(p_v, cloud, xi, sigma=0.25, k=20)
-        p_map = xi.apply(p_v)
-        lik = np.array(
-            [
-                math.exp(-np.dot(p_map - cloud.positions[j], p_map - cloud.positions[j]) / (2 * 0.25**2))
-                for j in idx
-            ]
-        )
-        assert np.allclose(probs, lik / lik.sum(), atol=1e-12)
-
-    def test_stack_matches_single_points(self, monkeypatch):
-        """A stack of points takes one ``knn`` call, and each row equals the
-        point's own call and the direct formula."""
-        calls = []
-        knn = PointCloudMap.knn
-
-        def counted(cloud, query, k):
-            calls.append(np.shape(query))
-            return knn(cloud, query, k)
-
-        monkeypatch.setattr(PointCloudMap, "knn", counted)
-        rng = np.random.default_rng(15)
-        cloud = cloud_of(rng.uniform(-2, 2, (200, 3)))
-        xi = se3_exp(np.array([0.05, -0.02, 0.1, 0.3, -0.2, 0.1]))
-        points = rng.uniform(-1, 1, (6, 3))
-        idx, probs = mp.association_posterior(points, cloud, xi, sigma=0.25, k=12)
-        assert idx.shape == probs.shape == (6, 12)
-        assert calls == [(6, 3)]
-        np.testing.assert_allclose(probs.sum(axis=1), 1.0, rtol=0.0, atol=1e-15)
-        for p_v, row_idx, row_probs in zip(points, idx, probs):
-            one_idx, one_probs = mp.association_posterior(p_v, cloud, xi, sigma=0.25, k=12)
-            np.testing.assert_array_equal(row_idx, one_idx)
-            np.testing.assert_allclose(row_probs, one_probs, rtol=1e-14, atol=0.0)
-            d2 = np.sum((cloud.positions[row_idx] - xi.apply(p_v)) ** 2, axis=1)
-            lik = np.exp(-(d2 - d2.min()) / (2 * 0.25**2))
-            np.testing.assert_allclose(row_probs, lik / lik.sum(), rtol=1e-12, atol=0.0)
-
-    def test_kld_identical_zero(self):
-        p = np.array([0.2, 0.5, 0.3])
-        assert mp.association_kld(p, p.copy()) == pytest.approx(0.0, abs=1e-15)
-
-    def test_kld_closed_form(self):
-        kld = mp.association_kld(np.array([0.5, 0.5]), np.array([0.9, 0.1]))
-        expected = 0.5 * math.log(0.5 / 0.9) + 0.5 * math.log(0.5 / 0.1)
-        assert kld == pytest.approx(expected, abs=1e-12)
-        assert kld == pytest.approx(0.5108, abs=1e-4)
-
-    def test_kld_support_mismatch(self):
-        with pytest.raises(mp.MismatchedSupportError):
-            mp.association_kld(np.array([1.0]), np.array([0.5, 0.5]))
-        with pytest.raises(mp.MismatchedSupportError):
-            mp.association_kld(
-                np.array([0.5, 0.5]),
-                np.array([0.5, 0.5]),
-                candidates_posterior=np.array([1, 2]),
-                candidates_gt=np.array([1, 3]),
-            )
-
-    def test_kld_infinite_flagged(self):
-        kld = mp.association_kld(np.array([0.5, 0.5]), np.array([1.0, 0.0]))
-        assert math.isinf(kld)
-
-    def test_em_bound_tight_at_posterior(self):
-        rng = np.random.default_rng(9)
-        for _ in range(10):
-            cloud = cloud_of(rng.uniform(-1, 1, (40, 3)))
-            xi = se3_exp(rng.normal(size=6) * 0.1)
-            pts = rng.uniform(-1, 1, (5, 3))
-            lhs = mp.association_log_likelihood(pts, cloud, xi, sigma=0.2, k=10)
-            rhs = mp.em_lower_bound(pts, cloud, xi, sigma=0.2, k=10)
-            assert lhs == pytest.approx(rhs, abs=1e-9)
-
-    def test_em_bound_lower_for_other_q(self):
-        rng = np.random.default_rng(10)
-        cloud = cloud_of(rng.uniform(-1, 1, (30, 3)))
-        xi = Pose.identity()
-        pts = rng.uniform(-1, 1, (4, 3))
-        lhs = mp.association_log_likelihood(pts, cloud, xi, sigma=0.2, k=8)
-        qs = [np.full(8, 1.0 / 8) for _ in range(4)]
-        bound = mp.em_lower_bound(pts, cloud, xi, sigma=0.2, k=8, q_distributions=qs)
-        assert bound < lhs - 1e-6
-
-
-    @pytest.mark.parametrize("given_q", [False, True])
-    def test_likelihood_and_bound_match_per_point_loop(self, given_q, monkeypatch):
-        """One batched ``knn`` per call gives the point-by-point sums over
-        brute-force candidates, to 1e-12 relative."""
-        calls = []
-        knn = PointCloudMap.knn
-
-        def counted(cloud, query, k):
-            calls.append(len(query))
-            return knn(cloud, query, k)
-
-        monkeypatch.setattr(PointCloudMap, "knn", counted)
-        rng = np.random.default_rng(14)
-        cloud = cloud_of(rng.uniform(-2, 2, (200, 3)))
-        transform = se3_exp(rng.normal(size=6) * 0.2)
-        pts = rng.uniform(-2, 2, (60, 3))
-        qs = None
-        if given_q:
-            qs = rng.dirichlet(np.ones(12), size=60)
-            qs[:, 5] = 0.0  # zero mass on a candidate is skipped
-            qs /= qs.sum(axis=1, keepdims=True)
-        want_ll, want_bound = association_per_point(pts, cloud.positions, transform, 0.15, 12, qs)
-        got_ll = mp.association_log_likelihood(pts, cloud, transform, sigma=0.15, k=12)
-        got_bound = mp.em_lower_bound(pts, cloud, transform, sigma=0.15, k=12, q_distributions=qs)
-        assert got_ll == pytest.approx(want_ll, rel=1e-12)
-        assert got_bound == pytest.approx(want_bound, rel=1e-12)
-        assert calls == [60, 60]  # one call of all 60 points each
-        assert mp.association_log_likelihood(pts[:0], cloud, transform, sigma=0.15, k=12) == 0.0
-        assert mp.em_lower_bound(pts[:0], cloud, transform, sigma=0.15, k=12) == 0.0
 
 
 def test_filter_params():

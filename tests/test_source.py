@@ -300,12 +300,11 @@ def test_no_angle_switch_outside_by_angle(path):
 # Public definitions that no src or perfbench module reads yet, each with the
 # ROADMAP direction that will call it. An entry goes when its caller lands.
 ENTRY_POINTS = {
-    "map_pipeline.build_full_map": "5: the unfiltered map variant",
-    "map_pipeline.association_posterior": "5: the association KL per map variant",
-    "map_pipeline.association_kld": "5: the association KL per map variant",
-    "map_pipeline.em_lower_bound": "5: kept only if the comparison uses it",
+    "map_pipeline.build_full_map": "22: the co-registration's input",
+    "laser_map.Candidates.posterior": "5: the association KL per map variant",
+    "laser_map.association_kld": "5: the association KL per map variant",
     "simulator.sample_world_map": "5: the true map the KL is taken against",
-    "map_pipeline.association_log_likelihood": "20: the likelihood the anchor search scores",
+    "laser_map.Candidates.log_likelihood": "20: the likelihood the anchor search scores",
 }
 
 
@@ -414,6 +413,60 @@ def test_entry_points_are_unread_otherwise():
     caller lands, its entry goes."""
     unread = {entry.split(" (line")[0] for entry in unread_definitions(*_package_and_bench())}
     assert set(ENTRY_POINTS) <= unread, set(ENTRY_POINTS) - unread
+
+
+# the one function of src that queries the map's k nearest points
+KNN_CALLER = "estimator.associate_constraints"
+
+
+def knn_calls(modules: dict) -> list[str]:
+    """Calls of a ``.knn`` attribute in ``modules`` (name -> source) outside
+    the body of ``KNN_CALLER``, as ``module.function (line n)``, the
+    function being the innermost one around the call, or ``module`` at
+    module level.
+
+    Every map query on the localization path goes through one association:
+    a second k-NN call site is a second association with its own model.
+    """
+    found = []
+    for module, source in modules.items():
+        stack = [(ast.parse(source), module)]
+        while stack:
+            node, where = stack.pop()
+            if isinstance(node, ast.FunctionDef):
+                where = f"{module}.{node.name}"
+            if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "knn" and where != KNN_CALLER:
+                found.append((where, node.lineno))
+            stack.extend((child, where) for child in ast.iter_child_nodes(node))
+    return [f"{where} (line {line})" for where, line in sorted(found)]
+
+
+def test_knn_calls_are_found():
+    modules = {
+        "estimator": (
+            "def associate_constraints(window, cloud):\n"
+            "    return cloud.knn(window.positions, 5)\n"
+            "def _monitor(cloud, p):\n"
+            "    return cloud.knn(p, 1)\n"
+        ),
+        "map_pipeline": (
+            "class Scorer:\n"
+            "    def score(self, cloud, p):\n"
+            "        def inner(q): return cloud.knn(q, 3)\n"
+            "        return inner(p)\n"
+            "idx = CLOUD.knn(P, 2)\n"
+            "tree.query(P, k=2)\n"
+        ),
+    }
+    assert knn_calls(modules) == [
+        "estimator._monitor (line 4)", "map_pipeline (line 5)", "map_pipeline.inner (line 3)"
+    ]
+
+
+def test_one_knn_call_site():
+    """``src`` has one k-NN call site, the localization's association
+    (ROADMAP direction 23)."""
+    assert knn_calls(_package_and_bench()[0]) == []
 
 
 # Defaults of public src definitions that no src or perfbench call sets, each
