@@ -1,9 +1,10 @@
 """Prior laser map storage: spatial index, normals, consistency.
 
-A PointCloudMap is an immutable array-of-structs cloud: positions, optional
-unit normals (NaN rows mean "absent"), per-point observation counts, ground
-flags, and an optional integer label channel used only as ground-truth
-metadata by the simulator and tests. Every cloud is in the map frame.
+A PointCloudMap is an immutable cloud held as one array per field:
+positions, optional unit normals (NaN rows mean "absent"), per-point
+observation counts, ground flags, and an optional integer label channel used
+only as ground-truth metadata by the simulator and tests. Every cloud is in
+the map frame.
 
 k-NN queries are exact: candidates come from a kd-tree, then distances are
 recomputed in double precision and sorted by (distance, insertion index) so

@@ -7,7 +7,6 @@ A ``SessionData`` holds, for one traversal:
     imu_samples   (N, 7) IMU stream, a row per sample: t wx wy wz ax ay az
     frames        K stereo observations: landmark ids and (ul vl ur vr)
     scans         per frame, laser points in the sensor frame and their labels
-    element_kinds optional element id -> (kind, session ids or None)
 
 Scans share the frame clock: scan k is taken at gt_times[k].
 """
@@ -81,4 +80,3 @@ class SessionData:
     imu_samples: np.ndarray  # (N, 7): t wx wy wz ax ay az
     frames: list  # list[FrameObservations]
     scans: list  # list of (points (n,3) in laser frame, labels (n,))
-    element_kinds: dict | None = None  # id -> (kind, sessions tuple or None)

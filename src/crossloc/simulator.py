@@ -152,9 +152,6 @@ class WorldModel:
             return elem.sessions is not None and session_id in elem.sessions
         return True
 
-    def element_kinds(self) -> dict:
-        return {e.elem_id: (e.kind, e.sessions) for e in self.elements}
-
     def ray_geometry(self, session_id: int) -> RayGeometry:
         """The elements present in ``session_id``, compiled once for ``cast_rays``."""
         geo = self._ray_geometry.get(session_id)
@@ -272,100 +269,41 @@ class SampledTrajectory:
         return Pose(rot_z(self.yaws[imu_index]), self.positions[imu_index].copy())
 
 
-def _tridiagonal_solve(band: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve a tridiagonal system, step for step as LAPACK's ``dgtsv``.
+def _knot_slopes(dx: np.ndarray, slope: np.ndarray, closed: bool) -> np.ndarray:
+    """The C2 cubic spline's first derivative at each of its n knots, (n, 3),
+    from its n - 1 intervals' lengths ``dx`` and chord slopes ``slope``.
 
-    ``band`` is (3, n) in ``scipy.linalg.solve_banded``'s (1, 1) layout: the
-    superdiagonal from column 1, the diagonal, the subdiagonal up to column
-    n - 1, with n >= 2. ``rhs`` is (n, k). Each elimination takes the larger of the
-    diagonal and the subdiagonal entry as its pivot, and a row swap fills in
-    a second superdiagonal, which ``dgtsv`` keeps in the subdiagonal's
-    storage (zero where no swap happened).
+    Row i of the knot system makes the second derivative continuous at knot
+    i, between the interval before it (length h_l, chord slope m_l) and the
+    one after it (h_r, m_r):
+    ``h_r s[i-1] + 2 (h_l + h_r) s[i] + h_l s[i+1] = 3 (h_r m_l + h_l m_r)``.
+    A closed route wraps around, with n - 1 unknowns since its last knot is
+    its first; with three knots a row's two neighbours are one knot, and
+    their coefficients add. An open route takes a zero second derivative at
+    each end instead.
     """
-    upper, diag, lower = band[0, 1:].tolist(), band[1].tolist(), band[2, :-1].tolist()
-    x = np.array(rhs, dtype=float)
-    n = len(diag)
-    for i in range(n - 1):
-        if abs(diag[i]) >= abs(lower[i]):
-            factor = lower[i] / diag[i]
-            diag[i + 1] = diag[i + 1] - factor * upper[i]
-            x[i + 1] = x[i + 1] - factor * x[i]
-            lower[i] = 0.0
-        else:
-            factor = diag[i] / lower[i]
-            diag[i], below = lower[i], diag[i + 1]
-            diag[i + 1] = upper[i] - factor * below
-            if i < n - 2:
-                lower[i] = upper[i + 1]
-                upper[i + 1] = -factor * lower[i]
-            upper[i] = below
-            row = x[i].copy()
-            x[i] = x[i + 1]
-            x[i + 1] = row - factor * x[i + 1]
-    x[n - 1] = x[n - 1] / diag[n - 1]
-    x[n - 2] = (x[n - 2] - upper[n - 2] * x[n - 1]) / diag[n - 2]
-    for i in range(n - 3, -1, -1):
-        x[i] = (x[i] - upper[i] * x[i + 1] - lower[i] * x[i + 2]) / diag[i]
-    return x
-
-
-def _knot_slopes(knots: np.ndarray, y: np.ndarray, closed: bool) -> np.ndarray:
-    """The C2 cubic spline's first derivative at each knot, (n, 3).
-
-    Natural ends (zero second derivative) on an open route; on a closed one
-    the periodic system, reduced to a tridiagonal one and its corner by two
-    solves, except for three rows, which have a closed form. The system and
-    its arithmetic are ``scipy.interpolate.CubicSpline``'s, so the spline is
-    bitwise that of scipy's with LAPACK's reference ``dgtsv``.
-    """
-    n = len(knots)
-    dx = np.diff(knots)
-    dxr = dx[:, None]
-    slope = np.diff(y, axis=0) / dxr
-    if closed and n == 3:
-        t = (slope / dxr).sum(0) / (1.0 / dxr).sum(0)
-        return np.broadcast_to(t, y.shape)
-    band = np.zeros((3, n))
-    band[1, 1:-1] = 2 * (dx[:-1] + dx[1:])
-    band[0, 2:] = dx[:-1]
-    band[2, :-2] = dx[1:]
-    b = np.empty_like(y)
-    b[1:-1] = 3 * (dxr[1:] * slope[:-1] + dxr[:-1] * slope[1:])
+    n = len(dx) + 1
+    size = n - 1 if closed else n
+    rows = np.arange(size) if closed else np.arange(1, n - 1)
+    h_l, h_r = dx[rows - 1], dx[rows]
+    a = np.zeros((size, size))
+    a[rows, rows] = 2 * (h_l + h_r)
+    a[rows, (rows - 1) % size] += h_r
+    a[rows, (rows + 1) % size] += h_l
+    b = np.zeros((size, 3))
+    b[rows] = 3 * (h_r[:, None] * slope[rows - 1] + h_l[:, None] * slope[rows])
     if not closed:
-        # a second derivative of 0.0 at each end, written as scipy writes one
-        band[1, 0], band[0, 1] = 2 * dx[0], dx[0]
-        band[1, -1], band[2, -2] = 2 * dx[-1], dx[-1]
-        b[0] = -0.5 * 0.0 * dx[0] ** 2 + 3 * (y[1] - y[0])
-        b[-1] = 0.5 * 0.0 * dx[-1] ** 2 + 3 * (y[-1] - y[-2])
-        return _tridiagonal_solve(band, b)
-    # y[-1] == y[0] leaves n - 1 unknowns; the last row and column, cut off
-    # to make the system tridiagonal, come back through a second solve
-    band = band[:, :-1]
-    band[1, 0], band[0, 1] = 2 * (dx[-1] + dx[0]), dx[-1]
-    b = b[:-1]
-    b[0] = 3 * (dxr[0] * slope[-1] + dxr[-1] * slope[0])
-    b[-1] = 3 * (dxr[-1] * slope[-2] + dxr[-2] * slope[-1])
-    corner = np.zeros_like(b[:-1])
-    corner[0], corner[-1] = -dx[0], -dx[-3]
-    s1 = _tridiagonal_solve(band[:, :-1], b[:-1])
-    s2 = _tridiagonal_solve(band[:, :-1], corner)
-    last = (b[-1] - dx[-2] * s1[0] - dx[-1] * s1[-1]) / (
-        2 * (dx[-1] + dx[-2]) + dx[-2] * s2[0] + dx[-1] * s2[-1]
-    )
-    s = np.empty_like(y)
-    s[:-2] = s1 + last * s2
-    s[-2] = last
-    s[-1] = s[0]
-    return s
+        a[0, :2], a[-1, -2:] = (2.0, 1.0), (1.0, 2.0)
+        b[0], b[-1] = 3 * slope[0], 3 * slope[-1]
+    s = np.linalg.solve(a, b)
+    return np.vstack([s, s[:1]]) if closed else s
 
 
 def _power_series(c: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """``sum_k c[k] s^(K-1-k)``, summed from the constant term up with powers
-    by repeated multiplication, as ``scipy.interpolate.PPoly`` evaluates."""
-    value, power = 0.0, 1.0
-    for ck in c[::-1]:
-        value = value + ck * power
-        power = power * s
+    """``sum_k c[k] s^(K-1-k)`` by Horner's rule, ``c`` highest power first."""
+    value = c[0]
+    for ck in c[1:]:
+        value = value * s + ck
     return value
 
 
@@ -377,13 +315,10 @@ class TrajectorySampler:
     are exact derivatives of the sampled positions (no ODE integration
     between the two). A closed route (first waypoint within 1e-12 m of the
     last in each coordinate) has periodic ends and wraps in time; an open
-    one has natural ends and holds its end states outside them.
-
-    The spline is computed with numpy, in ``scipy.interpolate.CubicSpline``'s
-    arithmetic (``_knot_slopes``, its Hermite coefficients, ``PPoly``'s
-    derivatives and evaluation), so the simulated sessions are bitwise the
-    ones scipy's spline gave; ``tests/test_simulator.py`` holds it to
-    ``CubicSpline``.
+    one has natural ends and holds its end states outside them. The knot
+    slopes come from one linear solve (``_knot_slopes``), and each interval
+    holds its cubic and the cubic's two derivatives in the power basis;
+    ``tests/test_simulator.py`` holds the spline to scipy's ``CubicSpline``.
     """
 
     def __init__(self, spec: TrajectorySpec, imu_rate: float, frame_rate: float):
@@ -400,17 +335,18 @@ class TrajectorySampler:
             wp = wp[::-1]
         self.closed = bool(np.allclose(wp[0], wp[-1], rtol=0.0, atol=1e-12))
         if self.closed:
-            wp[-1] = wp[0]  # the periodic system takes y[-1] as y[0]
+            wp[-1] = wp[0]  # the closed knot system takes y[-1] as y[0]
         chord = np.linalg.norm(np.diff(wp, axis=0), axis=1)
         knots = np.concatenate([[0.0], np.cumsum(chord / spec.speed)])
         if not np.all(np.diff(knots) > 0):
             raise ValueError("consecutive waypoints must be distinct")
         self.total_time = float(knots[-1])
         # power-basis coefficients per interval, highest power first, of the
-        # path and its two derivatives (PPoly.derivative's factors)
+        # path (the Hermite cubic of its end values and slopes) and its two
+        # derivatives
         dx = np.diff(knots)[:, None]
         slope = np.diff(wp, axis=0) / dx
-        s = _knot_slopes(knots, wp, self.closed)
+        s = _knot_slopes(dx[:, 0], slope, self.closed)
         t = (s[:-1] + s[1:] - 2 * slope) / dx
         path = np.stack((t / dx, (slope - s[:-1]) / dx - t, s[:-1], wp[:-1]))
         d_path = path[:-1] * np.array([3.0, 2.0, 1.0])[:, None, None]
@@ -846,7 +782,6 @@ def generate_session(
         imu_samples=imu_samples,
         frames=frames,
         scans=scans,
-        element_kinds=world.element_kinds(),
     )
 
 

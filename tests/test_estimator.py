@@ -55,14 +55,19 @@ def _assert_deterministic(short_inputs, mode):
     np.testing.assert_equal(
         [astuple(r) for r in first.records], [astuple(r) for r in second.records]
     )
-    # accuracy in the map frame, against the simulator's ground truth
-    est = np.array([p.translation for p in first.poses_map])
-    truth = np.array([query.gt_poses[r.keyframe_id].translation for r in first.records])
+    _assert_accurate(query, guess, first)
+    return first
+
+
+def _assert_accurate(query, guess, run):
+    """In the map frame, against the simulator's ground truth: the last
+    keyframe within 0.15 m, and the ATE RMSE below the guess's offset."""
+    est = np.array([p.translation for p in run.poses_map])
+    truth = np.array([query.gt_poses[r.keyframe_id].translation for r in run.records])
     err = np.linalg.norm(est - truth, axis=1)
     assert err[-1] < 0.15
     guess_offset = np.linalg.norm(guess.translation - query.gt_poses[0].translation)
     assert np.sqrt(np.mean(err**2)) < guess_offset
-    return first
 
 
 def test_non_rigid_localization_is_deterministic(short_inputs):
@@ -335,6 +340,23 @@ def test_imu_stream_starting_after_frame_0(short_inputs):
     on_time = replace(query, imu_samples=samples[samples[:, 0] >= t0])
     assert on_time.imu_samples[0, 0] == t0
     _assert_keyframes_span_their_gaps(on_time, guess)
+
+
+@pytest.mark.parametrize("mode", ["non_rigid_only", "hybrid"])
+def test_empty_frames(short_inputs, mode):
+    """Frames 15 to 24 track no landmarks, a second without vision. No
+    keyframe falls in the gap: the first after it is frame 25, whose link
+    spans the whole gap, and the run keeps its accuracy bounds."""
+    query, cloud, guess = short_inputs
+    frames = list(query.frames)
+    for k in range(15, 25):
+        frames[k] = replace(frames[k], landmark_ids=frames[k].landmark_ids[:0], pixels=frames[k].pixels[:0])
+    gap = replace(query, frames=frames)
+    _assert_keyframes_span_their_gaps(gap, guess)
+    run = estimator.run_localization(gap, cloud, guess, estimator.BaSchedule(mode))
+    assert not run.diverged, run.divergence_reason
+    assert min(r.keyframe_id for r in run.records if r.keyframe_id >= 15) == 25
+    _assert_accurate(gap, guess, run)
 
 
 def _assert_keyframes_span_their_gaps(query, guess):

@@ -63,7 +63,7 @@ class TestVisionTransform:
         # the same features
         for gate in (1.1, mp.PIXEL_GATE, 7.3):
             monkeypatch.setattr(mp, "PIXEL_GATE", gate)
-            session, inside = edge_case_session(short_session, gate)
+            session, inside = edge_case_session(short_session, gate, empty=(3, 4))
             got = mp.vision_transform_session(session)
 
             kept = near_feature_returns(session, gate)
@@ -87,8 +87,11 @@ class TestVisionTransform:
 
     def test_chunks_leave_the_bits(self, short_session, monkeypatch):
         # a chunk of 1 return is one scan, 2,000 returns are three scans, and
-        # the default holds the whole session, its featureless frame mid-chunk
-        session, _ = edge_case_session(short_session, mp.PIXEL_GATE, n_scans=len(short_session.scans))
+        # the default holds the whole session, its featureless frame mid-chunk;
+        # scans 3, 4 and 20 have no returns
+        session, _ = edge_case_session(
+            short_session, mp.PIXEL_GATE, n_scans=len(short_session.scans), empty=(3, 4, 20)
+        )
         clouds = []
         for chunk in (1, 2_000, mp._CHUNK_POINTS):
             monkeypatch.setattr(mp, "_CHUNK_POINTS", chunk)
@@ -112,10 +115,11 @@ class TestVisionTransform:
         np.testing.assert_array_equal(got.labels, want.labels)
 
 
-def edge_case_session(session, gate, n_scans=12, seed=0):
+def edge_case_session(session, gate, n_scans=12, seed=0, empty=()):
     """The first ``n_scans`` scans of ``session`` with returns and features
     added at the edges of the vision gate, of its coarse cells and of the
-    image. The middle scan's frame has no features.
+    image. The middle scan's frame has no features, and the scans ``empty``
+    names have no returns, though their frames keep their features.
 
     Per scan, three returns get a feature just inside ``gate`` of their
     pixel and three just outside. Returns are added 5 m in front of the
@@ -126,8 +130,9 @@ def edge_case_session(session, gate, n_scans=12, seed=0):
       feature half a gate further out, and one a quarter pixel outside the
       left border with a feature a tenth of a pixel away.
 
-    Returns the session and, per scan, the indices of the returns that a
-    feature lies within the gate of by construction.
+    Returns the session and, per scan with features and returns, the
+    indices of the returns that a feature lies within the gate of by
+    construction.
     """
     rng = np.random.default_rng(seed)
     rig, cam = session.rig, session.rig.camera
@@ -167,7 +172,10 @@ def edge_case_session(session, gate, n_scans=12, seed=0):
         frames.append(FrameObservations(np.arange(len(pixels)), np.column_stack([pixels, pixels])))
     mid = n_scans // 2
     frames[mid] = FrameObservations(np.zeros(0, int), np.zeros((0, 4)))
-    inside.pop(mid)
+    for k in (mid, *empty):
+        inside.pop(k)
+    for k in empty:
+        scans[k] = (scans[k][0][:0], scans[k][1][:0])
     cut = replace(
         session,
         gt_times=session.gt_times[:n_scans],
@@ -608,7 +616,12 @@ class TestStreamedGround:
         params = mp.MapFilterParams(ground_voxel=0.5)
         no_returns = self.sessions(1)[0]
         no_returns.scans = [(pts + [0.0, 0.0, 5.0], labels) for pts, labels in no_returns.scans]
-        for sessions in ([], self.sessions(3), self.sessions(3)[:1] + [no_returns] + self.sessions(2)):
+        # scans 0 and 3 of 5 hold no returns at all
+        gaps = self.sessions(1)[0]
+        gaps.scans = [
+            (pts[:0], labels[:0]) if k in (0, 3) else (pts, labels) for k, (pts, labels) in enumerate(gaps.scans)
+        ]
+        for sessions in ([], self.sessions(3), self.sessions(3)[:1] + [no_returns, gaps] + self.sessions(2)):
             ground = mp.extract_ground(sessions, params)
             pts, labels = self.in_band_points(sessions)
             _, first, centroids = voxel_cells(pts, params.ground_voxel)

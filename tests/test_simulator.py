@@ -90,7 +90,7 @@ def _assert_matches_cubic_spline(spec):
     """The sampler's positions, velocities and accelerations over 1.25 runs
     of the route, and at its knots, against scipy's ``CubicSpline``:
     periodic through a closed route, natural through an open one, whose end
-    states hold past its end. Return the knots."""
+    states hold past its end."""
     sampler = sim.generate_trajectory(spec, 200, 10)
     wp = np.array(spec.waypoints, dtype=float)[:: -1 if spec.direction == "reverse" else 1]
     knots = np.concatenate([[0.0], np.cumsum(np.linalg.norm(np.diff(wp, axis=0), axis=1) / spec.speed)])
@@ -102,13 +102,12 @@ def _assert_matches_cubic_spline(spec):
         times = np.clip(times, knots[0], knots[-1])
     for got, nu in zip(sampler.states_at(times)[:3], (0, 1, 2)):
         np.testing.assert_allclose(got, spline(times, nu), rtol=1e-13, atol=1e-12)
-    return knots
 
 
 class TestRouteSpline:
-    """The numpy route spline against scipy's, which it computes in scipy's
-    own arithmetic. Other scipy builds may solve the knot system in another
-    order, so the match is to 1e-13 relative here, not bitwise."""
+    """The route spline against scipy's ``CubicSpline``. Both solve the same
+    knot system, each in its own order of arithmetic, so they agree to
+    rounding, 1e-13 relative, not bit for bit."""
 
     @pytest.mark.parametrize("direction", ["forward", "reverse"])
     def test_default_routes(self, direction):
@@ -120,10 +119,8 @@ class TestRouteSpline:
 
     def test_random_routes_with_uneven_chords(self):
         """Routes of 2 to 13 waypoints with chords spread over two decades,
-        open and closed. A chord more than twice its predecessor's makes the
-        open route's knot system pivot on its first row."""
+        open and closed."""
         rng = np.random.default_rng(5)
-        pivoted = 0
         for n in range(2, 14):
             for closed in (False, True):
                 if closed and n < 3:
@@ -135,9 +132,7 @@ class TestRouteSpline:
                 if closed:
                     wp[-1] = wp[0]
                 spec = sim.TrajectorySpec(wp, speed=float(rng.uniform(0.5, 4.0)))
-                dx = np.diff(_assert_matches_cubic_spline(spec))
-                pivoted += not closed and n > 2 and dx[1] > 2 * dx[0]
-        assert pivoted > 0
+                _assert_matches_cubic_spline(spec)
 
 
 class TestSynthesizeImu:
@@ -722,7 +717,6 @@ class TestGenerateSession:
         for (pa, la), (pb, lb) in zip(a.scans, b.scans):
             np.testing.assert_array_equal(pa, pb)
             np.testing.assert_array_equal(la, lb)
-        assert a.element_kinds == b.element_kinds
 
     def test_element_kinds_mark_semi_static_sessions(self):
         """Each car is semi-static in the sessions that see it, and the
@@ -731,10 +725,10 @@ class TestGenerateSession:
         rig = sim.default_rig()
         spec = sim.default_trajectory_spec()
         session = sim.generate_session(world, spec, rig, session_id=1, seed=3, duration=4.0)
-        car_ids = [e.elem_id for e in world.elements if e.kind == sim.KIND_SEMI_STATIC]
-        assert car_ids
-        for cid in car_ids:
-            assert session.element_kinds[cid] == (sim.KIND_SEMI_STATIC, (1, 2))
+        cars = [e for e in world.elements if e.kind == sim.KIND_SEMI_STATIC]
+        assert cars
+        assert all(car.sessions == (1, 2) for car in cars)
+        car_ids = [car.elem_id for car in cars]
         scan_labels = set(np.concatenate([lab for _, lab in session.scans]).tolist())
         assert set(car_ids) & scan_labels
 

@@ -469,6 +469,73 @@ def test_one_knn_call_site():
     assert knn_calls(_package_and_bench()[0]) == []
 
 
+# The estimator's functions that read a ground-truth field of the session,
+# with the fields they read and the ROADMAP direction that removes the reads.
+# An entry goes when its direction lands; direction 21 is done when none is left.
+GROUND_TRUTH_READS = {
+    "estimator._initial_state": ("gt_poses gt_times", "21: the first velocity from the visual-inertial start"),
+    "estimator._due_keyframes": ("gt_times", "17: frames carry their own timestamp"),
+    "estimator.initialize": ("gt_times", "17: frames carry their own timestamp"),
+}
+
+
+def ground_truth_reads(modules: dict) -> dict:
+    """The ``gt_*`` attributes read in ``modules`` (name -> source), as
+    ``{"module.function": {field, ...}}``, the function being the innermost
+    one around the read, or ``module`` at module level."""
+    found = {}
+    for module, source in modules.items():
+        stack = [(ast.parse(source), module)]
+        while stack:
+            node, where = stack.pop()
+            if isinstance(node, ast.FunctionDef):
+                where = f"{module}.{node.name}"
+            if isinstance(node, ast.Attribute) and node.attr.startswith("gt_"):
+                found.setdefault(where, set()).add(node.attr)
+            stack.extend((child, where) for child in ast.iter_child_nodes(node))
+    return found
+
+
+def test_ground_truth_reads_are_found():
+    modules = {
+        "estimator": (
+            "def _initial_state(session):\n"
+            "    gt0 = session.gt_poses[0]\n"
+            "    return gt0, session.gt_times[1]\n"
+            "def run(session, gt_times):\n"
+            "    def inner(s): return s.gt_times\n"
+            "    return replace(session, gt_poses=None), gt_times, inner(session)\n"
+            "T0 = SESSION.gt_times[0]\n"
+        ),
+    }
+    assert ground_truth_reads(modules) == {
+        "estimator._initial_state": {"gt_poses", "gt_times"},
+        "estimator.inner": {"gt_times"},
+        "estimator": {"gt_times"},
+    }
+
+
+def _estimator_ground_truth_reads():
+    return ground_truth_reads({"estimator": (PACKAGE / "estimator.py").read_text()})
+
+
+def test_no_unlisted_ground_truth_read():
+    """The estimator reads ground truth only where ``GROUND_TRUTH_READS``
+    says (ROADMAP direction 21): a new read is a new entry, with the
+    direction that removes it."""
+    listed = {name: set(fields.split()) for name, (fields, _) in GROUND_TRUTH_READS.items()}
+    unlisted = {name: fields - listed.get(name, set()) for name, fields in _estimator_ground_truth_reads().items()}
+    assert {name: fields for name, fields in unlisted.items() if fields} == {}
+
+
+def test_ground_truth_read_entries_are_current():
+    """Every ``GROUND_TRUTH_READS`` field is still read where its entry says:
+    once a read goes, so does its field, and an entry with none left."""
+    found = _estimator_ground_truth_reads()
+    stale = {name: set(fields.split()) - found.get(name, set()) for name, (fields, _) in GROUND_TRUTH_READS.items()}
+    assert {name: fields for name, fields in stale.items() if fields} == {}
+
+
 # Defaults of public src definitions that no src or perfbench call sets, each
 # with the measurement or the scene it describes that varies it. A default
 # that nothing varies is a module constant; an entry goes when a call sets it.
