@@ -14,30 +14,31 @@ one bundle-adjustment step chosen by the schedule:
 
 The front end is one keyframe path. ``_due_keyframes`` preintegrates the
 IMU samples between the window's newest keyframe and each later frame, by
-timestamp, and yields a keyframe wherever the policy (``_keyframe_due``:
-translation, rotation or landmark overlap) fires on a frame that tracks
-enough landmarks; ``initialize`` inserts frame 0 and its first yield,
-``run_localization`` the rest. The IMU stream must start at or before frame
-0, whose body the anchor guess places (``initialize`` raises otherwise);
-where it ends, keyframes stop at the first frame after its last sample.
-Each insertion restacks the window's two tables (``SlidingWindow``), its
-keyframes' observation rows and its active landmarks;
+the frames' timestamps and at that keyframe's biases, and yields a keyframe
+wherever the policy (``_keyframe_due``: translation, rotation or landmark
+overlap) fires on a frame that tracks enough landmarks; ``initialize``
+inserts frame 0 and its first yield, ``run_localization`` the rest. The
+IMU stream must start at or before frame 0, whose body the anchor guess
+places (``initialize`` raises otherwise); where it ends, keyframes stop at
+the first frame after its last sample. Each insertion shifts the window's
+keyframe states by one row and restacks its two tables (``SlidingWindow``),
+its keyframes' observation rows and its active landmarks;
 ``activate_landmarks`` then triangulates in one call every inactive
 landmark that two window keyframes see, from its first row.
 
 Both steps state their terms as arrays. The window problem
-(``_build_vio_problem``) stacks the window in block families: ``pose``,
-``vel``, ``bg`` and ``ba`` with one row per keyframe in window order (the
-oldest pose fixed), and ``lm``, eliminated, with one row per solvable
-landmark (a mask over the active ones) in id order. It has one factor group
-per term family, whose slots index those rows: the window's observation rows
-of solvable landmarks, masked from its table (landmark rows by
-``np.searchsorted`` of the ids), then the preintegration and the bias terms
-between consecutive keyframes. After a solve ``_write_back`` unstacks the
-families into the keyframe states and, through the mask, the positions. An
-association (``associate_constraints``, one k-NN query over all landmarks)
-is one ``MapAssociation`` record of landmark ids, map points, normals and a
-point-to-plane mask.
+(``_build_vio_problem``) takes the window's state arrays as its block
+families ``pose``, ``vel``, ``bg`` and ``ba``, one row per keyframe in
+window order (the oldest pose fixed), and ``lm``, eliminated, with one row
+per solvable landmark (a mask over the active ones) in id order. It has one
+factor group per term family, whose slots index those rows: the window's
+observation rows of solvable landmarks, masked from its table (landmark
+rows by ``np.searchsorted`` of the ids), then the preintegration and the
+bias terms between consecutive keyframes. After a solve ``_write_back``
+assigns the families back to the state arrays and, through the mask, the
+positions. An association (``associate_constraints``, one k-NN query over
+all landmarks) is one ``MapAssociation`` record of landmark ids, map
+points, normals and a point-to-plane mask.
 
 The anchor's terms are stated once, by ``_add_anchor_groups``: the one-row
 ``anchor`` family, one map group per metric and the anchor prior. A
@@ -46,8 +47,9 @@ solve adds them to a problem whose only other family is the associated
 landmarks, held fixed; the solver runs both problems on the same Schur
 system, which gives the fixed landmarks no columns.
 
-The anchor prior mean is re-pinned to the converged anchor after every
-step, so the prior always encodes "the last step's estimate".
+The anchor is one ``Pose`` that each step takes and returns. A step's
+anchor prior has the anchor it was given, the last step's estimate, as its
+mean, widened by ``INITIAL_PRIOR_SCALE`` on the first step only.
 
 The thresholds (keyframe policy, map noise, robust scales, the ICP stop and
 the divergence rules) are the module constants below. ``EstimatorConfig``
@@ -60,11 +62,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
 from . import residuals as res
-from .imu import NavState, PreintegratedImu, bias_information, integrate, predict_state
+from .imu import PreintegratedImu, bias_information, integrate, predict_state
 from .laser_map import PointCloudMap, normal_consistency
 from .liegroup import Pose, se3_log, so3_log
 from .session import SensorRig, SessionData
@@ -113,6 +116,13 @@ class EstimatorConfig:
     prior_trans_sigma: float = 0.1  # m
     max_iterations: int = 8
 
+    def __post_init__(self):
+        # a window of one keyframe triangulates nothing, a zero sigma divides by zero
+        bounds = dict(window_capacity=1, knn_k=0, gate_radius=0.0, prior_trans_sigma=0.0, max_iterations=0)
+        for name, bound in bounds.items():
+            if not getattr(self, name) > bound:
+                raise ValueError(f"{name} must be above {bound}, got {getattr(self, name)!r}")
+
     def prior_information(self, scale: float = 1.0) -> np.ndarray:
         rot = PRIOR_ROT_SIGMA * scale
         trans = self.prior_trans_sigma * scale
@@ -122,23 +132,9 @@ class EstimatorConfig:
 
 
 @dataclass
-class AnchorTransform:
-    """Local-to-map transform and the prior mean it is pulled toward.
-
-    ``prior_scale`` widens the prior before the first step has produced an
-    estimate (the initial guess is only coarse); it drops to 1 afterwards.
-    """
-
-    pose: Pose
-    prior_mean: Pose
-    prior_scale: float = 1.0
-
-
-@dataclass
 class Keyframe:
     kf_id: int
     timestamp: float
-    state: NavState
     landmark_ids: np.ndarray
     pixels: np.ndarray  # (n, 4): ul vl ur vr
     pre_from_prev: PreintegratedImu | None = None
@@ -161,10 +157,13 @@ class BaSchedule:
 
 
 class SlidingWindow:
-    """Keyframes, their observation rows as one table, and the active landmarks.
+    """Keyframes, their states and observation rows as tables, and the active landmarks.
 
-    Each insertion stacks the rows keyframe by keyframe: ``row_ids``,
-    ``row_pixels`` (n, 4) and ``row_keyframe`` (window index, 0 the oldest).
+    The keyframe states are stacked in window order (0 the oldest), the
+    solver's layout: ``poses`` (a ``Pose`` stack, body in L), ``velocities``,
+    ``gyro_biases`` and ``accel_biases`` (n, 3). Each insertion shifts them
+    by one row and stacks the observation rows keyframe by keyframe:
+    ``row_ids``, ``row_pixels`` (n, 4) and ``row_keyframe`` (window index).
     ``seen_ids`` are their ids, sorted, and ``observers`` how many keyframes
     see each (a keyframe counts once per id). The active landmarks are
     ``landmarks``, sorted ids, and ``positions`` (m, 3) in L, row for row:
@@ -174,17 +173,26 @@ class SlidingWindow:
     def __init__(self, capacity: int):
         self.capacity = capacity
         self.keyframes: list[Keyframe] = []
+        self.poses = Pose(np.zeros((0, 3, 3)), np.zeros((0, 3)))
+        self.velocities = self.gyro_biases = self.accel_biases = np.zeros((0, 3))
         empty = np.zeros(0, dtype=int)  # replaced, never written into
         self.row_ids, self.row_pixels, self.row_keyframe = empty, np.zeros((0, 4)), empty
         self.seen_ids, self.observers = empty, empty
         self.landmarks, self.positions = empty, np.zeros((0, 3))
 
-    def insert_keyframe(self, kf: Keyframe) -> None:
-        """Append; evict the oldest beyond capacity; restack; retire orphan landmarks."""
-        self.keyframes.append(kf)
-        if len(self.keyframes) > self.capacity:
-            self.keyframes.pop(0)
-        kfs = self.keyframes
+    def insert_keyframe(self, kf: Keyframe, pose: Pose, velocity) -> None:
+        """Append ``kf`` at ``pose`` and ``velocity`` with its predecessor's
+        biases (zero for the first); evict the oldest beyond capacity;
+        restack; retire orphan landmarks."""
+        def shift(rows, row):
+            return np.concatenate([rows, [row]])[-self.capacity:]
+
+        bg, ba = (self.gyro_biases[-1], self.accel_biases[-1]) if self.keyframes else (np.zeros(3),) * 2
+        kfs = self.keyframes = (self.keyframes + [kf])[-self.capacity:]
+        rot, trans = self.poses.rotation, self.poses.translation
+        self.poses = Pose(shift(rot, pose.rotation), shift(trans, pose.translation))
+        self.velocities = shift(self.velocities, velocity)
+        self.gyro_biases, self.accel_biases = shift(self.gyro_biases, bg), shift(self.accel_biases, ba)
         self.row_ids = np.concatenate([kf.landmark_ids for kf in kfs])
         self.row_pixels = np.concatenate([kf.pixels for kf in kfs])
         self.row_keyframe = np.repeat(np.arange(len(kfs)), [len(kf.landmark_ids) for kf in kfs])
@@ -223,10 +231,8 @@ def activate_landmarks(window: SlidingWindow, rig: SensorRig) -> int:
     """
     ids, first = np.unique(window.row_ids, return_index=True)  # ids are seen_ids
     rows = first[(window.observers >= 2) & ~np.isin(ids, window.landmarks)]
-    kf_poses = Pose.stack([kf.state.pose for kf in window.keyframes])
-    owner = window.row_keyframe[rows]
-    pose = Pose(kf_poses.rotation[owner], kf_poses.translation[owner])
-    positions, ok = triangulate_stereo(rig, pose, window.row_pixels[rows])
+    owner = window.poses[window.row_keyframe[rows]]
+    positions, ok = triangulate_stereo(rig, owner, window.row_pixels[rows])
     ids = np.concatenate([window.landmarks, window.row_ids[rows[ok]]])
     order = np.argsort(ids)
     window.landmarks = ids[order]
@@ -285,15 +291,16 @@ def associate_constraints(
     )
 
 
-def _add_anchor_groups(problem: Problem, anchor: AnchorTransform, association, lm_ids, cfg) -> None:
-    """The ``anchor`` family of one row, one map group per metric present
-    (point-to-plane first), and the anchor prior.
+def _add_anchor_groups(problem: Problem, anchor: Pose, prior, association, lm_ids) -> None:
+    """The ``anchor`` family of one row at ``anchor``, one map group per
+    metric present (point-to-plane first), and the anchor prior ``prior``:
+    (mean, information).
 
     Row j of the problem's ``lm`` family is landmark ``lm_ids[j]`` (sorted),
     and every associated landmark must be among them. Each map row carries
     its map point, and a point-to-plane row its normal too.
     """
-    problem.add_poses("anchor", [anchor.pose])
+    problem.add_poses("anchor", Pose.stack([anchor]))
     rows = np.searchsorted(lm_ids, association.landmark_ids)
     information = np.eye(3) / (SIGMA_MAP**2)
     kernel = res.RobustKernel("cauchy", CAUCHY_METRIC)
@@ -305,25 +312,25 @@ def _add_anchor_groups(problem: Problem, anchor: AnchorTransform, association, l
             kind, [("anchor", np.zeros(metric.sum(), dtype=int)), ("lm", rows[metric])], data,
             information, kernel,
         )
+    mean, information = prior
     problem.add_factors(
-        res.AnchorPriorFactor, [("anchor", [0])], Pose.stack([anchor.prior_mean]),
-        cfg.prior_information(anchor.prior_scale), res.RobustKernel(),
+        res.AnchorPriorFactor, [("anchor", [0])], Pose.stack([mean]), information, res.RobustKernel()
     )
 
 
-def _alignment_problem(window: SlidingWindow, anchor: AnchorTransform, association, cfg) -> Problem:
+def _alignment_problem(window: SlidingWindow, anchor: Pose, prior, association) -> Problem:
     """The rigid step's anchor-only problem: the associated landmarks as a
     fixed ``lm`` family, in id order, and the anchor groups."""
     problem = Problem()
     rows = np.searchsorted(window.landmarks, association.landmark_ids)
     problem.add_vectors("lm", window.positions[rows], fixed=True)
-    _add_anchor_groups(problem, anchor, association, association.landmark_ids, cfg)
+    _add_anchor_groups(problem, anchor, prior, association, association.landmark_ids)
     return problem
 
 
 def _solved_anchor(problem: Problem) -> Pose:
     """The ``anchor`` family's one row after a solve."""
-    return Pose(*(a[0] for a in problem.value["anchor"]))
+    return Pose(*problem.value["anchor"])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -340,12 +347,11 @@ def _build_vio_problem(window, rig, gravity, solvable) -> Problem:
     keyframe, carrying that row's pixels.
     """
     kfs = window.keyframes
-    states = [kf.state for kf in kfs]
     problem = Problem()
-    problem.add_poses("pose", [s.pose for s in states], fixed=np.arange(len(kfs)) == 0)
-    problem.add_vectors("vel", [s.velocity for s in states])
-    problem.add_vectors("bg", [s.gyro_bias for s in states])
-    problem.add_vectors("ba", [s.accel_bias for s in states])
+    problem.add_poses("pose", window.poses, fixed=np.arange(len(kfs)) == 0)
+    problem.add_vectors("vel", window.velocities)
+    problem.add_vectors("bg", window.gyro_biases)
+    problem.add_vectors("ba", window.accel_biases)
     problem.add_vectors("lm", window.positions[solvable], eliminate=True)
 
     lm_ids = window.landmarks[solvable]
@@ -380,55 +386,54 @@ def _build_vio_problem(window, rig, gravity, solvable) -> Problem:
 
 
 def _write_back(problem: Problem, window: SlidingWindow, solvable) -> None:
-    """The solved families back into the keyframe states and, through ``solvable``, the positions."""
+    """The solved families back into the window's states and, through ``solvable``, the positions."""
     value = problem.value
-    rows = zip(*value["pose"], value["vel"], value["ba"], value["bg"])
-    for kf, (rot, trans, vel, ba, bg) in zip(window.keyframes, rows):
-        kf.state = NavState(Pose(rot, trans), vel, ba, bg)
+    window.poses = Pose(*value["pose"])
+    window.velocities, window.gyro_biases, window.accel_biases = value["vel"], value["bg"], value["ba"]
     window.positions[solvable] = value["lm"]
 
 
-def _adjust_window(window, anchor, association, rig, cfg) -> SolverReport:
+def _adjust_window(window, anchor, prior, association, rig, cfg):
     """One solve of the window problem, with the anchor groups of the
     solvable landmarks' constraints if ``association`` has any, written back
-    into the window and, with constraints, the anchor."""
+    into the window; returns (anchor, report), the anchor as it was without."""
     solvable = window.solvable()
     problem = _build_vio_problem(window, rig, rig.gravity_vector(), solvable)
     if len(association):
         lm_ids = window.landmarks[solvable]
         rows = association.rows(np.isin(association.landmark_ids, lm_ids))
-        _add_anchor_groups(problem, anchor, rows, lm_ids, cfg)
+        _add_anchor_groups(problem, anchor, prior, rows, lm_ids)
     report = solve(problem, cfg.max_iterations)
     _write_back(problem, window, solvable)
-    if len(association):
-        anchor.pose = _solved_anchor(problem)
-    return report
+    return (_solved_anchor(problem) if len(association) else anchor), report
 
 
 def non_rigid_ba(
     window: SlidingWindow,
-    anchor: AnchorTransform,
+    anchor: Pose,
+    prior,
     association: MapAssociation,
     rig: SensorRig,
     cfg: EstimatorConfig,
-) -> SolverReport:
-    """Joint adjustment of states, landmarks and the anchor.
+):
+    """Joint adjustment of states, landmarks and the anchor; returns (anchor, report).
 
     With no map constraints this reduces to the plain visual-inertial
     problem (no anchor block), matching a VIO-only solve exactly. Otherwise
     the anchor groups take the constraints of the solvable landmarks.
     """
-    return _adjust_window(window, anchor, association, rig, cfg)
+    return _adjust_window(window, anchor, prior, association, rig, cfg)
 
 
 def rigid_ba(
     window: SlidingWindow,
-    anchor: AnchorTransform,
+    anchor: Pose,
+    prior,
     cloud: PointCloudMap,
     rig: SensorRig,
     cfg: EstimatorConfig,
-) -> SolverReport:
-    """VIO-only adjustment, then ICP-style anchor-only alignment.
+):
+    """VIO-only adjustment, then ICP-style anchor-only alignment; returns (anchor, report).
 
     Stage two repeats association + anchor solve until the anchor update
     falls below ``ICP_UPDATE_TOL`` or ``ICP_MAX_ITERATIONS`` is reached; states
@@ -437,48 +442,43 @@ def rigid_ba(
     report's initial cost is stage one's, its final cost the last anchor
     solve's.
     """
-    stage1 = _adjust_window(window, anchor, _NO_ASSOCIATION, rig, cfg)
-
-    iterations = stage1.iterations
-    final_cost = stage1.final_cost
-    termination = stage1.termination
+    anchor, report = _adjust_window(window, anchor, prior, _NO_ASSOCIATION, rig, cfg)
+    initial_cost, iterations = report.initial_cost, report.iterations
     for _ in range(ICP_MAX_ITERATIONS):
-        association = associate_constraints(window, anchor.pose, cloud, cfg)
+        association = associate_constraints(window, anchor, cloud, cfg)
         if not len(association):
             break
-        alignment = _alignment_problem(window, anchor, association, cfg)
+        alignment = _alignment_problem(window, anchor, prior, association)
         report = solve(alignment, cfg.max_iterations)
         aligned = _solved_anchor(alignment)
-        update = np.linalg.norm(se3_log(anchor.pose.inverse() @ aligned))
-        anchor.pose = aligned
+        update = np.linalg.norm(se3_log(anchor.inverse() @ aligned))
+        anchor = aligned
         iterations += report.iterations
-        final_cost = report.final_cost
-        termination = report.termination
         if update < ICP_UPDATE_TOL:
             break
-    return SolverReport(stage1.initial_cost, final_cost, iterations, termination)
+    return anchor, SolverReport(initial_cost, report.final_cost, iterations, report.termination)
 
 
 def step(
     window: SlidingWindow,
-    anchor: AnchorTransform,
+    anchor: Pose,
     cloud: PointCloudMap,
     schedule: BaSchedule,
     counter: int,
     rig: SensorRig,
     cfg: EstimatorConfig,
 ):
-    """One scheduled adjustment; returns (report, association, actions)."""
+    """One scheduled adjustment from ``anchor``, the mean of its anchor
+    prior; returns (anchor, report, association, actions)."""
     actions = schedule.actions_at(counter)
+    prior = (anchor, cfg.prior_information(INITIAL_PRIOR_SCALE if counter == 0 else 1.0))
     if actions == ("rigid",):
-        report = rigid_ba(window, anchor, cloud, rig, cfg)
-        association = associate_constraints(window, anchor.pose, cloud, cfg)
+        anchor, report = rigid_ba(window, anchor, prior, cloud, rig, cfg)
+        association = associate_constraints(window, anchor, cloud, cfg)
     else:
-        association = associate_constraints(window, anchor.pose, cloud, cfg)
-        report = non_rigid_ba(window, anchor, association, rig, cfg)
-    anchor.prior_mean = anchor.pose
-    anchor.prior_scale = 1.0
-    return report, association, actions
+        association = associate_constraints(window, anchor, cloud, cfg)
+        anchor, report = non_rigid_ba(window, anchor, prior, association, rig, cfg)
+    return anchor, report, association, actions
 
 
 # ---------------------------------------------------------------------------
@@ -586,21 +586,20 @@ def _interpolated_sample(samples: np.ndarray, i: int, t: float) -> np.ndarray:
     return sample
 
 
-def _initial_state(session: SessionData) -> NavState:
-    """Local-frame initial state: identity pose, the first true velocity in the body frame."""
+def _initial_velocity(session: SessionData) -> np.ndarray:
+    """The first keyframe's velocity: the first true velocity, in its body frame, which is L's."""
     gt0 = session.gt_poses[0]
     if len(session.gt_poses) > 1:
         dt = float(session.gt_times[1] - session.gt_times[0])
         v_world = (session.gt_poses[1].translation - gt0.translation) / dt
     else:
         v_world = np.zeros(3)
-    velocity = gt0.rotation.T @ v_world
-    return NavState(pose=Pose.identity(), velocity=velocity)
+    return gt0.rotation.T @ v_world
 
 
 def _due_keyframes(session: SessionData, window: SlidingWindow):
-    """Yield a ``Keyframe`` for each later frame that tracks at least
-    ``MIN_FRAME_LANDMARKS`` landmarks and where the keyframe policy fires.
+    """Yield ``(keyframe, pose, velocity)`` for each later frame that tracks
+    at least ``MIN_FRAME_LANDMARKS`` landmarks and where the keyframe policy fires.
 
     Every frame is predicted from the window's newest keyframe, read again
     for each frame, so a keyframe the caller inserts becomes the next base.
@@ -609,73 +608,66 @@ def _due_keyframes(session: SessionData, window: SlidingWindow):
     rig = session.rig
     imu_end = session.imu_samples[-1, 0] if len(session.imu_samples) else -math.inf
     for k in range(window.keyframes[-1].kf_id + 1, len(session.frames)):
-        timestamp = float(session.gt_times[k])
-        if timestamp > imu_end:
-            return
-        last = window.keyframes[-1]
-        pre = integrate(
-            _imu_between(session, last.timestamp, timestamp),
-            (last.state.gyro_bias, last.state.accel_bias),
-        )
-        state = predict_state(last.state, pre, rig.gravity_vector())
         frame = session.frames[k]
+        if frame.timestamp > imu_end:
+            return
+        last, last_pose = window.keyframes[-1], window.poses[-1]
+        pre = integrate(
+            _imu_between(session, last.timestamp, frame.timestamp),
+            (window.gyro_biases[-1], window.accel_biases[-1]),
+        )
+        pose, velocity = predict_state(last_pose, window.velocities[-1], pre, rig.gravity_vector())
         if len(frame.landmark_ids) >= MIN_FRAME_LANDMARKS and _keyframe_due(
-            last, state, frame.landmark_ids
+            last_pose, last.landmark_ids, pose, frame.landmark_ids
         ):
-            yield Keyframe(k, timestamp, state, frame.landmark_ids.copy(),
-                           frame.pixels.copy(), pre_from_prev=pre)
+            kf = Keyframe(k, frame.timestamp, frame.landmark_ids.copy(), frame.pixels.copy(), pre)
+            yield kf, pose, velocity
 
 
-def initialize(
-    session: SessionData, anchor_guess: Pose, cfg: EstimatorConfig | None = None
-):
+def initialize(session: SessionData, cfg: EstimatorConfig | None = None) -> SlidingWindow:
     """Seed the window with the first two keyframes and stereo landmarks.
 
-    Returns ``(window, anchor)``. Raises ``ValueError`` when the IMU stream
-    starts after frame 0, which would leave the head of the first keyframe
-    link unintegrated; ``TooFewObservationsError`` when frame 0 tracks too
-    few landmarks; and ``InsufficientParallaxError`` when no second keyframe
-    comes or too few landmarks triangulate.
+    Raises ``ValueError`` when the IMU stream starts after frame 0, which
+    would leave the head of the first keyframe link unintegrated;
+    ``TooFewObservationsError`` when frame 0 tracks too few landmarks; and
+    ``InsufficientParallaxError`` when no second keyframe comes or too few
+    landmarks triangulate.
     """
     cfg = cfg or EstimatorConfig()
     window = SlidingWindow(cfg.window_capacity)
-    t0 = float(session.gt_times[0])
+    frame0 = session.frames[0]
+    t0 = frame0.timestamp
     if len(session.imu_samples) and session.imu_samples[0, 0] > t0:
         raise ValueError(
             f"IMU stream starts after frame 0: [{t0:.6f}, {session.imu_samples[0, 0]:.6f}) s has no samples"
         )
-    frame0 = session.frames[0]
     if len(frame0.landmark_ids) < MIN_FRAME_LANDMARKS:
         raise TooFewObservationsError(
             f"frame tracks {len(frame0.landmark_ids)} < {MIN_FRAME_LANDMARKS} landmarks"
         )
-    kf0 = Keyframe(0, t0, _initial_state(session),
-                   frame0.landmark_ids.copy(), frame0.pixels.copy())
-    window.insert_keyframe(kf0)
-    kf1 = next(_due_keyframes(session, window), None)
-    if kf1 is None:
+    kf0 = Keyframe(0, t0, frame0.landmark_ids.copy(), frame0.pixels.copy())
+    window.insert_keyframe(kf0, Pose.identity(), _initial_velocity(session))
+    second = next(_due_keyframes(session, window), None)
+    if second is None:
         raise InsufficientParallaxError("session too short to create a second keyframe")
-    window.insert_keyframe(kf1)
+    window.insert_keyframe(*second)
     activated = activate_landmarks(window, session.rig)
     if activated < MIN_FRAME_LANDMARKS:
         raise InsufficientParallaxError(
             f"only {activated} landmarks triangulated at initialization"
         )
-    anchor = AnchorTransform(
-        pose=anchor_guess, prior_mean=anchor_guess, prior_scale=INITIAL_PRIOR_SCALE
-    )
-    return window, anchor
+    return window
 
 
-def _keyframe_due(last: Keyframe, state: NavState, frame_ids) -> bool:
-    """Keyframe policy: motion from the newest keyframe ``last``, or too little overlap."""
-    trans = np.linalg.norm(state.pose.translation - last.state.pose.translation)
+def _keyframe_due(last_pose: Pose, last_ids, pose: Pose, frame_ids) -> bool:
+    """Keyframe policy: motion from ``last_pose``, or too little overlap with ``last_ids``."""
+    trans = np.linalg.norm(pose.translation - last_pose.translation)
     if trans > KF_TRANSLATION:
         return True
-    rel = last.state.pose.rotation.T @ state.pose.rotation
+    rel = last_pose.rotation.T @ pose.rotation
     if np.linalg.norm(so3_log(rel)) > KF_ROTATION:
         return True
-    last_ids = set(last.landmark_ids.tolist())
+    last_ids = set(last_ids.tolist())
     if not last_ids:
         return False
     overlap = len(last_ids.intersection(frame_ids.tolist())) / len(last_ids)
@@ -693,13 +685,17 @@ def run_localization(
     cfg = cfg or EstimatorConfig()
     schedule = schedule or BaSchedule()
     rig = session.rig
-    window, anchor = initialize(session, anchor_guess, cfg)
-    monitor = DivergenceMonitor()
+    window = initialize(session, cfg)
+    anchor, monitor = anchor_guess, DivergenceMonitor()
     poses_map, records = [], []
-
-    def run_step(kf: Keyframe):
-        report, association, actions = step(window, anchor, cloud, schedule, len(records), rig, cfg)
-        mean_res = _mean_constraint_residual(window, anchor.pose, association)
+    # the first step adjusts the initialized window, each later one an insertion
+    for due in chain([None], _due_keyframes(session, window)):
+        if due:
+            window.insert_keyframe(*due)
+            activate_landmarks(window, rig)
+        anchor, report, association, actions = step(window, anchor, cloud, schedule, len(records), rig, cfg)
+        mean_res = _mean_constraint_residual(window, anchor, association)
+        kf = window.keyframes[-1]
         records.append(
             StepRecord(
                 kf.kf_id,
@@ -713,18 +709,10 @@ def run_localization(
                 mean_res,
             )
         )
-        poses_map.append(anchor.pose @ kf.state.pose)
-        return monitor.update(len(association), mean_res)
-
-    reason = run_step(window.keyframes[-1])
-    if not reason:
-        for kf in _due_keyframes(session, window):
-            window.insert_keyframe(kf)
-            activate_landmarks(window, rig)
-            reason = run_step(kf)
-            if reason:
-                break
-
+        poses_map.append(anchor @ window.poses[-1])
+        reason = monitor.update(len(association), mean_res)
+        if reason:
+            break
     return LocalizationResult(
         poses_map=poses_map,
         records=records,

@@ -8,9 +8,11 @@ Accumulates a stream into relative rotation, velocity and position
 pseudo-measurements, together with first-order bias Jacobians and a
 propagated 9x9 covariance (error order: rotation, position, velocity).
 Gravity is not folded into the deltas; it is applied when predicting a
-state. Integration uses the midpoint rule: each interval between
-consecutive samples is integrated with the average of its two endpoint
-measurements.
+pose and velocity (``predict_state``) from a stream integrated at the
+keyframe's biases. The bias Jacobians serve the preintegration residual,
+whose biases move away from that point in a solve. Integration uses the
+midpoint rule: each interval between consecutive samples is integrated
+with the average of its two endpoint measurements.
 
 Of the recurrences over intervals, three are truly sequential products and
 run in a loop: the attitude ``delta_R`` (right products of the interval
@@ -25,7 +27,7 @@ sequence, so every field keeps the rounding of a loop over intervals.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -46,16 +48,6 @@ class EmptyStreamError(ValueError):
 
 class NonMonotonicTimestampsError(ValueError):
     """Sample timestamps must be strictly increasing."""
-
-
-@dataclass(frozen=True)
-class NavState:
-    """Per-keyframe state: body pose in the local frame, velocity, biases."""
-
-    pose: Pose = field(default_factory=Pose.identity)
-    velocity: np.ndarray = field(default_factory=lambda: np.zeros(3))
-    accel_bias: np.ndarray = field(default_factory=lambda: np.zeros(3))
-    gyro_bias: np.ndarray = field(default_factory=lambda: np.zeros(3))
 
 
 @dataclass(frozen=True)
@@ -191,38 +183,21 @@ def _running_sum(*increments):
     return sums[:: len(increments)]
 
 
-def bias_corrected_delta(
-    pre: PreintegratedImu, new_bias: tuple[np.ndarray, np.ndarray]
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """First-order corrected (delta_R, delta_p, delta_v) at a new bias."""
-    db_g = np.asarray(new_bias[0], dtype=float) - pre.linearization_bias[0]
-    db_a = np.asarray(new_bias[1], dtype=float) - pre.linearization_bias[1]
-    d_rot = pre.delta_R @ so3_exp(pre.J_g_dR @ db_g)
-    d_p = pre.delta_p + pre.J_g_dp @ db_g + pre.J_a_dp @ db_a
-    d_v = pre.delta_v + pre.J_g_dv @ db_g + pre.J_a_dv @ db_a
-    return d_rot, d_p, d_v
-
-
-def predict_state(state: NavState, pre: PreintegratedImu, gravity: np.ndarray) -> NavState:
-    """Propagate a keyframe state through a preintegrated interval."""
+def predict_state(pose: Pose, velocity: np.ndarray, pre: PreintegratedImu, gravity: np.ndarray):
+    """The pose and velocity after the interval ``pre``, integrated at the
+    keyframe's biases, from the keyframe's ``pose`` and ``velocity``."""
     gravity = np.asarray(gravity, dtype=float)
-    d_rot, d_p, d_v = bias_corrected_delta(pre, (state.gyro_bias, state.accel_bias))
-    rot_i = state.pose.rotation
+    rot_i = pose.rotation
     dt = pre.dt_total
-    rot = rot_i @ d_rot
-    vel = state.velocity + gravity * dt + rot_i @ d_v
+    rot = rot_i @ pre.delta_R
+    vel = velocity + gravity * dt + rot_i @ pre.delta_v
     pos = (
-        state.pose.translation
-        + state.velocity * dt
+        pose.translation
+        + velocity * dt
         + 0.5 * gravity * dt * dt
-        + rot_i @ d_p
+        + rot_i @ pre.delta_p
     )
-    return NavState(
-        pose=Pose(rot, pos),
-        velocity=vel,
-        accel_bias=state.accel_bias.copy(),
-        gyro_bias=state.gyro_bias.copy(),
-    )
+    return Pose(rot, pos), vel
 
 
 def bias_information(dt_total: float) -> np.ndarray:

@@ -204,6 +204,10 @@ class Pose:
     def __matmul__(self, other: "Pose") -> "Pose":
         return self.compose(other)
 
+    def __getitem__(self, rows) -> "Pose":
+        """Rows of a stack: one pose for an integer, a stack for a mask or indices."""
+        return Pose(self.rotation[rows], self.translation[rows])
+
     def inverse(self) -> "Pose":
         rt = np.swapaxes(self.rotation, -1, -2)
         return Pose(rt.copy(), -_matvec(rt, self.translation))

@@ -216,7 +216,7 @@ class PreintegrationFactor:
         dt = c["dt_total"][:, None]
         gravity = c["gravity"]
 
-        # bias_corrected_delta at the first keyframe's biases
+        # the deltas, first-order corrected to the first keyframe's biases
         db_g = bg_i - c["bias_g"]
         db_a = ba_i - c["bias_a"]
         phi_g = _matvec(c["J_g_dR"], db_g)
@@ -358,8 +358,7 @@ class PointToPointFactor:
 def _group_pose(batch, values) -> Pose:
     """The one pose that every row's first slot names: the map kinds' anchor."""
     family, rows = batch.slots[0]
-    rot, trans = values[family]
-    return Pose(rot[rows[0]], trans[rows[0]])
+    return Pose(*values[family])[rows[0]]
 
 
 class AnchorPriorFactor:

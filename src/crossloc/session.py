@@ -5,7 +5,7 @@ A ``SessionData`` holds, for one traversal:
     gt_times      (K,) frame timestamps: frame k is taken at gt_times[k]
     gt_poses      K ground-truth body poses, one per frame
     imu_samples   (N, 7) IMU stream, a row per sample: t wx wy wz ax ay az
-    frames        K stereo observations: landmark ids and (ul vl ur vr)
+    frames        K stereo observations: timestamp, landmark ids and (ul vl ur vr)
     scans         per frame, laser points in the sensor frame and their labels
 
 Scans share the frame clock: scan k is taken at gt_times[k].
@@ -65,8 +65,9 @@ class SensorRig:
 
 @dataclass
 class FrameObservations:
-    """Stereo feature observations of one frame: ids plus (ul vl ur vr)."""
+    """Stereo feature observations of one frame, taken at ``timestamp`` (s): ids plus (ul vl ur vr)."""
 
+    timestamp: float
     landmark_ids: np.ndarray
     pixels: np.ndarray  # (n, 4)
 

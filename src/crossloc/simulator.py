@@ -461,7 +461,7 @@ def synthesize_camera(
             visible &= depth_ok & rng_ok & cam.in_image(np.nan_to_num(uv, nan=-1.0))
             uv_pair.append(uv)
         # noise and outliers frame by frame, in frame order
-        for seen, uv_left, uv_right in zip(visible, *uv_pair):
+        for k, seen, uv_left, uv_right in zip(indices[start : start + _FRAME_CHUNK], visible, *uv_pair):
             sel = np.nonzero(seen)[0]
             pixels = np.concatenate([uv_left[sel], uv_right[sel]], axis=1)
             if pixel_sigma > 0:
@@ -472,7 +472,7 @@ def synthesize_camera(
                 if n_bad:
                     w, h = rig.camera.width, rig.camera.height
                     pixels[bad] = np.column_stack([rng.uniform(0, m - 1, n_bad) for m in (w, h, w, h)])
-            frames.append(FrameObservations(ids[sel].copy(), pixels))
+            frames.append(FrameObservations(float(sampled.imu_times[k]), ids[sel].copy(), pixels))
     return frames
 
 

@@ -13,8 +13,8 @@ evaluates the cost alone. A linearization's cost is the sum of the same
 group costs, in the same order, as ``evaluate_cost``.
 
 A Problem's variables are named block families, each stacked in one array
-of n rows: ``add_poses(name, poses, fixed)`` (SE(3) poses, updated by right
-retraction) and ``add_vectors(name, values (n, k), fixed, eliminate)``;
+of n rows: ``add_poses(name, poses, fixed)`` (a ``Pose`` stack, updated by
+right retraction) and ``add_vectors(name, values (n, k), fixed, eliminate)``;
 ``fixed`` is one bool per row or one for all. Its ``value`` is a dict from
 family to array: ``(n, k)`` for vectors, ``(R (n, 3, 3), t (n, 3))`` for
 poses. A factor group is n rows of one factor kind, added at once by
@@ -117,11 +117,10 @@ class Problem:
         self.value: dict = {}  # family name -> its stacked value
         self.groups: list[FactorBatch] = []
 
-    def add_poses(self, name: str, poses, fixed=False):
-        """A family of SE(3) poses, one row per ``Pose``."""
-        stack = Pose.stack(poses)
-        fixed = _row_mask(fixed, len(stack.rotation))
-        self._add(name, (stack.rotation, stack.translation), _Family(True, 6, fixed))
+    def add_poses(self, name: str, poses: Pose, fixed=False):
+        """A family of SE(3) poses, one row per pose of the stack ``poses``."""
+        fixed = _row_mask(fixed, len(poses.rotation))
+        self._add(name, (poses.rotation, poses.translation), _Family(True, 6, fixed))
 
     def add_vectors(self, name: str, values, fixed=False, eliminate: bool = False):
         """A family of vectors, one row of ``values`` (n, k) each."""

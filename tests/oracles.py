@@ -8,11 +8,11 @@ library code it checks.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from crossloc.imu import NavState, PreintegratedImu, bias_corrected_delta
+from crossloc.imu import PreintegratedImu
 from crossloc.liegroup import Pose, se3_log, skew, so3_exp, so3_left_jacobian, so3_log
 from crossloc.residuals import RobustKernel
 
@@ -312,6 +312,16 @@ class MetricMismatchError(ValueError):
 
 
 @dataclass(frozen=True)
+class NavState:
+    """One keyframe's state: body pose in the local frame, velocity, biases."""
+
+    pose: Pose = field(default_factory=Pose.identity)
+    velocity: np.ndarray = field(default_factory=lambda: np.zeros(3))
+    accel_bias: np.ndarray = field(default_factory=lambda: np.zeros(3))
+    gyro_bias: np.ndarray = field(default_factory=lambda: np.zeros(3))
+
+
+@dataclass(frozen=True)
 class Landmark:
     position: np.ndarray
     id: int = -1
@@ -379,6 +389,30 @@ def reprojection_residual(state: NavState, lm: Landmark, obs: Observation, cam):
 
 # ---------------------------------------------------------------------------
 # preintegration
+
+
+def bias_corrected_delta(
+    pre: PreintegratedImu, new_bias: tuple[np.ndarray, np.ndarray]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """First-order corrected (delta_R, delta_p, delta_v) at a new bias."""
+    db_g = np.asarray(new_bias[0], dtype=float) - pre.linearization_bias[0]
+    db_a = np.asarray(new_bias[1], dtype=float) - pre.linearization_bias[1]
+    d_rot = pre.delta_R @ so3_exp(pre.J_g_dR @ db_g)
+    d_p = pre.delta_p + pre.J_g_dp @ db_g + pre.J_a_dp @ db_a
+    d_v = pre.delta_v + pre.J_g_dv @ db_g + pre.J_a_dv @ db_a
+    return d_rot, d_p, d_v
+
+
+def corrected_prediction(state: NavState, pre: PreintegratedImu, gravity: np.ndarray) -> NavState:
+    """The state after the interval ``pre``, its deltas first-order corrected
+    to ``state``'s biases, which the result keeps: the prediction whose
+    preintegration residual is zero at any bias."""
+    gravity = np.asarray(gravity, dtype=float)
+    d_rot, d_p, d_v = bias_corrected_delta(pre, (state.gyro_bias, state.accel_bias))
+    rot_i, dt = state.pose.rotation, pre.dt_total
+    vel = state.velocity + gravity * dt + rot_i @ d_v
+    pos = state.pose.translation + state.velocity * dt + 0.5 * gravity * dt * dt + rot_i @ d_p
+    return NavState(Pose(rot_i @ d_rot, pos), vel, state.accel_bias.copy(), state.gyro_bias.copy())
 
 
 def preintegration_residual(
@@ -629,19 +663,22 @@ def triangulate_one(rig, pose, stereo_px, min_disparity):
 
 
 class DictWindow:
-    """A sliding window as a keyframe list and a dict from active landmark id
-    to position, every count taken by walking the keyframes' rows.
+    """A sliding window as a keyframe list, one ``NavState`` per keyframe and
+    a dict from active landmark id to position, every count taken by walking
+    the keyframes' rows.
 
-    The reference for the tables of ``estimator.SlidingWindow``: the oldest
-    keyframe is evicted beyond ``capacity``, an insertion retires the active
-    landmarks no keyframe sees, and activation triangulates each inactive
-    landmark that two keyframes see from its first row, oldest keyframe
-    first, through ``triangulate_one``.
+    The reference for the tables of ``estimator.SlidingWindow``: a keyframe
+    goes in with its predecessor's biases (zero for the first), the oldest
+    keyframe and its state are evicted beyond ``capacity``, an insertion
+    retires the active landmarks no keyframe sees, and activation
+    triangulates each inactive landmark that two keyframes see from its
+    first row, oldest keyframe first, through ``triangulate_one``.
     """
 
     def __init__(self, capacity):
         self.capacity = capacity
         self.keyframes = []
+        self.states = []
         self.landmarks = {}
 
     def observer_counts(self):
@@ -652,10 +689,13 @@ class DictWindow:
                 counts[lm_id] = counts.get(lm_id, 0) + 1
         return counts
 
-    def insert(self, kf):
+    def insert(self, kf, pose, velocity):
+        last = self.states[-1] if self.states else NavState()
         self.keyframes.append(kf)
+        self.states.append(NavState(pose, velocity, last.accel_bias, last.gyro_bias))
         if len(self.keyframes) > self.capacity:
             self.keyframes.pop(0)
+            self.states.pop(0)
         counts = self.observer_counts()
         self.landmarks = {i: p for i, p in self.landmarks.items() if i in counts}
 
@@ -668,9 +708,9 @@ class DictWindow:
         """Activate what can be; returns how many were."""
         counts = self.observer_counts()
         first = {}
-        for kf in self.keyframes:
+        for kf, state in zip(self.keyframes, self.states):
             for lm_id, px in zip(kf.landmark_ids.tolist(), kf.pixels):
-                first.setdefault(lm_id, (kf.state.pose, px))
+                first.setdefault(lm_id, (state.pose, px))
         activated = 0
         for lm_id, (pose, px) in first.items():
             if counts[lm_id] >= 2 and lm_id not in self.landmarks:

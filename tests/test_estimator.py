@@ -18,6 +18,7 @@ from oracles import (
     POINT_TO_POINT,
     DictWindow,
     MapConstraint,
+    NavState,
     anchor_alignment_gauss_newton,
     brute_force_knn,
     levenberg_marquardt_two_evaluations,
@@ -103,6 +104,67 @@ def test_moving_the_map_frame_moves_every_keyframe(short_inputs, mode):
         np.testing.assert_allclose(got.rotation, want.rotation, rtol=0, atol=1e-9)
 
 
+@pytest.mark.parametrize("mode", ["non_rigid_only", "hybrid"])
+def test_anchor_prior_is_each_steps_input_anchor(short_inputs, mode):
+    """Every anchor prior of a step, the rigid step's ICP solves included,
+    has the anchor the step was given as its mean, bitwise, and that anchor
+    is the one the last step returned; the prior's information is
+    ``prior_information(INITIAL_PRIOR_SCALE)`` on the first step only."""
+    query, cloud, guess = short_inputs
+    cfg = estimator.EstimatorConfig()
+    steps = []  # per step: its input anchor, its priors, its output anchor
+    step, add_anchor_groups = estimator.step, estimator._add_anchor_groups
+
+    def recording_step(window, anchor, *args):
+        steps.append([anchor, []])
+        out = step(window, anchor, *args)
+        steps[-1].append(out[0])
+        return out
+
+    def recording_groups(problem, anchor, prior, *args):
+        steps[-1][1].append(prior)
+        return add_anchor_groups(problem, anchor, prior, *args)
+
+    estimator.step, estimator._add_anchor_groups = recording_step, recording_groups
+    try:
+        run = estimator.run_localization(query, cloud, guess, estimator.BaSchedule(mode), cfg)
+    finally:
+        estimator.step, estimator._add_anchor_groups = step, add_anchor_groups
+    assert not run.diverged and len(steps) == len(run.records) > 5
+    assert steps[0][0] is guess
+    assert all(given is returned for (_, _, returned), (given, _, _) in zip(steps, steps[1:]))
+    first, later = (cfg.prior_information(scale) for scale in (estimator.INITIAL_PRIOR_SCALE, 1.0))
+    assert not np.array_equal(first, later)
+    for i, (anchor, priors, _) in enumerate(steps):
+        assert priors
+        for mean, information in priors:
+            np.testing.assert_array_equal(mean.rotation, anchor.rotation)
+            np.testing.assert_array_equal(mean.translation, anchor.translation)
+            np.testing.assert_array_equal(information, first if i == 0 else later)
+    # a non-rigid step adds the prior once, a rigid step once per ICP solve
+    counts = {}
+    for (_, priors, _), record in zip(steps, run.records):
+        counts.setdefault(record.actions, []).append(len(priors))
+    assert set(counts.pop(("non_rigid",))) == {1}
+    if mode == "hybrid":
+        assert max(counts.pop(("rigid",))) > 1
+    assert not counts
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("window_capacity", 1), ("window_capacity", 0), ("prior_trans_sigma", 0.0), ("max_iterations", 0),
+     ("gate_radius", -1.0), ("gate_radius", 0.0), ("knn_k", 0)],
+)
+def test_config_rejects_out_of_range_values(field, value):
+    """A value the estimator cannot run with, or that gates out every map
+    row, fails when the config is built, naming its field; the smallest
+    values it runs with pass."""
+    with pytest.raises(ValueError, match=field):
+        estimator.EstimatorConfig(**{field: value})
+    estimator.EstimatorConfig(window_capacity=2, max_iterations=1, knn_k=1, gate_radius=1e-9, prior_trans_sigma=1e-9)
+
+
 @pytest.mark.parametrize("mode", ["rigid_only", "nope"])
 def test_schedule_rejects_unknown_modes(mode):
     with pytest.raises(ValueError):
@@ -117,13 +179,17 @@ def test_schedule_cycles():
     assert [non_rigid.actions_at(c) for c in range(8)] == [("non_rigid",)] * 8
 
 
+def _kf_pose(kf_id):
+    """The pose of ``_keyframe(kf_id, ...)``: 0.5 m further along x per id."""
+    return se3_exp(np.array([0, 0, 0, 0.5 * kf_id, 0, 0]))
+
+
 def _keyframe(kf_id, ids):
-    """A keyframe 0.5 m further along x per id; every landmark 20 px of
-    disparity to the right view, each row's pixels distinct."""
+    """``(keyframe, pose, velocity)``: at ``_kf_pose(kf_id)``, at rest; every
+    landmark 20 px of disparity to the right view, each row's pixels distinct."""
     rows = np.arange(len(ids))[:, None]
     pixels = np.array([320.0, 240.0, 300.0, 240.0]) + [1.0, 10.0 * kf_id, 1.0, 10.0 * kf_id] * rows
-    state = estimator.NavState(pose=se3_exp(np.array([0, 0, 0, 0.5 * kf_id, 0, 0])))
-    return estimator.Keyframe(kf_id, 0.1 * kf_id, state, np.array(ids), pixels)
+    return estimator.Keyframe(kf_id, 0.1 * kf_id, np.array(ids), pixels), _kf_pose(kf_id), np.zeros(3)
 
 
 def _hand_built_window():
@@ -131,7 +197,7 @@ def _hand_built_window():
     keyframe 0, was evicted by keyframe 3."""
     window = estimator.SlidingWindow(capacity=3)
     for kf_id, ids in enumerate([[9, 1, 2, 3], [9, 2, 3, 3], [9, 3, 4, 5], [6, 7, 4, 5]]):
-        window.insert_keyframe(_keyframe(kf_id, ids))
+        window.insert_keyframe(*_keyframe(kf_id, ids))
     return window
 
 
@@ -153,7 +219,7 @@ def test_observer_counts_on_a_hand_built_window():
     rig = sim.default_rig()
 
     def triangulated(kf, row):
-        position, ok = estimator.triangulate_stereo(rig, kf.state.pose, kf.pixels[row])
+        position, ok = estimator.triangulate_stereo(rig, _kf_pose(kf.kf_id), kf.pixels[row])
         assert ok
         return position
 
@@ -174,8 +240,8 @@ def test_observer_counts_on_a_hand_built_window():
     _set_active(window, [2, 3, 9])
     assert window.landmarks[window.solvable()].tolist() == [3, 9]
     # inserting a keyframe retires the landmarks no window keyframe sees
-    kf4 = _keyframe(4, [9, 4, 5, 6])
-    window.insert_keyframe(kf4)
+    kf4, *state4 = _keyframe(4, [9, 4, 5, 6])
+    window.insert_keyframe(kf4, *state4)
     assert _observers(window) == {9: 2, 3: 1, 4: 3, 5: 3, 6: 2, 7: 1}
     assert window.landmarks.tolist() == [3, 9]
     assert window.landmarks[window.solvable()].tolist() == [9]
@@ -190,7 +256,7 @@ def test_observer_counts_on_a_hand_built_window():
     kf2.pixels[3, 2] = kf2.pixels[3, 0] - 0.5 * estimator.MIN_DISPARITY
     window = estimator.SlidingWindow(capacity=3)
     for kf in (kf2, kf3, kf4):
-        window.insert_keyframe(kf)
+        window.insert_keyframe(kf, _kf_pose(kf.kf_id), np.zeros(3))
     _set_active(window, [4])
     assert estimator.activate_landmarks(window, rig) == 2
     assert window.landmarks.tolist() == [4, 6, 9]
@@ -198,7 +264,7 @@ def test_observer_counts_on_a_hand_built_window():
     np.testing.assert_array_equal(window.positions[2], triangulated(kf2, 0))
     np.testing.assert_array_equal(window.positions[1], triangulated(kf3, 0))
     assert _observers(window)[5] == 3
-    position, ok = estimator.triangulate_stereo(rig, kf2.state.pose, kf2.pixels[3])
+    position, ok = estimator.triangulate_stereo(rig, _kf_pose(kf2.kf_id), kf2.pixels[3])
     assert not ok and np.isnan(position).all()
 
 
@@ -207,14 +273,32 @@ def test_window_tables_match_the_dict_reference(seed):
     """Random keyframes into a capacity-3 window and into the dict window of
     ``tests/oracles.py``: ids repeat within a keyframe, keyframes are
     evicted, and about a third of the rows have too little disparity. After
-    every insertion, activation and solve write-back the active ids, their
-    positions (bitwise), the observer counts, the solvable set and the
-    window problem's stereo slots and pixels agree."""
+    every insertion, activation and solve write-back the keyframe states
+    (poses, velocities and biases, bitwise, and as the window problem's
+    families), the active ids, their positions (bitwise), the observer
+    counts, the solvable set and the window problem's stereo slots and
+    pixels agree. A write-back moves the states and the solvable landmarks."""
     rng = np.random.default_rng(seed)
+    state_rng = np.random.default_rng([seed, 1])  # velocities and state moves
     rig = sim.default_rig()
     window, reference = estimator.SlidingWindow(capacity=3), DictWindow(3)
 
     def check():
+        def rows(field):
+            return np.array([field(s) for s in reference.states])
+
+        states = {
+            "pose": (rows(lambda s: s.pose.rotation), rows(lambda s: s.pose.translation)),
+            "vel": rows(lambda s: s.velocity),
+            "bg": rows(lambda s: s.gyro_bias),
+            "ba": rows(lambda s: s.accel_bias),
+        }
+        got = {
+            "pose": (window.poses.rotation, window.poses.translation),
+            "vel": window.velocities, "bg": window.gyro_biases, "ba": window.accel_biases,
+        }
+        np.testing.assert_equal(got, states)
+        assert [kf.kf_id for kf in window.keyframes] == [kf.kf_id for kf in reference.keyframes]
         assert window.landmarks.tolist() == sorted(reference.landmarks)
         want = [reference.landmarks[i] for i in sorted(reference.landmarks)]
         np.testing.assert_array_equal(window.positions, np.reshape(want, (-1, 3)))
@@ -222,6 +306,7 @@ def test_window_tables_match_the_dict_reference(seed):
         solvable = window.solvable()
         assert window.landmarks[solvable].tolist() == reference.solvable()
         problem = estimator._build_vio_problem(window, rig, rig.gravity_vector(), solvable)
+        np.testing.assert_equal({name: problem.value[name] for name in states}, states)
         rows = reference.stereo_rows()
         assert len(problem.groups) == (len(rows) > 0)
         if rows:
@@ -238,19 +323,29 @@ def test_window_tables_match_the_dict_reference(seed):
         ids = rng.integers(kf_id, kf_id + 6, size=n)  # a pool that drifts, so ids leave
         ul, vl = rng.uniform(200.0, 440.0, n), rng.uniform(100.0, 380.0, n)
         disparity = rng.uniform(0.0, 3.0 * estimator.MIN_DISPARITY, n)
-        state = estimator.NavState(pose=se3_exp(rng.normal(scale=[0.1, 0.1, 0.1, 1.0, 1.0, 1.0])))
-        kf = estimator.Keyframe(kf_id, 0.1 * kf_id, state, ids, np.column_stack([ul, vl, ul - disparity, vl]))
+        pose = se3_exp(rng.normal(scale=[0.1, 0.1, 0.1, 1.0, 1.0, 1.0]))
+        kf = estimator.Keyframe(kf_id, 0.1 * kf_id, ids, np.column_stack([ul, vl, ul - disparity, vl]))
+        velocity = state_rng.normal(size=3)
         active = set(reference.landmarks)
-        window.insert_keyframe(kf)
-        reference.insert(kf)
+        window.insert_keyframe(kf, pose, velocity)
+        reference.insert(kf, pose, velocity)
         retired |= active - set(reference.landmarks)
         check()
         assert estimator.activate_landmarks(window, rig) == reference.activate(rig, estimator.MIN_DISPARITY)
         problem, solvable = check()
-        # a solve moves the solvable landmarks; the keyframes are shared
+        # a solve moves the states and the solvable landmarks; the keyframes are shared
         problem.value["lm"] = problem.value["lm"] + rng.normal(size=problem.value["lm"].shape)
+        value, n = problem.value, len(window.keyframes)
+        moved = Pose(*value["pose"]).retract(state_rng.normal(scale=0.1, size=(n, 6)))
+        value["pose"] = (moved.rotation, moved.translation)
+        for name in ("vel", "bg", "ba"):
+            value[name] = value[name] + state_rng.normal(scale=0.1, size=(n, 3))
         estimator._write_back(problem, window, solvable)
-        reference.landmarks.update(zip(reference.solvable(), problem.value["lm"]))
+        reference.landmarks.update(zip(reference.solvable(), value["lm"]))
+        reference.states = [
+            NavState(Pose(rot, trans), vel, ba, bg)
+            for rot, trans, vel, ba, bg in zip(*value["pose"], value["vel"], value["ba"], value["bg"])
+        ]
         check()
     assert retired and reference.landmarks
 
@@ -259,32 +354,32 @@ def test_initialize_rejects_unusable_starts(short_inputs):
     """Too few frames for a second keyframe, nothing to triangulate (every
     right pixel on its left one), or a first frame that tracks too few
     landmarks."""
-    query, _, guess = short_inputs
+    query, _, _ = short_inputs
     cfg = estimator.EstimatorConfig()
-    window, _ = estimator.initialize(query, guess, cfg)
+    window = estimator.initialize(query, cfg)
     assert window.keyframes[0].kf_id == 0 and len(window.keyframes) == 2
     with pytest.raises(estimator.InsufficientParallaxError, match="too short"):
-        estimator.initialize(replace(query, frames=query.frames[:2]), guess, cfg)
+        estimator.initialize(replace(query, frames=query.frames[:2]), cfg)
     flat = [replace(f, pixels=np.tile(f.pixels[:, :2], 2)) for f in query.frames]
     with pytest.raises(estimator.InsufficientParallaxError, match="only 0 landmarks triangulated"):
-        estimator.initialize(replace(query, frames=flat), guess, cfg)
+        estimator.initialize(replace(query, frames=flat), cfg)
     n = estimator.MIN_FRAME_LANDMARKS
     first = query.frames[0]
     cut = [replace(first, landmark_ids=first.landmark_ids[: n - 1], pixels=first.pixels[: n - 1])]
     with pytest.raises(estimator.TooFewObservationsError, match=f"{n - 1} < {n}"):
-        estimator.initialize(replace(query, frames=cut + list(query.frames[1:])), guess, cfg)
+        estimator.initialize(replace(query, frames=cut + list(query.frames[1:])), cfg)
 
 
 def test_initialize_passes_over_a_sparse_due_frame(short_inputs):
     """A due frame that tracks too few landmarks is passed over, as it is
     after initialization: the window is seeded from the next due frame."""
-    query, _, guess = short_inputs
+    query, _, _ = short_inputs
     cfg = estimator.EstimatorConfig()
-    first_due = estimator.initialize(query, guess, cfg)[0].keyframes[1].kf_id
+    first_due = estimator.initialize(query, cfg).keyframes[1].kf_id
     frames = list(query.frames)
     sparse = frames[first_due]
     frames[first_due] = replace(sparse, landmark_ids=sparse.landmark_ids[:5], pixels=sparse.pixels[:5])
-    window, _ = estimator.initialize(replace(query, frames=frames), guess, cfg)
+    window = estimator.initialize(replace(query, frames=frames), cfg)
     assert [kf.kf_id for kf in window.keyframes] == [0, first_due + 1]
 
 
@@ -297,7 +392,7 @@ def test_dropped_imu_samples(short_inputs):
     degraded = replace(query, imu_samples=samples[keep])
     assert len(degraded.imu_samples) < len(samples)
 
-    _assert_keyframes_span_their_gaps(degraded, guess)
+    _assert_keyframes_span_their_gaps(degraded)
     run = estimator.run_localization(degraded, cloud, guess)
     assert not run.diverged, run.divergence_reason
 
@@ -305,11 +400,11 @@ def test_dropped_imu_samples(short_inputs):
 def test_missing_frame_time_samples(short_inputs):
     """With every frame-time IMU sample after t = 0 dropped, each keyframe's
     preintegration still spans its whole frame gap: the ends are interpolated."""
-    query, _, guess = short_inputs
+    query, _, _ = short_inputs
     samples = query.imu_samples
     at_frame = np.isin(samples[:, 0], query.gt_times[1:])
     assert at_frame.sum() == len(query.gt_times) - 1
-    _assert_keyframes_span_their_gaps(replace(query, imu_samples=samples[~at_frame]), guess)
+    _assert_keyframes_span_their_gaps(replace(query, imu_samples=samples[~at_frame]))
 
 
 @pytest.mark.parametrize("back", [5, 8, 11])
@@ -320,7 +415,7 @@ def test_imu_stream_ending_before_the_last_frames(short_inputs, back):
     query, cloud, guess = short_inputs
     end = query.gt_times[-back] + 0.055
     cut = replace(query, imu_samples=query.imu_samples[query.imu_samples[:, 0] <= end])
-    _assert_keyframes_span_their_gaps(cut, guess)
+    _assert_keyframes_span_their_gaps(cut)
     run = estimator.run_localization(cut, cloud, guess)
     assert not run.diverged, run.divergence_reason
     assert query.gt_times[run.records[-1].keyframe_id] <= end
@@ -330,16 +425,16 @@ def test_imu_stream_starting_after_frame_0(short_inputs):
     """A stream that starts 0.055 s after frame 0 would preintegrate the
     first keyframe link over part of its gap: ``initialize`` names the
     uncovered interval instead. A stream that starts on frame 0 is taken."""
-    query, _, guess = short_inputs
+    query, _, _ = short_inputs
     t0 = query.gt_times[0]
     samples = query.imu_samples
     late = replace(query, imu_samples=samples[samples[:, 0] >= t0 + 0.055])
     assert late.imu_samples[0, 0] == pytest.approx(t0 + 0.055)
     with pytest.raises(ValueError, match=r"\[0\.000000, 0\.055000\) s has no samples"):
-        estimator.initialize(late, guess)
+        estimator.initialize(late)
     on_time = replace(query, imu_samples=samples[samples[:, 0] >= t0])
     assert on_time.imu_samples[0, 0] == t0
-    _assert_keyframes_span_their_gaps(on_time, guess)
+    _assert_keyframes_span_their_gaps(on_time)
 
 
 @pytest.mark.parametrize("mode", ["non_rigid_only", "hybrid"])
@@ -352,19 +447,19 @@ def test_empty_frames(short_inputs, mode):
     for k in range(15, 25):
         frames[k] = replace(frames[k], landmark_ids=frames[k].landmark_ids[:0], pixels=frames[k].pixels[:0])
     gap = replace(query, frames=frames)
-    _assert_keyframes_span_their_gaps(gap, guess)
+    _assert_keyframes_span_their_gaps(gap)
     run = estimator.run_localization(gap, cloud, guess, estimator.BaSchedule(mode))
     assert not run.diverged, run.divergence_reason
     assert min(r.keyframe_id for r in run.records if r.keyframe_id >= 15) == 25
     _assert_accurate(gap, guess, run)
 
 
-def _assert_keyframes_span_their_gaps(query, guess):
+def _assert_keyframes_span_their_gaps(query):
     cfg = estimator.EstimatorConfig()
-    window, _ = estimator.initialize(query, guess, cfg)
+    window = estimator.initialize(query, cfg)
     keyframes = list(window.keyframes)
-    for kf in estimator._due_keyframes(query, window):
-        window.insert_keyframe(kf)
+    for kf, pose, velocity in estimator._due_keyframes(query, window):
+        window.insert_keyframe(kf, pose, velocity)
         keyframes.append(kf)
     assert len(keyframes) > 5
     for prev, kf in zip(keyframes, keyframes[1:]):
@@ -440,11 +535,10 @@ def test_keyframe_policy_fires_just_past_each_threshold():
     """Translation, rotation and landmark overlap each make a frame due
     alone, just past their constant, and not just short of it."""
     ids = np.arange(100)
-    last = estimator.Keyframe(0, 0.0, estimator.NavState(pose=Pose.identity()), ids, np.zeros((100, 4)))
 
     def due(translation=0.0, rotation=0.0, kept=len(ids)):
         pose = Pose(so3_exp(np.array([0.0, 0.0, rotation])), np.array([translation, 0.0, 0.0]))
-        return estimator._keyframe_due(last, estimator.NavState(pose=pose), ids[:kept])
+        return estimator._keyframe_due(Pose.identity(), ids, pose, ids[:kept])
 
     eps = 1e-9
     assert due(translation=estimator.KF_TRANSLATION + eps)
@@ -486,7 +580,7 @@ def test_window_problem_has_one_stereo_row_per_solvable_occurrence():
         cam_right.body_t_cam.translation, rig.right_camera().body_t_cam.translation
     )
     # one family row per keyframe in window order, the oldest fixed; one per solvable landmark
-    np.testing.assert_array_equal(problem.value["pose"][1], [kf.state.pose.translation for kf in window.keyframes])
+    np.testing.assert_array_equal(problem.value["pose"][1], [_kf_pose(kf.kf_id).translation for kf in window.keyframes])
     assert problem.families["pose"].fixed.tolist() == [True, False, False]
     np.testing.assert_array_equal(problem.value["lm"], [[0.5, 0.1 * i, 5.0] for i in lm_ids])
     assert problem.families["lm"].eliminate
@@ -513,21 +607,22 @@ def test_empty_association():
         problems.append(problem)
         return solve(problem, max_iterations)
 
-    anchor = estimator.AnchorTransform(pose, pose)
     original, estimator.solve = estimator.solve, recording_solve
     try:
-        estimator.non_rigid_ba(window, anchor, association, sim.default_rig(), cfg)
+        prior = (pose, cfg.prior_information())
+        anchor, _ = estimator.non_rigid_ba(window, pose, prior, association, sim.default_rig(), cfg)
     finally:
         estimator.solve = original
     (problem,) = problems
     assert "anchor" not in problem.value
     assert [g.kind for g in problem.groups] == [res.StereoReprojectionFactor]
-    assert anchor.pose is pose
+    assert anchor is pose
 
 
 def _fixed_association(rng, cfg):
-    """A window of 60 landmarks, ids odd from 5, and an association of both
-    metrics with a row for each, a tenth of them outliers."""
+    """A window of 60 landmarks, ids odd from 5, an association of both
+    metrics with a row for each, a tenth of them outliers, an anchor guess
+    and the first step's prior at it."""
     truth = se3_exp(np.array([0.02, -0.01, 0.3, 1.0, -2.0, 0.5]))
     window = estimator.SlidingWindow(cfg.window_capacity)
     positions, points, normals, plane = [], [], [], []
@@ -545,7 +640,7 @@ def _fixed_association(rng, cfg):
         window.landmarks, np.array(points), np.array(normals), np.array(plane)
     )
     guess = truth.retract(np.array([0.01, 0.0, -0.02, 0.2, 0.1, -0.15]))
-    return window, association, estimator.AnchorTransform(guess, guess, prior_scale=10.0)
+    return window, association, guess, (guess, cfg.prior_information(estimator.INITIAL_PRIOR_SCALE))
 
 
 @pytest.mark.parametrize("max_iterations", [8, 50])
@@ -560,10 +655,10 @@ def test_anchor_alignment_matches_generic_problem(max_iterations):
     1e-6 and the costs, quadratic in that gap, to 1e-9.
     """
     cfg = estimator.EstimatorConfig()
-    window, association, anchor = _fixed_association(np.random.default_rng(11), cfg)
+    window, association, anchor, prior = _fixed_association(np.random.default_rng(11), cfg)
     assert 0 < association.plane.sum() < len(association)
 
-    problem = estimator._alignment_problem(window, anchor, association, cfg)
+    problem = estimator._alignment_problem(window, anchor, prior, association)
     assert [g.kind for g in problem.groups] == [
         res.PointToPlaneFactor, res.PointToPointFactor, res.AnchorPriorFactor
     ]
@@ -584,13 +679,12 @@ def test_anchor_alignment_matches_generic_problem(max_iterations):
         )
     ]
     want, cost = anchor_alignment_gauss_newton(
-        anchor.pose, dict(zip(window.landmarks.tolist(), window.positions)), constraints,
-        (anchor.prior_mean, cfg.prior_information(anchor.prior_scale)),
+        anchor, dict(zip(window.landmarks.tolist(), window.positions)), constraints, prior,
         res.RobustKernel("cauchy", estimator.CAUCHY_METRIC),
     )
     got = estimator._solved_anchor(problem)
     assert report.termination == "converged"
-    assert report.initial_cost == pytest.approx(cost(anchor.pose), rel=1e-12)
+    assert report.initial_cost == pytest.approx(cost(anchor), rel=1e-12)
     assert report.final_cost == pytest.approx(cost(got), rel=1e-12)
     assert report.final_cost == pytest.approx(cost(want), rel=1e-9)
     np.testing.assert_allclose(got.rotation, want.rotation, rtol=0, atol=1e-6)
@@ -603,8 +697,8 @@ def test_alignment_solve_matches_two_evaluation_loop(max_iterations):
     each iterate once gives the value and the report of the loop that
     evaluates each iterate twice, bitwise."""
     cfg = estimator.EstimatorConfig()
-    window, association, anchor = _fixed_association(np.random.default_rng(11), cfg)
-    problem, reference = (estimator._alignment_problem(window, anchor, association, cfg) for _ in range(2))
+    window, association, anchor, prior = _fixed_association(np.random.default_rng(11), cfg)
+    problem, reference = (estimator._alignment_problem(window, anchor, prior, association) for _ in range(2))
     got = solve(problem, max_iterations)
     value, want = levenberg_marquardt_two_evaluations(
         solver._System(reference), reference.value, max_iterations

@@ -4,7 +4,7 @@ import pytest
 from crossloc import imu
 from crossloc.liegroup import Pose, rot_z, se3_exp, so3_exp, so3_log
 
-from oracles import integrate_loop, integrate_per_sample
+from oracles import bias_corrected_delta, integrate_loop, integrate_per_sample
 
 GRAVITY = np.array([0.0, 0.0, -9.81])
 ZERO_BIAS = (np.zeros(3), np.zeros(3))
@@ -135,16 +135,16 @@ class TestIntegrate:
     def test_composition_consistency(self):
         stream = wiggly_stream(duration=1.0, rate=200, seed=5)
         half = len(stream) // 2
-        state0 = imu.NavState(
-            pose=se3_exp(np.array([0.1, -0.2, 0.3, 1.0, 2.0, -1.0])),
-            velocity=np.array([0.5, -0.3, 0.2]),
+        state0 = (
+            se3_exp(np.array([0.1, -0.2, 0.3, 1.0, 2.0, -1.0])),
+            np.array([0.5, -0.3, 0.2]),
         )
-        full = imu.predict_state(state0, imu.integrate(stream), GRAVITY)
-        mid = imu.predict_state(state0, imu.integrate(stream[: half + 1]), GRAVITY)
-        chained = imu.predict_state(mid, imu.integrate(stream[half:]), GRAVITY)
-        assert np.allclose(chained.pose.translation, full.pose.translation, atol=1e-6)
-        assert np.allclose(chained.velocity, full.velocity, atol=1e-6)
-        rel = so3_log(chained.pose.rotation.T @ full.pose.rotation)
+        full = imu.predict_state(*state0, imu.integrate(stream), GRAVITY)
+        mid = imu.predict_state(*state0, imu.integrate(stream[: half + 1]), GRAVITY)
+        chained = imu.predict_state(*mid, imu.integrate(stream[half:]), GRAVITY)
+        assert np.allclose(chained[0].translation, full[0].translation, atol=1e-6)
+        assert np.allclose(chained[1], full[1], atol=1e-6)
+        rel = so3_log(chained[0].rotation.T @ full[0].rotation)
         assert np.linalg.norm(rel) < 1e-6
 
 
@@ -153,7 +153,7 @@ class TestBiasCorrection:
         stream = wiggly_stream(seed=7)
         bias = (np.array([0.01, -0.02, 0.005]), np.array([0.1, 0.0, -0.05]))
         pre = imu.integrate(stream, bias=bias)
-        d_rot, d_p, d_v = imu.bias_corrected_delta(pre, bias)
+        d_rot, d_p, d_v = bias_corrected_delta(pre, bias)
         assert np.array_equal(d_p, pre.delta_p + 0.0)
         assert np.allclose(d_rot, pre.delta_R, atol=1e-15)
         assert np.allclose(d_v, pre.delta_v, atol=1e-15)
@@ -162,7 +162,7 @@ class TestBiasCorrection:
         stream = wiggly_stream(duration=1.0, seed=11)
         pre = imu.integrate(stream)
         db_g = np.array([1e-3, 0.0, 0.0])
-        d_rot, d_p, d_v = imu.bias_corrected_delta(pre, (db_g, np.zeros(3)))
+        d_rot, d_p, d_v = bias_corrected_delta(pre, (db_g, np.zeros(3)))
         # re-integration oracle: measured omega with bias b equals raw minus b
         re = imu.integrate(stream, bias=(db_g, np.zeros(3)))
         assert np.linalg.norm(so3_log(d_rot.T @ re.delta_R)) < 1e-5
@@ -174,7 +174,7 @@ class TestBiasCorrection:
         stream = make_stream(times, lambda t: [0, 0, 0], lambda t: [np.sin(t), 0.2, 1.0])
         pre = imu.integrate(stream)
         db_a = np.array([0.0, 1e-2, 0.0])
-        _, d_p, _ = imu.bias_corrected_delta(pre, (np.zeros(3), db_a))
+        _, d_p, _ = bias_corrected_delta(pre, (np.zeros(3), db_a))
         assert np.allclose(d_p - pre.delta_p, pre.J_a_dp @ db_a, atol=1e-15)
         re = imu.integrate(stream, bias=(np.zeros(3), db_a))
         assert np.allclose(d_p, re.delta_p, atol=1e-7)
@@ -207,17 +207,17 @@ class TestPredictState:
         times = np.linspace(0, 1, 101)
         stream = make_stream(times, lambda t: [0, 0, 0], lambda t: [0, 0, 0])
         pre = imu.integrate(stream)
-        out = imu.predict_state(imu.NavState(), pre, GRAVITY)
-        assert np.allclose(out.pose.translation, [0, 0, -4.905], atol=1e-9)
-        assert np.allclose(out.velocity, [0, 0, -9.81], atol=1e-9)
+        pose, velocity = imu.predict_state(Pose.identity(), np.zeros(3), pre, GRAVITY)
+        assert np.allclose(pose.translation, [0, 0, -4.905], atol=1e-9)
+        assert np.allclose(velocity, [0, 0, -9.81], atol=1e-9)
 
     def test_hover_cancels_gravity(self):
         times = np.linspace(0, 1, 101)
         stream = make_stream(times, lambda t: [0, 0, 0], lambda t: [0, 0, 9.81])
         pre = imu.integrate(stream)
-        out = imu.predict_state(imu.NavState(), pre, GRAVITY)
-        assert np.allclose(out.pose.translation, 0, atol=1e-9)
-        assert np.allclose(out.velocity, 0, atol=1e-9)
+        pose, velocity = imu.predict_state(Pose.identity(), np.zeros(3), pre, GRAVITY)
+        assert np.allclose(pose.translation, 0, atol=1e-9)
+        assert np.allclose(velocity, 0, atol=1e-9)
 
     def test_matches_oversampled_integration(self):
         # oracle: direct 10x-oversampled mechanization of the same signals
@@ -228,16 +228,14 @@ class TestPredictState:
         gyro = lambda t: cw @ np.sin(freqs * t + 0.3)
         accel = lambda t: ca @ np.cos(freqs * t)
 
-        state0 = imu.NavState(
-            pose=Pose(rot_z(0.4), np.array([1.0, -2.0, 0.5])),
-            velocity=np.array([0.3, 0.1, -0.2]),
-        )
+        pose0 = Pose(rot_z(0.4), np.array([1.0, -2.0, 0.5]))
+        velocity0 = np.array([0.3, 0.1, -0.2])
         base = make_stream(np.arange(201) / 400.0, gyro, accel)
-        out = imu.predict_state(state0, imu.integrate(base), GRAVITY)
+        out, _ = imu.predict_state(pose0, velocity0, imu.integrate(base), GRAVITY)
 
-        rot = state0.pose.rotation.copy()
-        pos = state0.pose.translation.copy()
-        vel = state0.velocity.copy()
+        rot = pose0.rotation.copy()
+        pos = pose0.translation.copy()
+        vel = velocity0.copy()
         fine = np.arange(2001) / 4000.0
         for t0, t1 in zip(fine[:-1], fine[1:]):
             dt = t1 - t0
@@ -247,18 +245,18 @@ class TestPredictState:
             pos = pos + vel * dt + 0.5 * acc_w * dt * dt
             vel = vel + acc_w * dt
             rot = rot @ so3_exp(w * dt)
-        assert np.allclose(out.pose.translation, pos, atol=1e-4)
+        assert np.allclose(out.translation, pos, atol=1e-4)
 
     def test_prediction_consistent_with_biases(self):
         stream = wiggly_stream(seed=23)
         bias = (np.array([0.002, -0.001, 0.003]), np.array([0.05, -0.02, 0.01]))
         pre = imu.integrate(stream, bias=bias)
-        state = imu.NavState(gyro_bias=np.array(bias[0]), accel_bias=np.array(bias[1]))
-        out = imu.predict_state(state, pre, GRAVITY)
-        # state bias equals the linearization bias: deltas used uncorrected
+        # integrated at the keyframe's biases: deltas used uncorrected
+        velocity0 = np.zeros(3)
+        pose, velocity = imu.predict_state(Pose.identity(), velocity0, pre, GRAVITY)
         dt = pre.dt_total
-        expected_p = state.velocity * dt + 0.5 * GRAVITY * dt * dt + pre.delta_p
-        expected_v = state.velocity + GRAVITY * dt + pre.delta_v
-        assert np.allclose(out.pose.translation, expected_p, atol=1e-15)
-        assert np.allclose(out.velocity, expected_v, atol=1e-15)
-        assert np.allclose(out.pose.rotation, pre.delta_R, atol=1e-12)
+        expected_p = velocity0 * dt + 0.5 * GRAVITY * dt * dt + pre.delta_p
+        expected_v = velocity0 + GRAVITY * dt + pre.delta_v
+        assert np.allclose(pose.translation, expected_p, atol=1e-15)
+        assert np.allclose(velocity, expected_v, atol=1e-15)
+        assert np.allclose(pose.rotation, pre.delta_R, atol=1e-12)

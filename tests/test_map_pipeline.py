@@ -28,7 +28,7 @@ def short_session():
 class TestVisionTransform:
     def test_no_features_keeps_nothing(self, short_session):
         s = short_session
-        empty_frames = [FrameObservations(np.zeros(0, int), np.zeros((0, 4))) for _ in s.frames]
+        empty_frames = [FrameObservations(f.timestamp, np.zeros(0, int), np.zeros((0, 4))) for f in s.frames]
         clone = SessionData(
             s.session_id, s.rig, s.gt_times, s.gt_poses, s.imu_samples, empty_frames, s.scans
         )
@@ -50,7 +50,7 @@ class TestVisionTransform:
             np.array([0.0]),
             [pose],
             [],
-            [FrameObservations(np.array([1]), np.array([[uv[0], uv[1], uv[0] - 40, uv[1]]]))],
+            [FrameObservations(0.0, np.array([1]), np.array([[uv[0], uv[1], uv[0] - 40, uv[1]]]))],
             [(p_laser[None, :], np.array([5]))],
         )
         cloud = mp.vision_transform_session(session)
@@ -106,9 +106,9 @@ class TestVisionTransform:
     def test_scans_past_the_last_frame_keep_nothing(self, short_session):
         s = short_session
         m = 10
-        no_features = FrameObservations(np.zeros(0, int), np.zeros((0, 4)))
+        no_features = [FrameObservations(float(t), np.zeros(0, int), np.zeros((0, 4))) for t in s.gt_times[m:]]
         cut = replace(s, frames=s.frames[:m])
-        padded = replace(s, frames=s.frames[:m] + [no_features] * (len(s.scans) - m))
+        padded = replace(s, frames=s.frames[:m] + no_features)
         got, want = (mp.vision_transform_session(x) for x in (cut, padded))
         assert len(got) > 0
         np.testing.assert_array_equal(got.positions, want.positions)
@@ -169,9 +169,10 @@ def edge_case_session(session, gate, n_scans=12, seed=0, empty=()):
         scans.append((points_f, np.concatenate([labels, np.full(len(added), -1)])))
 
         pixels = np.concatenate([session.frames[k].pixels[:, :2], near_gate, beyond])
-        frames.append(FrameObservations(np.arange(len(pixels)), np.column_stack([pixels, pixels])))
+        stereo = np.column_stack([pixels, pixels])
+        frames.append(FrameObservations(session.frames[k].timestamp, np.arange(len(pixels)), stereo))
     mid = n_scans // 2
-    frames[mid] = FrameObservations(np.zeros(0, int), np.zeros((0, 4)))
+    frames[mid] = FrameObservations(frames[mid].timestamp, np.zeros(0, int), np.zeros((0, 4)))
     for k in (mid, *empty):
         inside.pop(k)
     for k in empty:
@@ -222,7 +223,7 @@ class TestScanPoses:
             np.array([0.0]),
             [Pose.identity()],
             np.zeros((0, 7)),
-            [FrameObservations(np.zeros(0, int), np.zeros((0, 4)))],
+            [FrameObservations(0.0, np.zeros(0, int), np.zeros((0, 4)))],
             [(np.zeros((0, 3)), np.zeros(0, int))],
         )
         for cloud in (mp.build_full_map(session), mp.extract_ground([session], mp.MapFilterParams())):
@@ -465,7 +466,7 @@ def fake_ground_session(slope=0.0, rig=None, n_scans=5, seed=0):
         z_laser = z_world - rig.laser_height
         pts = np.column_stack([xy, z_laser])
         scans.append((pts, np.zeros(200, dtype=int)))
-    frames = [FrameObservations(np.zeros(0, int), np.zeros((0, 4))) for _ in range(n_scans)]
+    frames = [FrameObservations(float(t), np.zeros(0, int), np.zeros((0, 4))) for t in gt_times]
     return SessionData(0, rig, gt_times, gt_poses, [], frames, scans)
 
 

@@ -14,7 +14,9 @@ from oracles import (
     Landmark,
     MapConstraint,
     MetricMismatchError,
+    NavState,
     Observation,
+    corrected_prediction,
     numeric_jacobian,
     point_to_plane_residual,
     point_to_point_residual,
@@ -41,7 +43,7 @@ def random_pose(rng, rot=0.5, trans=2.0):
 class TestReprojection:
     def test_principal_point(self):
         cam = default_camera()
-        state = imu.NavState()
+        state = NavState()
         lm = Landmark(np.array([0.0, 0.0, 1.0]), 0)
         obs = Observation(0, 0, np.array([320.0, 320.0]))
         r, _, _ = reprojection_residual(state, lm, obs, cam)
@@ -49,7 +51,7 @@ class TestReprojection:
 
     def test_direct_pinhole_arithmetic(self):
         cam = default_camera()
-        state = imu.NavState()
+        state = NavState()
         lm = Landmark(np.array([0.1, 0.0, 1.0]), 0)
         obs = Observation(0, 0, np.array([320.0, 320.0]))
         r, _, _ = reprojection_residual(state, lm, obs, cam)
@@ -57,7 +59,7 @@ class TestReprojection:
 
     def test_behind_camera_raises(self):
         cam = default_camera()
-        state = imu.NavState()
+        state = NavState()
         lm = Landmark(np.array([0.0, 0.0, -1.0]), 0)
         obs = Observation(0, 0, np.array([320.0, 320.0]))
         with pytest.raises(BehindCameraError):
@@ -71,7 +73,7 @@ class TestReprojection:
         while checked < 200:
             pose = random_pose(rng, rot=0.4, trans=1.0)
             p_lm = pose.apply(np.array([rng.normal(0, 1), rng.normal(0, 1), rng.uniform(2, 10)]))
-            state = imu.NavState(pose=pose)
+            state = NavState(pose=pose)
             lm = Landmark(p_lm, 0)
             try:
                 _, j_pose, j_lm = reprojection_residual(state, lm, obs, cam)
@@ -79,7 +81,7 @@ class TestReprojection:
                 continue
             fd_pose = pose_numeric_jacobian(
                 lambda p: reprojection_residual(
-                    imu.NavState(pose=p), lm, obs, cam
+                    NavState(pose=p), lm, obs, cam
                 )[0],
                 pose,
             )
@@ -95,7 +97,7 @@ class TestReprojection:
 
 
 def random_nav_state(rng):
-    return imu.NavState(
+    return NavState(
         pose=random_pose(rng, rot=0.6, trans=3.0),
         velocity=rng.normal(size=3),
         accel_bias=rng.normal(size=3) * 0.05,
@@ -119,8 +121,8 @@ class TestPreintegrationResidual:
         rng = np.random.default_rng(1)
         s_i = random_nav_state(rng)
         pre = random_preintegration(rng)
-        s_k_pred = imu.predict_state(s_i, pre, GRAVITY)
-        s_k = imu.NavState(
+        s_k_pred = corrected_prediction(s_i, pre, GRAVITY)
+        s_k = NavState(
             pose=s_k_pred.pose,
             velocity=s_k_pred.velocity,
             accel_bias=s_i.accel_bias,
@@ -134,9 +136,9 @@ class TestPreintegrationResidual:
         rng = np.random.default_rng(2)
         s_i = random_nav_state(rng)
         pre = random_preintegration(rng)
-        s_k = imu.predict_state(s_i, pre, GRAVITY)
+        s_k = corrected_prediction(s_i, pre, GRAVITY)
         e0, _, _ = preintegration_residual(s_i, s_k, pre, GRAVITY)
-        shifted = imu.NavState(
+        shifted = NavState(
             pose=Pose(s_k.pose.rotation, s_k.pose.translation + np.array([0.1, 0, 0])),
             velocity=s_k.velocity,
             accel_bias=s_k.accel_bias,
@@ -161,42 +163,42 @@ class TestPreintegrationResidual:
 
             fd = pose_numeric_jacobian(
                 lambda p: from_states(
-                    imu.NavState(p, s_i.velocity, s_i.accel_bias, s_i.gyro_bias), s_k
+                    NavState(p, s_i.velocity, s_i.accel_bias, s_i.gyro_bias), s_k
                 ),
                 s_i.pose,
             )
             assert relative_error(jac["pose_i"], fd, floor=1e-3) < 1e-4
             fd = pose_numeric_jacobian(
                 lambda p: from_states(
-                    s_i, imu.NavState(p, s_k.velocity, s_k.accel_bias, s_k.gyro_bias)
+                    s_i, NavState(p, s_k.velocity, s_k.accel_bias, s_k.gyro_bias)
                 ),
                 s_k.pose,
             )
             assert relative_error(jac["pose_k"], fd, floor=1e-3) < 1e-4
             fd = numeric_jacobian(
                 lambda v: from_states(
-                    imu.NavState(s_i.pose, v, s_i.accel_bias, s_i.gyro_bias), s_k
+                    NavState(s_i.pose, v, s_i.accel_bias, s_i.gyro_bias), s_k
                 ),
                 s_i.velocity,
             )
             assert relative_error(jac["vel_i"], fd, floor=1e-3) < 1e-4
             fd = numeric_jacobian(
                 lambda v: from_states(
-                    s_i, imu.NavState(s_k.pose, v, s_k.accel_bias, s_k.gyro_bias)
+                    s_i, NavState(s_k.pose, v, s_k.accel_bias, s_k.gyro_bias)
                 ),
                 s_k.velocity,
             )
             assert relative_error(jac["vel_k"], fd, floor=1e-3) < 1e-4
             fd = numeric_jacobian(
                 lambda b: from_states(
-                    imu.NavState(s_i.pose, s_i.velocity, s_i.accel_bias, b), s_k
+                    NavState(s_i.pose, s_i.velocity, s_i.accel_bias, b), s_k
                 ),
                 s_i.gyro_bias,
             )
             assert relative_error(jac["gyro_bias_i"], fd, floor=1e-3) < 1e-4
             fd = numeric_jacobian(
                 lambda b: from_states(
-                    imu.NavState(s_i.pose, s_i.velocity, b, s_i.gyro_bias), s_k
+                    NavState(s_i.pose, s_i.velocity, b, s_i.gyro_bias), s_k
                 ),
                 s_i.accel_bias,
             )
@@ -397,7 +399,7 @@ class TestBatchedFactors:
         residual, (j_pose, j_lm) = res.StereoReprojectionFactor.evaluate_batch(batch, values)
         assert residual.shape == (40, 4) and j_pose.shape == (40, 4, 6) and j_lm.shape == (40, 4, 3)
         for i in range(40):
-            state = imu.NavState(pose=poses[i])
+            state = NavState(pose=poses[i])
             lm = Landmark(landmarks[i], i)
             if i == 7:
                 with pytest.raises(BehindCameraError):
@@ -478,13 +480,13 @@ class TestInertialBatches:
                 # at the linearization bias, the bias correction rotates by
                 # exactly zero: the series branch of its exponential
                 b_g, b_a = pres[1].linearization_bias
-                state = imu.NavState(state.pose, state.velocity, b_a.copy(), b_g.copy())
+                state = NavState(state.pose, state.velocity, b_a.copy(), b_g.copy())
             states.append(state)
             if i == 4:
                 break
-            nxt = imu.predict_state(state, pres[i], GRAVITY)  # rotation error ~0: series branch
+            nxt = corrected_prediction(state, pres[i], GRAVITY)  # rotation error ~0: series branch
             if i % 2 == 0:  # far from the prediction: closed-form branch
-                nxt = imu.NavState(
+                nxt = NavState(
                     nxt.pose.retract(rng.normal(size=6) * 0.1),
                     nxt.velocity + rng.normal(size=3) * 0.1,
                     nxt.accel_bias + rng.normal(size=3) * 0.05,
@@ -530,8 +532,8 @@ class TestInertialBatches:
 
         def reference(blocks, i):
             pose_i, vel_i, bg_i, ba_i, pose_k, vel_k = blocks
-            s_i = imu.NavState(pose=pose_i, velocity=vel_i, accel_bias=ba_i, gyro_bias=bg_i)
-            r, _, j = preintegration_residual(s_i, imu.NavState(pose=pose_k, velocity=vel_k), pres[i], GRAVITY)
+            s_i = NavState(pose=pose_i, velocity=vel_i, accel_bias=ba_i, gyro_bias=bg_i)
+            r, _, j = preintegration_residual(s_i, NavState(pose=pose_k, velocity=vel_k), pres[i], GRAVITY)
             return r, [j[name] for name in names]
 
         residual = self.assert_matches(batch, values, reference)

@@ -151,18 +151,15 @@ class TestSynthesizeImu:
         sampler = sim.generate_trajectory(spec, rig.imu_rate, rig.frame_rate)
         sampled = sampler.sample(5.0)
         samples = sim.synthesize_imu(sampled, rig, seed=0, noise=False)
-        state = imu.NavState(
-            pose=Pose(rot_z(sampled.yaws[0]), sampled.positions[0]),
-            velocity=sampled.velocities[0],
-        )
+        state = (Pose(rot_z(sampled.yaws[0]), sampled.positions[0]), sampled.velocities[0])
         # chain predict over 0.5 s chunks
         chunk = 100
         for k in range(0, len(samples) - chunk, chunk):
             pre = imu.integrate(samples[k : k + chunk + 1])
-            state = imu.predict_state(state, pre, GRAVITY)
+            state = imu.predict_state(*state, pre, GRAVITY)
         final_idx = (len(samples) - 1) // chunk * chunk
         assert np.linalg.norm(
-            state.pose.translation - sampled.positions[final_idx]
+            state[0].translation - sampled.positions[final_idx]
         ) < 1e-3
 
     def test_matches_per_sample_reference(self):

@@ -87,7 +87,7 @@ class TestSolve:
         true_anchor = se3_exp(xi)
 
         problem = Problem()
-        problem.add_poses("anchor", [Pose.identity()])
+        problem.add_poses("anchor", Pose.stack([Pose.identity()]))
         src = np.array([rng.uniform(-5, 5, size=3) for _ in range(50)])
         problem.add_vectors("lm", src, fixed=True)
         add_point_to_point(problem, np.arange(50), true_anchor.apply(src), np.eye(3))
@@ -228,14 +228,14 @@ class TestEvaluateCost:
 
     def test_zero_residual_factor(self):
         problem = Problem()
-        problem.add_poses("anchor", [Pose.identity()])
+        problem.add_poses("anchor", Pose.stack([Pose.identity()]))
         problem.add_vectors("lm", [[1.0, 2.0, 3.0]])
         add_point_to_point(problem, [0], [[1.0, 2.0, 3.0]], np.eye(3))
         assert solver.evaluate_cost(problem) == 0.0
 
     def test_matches_factorwise_sum(self):
         problem = Problem()
-        problem.add_poses("anchor", [se3_exp(np.array([0.1, 0, 0, 0.5, 0, 0]))])
+        problem.add_poses("anchor", Pose.stack([se3_exp(np.array([0.1, 0, 0, 0.5, 0, 0]))]))
         problem.add_vectors("lm", [[1.0, -1.0, 2.0]])
         kernel = res.RobustKernel("cauchy", 1.3)
         c1 = MapConstraint(0, np.array([1.5, -1.0, 2.2]), None, np.eye(3) / 0.05**2, POINT_TO_POINT)
@@ -285,7 +285,7 @@ class TestFactorGroups:
         """One group's S, whatever mix of informations, is upper triangular
         with S^T S the symmetrized information of each factor."""
         problem = Problem()
-        problem.add_poses("anchor", [Pose.identity()])
+        problem.add_poses("anchor", Pose.stack([Pose.identity()]))
         problem.add_vectors("lm", np.zeros((1, 3)))
         lower = np.tril(np.random.default_rng(5).normal(size=(3, 3)), -1)
         skewed = lower @ lower.T + np.diag([2.0, 3.0, 4.0])
@@ -304,7 +304,7 @@ class TestFactorGroups:
         order added; a shared information has one square root for every row,
         and a group of no rows is not added."""
         problem = Problem()
-        problem.add_poses("anchor", [Pose.identity()])
+        problem.add_poses("anchor", Pose.stack([Pose.identity()]))
         problem.add_vectors("lm", np.zeros((1, 3)))
         cauchy, plain = res.RobustKernel("cauchy", 1.0), res.RobustKernel()
         add_point_to_point(problem, [0, 0], np.ones((2, 3)), 4.0 * np.eye(3), cauchy)
@@ -335,7 +335,7 @@ class TestSchurElimination:
 
         problem = Problem()
         noisy = [pose if i == 0 else pose.retract(rng.normal(size=6) * 0.01) for i, pose in enumerate(true_poses)]
-        problem.add_poses("pose", noisy, fixed=[True, False, False])
+        problem.add_poses("pose", Pose.stack(noisy), fixed=[True, False, False])
         problem.add_vectors(
             "lm", [pt + rng.normal(size=3) * 0.05 for pt in true_points], eliminate=eliminate
         )
@@ -378,7 +378,7 @@ class TestSchurElimination:
                  se3_exp(np.array([-0.02, 0.05, 0.01, 1.0, -0.1, 0.1]))]
         points = rng.uniform([4.0, -2.0, -1.0], [9.0, 2.0, 1.0], size=(5, 3))
         problem = Problem()
-        problem.add_poses("pose", poses, fixed=[True, False, False])
+        problem.add_poses("pose", Pose.stack(poses), fixed=[True, False, False])
         problem.add_vectors("vel", rng.normal(size=(3, 3)))
         problem.add_vectors("lm", points + rng.normal(size=(5, 3)) * 0.05, eliminate=eliminate)
         pixels = [
@@ -463,9 +463,9 @@ class TestNormalEquations:
         anchor = se3_exp(np.array([0.01, 0.02, -0.02, 0.3, -0.2, 0.1]))
         landmarks = np.array([[6.0, 0.5, 0.3], [8.0, -1.0, -0.2]])
         problem = Problem()
-        problem.add_poses("pose", poses, fixed=[True, False])
+        problem.add_poses("pose", Pose.stack(poses), fixed=[True, False])
         problem.add_vectors("vel", [[0.5, -0.2, 0.1], [0.3, 0.4, -0.6]])
-        problem.add_poses("anchor", [anchor])
+        problem.add_poses("anchor", Pose.stack([anchor]))
         problem.add_vectors("lm", landmarks, eliminate=True)
         # Camera columns: the free rows family by family, then three per eliminated row.
         cols = {
@@ -554,7 +554,7 @@ class TestNormalEquations:
             res.BiasRandomWalkFactor, [("vel", [0]), ("vel", [1]), ("vel", [1]), ("vel", [0])],
             None, np.eye(6), res.RobustKernel(),
         )
-        problem.add_poses("anchor", [Pose.identity()])
+        problem.add_poses("anchor", Pose.stack([Pose.identity()]))
         add_point_to_point(problem, [0, 1], np.ones((2, 3)), np.eye(3))
         problem.add_factors(
             res.AnchorPriorFactor, [("anchor", [0])], Pose.stack([Pose.identity()]), np.eye(6), res.RobustKernel()
@@ -579,7 +579,7 @@ class TestRetraction:
         poses[4] = Pose(poses[4].rotation * (1.0 + 1e-7), poses[4].translation)
         fixed = np.array([True, False, False, True, False, False])
         problem = Problem()
-        problem.add_poses("pose", poses, fixed=fixed)
+        problem.add_poses("pose", Pose.stack(poses), fixed=fixed)
         problem.add_vectors("vel", rng.normal(size=(3, 3)), fixed=[False, True, False])
         problem.add_vectors("lm", rng.normal(size=(4, 3)), eliminate=True)
         problem.add_vectors("held", rng.normal(size=(2, 2)), fixed=True)
@@ -617,9 +617,9 @@ class TestRetraction:
         rng = np.random.default_rng(19)
         problem = Problem()
         poses = [se3_exp(rng.normal(size=6)) for _ in range(4)]
-        problem.add_poses("pose", poses, fixed=[True, False, False, False])
+        problem.add_poses("pose", Pose.stack(poses), fixed=[True, False, False, False])
         problem.add_vectors("vel", rng.normal(size=(2, 3)))
-        problem.add_poses("anchor", [se3_exp(rng.normal(size=6))])
+        problem.add_poses("anchor", Pose.stack([se3_exp(rng.normal(size=6))]))
         system = solver._System(problem)
         delta_c = rng.normal(size=system.nc) * 0.3
         before = problem.value
@@ -647,7 +647,7 @@ class TestOneFreeRow:
         anchor = se3_exp(rng.normal(size=6) * 0.3)
         points = rng.normal(size=(6, 3))
         problem = Problem()
-        problem.add_poses("anchor", [anchor], fixed=True)
+        problem.add_poses("anchor", Pose.stack([anchor]), fixed=True)
         problem.add_vectors("lm", rng.normal(size=(3, 3)), fixed=[True, False, True])
         add_point_to_point(problem, np.ones(6, dtype=int), points, np.eye(3))
         report = solver.solve(problem)
@@ -663,7 +663,7 @@ class TestOneFreeRow:
 
         def problem_with(prior_rows):
             problem = Problem()
-            problem.add_poses("pose", [Pose.identity()] * 2, fixed=[True, False])
+            problem.add_poses("pose", Pose.stack([Pose.identity()] * 2), fixed=[True, False])
             for rows in prior_rows:
                 problem.add_factors(
                     res.AnchorPriorFactor, [("pose", rows)], Pose.stack([poses[r] for r in rows]),

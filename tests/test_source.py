@@ -473,9 +473,7 @@ def test_one_knn_call_site():
 # with the fields they read and the ROADMAP direction that removes the reads.
 # An entry goes when its direction lands; direction 21 is done when none is left.
 GROUND_TRUTH_READS = {
-    "estimator._initial_state": ("gt_poses gt_times", "21: the first velocity from the visual-inertial start"),
-    "estimator._due_keyframes": ("gt_times", "17: frames carry their own timestamp"),
-    "estimator.initialize": ("gt_times", "17: frames carry their own timestamp"),
+    "estimator._initial_velocity": ("gt_poses gt_times", "21: the first velocity from the visual-inertial start"),
 }
 
 
