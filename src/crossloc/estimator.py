@@ -134,10 +134,9 @@ class EstimatorConfig:
 @dataclass
 class Keyframe:
     kf_id: int
-    timestamp: float
     landmark_ids: np.ndarray
     pixels: np.ndarray  # (n, 4): ul vl ur vr
-    pre_from_prev: PreintegratedImu | None = None
+    pre_from_prev: PreintegratedImu | None = None  # from the keyframe before; frame 0's has none
 
 
 @dataclass
@@ -328,11 +327,6 @@ def _alignment_problem(window: SlidingWindow, anchor: Pose, prior, association) 
     return problem
 
 
-def _solved_anchor(problem: Problem) -> Pose:
-    """The ``anchor`` family's one row after a solve."""
-    return Pose(*problem.value["anchor"])[0]
-
-
 # ---------------------------------------------------------------------------
 # problem assembly
 
@@ -365,9 +359,9 @@ def _build_vio_problem(window, rig, gravity, solvable) -> Problem:
     )
 
     # a link joins the keyframes curr - 1 and curr
-    curr = np.array([i for i in range(1, len(kfs)) if kfs[i].pre_from_prev is not None], dtype=int)
+    curr = np.arange(1, len(kfs))
     prev = curr - 1
-    pres = [kfs[i].pre_from_prev for i in curr]
+    pres = [kf.pre_from_prev for kf in kfs[1:]]
     problem.add_factors(
         res.PreintegrationFactor,
         [("pose", prev), ("vel", prev), ("bg", prev), ("ba", prev), ("pose", curr), ("vel", curr)],
@@ -405,7 +399,7 @@ def _adjust_window(window, anchor, prior, association, rig, cfg):
         _add_anchor_groups(problem, anchor, prior, rows, lm_ids)
     report = solve(problem, cfg.max_iterations)
     _write_back(problem, window, solvable)
-    return (_solved_anchor(problem) if len(association) else anchor), report
+    return (Pose(*problem.value["anchor"])[0] if len(association) else anchor), report
 
 
 def non_rigid_ba(
@@ -450,7 +444,7 @@ def rigid_ba(
             break
         alignment = _alignment_problem(window, anchor, prior, association)
         report = solve(alignment, cfg.max_iterations)
-        aligned = _solved_anchor(alignment)
+        aligned = Pose(*alignment.value["anchor"])[0]
         update = np.linalg.norm(se3_log(anchor.inverse() @ aligned))
         anchor = aligned
         iterations += report.iterations
@@ -613,14 +607,14 @@ def _due_keyframes(session: SessionData, window: SlidingWindow):
             return
         last, last_pose = window.keyframes[-1], window.poses[-1]
         pre = integrate(
-            _imu_between(session, last.timestamp, frame.timestamp),
+            _imu_between(session, session.frames[last.kf_id].timestamp, frame.timestamp),
             (window.gyro_biases[-1], window.accel_biases[-1]),
         )
         pose, velocity = predict_state(last_pose, window.velocities[-1], pre, rig.gravity_vector())
         if len(frame.landmark_ids) >= MIN_FRAME_LANDMARKS and _keyframe_due(
             last_pose, last.landmark_ids, pose, frame.landmark_ids
         ):
-            kf = Keyframe(k, frame.timestamp, frame.landmark_ids.copy(), frame.pixels.copy(), pre)
+            kf = Keyframe(k, frame.landmark_ids.copy(), frame.pixels.copy(), pre)
             yield kf, pose, velocity
 
 
@@ -645,7 +639,7 @@ def initialize(session: SessionData, cfg: EstimatorConfig | None = None) -> Slid
         raise TooFewObservationsError(
             f"frame tracks {len(frame0.landmark_ids)} < {MIN_FRAME_LANDMARKS} landmarks"
         )
-    kf0 = Keyframe(0, t0, frame0.landmark_ids.copy(), frame0.pixels.copy())
+    kf0 = Keyframe(0, frame0.landmark_ids.copy(), frame0.pixels.copy())
     window.insert_keyframe(kf0, Pose.identity(), _initial_velocity(session))
     second = next(_due_keyframes(session, window), None)
     if second is None:
@@ -699,7 +693,7 @@ def run_localization(
         records.append(
             StepRecord(
                 kf.kf_id,
-                kf.timestamp,
+                session.frames[kf.kf_id].timestamp,
                 actions,
                 report.initial_cost,
                 report.final_cost,

@@ -7,7 +7,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from crossloc import estimator, laser_map, map_pipeline, solver
+from crossloc import estimator, imu, laser_map, map_pipeline, solver
 from crossloc import residuals as res
 from crossloc import simulator as sim
 from crossloc.liegroup import Pose, rot_z, se3_exp, so3_exp
@@ -184,12 +184,17 @@ def _kf_pose(kf_id):
     return se3_exp(np.array([0, 0, 0, 0.5 * kf_id, 0, 0]))
 
 
+# a 0.1 s link of still, zero IMU samples, for keyframes built by hand
+_LINK = imu.integrate(np.array([[0.0] * 7, [0.1] + [0.0] * 6]))
+
+
 def _keyframe(kf_id, ids):
-    """``(keyframe, pose, velocity)``: at ``_kf_pose(kf_id)``, at rest; every
-    landmark 20 px of disparity to the right view, each row's pixels distinct."""
+    """``(keyframe, pose, velocity)``: at ``_kf_pose(kf_id)``, at rest, linked
+    by ``_LINK``; every landmark 20 px of disparity to the right view, each
+    row's pixels distinct."""
     rows = np.arange(len(ids))[:, None]
     pixels = np.array([320.0, 240.0, 300.0, 240.0]) + [1.0, 10.0 * kf_id, 1.0, 10.0 * kf_id] * rows
-    return estimator.Keyframe(kf_id, 0.1 * kf_id, np.array(ids), pixels), _kf_pose(kf_id), np.zeros(3)
+    return estimator.Keyframe(kf_id, np.array(ids), pixels, _LINK), _kf_pose(kf_id), np.zeros(3)
 
 
 def _hand_built_window():
@@ -308,9 +313,10 @@ def test_window_tables_match_the_dict_reference(seed):
         problem = estimator._build_vio_problem(window, rig, rig.gravity_vector(), solvable)
         np.testing.assert_equal({name: problem.value[name] for name in states}, states)
         rows = reference.stereo_rows()
-        assert len(problem.groups) == (len(rows) > 0)
+        links = [res.PreintegrationFactor, res.BiasRandomWalkFactor] * (len(window.keyframes) > 1)
+        assert [g.kind for g in problem.groups] == [res.StereoReprojectionFactor] * (len(rows) > 0) + links
         if rows:
-            (stereo,) = problem.groups
+            stereo = problem.groups[0]
             (_, kf_rows), (_, lm_rows) = stereo.slots
             got = zip(kf_rows.tolist(), window.landmarks[solvable][lm_rows].tolist())
             assert list(got) == [(k, lm_id) for k, lm_id, _ in rows]
@@ -324,7 +330,7 @@ def test_window_tables_match_the_dict_reference(seed):
         ul, vl = rng.uniform(200.0, 440.0, n), rng.uniform(100.0, 380.0, n)
         disparity = rng.uniform(0.0, 3.0 * estimator.MIN_DISPARITY, n)
         pose = se3_exp(rng.normal(scale=[0.1, 0.1, 0.1, 1.0, 1.0, 1.0]))
-        kf = estimator.Keyframe(kf_id, 0.1 * kf_id, ids, np.column_stack([ul, vl, ul - disparity, vl]))
+        kf = estimator.Keyframe(kf_id, ids, np.column_stack([ul, vl, ul - disparity, vl]), _LINK)
         velocity = state_rng.normal(size=3)
         active = set(reference.landmarks)
         window.insert_keyframe(kf, pose, velocity)
@@ -463,7 +469,8 @@ def _assert_keyframes_span_their_gaps(query):
         keyframes.append(kf)
     assert len(keyframes) > 5
     for prev, kf in zip(keyframes, keyframes[1:]):
-        assert abs(kf.pre_from_prev.dt_total - (kf.timestamp - prev.timestamp)) < 1e-12
+        gap = query.frames[kf.kf_id].timestamp - query.frames[prev.kf_id].timestamp
+        assert abs(kf.pre_from_prev.dt_total - gap) < 1e-12
 
 
 def test_imu_between_interpolates_missing_ends():
@@ -562,9 +569,17 @@ def test_window_problem_has_one_stereo_row_per_solvable_occurrence():
     assert lm_ids == [3, 4, 9]
     rig = sim.default_rig()
     problem = estimator._build_vio_problem(window, rig, rig.gravity_vector(), solvable)
-    # no keyframe here carries a preintegration, so the stereo group is the only one
-    (stereo,) = problem.groups
-    assert stereo.kind is res.StereoReprojectionFactor
+    # then one preintegration and one bias row per consecutive pair of keyframes
+    stereo, link, walk = problem.groups
+    assert [g.kind for g in problem.groups] == [
+        res.StereoReprojectionFactor, res.PreintegrationFactor, res.BiasRandomWalkFactor
+    ]
+    assert [(family, rows.tolist()) for family, rows in link.slots] == [
+        ("pose", [0, 1]), ("vel", [0, 1]), ("bg", [0, 1]), ("ba", [0, 1]), ("pose", [1, 2]), ("vel", [1, 2])
+    ]
+    assert [(family, rows.tolist()) for family, rows in walk.slots] == [
+        ("ba", [0, 1]), ("bg", [0, 1]), ("ba", [1, 2]), ("bg", [1, 2])
+    ]
     (pose_family, kf_rows), (lm_family, lm_rows) = stereo.slots
     assert (pose_family, lm_family) == ("pose", "lm")
     kf_ids = [kf.kf_id for kf in window.keyframes]
@@ -615,7 +630,9 @@ def test_empty_association():
         estimator.solve = original
     (problem,) = problems
     assert "anchor" not in problem.value
-    assert [g.kind for g in problem.groups] == [res.StereoReprojectionFactor]
+    assert [g.kind for g in problem.groups] == [
+        res.StereoReprojectionFactor, res.PreintegrationFactor, res.BiasRandomWalkFactor
+    ]
     assert anchor is pose
 
 
@@ -682,7 +699,7 @@ def test_anchor_alignment_matches_generic_problem(max_iterations):
         anchor, dict(zip(window.landmarks.tolist(), window.positions)), constraints, prior,
         res.RobustKernel("cauchy", estimator.CAUCHY_METRIC),
     )
-    got = estimator._solved_anchor(problem)
+    got = Pose(*problem.value["anchor"])[0]
     assert report.termination == "converged"
     assert report.initial_cost == pytest.approx(cost(anchor), rel=1e-12)
     assert report.final_cost == pytest.approx(cost(got), rel=1e-12)

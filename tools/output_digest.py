@@ -1,14 +1,13 @@
 """Digests of the localization's outputs, to compare two commits bitwise.
 
-    python3 tools/output_digest.py [--scale 1.0]
+    python3 tools/output_digest.py
 
 Run from the repository root. For each benchmark workload (imported from
-``perfbench/workloads.py``) and seeds 1 and 2, it synthesizes the inputs,
-builds the map and localizes the query as one benchmark round does, then
-prints one line: the step count and sha256 prefixes of the map-frame
-keyframe poses, of the ``StepRecord``s and of the final map's arrays. Two
-commits whose lines are equal gave bitwise-equal outputs. ``--scale``
-shortens every session, for a quick look; the default is full length.
+``perfbench/workloads.py``) and seeds 1 and 2, it synthesizes the inputs
+at full length, builds the map and localizes the query as one benchmark
+round does, then prints one line: the step count and sha256 prefixes of the
+map-frame keyframe poses, of the ``StepRecord``s and of the final map's
+arrays. Two commits whose lines are equal gave bitwise-equal outputs.
 """
 
 import os
@@ -17,7 +16,6 @@ import os
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
 
-import argparse  # noqa: E402
 import hashlib  # noqa: E402
 import sys  # noqa: E402
 from dataclasses import astuple  # noqa: E402
@@ -47,8 +45,8 @@ def _sha(chunks) -> str:
     return h.hexdigest()[:16]
 
 
-def digest(workload: str, seed: int, scale: float) -> str:
-    inputs = synthesize(WORKLOADS[workload], seed, scale)
+def digest(workload: str, seed: int) -> str:
+    inputs = synthesize(WORKLOADS[workload], seed, 1.0)
     cloud, _ = map_pipeline.run_map_pipeline(inputs.map_sessions)
     schedule = estimator.BaSchedule(inputs.workload.schedule)
     result = estimator.run_localization(inputs.query, cloud, inputs.anchor_guess, schedule)
@@ -64,15 +62,11 @@ def digest(workload: str, seed: int, scale: float) -> str:
     )
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--scale", type=float, default=1.0)
-    args = parser.parse_args(argv)
+def main() -> None:
     for workload in WORKLOADS:
         for seed in SEEDS:
-            print(digest(workload, seed, args.scale), flush=True)
-    return 0
+            print(digest(workload, seed), flush=True)
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    main()
