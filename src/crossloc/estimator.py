@@ -36,9 +36,9 @@ observation rows of solvable landmarks, masked from its table (landmark
 rows by ``np.searchsorted`` of the ids), then the preintegration and the
 bias terms between consecutive keyframes. After a solve ``_write_back``
 assigns the families back to the state arrays and, through the mask, the
-positions. An association (``associate_constraints``, one k-NN query over
-all landmarks) is one ``MapAssociation`` record of landmark ids, map
-points, normals and a point-to-plane mask.
+positions. An association (``associate_constraints``) moves all active
+landmarks into the map frame and has ``laser_map`` match them
+(``PointCloudMap.match``); its record's ``rows`` index ``window.landmarks``.
 
 The anchor's terms are stated once, by ``_add_anchor_groups``: the one-row
 ``anchor`` family, one map group per metric and the anchor prior. A
@@ -68,7 +68,7 @@ import numpy as np
 
 from . import residuals as res
 from .imu import PreintegratedImu, bias_information, integrate, predict_state
-from .laser_map import PointCloudMap, normal_consistency
+from .laser_map import NO_MATCHES, Matches, PointCloudMap
 from .liegroup import Pose, se3_log, so3_log
 from .session import SensorRig, SessionData
 from .solver import Problem, SolverReport, solve
@@ -89,9 +89,8 @@ KF_TRANSLATION = 0.5  # m
 KF_ROTATION = math.radians(10.0)
 KF_OVERLAP = 0.6
 MIN_DISPARITY = 1.0  # px, for a stereo row to triangulate
-# map terms: point noise, the normal agreement that picks point-to-plane; robust scales
+# map terms: point noise; robust scales
 SIGMA_MAP = 0.05  # m
-NORMAL_CONSISTENCY_ANGLE = math.radians(20.0)
 CAUCHY_PIXEL = 2.0
 CAUCHY_METRIC = 1.0
 # the anchor prior, and its stddev multiplier before the first step
@@ -239,68 +238,24 @@ def activate_landmarks(window: SlidingWindow, rig: SensorRig) -> int:
     return int(ok.sum())
 
 
-@dataclass(frozen=True)
-class MapAssociation:
-    """Map constraints as arrays, one row per associated landmark, by landmark id.
-
-    ``normals`` holds the matched map point's normal on every row (NaN where
-    the map has none); only the point-to-plane rows (``plane``) read it.
-    """
-
-    landmark_ids: np.ndarray  # (m,)
-    points: np.ndarray  # (m, 3) nearest map point, map frame
-    normals: np.ndarray  # (m, 3)
-    plane: np.ndarray  # (m,) bool: point-to-plane, else point-to-point
-
-    def __len__(self) -> int:
-        return len(self.landmark_ids)
-
-    def rows(self, mask) -> "MapAssociation":
-        return MapAssociation(*(column[mask] for column in vars(self).values()))
-
-
-# no rows, for an empty map or window and for the rigid step's first stage
-_NO_ASSOCIATION = MapAssociation(
-    np.zeros(0, dtype=int), np.zeros((0, 3)), np.zeros((0, 3)), np.zeros(0, dtype=bool)
-)
-
-
 def associate_constraints(
     window: SlidingWindow, anchor: Pose, cloud: PointCloudMap, cfg: EstimatorConfig
-) -> MapAssociation:
-    """One constraint per active landmark against its nearest map point.
-
-    All landmarks are moved into the map frame and queried in one k-NN call.
-    The k nearest neighbors decide the metric: consistent normals pick the
-    point-to-plane branch, anything else point-to-point; matches beyond the
-    gate radius are dropped. Rows follow ``window.landmarks``, by id.
-    """
-    lm_ids = window.landmarks
-    if len(cloud) == 0 or not len(lm_ids):
-        return _NO_ASSOCIATION
-    idx, dist = cloud.knn(anchor.apply(window.positions), cfg.knn_k)
-    if idx.shape[1] >= 2:
-        plane = normal_consistency(cloud.normals[idx], NORMAL_CONSISTENCY_ANGLE)
-    else:
-        plane = np.zeros(len(lm_ids), dtype=bool)
-    gated = dist[:, 0] <= cfg.gate_radius
-    nearest = idx[gated, 0]
-    return MapAssociation(
-        lm_ids[gated], cloud.positions[nearest], cloud.normals[nearest], plane[gated]
-    )
+) -> Matches:
+    """Each active landmark, moved into the map frame, matched to its nearest
+    map point (``PointCloudMap.match``); the rows index ``window.landmarks``."""
+    return cloud.match(anchor.apply(window.positions), cfg.knn_k, cfg.gate_radius)
 
 
-def _add_anchor_groups(problem: Problem, anchor: Pose, prior, association, lm_ids) -> None:
+def _add_anchor_groups(problem: Problem, anchor: Pose, prior, association, lm) -> None:
     """The ``anchor`` family of one row at ``anchor``, one map group per
     metric present (point-to-plane first), and the anchor prior ``prior``:
     (mean, information).
 
-    Row j of the problem's ``lm`` family is landmark ``lm_ids[j]`` (sorted),
-    and every associated landmark must be among them. Each map row carries
-    its map point, and a point-to-plane row its normal too.
+    Association row i constrains row ``lm[i]`` of the problem's ``lm``
+    family. Each map row carries its map point, and a point-to-plane row its
+    normal too.
     """
     problem.add_poses("anchor", Pose.stack([anchor]))
-    rows = np.searchsorted(lm_ids, association.landmark_ids)
     information = np.eye(3) / (SIGMA_MAP**2)
     kernel = res.RobustKernel("cauchy", CAUCHY_METRIC)
     for kind, plane in ((res.PointToPlaneFactor, True), (res.PointToPointFactor, False)):
@@ -308,7 +263,7 @@ def _add_anchor_groups(problem: Problem, anchor: Pose, prior, association, lm_id
         points = association.points[metric]
         data = (points, association.normals[metric]) if plane else (points,)
         problem.add_factors(
-            kind, [("anchor", np.zeros(metric.sum(), dtype=int)), ("lm", rows[metric])], data,
+            kind, [("anchor", np.zeros(metric.sum(), dtype=int)), ("lm", lm[metric])], data,
             information, kernel,
         )
     mean, information = prior
@@ -318,12 +273,11 @@ def _add_anchor_groups(problem: Problem, anchor: Pose, prior, association, lm_id
 
 
 def _alignment_problem(window: SlidingWindow, anchor: Pose, prior, association) -> Problem:
-    """The rigid step's anchor-only problem: the associated landmarks as a
-    fixed ``lm`` family, in id order, and the anchor groups."""
+    """The rigid step's anchor-only problem: the active landmarks as a
+    fixed ``lm`` family, row for row, and the anchor groups."""
     problem = Problem()
-    rows = np.searchsorted(window.landmarks, association.landmark_ids)
-    problem.add_vectors("lm", window.positions[rows], fixed=True)
-    _add_anchor_groups(problem, anchor, prior, association, association.landmark_ids)
+    problem.add_vectors("lm", window.positions, fixed=True)
+    _add_anchor_groups(problem, anchor, prior, association, association.rows)
     return problem
 
 
@@ -394,9 +348,8 @@ def _adjust_window(window, anchor, prior, association, rig, cfg):
     solvable = window.solvable()
     problem = _build_vio_problem(window, rig, rig.gravity_vector(), solvable)
     if len(association):
-        lm_ids = window.landmarks[solvable]
-        rows = association.rows(np.isin(association.landmark_ids, lm_ids))
-        _add_anchor_groups(problem, anchor, prior, rows, lm_ids)
+        kept = association.subset(solvable[association.rows])
+        _add_anchor_groups(problem, anchor, prior, kept, (np.cumsum(solvable) - 1)[kept.rows])
     report = solve(problem, cfg.max_iterations)
     _write_back(problem, window, solvable)
     return (Pose(*problem.value["anchor"])[0] if len(association) else anchor), report
@@ -406,7 +359,7 @@ def non_rigid_ba(
     window: SlidingWindow,
     anchor: Pose,
     prior,
-    association: MapAssociation,
+    association: Matches,
     rig: SensorRig,
     cfg: EstimatorConfig,
 ):
@@ -436,7 +389,7 @@ def rigid_ba(
     report's initial cost is stage one's, its final cost the last anchor
     solve's.
     """
-    anchor, report = _adjust_window(window, anchor, prior, _NO_ASSOCIATION, rig, cfg)
+    anchor, report = _adjust_window(window, anchor, prior, NO_MATCHES, rig, cfg)
     initial_cost, iterations = report.initial_cost, report.iterations
     for _ in range(ICP_MAX_ITERATIONS):
         association = associate_constraints(window, anchor, cloud, cfg)
@@ -505,19 +458,6 @@ class LocalizationResult:
     records: list
     diverged: bool = False
     divergence_reason: str = ""
-
-
-def _mean_constraint_residual(window, anchor: Pose, association: MapAssociation) -> float:
-    """Mean map distance of the associated landmarks: plane distance on
-    point-to-plane rows, point distance on the others; NaN with no rows."""
-    if not len(association):
-        return float("nan")
-    rows = np.searchsorted(window.landmarks, association.landmark_ids)
-    offset = association.points - anchor.apply(window.positions[rows])
-    dist = np.linalg.norm(offset, axis=1)
-    plane = association.plane
-    dist[plane] = np.abs(np.einsum("ni,ni->n", association.normals[plane], offset[plane]))
-    return float(dist.mean())
 
 
 class DivergenceMonitor:
@@ -600,7 +540,7 @@ def _due_keyframes(session: SessionData, window: SlidingWindow):
     It stops at the first frame after the IMU stream's last sample.
     """
     rig = session.rig
-    imu_end = session.imu_samples[-1, 0] if len(session.imu_samples) else -math.inf
+    imu_end = session.imu_samples[-1, 0]
     for k in range(window.keyframes[-1].kf_id + 1, len(session.frames)):
         frame = session.frames[k]
         if frame.timestamp > imu_end:
@@ -621,8 +561,8 @@ def _due_keyframes(session: SessionData, window: SlidingWindow):
 def initialize(session: SessionData, cfg: EstimatorConfig | None = None) -> SlidingWindow:
     """Seed the window with the first two keyframes and stereo landmarks.
 
-    Raises ``ValueError`` when the IMU stream starts after frame 0, which
-    would leave the head of the first keyframe link unintegrated;
+    Raises ``ValueError`` when the IMU stream is empty or starts after frame
+    0, which would leave the head of the first keyframe link unintegrated;
     ``TooFewObservationsError`` when frame 0 tracks too few landmarks; and
     ``InsufficientParallaxError`` when no second keyframe comes or too few
     landmarks triangulate.
@@ -631,10 +571,9 @@ def initialize(session: SessionData, cfg: EstimatorConfig | None = None) -> Slid
     window = SlidingWindow(cfg.window_capacity)
     frame0 = session.frames[0]
     t0 = frame0.timestamp
-    if len(session.imu_samples) and session.imu_samples[0, 0] > t0:
-        raise ValueError(
-            f"IMU stream starts after frame 0: [{t0:.6f}, {session.imu_samples[0, 0]:.6f}) s has no samples"
-        )
+    start = session.imu_samples[0, 0] if len(session.imu_samples) else math.inf  # an empty stream never starts
+    if start > t0:
+        raise ValueError(f"IMU stream starts after frame 0: [{t0:.6f}, {start:.6f}) s has no samples")
     if len(frame0.landmark_ids) < MIN_FRAME_LANDMARKS:
         raise TooFewObservationsError(
             f"frame tracks {len(frame0.landmark_ids)} < {MIN_FRAME_LANDMARKS} landmarks"
@@ -688,7 +627,7 @@ def run_localization(
             window.insert_keyframe(*due)
             activate_landmarks(window, rig)
         anchor, report, association, actions = step(window, anchor, cloud, schedule, len(records), rig, cfg)
-        mean_res = _mean_constraint_residual(window, anchor, association)
+        mean_res = association.mean_distance(anchor.apply(window.positions[association.rows]))
         kf = window.keyframes[-1]
         records.append(
             StepRecord(

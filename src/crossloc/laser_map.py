@@ -14,17 +14,24 @@ insertion order, and its methods state the paper's association model once:
 each query point is drawn from an isotropic Gaussian of ``sigma`` around one
 of its k candidates, under a uniform prior over the k. They reduce over the
 last axis, so one point (k,) and a stack (n, k) take one path.
+
+The localization's hard association is made here too: ``PointCloudMap.match``
+keeps each query row's nearest map point within a gate, by one ``knn`` call,
+as the record ``Matches``, whose ``rows`` index the query.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 from scipy.spatial import cKDTree
 
 NORMAL_NEIGHBORHOOD = 10  # points per normal estimate, the point itself included
+# k normals pairwise this close pick point-to-plane, anything else point-to-point
+NORMAL_CONSISTENCY_ANGLE = math.radians(20.0)
 
 
 class EmptyMapError(ValueError):
@@ -59,6 +66,39 @@ class Candidates(NamedTuple):
         log_joint = self.log_joint(sigma)
         top = log_joint.max(axis=-1)
         return top + np.log(np.exp(log_joint - top[..., None]).sum(axis=-1))
+
+
+@dataclass(frozen=True)
+class Matches:
+    """The hard association, one row per query row kept: ``rows`` (m,), the
+    query's rows, ascending; ``points`` and ``normals`` (m, 3) of each row's
+    nearest map point (NaN normals where the map has none); ``plane`` (m,),
+    point-to-plane, else point-to-point."""
+
+    rows: np.ndarray
+    points: np.ndarray
+    normals: np.ndarray
+    plane: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def subset(self, mask) -> "Matches":
+        return Matches(*(column[mask] for column in vars(self).values()))
+
+    def mean_distance(self, points) -> float:
+        """Mean distance of ``points`` (m, 3), one per row, to their matches:
+        to the plane on point-to-plane rows, to the point on the others; NaN
+        with no rows."""
+        if not len(self):
+            return float("nan")
+        offset = self.points - points
+        dist = np.linalg.norm(offset, axis=1)
+        dist[self.plane] = np.abs(np.einsum("ni,ni->n", self.normals[self.plane], offset[self.plane]))
+        return float(dist.mean())
+
+
+NO_MATCHES = Matches(np.zeros(0, dtype=int), np.zeros((0, 3)), np.zeros((0, 3)), np.zeros(0, dtype=bool))
 
 
 class PointCloudMap:
@@ -144,6 +184,25 @@ class PointCloudMap:
         if query.ndim == 1:
             return Candidates(idx[0], dists[0])
         return Candidates(idx, dists)
+
+    def match(self, query, k: int, gate: float) -> Matches:
+        """Each row of ``query`` (n, 3) against its nearest map point.
+
+        One ``knn`` call of k over all rows. Consistent normals among a row's
+        k nearest points pick point-to-plane, anything else (and k = 1)
+        point-to-point; rows whose nearest point is beyond ``gate`` are
+        dropped. An empty map or query matches nothing.
+        """
+        if len(self) == 0 or len(query) == 0:
+            return NO_MATCHES
+        idx, dist = self.knn(query, k)
+        if idx.shape[1] >= 2:
+            plane = normal_consistency(self.normals[idx], NORMAL_CONSISTENCY_ANGLE)
+        else:
+            plane = np.zeros(len(idx), dtype=bool)
+        rows = np.flatnonzero(dist[:, 0] <= gate)
+        nearest = idx[rows, 0]
+        return Matches(rows, self.positions[nearest], self.normals[nearest], plane[rows])
 
 
 def canonical_sign(normals: np.ndarray) -> np.ndarray:

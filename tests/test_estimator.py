@@ -443,6 +443,15 @@ def test_imu_stream_starting_after_frame_0(short_inputs):
     _assert_keyframes_span_their_gaps(on_time)
 
 
+def test_empty_imu_stream(short_inputs):
+    """A stream without samples is named as such by ``initialize``: a plain
+    ``ValueError``, not a parallax failure."""
+    query, _, _ = short_inputs
+    with pytest.raises(ValueError, match="IMU stream starts after frame 0") as raised:
+        estimator.initialize(replace(query, imu_samples=query.imu_samples[:0]))
+    assert not isinstance(raised.value, estimator.InsufficientParallaxError)
+
+
 @pytest.mark.parametrize("mode", ["non_rigid_only", "hybrid"])
 def test_empty_frames(short_inputs, mode):
     """Frames 15 to 24 track no landmarks, a second without vision. No
@@ -601,21 +610,9 @@ def test_window_problem_has_one_stereo_row_per_solvable_occurrence():
     assert problem.families["lm"].eliminate
 
 
-def test_empty_association():
-    """No map points, or no landmarks: no rows, a NaN mean residual, and a
-    non-rigid step without an anchor block that leaves the anchor alone."""
-    cfg = estimator.EstimatorConfig()
-    window = _hand_built_window()
-    _set_active(window, [3, 4, 9], [[0.5, 0.1 * i, 5.0] for i in (3, 4, 9)])
-    bare = _hand_built_window()
-    cloud = laser_map.PointCloudMap(np.random.default_rng(4).uniform(-6, 6, size=(50, 3)))
-    pose = se3_exp(np.array([0.0, 0.0, 0.1, 0.2, -0.1, 0.0]))
-    for w, c in ((window, laser_map.PointCloudMap(np.zeros((0, 3)))), (bare, cloud)):
-        association = estimator.associate_constraints(w, pose, c, cfg)
-        assert len(association) == 0
-        assert association.points.shape == association.normals.shape == (0, 3)
-        assert math.isnan(estimator._mean_constraint_residual(w, pose, association))
-
+def _non_rigid_problem(window, pose, association, cfg):
+    """A non-rigid step on ``window`` from ``pose``, its prior's mean too;
+    returns its anchor and the one problem it solved."""
     problems = []
 
     def recording_solve(problem, max_iterations):
@@ -629,11 +626,52 @@ def test_empty_association():
     finally:
         estimator.solve = original
     (problem,) = problems
+    return anchor, problem
+
+
+def test_empty_association():
+    """No map points, or no landmarks: no rows, a NaN mean residual, and a
+    non-rigid step without an anchor block that leaves the anchor alone."""
+    cfg = estimator.EstimatorConfig()
+    window = _hand_built_window()
+    _set_active(window, [3, 4, 9], [[0.5, 0.1 * i, 5.0] for i in (3, 4, 9)])
+    bare = _hand_built_window()
+    cloud = laser_map.PointCloudMap(np.random.default_rng(4).uniform(-6, 6, size=(50, 3)))
+    pose = se3_exp(np.array([0.0, 0.0, 0.1, 0.2, -0.1, 0.0]))
+    for w, c in ((window, laser_map.PointCloudMap(np.zeros((0, 3)))), (bare, cloud)):
+        association = estimator.associate_constraints(w, pose, c, cfg)
+        assert len(association) == 0
+        assert association.points.shape == association.normals.shape == (0, 3)
+        assert math.isnan(association.mean_distance(pose.apply(w.positions[association.rows])))
+
+    anchor, problem = _non_rigid_problem(window, pose, association, cfg)
     assert "anchor" not in problem.value
     assert [g.kind for g in problem.groups] == [
         res.StereoReprojectionFactor, res.PreintegrationFactor, res.BiasRandomWalkFactor
     ]
     assert anchor is pose
+
+
+def test_map_rows_of_a_non_rigid_step_follow_the_solvable_landmarks():
+    """On the hand-built window with landmarks 2, 3, 4 and 9 active, an
+    association of 2 (active, seen by one keyframe only), 4 and 9: landmark
+    2 gets no map row, and each other map row's ``lm`` slot is its own
+    landmark's row among the solvable ones, 3, 4 and 9."""
+    cfg = estimator.EstimatorConfig()
+    window = _hand_built_window()
+    _set_active(window, [2, 3, 4, 9], [[0.5, 0.1 * i, 5.0] for i in (2, 3, 4, 9)])
+    solvable_ids = window.landmarks[window.solvable()]
+    assert solvable_ids.tolist() == [3, 4, 9]
+    rows = np.array([0, 2, 3])  # landmarks 2, 4 and 9: 2 and 9 point-to-plane, 4 point-to-point
+    points = window.positions[rows] + [0.0, 0.0, 0.01]
+    normals = np.array([[0.0, 0.0, 1.0], [np.nan] * 3, [0.0, 0.0, 1.0]])
+    association = laser_map.Matches(rows, points, normals, np.array([True, False, True]))
+    _, problem = _non_rigid_problem(window, Pose.identity(), association, cfg)
+    groups = {group.kind: group for group in problem.groups}
+    for kind, lm_id in ((res.PointToPlaneFactor, 9), (res.PointToPointFactor, 4)):
+        (_, _), (family, lm_rows) = groups[kind].slots
+        assert family == "lm" and solvable_ids[lm_rows].tolist() == [lm_id]
+        np.testing.assert_array_equal(groups[kind].data[0], points[window.landmarks[rows] == lm_id])
 
 
 def _fixed_association(rng, cfg):
@@ -653,9 +691,7 @@ def _fixed_association(rng, cfg):
         normal = rng.normal(size=3) if plane[-1] else np.full(3, np.nan)
         normals.append(normal / np.linalg.norm(normal))
     _set_active(window, 5 + 2 * np.arange(60), positions)
-    association = estimator.MapAssociation(
-        window.landmarks, np.array(points), np.array(normals), np.array(plane)
-    )
+    association = laser_map.Matches(np.arange(60), np.array(points), np.array(normals), np.array(plane))
     guess = truth.retract(np.array([0.01, 0.0, -0.02, 0.2, 0.1, -0.15]))
     return window, association, guess, (guess, cfg.prior_information(estimator.INITIAL_PRIOR_SCALE))
 
@@ -692,7 +728,7 @@ def test_anchor_alignment_matches_generic_problem(max_iterations):
             POINT_TO_PLANE if plane else POINT_TO_POINT,
         )
         for lm_id, point, normal, plane in zip(
-            association.landmark_ids, association.points, association.normals, association.plane
+            window.landmarks[association.rows], association.points, association.normals, association.plane
         )
     ]
     want, cost = anchor_alignment_gauss_newton(
@@ -747,14 +783,14 @@ def test_association_matches_one_landmark_at_a_time():
             continue
         normals = cloud.normals[idx]
         angles = np.arccos(np.clip(normals @ normals.T, -1.0, 1.0))
-        plane = not np.isnan(normals).any() and np.all(angles <= estimator.NORMAL_CONSISTENCY_ANGLE + 1e-12)
+        plane = not np.isnan(normals).any() and np.all(angles <= laser_map.NORMAL_CONSISTENCY_ANGLE + 1e-12)
         want.append((lm_id, idx[0], POINT_TO_PLANE if plane else POINT_TO_POINT))
 
     got = estimator.associate_constraints(window, anchor, cloud, cfg)
     assert {metric for _, _, metric in want} == {POINT_TO_PLANE, POINT_TO_POINT}
     assert 0 < len(want) < len(window.landmarks)
     assert len(got) == len(want)
-    assert got.landmark_ids.tolist() == [i for i, _, _ in want]
+    assert window.landmarks[got.rows].tolist() == [i for i, _, _ in want]
     assert got.plane.tolist() == [m == POINT_TO_PLANE for _, _, m in want]
     nearest = np.array([k for _, k, _ in want])
     assert np.array_equal(got.points, cloud.positions[nearest])
@@ -765,5 +801,5 @@ def test_association_matches_one_landmark_at_a_time():
         offset = cloud.positions[k] - anchor.apply(landmarks[lm_id])
         plane = metric == POINT_TO_PLANE
         total += abs(float(cloud.normals[k] @ offset)) if plane else float(np.linalg.norm(offset))
-    mean = estimator._mean_constraint_residual(window, anchor, got)
+    mean = got.mean_distance(anchor.apply(window.positions[got.rows]))
     assert mean == pytest.approx(total / len(want), rel=1e-12)

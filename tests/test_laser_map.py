@@ -120,6 +120,75 @@ class TestKnn:
         assert np.array_equal(idx, batch_idx[0]) and np.array_equal(dist, batch_dist[0])
 
 
+class TestMatch:
+    """``PointCloudMap.match`` against a row-by-row reference on
+    ``brute_force_knn``: the nearest point within the gate, point-to-plane
+    where all k nearest normals are present and pairwise within
+    ``NORMAL_CONSISTENCY_ANGLE``."""
+
+    @staticmethod
+    def cloud(rng):
+        ground = np.column_stack([rng.uniform(-6, 6, 600), rng.uniform(-6, 6, 600), np.zeros(600)])
+        wall = np.column_stack([np.full(300, 5.0), rng.uniform(-6, 6, 300), rng.uniform(0, 3, 300)])
+        scatter = rng.uniform(-6, 6, size=(100, 3))
+        return lm.estimate_normals(lm.PointCloudMap(np.vstack([ground, wall, scatter])))
+
+    @staticmethod
+    def reference(cloud, query, k, gate):
+        rows, nearest, plane = [], [], []
+        for row, q in enumerate(query):
+            idx, dist = brute_force_knn(cloud.positions, q, k)
+            if dist[0] > gate:
+                continue
+            normals = cloud.normals[idx]
+            angles = np.arccos(np.clip(normals @ normals.T, -1.0, 1.0))
+            consistent = len(idx) >= 2 and not np.isnan(normals).any()
+            rows.append(row)
+            nearest.append(idx[0])
+            plane.append(bool(consistent and np.all(angles <= lm.NORMAL_CONSISTENCY_ANGLE + 1e-12)))
+        return rows, nearest, plane
+
+    @pytest.mark.parametrize("k", [1, 5])
+    def test_matches_brute_force_row_by_row(self, k):
+        rng = np.random.default_rng(12)
+        cloud = self.cloud(rng)
+        assert 0 < cloud.has_normal().sum() < len(cloud)
+        query = rng.uniform([-8, -8, -1], [8, 8, 4], size=(200, 3))
+        got = cloud.match(query, k, 1.0)
+        rows, nearest, plane = self.reference(cloud, query, k, 1.0)
+        assert 0 < len(rows) < len(query)
+        assert len(got) == len(rows)
+        assert got.rows.tolist() == rows
+        assert got.plane.tolist() == plane
+        # both metrics with k = 5; with k = 1 every row is point-to-point
+        assert set(plane) == ({True, False} if k > 1 else {False})
+        np.testing.assert_array_equal(got.points, cloud.positions[nearest])
+        np.testing.assert_array_equal(got.normals, cloud.normals[nearest])
+
+    def test_empty_map_or_query_matches_nothing(self):
+        """No ``EmptyMapError``: the empty record, and a NaN mean distance."""
+        cloud = random_cloud(np.random.default_rng(14), 30)
+        for source, query in ((lm.PointCloudMap(np.zeros((0, 3))), np.ones((4, 3))), (cloud, np.zeros((0, 3)))):
+            got = source.match(query, 5, 1.0)
+            assert len(got) == 0 and got.rows.dtype.kind == "i"
+            assert got.points.shape == got.normals.shape == (0, 3)
+            assert math.isnan(got.mean_distance(np.zeros((0, 3))))
+
+    def test_mean_distance_of_moved_points(self):
+        """Points moved off their query rows, against a row-by-row sum of
+        plane distances on point-to-plane rows and point distances on the rest."""
+        rng = np.random.default_rng(15)
+        cloud = self.cloud(rng)
+        got = cloud.match(rng.uniform([-8, -8, -1], [8, 8, 4], size=(200, 3)), 5, 1.0)
+        assert 0 < got.plane.sum() < len(got)
+        moved = rng.normal(scale=0.3, size=(len(got), 3)) + got.points
+        total = 0.0
+        for point, normal, plane, p in zip(got.points, got.normals, got.plane, moved):
+            offset = point - p
+            total += abs(float(normal @ offset)) if plane else float(np.linalg.norm(offset))
+        assert got.mean_distance(moved) == pytest.approx(total / len(got), rel=1e-12)
+
+
 class TestEstimateNormals:
     def test_planar_cloud(self):
         rng = np.random.default_rng(3)

@@ -90,8 +90,7 @@ def second_kernels(source: str) -> list[str]:
 
     Each factor kind has one kernel: ``evaluate_batch`` itself, or an
     ``evaluate`` over stacked rows that ``evaluate_batch`` calls. One-row
-    references belong in ``tests/oracles.py``. A private helper, such as
-    the estimator's ``_mean_constraint_residual`` diagnostic, is no kernel.
+    references belong in ``tests/oracles.py``. A private helper is no kernel.
     """
     tree = ast.parse(source)
     found = [
@@ -415,8 +414,9 @@ def test_entry_points_are_unread_otherwise():
     assert set(ENTRY_POINTS) <= unread, set(ENTRY_POINTS) - unread
 
 
-# the one function of src that queries the map's k nearest points
-KNN_CALLER = "estimator.associate_constraints"
+# the one function of src that queries the map's k nearest points: the
+# association kernel, ``PointCloudMap.match``
+KNN_CALLER = "laser_map.match"
 
 
 def knn_calls(modules: dict) -> list[str]:
@@ -443,6 +443,11 @@ def knn_calls(modules: dict) -> list[str]:
 
 def test_knn_calls_are_found():
     modules = {
+        "laser_map": (
+            "class PointCloudMap:\n"
+            "    def match(self, query, k, gate):\n"
+            "        return self.knn(query, k)\n"
+        ),
         "estimator": (
             "def associate_constraints(window, cloud):\n"
             "    return cloud.knn(window.positions, 5)\n"
@@ -459,12 +464,15 @@ def test_knn_calls_are_found():
         ),
     }
     assert knn_calls(modules) == [
-        "estimator._monitor (line 4)", "map_pipeline (line 5)", "map_pipeline.inner (line 3)"
+        "estimator._monitor (line 4)",
+        "estimator.associate_constraints (line 2)",
+        "map_pipeline (line 5)",
+        "map_pipeline.inner (line 3)",
     ]
 
 
 def test_one_knn_call_site():
-    """``src`` has one k-NN call site, the localization's association
+    """``src`` has one k-NN call site, the localization's association kernel
     (ROADMAP direction 23)."""
     assert knn_calls(_package_and_bench()[0]) == []
 
