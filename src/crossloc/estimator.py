@@ -7,9 +7,8 @@ one bundle-adjustment step chosen by the schedule:
 
 - non-rigid: states, landmarks and the anchor optimized jointly under
   reprojection + preintegration + map-alignment + anchor-prior terms;
-- rigid: plain visual-inertial adjustment first, then an ICP-style loop
-  that re-associates and refines the anchor alone with everything else
-  held fixed, each iteration one association and one anchor-only solve;
+- rigid: plain visual-inertial adjustment first, then ICP on the anchor
+  alone, one LM step per association until an association repeats;
 - hybrid repeats ``HYBRID_CYCLE``: one non-rigid step, then three rigid.
 
 The front end is one keyframe path. ``_due_keyframes`` preintegrates the
@@ -51,7 +50,7 @@ The anchor is one ``Pose`` that each step takes and returns. A step's
 anchor prior has the anchor it was given, the last step's estimate, as its
 mean, widened by ``INITIAL_PRIOR_SCALE`` on the first step only.
 
-The thresholds (keyframe policy, map noise, robust scales, the ICP stop and
+The thresholds (keyframe policy, map noise, robust scales, the ICP cap and
 the divergence rules) are the module constants below. ``EstimatorConfig``
 holds the five values that the ROADMAP's measurements vary: the window
 capacity and the iteration budget, the k-NN k, the gate radius and the
@@ -69,7 +68,7 @@ import numpy as np
 from . import residuals as res
 from .imu import PreintegratedImu, bias_information, integrate, predict_state
 from .laser_map import NO_MATCHES, Matches, PointCloudMap
-from .liegroup import Pose, se3_log, so3_log
+from .liegroup import Pose, so3_log
 from .session import SensorRig, SessionData
 from .solver import Problem, SolverReport, solve
 
@@ -96,9 +95,8 @@ CAUCHY_METRIC = 1.0
 # the anchor prior, and its stddev multiplier before the first step
 PRIOR_ROT_SIGMA = 0.01  # rad
 INITIAL_PRIOR_SCALE = 10.0
-# the rigid step's ICP loop
+# the rigid step's ICP loop: at most this many associations aligned to
 ICP_MAX_ITERATIONS = 20
-ICP_UPDATE_TOL = 1e-6
 # divergence: residual growth over the first good step's, or too few constraints
 DIVERGENCE_RATIO = 3.0
 DIVERGENCE_STEPS = 5
@@ -380,30 +378,31 @@ def rigid_ba(
     rig: SensorRig,
     cfg: EstimatorConfig,
 ):
-    """VIO-only adjustment, then ICP-style anchor-only alignment; returns (anchor, report).
+    """VIO-only adjustment, then ICP on the anchor; returns (anchor, report,
+    association), the association at the anchor returned.
 
-    Stage two repeats association + anchor solve until the anchor update
-    falls below ``ICP_UPDATE_TOL`` or ``ICP_MAX_ITERATIONS`` is reached; states
-    and landmarks stay untouched there. Each anchor solve is an
-    ``_alignment_problem``: one free pose row, nothing eliminated. The
-    report's initial cost is stage one's, its final cost the last anchor
-    solve's.
+    Stage two takes one LM step (Chen and Medioni) of an ``_alignment_problem``
+    per association, states and landmarks untouched, until an association
+    equals one aligned to in this step: a fixed point (Besl and McKay) or a
+    cycle. The report's initial cost is stage one's, its final cost the last
+    anchor solve's, its termination as ``StepRecord`` gives it.
     """
     anchor, report = _adjust_window(window, anchor, prior, NO_MATCHES, rig, cfg)
-    initial_cost, iterations = report.initial_cost, report.iterations
-    for _ in range(ICP_MAX_ITERATIONS):
+    initial_cost, iterations, termination = report.initial_cost, report.iterations, report.termination
+    aligned = set()
+    while True:
         association = associate_constraints(window, anchor, cloud, cfg)
-        if not len(association):
+        fields = tuple(field.tobytes() for field in vars(association).values())
+        if not len(association) or fields in aligned or len(aligned) == ICP_MAX_ITERATIONS:
             break
+        aligned.add(fields)
         alignment = _alignment_problem(window, anchor, prior, association)
-        report = solve(alignment, cfg.max_iterations)
-        aligned = Pose(*alignment.value["anchor"])[0]
-        update = np.linalg.norm(se3_log(anchor.inverse() @ aligned))
-        anchor = aligned
+        report = solve(alignment, 1)
+        anchor = Pose(*alignment.value["anchor"])[0]
         iterations += report.iterations
-        if update < ICP_UPDATE_TOL:
-            break
-    return anchor, SolverReport(initial_cost, report.final_cost, iterations, report.termination)
+    if len(association):
+        termination = "converged" if fields in aligned else "max_iter"
+    return anchor, SolverReport(initial_cost, report.final_cost, iterations, termination), association
 
 
 def step(
@@ -420,8 +419,7 @@ def step(
     actions = schedule.actions_at(counter)
     prior = (anchor, cfg.prior_information(INITIAL_PRIOR_SCALE if counter == 0 else 1.0))
     if actions == ("rigid",):
-        anchor, report = rigid_ba(window, anchor, prior, cloud, rig, cfg)
-        association = associate_constraints(window, anchor, cloud, cfg)
+        anchor, report, association = rigid_ba(window, anchor, prior, cloud, rig, cfg)
     else:
         association = associate_constraints(window, anchor, cloud, cfg)
         anchor, report = non_rigid_ba(window, anchor, prior, association, rig, cfg)
@@ -439,7 +437,9 @@ class StepRecord:
     rigid step they come from two objectives: ``initial_cost`` is the
     visual-inertial stage's (reprojection, preintegration and bias terms)
     before its solve, ``final_cost`` the last anchor-only ICP solve's (map
-    and prior terms) after it, so they are not comparable."""
+    and prior terms) after it, so they are not comparable. A rigid step's
+    ``termination`` is ``converged`` if an ICP association repeated, else
+    ``max_iter`` at ``ICP_MAX_ITERATIONS``, else the visual-inertial stage's."""
 
     keyframe_id: int
     timestamp: float

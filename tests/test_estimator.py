@@ -674,6 +674,83 @@ def test_map_rows_of_a_non_rigid_step_follow_the_solvable_landmarks():
         np.testing.assert_array_equal(groups[kind].data[0], points[window.landmarks[rows] == lm_id])
 
 
+def _shifted_matches(window, shift):
+    """Every active landmark matched to its own position moved by ``shift``:
+    the first row point-to-plane with normal z, the others point-to-point."""
+    plane = np.arange(len(window.landmarks)) == 0
+    normals = np.where(plane[:, None], [0.0, 0.0, 1.0], np.nan)
+    return laser_map.Matches(np.arange(len(plane)), window.positions + shift, normals, plane)
+
+
+def _scripted_associations(script):
+    """A stand-in for ``associate_constraints`` that is a function of the
+    anchor: an anchor not seen before gets a copy of the next association
+    of ``script``, one seen before a copy of the association it got then."""
+    seen = []  # (anchor, association)
+
+    def associate(window, anchor, cloud, cfg):
+        for old, association in seen:
+            if np.array_equal(old.rotation, anchor.rotation) and np.array_equal(old.translation, anchor.translation):
+                break
+        else:
+            assert len(seen) < len(script), "the ICP loop asked for more associations than scripted"
+            association = script[len(seen)]
+            seen.append((anchor, association))
+        return laser_map.Matches(*(field.copy() for field in vars(association).values()))
+
+    return associate
+
+
+@pytest.mark.parametrize(
+    "case, solves, termination",
+    [("cycle", 2, "converged"), ("fixed point", 1, "converged"),
+     ("empty", 0, None), ("no repeat", estimator.ICP_MAX_ITERATIONS, "max_iter")],
+)
+def test_rigid_icp_stops_when_an_association_repeats(monkeypatch, case, solves, termination):
+    """``rigid_ba`` on the hand-built window, its associations scripted per
+    anchor: A, B, A (a cycle) takes two anchor solves, a constant association
+    one, an empty one none, and associations that never repeat one per
+    association up to ``ICP_MAX_ITERATIONS``. Each anchor solve is one LM
+    step; the association returned is the one at the anchor returned."""
+    cfg = estimator.EstimatorConfig()
+    window = _hand_built_window()
+    _set_active(window, [3, 4, 9], [[0.5, 0.1 * i, 5.0] for i in (3, 4, 9)])
+    a, b = (_shifted_matches(window, shift) for shift in ([0.0, 0.0, 0.3], [0.2, -0.1, 0.0]))
+    script = {
+        "cycle": [a, b, a],
+        "fixed point": [a, a],
+        "empty": [laser_map.NO_MATCHES],
+        "no repeat": [
+            _shifted_matches(window, [0.0, 0.0, 0.05 * (k + 1)]) for k in range(estimator.ICP_MAX_ITERATIONS + 1)
+        ],
+    }[case]
+    associate = _scripted_associations(script)
+    reports, anchor_solves = [], []
+
+    def recording_solve(problem, max_iterations):
+        reports.append(solve(problem, max_iterations))
+        if "anchor" in problem.value:
+            anchor_solves.append(max_iterations)
+        return reports[-1]
+
+    monkeypatch.setattr(estimator, "associate_constraints", associate)
+    monkeypatch.setattr(estimator, "solve", recording_solve)
+    guess = se3_exp(np.array([0.0, 0.0, 0.01, 0.1, 0.0, 0.0]))
+    prior = (guess, cfg.prior_information())
+    anchor, report, association = estimator.rigid_ba(window, guess, prior, None, sim.default_rig(), cfg)
+
+    assert anchor_solves == [1] * solves
+    assert len(reports) == solves + 1
+    assert report.termination == (termination or reports[0].termination)
+    assert report.iterations == sum(r.iterations for r in reports)
+    assert report.initial_cost == reports[0].initial_cost and report.final_cost == reports[-1].final_cost
+    if not solves:
+        assert anchor is guess
+    want = associate(window, anchor, None, cfg)
+    for got_field, want_field in zip(vars(association).values(), vars(want).values()):
+        np.testing.assert_array_equal(got_field, want_field)
+
+
 def _fixed_association(rng, cfg):
     """A window of 60 landmarks, ids odd from 5, an association of both
     metrics with a row for each, a tenth of them outliers, an anchor guess

@@ -5,9 +5,11 @@
 Run from the repository root. For each benchmark workload (imported from
 ``perfbench/workloads.py``) and seeds 1 and 2, it synthesizes the inputs
 at full length, builds the map and localizes the query as one benchmark
-round does, then prints one line: the step count and sha256 prefixes of the
+round does, then prints one line: the step count, sha256 prefixes of the
 map-frame keyframe poses, of the ``StepRecord``s and of the final map's
-arrays. Two commits whose lines are equal gave bitwise-equal outputs.
+arrays, and the keyframes' ATE RMSE and max (``perfbench/checks.py``'s
+``keyframe_errors``). Two commits whose lines are equal gave bitwise-equal
+outputs; where they differ, the ATE shows how far accuracy moved.
 """
 
 import os
@@ -26,6 +28,7 @@ sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "perfbench")]
 import numpy as np  # noqa: E402
 
 from crossloc import estimator, map_pipeline  # noqa: E402
+from checks import keyframe_errors  # noqa: E402
 from workloads import WORKLOADS, synthesize  # noqa: E402
 
 SEEDS = (1, 2)
@@ -55,9 +58,10 @@ def digest(workload: str, seed: int) -> str:
     records = _sha(repr(astuple(r)) for r in result.records)
     arrays = [cloud.positions, cloud.normals, cloud.counts, cloud.ground]
     final_map = _sha(arrays + ([] if cloud.labels is None else [cloud.labels]))
+    rmse, worst = keyframe_errors(result, inputs.query)
     return (
         f"{workload} seed {seed}: {len(result.records)} steps, poses {poses},"
-        f" records {records}, map {final_map}"
+        f" records {records}, map {final_map}, ATE RMSE {rmse:.4f} m, max {worst:.4f} m"
         + (f", diverged: {result.divergence_reason}" if result.diverged else "")
     )
 
