@@ -439,7 +439,10 @@ class StepRecord:
     before its solve, ``final_cost`` the last anchor-only ICP solve's (map
     and prior terms) after it, so they are not comparable. A rigid step's
     ``termination`` is ``converged`` if an ICP association repeated, else
-    ``max_iter`` at ``ICP_MAX_ITERATIONS``, else the visual-inertial stage's."""
+    ``max_iter`` at ``ICP_MAX_ITERATIONS``, else the visual-inertial stage's.
+    ``n_constraints`` and ``mean_constraint_residual`` take every matched
+    active landmark, on a non-rigid step also those seen by one window
+    keyframe only, which its solve leaves out."""
 
     keyframe_id: int
     timestamp: float

@@ -1,10 +1,14 @@
 """Prior laser map storage: spatial index, normals, consistency.
 
-A PointCloudMap is an immutable cloud held as one array per field:
-positions, optional unit normals (NaN rows mean "absent"), per-point
-observation counts, ground flags, and an optional integer label channel used
-only as ground-truth metadata by the simulator and tests. Every cloud is in
-the map frame.
+A PointCloudMap is an immutable cloud held as one array per point column:
+positions, unit normals (NaN rows mean "absent"), observation counts, ground
+flags and integer labels, the id of the world element a point samples (-1
+where none is known), used only as ground-truth metadata by the simulator
+and tests. A column left out of the constructor is absent everywhere (counts
+of 1, no ground flags). ``columns()`` lists the columns once, so a copy
+(``replace``), a subset and a concatenation carry them all; a new column is
+added in the constructor and ``columns()`` only. Every cloud is in the map
+frame.
 
 k-NN queries are exact: candidates come from a kd-tree, then distances are
 recomputed in double precision and sorted by (distance, insertion index) so
@@ -101,8 +105,15 @@ class Matches:
 NO_MATCHES = Matches(np.zeros(0, dtype=int), np.zeros((0, 3)), np.zeros((0, 3)), np.zeros(0, dtype=bool))
 
 
+def _column(values, shape, dtype, absent) -> np.ndarray:
+    """``values`` as a column of ``shape`` and ``dtype``; ``absent`` everywhere if None."""
+    if values is None:
+        return np.full(shape, absent, dtype=dtype)
+    return np.asarray(values, dtype=dtype).reshape(shape)
+
+
 class PointCloudMap:
-    """Point cloud with per-point metadata and an exact spatial index."""
+    """Point cloud with per-point columns and an exact spatial index."""
 
     def __init__(self, positions, normals=None, counts=None, ground=None, labels=None):
         positions = np.asarray(positions, dtype=float)
@@ -112,17 +123,20 @@ class PointCloudMap:
         n = len(self.positions)
         if self.positions.shape != (n, 3):
             raise ValueError("positions must be (N, 3)")
-        if normals is None:
-            normals = np.full((n, 3), np.nan)
-        self.normals = np.asarray(normals, dtype=float).reshape(n, 3)
-        self.counts = (
-            np.ones(n, dtype=int) if counts is None else np.asarray(counts, dtype=int).reshape(n)
-        )
-        self.ground = (
-            np.zeros(n, dtype=bool) if ground is None else np.asarray(ground, dtype=bool).reshape(n)
-        )
-        self.labels = None if labels is None else np.asarray(labels, dtype=int).reshape(n)
+        self.normals = _column(normals, (n, 3), float, np.nan)
+        self.counts = _column(counts, n, int, 1)
+        self.ground = _column(ground, n, bool, False)
+        self.labels = _column(labels, n, int, -1)
         self._tree = None
+
+    def columns(self) -> dict:
+        """The per-point columns by constructor argument, in its order."""
+        names = ("positions", "normals", "counts", "ground", "labels")
+        return {name: getattr(self, name) for name in names}
+
+    def replace(self, **columns) -> "PointCloudMap":
+        """A cloud with the named columns replaced and the others kept."""
+        return PointCloudMap(**{**self.columns(), **columns})
 
     def __len__(self) -> int:
         return len(self.positions)
@@ -138,13 +152,7 @@ class PointCloudMap:
 
     def subset(self, index) -> "PointCloudMap":
         index = np.asarray(index)
-        return PointCloudMap(
-            self.positions[index],
-            self.normals[index],
-            self.counts[index],
-            self.ground[index],
-            None if self.labels is None else self.labels[index],
-        )
+        return PointCloudMap(**{name: column[index] for name, column in self.columns().items()})
 
     def knn(self, query, k: int) -> Candidates:
         """Exact k nearest neighbors of one (3,) point or each row of an (n, 3) batch.
@@ -230,9 +238,7 @@ def estimate_normals(cloud: PointCloudMap) -> PointCloudMap:
         return cloud
     kk = min(NORMAL_NEIGHBORHOOD, n)
     _, idx = cloud.tree.query(cloud.positions, k=kk)
-    idx = np.atleast_2d(idx)
-    if idx.shape[0] != n:  # kk == 1 collapses the axis
-        idx = idx.reshape(n, -1)
+    idx = idx.reshape(n, kk)  # kk == 1 collapses the axis
     neigh = cloud.positions[idx]  # (n, kk, 3)
     centered = neigh - neigh.mean(axis=1, keepdims=True)
     cov = np.einsum("nki,nkj->nij", centered, centered) / kk
@@ -245,9 +251,7 @@ def estimate_normals(cloud: PointCloudMap) -> PointCloudMap:
     planar = mid_ok & (ratio <= 0.5) & (kk >= 3)
     normals = canonical_sign(normals / np.linalg.norm(normals, axis=1, keepdims=True))
     normals[~planar] = np.nan
-    return PointCloudMap(
-        cloud.positions, normals, cloud.counts, cloud.ground, cloud.labels
-    )
+    return cloud.replace(normals=normals)
 
 
 def normal_consistency(normals, angle_threshold: float) -> np.ndarray:

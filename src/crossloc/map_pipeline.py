@@ -9,10 +9,12 @@ The pixel gate, the newness radius d_alpha, the erosion and expansion radii
 and the ground band are module constants; ``MapFilterParams`` holds the
 count thresholds, scaled to the session count, and the ground voxel.
 
-Merge semantics (the documented rule all oracles follow): each session's
-cloud is first thinned sequentially so no two kept points lie within the
-newness radius; each base point's count increases at most once per session;
-unmatched points join the base with count 1 after the session's pass.
+Merge semantics (the documented rule all oracles follow): the base starts
+empty, and each session's cloud is first thinned sequentially so no two kept
+points lie within the newness radius; each base point's count increases at
+most once per session; unmatched points join the base after the session's
+pass. The merged cloud's columns are the joined points' positions and
+labels, their counts, no normals and no ground flags.
 
 Memory: the vision transformation and the ground stage read the scans a
 chunk of consecutive scans at a time, so each holds one chunk of raw returns
@@ -248,36 +250,26 @@ def sequential_thin(points: np.ndarray, radius: float) -> np.ndarray:
     return np.flatnonzero(kept)
 
 
+def concat_clouds(a: PointCloudMap, b: PointCloudMap) -> PointCloudMap:
+    """The points of ``a``, then those of ``b``, with every column."""
+    b_columns = b.columns()
+    return PointCloudMap(
+        **{name: np.concatenate([column, b_columns[name]]) for name, column in a.columns().items()}
+    )
+
+
 def merge_sessions(transformed: list[PointCloudMap]) -> PointCloudMap:
     """Sequential merge: count re-observations, insert genuinely new points."""
-    if not transformed:
-        raise ValueError("need at least one session")
-    base_pts: np.ndarray | None = None
-    base_counts: np.ndarray | None = None
-    base_labels: np.ndarray | None = None
-    have_labels = all(c.labels is not None for c in transformed)
-    for i, cloud in enumerate(transformed):
-        keep = sequential_thin(cloud.positions, NEWNESS_RADIUS)
-        pts = cloud.positions[keep]
-        labels = cloud.labels[keep] if have_labels else None
-        if i == 0 or base_pts is None or len(base_pts) == 0:
-            base_pts = pts.copy()
-            base_counts = np.ones(len(pts), dtype=int)
-            base_labels = labels.copy() if have_labels else None
-            continue
-        if len(pts) == 0:
-            continue
-        tree = cKDTree(base_pts)
-        dist, idx = tree.query(pts)
+    base = PointCloudMap(np.zeros((0, 3)))
+    for cloud in transformed:
+        cloud = cloud.subset(sequential_thin(cloud.positions, NEWNESS_RADIUS))
+        dist, idx = base.tree.query(cloud.positions)  # inf against an empty base
         is_new = dist > NEWNESS_RADIUS
-        matched = np.unique(idx[~is_new])
-        base_counts[matched] += 1
-        if is_new.any():
-            base_pts = np.concatenate([base_pts, pts[is_new]])
-            base_counts = np.concatenate([base_counts, np.ones(int(is_new.sum()), dtype=int)])
-            if have_labels:
-                base_labels = np.concatenate([base_labels, labels[is_new]])
-    return PointCloudMap(base_pts, counts=base_counts, labels=base_labels)
+        # a base point counts once per session, however many points match it
+        matched = np.bincount(idx[~is_new], minlength=len(base)) > 0
+        new = PointCloudMap(cloud.positions[is_new], labels=cloud.labels[is_new])
+        base = concat_clouds(base.replace(counts=base.counts + matched), new)
+    return base
 
 
 # ---------------------------------------------------------------------------
@@ -290,27 +282,12 @@ def classify_static(merged: PointCloudMap, params: MapFilterParams):
     return merged.subset(static_mask), merged.subset(~static_mask)
 
 
-def concat_clouds(a: PointCloudMap, b: PointCloudMap) -> PointCloudMap:
-    labels = None
-    if a.labels is not None and b.labels is not None:
-        labels = np.concatenate([a.labels, b.labels])
-    return PointCloudMap(
-        np.concatenate([a.positions, b.positions]),
-        np.concatenate([a.normals, b.normals]),
-        np.concatenate([a.counts, b.counts]),
-        np.concatenate([a.ground, b.ground]),
-        labels,
-    )
-
-
 def erode_static(static: PointCloudMap, dynamic: PointCloudMap, params: MapFilterParams):
     """Move low-count static points that hug the dynamic set into dynamic.
 
     Distances are taken against the dynamic set as it was on entry
     (simultaneous semantics), so the result is order-independent.
     """
-    if len(static) == 0 or len(dynamic) == 0:
-        return static, dynamic
     dist, _ = dynamic.tree.query(static.positions)
     move = (dist < EROSION_RADIUS) & (static.counts < params.erosion_count)
     return static.subset(~move), concat_clouds(dynamic, static.subset(move))
@@ -318,8 +295,6 @@ def erode_static(static: PointCloudMap, dynamic: PointCloudMap, params: MapFilte
 
 def expand_static(static: PointCloudMap, dynamic: PointCloudMap, params: MapFilterParams):
     """Recover high-count dynamic points adjacent to the static surface."""
-    if len(static) == 0 or len(dynamic) == 0:
-        return static, dynamic
     dist, _ = static.tree.query(dynamic.positions)
     move = (dist < EXPANSION_RADIUS) & (dynamic.counts > params.expansion_count)
     return concat_clouds(static, dynamic.subset(move)), dynamic.subset(~move)

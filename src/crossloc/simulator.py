@@ -866,9 +866,8 @@ def sample_world_map(
     return PointCloudMap(
         np.concatenate(positions),
         np.concatenate(normals),
-        np.ones(sum(len(p) for p in positions), dtype=int),
-        np.concatenate(grounds),
-        np.concatenate(labels),
+        ground=np.concatenate(grounds),
+        labels=np.concatenate(labels),
     )
 
 

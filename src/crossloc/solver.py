@@ -455,56 +455,46 @@ def _solve_or_none(h, b):
 
 def _levenberg_marquardt(system, value, max_iterations: int):
     """The LM loop over a ``_System``, one linearization per iterate (see
-    the module docstring); returns (final value, report)."""
-    linearized = system.linearize(value)
-    initial_cost = linearized[1]
+    the module docstring); returns (final value, report). Each pass makes
+    one damped try, an iteration: a finite cost decrease is accepted, and
+    anything else raises the damping, past ``MAX_LAMBDA`` to a stall."""
+    linear, cost, grad_norm = system.linearize(value)
+    initial_cost = cost
     if not np.isfinite(initial_cost):
         return value, SolverReport(initial_cost, initial_cost, 0, "failure")
-    cost = initial_cost
     lam = INITIAL_LAMBDA
     iterations = 0
     termination = "max_iter"
 
     while iterations < max_iterations:
-        linear, cost, grad_norm = linearized
         if grad_norm < GRADIENT_TOL:
             termination = "converged"
             break
-
-        accepted = False
-        while lam <= MAX_LAMBDA:
-            iterations += 1
-            delta = system.solve_damped(linear, lam)
-            if delta is None:
-                lam *= LAMBDA_INCREASE
-                if iterations >= max_iterations:
-                    break
-                continue
+        iterations += 1
+        delta = system.solve_damped(linear, lam)
+        new_cost = np.nan  # a failed solve has no candidate
+        if delta is not None:
             candidate = system.retract(value, delta)
             if iterations < max_iterations:
                 trial = system.linearize(candidate)
                 new_cost = trial[1]
             else:
-                trial, new_cost = None, system.cost(candidate)
-            if np.isfinite(new_cost) and new_cost < cost:
-                rel_decrease = (cost - new_cost) / max(cost, 1e-300)
-                value = candidate
-                cost = new_cost
-                linearized = trial
-                lam = max(lam * LAMBDA_DECREASE, 1e-12)
-                accepted = True
-                if rel_decrease < STEP_TOL:
-                    termination = "converged"
+                new_cost = system.cost(candidate)
+        if np.isfinite(new_cost) and new_cost < cost:
+            rel_decrease = (cost - new_cost) / max(cost, 1e-300)
+            value = candidate
+            cost = new_cost
+            lam = max(lam * LAMBDA_DECREASE, 1e-12)
+            if rel_decrease < STEP_TOL:
+                termination = "converged"
                 break
+            if iterations < max_iterations:
+                linear, _, grad_norm = trial
+        else:
             lam *= LAMBDA_INCREASE
-            if iterations >= max_iterations:
-                break
-        if not accepted:
             if lam > MAX_LAMBDA:
                 termination = "stalled"
-            break
-        if termination == "converged":
-            break
+                break
 
     return value, SolverReport(initial_cost, cost, iterations, termination)
 

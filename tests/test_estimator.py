@@ -88,9 +88,7 @@ def test_moving_the_map_frame_moves_every_keyframe(short_inputs, mode):
     count at every step."""
     query, cloud, guess = short_inputs
     move = Pose(rot_z(0.7), np.array([30.0, -12.0, 0.0]))
-    moved = laser_map.PointCloudMap(
-        move.apply(cloud.positions), cloud.normals @ move.rotation.T, cloud.counts, cloud.ground, cloud.labels
-    )
+    moved = cloud.replace(positions=move.apply(cloud.positions), normals=cloud.normals @ move.rotation.T)
     schedule = estimator.BaSchedule(mode)
     base = estimator.run_localization(query, cloud, guess, schedule)
     run = estimator.run_localization(query, moved, move @ guess, schedule)

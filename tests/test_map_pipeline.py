@@ -228,12 +228,28 @@ class TestScanPoses:
         )
         for cloud in (mp.build_full_map(session), mp.extract_ground([session], mp.MapFilterParams())):
             assert len(cloud) == 0
-            assert cloud.labels is not None and cloud.labels.shape == (0,)
+            assert cloud.labels.shape == (0,)
 
 
 def cloud_of(points, labels=None):
     points = np.asarray(points, dtype=float)
     return PointCloudMap(points, labels=labels)
+
+
+def assert_clouds_equal(got, want):
+    """Every per-point column bitwise equal, dtypes included."""
+    for name in ("positions", "normals", "counts", "ground", "labels"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype, name
+        np.testing.assert_array_equal(a, b, err_msg=name)
+
+
+def labelled_sessions(seed):
+    """Two overlapping labelled sessions: the second repeats part of the first."""
+    rng = np.random.default_rng(seed)
+    a = rng.uniform(-2, 2, (60, 3))
+    b = np.concatenate([a[:30] + rng.normal(0.0, 0.05, (30, 3)), rng.uniform(-2, 2, (40, 3))])
+    return cloud_of(a, rng.integers(0, 9, len(a))), cloud_of(b, rng.integers(0, 9, len(b)))
 
 
 class TestMergeSessions:
@@ -297,6 +313,34 @@ class TestMergeSessions:
         assert np.all(merged.counts[car_mask] == 1)
         wall_mask = merged.labels == 1
         assert np.median(merged.counts[wall_mask]) == 5
+
+    def test_empty_sessions_change_nothing(self):
+        a, b = labelled_sessions(6)
+        empty = cloud_of(np.zeros((0, 3)), np.zeros(0, int))
+        assert_clouds_equal(mp.merge_sessions([empty, a, empty, b]), mp.merge_sessions([a, b]))
+
+    def test_no_sessions_merge_to_an_empty_cloud(self):
+        assert_clouds_equal(mp.merge_sessions([]), PointCloudMap(np.zeros((0, 3))))
+
+    def test_merged_columns_are_positions_labels_and_counts(self):
+        """Normals, ground flags and counts of the sessions' points are not
+        carried: counts follow the merge rule alone, and no merged point has
+        a normal or a ground flag."""
+        plain = labelled_sessions(7)
+        rich = [
+            PointCloudMap(
+                c.positions,
+                np.tile([0.0, 0.0, 1.0], (len(c), 1)),
+                np.full(len(c), 5),
+                np.ones(len(c), dtype=bool),
+                c.labels,
+            )
+            for c in plain
+        ]
+        merged = mp.merge_sessions(rich)
+        assert_clouds_equal(merged, mp.merge_sessions(list(plain)))
+        assert sorted(set(merged.counts.tolist())) == [1, 2]
+        assert np.isnan(merged.normals).all() and not merged.ground.any()
 
     def test_matches_brute_force_oracle(self):
         rng = np.random.default_rng(3)
@@ -384,6 +428,21 @@ class TestClassifyErodeExpand:
         empty = PointCloudMap(np.zeros((0, 3)))
         static2, _ = mp.erode_static(static, empty, params)
         assert len(static2) == 20
+
+    @pytest.mark.parametrize("stage", ["erode_static", "expand_static"])
+    @pytest.mark.parametrize("empty_side", ["static", "dynamic"])
+    def test_empty_side_keeps_every_point(self, stage, empty_side):
+        # with both sides present, the low-count static points would erode and
+        # the high-count dynamic ones expand
+        rng = np.random.default_rng(2)
+        clouds = {
+            "static": PointCloudMap(rng.uniform(size=(20, 3)), counts=np.full(20, 1)),
+            "dynamic": PointCloudMap(rng.uniform(size=(15, 3)), counts=np.full(15, 9)),
+        }
+        clouds[empty_side] = PointCloudMap(np.zeros((0, 3)))
+        static, dynamic = getattr(mp, stage)(clouds["static"], clouds["dynamic"], mp.MapFilterParams())
+        np.testing.assert_array_equal(static.positions, clouds["static"].positions)
+        np.testing.assert_array_equal(dynamic.positions, clouds["dynamic"].positions)
 
     def test_expansion_both_conditions(self):
         params = mp.MapFilterParams(expansion_count=2)

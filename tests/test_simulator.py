@@ -735,8 +735,8 @@ class TestWorldMapSampling:
         world = sim.default_world()
         cloud = sim.sample_world_map(world, spacing=0.5)
         assert len(cloud) > 1000
-        walls = cloud.labels is not None
-        assert walls
+        # every point is labelled with the id of the element it samples
+        assert set(cloud.labels.tolist()) <= {e.elem_id for e in world.elements}
         # ground points flagged and with +z normals
         g = cloud.ground
         assert g.any()

@@ -1,3 +1,5 @@
+from dataclasses import astuple
+
 import numpy as np
 import pytest
 
@@ -161,9 +163,9 @@ class TestSolve:
         assert problem.groups == []
 
 
-def rosenbrock_problem(kind=VectorResidualFactor):
+def rosenbrock_problem(kind=VectorResidualFactor, start=(-1.2, 1.0)):
     problem = Problem()
-    problem.add_vectors("x", [[-1.2, 1.0]])
+    problem.add_vectors("x", [start])
     problem.add_factors(
         kind,
         [("x", [0])],
@@ -177,17 +179,41 @@ def rosenbrock_problem(kind=VectorResidualFactor):
     return problem
 
 
+def squares_problem(kind=VectorResidualFactor, jacobian_sign=1.0):
+    """r = x^2 per coordinate. With the true Jacobian, Gauss-Newton halves x,
+    so every step is accepted and none meets a tolerance within 8
+    iterations; with its sign flipped, every step goes uphill."""
+    problem = Problem()
+    problem.add_vectors("x", [[1.0, 2.0]])
+    data = (lambda x: x**2, lambda x: np.diag(2.0 * jacobian_sign * x))
+    problem.add_factors(kind, [("x", [0])], data, np.eye(2), res.RobustKernel())
+    return problem
+
+
 class TestOneLinearizationPerIterate:
-    @pytest.mark.parametrize("max_iterations", range(1, 9))
-    def test_rosenbrock_matches_two_evaluation_loop(self, max_iterations):
+    @pytest.mark.parametrize(
+        "make, max_iterations",
+        # Rosenbrock converges after 29 tries, so the budget of 20 stops it
+        # and 60 does not
+        [pytest.param(rosenbrock_problem, k, id=str(k)) for k in [*range(1, 9), 20, 60]]
+        + [
+            # every try rejected: the damping passes MAX_LAMBDA after 15 tries
+            pytest.param(lambda: squares_problem(jacobian_sign=-1.0), 50, id="wrong-sign-jacobian"),
+            # a non-finite start cost fails before any try
+            pytest.param(lambda: rosenbrock_problem(start=(np.nan, 1.0)), 50, id="nan-start"),
+        ],
+    )
+    def test_rosenbrock_matches_two_evaluation_loop(self, make, max_iterations):
         """Linearizing each candidate instead of costing it and then
-        linearizing it again leaves the value and the report bitwise equal."""
-        problem, reference = rosenbrock_problem(), rosenbrock_problem()
+        linearizing it again leaves the value and the report bitwise equal,
+        on every termination: converged, max_iter, stalled and failure."""
+        problem, reference = make(), make()
         report = solver.solve(problem, max_iterations)
         value, want = levenberg_marquardt_two_evaluations(
             solver._System(reference), reference.value, max_iterations
         )
-        assert report == want
+        # NaN-aware: the failed start reports NaN costs
+        np.testing.assert_equal(astuple(report), astuple(want))
         np.testing.assert_array_equal(problem.value["x"], value["x"])
 
     @pytest.mark.parametrize("max_iterations", range(1, 9))
@@ -203,18 +229,9 @@ class TestOneLinearizationPerIterate:
                 calls.append(jacobian)
                 return super().evaluate_batch(batch, values, jacobian)
 
-        def squares(kind):
-            # r = x^2 per coordinate: Gauss-Newton halves x, so every step is
-            # accepted and none meets a tolerance within 8 iterations
-            problem = Problem()
-            problem.add_vectors("x", [[1.0, 2.0]])
-            data = (lambda x: x**2, lambda x: np.diag(2.0 * x))
-            problem.add_factors(kind, [("x", [0])], data, np.eye(2), res.RobustKernel())
-            return problem
-
-        costs = [solver.solve(squares(VectorResidualFactor), k).final_cost for k in range(max_iterations + 1)]
+        costs = [solver.solve(squares_problem(), k).final_cost for k in range(max_iterations + 1)]
         assert all(b < a for a, b in zip(costs, costs[1:]))
-        report = solver.solve(squares(Counted), max_iterations)
+        report = solver.solve(squares_problem(Counted), max_iterations)
         assert (report.iterations, report.termination) == (max_iterations, "max_iter")
         assert calls.count(True) == max_iterations
         assert calls.count(False) == 1

@@ -7,7 +7,7 @@ Run from the repository root. For each benchmark workload (imported from
 at full length, builds the map and localizes the query as one benchmark
 round does, then prints one line: the step count, sha256 prefixes of the
 map-frame keyframe poses, of the ``StepRecord``s and of the final map's
-arrays, and the keyframes' ATE RMSE and max (``perfbench/checks.py``'s
+columns, and the keyframes' ATE RMSE and max (``perfbench/checks.py``'s
 ``keyframe_errors``). Two commits whose lines are equal gave bitwise-equal
 outputs; where they differ, the ATE shows how far accuracy moved.
 """
@@ -56,8 +56,7 @@ def digest(workload: str, seed: int) -> str:
     poses = _sha(a for p in result.poses_map for a in (p.rotation, p.translation))
     # repr round-trips every float exactly
     records = _sha(repr(astuple(r)) for r in result.records)
-    arrays = [cloud.positions, cloud.normals, cloud.counts, cloud.ground]
-    final_map = _sha(arrays + ([] if cloud.labels is None else [cloud.labels]))
+    final_map = _sha(cloud.columns().values())
     rmse, worst = keyframe_errors(result, inputs.query)
     return (
         f"{workload} seed {seed}: {len(result.records)} steps, poses {poses},"
