@@ -192,9 +192,10 @@ class SlidingWindow:
         self.row_ids = np.concatenate([kf.landmark_ids for kf in kfs])
         self.row_pixels = np.concatenate([kf.pixels for kf in kfs])
         self.row_keyframe = np.repeat(np.arange(len(kfs)), [len(kf.landmark_ids) for kf in kfs])
-        # one (id, keyframe) pair per keyframe that sees an id
-        pairs = np.unique(np.column_stack([self.row_ids, self.row_keyframe]), axis=0)
-        self.seen_ids, self.observers = np.unique(pairs[:, 0], return_counts=True)
+        # one (id, keyframe) pair per keyframe that sees an id, packed into
+        # one int64 key, id * len(kfs) + keyframe, that floor division unpacks
+        keys = np.unique(self.row_ids.astype(np.int64) * len(kfs) + self.row_keyframe)
+        self.seen_ids, self.observers = np.unique(keys // len(kfs), return_counts=True)
         alive = np.isin(self.landmarks, self.seen_ids)
         self.landmarks, self.positions = self.landmarks[alive], self.positions[alive]
 
@@ -305,7 +306,7 @@ def _build_vio_problem(window, rig, gravity, solvable) -> Problem:
     problem.add_factors(
         res.StereoReprojectionFactor,
         [("pose", window.row_keyframe[rows]), ("lm", np.searchsorted(lm_ids, window.row_ids[rows]))],
-        (window.row_pixels[rows], rig.camera, rig.right_camera()),
+        res.stack_stereo(window.row_pixels[rows], rig.camera, rig.right_camera()),
         res.PIXEL_INFORMATION,
         res.RobustKernel("cauchy", CAUCHY_PIXEL),
     )
@@ -603,11 +604,10 @@ def _keyframe_due(last_pose: Pose, last_ids, pose: Pose, frame_ids) -> bool:
     rel = last_pose.rotation.T @ pose.rotation
     if np.linalg.norm(so3_log(rel)) > KF_ROTATION:
         return True
-    last_ids = set(last_ids.tolist())
-    if not last_ids:
+    last_ids = np.unique(last_ids)  # an id seen twice counts once
+    if not len(last_ids):
         return False
-    overlap = len(last_ids.intersection(frame_ids.tolist())) / len(last_ids)
-    return overlap < KF_OVERLAP
+    return np.count_nonzero(np.isin(last_ids, frame_ids)) / len(last_ids) < KF_OVERLAP
 
 
 def run_localization(

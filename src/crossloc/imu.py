@@ -16,7 +16,11 @@ with the average of its two endpoint measurements.
 
 Of the recurrences over intervals, three are truly sequential products and
 run in a loop: the attitude ``delta_R`` (right products of the interval
-rotations), ``J_g_dR``, and the 9x9 covariance. Every other term is built
+rotations), ``J_g_dR``, and the 9x9 covariance. The covariance is
+propagated the first time it is read, from the per-interval terms that
+``integrate`` keeps (``PreintegratedImu.noise_terms``): a stream that never
+becomes a keyframe link is never propagated, and a link's information is
+inverted once however many solves read it. Every other term is built
 for all intervals at once from the attitude before each interval. The
 velocity-like terms (``delta_v``, ``J_g_dv``, ``J_a_dv``) are cumulative
 sums of their increments, and the position-like ones (``delta_p``,
@@ -27,7 +31,8 @@ sequence, so every field keeps the rounding of a loop over intervals.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -54,7 +59,9 @@ class NonMonotonicTimestampsError(ValueError):
 class PreintegratedImu:
     """Relative motion between two keyframes plus bias sensitivities.
 
-    ``covariance`` is ordered (rotation, position, velocity). The bias
+    ``covariance`` is ordered (rotation, position, velocity); it is
+    propagated from ``noise_terms`` (see ``integrate``) the first time it is
+    read, and ``information()`` inverts it on its first call. The bias
     Jacobians give the first-order change of each delta per unit change of
     gyro/accel bias away from ``linearization_bias``.
     """
@@ -68,13 +75,23 @@ class PreintegratedImu:
     J_a_dv: np.ndarray
     J_g_dp: np.ndarray
     J_a_dp: np.ndarray
-    covariance: np.ndarray
     linearization_bias: tuple[np.ndarray, np.ndarray]
+    noise_terms: tuple = field(repr=False, compare=False)
+
+    @cached_property
+    def covariance(self) -> np.ndarray:
+        return _propagate_covariance(*self.noise_terms)
+
+    @cached_property
+    def _information(self) -> np.ndarray:
+        information = np.linalg.inv(self.covariance + 1e-16 * np.eye(9))
+        information.flags.writeable = False
+        return information
 
     def information(self) -> np.ndarray:
-        """Inverse of the propagated covariance (regularized)."""
-        cov = self.covariance + 1e-16 * np.eye(9)
-        return np.linalg.inv(cov)
+        """Inverse of the propagated covariance (regularized), one read-only
+        array computed on the first call."""
+        return self._information
 
 
 def integrate(
@@ -113,8 +130,6 @@ def integrate(
     skew_a_halves = skew(np.einsum("nij,nj->ni", halves, a_mids))
     # dt / 2 * half @ dacc_half is d(half a_mid)/d(gyro bias)
     dacc_halves = skew(a_mids) @ so3_left_jacobian(-0.5 * dthetas)
-    variances = np.repeat([GYRO_NOISE_DENSITY**2, ACCEL_NOISE_DENSITY**2], 3)
-    q_diags = variances / dts[:, None]
     dt3 = dts[:, None, None]
     n = len(dts)
 
@@ -129,20 +144,6 @@ def integrate(
     d_rots = np.array(d_rots[:-1])
     rot_eff = d_rots @ halves
     coupling = d_rots @ skew_a_halves  # d(rot_eff a_mid)/d(attitude error)
-
-    # error-state transition and noise mapping, order (phi, p, v)
-    a_mat = np.broadcast_to(np.eye(9), (n, 9, 9)).copy()
-    a_mat[:, 0:3, 0:3] = incrs.transpose(0, 2, 1)
-    a_mat[:, 3:6, 0:3] = -0.5 * coupling * dt3 * dt3
-    a_mat[:, 3:6, 6:9] = np.eye(3) * dt3
-    a_mat[:, 6:9, 0:3] = -coupling * dt3
-    b_mat = np.zeros((n, 9, 6))
-    b_mat[:, 0:3, 0:3] = j_rs * dt3
-    b_mat[:, 3:6, 3:6] = 0.5 * rot_eff * dt3 * dt3
-    b_mat[:, 6:9, 3:6] = rot_eff * dt3
-    cov = np.zeros((9, 9))
-    for a, bqb in zip(a_mat, (b_mat * q_diags[:, None, :]) @ b_mat.transpose(0, 2, 1)):
-        cov = a @ cov @ a.T + bqb
 
     # d(rot_eff a_mid)/d(gyro bias): through the accumulated rotation and
     # through the half-interval attitude itself
@@ -168,9 +169,34 @@ def integrate(
         J_a_dv=vel[12:].reshape(3, 3),
         J_g_dp=pos[3:12].reshape(3, 3),
         J_a_dp=pos[12:].reshape(3, 3),
-        covariance=0.5 * (cov + cov.T),
         linearization_bias=(b_g, b_a),
+        noise_terms=(incrs, coupling, j_rs, rot_eff, dts),
     )
+
+
+def _propagate_covariance(incrs, coupling, j_rs, rot_eff, dts):
+    """The 9x9 covariance, order (phi, p, v), propagated over the intervals
+    of ``integrate``: their rotation increments, couplings d(rot_eff
+    a_mid)/d(attitude error), right Jacobians, mid-interval attitudes and
+    lengths."""
+    n = len(dts)
+    dt3 = dts[:, None, None]
+    variances = np.repeat([GYRO_NOISE_DENSITY**2, ACCEL_NOISE_DENSITY**2], 3)
+    q_diags = variances / dts[:, None]
+    # error-state transition and noise mapping
+    a_mat = np.broadcast_to(np.eye(9), (n, 9, 9)).copy()
+    a_mat[:, 0:3, 0:3] = incrs.transpose(0, 2, 1)
+    a_mat[:, 3:6, 0:3] = -0.5 * coupling * dt3 * dt3
+    a_mat[:, 3:6, 6:9] = np.eye(3) * dt3
+    a_mat[:, 6:9, 0:3] = -coupling * dt3
+    b_mat = np.zeros((n, 9, 6))
+    b_mat[:, 0:3, 0:3] = j_rs * dt3
+    b_mat[:, 3:6, 3:6] = 0.5 * rot_eff * dt3 * dt3
+    b_mat[:, 6:9, 3:6] = rot_eff * dt3
+    cov = np.zeros((9, 9))
+    for a, bqb in zip(a_mat, (b_mat * q_diags[:, None, :]) @ b_mat.transpose(0, 2, 1)):
+        cov = a @ cov @ a.T + bqb
+    return 0.5 * (cov + cov.T)
 
 
 def _running_sum(*increments):

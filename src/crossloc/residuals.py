@@ -7,13 +7,21 @@ group of rows at once; pixel reprojection is the stereo kind, which stacks
 the left and right views. ``evaluate_batch`` is what the solver calls (see
 ``solver`` for the group contract: each slot a block family and one row of
 it per factor). Each kind's docstring names its block slots and the
-``data`` its group carries.
+``data`` its group carries. A kind returns its rows' residuals (n, d) and
+one Jacobian J (n, d, K), whose K columns are the slots' tangent
+coordinates, slot after slot.
 
 The stereo and map kinds compute in ``evaluate_batch`` itself. The
 preintegration, bias random walk and prior kinds compute in ``evaluate``,
 over stacked rows: ``blocks`` holds each slot's values, a ``Pose`` stack or
 an (n, k) array, and one row is a stack of one. Their ``evaluate_batch``
 only gathers the group's blocks and calls it.
+
+What does not change over a group's life is built once, when its data is:
+``stack_stereo`` stacks the two views' extrinsics, their product with the
+offsets, focal lengths and principal points; ``stack_preintegrations``
+stacks the deltas and the Jacobian entries that no block value moves, which
+every evaluation copies; the bias random walk's J is one module constant.
 
 The tests check each kind against an independent one-row reference in
 ``tests/oracles.py`` (``reprojection_residual``, ``preintegration_residual``,
@@ -47,6 +55,7 @@ from .liegroup import (
 __all__ = [
     "CameraModel",
     "RobustKernel",
+    "stack_stereo",
     "stack_preintegrations",
     "StereoReprojectionFactor",
     "PreintegrationFactor",
@@ -126,48 +135,66 @@ class RobustKernel:
 # factor kinds for the solver
 
 
+def stack_stereo(pixels, left: CameraModel, right: CameraModel) -> dict:
+    """The data of a ``StereoReprojectionFactor`` group: each row's pixels
+    (n, 4) and the constants of the two views, built once for the group.
+
+    With the extrinsics stacked as R_v (2, 3, 3) and t_v (2, 3): the
+    rotations side by side, [R_0 | R_1] (3, 6); the offsets t_v R_v (2, 3);
+    the transposes' first two rows (2, 2, 3) and last row (2, 1, 3); and
+    the focal lengths and principal points (2, 2), view by view.
+    """
+    cams = (left, right)
+    ext_rot = np.array([cam.body_t_cam.rotation for cam in cams])
+    ext_trans = np.array([cam.body_t_cam.translation for cam in cams])
+    rt = ext_rot.transpose(0, 2, 1)
+    return {
+        "pixels": pixels,
+        "rotations": np.concatenate(ext_rot, axis=1),
+        "offsets": np.einsum("vj,vji->vi", ext_trans, ext_rot),
+        "rt_xy": rt[:, :2].copy(),
+        "rt_z": rt[:, 2:].copy(),
+        "focal": np.array([[cam.fx, cam.fy] for cam in cams]),
+        "centre": np.array([[cam.cx, cam.cy] for cam in cams]),
+    }
+
+
 class StereoReprojectionFactor:
     """Stacked left/right pixel residual of one stereo observation per row.
 
-    Slots (pose, landmark); data ``(pixels (n, 4), cam_left, cam_right)``,
-    pixels ordered (ul, vl, ur, vr). Each view contributes the plain
-    reprojection residual; stacking them makes landmark depth observable
-    from a single keyframe. A row whose landmark lies behind a camera
-    evaluates to zero.
+    Slots (pose, landmark); data ``stack_stereo(pixels, cam_left,
+    cam_right)``, pixels ordered (ul, vl, ur, vr). Each view contributes
+    the plain reprojection residual; stacking them makes landmark depth
+    observable from a single keyframe. A row whose landmark lies behind a
+    camera evaluates to zero.
     """
 
     @classmethod
     def evaluate_batch(cls, batch, values, jacobian=True):
-        """Residual (n, 4) and Jacobians [pose (n, 4, 6), landmark (n, 4, 3)].
+        """Residual (n, 4) and J (n, 4, 9), pose then landmark columns.
 
-        Both views in one pass: with the extrinsics stacked as (2, 3, 3)
-        and (2, 3), each row's point is taken into the two cameras as
-        (n, 2, 3) by one product."""
-        pixels, *cams = batch.data
+        Both views in one pass: each row's point is taken into the two
+        cameras as (n, 2, 3) by one product with the group's stacked
+        extrinsics."""
+        c = batch.data
         n = len(batch)
         rot, trans = batch.poses(values, 0)
         p_lm = batch.vectors(values, 1)
-        ext_rot = np.array([cam.body_t_cam.rotation for cam in cams])
-        ext_trans = np.array([cam.body_t_cam.translation for cam in cams])
-        focal = np.array([[cam.fx, cam.fy] for cam in cams])
-        centre = np.array([[cam.cx, cam.cy] for cam in cams])
+        focal = c["focal"]
         q_body = np.einsum("nj,nji->ni", p_lm - trans, rot)
         # (q - t_v) R_v of both views: q [R_0 | R_1] - t_v R_v
-        p_cam = (q_body @ np.concatenate(ext_rot, axis=1)).reshape(n, 2, 3) - np.einsum(
-            "vj,vji->vi", ext_trans, ext_rot
-        )
+        p_cam = (q_body @ c["rotations"]).reshape(n, 2, 3) - c["offsets"]
         z = p_cam[:, :, 2:]
         behind = z <= 1e-9
         z = np.where(behind, 1.0, z)
         xy = p_cam[:, :, :2] / z
-        residual = (focal * xy + centre).reshape(n, 4) - pixels
+        residual = (focal * xy + c["centre"]).reshape(n, 4) - c["pixels"]
         bad = behind.any(axis=(1, 2))
         jac = None
         if jacobian:
             # d(pixel)/d(q_body), (n, 4, 3): view v's pixel coordinate a is
             # f_a / z (row a of R_v^T - xy_a * row 2 of R_v^T)
-            rt = ext_rot.transpose(0, 2, 1)
-            j_body = ((focal / z)[..., None] * (rt[:, :2] - xy[..., None] * rt[:, 2:])).reshape(n, 4, 3)
+            j_body = ((focal / z)[..., None] * (c["rt_xy"] - xy[..., None] * c["rt_z"])).reshape(n, 4, 3)
             # d(q_body)/d(phi, rho, landmark) = [skew(q_body) | -I | R^T]
             j_q = np.empty((n, 3, 9))
             j_q[:, :, :3] = skew(q_body)
@@ -178,7 +205,7 @@ class StereoReprojectionFactor:
             residual[bad] = 0.0
             if jacobian:
                 jac[bad] = 0.0
-        return residual, None if jac is None else [jac[:, :, :6], jac[:, :, 6:]]
+        return residual, jac
 
 
 _PREINTEGRATION_FIELDS = (
@@ -189,26 +216,36 @@ _PREINTEGRATION_FIELDS = (
 def stack_preintegrations(pres, gravity) -> dict:
     """The data of a ``PreintegrationFactor`` group: each row's preintegrated
     deltas, bias Jacobians and linearization bias, stacked by name, and the
-    gravity vector they all share."""
+    gravity vector they all share. ``jacobian`` holds the entries of the
+    residual's Jacobian that no block value moves, built once for the group:
+    -I for the first position, and the negated bias Jacobians of the
+    position and velocity deltas; every other entry is zero."""
     out = {name: np.array([getattr(p, name) for p in pres]) for name in _PREINTEGRATION_FIELDS}
     out["bias_g"] = np.array([p.linearization_bias[0] for p in pres])
     out["bias_a"] = np.array([p.linearization_bias[1] for p in pres])
     out["gravity"] = np.asarray(gravity, dtype=float)
+    jac = np.zeros((len(pres), 9, 24))
+    jac[:, 3:6, 3:6] = -np.eye(3)
+    for rows, delta in ((slice(3, 6), "dp"), (slice(6, 9), "dv")):
+        jac[:, rows, 9:12] = -out[f"J_g_{delta}"].reshape(-1, 3, 3)
+        jac[:, rows, 12:15] = -out[f"J_a_{delta}"].reshape(-1, 3, 3)
+    out["jacobian"] = jac
     return out
 
 
 class PreintegrationFactor:
     """9-dof relative-motion residual between two keyframes per row.
 
-    Slots (pose_i, vel_i, gyro_bias_i, accel_bias_i, pose_k, vel_k); data
+    Slots (pose_i, vel_i, gyro_bias_i, accel_bias_i, pose_k, vel_k), 24
+    Jacobian columns: 0:6, 6:9, 9:12, 12:15, 15:21 and 21:24; data
     ``stack_preintegrations(pres, gravity)``.
     """
 
     @classmethod
     def evaluate(cls, blocks, data, jacobian=True):
         """n stacked rows of block values, the rows' ``stack_preintegrations``
-        in ``data``: residual (n, 9) and Jacobians [(n, 9, k) per slot] (None
-        unless ``jacobian``)."""
+        in ``data``: residual (n, 9) and J (n, 9, 24) (None unless
+        ``jacobian``)."""
         pose_i, v_i, bg_i, ba_i, pose_k, v_k = blocks
         rot_i, t_i = pose_i.rotation, pose_i.translation
         rot_k, t_k = pose_k.rotation, pose_k.translation
@@ -234,30 +271,21 @@ class PreintegrationFactor:
         if not jacobian:
             return residual, None
 
-        n = len(residual)
-        eye = np.eye(3)
         jl_inv, jr_inv = so3_left_and_right_jacobian_inv(e_rot)
-        j_pose_i = np.zeros((n, 9, 6))
-        j_pose_i[:, 0:3, 0:3] = -jr_inv @ rel.transpose(0, 2, 1)
-        j_pose_i[:, 3:6, 0:3] = skew(w_p)
-        j_pose_i[:, 3:6, 3:6] = -eye
-        j_pose_i[:, 6:9, 0:3] = skew(w_v)
-        j_vel_i = np.zeros((n, 9, 3))
-        j_vel_i[:, 3:6] = -rot_i_t * dt[:, :, None]
-        j_vel_i[:, 6:9] = -rot_i_t
-        j_bg_i = np.zeros((n, 9, 3))
-        j_bg_i[:, 0:3] = -jl_inv @ jr_g @ c["J_g_dR"]
-        j_bg_i[:, 3:6] = -c["J_g_dp"]
-        j_bg_i[:, 6:9] = -c["J_g_dv"]
-        j_ba_i = np.zeros((n, 9, 3))
-        j_ba_i[:, 3:6] = -c["J_a_dp"]
-        j_ba_i[:, 6:9] = -c["J_a_dv"]
-        j_pose_k = np.zeros((n, 9, 6))
-        j_pose_k[:, 0:3, 0:3] = jr_inv
-        j_pose_k[:, 3:6, 3:6] = rel
-        j_vel_k = np.zeros((n, 9, 3))
-        j_vel_k[:, 6:9] = rot_i_t
-        return residual, [j_pose_i, j_vel_i, j_bg_i, j_ba_i, j_pose_k, j_vel_k]
+        jac = c["jacobian"].copy()
+        # pose_i
+        jac[:, 0:3, 0:3] = -jr_inv @ rel.transpose(0, 2, 1)
+        jac[:, 3:6, 0:3] = skew(w_p)
+        jac[:, 6:9, 0:3] = skew(w_v)
+        # vel_i, then the rotation rows of gyro_bias_i
+        jac[:, 3:6, 6:9] = -rot_i_t * dt[:, :, None]
+        jac[:, 6:9, 6:9] = -rot_i_t
+        jac[:, 0:3, 9:12] = -jl_inv @ jr_g @ c["J_g_dR"]
+        # pose_k, vel_k
+        jac[:, 0:3, 15:18] = jr_inv
+        jac[:, 3:6, 18:21] = rel
+        jac[:, 6:9, 21:24] = rot_i_t
+        return residual, jac
 
     @classmethod
     def evaluate_batch(cls, batch, values, jacobian=True):
@@ -272,11 +300,9 @@ def _matvec(m, v):
     return np.einsum("nij,nj->ni", m, v)
 
 
-def _bias_jacobians():
-    """Jacobians of (accel_i - accel_k, gyro_i - gyro_k) per block, (6, 3) each."""
-    eye, zero = np.eye(3), np.zeros((3, 3))
-    return [np.vstack([eye, zero]), np.vstack([zero, eye]),
-            np.vstack([-eye, zero]), np.vstack([zero, -eye])]
+# d(accel_i - accel_k, gyro_i - gyro_k) / d(accel_i, gyro_i, accel_k, gyro_k)
+_BIAS_JACOBIAN = np.hstack([np.eye(6), -np.eye(6)])
+_BIAS_JACOBIAN.flags.writeable = False
 
 
 class BiasRandomWalkFactor:
@@ -288,12 +314,12 @@ class BiasRandomWalkFactor:
     @classmethod
     def evaluate(cls, blocks, jacobian=True):
         """n stacked rows of block values, (n, 3) each: residual (n, 6) and
-        Jacobians [(n, 6, 3) per slot] (None unless ``jacobian``)."""
+        J (n, 6, 12), the same for every row (None unless ``jacobian``)."""
         bai, bgi, bak, bgk = blocks
         residual = np.concatenate([bai - bak, bgi - bgk], axis=1)
         if not jacobian:
             return residual, None
-        return residual, [np.broadcast_to(j, (len(residual), 6, 3)) for j in _bias_jacobians()]
+        return residual, np.broadcast_to(_BIAS_JACOBIAN, (len(residual), 6, 12))
 
     @classmethod
     def evaluate_batch(cls, batch, values, jacobian=True):
@@ -311,8 +337,8 @@ class PointToPlaneFactor:
     @classmethod
     def evaluate_batch(cls, batch, values, jacobian=True):
         """Signed distance r_n = n . (point - anchor * landmark) for every
-        row, as the 3-vector r_n * n: residual (n, 3) and Jacobians
-        [anchor (n, 3, 6), landmark (n, 3, 3)]."""
+        row, as the 3-vector r_n * n: residual (n, 3) and J (n, 3, 9),
+        anchor then landmark columns."""
         anchor = _group_pose(batch, values)
         p_lm = batch.vectors(values, 1)
         targets, normals = batch.data
@@ -322,10 +348,11 @@ class PointToPlaneFactor:
         if not jacobian:
             return residual, None
         n_rot = normals @ anchor.rotation
-        row = np.concatenate([np.cross(n_rot, p_lm), -n_rot], axis=1)  # (n, 6)
-        j_anchor = normals[:, :, None] * row[:, None, :]
-        j_lm = normals[:, :, None] * (-n_rot)[:, None, :]
-        return residual, [j_anchor, j_lm]
+        # d(r_n) = [n_rot x p_lm | -n_rot | -n_rot], the cross product written out
+        row = np.empty((len(p_lm), 9))
+        row[:, :3] = n_rot[:, [1, 2, 0]] * p_lm[:, [2, 0, 1]] - n_rot[:, [2, 0, 1]] * p_lm[:, [1, 2, 0]]
+        row[:, 3:6] = row[:, 6:] = -n_rot
+        return residual, normals[:, :, None] * row[:, None, :]
 
 
 class PointToPointFactor:
@@ -338,21 +365,17 @@ class PointToPointFactor:
     @classmethod
     def evaluate_batch(cls, batch, values, jacobian=True):
         """point - anchor * landmark for every row: residual (n, 3) and
-        Jacobians [anchor (n, 3, 6), landmark (n, 3, 3)]."""
+        J (n, 3, 9), anchor then landmark columns."""
         anchor = _group_pose(batch, values)
         p_lm = batch.vectors(values, 1)
         (targets,) = batch.data
         residual = targets - (p_lm @ anchor.rotation.T + anchor.translation)
         if not jacobian:
             return residual, None
-        n = len(p_lm)
-        j_anchor = np.concatenate(
-            [np.einsum("ij,njk->nik", anchor.rotation, skew(p_lm)),
-             np.broadcast_to(-anchor.rotation, (n, 3, 3)).copy()],
-            axis=2,
-        )
-        j_lm = np.broadcast_to(-anchor.rotation, (n, 3, 3)).copy()
-        return residual, [j_anchor, j_lm]
+        jac = np.empty((len(p_lm), 3, 9))
+        jac[:, :, :3] = np.einsum("ij,njk->nik", anchor.rotation, skew(p_lm))
+        jac[:, :, 3:6] = jac[:, :, 6:] = -anchor.rotation
+        return residual, jac
 
 
 def _group_pose(batch, values) -> Pose:
@@ -372,12 +395,11 @@ class AnchorPriorFactor:
     def evaluate(cls, blocks, prior_mean, jacobian=True):
         """Tangent-space deviation of the anchor ``blocks[0]`` from its prior
         mean, one ``Pose`` each or stacks of n: residual (6,) or (n, 6) and
-        Jacobians [(6, 6) or (n, 6, 6)] (None unless ``jacobian``)."""
+        J (6, 6) or (n, 6, 6) (None unless ``jacobian``)."""
         deviation = prior_mean.inverse() @ blocks[0]
         if not jacobian:
             return se3_log(deviation), None
-        residual, jr_inv = se3_log_and_right_jacobian_inv(deviation)
-        return residual, [jr_inv]
+        return se3_log_and_right_jacobian_inv(deviation)
 
     @classmethod
     def evaluate_batch(cls, batch, values, jacobian=True):

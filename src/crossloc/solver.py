@@ -31,8 +31,9 @@ poses. A factor group is n rows of one factor kind, added at once by
 - ``kernel``: the group's robust loss, ``loss(s) -> (rho, drho)``.
 
 ``kind`` is a class with a classmethod ``evaluate_batch(batch, values,
-jacobian=True)`` returning ``(residual (n, d), [J (n, d, k) per slot])``
-(the Jacobians are read only if ``jacobian``), where ``batch`` is the
+jacobian=True)`` returning ``(residual (n, d), J (n, d, K))``: one Jacobian
+whose K columns are the slots' tangent coordinates, slot after slot (read
+only if ``jacobian``, else None), where ``batch`` is the
 group's ``FactorBatch``: its ``data``, ``len`` the number of rows, and
 ``poses`` and ``vectors``, which gather a slot's rows of ``values`` by
 fancy indexing. The batch takes the upper-triangular square root S
@@ -58,8 +59,10 @@ maps each group's rows to their camera columns and landmark row once, and
 from them every entry of the rows' J^T r and J^T J to its place in the
 buffer. Only the slots with a free row take columns: a slot whose rows are
 all fixed (the alignment's landmarks) takes none, and a group with no such
-slot adds its cost only. With no family eliminated, L is 0 and the
-landmark arrays are empty. Every
+slot adds its cost only. A group with such a fixed slot and a free one
+keeps the free slots' columns of J by one column index, computed once per
+solve; every other group's J is used as the kind returns it. With no
+family eliminated, L is 0 and the landmark arrays are empty. Every
 linearization then writes each group's J^T r and J^T J by ``matmul`` into
 one entries vector and sums it into the buffer by one ``bincount``; the
 five arrays are views of the result. Every LM iteration damps, checks the
@@ -261,17 +264,22 @@ class _System:
         if self.poses:
             self.pose_index = np.concatenate([self.free[name][1] for name in self.poses])
             self.pose_bounds = np.cumsum([0] + [self.free[name][0].sum() for name in self.poses]).tolist()
-        # per group, the indices of its slots with a free row and their columns
+        # per group, its slots with a free row, their columns, and the pick
+        # of those columns from the kind's J where some slot has none
         layouts, coupled = [], np.zeros(nc, dtype=bool)
         for batch in problem.groups:
-            live = [a for a, (f, rows) in enumerate(batch.slots) if not problem.families[f].fixed[rows].all()]
-            columns = None
+            families = [problem.families[f] for f, _ in batch.slots]
+            live = [a for a, (_, rows) in enumerate(batch.slots) if not families[a].fixed[rows].all()]
+            columns = take = None
             if live:
                 columns = _columns([batch.slots[a] for a in live], problem.families, offsets, self.elim)
                 col, _, _, lm = columns
                 if lm is not None:  # a group on the eliminated family
                     coupled[col[col >= 0]] = True
-            layouts.append((live, columns))
+            if live and len(live) < len(families):
+                starts = np.cumsum([0] + [f.size for f in families])
+                take = np.concatenate([np.arange(starts[a], starts[a + 1]) for a in live])
+            layouts.append((live, columns, take))
         self.coupled = np.flatnonzero(coupled)
         self.coupled_block = np.ix_(self.coupled, self.coupled)
         ncl = len(self.coupled)
@@ -282,13 +290,14 @@ class _System:
         # camera column -> its index among the coupled ones
         coupled_index = np.full(nc, -1)
         coupled_index[self.coupled] = np.arange(ncl)
-        # per group, its live slot indices and its span of the entries vector
+        # per group, whether it has a free row, its pick of J's columns
+        # and its span of the entries vector
         self.groups, dst, start = [], [np.zeros(0, dtype=np.intp)], 0
-        for live, columns in layouts:
+        for live, columns, take in layouts:
             if live:
                 dst.append(_destinations(*columns, coupled_index, bounds, s))
             stop = start + (dst[-1].size if live else 0)
-            self.groups.append((live, start, stop))
+            self.groups.append((bool(live), take, start, stop))
             start = stop
         self.dst = np.concatenate(dst)
         self.entries = np.empty(start)  # every group's J^T r and J^T J entries, rewritten per linearization
@@ -416,9 +425,10 @@ def _build_normal_equations(problem, system, values):
     """
     entries = system.entries
     cost = 0.0
-    for batch, (live, start, stop) in zip(problem.groups, system.groups):
-        residual, jacs = batch.kind.evaluate_batch(batch, values, jacobian=bool(live))
-        jac = np.concatenate([jacs[a] for a in live], axis=2) if live else None
+    for batch, (live, take, start, stop) in zip(problem.groups, system.groups):
+        residual, jac = batch.kind.evaluate_batch(batch, values, jacobian=live)
+        if take is not None:
+            jac = jac[:, :, take]
         w_res, w_jac, rho, drho = _whiten(batch.sqrt_info, batch.kernel, residual, jac)
         cost += float(rho.sum())
         if not live:

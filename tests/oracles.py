@@ -140,8 +140,9 @@ def integrate_per_sample(samples, bias, gyro_density, accel_density):
     """``imu.integrate`` as a loop over intervals, on single-element SO(3) calls,
     with the given gyro and accelerometer noise densities (per sqrt(Hz)).
 
-    Returns the fields of a PreintegratedImu as a dict, ``dt_total`` summed
-    interval by interval.
+    Returns a PreintegratedImu's deltas, ``dt_total``, bias Jacobians and
+    covariance as a dict by attribute name, ``dt_total`` summed interval by
+    interval.
     """
     b_g, b_a = (np.asarray(b, dtype=float) for b in bias)
     d_rot, d_p, d_v, dt_total = np.eye(3), np.zeros(3), np.zeros(3), 0.0
@@ -191,9 +192,9 @@ def integrate_loop(samples, bias, gyro_density, accel_density):
     """``imu.integrate`` as one loop over intervals on its batched per-interval
     terms, with the given gyro and accelerometer noise densities.
 
-    The order of every operation is the library's, so each field of its
-    result must match bitwise. Returns the fields of a PreintegratedImu as a
-    dict.
+    The order of every operation is the library's, so each attribute of its
+    result must match bitwise. Returns a PreintegratedImu's deltas,
+    ``dt_total``, bias Jacobians and covariance as a dict by attribute name.
     """
     samples = np.asarray(samples, dtype=float)
     b_g, b_a = (np.asarray(b, dtype=float) for b in bias)

@@ -318,7 +318,7 @@ def test_window_tables_match_the_dict_reference(seed):
             (_, kf_rows), (_, lm_rows) = stereo.slots
             got = zip(kf_rows.tolist(), window.landmarks[solvable][lm_rows].tolist())
             assert list(got) == [(k, lm_id) for k, lm_id, _ in rows]
-            np.testing.assert_array_equal(stereo.data[0], [px for _, _, px in rows])
+            np.testing.assert_array_equal(stereo.data["pixels"], [px for _, _, px in rows])
         return problem, solvable
 
     retired = set()
@@ -565,6 +565,28 @@ def test_keyframe_policy_fires_just_past_each_threshold():
     assert not due(kept=kept)
 
 
+def test_keyframe_overlap_counts_each_id_once():
+    """The overlap is the share of the newest keyframe's distinct ids that
+    the frame sees, ids repeated on either side counted once: it decides as
+    the ratio of two sets does, on unsorted ids with repeats, on no ids,
+    and where counting rows instead would decide the other way."""
+    rng = np.random.default_rng(11)
+
+    def due(last_ids, frame_ids):
+        return estimator._keyframe_due(Pose.identity(), np.array(last_ids, dtype=int), Pose.identity(),
+                                       np.array(frame_ids, dtype=int))
+
+    for size in (0, 1, 5, 40):
+        for _ in range(25):
+            last, frame = rng.integers(0, 12, size), rng.integers(0, 12, rng.integers(0, 40))
+            want = bool(len(set(last)) and len(set(last) & set(frame)) / len(set(last)) < estimator.KF_OVERLAP)
+            assert due(last, frame) == want, (last, frame)
+    # 10 of 13 rows are seen, but only 1 of 4 ids
+    assert due([1] * 10 + [2, 3, 4], [1, 1, 9])
+    # 3 of 4 ids are seen, but only 3 of 13 rows
+    assert not due([1, 2, 3] + [4] * 10, [1, 2, 3])
+
+
 def test_window_problem_has_one_stereo_row_per_solvable_occurrence():
     """The stereo group, keyframe by keyframe in window order: a landmark id
     repeated in one keyframe gives two rows, and landmarks that are inactive
@@ -595,12 +617,8 @@ def test_window_problem_has_one_stereo_row_per_solvable_occurrence():
     want = [(1, 0, 9), (1, 2, 3), (1, 3, 3), (2, 0, 9), (2, 1, 3), (2, 2, 4), (3, 2, 4)]
     assert rows == [(kf_id, lm_id) for kf_id, _, lm_id in want]
     by_id = {kf.kf_id: kf for kf in window.keyframes}
-    pixels, cam_left, cam_right = stereo.data
-    np.testing.assert_array_equal(pixels, [by_id[kf_id].pixels[j] for kf_id, j, _ in want])
-    assert cam_left is rig.camera
-    np.testing.assert_array_equal(
-        cam_right.body_t_cam.translation, rig.right_camera().body_t_cam.translation
-    )
+    pixels = np.array([by_id[kf_id].pixels[j] for kf_id, j, _ in want])
+    np.testing.assert_equal(stereo.data, res.stack_stereo(pixels, rig.camera, rig.right_camera()))
     # one family row per keyframe in window order, the oldest fixed; one per solvable landmark
     np.testing.assert_array_equal(problem.value["pose"][1], [_kf_pose(kf.kf_id).translation for kf in window.keyframes])
     assert problem.families["pose"].fixed.tolist() == [True, False, False]

@@ -115,12 +115,23 @@ class TestIntegrate:
     )
     def test_matches_interval_loop_bitwise(self, stream, bias):
         """The cumulative sums and stacked terms keep the interval loop's
-        rounding: every field equal bit for bit."""
+        rounding: every field, and the covariance propagated on its first
+        read, equal bit for bit."""
         pre = imu.integrate(stream, bias)
+        assert "covariance" not in vars(pre)  # not propagated until read
         want = integrate_loop(stream, bias, imu.GYRO_NOISE_DENSITY, imu.ACCEL_NOISE_DENSITY)
-        assert set(want) == set(imu.PreintegratedImu.__dataclass_fields__) - {"linearization_bias"}
+        fields = set(imu.PreintegratedImu.__dataclass_fields__) - {"linearization_bias", "noise_terms"}
+        assert set(want) == fields | {"covariance"}
         for name, value in want.items():
             np.testing.assert_array_equal(getattr(pre, name), value, err_msg=name)
+
+    def test_information_is_one_cached_inverse(self):
+        """``information()`` is the regularized inverse of the covariance,
+        bit for bit, computed once: every call returns the same read-only array."""
+        pre = imu.integrate(wiggly_stream(duration=0.3, seed=53))
+        information = pre.information()
+        assert pre.information() is information and not information.flags.writeable
+        np.testing.assert_array_equal(information, np.linalg.inv(pre.covariance + 1e-16 * np.eye(9)))
 
     def test_covariance_psd_and_monotone_trace(self):
         stream = wiggly_stream(duration=0.5, seed=3)

@@ -312,7 +312,8 @@ class TestAnchorPrior:
         for _ in range(50):
             prior = random_pose(rng)
             anchor = prior @ se3_exp(rng.normal(size=6) * 0.2)
-            _, (jac,) = res.AnchorPriorFactor.evaluate((anchor,), prior)
+            _, jac = res.AnchorPriorFactor.evaluate((anchor,), prior)
+            assert jac.shape == (6, 6)
             fd = pose_numeric_jacobian(
                 lambda p: res.AnchorPriorFactor.evaluate((p,), prior)[0], anchor
             )
@@ -369,6 +370,13 @@ def pose_at(values, family, row):
     return Pose(rot[row], trans[row])
 
 
+def slot_jacobians(jac, sizes):
+    """A kind's J (n, d, K) split into one (n, d, k) per slot, ``sizes`` the
+    slots' tangent sizes in slot order: K is their sum."""
+    assert jac.shape[2] == sum(sizes)
+    return np.split(jac, np.cumsum(sizes)[:-1], axis=2)
+
+
 class TestBatchedFactors:
     """``evaluate_batch`` against the one-row references, row by row."""
 
@@ -392,12 +400,13 @@ class TestBatchedFactors:
         batch = group(
             res.StereoReprojectionFactor,
             [("pose", np.arange(40)[::-1]), ("lm", np.arange(40))],
-            (pixels, cam_l, cam_r),
+            res.stack_stereo(pixels, cam_l, cam_r),
             res.PIXEL_INFORMATION,
         )
 
-        residual, (j_pose, j_lm) = res.StereoReprojectionFactor.evaluate_batch(batch, values)
-        assert residual.shape == (40, 4) and j_pose.shape == (40, 4, 6) and j_lm.shape == (40, 4, 3)
+        residual, jac = res.StereoReprojectionFactor.evaluate_batch(batch, values)
+        assert residual.shape == (40, 4) and jac.shape == (40, 4, 9)
+        j_pose, j_lm = slot_jacobians(jac, (6, 3))
         for i in range(40):
             state = NavState(pose=poses[i])
             lm = Landmark(landmarks[i], i)
@@ -430,7 +439,9 @@ class TestBatchedFactors:
         rng = np.random.default_rng(9)
         constraints = [plane_constraint(rng.normal(size=3) * 3.0, rng.normal(size=3)) for _ in range(30)]
         values, batch = self.map_batch(rng, res.PointToPlaneFactor, constraints)
-        residual, (j_anchor, j_lm) = res.PointToPlaneFactor.evaluate_batch(batch, values)
+        residual, jac = res.PointToPlaneFactor.evaluate_batch(batch, values)
+        assert jac.shape == (30, 3, 9)
+        j_anchor, j_lm = slot_jacobians(jac, (6, 3))
         for i, c in enumerate(constraints):
             r_n, ja, jl = point_to_plane_residual(
                 pose_at(values, "anchor", 1), Landmark(values["lm"][i], i), c
@@ -448,7 +459,9 @@ class TestBatchedFactors:
             for i in range(30)
         ]
         values, batch = self.map_batch(rng, res.PointToPointFactor, constraints)
-        residual, (j_anchor, j_lm) = res.PointToPointFactor.evaluate_batch(batch, values)
+        residual, jac = res.PointToPointFactor.evaluate_batch(batch, values)
+        assert jac.shape == (30, 3, 9)
+        j_anchor, j_lm = slot_jacobians(jac, (6, 3))
         for i, c in enumerate(constraints):
             r, ja, jl = point_to_point_residual(
                 pose_at(values, "anchor", 1), Landmark(values["lm"][i], i), c
@@ -505,8 +518,11 @@ class TestInertialBatches:
     def assert_matches(self, batch, values, reference):
         """``reference(blocks, i)``: row i's residual and Jacobians, from its
         block values ``blocks`` (a ``Pose`` or a vector each, slot by slot)."""
-        residual, jacs = batch.kind.evaluate_batch(batch, values)
+        residual, jac = batch.kind.evaluate_batch(batch, values)
         assert residual.shape[0] == len(batch)
+        sizes = [6 if isinstance(values[family], tuple) else values[family].shape[1] for family, _ in batch.slots]
+        assert jac.shape == residual.shape + (sum(sizes),)
+        jacs = slot_jacobians(jac, sizes)
         for i in range(len(batch)):
             blocks = [
                 pose_at(values, family, rows[i]) if isinstance(values[family], tuple) else values[family][rows[i]]
@@ -572,7 +588,12 @@ class TestInertialBatches:
         values = {"anchor": pose_family(anchors)}
         means = [anchors[i % 2] @ se3_exp(rng.normal(size=6) * 0.1) for i in range(3)]
         batch = group(res.AnchorPriorFactor, [("anchor", np.arange(3) % 2)], Pose.stack(means), np.eye(6))
-        self.assert_matches(batch, values, lambda blocks, i: res.AnchorPriorFactor.evaluate(blocks, means[i]))
+
+        def reference(blocks, i):
+            r, jac = res.AnchorPriorFactor.evaluate(blocks, means[i])  # one pose: J (6, 6)
+            return r, [jac]
+
+        self.assert_matches(batch, values, reference)
 
     def test_preintegration_jacobians_match_central_differences(self):
         """The kernel's own Jacobians, on a stack of four rows, against central
@@ -584,7 +605,8 @@ class TestInertialBatches:
             Pose(*(part[rows] for part in values[family])) if family == "pose" else values[family][rows]
             for family, rows in slots
         ]
-        residual, jacs = res.PreintegrationFactor.evaluate(blocks, data)
+        residual, jac = res.PreintegrationFactor.evaluate(blocks, data)
+        jacs = slot_jacobians(jac, (6, 3, 3, 3, 6, 3))
         eps = 1e-6
 
         def moved(slot, step):

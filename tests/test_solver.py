@@ -3,6 +3,7 @@ from dataclasses import astuple
 import numpy as np
 import pytest
 
+from crossloc import imu
 from crossloc import residuals as res
 from crossloc import solver
 from crossloc.estimator import EstimatorConfig
@@ -22,14 +23,14 @@ from oracles import (
 
 
 class VectorResidualFactor:
-    """Generic test kind: one vector row per factor; data (residual_fn, jacobian_fn)."""
+    """Generic test kind: one vector row per factor, one slot; data (residual_fn, jacobian_fn)."""
 
     @classmethod
     def evaluate_batch(cls, batch, values, jacobian=True):
         residual_fn, jacobian_fn = batch.data
         xs = batch.vectors(values, 0)
         residual = np.stack([residual_fn(x) for x in xs])
-        return residual, [np.stack([jacobian_fn(x) for x in xs])] if jacobian else None
+        return residual, np.stack([jacobian_fn(x) for x in xs]) if jacobian else None
 
 
 def add_vector_residual(problem, family, residual_fn, jacobian_fn, row=0):
@@ -364,7 +365,7 @@ class TestSchurElimination:
         problem.add_factors(
             res.StereoReprojectionFactor,
             [("pose", np.repeat(np.arange(3), 12)), ("lm", np.tile(np.arange(12), 3))],
-            (np.array(pixels), cam, cam_right), res.PIXEL_INFORMATION, res.RobustKernel(),
+            res.stack_stereo(np.array(pixels), cam, cam_right), res.PIXEL_INFORMATION, res.RobustKernel(),
         )
         return problem
 
@@ -405,7 +406,7 @@ class TestSchurElimination:
         ]
         problem.add_factors(
             res.StereoReprojectionFactor, [("pose", np.repeat(np.arange(3), 5)), ("lm", np.tile(np.arange(5), 3))],
-            (np.array(pixels), *cams), res.PIXEL_INFORMATION, res.RobustKernel("cauchy", 2.0),
+            res.stack_stereo(np.array(pixels), *cams), res.PIXEL_INFORMATION, res.RobustKernel("cauchy", 2.0),
         )
         problem.add_factors(
             res.PointToPointFactor, [("pose", [1, 2, 2]), ("vel", [0, 1, 2])], (rng.normal(size=(3, 3)),),
@@ -505,7 +506,8 @@ class TestNormalEquations:
                 # a pixel noise other than the shared 1 px, to exercise the whitening
                 infos.append(s_info**2 * np.eye(4))
         groups.append((
-            res.StereoReprojectionFactor, [("pose", pose_rows), ("lm", lm_rows)], (np.array(pixels), *cams),
+            res.StereoReprojectionFactor, [("pose", pose_rows), ("lm", lm_rows)],
+            res.stack_stereo(np.array(pixels), *cams),
             np.array(infos), kernel,
         ))
         info_plane = np.eye(3) / 0.05**2
@@ -526,7 +528,9 @@ class TestNormalEquations:
         j_rows, r_rows, expected_cost = [], [], 0.0
         for kind, slots, data, info, f_kernel in groups:
             problem.add_factors(kind, slots, data, info, f_kernel)
-            residual, jacs = kind.evaluate_batch(FactorBatch(kind, slots, data, info, f_kernel), values)
+            residual, jac = kind.evaluate_batch(FactorBatch(kind, slots, data, info, f_kernel), values)
+            sizes = [problem.families[family].size for family, _ in slots]
+            jacs = np.split(jac, np.cumsum(sizes)[:-1], axis=2)
             for i, r in enumerate(residual):
                 s_mat = np.linalg.cholesky(info if np.ndim(info) == 2 else info[i]).T
                 rho, drho = f_kernel.loss(float(np.sum((s_mat @ r) ** 2)))
@@ -561,6 +565,59 @@ class TestNormalEquations:
             close(b_l[row], b[lm], b)
         assert cost == pytest.approx(expected_cost, rel=1e-12)
         assert grad_norm == pytest.approx(np.abs(b).max(), rel=1e-12)
+
+    def test_fixed_middle_slot_takes_live_columns_only(self):
+        """A group with a slot on a fixed family takes its other slots'
+        columns of the kind's J, which are not contiguous when the fixed slot
+        is in the middle: a preintegration link from the fixed pose row with
+        its gyro bias fixed, and a bias walk with both gyro biases fixed.
+        H_cc and b_c are the blocks of a dense J^T J and -J^T r that have no
+        columns for the fixed rows."""
+        rng = np.random.default_rng(29)
+        times = np.arange(41) / 200.0
+        samples = np.column_stack([times, rng.normal(size=(41, 3)) * 0.3, rng.normal(size=(41, 3))])
+        pre = imu.integrate(samples, (rng.normal(size=3) * 0.01, rng.normal(size=3) * 0.1))
+        problem = Problem()
+        poses = [se3_exp(rng.normal(size=6) * 0.2) for _ in range(2)]
+        problem.add_poses("pose", Pose.stack(poses), fixed=[True, False])
+        problem.add_vectors("vel", rng.normal(size=(2, 3)))
+        problem.add_vectors("bg", rng.normal(size=(2, 3)) * 0.01, fixed=True)
+        problem.add_vectors("ba", rng.normal(size=(2, 3)) * 0.1)
+        # camera columns of the free rows, family by family; the gyro biases have none
+        cols = {("pose", 1): slice(0, 6), ("vel", 0): slice(6, 9), ("vel", 1): slice(9, 12),
+                ("ba", 0): slice(12, 15), ("ba", 1): slice(15, 18)}
+        kernel = res.RobustKernel("cauchy", 3.0)
+        groups = [
+            (res.PreintegrationFactor,
+             [("pose", [0]), ("vel", [0]), ("bg", [0]), ("ba", [0]), ("pose", [1]), ("vel", [1])],
+             res.stack_preintegrations([pre], [0.0, 0.0, -9.81]), pre.information()[None], res.RobustKernel()),
+            (res.BiasRandomWalkFactor, [("ba", [0]), ("bg", [0]), ("ba", [1]), ("bg", [1])], None,
+             np.diag([4.0, 1.0, 2.0, 3.0, 1.0, 0.5]), kernel),
+        ]
+        values = problem.value
+        j_rows, r_rows = [], []
+        for kind, slots, data, info, f_kernel in groups:
+            problem.add_factors(kind, slots, data, info, f_kernel)
+            residual, jac = kind.evaluate_batch(problem.groups[-1], values)
+            sizes = [problem.families[family].size for family, _ in slots]
+            s_mat = np.linalg.cholesky(info if np.ndim(info) == 2 else info[0]).T
+            w = np.sqrt(f_kernel.loss(float(np.sum((s_mat @ residual[0]) ** 2)))[1]) * s_mat
+            j_dense = np.zeros((residual.shape[1], 18))
+            for (family, rows), block in zip(slots, np.split(jac[0], np.cumsum(sizes)[:-1], axis=1)):
+                if (family, rows[0]) in cols:
+                    j_dense[:, cols[family, rows[0]]] += w @ block
+            j_rows.append(j_dense)
+            r_rows.append(w @ residual[0])
+        jac, r = np.vstack(j_rows), np.concatenate(r_rows)
+
+        system = solver._System(problem)
+        (_, pre_take, _, _), (_, walk_take, _, _) = system.groups
+        np.testing.assert_array_equal(pre_take, np.r_[6:9, 12:24])
+        np.testing.assert_array_equal(walk_take, np.r_[0:3, 6:9])
+        (h_cc, b_c, _, _, _), _, _ = system.linearize(values)
+        h, b = jac.T @ jac, -jac.T @ r
+        np.testing.assert_allclose(h_cc, h, rtol=1e-12, atol=1e-12 * np.abs(h).max())
+        np.testing.assert_allclose(b_c, b, rtol=1e-12, atol=1e-12 * np.abs(b).max())
 
     def test_one_bincount_per_linearization(self, monkeypatch):
         """Every group's J^T r and J^T J entries reach the flat buffer by one
